@@ -9,22 +9,22 @@ binary search and max-min robust common precoding).
 """
 
 from .closed_form import (
+    PlanParts,
     PrecodingPlan,
     SEReport,
     TraceTerms,
+    assemble,
     common_normalization,
     common_sinr,
-    common_sinr_coherent,
-    common_sinr_noncoherent,
     evaluate_plan,
     make_plan,
+    plan_parts,
     power_control_coefficients,
     private_normalization,
     private_sinr,
-    private_sinr_coherent,
-    private_sinr_noncoherent,
     se_from_sinr,
     sum_se,
+    sum_se_curve,
 )
 from .estimation import (
     EstimationStatistics,

@@ -23,9 +23,11 @@ import csv
 import dataclasses
 import json
 import logging
+import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +75,15 @@ def parse_power(value, key: str = "power") -> float:
         except ValueError:
             pass
     raise ConfigError(f"{key}: cannot parse power value {value!r} (use watts or 'x dBm')")
+
+
+def parse_int(value, key: str = "integer") -> int:
+    """An integral number; bools, fractions and strings are rejected."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer())
+    if integral and not isinstance(value, bool):
+        return int(value)
+    raise ConfigError(f"{key}: expected an integer, got {value!r}")
 
 
 def parse_variance(value, key: str = "variance") -> float:
@@ -135,11 +146,11 @@ class ExperimentSpec:
 
 
 _SYSTEM_REQUIRED = {
-    "L": ("L", int),
-    "K": ("K", int),
-    "N": ("N", int),
-    "tau_p": ("tau_p", int),
-    "tau_c": ("tau_c", int),
+    "L": ("L", parse_int),
+    "K": ("K", parse_int),
+    "N": ("N", parse_int),
+    "tau_p": ("tau_p", parse_int),
+    "tau_c": ("tau_c", parse_int),
     "pilot_power": ("p_pilot", parse_power),
     "downlink_power": ("p_d", parse_power),
     "noise_ul": ("sigma2_ul", parse_power),
@@ -149,7 +160,7 @@ _SYSTEM_REQUIRED = {
     "osc_constant_ap": ("c_ap", float),
     "osc_constant_ue": ("c_ue", float),
     "area_side_m": ("area_side", float),
-    "seed": ("seed", int),
+    "seed": ("seed", parse_int),
 }
 _SYSTEM_OPTIONAL = {
     "correlation": ("correlation", str),
@@ -165,10 +176,10 @@ _TOP_KEYS = {"system", "sweep", "schemes", "mc_realizations", "repetitions", "ou
 
 
 def _convert(conv, value, where: str):
-    if conv is parse_power:
-        if isinstance(value, list):  # per-UE pilot powers
-            return tuple(parse_power(v, where) for v in value)
-        return parse_power(value, where)
+    if conv is parse_power and isinstance(value, list):  # per-UE pilot powers
+        return tuple(parse_power(v, where) for v in value)
+    if conv in (parse_power, parse_int):
+        return conv(value, where)
     try:
         return conv(value)
     except (TypeError, ValueError) as exc:
@@ -204,10 +215,12 @@ def _scheme_from_dict(entry: dict, where: str) -> SchemeSpec:
     for key in ("private", "transmission", "rs"):
         if key not in entry:
             raise ConfigError(f"{where}: missing required key {key!r}")
+    if not isinstance(entry["rs"], bool):
+        raise ConfigError(f"{where}.rs: expected true or false, got {entry['rs']!r}")
     spec = SchemeSpec(
         private_scheme=str(entry["private"]),
         transmission=str(entry["transmission"]),
-        rs_enabled=bool(entry["rs"]),
+        rs_enabled=entry["rs"],
         weights_mode=str(entry.get("weights", "simple")),
     )
     if spec.private_scheme not in closed_form.PRIVATE_SCHEMES:
@@ -239,9 +252,12 @@ def spec_from_dict(data: dict, where: str = "config") -> ExperimentSpec:
     elif parameter == "transmit_power":
         values = tuple(parse_power(v, f"{where}.sweep.values") for v in raw_values)
     elif parameter == "antenna_count":
-        values = tuple(float(int(v)) for v in raw_values)
+        values = tuple(float(parse_int(v, f"{where}.sweep.values")) for v in raw_values)
     elif parameter == "rho":
-        values = tuple(float(v) for v in raw_values)
+        values = tuple(_convert(float, v, f"{where}.sweep.values") for v in raw_values)
+        for v in values:
+            if not 0.0 <= v <= 1.0:
+                raise ConfigError(f"{where}.sweep.values: rho {v!r} is outside [0, 1]")
     elif parameter == "none":
         values = ()
     else:
@@ -259,8 +275,8 @@ def spec_from_dict(data: dict, where: str = "config") -> ExperimentSpec:
         sweep_parameter=parameter,
         sweep_values=values,
         schemes=schemes,
-        mc_realizations=int(data.get("mc_realizations", 0)),
-        repetitions=int(data.get("repetitions", 1)),
+        mc_realizations=parse_int(data.get("mc_realizations", 0), f"{where}.mc_realizations"),
+        repetitions=parse_int(data.get("repetitions", 1), f"{where}.repetitions"),
         output_path=str(data.get("output", "results")),
     )
 
@@ -350,22 +366,37 @@ def _job_phases(spec: ExperimentSpec, sweep_idx: int, cfg: SystemConfig) -> Phas
     return PhaseStatistics.from_config(cfg)
 
 
+class Topology(NamedTuple):
+    """One network draw with the statistics every scheme is evaluated on."""
+
+    net: model.NetworkModel
+    pilots: estimation.PilotAssignment
+    stats: estimation.EstimationStatistics
+    terms: TraceTerms
+
+
+def build_topology(cfg: SystemConfig, phases: PhaseStatistics) -> Topology:
+    """Draw the network of ``cfg``; compute its estimation statistics and traces."""
+    net = build_network(cfg)
+    pilots = assign_pilots(cfg.K, cfg.tau_p)
+    stats = estimation_statistics(net, pilots, phases, cfg)
+    return Topology(net, pilots, stats, TraceTerms.compute(net, stats, pilots))
+
+
 def run_scheme(
     cfg: SystemConfig,
     phases: PhaseStatistics,
     scheme: SchemeSpec,
+    topology: Topology,
     fixed_rho: float | None = None,
     mc_realizations: int = 0,
 ):
-    """Build one topology, optimize the plan for one scheme, evaluate SE.
+    """Optimize the plan for one scheme on one topology, evaluate SE.
 
     Returns (report, extras) where extras carries the optimized rho and
     optional Monte Carlo cross-check errors.
     """
-    net = build_network(cfg)
-    pilots = assign_pilots(cfg.K, cfg.tau_p)
-    stats = estimation_statistics(net, pilots, phases, cfg)
-    terms = TraceTerms.compute(net, stats, pilots)
+    net, pilots, stats, terms = topology
     extras: dict = {}
 
     if not scheme.rs_enabled:
@@ -374,13 +405,9 @@ def run_scheme(
         rho = fixed_rho
     else:
         base_plan = make_plan(terms, scheme.private_scheme, scheme.transmission, 0.0)
-
-        def sse_of(r):
-            return evaluate_plan(
-                terms, base_plan.replace_rho(r), phases, cfg
-            ).sum_se
-
-        rho, _ = optimize.optimal_rho(sse_of)
+        rho, _ = optimize.optimal_rho(
+            closed_form.sum_se_curve(terms, base_plan, phases, cfg)
+        )
         extras["optimized_rho"] = rho
 
     if scheme.rs_enabled and scheme.weights_mode == "robust" and rho > 0:
@@ -428,10 +455,11 @@ RESULT_COLUMNS = [
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> Path:
     """Execute every (sweep point, scheme, repetition) job and write results.
 
-    Writes results.csv (one row per job and UE), aggregate.csv, and a
-    manifest.json from which the run can be replayed byte-identically.
-    Per-job failures are recorded in the rows' status column and do not
-    abort the run.
+    Each (sweep point, repetition) builds one topology that all schemes
+    share; it is dropped before the next one is built.  Writes results.csv
+    (one row per job and UE), aggregate.csv, and a manifest.json from which
+    the run can be replayed byte-identically.  Per-job failures are
+    recorded in the rows' status column and do not abort the run.
     """
     out = Path(out_dir) if out_dir is not None else Path(spec.output_path)
     out.mkdir(parents=True, exist_ok=True)
@@ -440,11 +468,12 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> P
     rows = []
     agg: dict[tuple, list[float]] = {}
     for sweep_idx, sweep_value in sweep_points:
-        for scheme_idx, scheme in enumerate(spec.schemes):
-            for rep in range(spec.repetitions):
-                seed = _job_seed(spec.base.seed, rep)
-                cfg = _job_config(spec, sweep_idx, seed)
-                phases = _job_phases(spec, sweep_idx, cfg)
+        for rep in range(spec.repetitions):
+            seed = _job_seed(spec.base.seed, rep)
+            cfg = _job_config(spec, sweep_idx, seed)
+            phases = _job_phases(spec, sweep_idx, cfg)
+            topology = None
+            for scheme_idx, scheme in enumerate(spec.schemes):
                 fixed_rho = (
                     spec.sweep_values[sweep_idx]
                     if spec.sweep_parameter == "rho" and scheme.rs_enabled
@@ -461,8 +490,10 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> P
                     "seed": seed,
                 }
                 try:
+                    if topology is None:  # a failed build is retried per scheme
+                        topology = build_topology(cfg, phases)
                     report, extras = run_scheme(
-                        cfg, phases, scheme, fixed_rho, spec.mc_realizations
+                        cfg, phases, scheme, topology, fixed_rho, spec.mc_realizations
                     )
                 except Exception as exc:  # recorded, run continues
                     log.warning("job failed (%s, rep %d): %s", scheme.label(), rep, exc)
@@ -614,8 +645,9 @@ def cmd_se(args) -> int:
             SchemeSpec("du_mr", "coherent", True, "simple"),
         )
     )
+    topology = build_topology(cfg, phases)
     if args.dump_network:
-        net = build_network(cfg)
+        net = topology.net
         rows = []
         for l in range(cfg.L):
             rows.append({"kind": "ap", "k": "", "l": l,
@@ -640,7 +672,7 @@ def cmd_se(args) -> int:
 
     rows = []
     for scheme in schemes:
-        report, extras = run_scheme(cfg, phases, scheme)
+        report, extras = run_scheme(cfg, phases, scheme, topology)
         for row in report.to_csv_rows():
             row["scheme"] = scheme.label()
             rows.append(row)
@@ -677,10 +709,7 @@ def validate_families(
     terms_out: Path | None = None,
 ):
     """Closed form vs Monte Carlo for all eight SINR families."""
-    net = build_network(cfg)
-    pilots = assign_pilots(cfg.K, cfg.tau_p)
-    stats = estimation_statistics(net, pilots, phases, cfg)
-    terms = TraceTerms.compute(net, stats, pilots)
+    net, pilots, stats, terms = build_topology(cfg, phases)
     lam = cfg.estimation_instant
     if instants is None:
         instants = [lam, min(lam + 5, cfg.tau_c), cfg.tau_c]
@@ -752,15 +781,9 @@ def cmd_validate(args) -> int:
 def cmd_rho_opt(args) -> int:
     cfg, _ = _load_system(args)
     phases = PhaseStatistics.from_config(cfg)
-    net = build_network(cfg)
-    pilots = assign_pilots(cfg.K, cfg.tau_p)
-    stats = estimation_statistics(net, pilots, phases, cfg)
-    terms = TraceTerms.compute(net, stats, pilots)
+    terms = build_topology(cfg, phases).terms
     plan0 = make_plan(terms, args.scheme, args.transmission, 0.0)
-
-    def sse_of(r):
-        return evaluate_plan(terms, plan0.replace_rho(r), phases, cfg).sum_se
-
+    sse_of = closed_form.sum_se_curve(terms, plan0, phases, cfg)
     rho, sse = optimize.optimal_rho(sse_of, tol=args.tol)
     print(f"rho* = {rho:.6f}, sum SE = {sse:.6f} bit/s/Hz "
           f"(non-RS {sse_of(0.0):.6f}, all-common {sse_of(1.0):.6f})")
@@ -777,10 +800,7 @@ def cmd_robust(args) -> int:
     if args.verbose:
         logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     phases = PhaseStatistics.from_config(cfg)
-    net = build_network(cfg)
-    pilots = assign_pilots(cfg.K, cfg.tau_p)
-    stats = estimation_statistics(net, pilots, phases, cfg)
-    terms = TraceTerms.compute(net, stats, pilots)
+    terms = build_topology(cfg, phases).terms
     problem = optimize.build_maxmin_problem(terms, phases, cfg, args.rho,
                                             n=args.instant)
     result = optimize.robust_common_precoding(

@@ -14,6 +14,14 @@ for DU, which makes the DU/DF equalities bitwise when delays vanish.
 Per-instant phase-decay factors are ea = exp(-(n-lambda)*var_ap) and
 eu = exp(-(n-lambda)*var_ue); SINR terms split into n-independent trace
 sums weighted by ea/eu, so all data instants are evaluated at once.
+
+Every SINR is rational in the power split rho with rho-independent
+coefficients.  ``plan_parts`` computes those coefficients once per plan
+(the trace contractions, including the cross term over the co-pilot
+blocks of ``tr_QcR``); ``assemble`` turns them into both streams' SINRs
+at one rho with elementwise work only.  ``private_sinr``, ``common_sinr``,
+``evaluate_plan`` and the rho search (``sum_se_curve``) all go through
+this one path.
 """
 
 from __future__ import annotations
@@ -37,6 +45,17 @@ PRIVATE_SCHEMES = ("du_mr", "df_mr")
 # Monte Carlo oracle only
 PLAN_SCHEMES = PRIVATE_SCHEMES + ("du_mmse",)
 TRANSMISSIONS = ("coherent", "noncoherent")
+
+
+def _pair_traces(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """[..., k, l] = tr(A[..., l, :, :] B[k, l]) for B of shape (K, L, N, N).
+
+    tr(A B) = vec(A) . vec(B^T), so this is one matrix product per AP.
+    """
+    K, L, N = B.shape[0], B.shape[1], B.shape[-1]
+    a = A.reshape(-1, L, N * N).transpose(1, 0, 2)  # (L, P, N^2)
+    b = np.swapaxes(B, -1, -2).reshape(K, L, N * N).transpose(1, 2, 0)  # (L, N^2, K)
+    return (a @ b).transpose(1, 2, 0).reshape(*A.shape[:-3], K, L)
 
 
 @dataclass(frozen=True)
@@ -71,6 +90,11 @@ class TraceTerms:
     def L(self) -> int:
         return self.tr_Q.shape[1]
 
+    @property
+    def groups(self) -> list[np.ndarray]:
+        """Co-pilot sets as index arrays, read off the copilot mask."""
+        return [np.flatnonzero(row) for row in np.unique(self.copilot, axis=0)]
+
     @classmethod
     def compute(
         cls,
@@ -78,11 +102,16 @@ class TraceTerms:
         stats: EstimationStatistics,
         pilots: PilotAssignment,
     ) -> "TraceTerms":
+        # dense layout, but only the co-pilot blocks are nonzero and computed
+        tr_QcR = np.zeros((net.K, net.K, net.K, net.L), dtype=complex)
+        for g in pilots.groups:
+            block = np.ix_(g, g)
+            tr_QcR[block] = _pair_traces(stats.Q_cross[block], net.R)
         return cls(
             tr_Q=np.einsum("klnn->kl", stats.Q).real,
-            tr_QR=np.einsum("ilab,klba->ikl", stats.Q, net.R).real,
+            tr_QR=_pair_traces(stats.Q, net.R).real,
             tr_Qc=np.einsum("kilnn->kil", stats.Q_cross),
-            tr_QcR=np.einsum("ijlab,klba->ijkl", stats.Q_cross, net.R),
+            tr_QcR=tr_QcR,
             theta=net.theta.copy(),
             copilot=pilots.copilot.copy(),
             beta=net.beta.copy(),
@@ -278,7 +307,7 @@ def make_plan(
 
 
 # ---------------------------------------------------------------------------
-# SINR families
+# SINR families: rho-independent parts, assembled per power split
 # ---------------------------------------------------------------------------
 
 def _theta_eff(terms: TraceTerms, scheme: str) -> np.ndarray:
@@ -304,170 +333,113 @@ def _decay_pair(phases: PhaseStatistics, config: SystemConfig, instants):
     return ea, eu
 
 
-def _private_parts(terms: TraceTerms, mu: np.ndarray, theta_eff: np.ndarray):
-    """n-independent pieces of the private-stream interference and signal.
+def _cross_term(terms: TraceTerms, eta: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(K,) sum_l eta_l sum_{i,j} conj(w[i,l]) w[j,l] tr(Qc[i,j,l] R[k,l]).
 
-    total[k]      sum_i sum_l mu[i,l] tr(Q[i,l] R[k,l])
-    percontam[k]  sum_{i in P_k} sum_l mu[i,l] |tr(Qc[k,i,l])|^2
-    coherent[k]   sum_{i in P_k} |sum_l theta*[i,l] sqrt(mu[i,l]) tr(Qc)|^2
-    sig_coh[k]    |sum_l theta*[k,l] sqrt(mu[k,l]) tr(Q[k,l])|^2
-    sig_nc[k]     sum_l mu[k,l] tr(Q[k,l])^2
+    tr_QcR vanishes unless i and j share a pilot, so only the co-pilot
+    blocks are contracted: K*g*K*L work for groups of size g.
     """
-    sq = np.sqrt(mu)
-    total = np.einsum("il,ikl->k", mu, terms.tr_QR)
+    cross = np.zeros(terms.K)
+    for g in terms.groups:
+        pair = eta * np.conj(w[g])[:, None] * w[g][None, :]  # (g, g, L)
+        cross += np.einsum("ijl,ijkl->k", pair, terms.tr_QcR[g[:, None], g]).real
+    return cross
+
+
+@dataclass(frozen=True)
+class PlanParts:
+    """rho-independent coefficients of one plan's SINRs at M instants.
+
+    eaeu (M, 1) is ea*eu; xi (M, K) or (1, K) the private received power,
+    gamma (M, K) the common interference, both per transmitted watt;
+    sig_private and sig_common (K,) the desired-signal coefficients.
+    """
+
+    eaeu: np.ndarray
+    xi: np.ndarray
+    sig_private: np.ndarray
+    sig_common: np.ndarray
+    gamma: np.ndarray
+    p_d: float
+    sigma2: float
+    scalar: bool
+
+
+def plan_parts(
+    terms: TraceTerms,
+    plan: PrecodingPlan,
+    phases: PhaseStatistics,
+    config: SystemConfig,
+    instants,
+) -> PlanParts:
+    """Every coefficient of the plan's SINRs that does not depend on rho.
+
+    Non-coherent private terms carry no delay phase (per-AP detection
+    removes it, so DU and DF agree exactly); the non-coherent common stream
+    keeps it, because the per-AP common precoders mix all UEs' phases.
+    """
+    ea, eu = _decay_pair(phases, config, instants)
+    theta_eff = _theta_eff(terms, plan.private_scheme)
+    mu = plan.mu
+    total = np.einsum("il,ikl->k", mu, terms.tr_QR)  # sum_il mu tr(Q[i,l] R[k,l])
+    # sum_{i in P_k} sum_l mu[i,l] |tr(Qc[k,i,l])|^2
     percontam = np.einsum("il,kil->k", mu, np.abs(terms.tr_Qc) ** 2)
-    coh_sums = np.einsum("il,kil->ki", np.conj(theta_eff) * sq, terms.tr_Qc)
-    coherent = np.sum(np.abs(coh_sums) ** 2, axis=1)
-    sig_coh = np.abs(np.einsum("kl,kl->k", np.conj(theta_eff) * sq, terms.tr_Q)) ** 2
-    sig_nc = np.einsum("kl,kl->k", mu, terms.tr_Q**2)
-    return total, percontam, coherent, sig_coh, sig_nc
+    w = plan.weights * np.conj(theta_eff)  # (K, L)
+    per_ap = np.einsum("il,kil->kl", w, terms.tr_Qc)  # desired common sums per AP
+    gain_unc = np.einsum("l,kl->k", plan.eta, np.abs(per_ap) ** 2)
+    cross = _cross_term(terms, plan.eta, w)
+    if plan.transmission == "coherent":
+        sq = np.conj(theta_eff) * np.sqrt(mu)
+        # sum_{i in P_k} |sum_l theta*[i,l] sqrt(mu[i,l]) tr(Qc[k,i,l])|^2
+        coherent = np.sum(np.abs(np.einsum("il,kil->ki", sq, terms.tr_Qc)) ** 2, axis=1)
+        xi = (total[None, :] + (1.0 - ea)[:, None] * percontam[None, :]
+              + ea[:, None] * coherent[None, :])
+        sig_private = np.abs(np.einsum("kl,kl->k", sq, terms.tr_Q)) ** 2
+        sig_common = np.abs(per_ap @ np.sqrt(plan.eta)) ** 2  # coherent |sum_l|^2
+        gamma = ((1.0 - ea)[:, None] * gain_unc[None, :] + cross[None, :]
+                 + (ea * (1.0 - eu))[:, None] * sig_common[None, :])
+    else:
+        xi = (total + percontam)[None, :]
+        sig_private = np.einsum("kl,kl->k", mu, terms.tr_Q**2)
+        sig_common = gain_unc
+        gamma = cross[None, :] + (1.0 - ea * eu)[:, None] * gain_unc[None, :]
+    return PlanParts((ea * eu)[:, None], xi, sig_private, sig_common, gamma,
+                     config.p_d, config.sigma2_dl, bool(np.isscalar(instants)))
 
 
-def _private_interference(parts, ea):
-    """(M, K) total private received power sum_i E{|.|^2} at decay ea."""
-    total, percontam, coherent, _, _ = parts
-    return (
-        total[None, :]
-        + (1.0 - ea)[:, None] * percontam[None, :]
-        + ea[:, None] * coherent[None, :]
-    )
+def assemble(parts: PlanParts, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """(private, common) SINRs at power split rho, elementwise work only.
 
-
-def private_sinr_coherent(
-    terms: TraceTerms,
-    plan: PrecodingPlan,
-    phases: PhaseStatistics,
-    config: SystemConfig,
-    instants,
-) -> np.ndarray:
-    """Private-stream SINR under coherent joint transmission.
-
-    Returns (K,) for a scalar instant, else (K, len(instants)).
+    With p_dp = (1 - rho) p_d and p_dc = rho p_d:
+        private = eaeu p_dp s_p / (p_dp xi - eaeu p_dp s_p + sigma2)
+        common  = eaeu p_dc s_c / (p_dc gamma + p_dp xi + sigma2),
+    exactly zero at rho == 0.  Each is (K,) for a scalar instant, else (K, M).
     """
-    ea, eu = _decay_pair(phases, config, instants)
-    theta_eff = _theta_eff(terms, plan.private_scheme)
-    parts = _private_parts(terms, plan.mu, theta_eff)
-    p_dp = (1.0 - plan.rho) * config.p_d
-    xi = _private_interference(parts, ea)
-    sig = (ea * eu)[:, None] * p_dp * parts[3][None, :]
-    den = p_dp * xi - sig + config.sigma2_dl
-    out = (sig / den).T
-    return out[:, 0] if np.isscalar(instants) else out
-
-
-def private_sinr_noncoherent(
-    terms: TraceTerms,
-    plan: PrecodingPlan,
-    phases: PhaseStatistics,
-    config: SystemConfig,
-    instants,
-) -> np.ndarray:
-    """Private-stream SINR under non-coherent (per-AP symbol) transmission.
-
-    Identical for DU and DF precoding: per-AP detection makes the delay
-    phase drop out of every term.
-    """
-    ea, eu = _decay_pair(phases, config, instants)
-    # theta-free by construction; pass unit phases so DU/DF match bitwise
-    parts = _private_parts(terms, plan.mu, np.ones_like(terms.theta))
-    total, percontam, _, _, sig_nc = parts
-    p_dp = (1.0 - plan.rho) * config.p_d
-    xi = (total + percontam)[None, :]
-    sig = (ea * eu)[:, None] * p_dp * sig_nc[None, :]
-    den = p_dp * xi - sig + config.sigma2_dl
-    out = (sig / den).T
-    return out[:, 0] if np.isscalar(instants) else out
-
-
-def _common_parts(terms, weights, eta, theta_eff):
-    """n-independent pieces of the common-stream signal and interference."""
-    w = weights * np.conj(theta_eff)  # (K, L)
-    per_ap = np.einsum("il,kil->kl", w, terms.tr_Qc)  # desired sums per AP
-    sig = np.abs(per_ap @ np.sqrt(eta)) ** 2  # coherent |sum_l|^2
-    gain_unc = np.einsum("l,kl->k", eta, np.abs(per_ap) ** 2)
-    cross = np.einsum("l,il,jl,ijkl->k", eta, np.conj(w), w, terms.tr_QcR).real
-    return sig, gain_unc, cross, per_ap
-
-
-def common_sinr_coherent(
-    terms: TraceTerms,
-    plan: PrecodingPlan,
-    phases: PhaseStatistics,
-    config: SystemConfig,
-    instants,
-) -> np.ndarray:
-    """Common-stream SINR under coherent transmission (all private streams
-    are noise at this decoding stage).  Zero everywhere when rho == 0."""
-    ea, eu = _decay_pair(phases, config, instants)
-    scalar = np.isscalar(instants)
-    p_dc = plan.rho * config.p_d
-    p_dp = (1.0 - plan.rho) * config.p_d
-    theta_eff = _theta_eff(terms, plan.private_scheme)
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("rho must lie in [0, 1]")
+    p_dc = rho * parts.p_d
+    p_dp = (1.0 - rho) * parts.p_d
+    sig = parts.eaeu * p_dp * parts.sig_private[None, :]
+    private = (sig / (p_dp * parts.xi - sig + parts.sigma2)).T
     if p_dc == 0.0:
-        shape = (terms.K,) if scalar else (terms.K, ea.shape[0])
-        return np.zeros(shape)
-    sig, gain_unc, cross, _ = _common_parts(terms, plan.weights, plan.eta, theta_eff)
-    xi = _private_interference(_private_parts(terms, plan.mu, theta_eff), ea)
-    num = (ea * eu)[:, None] * p_dc * sig[None, :]
-    gamma = (
-        (1.0 - ea)[:, None] * gain_unc[None, :]
-        + cross[None, :]
-        + (ea * (1.0 - eu))[:, None] * sig[None, :]
-    )
-    den = p_dc * gamma + p_dp * xi + config.sigma2_dl
-    out = (num / den).T
-    return out[:, 0] if scalar else out
-
-
-def common_sinr_noncoherent(
-    terms: TraceTerms,
-    plan: PrecodingPlan,
-    phases: PhaseStatistics,
-    config: SystemConfig,
-    instants,
-) -> np.ndarray:
-    """Common-stream SINR under non-coherent transmission.
-
-    Unlike the private stream, the common message keeps its delay-phase
-    dependence under DF precoding because the per-AP common precoders mix
-    all UEs' delay phases.
-    """
-    ea, eu = _decay_pair(phases, config, instants)
-    scalar = np.isscalar(instants)
-    p_dc = plan.rho * config.p_d
-    p_dp = (1.0 - plan.rho) * config.p_d
-    theta_eff = _theta_eff(terms, plan.private_scheme)
-    if p_dc == 0.0:
-        shape = (terms.K,) if scalar else (terms.K, ea.shape[0])
-        return np.zeros(shape)
-    _, gain_unc, cross, _ = _common_parts(terms, plan.weights, plan.eta, theta_eff)
-    total, percontam, _, _, _ = _private_parts(
-        terms, plan.mu, np.ones_like(terms.theta)
-    )
-    xi_nc = (total + percontam)[None, :]
-    num = (ea * eu)[:, None] * p_dc * gain_unc[None, :]
-    gamma = cross[None, :] + (1.0 - ea * eu)[:, None] * gain_unc[None, :]
-    den = p_dc * gamma + p_dp * xi_nc + config.sigma2_dl
-    out = (num / den).T
-    return out[:, 0] if scalar else out
+        common = np.zeros(private.shape)
+    else:
+        num = parts.eaeu * p_dc * parts.sig_common[None, :]
+        den = p_dc * parts.gamma + p_dp * parts.xi + parts.sigma2
+        common = (num / den).T
+    if parts.scalar:
+        return private[:, 0], common[:, 0]
+    return private, common
 
 
 def private_sinr(terms, plan, phases, config, instants) -> np.ndarray:
-    fn = (
-        private_sinr_coherent
-        if plan.transmission == "coherent"
-        else private_sinr_noncoherent
-    )
-    return fn(terms, plan, phases, config, instants)
+    """Private-stream SINRs: (K,) for a scalar instant, else (K, M)."""
+    return assemble(plan_parts(terms, plan, phases, config, instants), plan.rho)[0]
 
 
 def common_sinr(terms, plan, phases, config, instants) -> np.ndarray:
-    fn = (
-        common_sinr_coherent
-        if plan.transmission == "coherent"
-        else common_sinr_noncoherent
-    )
-    return fn(terms, plan, phases, config, instants)
+    """Common-stream SINRs: (K,) for a scalar instant, else (K, M)."""
+    return assemble(plan_parts(terms, plan, phases, config, instants), plan.rho)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +476,8 @@ def evaluate_plan(
     metadata: dict | None = None,
 ) -> SEReport:
     """Full SE report for one plan over all data instants of the block."""
-    instants = config.data_instants()
-    sinr_p = private_sinr(terms, plan, phases, config, instants)
-    sinr_c = common_sinr(terms, plan, phases, config, instants)
+    parts = plan_parts(terms, plan, phases, config, config.data_instants())
+    sinr_p, sinr_c = assemble(parts, plan.rho)
     se_p = se_from_sinr(sinr_p, config.tau_c)
     se_c_per_ue = se_from_sinr(sinr_c, config.tau_c)
     se_c, sse = sum_se(se_p, se_c_per_ue)
@@ -524,6 +495,21 @@ def evaluate_plan(
         sum_se=sse,
         metadata=meta,
     )
+
+
+def sum_se_curve(terms, plan, phases, config):
+    """The plan's sum SE as a function of rho: parts once, assembly per call.
+
+    A call at ``plan.rho`` equals ``evaluate_plan(...).sum_se`` exactly.
+    """
+    parts = plan_parts(terms, plan, phases, config, config.data_instants())
+
+    def sum_se_at(rho: float) -> float:
+        sinr_p, sinr_c = assemble(parts, rho)
+        se_p = se_from_sinr(sinr_p, config.tau_c)
+        return sum_se(se_p, se_from_sinr(sinr_c, config.tau_c))[1]
+
+    return sum_se_at
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .model import NetworkModel, PhaseStatistics, SystemConfig
 
@@ -105,22 +104,6 @@ def _check_hermitian(R: np.ndarray, tol: float = 1e-10):
         raise ValueError("correlation matrices must be Hermitian")
 
 
-def _hpd_inverse(mat: np.ndarray) -> np.ndarray:
-    """Inverse of a Hermitian positive-definite matrix via Cholesky.
-
-    Non-PD input is an upstream bug, not something to paper over with a
-    pseudo-inverse, so factorization failure raises.
-    """
-    try:
-        c, low = cho_factor(mat)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            "pilot covariance is not positive definite; "
-            "check correlation matrices and noise power"
-        ) from exc
-    return cho_solve((c, low), np.eye(mat.shape[0], dtype=complex))
-
-
 def decay_factors(pilots: PilotAssignment, phases: PhaseStatistics) -> np.ndarray:
     """(K,) amplitude decay exp(-(lambda - t_k)(var_ap + var_ue)) per UE."""
     gaps = pilots.tau_p + 1 - pilots.t
@@ -145,30 +128,36 @@ def estimation_statistics(
     Psi = np.empty((K, L, N, N), dtype=complex)
     Q = np.empty((K, L, N, N), dtype=complex)
     Q_cross = np.zeros((K, K, L, N, N), dtype=complex)
-    nmse_ls = np.empty((K, L))
+    tr_cov = np.empty((K, L))
 
     for group in pilots.groups:
-        members = np.asarray(group)
-        for l in range(L):
-            pilot_cov = sigma2 * np.eye(N, dtype=complex)
-            for i in members:
-                pilot_cov = pilot_cov + p[i] * net.R[i, l]
-            Psi_gl = _hpd_inverse(pilot_cov)
-            tr_pilot_cov = np.trace(pilot_cov).real
-            for k in members:
-                Psi[k, l] = Psi_gl
-                PsiR_k = Psi_gl @ net.R[k, l]
-                Q[k, l] = p[k] * decay[k] * net.R[k, l] @ PsiR_k
-                for i in members:
-                    Q_cross[k, i, l] = (
-                        np.sqrt(p[k] * p[i]) * decay[k] * net.R[i, l] @ PsiR_k
-                    )
-                tr_R = np.trace(net.R[k, l]).real
-                nmse_ls[k, l] = tr_pilot_cov / (decay[k] * p[k] * tr_R) - 1.0
+        g = list(group)
+        pilot_cov = sigma2 * np.eye(N, dtype=complex)
+        for i in g:
+            pilot_cov = pilot_cov + p[i] * net.R[i]  # (L, N, N)
+        # non-PD input is an upstream bug, not something to paper over with
+        # a pseudo-inverse, so factorization failure raises
+        try:
+            chol_inv = np.linalg.inv(np.linalg.cholesky(pilot_cov))
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(
+                "pilot covariance is not positive definite; "
+                "check correlation matrices and noise power"
+            ) from exc
+        Psi_g = np.conj(np.swapaxes(chol_inv, -1, -2)) @ chol_inv
+        PsiR = Psi_g @ net.R[g]  # [k] = Psi R[k], (g, L, N, N)
+        # [k, i] = sqrt(p_k p_i) decay_k R[i] Psi R[k]
+        coef = np.sqrt(np.outer(p[g], p[g])) * decay[g][:, None]
+        block = coef[:, :, None, None, None] * (net.R[g][None] @ PsiR[:, None])
+        Q_cross[np.ix_(g, g)] = block
+        Q[g] = block[np.arange(len(g)), np.arange(len(g))]
+        Psi[g] = Psi_g
+        tr_cov[g] = np.trace(pilot_cov, axis1=-2, axis2=-1).real
 
     tr_R = np.einsum("klnn->kl", net.R).real
     tr_Q = np.einsum("klnn->kl", Q).real
     nmse_mmse = (tr_R - tr_Q) / tr_R
+    nmse_ls = tr_cov / ((decay * p)[:, None] * tr_R) - 1.0
 
     return EstimationStatistics(
         Psi=Psi, Q=Q, Q_cross=Q_cross, nmse_mmse=nmse_mmse, nmse_ls=nmse_ls

@@ -69,19 +69,21 @@ class SystemConfig:
             raise ValueError("L, K, N must all be >= 1")
         if not (1 <= self.tau_p < self.tau_c):
             raise ValueError("need 1 <= tau_p < tau_c")
-        for name in ("p_d", "sigma2_ul", "sigma2_dl", "T_s", "f_c", "area_side"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.c_ap < 0 or self.c_ue < 0:
-            raise ValueError("oscillator constants must be >= 0")
-        if np.any(self.pilot_powers() <= 0):
-            raise ValueError("pilot powers must be > 0")
+        # written as "not inside" so that nan fails every check
+        for name in ("p_d", "sigma2_ul", "sigma2_dl", "T_s", "f_c", "area_side",
+                     "min_dist_m"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        for name in ("c_ap", "c_ue"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        p_pilot = self.pilot_powers()
+        if not np.all((p_pilot > 0) & (p_pilot < np.inf)):
+            raise ValueError("p_pilot must be finite and > 0")
         if self.correlation not in CORRELATION_MODELS:
             raise ValueError(f"correlation must be one of {CORRELATION_MODELS}")
         if self.correlation == "exponential" and not abs(self.corr_r) < 1:
             raise ValueError("exponential correlation needs |corr_r| < 1")
-        if self.min_dist_m <= 0:
-            raise ValueError("min_dist_m must be > 0")
 
     @property
     def estimation_instant(self) -> int:

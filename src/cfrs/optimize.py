@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_form import TraceTerms, _private_parts, _theta_eff, uniform_mu
+from .closed_form import TraceTerms, make_plan, plan_parts
 from .model import PhaseStatistics, SystemConfig
 
 log = logging.getLogger(__name__)
@@ -79,23 +79,6 @@ def optimal_rho(evaluator, tol: float = 1e-3, delta: float | None = None):
 # ---------------------------------------------------------------------------
 # max-min problem assembly
 # ---------------------------------------------------------------------------
-
-def psd_sqrt(mat: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
-    """Hermitian square root with PSD repair.
-
-    Slightly negative eigenvalues (above -rel_tol relative to the largest)
-    are clamped to zero; anything more negative indicates a construction
-    bug and raises.
-    """
-    vals, vecs = np.linalg.eigh(mat)
-    floor = -rel_tol * max(vals[-1], 1e-300) if vals.size else 0.0
-    if vals.size and vals[0] < min(floor, -rel_tol):
-        raise ValueError(
-            f"matrix is not PSD: min eigenvalue {vals[0]:.3e} vs max {vals[-1]:.3e}"
-        )
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)[None, :]) @ np.conj(vecs.T)
-
 
 @dataclass(frozen=True)
 class MaxMinProblem:
@@ -212,10 +195,8 @@ def build_maxmin_problem(
 
     Theta = np.transpose(tr_Qc, (2, 0, 1)).copy()  # (L, K, K)
 
-    mu = uniform_mu(terms)
-    parts = _private_parts(terms, mu, _theta_eff(terms, "du_mr"))
-    total, percontam, coherent = parts[0], parts[1], parts[2]
-    xi = total + (1.0 - eta_ap) * percontam + eta_ap * coherent
+    plan = make_plan(terms, "du_mr", "coherent")
+    xi = plan_parts(terms, plan, phases, config, n).xi[0]
 
     return MaxMinProblem(
         b=b,

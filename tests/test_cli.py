@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -93,6 +94,87 @@ def test_unknown_scheme_fields_rejected(tmp_path):
     })
     with pytest.raises(cli.ConfigError, match="beams"):
         cli.parse_config(path)
+
+
+def one_scheme_spec(**overrides):
+    data = {"system": desk_system(), "schemes": [
+        {"private": "du_mr", "transmission": "coherent", "rs": True}]}
+    data.update(overrides)
+    return data
+
+
+def test_rs_must_be_a_boolean():
+    data = one_scheme_spec()
+    data["schemes"][0]["rs"] = "false"  # bool("false") would turn RS on
+    with pytest.raises(cli.ConfigError, match=r"schemes\[0\]\.rs"):
+        cli.spec_from_dict(data)
+    data["schemes"][0]["rs"] = 0
+    with pytest.raises(cli.ConfigError, match=r"schemes\[0\]\.rs"):
+        cli.spec_from_dict(data)
+
+
+@pytest.mark.parametrize("key", ["L", "K", "N", "tau_p", "tau_c", "seed"])
+@pytest.mark.parametrize("value", [4.9, True, "4", float("nan")])
+def test_integer_system_fields_reject_non_integers(key, value):
+    data = one_scheme_spec()
+    data["system"][key] = value
+    with pytest.raises(cli.ConfigError, match=rf"system\.{key}\b"):
+        cli.spec_from_dict(data)
+
+
+def test_integral_floats_are_accepted():
+    data = one_scheme_spec(repetitions=2.0)
+    data["system"]["L"] = 4.0
+    spec = cli.spec_from_dict(data)
+    assert spec.base.L == 4 and isinstance(spec.base.L, int)
+    assert spec.repetitions == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("repetitions", 2.7), ("repetitions", True),
+    ("mc_realizations", True), ("mc_realizations", 10.5),
+])
+def test_integer_top_level_fields_reject_non_integers(key, value):
+    with pytest.raises(cli.ConfigError, match=rf"config\.{key}"):
+        cli.spec_from_dict(one_scheme_spec(**{key: value}))
+
+
+def test_antenna_sweep_values_must_be_integers():
+    data = one_scheme_spec(sweep={"parameter": "antenna_count", "values": [2, 2.9]})
+    with pytest.raises(cli.ConfigError, match=r"sweep\.values"):
+        cli.spec_from_dict(data)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1])
+def test_rho_sweep_values_checked_at_parse_time(bad):
+    data = one_scheme_spec(sweep={"parameter": "rho", "values": [0.5, bad]})
+    with pytest.raises(cli.ConfigError, match=r"sweep\.values.*outside \[0, 1\]"):
+        cli.spec_from_dict(data)
+
+
+def test_topology_built_once_per_sweep_point(tmp_path, monkeypatch):
+    calls = []
+    original = cli.estimation_statistics
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])  # phases
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "estimation_statistics", counted)
+    spec = cli.spec_from_dict({
+        "system": desk_system(),
+        "sweep": {"parameter": "oscillator_variance", "values": [1e-5, 1e-3]},
+        "schemes": [
+            {"private": "du_mr", "transmission": "coherent", "rs": True},
+            {"private": "df_mr", "transmission": "noncoherent", "rs": False},
+        ],
+    })
+    out = cli.run_experiment(spec, out_dir=tmp_path / "out")
+    assert len(calls) == 2
+    assert [c.var_ap for c in calls] == [1e-5, 1e-3]
+    rows, _ = read_csv(out / "results.csv")
+    assert len(rows) == 2 * 2 * spec.base.K
+    assert {r["status"] for r in rows} == {"ok"}
 
 
 def test_spec_roundtrip(tmp_path):
@@ -278,13 +360,15 @@ def test_validate_subcommand(tmp_path):
 
 def test_failed_jobs_are_tagged_and_run_continues(tmp_path):
     # rho = 1.5 is an invalid power split: those rows carry an error tag,
-    # the valid sweep point still completes
+    # the valid sweep point still completes.  The parser rejects it, so the
+    # value is put into an already parsed spec.
     spec = cli.spec_from_dict({
         "system": desk_system(),
-        "sweep": {"parameter": "rho", "values": [0.5, 1.5]},
+        "sweep": {"parameter": "rho", "values": [0.5, 1.0]},
         "schemes": [{"private": "du_mr", "transmission": "coherent", "rs": True}],
         "output": str(tmp_path / "out"),
     })
+    spec = dataclasses.replace(spec, sweep_values=(0.5, 1.5))
     out = cli.run_experiment(spec)
     rows, _ = read_csv(out / "results.csv")
     assert len(rows) == 2 * spec.base.K

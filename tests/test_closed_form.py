@@ -220,6 +220,50 @@ def test_joint_power_noise_scaling_leaves_sinr_unchanged(desk):
         )
 
 
+def test_assemble_equals_evaluate_plan_exactly():
+    rng = np.random.default_rng(5)
+    cfg, net, pilots, phases, stats, terms = random_instance(rng, L=5, K=4, tau_p=2)
+    ns = cfg.data_instants()
+    for scheme in cf.PRIVATE_SCHEMES:
+        for transmission in cf.TRANSMISSIONS:
+            plan = cf.make_plan(terms, scheme, transmission, 0.0)
+            parts = cf.plan_parts(terms, plan, phases, cfg, ns)
+            curve = cf.sum_se_curve(terms, plan, phases, cfg)
+            for rho in (0.0, 1e-5, 0.25, 0.5, 0.731, 1.0):
+                report = cf.evaluate_plan(terms, plan.replace_rho(rho), phases, cfg)
+                sinr_p, sinr_c = cf.assemble(parts, rho)
+                assert np.array_equal(sinr_p, report.sinr_private)
+                assert np.array_equal(sinr_c, report.sinr_common)
+                assert curve(rho) == report.sum_se
+
+
+def test_blocked_tr_qcr_matches_dense_einsum():
+    # uneven co-pilot groups: K = 7 UEs on 3 pilots gives sizes 3, 2, 2
+    rng = np.random.default_rng(8)
+    cfg, net, pilots, phases, _, _ = random_instance(rng, L=4, K=7, N=3, tau_p=3)
+    assert sorted(len(g) for g in pilots.groups) == [2, 2, 3]
+    # generic complex Hermitian R, so that no transpose or conjugate cancels
+    A = rng.normal(size=net.R.shape) + 1j * rng.normal(size=net.R.shape)
+    net = dataclasses.replace(net, R=A @ np.conj(np.swapaxes(A, -1, -2)) * 1e-9)
+    stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
+    terms = cf.TraceTerms.compute(net, stats, pilots)
+    dense = np.einsum("ijlab,klba->ijkl", stats.Q_cross, net.R)
+    scale = np.max(np.abs(dense))
+    assert np.max(np.abs(terms.tr_QcR - dense)) <= 1e-12 * scale
+    w = rng.uniform(0, 1, (cfg.K, cfg.L)) * np.conj(net.theta)
+    eta = rng.uniform(0.5, 2, cfg.L)
+    cross_dense = np.einsum("l,il,jl,ijkl->k", eta, np.conj(w), w, dense).real
+    cross = cf._cross_term(terms, eta, w)
+    assert np.max(np.abs(cross - cross_dense)) <= 1e-12 * np.max(np.abs(cross_dense))
+
+
+def test_du_mmse_has_no_closed_form(desk):
+    cfg, _, _, phases, _, terms = desk
+    plan = cf.make_plan(terms, "du_mmse", "noncoherent", 0.5)
+    with pytest.raises(ValueError, match="Monte Carlo"):
+        cf.plan_parts(terms, plan, phases, cfg, cfg.data_instants())
+
+
 def test_rho_zero_common_sinr_is_zero(desk):
     cfg, _, _, phases, _, terms = desk
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 import cfrs
 from cfrs.estimation import decay_factors, mmse_filter_matrices
@@ -161,6 +162,54 @@ def test_statistics_invariants_random_instances(desk):
         tr = np.einsum("kilnn->kil", stats.Q_cross)
         assert np.max(np.abs(tr.imag)) < 1e-9 * max(np.max(np.abs(tr)), 1e-300)
         assert np.allclose(tr, np.swapaxes(tr, 0, 1), rtol=1e-9)
+
+
+def per_link_statistics(net, pilots, phases, cfg):
+    """Reference: Psi, Q, Q_cross and the LS NMSE one link at a time."""
+    K, L, N = net.K, net.L, net.N
+    p = cfg.pilot_powers()
+    decay = decay_factors(pilots, phases)
+    Psi = np.zeros((K, L, N, N), dtype=complex)
+    Q = np.zeros((K, L, N, N), dtype=complex)
+    Q_cross = np.zeros((K, K, L, N, N), dtype=complex)
+    nmse_ls = np.zeros((K, L))
+    for k in range(K):
+        members = np.flatnonzero(pilots.t == pilots.t[k])
+        for l in range(L):
+            cov = cfg.sigma2_ul * np.eye(N) + sum(p[i] * net.R[i, l] for i in members)
+            Psi[k, l] = cho_solve(cho_factor(cov), np.eye(N))
+            Q[k, l] = p[k] * decay[k] * net.R[k, l] @ Psi[k, l] @ net.R[k, l]
+            for i in members:
+                Q_cross[k, i, l] = (np.sqrt(p[k] * p[i]) * decay[k]
+                                    * net.R[i, l] @ Psi[k, l] @ net.R[k, l])
+            nmse_ls[k, l] = (np.trace(cov).real
+                             / (decay[k] * p[k] * np.trace(net.R[k, l]).real) - 1.0)
+    return Psi, Q, Q_cross, nmse_ls
+
+
+def test_batched_statistics_match_per_link_loop():
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        cfg, net, pilots, phases, stats, _ = random_instance(rng)
+        cfg = dataclasses.replace(cfg, p_pilot=tuple(rng.uniform(0.05, 0.2, cfg.K)))
+        # generic complex Hermitian R: the model's R[k, l] all commute
+        A = rng.normal(size=net.R.shape) + 1j * rng.normal(size=net.R.shape)
+        R = A @ np.conj(np.swapaxes(A, -1, -2)) * (net.beta / net.N)[..., None, None]
+        net = dataclasses.replace(net, R=R)
+        stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
+        ref = per_link_statistics(net, pilots, phases, cfg)
+        for got, want in zip((stats.Psi, stats.Q, stats.Q_cross, stats.nmse_ls), ref):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_indefinite_pilot_covariance_raises():
+    net = single_link_network(1e-9, N=2)
+    bad = dataclasses.replace(net, R=-net.R)  # Hermitian, negative definite
+    cfg = cfrs.SystemConfig(L=1, K=1, N=2, tau_p=1, tau_c=20, seed=0)
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        cfrs.estimation_statistics(
+            bad, cfrs.assign_pilots(1, 1), cfrs.PhaseStatistics(0, 0), cfg
+        )
 
 
 def test_rejects_non_hermitian_correlation():

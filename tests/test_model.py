@@ -144,6 +144,16 @@ def test_config_validation():
         cfrs.SystemConfig(p_pilot=(0.1, 0.2))  # wrong length for K=8
 
 
+@pytest.mark.parametrize("field, value", [
+    ("p_d", float("nan")), ("p_d", float("inf")), ("sigma2_ul", float("nan")),
+    ("sigma2_dl", float("inf")), ("c_ap", float("inf")), ("c_ue", float("nan")),
+    ("p_pilot", float("nan")), ("p_pilot", float("inf")),
+])
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        cfrs.SystemConfig(**{field: value})
+
+
 def test_min_distance_clamp():
     # UE dropped (almost) on top of an AP must not blow up the gain
     cfg = cfrs.SystemConfig(L=2, K=2, area_side=2.0, seed=13)

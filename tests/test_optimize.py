@@ -68,21 +68,6 @@ def test_optimal_rho_matches_grid_on_closed_form():
 # problem assembly
 # ---------------------------------------------------------------------------
 
-def test_psd_sqrt_roundtrip_and_repair():
-    rng = np.random.default_rng(3)
-    A = rng.normal(size=(5, 5))
-    mat = A @ A.T
-    root = opt.psd_sqrt(mat)
-    assert np.allclose(root @ root, mat, atol=1e-10 * np.linalg.norm(mat))
-    tiny = mat - 1e-14 * np.trace(mat) / 5 * np.eye(5)
-    opt.psd_sqrt(tiny)  # repairable
-
-
-def test_psd_sqrt_rejects_indefinite():
-    with pytest.raises(ValueError):
-        opt.psd_sqrt(np.diag([1.0, -0.5]))
-
-
 def test_single_ue_theta_is_trq():
     cfg, net, pilots, phases, stats, terms, problem = setup_instance(K=1, tau_p=1)
     assert problem.Theta.shape == (cfg.L, 1, 1)
@@ -132,7 +117,7 @@ def test_problem_sinr_matches_closed_form_with_unit_eta():
     for _ in range(10):
         w = rng.uniform(0, 1e4, size=(cfg.K, cfg.L))
         plan = cf.make_plan(terms, "du_mr", "coherent", 0.35, weights=w, unit_eta=True)
-        via_closed = cf.common_sinr_coherent(terms, plan, phases, cfg, problem.instant)
+        via_closed = cf.common_sinr(terms, plan, phases, cfg, problem.instant)
         via_problem = problem.sinr(problem.stack_weights(w))
         assert np.allclose(via_closed, via_problem, rtol=1e-10)
 
@@ -141,12 +126,12 @@ def test_problem_xi_matches_private_interference():
     cfg, net, pilots, phases, stats, terms, problem = setup_instance(seed=7)
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
     # reconstruct xi from the coherent private SINR at full power
-    sinr = cf.private_sinr_coherent(terms, plan, phases, cfg, problem.instant)
+    sinr = cf.private_sinr(terms, plan, phases, cfg, problem.instant)
     lam = cfg.estimation_instant
     ea = np.exp(-(problem.instant - lam) * phases.var_ap)
     eu = np.exp(-(problem.instant - lam) * phases.var_ue)
-    parts = cf._private_parts(terms, plan.mu, cf._theta_eff(terms, "du_mr"))
-    sig = ea * eu * cfg.p_d * parts[3]
+    # DU coherent desired signal |sum_l sqrt(mu[k,l]) tr(Q[k,l])|^2
+    sig = ea * eu * cfg.p_d * np.sum(np.sqrt(plan.mu) * terms.tr_Q, axis=1) ** 2
     xi_implied = (sig / sinr - cfg.sigma2_dl + sig) / cfg.p_d
     assert np.allclose(problem.xi, xi_implied, rtol=1e-10)
 
