@@ -455,8 +455,8 @@ RESULT_COLUMNS = [
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> Path:
     """Execute every (sweep point, scheme, repetition) job and write results.
 
-    Each (sweep point, repetition) builds one topology that all schemes
-    share; it is dropped before the next one is built.  Writes results.csv
+    Each job builds its own topology; the previous job's is dropped before
+    the next one is built.  Writes results.csv
     (one row per job and UE), aggregate.csv, and a manifest.json from which
     the run can be replayed byte-identically.  Per-job failures are
     recorded in the rows' status column and do not abort the run.
@@ -472,7 +472,6 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> P
             seed = _job_seed(spec.base.seed, rep)
             cfg = _job_config(spec, sweep_idx, seed)
             phases = _job_phases(spec, sweep_idx, cfg)
-            topology = None
             for scheme_idx, scheme in enumerate(spec.schemes):
                 fixed_rho = (
                     spec.sweep_values[sweep_idx]
@@ -489,9 +488,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> P
                     "repetition": rep,
                     "seed": seed,
                 }
+                topology = None  # frees the previous job's arrays first
                 try:
-                    if topology is None:  # a failed build is retried per scheme
-                        topology = build_topology(cfg, phases)
+                    topology = build_topology(cfg, phases)
                     report, extras = run_scheme(
                         cfg, phases, scheme, topology, fixed_rho, spec.mc_realizations
                     )

@@ -152,7 +152,7 @@ def test_rho_sweep_values_checked_at_parse_time(bad):
         cli.spec_from_dict(data)
 
 
-def test_topology_built_once_per_sweep_point(tmp_path, monkeypatch):
+def test_each_job_estimates_on_its_sweep_point(tmp_path, monkeypatch):
     calls = []
     original = cli.estimation_statistics
 
@@ -170,8 +170,7 @@ def test_topology_built_once_per_sweep_point(tmp_path, monkeypatch):
         ],
     })
     out = cli.run_experiment(spec, out_dir=tmp_path / "out")
-    assert len(calls) == 2
-    assert [c.var_ap for c in calls] == [1e-5, 1e-3]
+    assert [c.var_ap for c in calls] == [1e-5, 1e-5, 1e-3, 1e-3]
     rows, _ = read_csv(out / "results.csv")
     assert len(rows) == 2 * 2 * spec.base.K
     assert {r["status"] for r in rows} == {"ok"}
