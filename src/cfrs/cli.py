@@ -139,8 +139,11 @@ class ExperimentSpec:
             raise ConfigError("sweep.values must be non-empty for an active sweep")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
-        if self.mc_realizations < 0:
-            raise ConfigError("mc_realizations must be >= 0")
+        if not (self.mc_realizations == 0
+                or self.mc_realizations >= montecarlo.MIN_REALIZATIONS):
+            raise ConfigError(
+                f"mc_realizations must be 0 (no Monte Carlo check) or "
+                f">= {montecarlo.MIN_REALIZATIONS}, got {self.mc_realizations}")
         if not self.schemes:
             raise ConfigError("at least one scheme is required")
 
@@ -170,6 +173,14 @@ _SYSTEM_OPTIONAL = {
     "pl_break2_m": ("pl_break2_m", float),
     "min_dist_m": ("min_dist_m", float),
     "shadow_std_db": ("shadow_std_db", float),
+}
+# per sweep: value parser, admissible range (an "inside" test, so that nan
+# fails it) and that range as the error message states it
+_SWEEP_VALUES = {
+    "oscillator_variance": (parse_variance, lambda v: 0 <= v < np.inf, "[0, inf)"),
+    "transmit_power": (parse_power, lambda v: 0 < v < np.inf, "(0, inf)"),
+    "antenna_count": (lambda v, key: float(parse_int(v, key)), lambda v: v >= 1, "[1, inf)"),
+    "rho": (lambda v, key: _convert(float, v, key), lambda v: 0 <= v <= 1, "[0, 1]"),
 }
 _SCHEME_KEYS = {"private", "transmission", "rs", "weights"}
 _TOP_KEYS = {"system", "sweep", "schemes", "mc_realizations", "repetitions", "output"}
@@ -246,20 +257,15 @@ def spec_from_dict(data: dict, where: str = "config") -> ExperimentSpec:
     if not isinstance(sweep, dict) or set(sweep) - {"parameter", "values"}:
         raise ConfigError(f"{where}.sweep: expects keys 'parameter' and 'values'")
     parameter = sweep.get("parameter", "none")
-    raw_values = sweep.get("values", [])
-    if parameter == "oscillator_variance":
-        values = tuple(parse_variance(v, f"{where}.sweep.values") for v in raw_values)
-    elif parameter == "transmit_power":
-        values = tuple(parse_power(v, f"{where}.sweep.values") for v in raw_values)
-    elif parameter == "antenna_count":
-        values = tuple(float(parse_int(v, f"{where}.sweep.values")) for v in raw_values)
-    elif parameter == "rho":
-        values = tuple(_convert(float, v, f"{where}.sweep.values") for v in raw_values)
-        for v in values:
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{where}.sweep.values: rho {v!r} is outside [0, 1]")
-    elif parameter == "none":
+    if parameter == "none":
         values = ()
+    elif parameter in _SWEEP_VALUES:
+        parse, inside, interval = _SWEEP_VALUES[parameter]
+        values = tuple(parse(v, f"{where}.sweep.values") for v in sweep.get("values", []))
+        for v in values:
+            if not inside(v):
+                raise ConfigError(
+                    f"{where}.sweep.values: {parameter} {v!r} is outside {interval}")
     else:
         raise ConfigError(f"{where}.sweep.parameter: unknown sweep {parameter!r}")
 
@@ -283,29 +289,10 @@ def spec_from_dict(data: dict, where: str = "config") -> ExperimentSpec:
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
     """Canonical (linear-unit) dict representation; parse round-trips it."""
-    sys_cfg = spec.base
-    system = {
-        "L": sys_cfg.L, "K": sys_cfg.K, "N": sys_cfg.N,
-        "tau_p": sys_cfg.tau_p, "tau_c": sys_cfg.tau_c,
-        "pilot_power": sys_cfg.p_pilot if np.isscalar(sys_cfg.p_pilot)
-        else list(sys_cfg.p_pilot),
-        "downlink_power": sys_cfg.p_d,
-        "noise_ul": sys_cfg.sigma2_ul,
-        "noise_dl": sys_cfg.sigma2_dl,
-        "symbol_duration_s": sys_cfg.T_s,
-        "carrier_hz": sys_cfg.f_c,
-        "osc_constant_ap": sys_cfg.c_ap,
-        "osc_constant_ue": sys_cfg.c_ue,
-        "area_side_m": sys_cfg.area_side,
-        "seed": sys_cfg.seed,
-        "correlation": sys_cfg.correlation,
-        "corr_r": sys_cfg.corr_r,
-        "pl_fixed_db": sys_cfg.pl_fixed_db,
-        "pl_break1_m": sys_cfg.pl_break1_m,
-        "pl_break2_m": sys_cfg.pl_break2_m,
-        "min_dist_m": sys_cfg.min_dist_m,
-        "shadow_std_db": sys_cfg.shadow_std_db,
-    }
+    system = {}
+    for key, (field_name, _) in (_SYSTEM_REQUIRED | _SYSTEM_OPTIONAL).items():
+        value = getattr(spec.base, field_name)
+        system[key] = list(value) if isinstance(value, tuple) else value  # per-UE powers
     return {
         "system": system,
         "sweep": {"parameter": spec.sweep_parameter, "values": list(spec.sweep_values)},

@@ -65,21 +65,24 @@ class TraceTerms:
     tr_Q (K, L): tr(Q[k,l]), real.
     tr_QR (K, K, L): [i, k, l] = tr(Q[i,l] R[k,l]), real.
     tr_Qc (K, K, L): [k, i, l] = tr(Q_cross[k,i,l]), zero off pilot group.
-    tr_QcR (K, K, K, L): [i, j, k, l] = tr(Q_cross[i,j,l] R[k,l]), zero for
-        j outside UE i's pilot group.
+    groups: co-pilot sets as index arrays, in ``PilotAssignment.groups``
+        order; the blocks below follow the same order.
+    tr_QcR: one (g, g, K, L) block per co-pilot set, [a, b, k, l] =
+        tr(Q_cross[i,j,l] R[k,l]) for the set's a-th and b-th UEs i and j.
+        Pairs on different pilots vanish and have no entry.
     """
 
     tr_Q: np.ndarray
     tr_QR: np.ndarray
     tr_Qc: np.ndarray
-    tr_QcR: np.ndarray
+    tr_QcR: tuple[np.ndarray, ...]
     theta: np.ndarray
-    copilot: np.ndarray
+    groups: tuple[np.ndarray, ...]
     beta: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.tr_Q, self.tr_QR, self.tr_Qc, self.tr_QcR, self.theta,
-                    self.copilot, self.beta):
+        for arr in (self.tr_Q, self.tr_QR, self.tr_Qc, *self.tr_QcR, self.theta,
+                    *self.groups, self.beta):
             arr.setflags(write=False)
 
     @property
@@ -90,11 +93,6 @@ class TraceTerms:
     def L(self) -> int:
         return self.tr_Q.shape[1]
 
-    @property
-    def groups(self) -> list[np.ndarray]:
-        """Co-pilot sets as index arrays, read off the copilot mask."""
-        return [np.flatnonzero(row) for row in np.unique(self.copilot, axis=0)]
-
     @classmethod
     def compute(
         cls,
@@ -102,18 +100,17 @@ class TraceTerms:
         stats: EstimationStatistics,
         pilots: PilotAssignment,
     ) -> "TraceTerms":
-        # dense layout, but only the co-pilot blocks are nonzero and computed
-        tr_QcR = np.zeros((net.K, net.K, net.K, net.L), dtype=complex)
-        for g in pilots.groups:
-            block = np.ix_(g, g)
-            tr_QcR[block] = _pair_traces(stats.Q_cross[block], net.R)
+        groups = tuple(np.array(g) for g in pilots.groups)
+        tr_Qc = np.zeros((net.K, net.K, net.L), dtype=complex)
+        for g, block in zip(groups, stats.Q_cross):
+            tr_Qc[np.ix_(g, g)] = np.einsum("kilnn->kil", block)
         return cls(
             tr_Q=np.einsum("klnn->kl", stats.Q).real,
             tr_QR=_pair_traces(stats.Q, net.R).real,
-            tr_Qc=np.einsum("kilnn->kil", stats.Q_cross),
-            tr_QcR=tr_QcR,
+            tr_Qc=tr_Qc,
+            tr_QcR=tuple(_pair_traces(block, net.R) for block in stats.Q_cross),
             theta=net.theta.copy(),
-            copilot=pilots.copilot.copy(),
+            groups=groups,
             beta=net.beta.copy(),
         )
 
@@ -340,9 +337,9 @@ def _cross_term(terms: TraceTerms, eta: np.ndarray, w: np.ndarray) -> np.ndarray
     blocks are contracted: K*g*K*L work for groups of size g.
     """
     cross = np.zeros(terms.K)
-    for g in terms.groups:
+    for g, block in zip(terms.groups, terms.tr_QcR):
         pair = eta * np.conj(w[g])[:, None] * w[g][None, :]  # (g, g, L)
-        cross += np.einsum("ijl,ijkl->k", pair, terms.tr_QcR[g[:, None], g]).real
+        cross += np.einsum("ijl,ijkl->k", pair, block).real
     return cross
 
 

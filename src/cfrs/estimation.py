@@ -10,8 +10,9 @@ accumulated oscillator drift over lambda - t_k instants.  The Bayesian
     Psi[k,l] = (sum_{i in P_k} p_i R[i,l] + sigma2 * I)^(-1),
 
 and the cross-covariance between the estimates of co-pilot UEs k and i is
-Q_cross[k,i,l] = sqrt(p_k p_i) * exp(...) * R[i,l] Psi[k,l] R[k,l] (zero
-for UEs on different pilots).  NMSE = tr(R - Q)/tr(R) for MMSE; the LS NMSE
+Q_cross[k,i,l] = sqrt(p_k p_i) * exp(...) * R[i,l] Psi[k,l] R[k,l].  It
+vanishes for UEs on different pilots, so it is stored as one block per
+co-pilot set.  NMSE = tr(R - Q)/tr(R) for MMSE; the LS NMSE
 is exp(+(lambda-t_k)(var_ap+var_ue)) * tr(Psi^-1) / (p_k tr R) - 1 and can
 exceed one because the LS estimate and its error are correlated.
 """
@@ -81,19 +82,21 @@ class EstimationStatistics:
 
     Psi (K, L, N, N): inverse of the group pilot covariance (Hermitian PD).
     Q (K, L, N, N): estimate covariance, 0 <= Q <= R in the PSD order.
-    Q_cross (K, K, L, N, N): estimate cross-covariance for co-pilot pairs,
-        zero off-group; Q_cross[k, k, l] == Q[k, l].
+    Q_cross: estimate cross-covariances, one (g, g, L, N, N) block per
+        co-pilot set in ``PilotAssignment.groups`` order; entry [a, b] of a
+        group's block pairs its a-th and b-th UE, and the diagonal equals Q.
+        UEs on different pilots are uncorrelated and have no entry.
     nmse_mmse / nmse_ls (K, L): normalized MSE of the two estimators.
     """
 
     Psi: np.ndarray
     Q: np.ndarray
-    Q_cross: np.ndarray
+    Q_cross: tuple[np.ndarray, ...]
     nmse_mmse: np.ndarray
     nmse_ls: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.Psi, self.Q, self.Q_cross, self.nmse_mmse, self.nmse_ls):
+        for arr in (self.Psi, self.Q, *self.Q_cross, self.nmse_mmse, self.nmse_ls):
             arr.setflags(write=False)
 
 
@@ -127,7 +130,7 @@ def estimation_statistics(
 
     Psi = np.empty((K, L, N, N), dtype=complex)
     Q = np.empty((K, L, N, N), dtype=complex)
-    Q_cross = np.zeros((K, K, L, N, N), dtype=complex)
+    Q_cross = []
     tr_cov = np.empty((K, L))
 
     for group in pilots.groups:
@@ -149,7 +152,7 @@ def estimation_statistics(
         # [k, i] = sqrt(p_k p_i) decay_k R[i] Psi R[k]
         coef = np.sqrt(np.outer(p[g], p[g])) * decay[g][:, None]
         block = coef[:, :, None, None, None] * (net.R[g][None] @ PsiR[:, None])
-        Q_cross[np.ix_(g, g)] = block
+        Q_cross.append(block)
         Q[g] = block[np.arange(len(g)), np.arange(len(g))]
         Psi[g] = Psi_g
         tr_cov[g] = np.trace(pilot_cov, axis1=-2, axis2=-1).real
@@ -160,7 +163,7 @@ def estimation_statistics(
     nmse_ls = tr_cov / ((decay * p)[:, None] * tr_R) - 1.0
 
     return EstimationStatistics(
-        Psi=Psi, Q=Q, Q_cross=Q_cross, nmse_mmse=nmse_mmse, nmse_ls=nmse_ls
+        Psi=Psi, Q=Q, Q_cross=tuple(Q_cross), nmse_mmse=nmse_mmse, nmse_ls=nmse_ls
     )
 
 

@@ -112,8 +112,9 @@ class PhaseStatistics:
     var_ue: float
 
     def __post_init__(self):
-        if self.var_ap < 0 or self.var_ue < 0:
-            raise ValueError("phase increment variances must be >= 0")
+        # written as "not inside" so that nan fails the check
+        if not (0 <= self.var_ap < np.inf and 0 <= self.var_ue < np.inf):
+            raise ValueError("phase increment variances must be finite and >= 0")
 
     @classmethod
     def from_config(cls, config: SystemConfig) -> "PhaseStatistics":

@@ -38,6 +38,7 @@ from .model import NetworkModel, PhaseStatistics, SystemConfig
 
 RNG_CHUNK = 4096  # realizations per RNG stream; fixed for reproducibility
 _Z95 = 1.959963984540054
+MIN_REALIZATIONS = 100  # fewest realizations for meaningful standard errors
 
 
 @dataclass(frozen=True)
@@ -367,6 +368,21 @@ def _assemble_sinr(sums: _BlockSums, plan, config, m: int, drop: int | None = No
     return sinr_p, sinr_c
 
 
+def _mean_and_stderr(block_sums: np.ndarray, counts: np.ndarray):
+    """Mean of a per-realization term from its per-block sums, and the
+    delete-one-block jackknife standard error of that mean.
+
+    ``block_sums`` is (B, ...) with block b summing ``counts[b]`` realizations.
+    """
+    B = len(counts)
+    count = counts.sum()
+    counts = counts.reshape((B,) + (1,) * (block_sums.ndim - 1))
+    total_sum = block_sums.sum(axis=0)
+    loo = (total_sum[None] - block_sums) / (count - counts)
+    dev = loo - loo.mean(axis=0)
+    return total_sum / count, np.sqrt((B - 1) / B * np.sum(np.abs(dev) ** 2, axis=0))
+
+
 def _jackknife(sums: _BlockSums, plan, config, m: int):
     """Jackknife bias correction and standard error for the SINR ratios.
 
@@ -445,28 +461,16 @@ def estimate_uatf_terms(
     stats: EstimationStatistics | None = None,
 ) -> UatFTerms:
     """Empirical DS/INT terms (and common-stream analogs) at instant n."""
-    if batch.count < 100:
-        raise ValueError("need at least 100 realizations for meaningful errors")
+    if batch.count < MIN_REALIZATIONS:
+        raise ValueError(
+            f"need at least {MIN_REALIZATIONS} realizations for meaningful errors")
     v = private_precoders(batch, net, plan.private_scheme, stats, config,
                           (1.0 - plan.rho) * config.p_d)
     sums = _accumulate(batch, v, plan, net, config, [n])
-    B = len(sums.counts)
-    factor = (B - 1) / B
-
-    def mean_and_se(block_sums):
-        trailing = (1,) * (block_sums.ndim - 1)
-        counts = sums.counts.reshape((B,) + trailing)
-        total_sum = block_sums.sum(axis=0)
-        total = total_sum / batch.count
-        loo = (total_sum[None] - block_sums) / (batch.count - counts)
-        dev = loo - loo.mean(axis=0)
-        se = np.sqrt(factor * np.sum(np.abs(dev) ** 2, axis=0))
-        return total, se
-
-    ds, ds_se = mean_and_se(sums.ds_p[:, 0])
-    int_, int_se = mean_and_se(sums.int_p[:, 0])
-    ds_c, ds_c_se = mean_and_se(sums.ds_c[:, 0])
-    int_c, int_c_se = mean_and_se(sums.int_c[:, 0])
+    ds, ds_se = _mean_and_stderr(sums.ds_p[:, 0], sums.counts)
+    int_, int_se = _mean_and_stderr(sums.int_p[:, 0], sums.counts)
+    ds_c, ds_c_se = _mean_and_stderr(sums.ds_c[:, 0], sums.counts)
+    int_c, int_c_se = _mean_and_stderr(sums.int_c[:, 0], sums.counts)
     return UatFTerms(
         instant=n,
         ds=ds,
@@ -522,8 +526,9 @@ def mc_sinr(
     sum per-AP desired/interference contributions, matching successive
     per-AP decoding in AP-index order (the rate is order-invariant).
     """
-    if batch.count < 100:
-        raise ValueError("need at least 100 realizations for meaningful errors")
+    if batch.count < MIN_REALIZATIONS:
+        raise ValueError(
+            f"need at least {MIN_REALIZATIONS} realizations for meaningful errors")
     scalar = np.isscalar(n)
     instants = [int(x) for x in np.atleast_1d(n)]
     v = private_precoders(batch, net, plan.private_scheme, stats, config,
@@ -556,10 +561,4 @@ def transmit_power_stats(
     v = private_precoders(batch, net, plan.private_scheme, stats, config,
                           (1.0 - plan.rho) * config.p_d)
     sums = _accumulate(batch, v, plan, net, config, [config.estimation_instant])
-    mean = sums.power.sum(axis=0) / batch.count
-    B = len(sums.counts)
-    loo = (sums.power.sum(axis=0)[None] - sums.power) / (
-        batch.count - sums.counts[:, None]
-    )
-    se = np.sqrt((B - 1) / B * np.sum((loo - loo.mean(axis=0)) ** 2, axis=0))
-    return mean, se
+    return _mean_and_stderr(sums.power, sums.counts)

@@ -92,12 +92,17 @@ class MaxMinProblem:
         (p_dc*(1-ea)*a'H_k a + p_dc*a'M_k a + p_dc*ea*(1-eu)*(a.b_k)^2
          + p_dp*xi_k + sigma2)
 
-    subject to ||Theta_l^{1/2} a_l|| <= 1 per AP and a >= 0.
+    subject to ||Theta_l^{1/2} a_l|| <= 1 per AP and a >= 0.  H_k and M_k
+    are block-diagonal per AP and are never formed (``products`` applies
+    them): the AP-l block of H_k is outer(tau, tau) with tau the AP-l slice
+    of b_k, and entry (i, j) of the AP-l block of M_k is
+    Re tr(Q_cross[i,j,l] R[k,l]), nonzero only for co-pilot i and j, so it
+    is read from the per-group blocks ``tr_QcR`` (in ``groups`` order).
     """
 
     b: np.ndarray          # (K, KL) real
-    H: np.ndarray          # (K, KL, KL)
-    M: np.ndarray          # (K, KL, KL)
+    groups: tuple[np.ndarray, ...]
+    tr_QcR: tuple[np.ndarray, ...]  # (g, g, K, L) real per co-pilot set
     Theta: np.ndarray      # (L, K, K)
     xi: np.ndarray         # (K,) private interference at the chosen instant
     p_dc: float
@@ -108,7 +113,7 @@ class MaxMinProblem:
     instant: int
 
     def __post_init__(self):
-        for arr in (self.b, self.H, self.M, self.Theta, self.xi):
+        for arr in (self.b, *self.groups, *self.tr_QcR, self.Theta, self.xi):
             arr.setflags(write=False)
 
     @property
@@ -126,15 +131,25 @@ class MaxMinProblem:
     def stack_weights(self, w: np.ndarray) -> np.ndarray:
         return w.T.reshape(-1)
 
+    def products(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(H_k a, M_k a) for every UE k, each (K, KL), from the blocks."""
+        K, L = self.K, self.L
+        b = self.b.reshape(K, L, K)
+        w = a.reshape(L, K)
+        h = b * np.einsum("kli,li->kl", b, w)[:, :, None]
+        m = np.zeros((K, L, K))
+        for g, block in zip(self.groups, self.tr_QcR):
+            m[:, :, g] = np.einsum("ijkl,lj->kli", block, w[:, g])
+        return h.reshape(K, K * L), m.reshape(K, K * L)
+
     def sinr(self, a: np.ndarray) -> np.ndarray:
         """(K,) common-stream SINRs at the problem's instant for weights a."""
         ab = self.b @ a
-        quad_h = np.einsum("i,kij,j->k", a, self.H, a).real
-        quad_m = np.einsum("i,kij,j->k", a, self.M, a).real
+        h, m = self.products(a)
         num = self.p_dc * self.eta_ap * self.eta_ue * ab**2
         den = (
-            self.p_dc * (1.0 - self.eta_ap) * quad_h
-            + self.p_dc * quad_m
+            self.p_dc * (1.0 - self.eta_ap) * (h @ a)
+            + self.p_dc * (m @ a)
             + self.p_dc * self.eta_ap * (1.0 - self.eta_ue) * ab**2
             + self.p_dp * self.xi
             + self.sigma2
@@ -156,11 +171,12 @@ def build_maxmin_problem(
     rho: float,
     n: int | None = None,
 ) -> MaxMinProblem:
-    """Assemble b_k, H_k, M_k, Theta_l and the constants at instant n.
+    """Assemble b_k, the M_k blocks, Theta_l and the constants at instant n.
 
-    Zero entries follow the pilot structure exactly: b and H vanish off
-    UE k's co-pilot set, M off UE i's.  The private interference constant
-    uses delay-compensated MR precoding with the per-AP normalization.
+    Zero entries follow the pilot structure exactly: b_k (and so H_k)
+    vanishes off UE k's co-pilot set, and M_k is stored only inside the
+    co-pilot sets.  The private interference constant uses
+    delay-compensated MR precoding with the per-AP normalization.
     Default instant: mid-block.
     """
     if rho <= 0:
@@ -182,17 +198,6 @@ def build_maxmin_problem(
 
     # b_k stacked AP-major: entry l*K + i = tr(Qc[k,i,l]) on k's pilot group
     b = np.transpose(tr_Qc, (0, 2, 1)).reshape(K, K * L)
-
-    H = np.zeros((K, K * L, K * L))
-    M = np.zeros((K, K * L, K * L))
-    tr_QcR = terms.tr_QcR.real
-    for k in range(K):
-        for l in range(L):
-            sl = slice(l * K, (l + 1) * K)
-            tau = tr_Qc[k, :, l]
-            H[k][sl, sl] = np.outer(tau, tau)
-            M[k][sl, sl] = tr_QcR[:, :, k, l]
-
     Theta = np.transpose(tr_Qc, (2, 0, 1)).copy()  # (L, K, K)
 
     plan = make_plan(terms, "du_mr", "coherent")
@@ -200,8 +205,8 @@ def build_maxmin_problem(
 
     return MaxMinProblem(
         b=b,
-        H=H,
-        M=M,
+        groups=terms.groups,
+        tr_QcR=tuple(block.real.copy() for block in terms.tr_QcR),
         Theta=Theta,
         xi=xi,
         p_dc=rho * config.p_d,
@@ -249,11 +254,8 @@ def _cone_terms(problem: MaxMinProblem, a: np.ndarray):
     c_b2 = problem.p_dc * problem.eta_ap * (1.0 - problem.eta_ue)
     row = 1.0 / np.sqrt(problem.p_dp * problem.xi + problem.sigma2)
     ab = problem.b @ a
-    half_grad = (
-        c_h2 * np.einsum("kij,j->ki", problem.H, a).real
-        + problem.p_dc * np.einsum("kij,j->ki", problem.M, a).real
-        + c_b2 * ab[:, None] * problem.b
-    )
+    h, m = problem.products(a)
+    half_grad = c_h2 * h + problem.p_dc * m + c_b2 * ab[:, None] * problem.b
     norm = np.sqrt(row**2 * np.maximum(half_grad @ a, 0.0) + 1.0)
     grad = (row**2 / norm)[:, None] * half_grad
     return (row * sig)[:, None] * problem.b, norm, grad

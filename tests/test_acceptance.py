@@ -17,7 +17,7 @@ import cfrs.cli as cli
 from cfrs import closed_form as cf
 from cfrs import optimize as opt
 
-from conftest import random_instance
+from conftest import dense_maxmin_matrices, random_instance
 
 
 def report(num, ok, detail):
@@ -279,6 +279,7 @@ def test_criterion_6_robust_precoding():
     terms = cf.TraceTerms.compute(net, stats, pilots)
     problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.5)
     res = opt.robust_common_precoding(problem, eps=1e-6)
+    H, M = dense_maxmin_matrices(terms)
 
     inv_sq = 1.0 / np.sqrt(np.einsum("lkk->lk", problem.Theta).real)  # (L, K)
 
@@ -290,8 +291,8 @@ def test_criterion_6_robust_precoding():
         a2 = r * np.sin(phi) * inv_sq[None, :, 1]
         A = np.stack([a1, a2], axis=-1).reshape(-1, 4)
         ab = A @ problem.b.T
-        qh = np.einsum("ri,kij,rj->rk", A, problem.H, A)
-        qm = np.einsum("ri,kij,rj->rk", A, problem.M, A)
+        qh = np.einsum("ri,kij,rj->rk", A, H, A)
+        qm = np.einsum("ri,kij,rj->rk", A, M, A)
         num = problem.p_dc * problem.eta_ap * problem.eta_ue * ab**2
         den = (problem.p_dc * (1 - problem.eta_ap) * qh + problem.p_dc * qm
                + problem.p_dc * problem.eta_ap * (1 - problem.eta_ue) * ab**2

@@ -1,6 +1,11 @@
 import csv
 import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,11 +150,32 @@ def test_antenna_sweep_values_must_be_integers():
         cli.spec_from_dict(data)
 
 
-@pytest.mark.parametrize("bad", [1.5, -0.1])
-def test_rho_sweep_values_checked_at_parse_time(bad):
-    data = one_scheme_spec(sweep={"parameter": "rho", "values": [0.5, bad]})
-    with pytest.raises(cli.ConfigError, match=r"sweep\.values.*outside \[0, 1\]"):
+# a valid value per sweep parameter, and the range its values must lie in
+SWEEP_RANGES = {
+    "rho": (0.5, "[0, 1]"),
+    "oscillator_variance": (1e-4, "[0, inf)"),
+    "transmit_power": ("23 dBm", "(0, inf)"),
+    "antenna_count": (2, "[1, inf)"),
+}
+
+
+@pytest.mark.parametrize("parameter, bad", [
+    ("rho", 1.5), ("rho", -0.1),
+    ("oscillator_variance", -1e-3), ("oscillator_variance", float("nan")),
+    ("transmit_power", 0), ("transmit_power", "-inf dBm"),
+    ("antenna_count", 0),
+])
+def test_sweep_values_checked_at_parse_time(parameter, bad):
+    good, interval = SWEEP_RANGES[parameter]
+    data = one_scheme_spec(sweep={"parameter": parameter, "values": [good, bad]})
+    with pytest.raises(cli.ConfigError, match=rf"sweep\.values.*outside {re.escape(interval)}"):
         cli.spec_from_dict(data)
+
+
+@pytest.mark.parametrize("count", [1, 99])
+def test_mc_realizations_below_the_floor_rejected(count):
+    with pytest.raises(cli.ConfigError, match="mc_realizations"):
+        cli.spec_from_dict(one_scheme_spec(mc_realizations=count))
 
 
 def test_each_job_estimates_on_its_sweep_point(tmp_path, monkeypatch):
@@ -177,8 +203,16 @@ def test_each_job_estimates_on_its_sweep_point(tmp_path, monkeypatch):
 
 
 def test_spec_roundtrip(tmp_path):
+    system = {
+        **desk_system(),
+        "pilot_power": ["20 dBm", 0.05],  # per UE
+        "correlation": "exponential", "corr_r": 0.5, "pl_fixed_db": 140.0,
+        "pl_break1_m": 12.0, "pl_break2_m": 60.0, "min_dist_m": 2.0,
+        "shadow_std_db": 4.0,
+    }
+    assert set(system) == set(cli._SYSTEM_REQUIRED) | set(cli._SYSTEM_OPTIONAL)
     data = {
-        "system": desk_system(),
+        "system": system,
         "sweep": {"parameter": "oscillator_variance", "values": ["-30 dB", 1e-4]},
         "schemes": [
             {"private": "du_mr", "transmission": "coherent", "rs": True,
@@ -193,6 +227,18 @@ def test_spec_roundtrip(tmp_path):
     canonical = cli.spec_to_dict(first)
     second = cli.parse_config(write_spec(tmp_path, canonical, name="canon.json"))
     assert first == second
+    assert first.base.p_pilot == (0.1, 0.05)
+    assert cli.spec_from_dict(canonical) == first
+
+
+def test_import_loads_no_scipy():
+    # scipy costs start-up time; only the robust-precoding oracle imports it
+    code = ("import sys, cfrs, cfrs.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 import cfrs
 from cfrs import closed_form as cf
 
-from conftest import random_instance
+from conftest import dense_copilot, per_link_statistics, random_instance
 
 
 def tiny_terms(tr_q: float = 2.0):
@@ -18,9 +18,9 @@ def tiny_terms(tr_q: float = 2.0):
         tr_Q=tr_q * one,
         tr_QR=tr_q * one[None] * 1.5,
         tr_Qc=tr_q * one[None].astype(complex),
-        tr_QcR=(tr_q * 1.5) * np.ones((1, 1, 1, 1), dtype=complex),
+        tr_QcR=((tr_q * 1.5) * np.ones((1, 1, 1, 1), dtype=complex),),
         theta=np.ones((1, 1), dtype=complex),
-        copilot=np.ones((1, 1), dtype=bool),
+        groups=(np.array([0]),),
         beta=one.copy(),
     )
 
@@ -240,21 +240,31 @@ def test_assemble_equals_evaluate_plan_exactly():
 def test_blocked_tr_qcr_matches_dense_einsum():
     # uneven co-pilot groups: K = 7 UEs on 3 pilots gives sizes 3, 2, 2
     rng = np.random.default_rng(8)
-    cfg, net, pilots, phases, _, _ = random_instance(rng, L=4, K=7, N=3, tau_p=3)
-    assert sorted(len(g) for g in pilots.groups) == [2, 2, 3]
+    cfg, net, _, phases, _, _ = random_instance(rng, L=4, K=7, N=3, tau_p=3)
     # generic complex Hermitian R, so that no transpose or conjugate cancels
     A = rng.normal(size=net.R.shape) + 1j * rng.normal(size=net.R.shape)
     net = dataclasses.replace(net, R=A @ np.conj(np.swapaxes(A, -1, -2)) * 1e-9)
-    stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
-    terms = cf.TraceTerms.compute(net, stats, pilots)
-    dense = np.einsum("ijlab,klba->ijkl", stats.Q_cross, net.R)
-    scale = np.max(np.abs(dense))
-    assert np.max(np.abs(terms.tr_QcR - dense)) <= 1e-12 * scale
     w = rng.uniform(0, 1, (cfg.K, cfg.L)) * np.conj(net.theta)
     eta = rng.uniform(0.5, 2, cfg.L)
-    cross_dense = np.einsum("l,il,jl,ijkl->k", eta, np.conj(w), w, dense).real
-    cross = cf._cross_term(terms, eta, w)
-    assert np.max(np.abs(cross - cross_dense)) <= 1e-12 * np.max(np.abs(cross_dense))
+    for policy in ("round_robin", "random"):
+        pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p, policy, seed=1)
+        assert sorted(len(g) for g in pilots.groups) == [2, 2, 3]
+        if policy == "random":
+            # instant order differs from first-member order, so a block
+            # paired with a re-derived group order lands on the wrong UEs
+            firsts = [g[0] for g in pilots.groups]
+            assert firsts != sorted(firsts)
+        stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
+        terms = cf.TraceTerms.compute(net, stats, pilots)
+        Q_cross = per_link_statistics(net, pilots, phases, cfg)[2]
+        dense = np.einsum("ijlab,klba->ijkl", Q_cross, net.R)
+        got = dense_copilot(terms.tr_QcR, pilots.groups, cfg.K)
+        assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+        tr_Qc = np.einsum("kilnn->kil", Q_cross)
+        assert np.max(np.abs(terms.tr_Qc - tr_Qc)) <= 1e-12 * np.max(np.abs(tr_Qc))
+        cross_dense = np.einsum("l,il,jl,ijkl->k", eta, np.conj(w), w, dense).real
+        cross = cf._cross_term(terms, eta, w)
+        assert np.max(np.abs(cross - cross_dense)) <= 1e-12 * np.max(np.abs(cross_dense))
 
 
 def test_du_mmse_has_no_closed_form(desk):
@@ -347,10 +357,12 @@ def test_trace_terms_sparsity(desk):
     _, net, pilots, _, stats, terms = desk
     off = ~pilots.copilot
     assert np.all(terms.tr_Qc[off] == 0)
-    for i in range(net.K):
-        for j in range(net.K):
-            if not pilots.copilot[i, j]:
-                assert np.all(terms.tr_QcR[i, j] == 0)
+    # tr_QcR holds exactly the co-pilot pairs, each once
+    covered = np.zeros((net.K, net.K), dtype=int)
+    for g, block in zip(terms.groups, terms.tr_QcR):
+        assert block.shape == (len(g), len(g), net.K, net.L)
+        covered[np.ix_(g, g)] += 1
+    assert np.array_equal(covered, pilots.copilot.astype(int))
 
 
 def test_asymptotic_monotonicity_report():

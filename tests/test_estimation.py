@@ -2,13 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
 
 import cfrs
 from cfrs.estimation import decay_factors, mmse_filter_matrices
 from cfrs.model import NetworkModel
 
-from conftest import random_instance
+from conftest import dense_copilot, per_link_statistics, random_instance
 
 
 def single_link_network(beta: float, N: int = 1) -> NetworkModel:
@@ -155,36 +154,14 @@ def test_statistics_invariants_random_instances(desk):
         # 0 <= Q <= R
         assert np.linalg.eigvalsh(stats.Q).min() >= -1e-10
         assert np.linalg.eigvalsh(net.R - stats.Q).min() >= -1e-10
-        # Q_cross collapses to Q on the diagonal
-        for k in range(net.K):
-            assert np.allclose(stats.Q_cross[k, k], stats.Q[k], rtol=1e-12)
-        # trace symmetry within pilot groups (real, equal traces)
-        tr = np.einsum("kilnn->kil", stats.Q_cross)
-        assert np.max(np.abs(tr.imag)) < 1e-9 * max(np.max(np.abs(tr)), 1e-300)
-        assert np.allclose(tr, np.swapaxes(tr, 0, 1), rtol=1e-9)
-
-
-def per_link_statistics(net, pilots, phases, cfg):
-    """Reference: Psi, Q, Q_cross and the LS NMSE one link at a time."""
-    K, L, N = net.K, net.L, net.N
-    p = cfg.pilot_powers()
-    decay = decay_factors(pilots, phases)
-    Psi = np.zeros((K, L, N, N), dtype=complex)
-    Q = np.zeros((K, L, N, N), dtype=complex)
-    Q_cross = np.zeros((K, K, L, N, N), dtype=complex)
-    nmse_ls = np.zeros((K, L))
-    for k in range(K):
-        members = np.flatnonzero(pilots.t == pilots.t[k])
-        for l in range(L):
-            cov = cfg.sigma2_ul * np.eye(N) + sum(p[i] * net.R[i, l] for i in members)
-            Psi[k, l] = cho_solve(cho_factor(cov), np.eye(N))
-            Q[k, l] = p[k] * decay[k] * net.R[k, l] @ Psi[k, l] @ net.R[k, l]
-            for i in members:
-                Q_cross[k, i, l] = (np.sqrt(p[k] * p[i]) * decay[k]
-                                    * net.R[i, l] @ Psi[k, l] @ net.R[k, l])
-            nmse_ls[k, l] = (np.trace(cov).real
-                             / (decay[k] * p[k] * np.trace(net.R[k, l]).real) - 1.0)
-    return Psi, Q, Q_cross, nmse_ls
+        for g, block in zip(pilots.groups, stats.Q_cross):
+            # Q_cross collapses to Q on the diagonal
+            for a, k in enumerate(g):
+                assert np.allclose(block[a, a], stats.Q[k], rtol=1e-12)
+            # trace symmetry within pilot groups (real, equal traces)
+            tr = np.einsum("kilnn->kil", block)
+            assert np.max(np.abs(tr.imag)) < 1e-9 * max(np.max(np.abs(tr)), 1e-300)
+            assert np.allclose(tr, np.swapaxes(tr, 0, 1), rtol=1e-9)
 
 
 def test_batched_statistics_match_per_link_loop():
@@ -198,7 +175,8 @@ def test_batched_statistics_match_per_link_loop():
         net = dataclasses.replace(net, R=R)
         stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
         ref = per_link_statistics(net, pilots, phases, cfg)
-        for got, want in zip((stats.Psi, stats.Q, stats.Q_cross, stats.nmse_ls), ref):
+        Q_cross = dense_copilot(stats.Q_cross, pilots.groups, cfg.K)
+        for got, want in zip((stats.Psi, stats.Q, Q_cross, stats.nmse_ls), ref):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

@@ -29,6 +29,14 @@ def test_phase_increment_variance_rejects_nonpositive():
         cfrs.phase_increment_variance(2e9, -1.0, 1e-5)
 
 
+@pytest.mark.parametrize("var_ap, var_ue", [
+    (-1e-3, 0.0), (0.0, -1e-3), (float("nan"), 0.0), (0.0, float("inf")),
+])
+def test_phase_statistics_reject_bad_variances(var_ap, var_ue):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        cfrs.PhaseStatistics(var_ap, var_ue)
+
+
 def test_expected_phase_decay_edges():
     assert cfrs.expected_phase_decay(0, 0.5) == 1.0
     assert cfrs.expected_phase_decay(17, 0.0) == 1.0

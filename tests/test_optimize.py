@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 import cfrs
 from cfrs import closed_form as cf
 from cfrs import optimize as opt
+
+from conftest import dense_maxmin_matrices
 
 
 def setup_instance(seed=1, L=4, K=2, N=2, tau_p=2, var=1e-3, rho=0.5, n=None):
@@ -81,8 +84,9 @@ def test_orthogonal_pilots_make_blocks_diagonal():
     for l in range(cfg.L):
         off = problem.Theta[l] - np.diag(np.diag(problem.Theta[l]))
         assert np.all(off == 0)
+    H, M = dense_maxmin_matrices(terms)
     for k in range(cfg.K):
-        for mat in (problem.H[k], problem.M[k]):
+        for mat in (H[k], M[k]):
             assert np.all(mat - np.diag(np.diag(mat)) == 0)
 
 
@@ -142,7 +146,8 @@ def test_rho_zero_problem_rejected():
 
 
 def test_problem_matrix_invariants():
-    # Theta/H PSD, M PSD, b real non-negative, on contaminated instances
+    # Theta/H PSD, M PSD, b real non-negative, on contaminated instances;
+    # H_k and M_k are block-diagonal, so their blocks carry every eigenvalue
     for seed in (1, 5, 9):
         cfg, net, pilots, phases, stats, terms, problem = setup_instance(
             seed=seed, K=4, tau_p=2, L=3
@@ -150,9 +155,57 @@ def test_problem_matrix_invariants():
         assert np.all(problem.b >= 0)
         for l in range(problem.L):
             assert np.linalg.eigvalsh(problem.Theta[l]).min() >= -1e-10
-        for k in range(problem.K):
-            assert np.linalg.eigvalsh(problem.H[k]).min() >= -1e-10
-            assert np.linalg.eigvalsh(problem.M[k]).min() >= -1e-10
+        tau = problem.b.reshape(problem.K, problem.L, problem.K)
+        h_blocks = tau[..., :, None] * tau[..., None, :]  # (K, L, K, K)
+        assert np.linalg.eigvalsh(h_blocks).min() >= -1e-10
+        for block in problem.tr_QcR:
+            m_blocks = np.moveaxis(block, (0, 1), (-2, -1))  # (K, L, g, g)
+            assert np.linalg.eigvalsh(m_blocks).min() >= -1e-10
+
+
+def dense_cone_terms(problem, H, M, a):
+    """Reference for ``_cone_terms`` on the dense H_k and M_k."""
+    sig = math.sqrt(problem.p_dc * problem.eta_ap * problem.eta_ue)
+    c_h2 = problem.p_dc * (1.0 - problem.eta_ap)
+    c_b2 = problem.p_dc * problem.eta_ap * (1.0 - problem.eta_ue)
+    row = 1.0 / np.sqrt(problem.p_dp * problem.xi + problem.sigma2)
+    ab = problem.b @ a
+    half_grad = c_h2 * (H @ a) + problem.p_dc * (M @ a) + c_b2 * ab[:, None] * problem.b
+    norm = np.sqrt(row**2 * np.maximum(half_grad @ a, 0.0) + 1.0)
+    grad = (row**2 / norm)[:, None] * half_grad
+    return (row * sig)[:, None] * problem.b, norm, grad
+
+
+def dense_sinr(problem, H, M, a):
+    """Reference for ``MaxMinProblem.sinr`` on the dense H_k and M_k."""
+    ab = problem.b @ a
+    num = problem.p_dc * problem.eta_ap * problem.eta_ue * ab**2
+    den = (problem.p_dc * (1.0 - problem.eta_ap) * np.einsum("i,kij,j->k", a, H, a)
+           + problem.p_dc * np.einsum("i,kij,j->k", a, M, a)
+           + problem.p_dc * problem.eta_ap * (1.0 - problem.eta_ue) * ab**2
+           + problem.p_dp * problem.xi + problem.sigma2)
+    return num / den
+
+
+def test_block_products_match_dense_reference():
+    # uneven co-pilot sets (3, 2, 2) and exponential correlation
+    cfg = cfrs.SystemConfig(L=4, K=7, N=2, tau_p=3, tau_c=20, seed=4,
+                            correlation="exponential", corr_r=0.6)
+    net = cfrs.build_network(cfg)
+    pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p)
+    assert sorted(len(g) for g in pilots.groups) == [2, 2, 3]
+    phases = cfrs.PhaseStatistics(1e-3, 2e-3)
+    stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
+    terms = cf.TraceTerms.compute(net, stats, pilots)
+    problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.4)
+    H, M = dense_maxmin_matrices(terms)
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        a = rng.uniform(0, 1e4, cfg.K * cfg.L)
+        want = dense_sinr(problem, H, M, a)
+        assert np.max(np.abs(problem.sinr(a) - want)) <= 1e-12 * np.max(want)
+        for got, ref in zip(opt._cone_terms(problem, a), dense_cone_terms(problem, H, M, a)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------
