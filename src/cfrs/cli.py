@@ -419,12 +419,12 @@ def run_scheme(
             net, pilots, phases, cfg, mc_realizations, cfg.seed, instants=[mid]
         )
         mc = montecarlo.mc_sinr(batch, plan, net, cfg, mid, stats)
-        closed_p = closed_form.private_sinr(terms, plan, phases, cfg, mid)
+        closed_p, closed_c = closed_form.assemble(
+            closed_form.plan_parts(terms, plan, phases, cfg, mid), plan.rho)
         extras["mc_rel_err_private"] = float(
             np.max(np.abs(mc.private - closed_p) / np.maximum(closed_p, 1e-30))
         )
         if plan.rho > 0:
-            closed_c = closed_form.common_sinr(terms, plan, phases, cfg, mid)
             extras["mc_rel_err_common"] = float(
                 np.max(np.abs(mc.common - closed_c) / np.maximum(closed_c, 1e-30))
             )
@@ -707,12 +707,10 @@ def validate_families(
     for stream, transmission, scheme in FAMILIES:
         plan = make_plan(terms, scheme, transmission, rho)
         mc_list = montecarlo.mc_sinr(batch, plan, net, cfg, instants, stats)
-        for n, mc in zip(instants, mc_list):
-            closed = (
-                closed_form.private_sinr(terms, plan, phases, cfg, int(n))
-                if stream == "private"
-                else closed_form.common_sinr(terms, plan, phases, cfg, int(n))
-            )
+        closed_p, closed_c = closed_form.assemble(
+            closed_form.plan_parts(terms, plan, phases, cfg, instants), plan.rho)
+        closed_all = closed_p if stream == "private" else closed_c  # (K, M)
+        for n, mc, closed in zip(instants, mc_list, closed_all.T):
             est = mc.private if stream == "private" else mc.common
             stderr = mc.private_stderr if stream == "private" else mc.common_stderr
             ci = mc.private_ci if stream == "private" else mc.common_ci
@@ -748,6 +746,9 @@ def validate_families(
 
 
 def cmd_validate(args) -> int:
+    if args.mc < montecarlo.MIN_REALIZATIONS:
+        raise ConfigError(
+            f"--mc: need at least {montecarlo.MIN_REALIZATIONS} realizations, got {args.mc}")
     cfg, _ = _load_system(args, default=_desk_config())
     phases = PhaseStatistics.from_config(cfg)
     rows = validate_families(
@@ -765,6 +766,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_rho_opt(args) -> int:
+    if not args.tol > 0:
+        raise ConfigError(f"--tol: must be > 0, got {args.tol}")
+    if args.grid < 0:
+        raise ConfigError(f"--grid: must be >= 0 (0 skips the grid check), got {args.grid}")
     cfg, _ = _load_system(args)
     phases = PhaseStatistics.from_config(cfg)
     terms = build_topology(cfg, phases).terms
@@ -783,6 +788,13 @@ def cmd_rho_opt(args) -> int:
 
 def cmd_robust(args) -> int:
     cfg, _ = _load_system(args)
+    if not 0 < args.rho <= 1:
+        raise ConfigError(f"--rho: {args.rho} is outside (0, 1]")
+    if not args.eps > 0:
+        raise ConfigError(f"--eps: must be > 0, got {args.eps}")
+    lam = cfg.estimation_instant
+    if args.instant is not None and not lam <= args.instant <= cfg.tau_c:
+        raise ConfigError(f"--instant: {args.instant} is outside [{lam}, {cfg.tau_c}]")
     if args.verbose:
         logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     phases = PhaseStatistics.from_config(cfg)

@@ -78,11 +78,10 @@ class TraceTerms:
     tr_QcR: tuple[np.ndarray, ...]
     theta: np.ndarray
     groups: tuple[np.ndarray, ...]
-    beta: np.ndarray
 
     def __post_init__(self):
         for arr in (self.tr_Q, self.tr_QR, self.tr_Qc, *self.tr_QcR, self.theta,
-                    *self.groups, self.beta):
+                    *self.groups):
             arr.setflags(write=False)
 
     @property
@@ -111,7 +110,6 @@ class TraceTerms:
             tr_QcR=tuple(_pair_traces(block, net.R) for block in stats.Q_cross),
             theta=net.theta.copy(),
             groups=groups,
-            beta=net.beta.copy(),
         )
 
 
@@ -318,7 +316,8 @@ def _theta_eff(terms: TraceTerms, scheme: str) -> np.ndarray:
     )
 
 
-def _decay_pair(phases: PhaseStatistics, config: SystemConfig, instants):
+def decay_pair(phases: PhaseStatistics, config: SystemConfig, instants):
+    """(ea, eu) per-side phase decays at the instants, after a range check."""
     n = np.atleast_1d(np.asarray(instants, dtype=int))
     lam = config.estimation_instant
     if np.any(n < lam) or np.any(n > config.tau_c):
@@ -375,7 +374,7 @@ def plan_parts(
     removes it, so DU and DF agree exactly); the non-coherent common stream
     keeps it, because the per-AP common precoders mix all UEs' phases.
     """
-    ea, eu = _decay_pair(phases, config, instants)
+    ea, eu = decay_pair(phases, config, instants)
     theta_eff = _theta_eff(terms, plan.private_scheme)
     mu = plan.mu
     total = np.einsum("il,ikl->k", mu, terms.tr_QR)  # sum_il mu tr(Q[i,l] R[k,l])

@@ -9,16 +9,20 @@ has no closed form); and empirically estimates the hardening-bound terms
     INT[k,i] = E{ |sum_l g^H sqrt(mu) v[i,l]|^2 }       (coherent)
              = sum_l E{ |g^H sqrt(mu) v[i,l]|^2 }       (non-coherent)
 
-plus the analogous common-stream terms, from which the use-and-then-forget
-SINRs are assembled.  Data symbols are never sampled: with unit-power,
-independent symbols the bound's expectations are over channels, phases,
-and noise only, which removes a variance source.
+plus the analogous common-stream terms.  The use-and-then-forget SINRs are
+not re-derived here: the term means fill a ``closed_form.PlanParts`` and
+``closed_form.assemble`` forms both streams, so the oracle and the closed
+form share one rational SINR form.  Data symbols are never sampled: with
+unit-power, independent symbols the bound's expectations are over
+channels, phases, and noise only, which removes a variance source.
 
 Reproducibility: realizations are generated in fixed-size chunks, chunk i
 seeded by SeedSequence(seed, spawn_key=(i,)) feeding a counter-based
 Philox generator, so a batch is bitwise reproducible and independent of
 how chunks might be scheduled.  Standard errors come from a delete-one
-block jackknife over contiguous realization blocks.
+block jackknife over contiguous realization blocks; one helper gives the
+delete-one-block means that both the term standard errors and the
+bias-corrected SINRs are computed from.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import PrecodingPlan
+from .closed_form import PlanParts, PrecodingPlan, assemble
 from .estimation import (
     EstimationStatistics,
     PilotAssignment,
@@ -56,7 +60,6 @@ class RealizationBatch:
     count: int
     seed: int
     instants: tuple[int, ...]
-    group_instants: tuple[int, ...]
     h: np.ndarray
     hhat: np.ndarray
     ue_phase: np.ndarray
@@ -72,11 +75,6 @@ class RealizationBatch:
             return self.instants.index(n)
         except ValueError:
             raise ValueError(f"instant {n} was not sampled in this batch") from None
-
-    def rotation(self, n: int) -> np.ndarray:
-        """(count, K, L) oscillator rotation exp(j(phi_ue + phi_ap)) at n."""
-        m = self.instant_index(n)
-        return np.exp(1j * (self.ue_phase[:, :, None, m] + self.ap_phase[:, None, :, m]))
 
 
 def _chol_factors(net: NetworkModel) -> np.ndarray:
@@ -170,7 +168,6 @@ def sample_batch(
         count=count,
         seed=seed,
         instants=tuple(needed),
-        group_instants=group_instants,
         h=h,
         hhat=hhat,
         ue_phase=ue_phase,
@@ -256,7 +253,6 @@ class _BlockSums:
     ds_c: np.ndarray         # (B, M, K, L) complex
     int_c: np.ndarray        # (B, M, K)
     power: np.ndarray        # (B, L)
-    instants: tuple[int, ...]
     coherent: bool
 
 
@@ -268,24 +264,34 @@ def _block_slices(count: int, inner: int) -> list[slice]:
 
 def _accumulate(
     batch: RealizationBatch,
-    v: np.ndarray,
     plan: PrecodingPlan,
     net: NetworkModel,
     config: SystemConfig,
     eval_instants,
+    stats: EstimationStatistics | None = None,
 ) -> _BlockSums:
+    """Per-block sums of every term at the instants; every estimator's entry.
+
+    The plan's private precoders are formed once per batch, the oscillator
+    rotations once per block slice and instant.
+    """
+    if batch.count < MIN_REALIZATIONS:
+        raise ValueError(
+            f"need at least {MIN_REALIZATIONS} realizations for meaningful errors")
     K, L = net.K, net.L
     eval_instants = [int(n) for n in np.atleast_1d(eval_instants)]
     lam = config.estimation_instant
     for n in eval_instants:
         if not lam <= n <= config.tau_c:
             raise ValueError(f"instants must lie in [{lam}, {config.tau_c}]")
+    columns = [batch.instant_index(n) for n in eval_instants]
     M = len(eval_instants)
     coherent = plan.transmission == "coherent"
     sq_mu = np.sqrt(plan.mu)
     sq_eta = np.sqrt(plan.eta)
     p_dc = plan.rho * config.p_d
     p_dp = (1.0 - plan.rho) * config.p_d
+    v = private_precoders(batch, net, plan.private_scheme, stats, config, p_dp)
 
     inner = max(64, min(2**22 // max(K * K * L, 1), math.ceil(batch.count / 10)))
     slices = _block_slices(batch.count, inner)
@@ -298,15 +304,15 @@ def _accumulate(
         ds_c=np.zeros((B, M, K, L), dtype=complex),
         int_c=np.zeros((B, M, K)),
         power=np.zeros((B, L)),
-        instants=tuple(eval_instants),
         coherent=coherent,
     )
 
-    rotations = {n: batch.rotation(n) for n in eval_instants}
     for b, sl in enumerate(slices):
         vb = v[sl]
-        for m, n in enumerate(eval_instants):
-            g = net.theta[None, :, :, None] * rotations[n][sl][..., None] * batch.h[sl]
+        for m, col in enumerate(columns):
+            rotation = np.exp(
+                1j * (batch.ue_phase[sl, :, None, col] + batch.ap_phase[sl, None, :, col]))
+            g = net.theta[None, :, :, None] * rotation[..., None] * batch.h[sl]
             d = np.einsum("rkln,riln->rkil", np.conj(g), vb)
             diag = np.einsum("rkkl->rkl", d)
             sums.ds_p[b, m] = np.sum(sq_mu[None] * diag, axis=0)
@@ -336,51 +342,47 @@ def _accumulate(
     return sums
 
 
-def _assemble_sinr(sums: _BlockSums, plan, config, m: int, drop: int | None = None):
-    """SINR vector from total (or leave-one-block-out) term sums."""
-    keep = np.ones(len(sums.counts), dtype=bool)
-    if drop is not None:
-        keep[drop] = False
-    n_eff = sums.counts[keep].sum()
-    ds_p = sums.ds_p[keep, m].sum(axis=0) / n_eff
-    int_p = sums.int_p[keep, m].sum(axis=0) / n_eff
-    p_dc = plan.rho * config.p_d
-    p_dp = (1.0 - plan.rho) * config.p_d
+def _sinr(means, coherent: bool, plan, config):
+    """(private, common) SINRs from the term means through ``assemble``.
 
-    if sums.coherent:
-        num_p = p_dp * np.abs(ds_p.sum(axis=1)) ** 2
+    ``means`` is (ds_p, int_p, ds_c, int_c) at one instant.  The measured
+    terms already carry the phase decay, so eaeu is one; the desired-signal
+    coefficient is |sum_l ds|^2 (coherent) or sum_l |ds|^2 (non-coherent),
+    and the common interference excludes its own desired part.
+    """
+    ds_p, int_p, ds_c, int_c = means
+    if coherent:
+        sig_p, sig_c = (np.abs(ds.sum(axis=1)) ** 2 for ds in (ds_p, ds_c))
     else:
-        num_p = p_dp * np.sum(np.abs(ds_p) ** 2, axis=1)
-    den_p = p_dp * int_p.sum(axis=1) - num_p + config.sigma2_dl
-    sinr_p = num_p / den_p
-
-    if plan.rho > 0:
-        ds_c = sums.ds_c[keep, m].sum(axis=0) / n_eff
-        int_c = sums.int_c[keep, m].sum(axis=0) / n_eff
-        if sums.coherent:
-            num_c = p_dc * np.abs(ds_c.sum(axis=1)) ** 2
-        else:
-            num_c = p_dc * np.sum(np.abs(ds_c) ** 2, axis=1)
-        den_c = p_dc * int_c - num_c + p_dp * int_p.sum(axis=1) + config.sigma2_dl
-        sinr_c = num_c / den_c
-    else:
-        sinr_c = np.zeros_like(sinr_p)
-    return sinr_p, sinr_c
+        sig_p, sig_c = (np.sum(np.abs(ds) ** 2, axis=1) for ds in (ds_p, ds_c))
+    parts = PlanParts(eaeu=np.ones((1, 1)), xi=int_p.sum(axis=1)[None], sig_private=sig_p,
+                      sig_common=sig_c, gamma=(int_c - sig_c)[None], p_d=config.p_d,
+                      sigma2=config.sigma2_dl, scalar=True)
+    return assemble(parts, plan.rho)
 
 
-def _mean_and_stderr(block_sums: np.ndarray, counts: np.ndarray):
-    """Mean of a per-realization term from its per-block sums, and the
-    delete-one-block jackknife standard error of that mean.
+def _delete_one_means(block_sums: np.ndarray, counts: np.ndarray):
+    """Full mean of a per-realization term from its per-block sums, and the
+    B delete-one-block means, (total - block) / (count - counts).
 
     ``block_sums`` is (B, ...) with block b summing ``counts[b]`` realizations.
     """
-    B = len(counts)
     count = counts.sum()
-    counts = counts.reshape((B,) + (1,) * (block_sums.ndim - 1))
-    total_sum = block_sums.sum(axis=0)
-    loo = (total_sum[None] - block_sums) / (count - counts)
-    dev = loo - loo.mean(axis=0)
-    return total_sum / count, np.sqrt((B - 1) / B * np.sum(np.abs(dev) ** 2, axis=0))
+    counts = counts.reshape((-1,) + (1,) * (block_sums.ndim - 1))
+    total = block_sums.sum(axis=0)
+    return total / count, (total[None] - block_sums) / (count - counts)
+
+
+def _spread(loo: np.ndarray) -> np.ndarray:
+    """Jackknife standard error from the B delete-one estimates."""
+    B = len(loo)
+    return np.sqrt((B - 1) / B * np.sum(np.abs(loo - loo.mean(axis=0)) ** 2, axis=0))
+
+
+def _mean_and_stderr(block_sums: np.ndarray, counts: np.ndarray):
+    """Mean of a per-realization term and its delete-one-block standard error."""
+    mean, loo = _delete_one_means(block_sums, counts)
+    return mean, _spread(loo)
 
 
 def _jackknife(sums: _BlockSums, plan, config, m: int):
@@ -390,21 +392,17 @@ def _jackknife(sums: _BlockSums, plan, config, m: int):
     estimate removes the leading term, and the same leave-one-out spread
     yields the standard error.
     """
-    full_p, full_c = _assemble_sinr(sums, plan, config, m)
+    terms = [_delete_one_means(x[:, m], sums.counts)
+             for x in (sums.ds_p, sums.int_p, sums.ds_c, sums.int_c)]
+    full = _sinr([mean for mean, _ in terms], sums.coherent, plan, config)
     B = len(sums.counts)
-    loo_p = np.empty((B,) + full_p.shape)
-    loo_c = np.empty((B,) + full_c.shape)
-    for b in range(B):
-        loo_p[b], loo_c[b] = _assemble_sinr(sums, plan, config, m, drop=b)
-    factor = (B - 1) / B
-    se_p = np.sqrt(factor * np.sum((loo_p - loo_p.mean(axis=0)) ** 2, axis=0))
-    se_c = np.sqrt(factor * np.sum((loo_c - loo_c.mean(axis=0)) ** 2, axis=0))
-    est_p = B * full_p - (B - 1) * loo_p.mean(axis=0)
-    est_c = B * full_c - (B - 1) * loo_c.mean(axis=0)
+    loo = np.array([_sinr([drop[b] for _, drop in terms], sums.coherent, plan, config)
+                    for b in range(B)])  # (B, 2, K)
+    est = B * np.array(full) - (B - 1) * loo.mean(axis=0)
     # the corrected estimate must stay in the physical range
-    est_p = np.maximum(est_p, 0.0)
-    est_c = np.maximum(est_c, 0.0)
-    return est_p, se_p, est_c, se_c
+    est = np.maximum(est, 0.0)
+    se = _spread(loo)
+    return est[0], se[0], est[1], se[1]
 
 
 @dataclass(frozen=True)
@@ -461,12 +459,7 @@ def estimate_uatf_terms(
     stats: EstimationStatistics | None = None,
 ) -> UatFTerms:
     """Empirical DS/INT terms (and common-stream analogs) at instant n."""
-    if batch.count < MIN_REALIZATIONS:
-        raise ValueError(
-            f"need at least {MIN_REALIZATIONS} realizations for meaningful errors")
-    v = private_precoders(batch, net, plan.private_scheme, stats, config,
-                          (1.0 - plan.rho) * config.p_d)
-    sums = _accumulate(batch, v, plan, net, config, [n])
+    sums = _accumulate(batch, plan, net, config, [n], stats)
     ds, ds_se = _mean_and_stderr(sums.ds_p[:, 0], sums.counts)
     int_, int_se = _mean_and_stderr(sums.int_p[:, 0], sums.counts)
     ds_c, ds_c_se = _mean_and_stderr(sums.ds_c[:, 0], sums.counts)
@@ -526,28 +519,11 @@ def mc_sinr(
     sum per-AP desired/interference contributions, matching successive
     per-AP decoding in AP-index order (the rate is order-invariant).
     """
-    if batch.count < MIN_REALIZATIONS:
-        raise ValueError(
-            f"need at least {MIN_REALIZATIONS} realizations for meaningful errors")
-    scalar = np.isscalar(n)
     instants = [int(x) for x in np.atleast_1d(n)]
-    v = private_precoders(batch, net, plan.private_scheme, stats, config,
-                          (1.0 - plan.rho) * config.p_d)
-    sums = _accumulate(batch, v, plan, net, config, instants)
-    out = []
-    for m, inst in enumerate(instants):
-        sinr_p, se_p, sinr_c, se_c = _jackknife(sums, plan, config, m)
-        out.append(
-            MCSinr(
-                instant=inst,
-                private=sinr_p,
-                private_stderr=se_p,
-                common=sinr_c,
-                common_stderr=se_c,
-                count=batch.count,
-            )
-        )
-    return out[0] if scalar else out
+    sums = _accumulate(batch, plan, net, config, instants, stats)
+    out = [MCSinr(inst, *_jackknife(sums, plan, config, m), count=batch.count)
+           for m, inst in enumerate(instants)]
+    return out[0] if np.isscalar(n) else out
 
 
 def transmit_power_stats(
@@ -558,7 +534,5 @@ def transmit_power_stats(
     stats: EstimationStatistics | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-AP mean transmit power and its standard error over the batch."""
-    v = private_precoders(batch, net, plan.private_scheme, stats, config,
-                          (1.0 - plan.rho) * config.p_d)
-    sums = _accumulate(batch, v, plan, net, config, [config.estimation_instant])
+    sums = _accumulate(batch, plan, net, config, [config.estimation_instant], stats)
     return _mean_and_stderr(sums.power, sums.counts)

@@ -20,7 +20,10 @@ Two optimizers operate on the closed-form expressions:
   outer approximation of the cones, so a negative LP optimum certifies
   infeasibility, while a feasible verdict needs a point meeting every
   original constraint, min SINR >= t included.  Cuts are kept across the
-  bisection's targets.
+  bisection's targets.  The program's SINR is written once, in the cone
+  terms (``_cone_terms``), which both the cuts and the min SINR >= t check
+  read; its decay factors come from ``closed_form.decay_pair`` and its
+  private interference from ``closed_form.plan_parts``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_form import TraceTerms, make_plan, plan_parts
+from .closed_form import TraceTerms, decay_pair, make_plan, plan_parts
 from .model import PhaseStatistics, SystemConfig
 
 log = logging.getLogger(__name__)
@@ -143,18 +146,12 @@ class MaxMinProblem:
         return h.reshape(K, K * L), m.reshape(K, K * L)
 
     def sinr(self, a: np.ndarray) -> np.ndarray:
-        """(K,) common-stream SINRs at the problem's instant for weights a."""
-        ab = self.b @ a
-        h, m = self.products(a)
-        num = self.p_dc * self.eta_ap * self.eta_ue * ab**2
-        den = (
-            self.p_dc * (1.0 - self.eta_ap) * (h @ a)
-            + self.p_dc * (m @ a)
-            + self.p_dc * self.eta_ap * (1.0 - self.eta_ue) * ab**2
-            + self.p_dp * self.xi
-            + self.sigma2
-        )
-        return num / den
+        """(K,) common-stream SINRs at the problem's instant for weights a.
+
+        The SINR is (e_k.a / norm_k)^2 in the cone terms' units.
+        """
+        e, norm, _ = _cone_terms(self, a)
+        return (e @ a) ** 2 / norm**2
 
     def power_norms(self, a: np.ndarray) -> np.ndarray:
         """(L,) values of ||Theta_l^{1/2} a_l||."""
@@ -179,17 +176,12 @@ def build_maxmin_problem(
     delay-compensated MR precoding with the per-AP normalization.
     Default instant: mid-block.
     """
-    if rho <= 0:
-        raise ValueError("the common stream needs rho > 0")
+    if not 0 < rho <= 1:
+        raise ValueError(f"rho must lie in (0, 1] for a common stream, got {rho}")
     K, L = terms.K, terms.L
-    lam = config.estimation_instant
     if n is None:
-        n = math.ceil((lam + config.tau_c) / 2)
-    if not lam <= n <= config.tau_c:
-        raise ValueError(f"instant must lie in [{lam}, {config.tau_c}]")
-    gap = n - lam
-    eta_ap = float(np.exp(-gap * phases.var_ap))
-    eta_ue = float(np.exp(-gap * phases.var_ue))
+        n = math.ceil((config.estimation_instant + config.tau_c) / 2)
+    ea, eu = decay_pair(phases, config, n)
 
     tr_Qc = terms.tr_Qc.real  # real for the supported correlation models
     imag_leak = np.max(np.abs(terms.tr_Qc.imag)) if terms.tr_Qc.size else 0.0
@@ -211,8 +203,8 @@ def build_maxmin_problem(
         xi=xi,
         p_dc=rho * config.p_d,
         p_dp=(1.0 - rho) * config.p_d,
-        eta_ap=eta_ap,
-        eta_ue=eta_ue,
+        eta_ap=float(ea[0]),
+        eta_ue=float(eu[0]),
         sigma2=config.sigma2_dl,
         instant=int(n),
     )
@@ -433,6 +425,8 @@ def robust_common_precoding(
     the coherent common SINR with unit eta achieves min-UE SINR within the
     final bracket at the problem's instant.
     """
+    if not eps > 0:
+        raise ValueError(f"eps must be > 0, got {eps}")
     trace: list[dict] = []
     total_iters = 0
     cuts = _OuterApproximation(problem)  # shared by every target below

@@ -443,3 +443,25 @@ def test_single_user_run(tmp_path):
 
 def test_sweep_requires_config():
     assert cli.main(["sweep"]) == 2  # ConfigError surfaces as exit code 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["robust", "--rho", "1.5"],
+    ["robust", "--rho", "0"],
+    ["robust", "--instant", "1"],
+    ["robust", "--eps", "0"],
+    ["robust", "--eps", "-1"],
+    ["rho-opt", "--tol", "0"],
+    ["rho-opt", "--grid", "-3"],
+    ["validate", "--mc", "50"],
+    ["validate", "--mc", "0"],
+], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
+def test_bad_flags_fail_at_the_boundary(argv, tmp_path, monkeypatch, capsys):
+    def no_topology(*args):
+        raise AssertionError("a bad flag must fail before anything is computed")
+
+    monkeypatch.setattr(cli, "build_topology", no_topology)
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert f"error: {argv[1]}: " in capsys.readouterr().err
+    assert not out.exists()

@@ -21,7 +21,6 @@ def tiny_terms(tr_q: float = 2.0):
         tr_QcR=((tr_q * 1.5) * np.ones((1, 1, 1, 1), dtype=complex),),
         theta=np.ones((1, 1), dtype=complex),
         groups=(np.array([0]),),
-        beta=one.copy(),
     )
 
 
@@ -83,9 +82,7 @@ def test_power_control_uniform_when_betas_equal():
     terms = tiny_terms(2.0)
     net = cfrs.build_network(cfrs.SystemConfig(L=5, K=3, N=2, seed=2))
     equal = dataclasses.replace(net, beta=np.full((3, 5), 1e-9))
-    stats_terms = dataclasses.replace(
-        tiny_terms(), tr_Q=np.full((3, 5), 2.0), beta=np.full((3, 5), 1e-9)
-    )
+    stats_terms = dataclasses.replace(tiny_terms(), tr_Q=np.full((3, 5), 2.0))
     mu = cf.power_control_coefficients(stats_terms, equal, alpha=-1.0)
     assert np.allclose(mu, mu[0:1, :])  # identical for every UE
     assert np.allclose(mu[0], 1.0 / (3 * 2.0))

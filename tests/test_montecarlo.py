@@ -123,6 +123,8 @@ def test_small_batches_rejected(desk):
         cfrs.mc_sinr(batch, plan, net, cfg, cfg.estimation_instant, stats)
     with pytest.raises(ValueError):
         cfrs.estimate_uatf_terms(batch, plan, net, cfg, cfg.estimation_instant, stats)
+    with pytest.raises(ValueError):
+        cfrs.transmit_power_stats(batch, plan, net, cfg, stats)
 
 
 def test_power_extremes_zero_out_streams(desk, desk_batch):

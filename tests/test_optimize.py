@@ -141,8 +141,9 @@ def test_problem_xi_matches_private_interference():
 
 
 def test_rho_zero_problem_rejected():
-    with pytest.raises(ValueError):
-        setup_instance(rho=0.0)
+    for rho in (0.0, 1.5):
+        with pytest.raises(ValueError, match="rho"):
+            setup_instance(rho=rho)
 
 
 def test_problem_matrix_invariants():
