@@ -2,7 +2,7 @@
 
 Simulation and optimization toolkit for a distributed multi-antenna
 downlink impaired by propagation-delay phases and Wiener oscillator
-drift: channel/phase models, MMSE and LS estimation statistics, exact
+drift: channel/phase models, MMSE and LS estimation statistics,
 hardening-bound SINR/SE expressions for private and common streams, a
 Monte Carlo oracle validating them, and two optimizers (power-split
 binary search and max-min robust common precoding).
@@ -32,7 +32,6 @@ from .estimation import (
     assign_pilots,
     estimation_statistics,
     mmse_estimate_realization,
-    nmse_ls,
 )
 from .model import (
     NetworkModel,
@@ -41,7 +40,6 @@ from .model import (
     build_network,
     expected_phase_decay,
     phase_increment_variance,
-    sample_phase_trajectory,
 )
 from .montecarlo import (
     MCSinr,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import logging
 import numbers
@@ -32,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import closed_form, estimation, model, montecarlo, optimize
-from .closed_form import TraceTerms, config_hash, evaluate_plan, make_plan
+from .closed_form import TraceTerms, evaluate_plan, make_plan
 from .estimation import assign_pilots, estimation_statistics
 from .model import PhaseStatistics, SystemConfig, build_network
 
@@ -330,6 +331,15 @@ def parse_config(path: str | Path) -> ExperimentSpec:
 # experiment execution
 # ---------------------------------------------------------------------------
 
+def config_hash(config: SystemConfig) -> str:
+    """Stable short hash of a system configuration for the manifest."""
+    payload = json.dumps(
+        {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(config).items()},
+        sort_keys=True,
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
 def _job_seed(master: int, repetition: int) -> int:
     # one topology per repetition, shared across sweep points and schemes,
     # so scheme/sweep comparisons are paired
@@ -399,9 +409,7 @@ def run_scheme(
 
     if scheme.rs_enabled and scheme.weights_mode == "robust" and rho > 0:
         problem = optimize.build_maxmin_problem(terms, phases, cfg, rho)
-        result = optimize.robust_common_precoding(
-            problem, start_point=optimize.scaled_simple_weights(problem)
-        )
+        result = optimize.robust_common_precoding(problem)
         plan = make_plan(
             terms, scheme.private_scheme, scheme.transmission, rho,
             weights=result.weights, unit_eta=True,
@@ -410,7 +418,7 @@ def run_scheme(
     else:
         plan = make_plan(terms, scheme.private_scheme, scheme.transmission, rho)
 
-    report = evaluate_plan(terms, plan, phases, cfg, metadata={"scheme": scheme.label()})
+    report = evaluate_plan(terms, plan, phases, cfg)
 
     if mc_realizations > 0:
         lam = cfg.estimation_instant
@@ -498,7 +506,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> P
                         {
                             **base_row,
                             "k": k,
-                            "rho": repr(float(report.metadata["rho"])),
+                            "rho": repr(float(report.rho)),
                             "se_private": repr(float(report.se_private[k])),
                             "se_common_per_ue": repr(float(report.se_common_per_ue[k])),
                             "se_common": repr(float(report.se_common)),
@@ -582,7 +590,10 @@ def _load_system(args, default: SystemConfig | None = None) -> tuple[SystemConfi
         spec = None
         cfg = default if default is not None else SystemConfig()
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+        try:
+            cfg = dataclasses.replace(cfg, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from exc
     return cfg, spec
 
 
@@ -593,6 +604,10 @@ def cmd_nmse(args) -> int:
         if args.variances
         else [None]
     )
+    _, inside, interval = _SWEEP_VALUES["oscillator_variance"]
+    for var in variances:
+        if var is not None and not inside(var):
+            raise ConfigError(f"--variances: {var!r} is outside {interval}")
     net = build_network(cfg)
     pilots = assign_pilots(cfg.K, cfg.tau_p)
     rows = []
@@ -659,9 +674,12 @@ def cmd_se(args) -> int:
     rows = []
     for scheme in schemes:
         report, extras = run_scheme(cfg, phases, scheme, topology)
-        for row in report.to_csv_rows():
-            row["scheme"] = scheme.label()
-            rows.append(row)
+        for k in range(cfg.K):
+            rows.append({"scheme": scheme.label(), "transmission": scheme.transmission,
+                         "rho": report.rho, "k": k,
+                         "se_private": float(report.se_private[k]),
+                         "se_common_per_ue": float(report.se_common_per_ue[k]),
+                         "sum_se": report.sum_se, "seed": cfg.seed})
         print(
             f"{scheme.label()}: sum SE = {report.sum_se:.4f} bit/s/Hz"
             + (f" (rho* = {extras['optimized_rho']:.4f})" if "optimized_rho" in extras else "")
@@ -734,14 +752,29 @@ def validate_families(
                 )
         if terms_out is not None:
             t = montecarlo.estimate_uatf_terms(batch, plan, net, cfg, instants[0], stats)
-            for row in t.to_csv_rows():
-                row.update({"stream": stream, "transmission": transmission,
-                            "scheme": scheme, "n": instants[0]})
-                term_rows.append(row)
+            family = {"stream": stream, "transmission": transmission, "scheme": scheme,
+                      "n": instants[0]}
+            term_rows += [{**family, **row} for row in _term_rows(t)]
     if terms_out is not None:
         _write_csv(terms_out, TERMS_SCHEMA,
                    ["stream", "transmission", "scheme", "n", "term", "k", "l_or_i",
                     "estimate", "estimate_imag", "stderr"], term_rows)
+    return rows
+
+
+def _term_rows(t: montecarlo.UatFTerms) -> list[dict]:
+    """One terms-CSV row per entry of each term; l_or_i is blank for the
+    per-UE ``int_common``, and the common terms are left out at rho = 0."""
+    terms = [("ds_private", t.ds, t.ds_stderr), ("int_private", t.int_, t.int_stderr)]
+    if np.any(t.ds_common != 0):
+        terms += [("ds_common", t.ds_common, t.ds_common_stderr),
+                  ("int_common", t.int_common, t.int_common_stderr)]
+    rows = []
+    for term, values, stderr in terms:
+        for (k, *j), v in np.ndenumerate(values):
+            rows.append({"term": term, "k": k, "l_or_i": j[0] if j else "",
+                         "estimate": complex(v).real, "estimate_imag": complex(v).imag,
+                         "stderr": float(stderr[(k, *j)])})
     return rows
 
 
@@ -801,12 +834,7 @@ def cmd_robust(args) -> int:
     terms = build_topology(cfg, phases).terms
     problem = optimize.build_maxmin_problem(terms, phases, cfg, args.rho,
                                             n=args.instant)
-    result = optimize.robust_common_precoding(
-        problem,
-        eps=args.eps,
-        start_point=optimize.scaled_simple_weights(problem),
-        verbose=args.verbose,
-    )
+    result = optimize.robust_common_precoding(problem, eps=args.eps, verbose=args.verbose)
     rows = [
         {"k": k, "l": l, "weight": repr(float(result.weights[k, l]))}
         for k in range(cfg.K)

@@ -13,7 +13,11 @@ for DU, which makes the DU/DF equalities bitwise when delays vanish.
 
 Per-instant phase-decay factors are ea = exp(-(n-lambda)*var_ap) and
 eu = exp(-(n-lambda)*var_ue); SINR terms split into n-independent trace
-sums weighted by ea/eu, so all data instants are evaluated at once.
+sums weighted by ea/eu, so all data instants are evaluated at once.  The
+drift between UE k's pilot instant t_k and lambda enters only the mean,
+through Q; the gain-uncertainty (fourth-moment) terms omit it, so under
+oscillator drift the bound is an approximation that overstates SINR
+slightly, and more so as the increment variances grow.
 
 Every SINR is rational in the power split rho with rho-independent
 coefficients.  ``plan_parts`` computes those coefficients once per plan
@@ -26,9 +30,8 @@ this one path.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,27 +149,13 @@ class PrecodingPlan:
             arr.setflags(write=False)
 
     def replace_rho(self, rho: float) -> "PrecodingPlan":
-        return PrecodingPlan(
-            private_scheme=self.private_scheme,
-            transmission=self.transmission,
-            rho=rho,
-            weights=self.weights.copy(),
-            mu=self.mu.copy(),
-            eta=self.eta.copy(),
-        )
-
-    @property
-    def tags(self) -> dict:
-        return {
-            "private_scheme": self.private_scheme,
-            "transmission": self.transmission,
-            "rho": self.rho,
-        }
+        # the arrays are write-protected, so the copy shares them safely
+        return dataclasses.replace(self, rho=rho)
 
 
 @dataclass(frozen=True)
 class SEReport:
-    """Per-instant SINRs, per-UE SE, and the rate-splitting sum SE."""
+    """Per-instant SINRs, per-UE SE, and the rate-splitting sum SE at ``rho``."""
 
     sinr_private: np.ndarray
     sinr_common: np.ndarray
@@ -174,47 +163,7 @@ class SEReport:
     se_common_per_ue: np.ndarray
     se_common: float
     sum_se: float
-    metadata: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "metadata": self.metadata,
-                "se_private": self.se_private.tolist(),
-                "se_common_per_ue": self.se_common_per_ue.tolist(),
-                "se_common": self.se_common,
-                "sum_se": self.sum_se,
-                "sinr_private": self.sinr_private.tolist(),
-                "sinr_common": self.sinr_common.tolist(),
-            },
-            sort_keys=True,
-        )
-
-    def to_csv_rows(self) -> list[dict]:
-        rows = []
-        for k in range(self.se_private.shape[0]):
-            rows.append(
-                {
-                    "scheme": self.metadata.get("private_scheme", ""),
-                    "transmission": self.metadata.get("transmission", ""),
-                    "rho": self.metadata.get("rho", 0.0),
-                    "k": k,
-                    "se_private": float(self.se_private[k]),
-                    "se_common_per_ue": float(self.se_common_per_ue[k]),
-                    "sum_se": self.sum_se,
-                    "seed": self.metadata.get("seed", ""),
-                }
-            )
-        return rows
-
-
-def config_hash(config: SystemConfig) -> str:
-    """Stable short hash of a system configuration for provenance metadata."""
-    payload = json.dumps(
-        {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(config).items()},
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    rho: float
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +265,18 @@ def _theta_eff(terms: TraceTerms, scheme: str) -> np.ndarray:
     )
 
 
-def decay_pair(phases: PhaseStatistics, config: SystemConfig, instants):
-    """(ea, eu) per-side phase decays at the instants, after a range check."""
+def check_instants(config: SystemConfig, instants) -> np.ndarray:
+    """The instants as a 1-d int array, after checking they lie in [lambda, tau_c]."""
     n = np.atleast_1d(np.asarray(instants, dtype=int))
     lam = config.estimation_instant
     if np.any(n < lam) or np.any(n > config.tau_c):
         raise ValueError(f"instants must lie in [{lam}, {config.tau_c}]")
-    gap = n - lam
+    return n
+
+
+def decay_pair(phases: PhaseStatistics, config: SystemConfig, instants):
+    """(ea, eu) per-side phase decays at the instants, after a range check."""
+    gap = check_instants(config, instants) - config.estimation_instant
     # per-side decay exp(-gap*var) is the rotation mean at twice the variance
     ea = np.atleast_1d(expected_phase_decay(gap, 2.0 * phases.var_ap))
     eu = np.atleast_1d(expected_phase_decay(gap, 2.0 * phases.var_ue))
@@ -469,7 +423,6 @@ def evaluate_plan(
     plan: PrecodingPlan,
     phases: PhaseStatistics,
     config: SystemConfig,
-    metadata: dict | None = None,
 ) -> SEReport:
     """Full SE report for one plan over all data instants of the block."""
     parts = plan_parts(terms, plan, phases, config, config.data_instants())
@@ -477,11 +430,6 @@ def evaluate_plan(
     se_p = se_from_sinr(sinr_p, config.tau_c)
     se_c_per_ue = se_from_sinr(sinr_c, config.tau_c)
     se_c, sse = sum_se(se_p, se_c_per_ue)
-    meta = dict(plan.tags)
-    meta["seed"] = config.seed
-    meta["config_hash"] = config_hash(config)
-    if metadata:
-        meta.update(metadata)
     return SEReport(
         sinr_private=sinr_p,
         sinr_common=sinr_c,
@@ -489,7 +437,7 @@ def evaluate_plan(
         se_common_per_ue=se_c_per_ue,
         se_common=se_c,
         sum_se=sse,
-        metadata=meta,
+        rho=plan.rho,
     )
 
 
@@ -506,64 +454,3 @@ def sum_se_curve(terms, plan, phases, config):
         return sum_se(se_p, se_from_sinr(sinr_c, config.tau_c))[1]
 
     return sum_se_at
-
-
-# ---------------------------------------------------------------------------
-# asymptotic trend checks
-# ---------------------------------------------------------------------------
-
-def asymptotic_monotonicity_check(
-    config: SystemConfig | None = None,
-    var_grid=(1e-5, 1e-4, 1e-3, 1e-2),
-    seed: int = 0,
-) -> dict:
-    """Numerically verify the large-array oscillator-phase trends.
-
-    On the coherent DU-MR closed form: SINR decreases in both increment
-    variances; with (var_ap, var_ue) = (small, large) the sum SE is lower
-    than with the values swapped (the UE oscillator dominates); and a
-    larger AP count shrinks the relative penalty of the AP-side variance.
-    Returns measured margins and pass flags.
-    """
-    from .estimation import assign_pilots, estimation_statistics
-    from .model import build_network
-
-    if config is None:
-        config = SystemConfig(L=100, K=8, N=2, tau_p=4, tau_c=200, seed=seed)
-
-    def sum_se_for(cfg, var_ap, var_ue):
-        net = build_network(cfg)
-        pilots = assign_pilots(cfg.K, cfg.tau_p)
-        ph = PhaseStatistics(var_ap=var_ap, var_ue=var_ue)
-        stats = estimation_statistics(net, pilots, ph, cfg)
-        terms = TraceTerms.compute(net, stats, pilots)
-        plan = make_plan(terms, "du_mr", "coherent", rho=0.0)
-        return evaluate_plan(terms, plan, ph, cfg).sum_se
-
-    grid = [sum_se_for(config, v, v) for v in var_grid]
-    grid_decreasing = all(a > b for a, b in zip(grid, grid[1:]))
-
-    small, large = min(var_grid), max(var_grid)
-    ue_heavy = sum_se_for(config, small, large)
-    ap_heavy = sum_se_for(config, large, small)
-    swap_margin = (ap_heavy - ue_heavy) / max(ap_heavy, 1e-30)
-
-    # AP-count effect on the AP-side penalty ratio
-    few = vars(config).copy()
-    few.update(L=max(4, config.L // 10))
-    cfg_few = SystemConfig(**few)
-    penalty_many = sum_se_for(config, large, small) / sum_se_for(config, small, small)
-    penalty_few = sum_se_for(cfg_few, large, small) / sum_se_for(cfg_few, small, small)
-
-    return {
-        "grid_sum_se": grid,
-        "grid_decreasing": grid_decreasing,
-        "ue_variance_dominates": ue_heavy < ap_heavy,
-        "swap_margin": float(swap_margin),
-        "ap_penalty_ratio_many_aps": float(penalty_many),
-        "ap_penalty_ratio_few_aps": float(penalty_few),
-        "more_aps_reduce_ap_penalty": penalty_many > penalty_few,
-        "passed": bool(
-            grid_decreasing and ue_heavy < ap_heavy and penalty_many > penalty_few
-        ),
-    }

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NetworkModel, PhaseStatistics, SystemConfig
+from .model import NetworkModel, PhaseStatistics, SystemConfig, expected_phase_decay
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,6 @@ class PilotAssignment:
         for inst in sorted(set(self.t.tolist())):
             out.append(tuple(int(k) for k in np.flatnonzero(self.t == inst)))
         return tuple(out)
-
-    @property
-    def copilot(self) -> np.ndarray:
-        """(K, K) boolean mask, True where UEs share a pilot instant."""
-        return self.t[:, None] == self.t[None, :]
 
 
 def assign_pilots(
@@ -110,7 +105,8 @@ def _check_hermitian(R: np.ndarray, tol: float = 1e-10):
 def decay_factors(pilots: PilotAssignment, phases: PhaseStatistics) -> np.ndarray:
     """(K,) amplitude decay exp(-(lambda - t_k)(var_ap + var_ue)) per UE."""
     gaps = pilots.tau_p + 1 - pilots.t
-    return np.exp(-gaps * phases.var_sum)
+    # the amplitude decay is the rotation mean at twice the variance
+    return expected_phase_decay(gaps, 2.0 * phases.var_sum)
 
 
 def estimation_statistics(
@@ -167,22 +163,11 @@ def estimation_statistics(
     )
 
 
-def nmse_ls(
-    net: NetworkModel,
-    pilots: PilotAssignment,
-    phases: PhaseStatistics,
-    config: SystemConfig,
-) -> np.ndarray:
-    """(K, L) NMSE of the least-squares estimator (may exceed one)."""
-    return estimation_statistics(net, pilots, phases, config).nmse_ls
-
-
 def mmse_filter_matrices(
     net: NetworkModel,
     pilots: PilotAssignment,
     phases: PhaseStatistics,
     config: SystemConfig,
-    stats: EstimationStatistics | None = None,
 ) -> np.ndarray:
     """(K, L, N, N) linear MMSE filters B with hhat = theta* . B @ z.
 
@@ -190,8 +175,7 @@ def mmse_filter_matrices(
     remaining conj(theta[k,l]) factor is applied by the caller so the same
     filters serve both the scalar and the batched estimation paths.
     """
-    if stats is None:
-        stats = estimation_statistics(net, pilots, phases, config)
+    stats = estimation_statistics(net, pilots, phases, config)
     p = config.pilot_powers()
     amp = np.sqrt(p * decay_factors(pilots, phases))
     return amp[:, None, None, None] * np.einsum(

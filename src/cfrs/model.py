@@ -10,7 +10,8 @@ AP-UE link carries
   offset relative to the UE's earliest-arriving AP,
 
 and every AP/UE oscillator drifts as a discrete-time Wiener process whose
-per-instant increment variance is 4*pi^2*f_c^2*c*T_s.
+per-instant increment variance is 4*pi^2*f_c^2*c*T_s.  The Monte Carlo
+oracle draws the increments itself; this module gives their statistics.
 """
 
 from __future__ import annotations
@@ -80,6 +81,15 @@ class SystemConfig:
         p_pilot = self.pilot_powers()
         if not np.all((p_pilot > 0) & (p_pilot < np.inf)):
             raise ValueError("p_pilot must be finite and > 0")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("pl_fixed_db", "corr_r"):
+            if not abs(getattr(self, name)) < np.inf:
+                raise ValueError(f"{name} must be finite")
+        if not 0 < self.pl_break1_m <= self.pl_break2_m < np.inf:
+            raise ValueError("need 0 < pl_break1_m <= pl_break2_m < inf")
+        if not 0 <= self.shadow_std_db < np.inf:
+            raise ValueError("shadow_std_db must be finite and >= 0")
         if self.correlation not in CORRELATION_MODELS:
             raise ValueError(f"correlation must be one of {CORRELATION_MODELS}")
         if self.correlation == "exponential" and not abs(self.corr_r) < 1:
@@ -187,27 +197,6 @@ def expected_phase_decay(gap: float | np.ndarray, var_sum: float) -> float | np.
         raise ValueError("var_sum must be >= 0")
     out = np.exp(-0.5 * gap * var_sum)
     return float(out) if out.ndim == 0 else out
-
-
-def sample_phase_trajectories(
-    var: float, length: int, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """(count, length) Wiener phase paths; entry [.., n] is the phase at
-    instant n+1 relative to a zero initial phase."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    if var < 0:
-        raise ValueError("var must be >= 0")
-    if var == 0:
-        return np.zeros((count, length))
-    increments = rng.normal(0.0, np.sqrt(var), size=(count, length))
-    return np.cumsum(increments, axis=1)
-
-
-def sample_phase_trajectory(var: float, length: int, seed: int) -> np.ndarray:
-    """One Wiener oscillator-phase trajectory of the given length."""
-    rng = np.random.default_rng(seed)
-    return sample_phase_trajectories(var, length, 1, rng)[0]
 
 
 def three_slope_gain_db(

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import PlanParts, PrecodingPlan, assemble
+from .closed_form import PlanParts, PrecodingPlan, assemble, check_instants
 from .estimation import (
     EstimationStatistics,
     PilotAssignment,
@@ -181,13 +181,13 @@ def sample_batch(
 # ---------------------------------------------------------------------------
 
 def dummse_precoder(
-    batch: RealizationBatch,
+    hhat: np.ndarray,
     net: NetworkModel,
     stats: EstimationStatistics,
     config: SystemConfig,
     p_dp: float | None = None,
 ) -> np.ndarray:
-    """(count, K, L, N) per-realization MMSE-style private precoders.
+    """(count, K, L, N) MMSE-style private precoders for estimates ``hhat``.
 
     v[k,l] = theta[k,l] * p * (sum_i p (hhat_i hhat_i^H + C_i) + sigma2 I)^-1 hhat_k
     with C_i the estimation-error covariance; regularized by the noise
@@ -198,31 +198,31 @@ def dummse_precoder(
     N = net.N
     err_cov = (net.R - stats.Q).sum(axis=0)  # (L, N, N)
     base = p_dp * err_cov + config.sigma2_ul * np.eye(N)[None]
-    outer = np.einsum("rkln,rklm->rlnm", batch.hhat, np.conj(batch.hhat))
+    outer = np.einsum("rkln,rklm->rlnm", hhat, np.conj(hhat))
     A = p_dp * outer + base[None]
-    rhs = np.swapaxes(batch.hhat, 1, 2).transpose(0, 1, 3, 2)  # (count, L, N, K)
+    rhs = np.swapaxes(hhat, 1, 2).transpose(0, 1, 3, 2)  # (count, L, N, K)
     sol = np.linalg.solve(A, rhs)  # (count, L, N, K)
     v = sol.transpose(0, 3, 1, 2) * p_dp
     return v * net.theta[None, :, :, None]
 
 
 def private_precoders(
-    batch: RealizationBatch,
+    hhat: np.ndarray,
     net: NetworkModel,
     scheme: str,
     stats: EstimationStatistics | None = None,
     config: SystemConfig | None = None,
     p_dp: float | None = None,
 ) -> np.ndarray:
-    """Per-realization private precoders for one scheme tag."""
+    """Private precoders of one scheme tag for the estimates ``hhat``."""
     if scheme == "du_mr":
-        return batch.hhat * net.theta[None, :, :, None]
+        return hhat * net.theta[None, :, :, None]
     if scheme == "df_mr":
-        return batch.hhat
+        return hhat
     if scheme == "du_mmse":
         if stats is None or config is None:
             raise ValueError("du_mmse precoding needs stats and config")
-        return dummse_precoder(batch, net, stats, config, p_dp)
+        return dummse_precoder(hhat, net, stats, config, p_dp)
     raise ValueError(f"unknown private precoding scheme {scheme!r}")
 
 
@@ -272,26 +272,20 @@ def _accumulate(
 ) -> _BlockSums:
     """Per-block sums of every term at the instants; every estimator's entry.
 
-    The plan's private precoders are formed once per batch, the oscillator
-    rotations once per block slice and instant.
+    The plan's private precoders are formed per block slice, the oscillator
+    rotations per block slice and instant, so no whole-batch array is added.
     """
     if batch.count < MIN_REALIZATIONS:
         raise ValueError(
             f"need at least {MIN_REALIZATIONS} realizations for meaningful errors")
     K, L = net.K, net.L
-    eval_instants = [int(n) for n in np.atleast_1d(eval_instants)]
-    lam = config.estimation_instant
-    for n in eval_instants:
-        if not lam <= n <= config.tau_c:
-            raise ValueError(f"instants must lie in [{lam}, {config.tau_c}]")
-    columns = [batch.instant_index(n) for n in eval_instants]
-    M = len(eval_instants)
+    columns = [batch.instant_index(int(n)) for n in check_instants(config, eval_instants)]
+    M = len(columns)
     coherent = plan.transmission == "coherent"
     sq_mu = np.sqrt(plan.mu)
     sq_eta = np.sqrt(plan.eta)
     p_dc = plan.rho * config.p_d
     p_dp = (1.0 - plan.rho) * config.p_d
-    v = private_precoders(batch, net, plan.private_scheme, stats, config, p_dp)
 
     inner = max(64, min(2**22 // max(K * K * L, 1), math.ceil(batch.count / 10)))
     slices = _block_slices(batch.count, inner)
@@ -308,7 +302,7 @@ def _accumulate(
     )
 
     for b, sl in enumerate(slices):
-        vb = v[sl]
+        vb = private_precoders(batch.hhat[sl], net, plan.private_scheme, stats, config, p_dp)
         for m, col in enumerate(columns):
             rotation = np.exp(
                 1j * (batch.ue_phase[sl, :, None, col] + batch.ap_phase[sl, None, :, col]))
@@ -420,34 +414,6 @@ class UatFTerms:
     int_common_stderr: np.ndarray
     coherent: bool
     count: int
-
-    def to_csv_rows(self) -> list[dict]:
-        rows = []
-        K, L = self.ds.shape
-
-        def emit(term, values, stderr):
-            for k in range(K):
-                idx = values.shape[1] if values.ndim > 1 else 1
-                for j in range(idx):
-                    v = values[k, j] if values.ndim > 1 else values[k]
-                    s = stderr[k, j] if values.ndim > 1 else stderr[k]
-                    rows.append(
-                        {
-                            "term": term,
-                            "k": k,
-                            "l_or_i": j if values.ndim > 1 else "",
-                            "estimate": complex(v).real,
-                            "estimate_imag": complex(v).imag,
-                            "stderr": float(s),
-                        }
-                    )
-
-        emit("ds_private", self.ds, self.ds_stderr)
-        emit("int_private", self.int_, self.int_stderr)
-        if np.any(self.ds_common != 0):
-            emit("ds_common", self.ds_common, self.ds_common_stderr)
-            emit("int_common", self.int_common, self.int_common_stderr)
-        return rows
 
 
 def estimate_uatf_terms(

@@ -11,15 +11,16 @@ Two optimizers operate on the closed-form expressions:
   SINR at one instant over non-negative combining weights a[k,l], subject
   to per-AP power E{||v_c,l||^2} <= 1 (the common normalization is
   absorbed, so the returned weights are used with unit eta).  The problem
-  is quasi-concave; a bisection over the target t solves a second-order
-  cone feasibility program per step.  Feasibility is decided through a
-  max-slack reformulation: the slack optimum is the largest margin by
-  which the row-normalized SINR cones can be met.  A Kelley cutting-plane
-  loop (Kelley, "The cutting-plane method for solving convex programs",
-  1960) solves it as a sequence of LPs (scipy's HiGHS) over a polyhedral
-  outer approximation of the cones, so a negative LP optimum certifies
-  infeasibility, while a feasible verdict needs a point meeting every
-  original constraint, min SINR >= t included.  Cuts are kept across the
+  is quasi-concave; a bisection over the target t, warm-started at the
+  min SINR of the all-ones weights scaled to the power budget, solves a
+  second-order cone feasibility program per step.  Feasibility is decided
+  through a max-slack reformulation: the slack optimum is the largest
+  margin by which the row-normalized SINR cones can be met.  A Kelley
+  cutting-plane loop (Kelley, "The cutting-plane method for solving convex
+  programs", 1960) solves it as a sequence of LPs (scipy's HiGHS) over a
+  polyhedral outer approximation of the cones, so a negative LP optimum
+  certifies infeasibility, while a feasible verdict needs a point meeting
+  every original constraint, min SINR >= t included.  Cuts are kept across the
   bisection's targets.  The program's SINR is written once, in the cone
   terms (``_cone_terms``), which both the cuts and the min SINR >= t check
   read; its decay factors come from ``closed_form.decay_pair`` and its
@@ -41,6 +42,11 @@ from .model import PhaseStatistics, SystemConfig
 log = logging.getLogger(__name__)
 
 
+# feasibility tolerance: largest accepted constraint violation of a feasible
+# point, and the LP optimum below which a target counts as infeasible
+TOL_FEAS = 1e-8
+
+
 class SolverIndeterminate(RuntimeError):
     """The feasibility subproblem did not converge to a usable verdict."""
 
@@ -49,19 +55,16 @@ class SolverIndeterminate(RuntimeError):
 # power-splitting factor (binary search on the derivative sign)
 # ---------------------------------------------------------------------------
 
-def optimal_rho(evaluator, tol: float = 1e-3, delta: float | None = None):
+def optimal_rho(evaluator, tol: float = 1e-3):
     """Search [0, 1] for the power split maximizing ``evaluator(rho)``.
 
-    At each midpoint the sign of a forward difference with step ``delta``
-    (default tol/100, must satisfy 0 < delta << tol) decides which half to
-    keep; the best value ever evaluated is tracked and returned.
+    At each midpoint the sign of a forward difference with step tol/100
+    decides which half to keep; the best value ever evaluated is tracked
+    and returned.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be > 0")
-    if delta is None:
-        delta = tol / 100.0
-    if not 0 < delta < tol:
-        raise ValueError("need 0 < delta < tol")
+    delta = tol / 100.0
 
     rho_min, rho_max = 0.0, 1.0
     candidates = [(evaluator(0.0), 0.0), (evaluator(1.0), 1.0)]
@@ -309,7 +312,7 @@ class _OuterApproximation:
             g[l * K:(l + 1) * K] = problem.Theta[l].real @ w[l] / (norms[l] * self.scale)
             self.power_rows.append(g)
 
-    def check(self, t: float, tol_feas: float) -> FeasibilityVerdict:
+    def check(self, t: float) -> FeasibilityVerdict:
         from scipy.optimize import linprog
 
         if t < 0:
@@ -349,12 +352,12 @@ class _OuterApproximation:
                 w = point.reshape(problem.L, problem.K)
                 w[over] /= norms[over, None]
             violation = _verify_point(problem, point, t)
-            if violation <= tol_feas and float(np.min(problem.sinr(point))) >= t:
+            if violation <= TOL_FEAS and float(np.min(problem.sinr(point))) >= t:
                 return FeasibilityVerdict(
                     feasible=True, point=point, max_violation=violation,
                     iterations=rounds, slack=slack,
                 )
-            if slack < tol_feas:
+            if slack < TOL_FEAS:
                 return FeasibilityVerdict(
                     feasible=False, point=None, max_violation=violation,
                     iterations=rounds, slack=slack,
@@ -367,9 +370,7 @@ class _OuterApproximation:
         )
 
 
-def check_feasibility(
-    problem: MaxMinProblem, t: float, tol_feas: float = 1e-8
-) -> FeasibilityVerdict:
+def check_feasibility(problem: MaxMinProblem, t: float) -> FeasibilityVerdict:
     """Decide whether min-UE common SINR >= t is achievable.
 
     Solved as max-slack: maximize s so every row-normalized SINR cone holds
@@ -378,12 +379,12 @@ def check_feasibility(
     optimum s* < 0 certifies infeasibility, because the outer set contains
     the feasible set.  Feasible means an LP point that, after the per-AP
     power repair, has a >= 0, per-AP power <= 1 and min SINR >= t.  An LP
-    optimum below tol_feas without such a point counts as infeasible;
+    optimum below TOL_FEAS without such a point counts as infeasible;
     otherwise tangent cuts of the violated cones are added and the LP is
     solved again.  Raises SolverIndeterminate on a non-optimal LP status
     or when the round cap is reached.
     """
-    return _OuterApproximation(problem).check(t, tol_feas)
+    return _OuterApproximation(problem).check(t)
 
 
 @dataclass(frozen=True)
@@ -410,20 +411,17 @@ def scaled_simple_weights(problem: MaxMinProblem) -> np.ndarray:
 
 def robust_common_precoding(
     problem: MaxMinProblem,
-    t_min: float | None = None,
-    t_max: float | None = None,
     eps: float = 1e-4,
-    tol_feas: float = 1e-8,
-    start_point: np.ndarray | None = None,
     verbose: bool = False,
 ) -> RobustPrecodingResult:
     """Bisection on the max-min common SINR target.
 
-    Brackets [t_min, t_max] are auto-derived when not supplied: t_min = 0
-    (always feasible via a = 0) and t_max doubled from 1 until infeasible.
-    Returns the weights from the last feasible target; plugging them into
-    the coherent common SINR with unit eta achieves min-UE SINR within the
-    final bracket at the problem's instant.
+    The bracket starts at t_min = 0 (always feasible via a = 0), raised to
+    the min SINR of the scaled all-ones weights (``scaled_simple_weights``)
+    as a warm start, and t_max doubled from max(1, 2 t_min) until
+    infeasible.  Returns the weights from the last feasible target;
+    plugging them into the coherent common SINR with unit eta achieves
+    min-UE SINR within the final bracket at the problem's instant.
     """
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
@@ -437,38 +435,29 @@ def robust_common_precoding(
         if verbose:
             log.info(json.dumps(entry))
 
-    if t_min is None:
-        t_min = 0.0
-        best_point = np.zeros(problem.K * problem.L)
-    else:
-        verdict = cuts.check(t_min, tol_feas)
-        total_iters += verdict.iterations
-        if not verdict.feasible:
-            raise ValueError(f"supplied t_min={t_min} is not feasible")
-        best_point = verdict.point
-    if start_point is not None:
-        cand = float(np.min(problem.sinr(start_point)))
-        if cand > t_min and _verify_point(problem, start_point, cand) <= tol_feas:
-            t_min, best_point = cand, np.asarray(start_point, dtype=float)
-            record("warm_start", t_min=t_min)
+    t_min, best_point = 0.0, np.zeros(problem.K * problem.L)
+    start = scaled_simple_weights(problem)
+    cand = float(np.min(problem.sinr(start)))
+    if cand > t_min and _verify_point(problem, start, cand) <= TOL_FEAS:
+        t_min, best_point = cand, start
+        record("warm_start", t_min=t_min)
 
-    if t_max is None:
-        t_max = max(1.0, 2.0 * t_min)
-        while True:
-            verdict = cuts.check(t_max, tol_feas)
-            total_iters += verdict.iterations
-            record("bracket", t_max=t_max, feasible=verdict.feasible)
-            if not verdict.feasible:
-                break
-            t_min, best_point = t_max, verdict.point
-            t_max *= 2.0
-            if t_max > 1e12:
-                raise SolverIndeterminate("failed to bracket an infeasible target")
+    t_max = max(1.0, 2.0 * t_min)
+    while True:
+        verdict = cuts.check(t_max)
+        total_iters += verdict.iterations
+        record("bracket", t_max=t_max, feasible=verdict.feasible)
+        if not verdict.feasible:
+            break
+        t_min, best_point = t_max, verdict.point
+        t_max *= 2.0
+        if t_max > 1e12:
+            raise SolverIndeterminate("failed to bracket an infeasible target")
 
     while t_max - t_min > eps:
         t = 0.5 * (t_max + t_min)
         try:
-            verdict = cuts.check(t, tol_feas)
+            verdict = cuts.check(t)
         except SolverIndeterminate as exc:
             raise SolverIndeterminate(
                 f"{exc} (bisection bracket was [{t_min}, {t_max}])"

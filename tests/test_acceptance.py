@@ -254,8 +254,7 @@ def test_criterion_6_robust_precoding():
         stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
         terms = cf.TraceTerms.compute(net, stats, pilots)
         problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.5)
-        simple = opt.scaled_simple_weights(problem)
-        res = opt.robust_common_precoding(problem, start_point=simple)
+        res = opt.robust_common_precoding(problem)
         a = problem.stack_weights(res.weights)
         worst_violation = max(worst_violation, opt._verify_point(problem, a, res.achieved_t))
         achieved = float(np.min(problem.sinr(a)))
@@ -330,9 +329,7 @@ def test_criterion_7_power_constraint(desk, desk_batch):
     cfg, net, pilots, phases, stats, terms = desk
     batch, _ = desk_batch
     problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.5)
-    robust = opt.robust_common_precoding(
-        problem, start_point=opt.scaled_simple_weights(problem)
-    )
+    robust = opt.robust_common_precoding(problem)
     plans = {
         "du_mr/coherent/no-split": cf.make_plan(terms, "du_mr", "coherent", 0.0),
         "du_mr/coherent/split": cf.make_plan(terms, "du_mr", "coherent", 0.5),

@@ -172,6 +172,15 @@ def test_sweep_values_checked_at_parse_time(parameter, bad):
         cli.spec_from_dict(data)
 
 
+@pytest.mark.parametrize("key, value", [("pl_fixed_db", float("nan")), ("seed", -1)])
+def test_bad_system_values_in_a_config_file_rejected(key, value, tmp_path):
+    # Python's json reads NaN, so the parser must reject it by value
+    data = one_scheme_spec()
+    data["system"][key] = value
+    with pytest.raises(cli.ConfigError, match=rf"system: {key}"):
+        cli.parse_config(write_spec(tmp_path, data))
+
+
 @pytest.mark.parametrize("count", [1, 99])
 def test_mc_realizations_below_the_floor_rejected(count):
     with pytest.raises(cli.ConfigError, match="mc_realizations"):
@@ -372,13 +381,32 @@ def test_nmse_subcommand(tmp_path):
 def test_network_dump(tmp_path):
     spec_path = write_spec(tmp_path, {
         "system": desk_system(),
-        "schemes": [{"private": "du_mr", "transmission": "coherent", "rs": False}],
+        "schemes": [{"private": "du_mr", "transmission": "coherent", "rs": False},
+                    {"private": "df_mr", "transmission": "noncoherent", "rs": True}],
     })
     net_out = tmp_path / "network.csv"
     code = cli.main(["se", "--config", str(spec_path),
                      "--out", str(tmp_path / "se.csv"),
                      "--dump-network", str(net_out)])
     assert code == 0
+    se_rows, schema = read_csv(tmp_path / "se.csv")
+    assert schema == "# schema=cfrs.se.v1"
+    assert list(se_rows[0]) == ["scheme", "transmission", "rho", "k", "se_private",
+                                "se_common_per_ue", "sum_se", "seed"]
+    assert [(r["scheme"], r["transmission"], r["k"]) for r in se_rows] == [
+        ("du_mr.coherent.nors", "coherent", "0"), ("du_mr.coherent.nors", "coherent", "1"),
+        ("df_mr.noncoherent.rs-simple", "noncoherent", "0"),
+        ("df_mr.noncoherent.rs-simple", "noncoherent", "1"),
+    ]
+    assert {r["seed"] for r in se_rows} == {"3"}
+    for label in ("du_mr.coherent.nors", "df_mr.noncoherent.rs-simple"):
+        rows = [r for r in se_rows if r["scheme"] == label]
+        rho = float(rows[0]["rho"])
+        assert (rho == 0.0) if label.endswith("nors") else (0.0 < rho <= 1.0)
+        assert len({r["sum_se"] for r in rows}) == 1
+        recomposed = (sum(float(r["se_private"]) for r in rows)
+                      + min(float(r["se_common_per_ue"]) for r in rows))
+        assert float(rows[0]["sum_se"]) == pytest.approx(recomposed, rel=1e-12)
     rows, _ = read_csv(net_out)
     kinds = {r["kind"] for r in rows}
     assert kinds == {"ap", "ue", "link"}
@@ -398,9 +426,13 @@ def test_validate_subcommand(tmp_path):
     assert len(rows) == 8 * 3 * 2  # families * instants * UEs
     assert all(float(r["rel_err"]) < 0.5 for r in rows)
     term_rows, _ = read_csv(terms_out)
+    assert list(term_rows[0]) == ["stream", "transmission", "scheme", "n", "term", "k",
+                                  "l_or_i", "estimate", "estimate_imag", "stderr"]
     assert {r["term"] for r in term_rows} == {
         "ds_private", "int_private", "ds_common", "int_common"
     }
+    # int_common is per UE; every other term is per (UE, AP) or (UE, UE)
+    assert all((r["l_or_i"] == "") == (r["term"] == "int_common") for r in term_rows)
 
 
 def test_failed_jobs_are_tagged_and_run_continues(tmp_path):
@@ -455,12 +487,17 @@ def test_sweep_requires_config():
     ["rho-opt", "--grid", "-3"],
     ["validate", "--mc", "50"],
     ["validate", "--mc", "0"],
+    ["se", "--seed", "-1"],
+    ["rho-opt", "--seed", "-3"],
+    ["nmse", "--variances", "-1"],
+    ["nmse", "--variances", "nan"],
 ], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
 def test_bad_flags_fail_at_the_boundary(argv, tmp_path, monkeypatch, capsys):
     def no_topology(*args):
         raise AssertionError("a bad flag must fail before anything is computed")
 
     monkeypatch.setattr(cli, "build_topology", no_topology)
+    monkeypatch.setattr(cli, "build_network", no_topology)
     out = tmp_path / "out.csv"
     assert cli.main(argv + ["--out", str(out)]) == 2
     assert f"error: {argv[1]}: " in capsys.readouterr().err

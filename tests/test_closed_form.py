@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -338,39 +337,36 @@ def test_report_recomposition_and_rho_zero(desk):
     assert rep0.sum_se == pytest.approx(np.sum(rep0.se_private), rel=1e-14)
 
 
-def test_report_serialization_roundtrip(desk):
-    cfg, _, _, phases, _, terms = desk
-    plan = cf.make_plan(terms, "du_mr", "coherent", 0.3)
-    rep = cf.evaluate_plan(terms, plan, phases, cfg)
-    blob = json.loads(rep.to_json())
-    assert blob["sum_se"] == rep.sum_se
-    assert blob["metadata"]["rho"] == 0.3
-    rows = rep.to_csv_rows()
-    assert len(rows) == cfg.K
-    assert rows[0]["sum_se"] == rep.sum_se
-
-
 def test_trace_terms_sparsity(desk):
     _, net, pilots, _, stats, terms = desk
-    off = ~pilots.copilot
-    assert np.all(terms.tr_Qc[off] == 0)
+    copilot = pilots.t[:, None] == pilots.t[None, :]
+    assert np.all(terms.tr_Qc[~copilot] == 0)
     # tr_QcR holds exactly the co-pilot pairs, each once
     covered = np.zeros((net.K, net.K), dtype=int)
     for g, block in zip(terms.groups, terms.tr_QcR):
         assert block.shape == (len(g), len(g), net.K, net.L)
         covered[np.ix_(g, g)] += 1
-    assert np.array_equal(covered, pilots.copilot.astype(int))
+    assert np.array_equal(covered, copilot.astype(int))
 
 
-def test_asymptotic_monotonicity_report():
-    report = cf.asymptotic_monotonicity_check(
-        cfrs.SystemConfig(L=100, K=8, N=2, tau_p=4, tau_c=200, seed=3),
-        var_grid=(1e-5, 1e-4, 1e-3),
-    )
-    assert report["grid_decreasing"]
-    assert report["ue_variance_dominates"]
-    assert report["more_aps_reduce_ap_penalty"]
-    assert report["passed"]
+def test_more_aps_shrink_ap_drift_penalty():
+    # the DU-MR sum SE lost to AP-side drift is a smaller fraction at L=100
+    # than at L=10 on the same seed
+    def penalty(L):
+        cfg = cfrs.SystemConfig(L=L, K=8, N=2, tau_p=4, tau_c=200, seed=3)
+        net = cfrs.build_network(cfg)
+        pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p)
+
+        def sum_se_at(var_ap, var_ue):
+            ph = cfrs.PhaseStatistics(var_ap=var_ap, var_ue=var_ue)
+            stats = cfrs.estimation_statistics(net, pilots, ph, cfg)
+            terms = cf.TraceTerms.compute(net, stats, pilots)
+            plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
+            return cf.evaluate_plan(terms, plan, ph, cfg).sum_se
+
+        return sum_se_at(1e-3, 1e-5) / sum_se_at(1e-5, 1e-5)
+
+    assert penalty(100) > penalty(10)
 
 
 def test_asymptotic_swap_equal_variances_tie():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import cfrs
-from cfrs.model import delay_phases, sample_phase_trajectories, three_slope_gain_db
+from cfrs.model import delay_phases, three_slope_gain_db
 
 
 def test_phase_increment_variance_zero_constant():
@@ -52,30 +52,45 @@ def test_expected_phase_decay_strictly_monotone():
     assert np.all(np.diff(over_var) < 0)
 
 
+def _link_phases(var_ap, var_ue, count, instants, seed):
+    """Monte Carlo oscillator phases of one single-antenna link: the sampled
+    instants and the (count, M) UE and AP phases there, zero at instant 0."""
+    cfg = cfrs.SystemConfig(L=1, K=1, N=1, tau_p=1, tau_c=20, seed=1)
+    batch = cfrs.sample_batch(
+        cfrs.build_network(cfg), cfrs.assign_pilots(1, 1),
+        cfrs.PhaseStatistics(var_ap=var_ap, var_ue=var_ue), cfg, count, seed=seed,
+        instants=instants,
+    )
+    return list(batch.instants), batch.ue_phase[:, 0], batch.ap_phase[:, 0]
+
+
 def test_phase_trajectory_zero_variance():
-    traj = cfrs.sample_phase_trajectory(0.0, 50, seed=3)
-    assert traj.shape == (50,)
-    assert np.all(traj == 0.0)
+    instants, ue, ap = _link_phases(0.0, 0.0, 50, range(2, 21), seed=3)
+    assert instants == list(range(1, 21))
+    assert ue.shape == ap.shape == (50, 20)
+    assert np.all(ue == 0.0) and np.all(ap == 0.0)
 
 
 def test_phase_trajectory_rotation_mean_matches_decay():
-    # E{exp(j(phi[n]-phi[m]))} = exp(-(n-m)*var/2), checked over 1e5 paths
-    var, n, m = 0.05, 9, 3
-    rng = np.random.default_rng(11)
-    paths = sample_phase_trajectories(var, 10, 100_000, rng)
-    rot = np.exp(1j * (paths[:, n] - paths[:, m]))
-    est = rot.mean()
-    stderr = np.sqrt((np.var(rot.real) + np.var(rot.imag)) / paths.shape[0])
-    expected = np.exp(-(n - m) * var / 2)
-    assert abs(est - expected) < 3 * stderr
+    # E{exp(j(phi[n]-phi[m]))} = exp(-(n-m)*var/2), checked over 1e5 draws per side
+    n, m = 9, 3
+    instants, ue, ap = _link_phases(0.05, 0.02, 100_000, [m, n], seed=11)
+    cols = [instants.index(n), instants.index(m)]
+    for var, paths in ((0.05, ap), (0.02, ue)):
+        rot = np.exp(1j * (paths[:, cols[0]] - paths[:, cols[1]]))
+        est = rot.mean()
+        stderr = np.sqrt((np.var(rot.real) + np.var(rot.imag)) / paths.shape[0])
+        expected = cfrs.expected_phase_decay(n - m, var)
+        assert abs(est - expected) < 3 * stderr
 
 
 def test_phase_trajectory_increment_variance_consistent():
     var = 2e-3
-    rng = np.random.default_rng(5)
-    paths = sample_phase_trajectories(var, 8, 100_000, rng)
-    increments = np.diff(np.concatenate([np.zeros((paths.shape[0], 1)), paths], axis=1))
-    assert np.var(increments) == pytest.approx(var, rel=0.02)
+    instants, ue, ap = _link_phases(var, var, 100_000, range(2, 9), seed=5)
+    assert instants == list(range(1, 9))  # one instant per increment
+    for paths in (ue, ap):
+        increments = np.diff(np.concatenate([np.zeros((paths.shape[0], 1)), paths], axis=1))
+        assert np.var(increments) == pytest.approx(var, rel=0.02)
 
 
 def test_three_slope_continuity_and_anchor():
@@ -156,6 +171,10 @@ def test_config_validation():
     ("p_d", float("nan")), ("p_d", float("inf")), ("sigma2_ul", float("nan")),
     ("sigma2_dl", float("inf")), ("c_ap", float("inf")), ("c_ue", float("nan")),
     ("p_pilot", float("nan")), ("p_pilot", float("inf")),
+    ("seed", -1), ("pl_fixed_db", float("nan")), ("pl_fixed_db", float("-inf")),
+    ("pl_break1_m", 0.0), ("pl_break1_m", 60.0), ("pl_break2_m", -5.0),
+    ("pl_break2_m", float("inf")), ("shadow_std_db", -1.0),
+    ("shadow_std_db", float("nan")), ("corr_r", float("nan")),
 ])
 def test_config_rejects_non_finite_values(field, value):
     with pytest.raises(ValueError, match=field):

@@ -68,7 +68,7 @@ def test_zero_phase_variance_gives_classic_mmse_estimates():
     p = cfg.pilot_powers()
     group_of = {k: g for g, grp in enumerate(pilots.groups) for k in grp}
     for k in range(cfg.K):
-        members = [i for i in range(cfg.K) if pilots.copilot[k, i]]
+        members = [i for i in range(cfg.K) if pilots.t[i] == pilots.t[k]]
         for l in range(cfg.L):
             cov = cfg.sigma2_ul * np.eye(cfg.N, dtype=complex)
             for i in members:
@@ -215,7 +215,7 @@ def test_mc_matches_closed_form_with_power_control(desk, desk_batch):
 def test_dummse_scalar_reduction():
     cfg, net, pilots, phases, stats, terms = small_setup(L=1, K=1, N=1, tau_p=1)
     batch = cfrs.sample_batch(net, pilots, phases, cfg, 200, seed=5)
-    v = cfrs.dummse_precoder(batch, net, stats, cfg, p_dp=cfg.p_d)
+    v = cfrs.dummse_precoder(batch.hhat, net, stats, cfg, p_dp=cfg.p_d)
     hh = batch.hhat[:, 0, 0, 0]
     c_err = (net.R[0, 0, 0, 0] - stats.Q[0, 0, 0, 0]).real
     expected = (
@@ -229,7 +229,7 @@ def test_dummse_approaches_mr_direction_at_high_noise():
     cfg, net, pilots, phases, stats, terms = small_setup(L=2, K=2, N=2)
     noisy = dataclasses.replace(cfg, sigma2_ul=1e6)
     batch = cfrs.sample_batch(net, pilots, phases, cfg, 64, seed=8)
-    v = cfrs.dummse_precoder(batch, net, stats, noisy, p_dp=cfg.p_d)
+    v = cfrs.dummse_precoder(batch.hhat, net, stats, noisy, p_dp=cfg.p_d)
     mr = net.theta[None, :, :, None] * batch.hhat
     dots = np.abs(np.einsum("rkln,rkln->rkl", np.conj(v), mr))
     norms = np.linalg.norm(v, axis=3) * np.linalg.norm(mr, axis=3)
@@ -251,7 +251,7 @@ def test_dummse_beats_mr_sum_se():
             if scheme == "du_mr":
                 plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
             else:
-                v = cfrs.dummse_precoder(batch, net, stats, cfg, cfg.p_d)
+                v = cfrs.dummse_precoder(batch.hhat, net, stats, cfg, cfg.p_d)
                 mu, eta = mc.empirical_normalizations(v, np.ones((cfg.K, cfg.L)))
                 plan = cf.PrecodingPlan(
                     private_scheme="du_mmse", transmission="coherent", rho=0.0,
@@ -278,4 +278,5 @@ def test_per_ap_power_within_limit(desk, desk_batch):
     ]
     for plan in plans:
         mean, se = cfrs.transmit_power_stats(batch, plan, net, cfg, stats)
-        assert np.all(mean - 3 * se <= cfg.p_d), (plan.tags, mean / cfg.p_d)
+        assert np.all(mean - 3 * se <= cfg.p_d), (
+            plan.private_scheme, plan.transmission, plan.rho, mean / cfg.p_d)
