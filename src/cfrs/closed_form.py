@@ -135,6 +135,11 @@ class PrecodingPlan:
     eta: np.ndarray
 
     def __post_init__(self):
+        for name in ("weights", "mu", "eta"):
+            # freeze a copy: the caller's own array stays writeable
+            arr = np.array(getattr(self, name))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         if self.private_scheme not in PLAN_SCHEMES:
             raise ValueError(f"private_scheme must be one of {PLAN_SCHEMES}")
         if self.transmission not in TRANSMISSIONS:
@@ -145,11 +150,8 @@ class PrecodingPlan:
             raise ValueError("common weights must be >= 0")
         if np.any(self.mu <= 0) or np.any(self.eta <= 0):
             raise ValueError("normalization factors must be > 0")
-        for arr in (self.weights, self.mu, self.eta):
-            arr.setflags(write=False)
 
     def replace_rho(self, rho: float) -> "PrecodingPlan":
-        # the arrays are write-protected, so the copy shares them safely
         return dataclasses.replace(self, rho=rho)
 
 

@@ -9,7 +9,13 @@ has no closed form); and empirically estimates the hardening-bound terms
     INT[k,i] = E{ |sum_l g^H sqrt(mu) v[i,l]|^2 }       (coherent)
              = sum_l E{ |g^H sqrt(mu) v[i,l]|^2 }       (non-coherent)
 
-plus the analogous common-stream terms.  The use-and-then-forget SINRs are
+plus the analogous common-stream terms.  The rotated channel g is never
+formed: g[k,l]^H v[i,l] factors into a per-UE phase factor, a per-AP phase
+factor and an instant-free antenna contraction of theta, h and v, which is
+computed once per jackknife block (see ``_accumulate``).  The phase factors
+have unit modulus, so the non-coherent interference terms do not depend on
+the instant at all, and the coherent ones only through a length-L
+combination with the per-AP factor.  The use-and-then-forget SINRs are
 not re-derived here: the term means fill a ``closed_form.PlanParts`` and
 ``closed_form.assemble`` forms both streams, so the oracle and the closed
 form share one rational SINR form.  Data symbols are never sampled: with
@@ -252,7 +258,6 @@ class _BlockSums:
     int_p: np.ndarray        # (B, M, K, K) coherent or per-AP-summed
     ds_c: np.ndarray         # (B, M, K, L) complex
     int_c: np.ndarray        # (B, M, K)
-    power: np.ndarray        # (B, L)
     coherent: bool
 
 
@@ -260,6 +265,22 @@ def _block_slices(count: int, inner: int) -> list[slice]:
     n_blocks = max(2, math.ceil(count / inner))
     edges = np.linspace(0, count, n_blocks + 1).astype(int)
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+
+
+def _batch_blocks(batch: RealizationBatch, net: NetworkModel) -> list[slice]:
+    """The batch's jackknife blocks, after the realization floor."""
+    if batch.count < MIN_REALIZATIONS:
+        raise ValueError(
+            f"need at least {MIN_REALIZATIONS} realizations for meaningful errors")
+    K, L = net.K, net.L
+    inner = max(64, min(2**22 // max(K * K * L, 1), math.ceil(batch.count / 10)))
+    return _block_slices(batch.count, inner)
+
+
+def _realizations_last(a: np.ndarray) -> np.ndarray:
+    """Contiguous copy of ``a`` with its leading realization axis moved last,
+    so elementwise steps run along that long axis, not the short K, L or N."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
 
 
 def _accumulate(
@@ -270,25 +291,29 @@ def _accumulate(
     eval_instants,
     stats: EstimationStatistics | None = None,
 ) -> _BlockSums:
-    """Per-block sums of every term at the instants; every estimator's entry.
+    """Per-block sums of every term at the instants; the estimators' entry.
 
-    The plan's private precoders are formed per block slice, the oscillator
-    rotations per block slice and instant, so no whole-batch array is added.
+    The effective channel is g[k,l] = theta[k,l] exp(i(ue[k] + ap[l])) h[k,l],
+    so each link-precoder product factors as
+
+        conj(g[k,l]) v[i,l] = x[k] y[l] P[k,i,l],
+        P[k,i,l] = sum_n conj(theta[k,l] h[k,l,n]) v[i,l,n],
+
+    with the unit-modulus phase factors x = exp(-i ue) (per UE) and
+    y = exp(-i ap) (per AP).  P is formed once per block slice, together with
+    the plan's private precoders, and each instant only brings its own x and
+    y.  |x| = 1 drops the per-UE factor from every interference term, and the
+    non-coherent interference (|P|^2 summed over APs) has no phase at all, so
+    it is the same at every instant and is summed once per block.
     """
-    if batch.count < MIN_REALIZATIONS:
-        raise ValueError(
-            f"need at least {MIN_REALIZATIONS} realizations for meaningful errors")
+    slices = _batch_blocks(batch, net)
     K, L = net.K, net.L
     columns = [batch.instant_index(int(n)) for n in check_instants(config, eval_instants)]
     M = len(columns)
     coherent = plan.transmission == "coherent"
     sq_mu = np.sqrt(plan.mu)
     sq_eta = np.sqrt(plan.eta)
-    p_dc = plan.rho * config.p_d
     p_dp = (1.0 - plan.rho) * config.p_d
-
-    inner = max(64, min(2**22 // max(K * K * L, 1), math.ceil(batch.count / 10)))
-    slices = _block_slices(batch.count, inner)
     B = len(slices)
 
     sums = _BlockSums(
@@ -297,42 +322,36 @@ def _accumulate(
         int_p=np.zeros((B, M, K, K)),
         ds_c=np.zeros((B, M, K, L), dtype=complex),
         int_c=np.zeros((B, M, K)),
-        power=np.zeros((B, L)),
         coherent=coherent,
     )
 
+    conj_theta = np.conj(net.theta)[:, :, None, None]
     for b, sl in enumerate(slices):
-        vb = private_precoders(batch.hhat[sl], net, plan.private_scheme, stats, config, p_dp)
-        for m, col in enumerate(columns):
-            rotation = np.exp(
-                1j * (batch.ue_phase[sl, :, None, col] + batch.ap_phase[sl, None, :, col]))
-            g = net.theta[None, :, :, None] * rotation[..., None] * batch.h[sl]
-            d = np.einsum("rkln,riln->rkil", np.conj(g), vb)
-            diag = np.einsum("rkkl->rkl", d)
-            sums.ds_p[b, m] = np.sum(sq_mu[None] * diag, axis=0)
-            if coherent:
-                c = np.einsum("il,rkil->rki", sq_mu, d)
-                sums.int_p[b, m] = np.sum(np.abs(c) ** 2, axis=0)
-            else:
-                sums.int_p[b, m] = np.einsum(
-                    "il,rkil->ki", plan.mu, np.abs(d) ** 2
-                )
-            if plan.rho > 0:
-                e = np.einsum("il,rkil->rkl", plan.weights, d)
-                sums.ds_c[b, m] = np.sum(sq_eta[None, None, :] * e, axis=0)
-                if coherent:
-                    ec = e @ sq_eta
-                    sums.int_c[b, m] = np.sum(np.abs(ec) ** 2, axis=0)
-                else:
-                    sums.int_c[b, m] = np.einsum(
-                        "l,rkl->k", plan.eta, np.abs(e) ** 2
-                    )
-        vb_norm = np.sum(np.abs(vb) ** 2, axis=3)  # (r, K, L)
-        pw = p_dp * np.einsum("il,ril->rl", plan.mu, vb_norm)
+        v = _realizations_last(private_precoders(
+            batch.hhat[sl], net, plan.private_scheme, stats, config, p_dp))
+        gh = conj_theta * np.conj(_realizations_last(batch.h[sl]))
+        # explicit sum over antennas: a batched matmul of the tiny per-realization
+        # matrices is several times slower
+        P = sum(gh[:, None, :, n] * v[None, :, :, n] for n in range(net.N))  # (K, K, L, r)
+        diag = np.einsum("kklr->klr", P)
+        if not coherent:
+            sums.int_p[b] = np.einsum("il,kil->ki", plan.mu, np.sum(np.abs(P) ** 2, axis=-1))
         if plan.rho > 0:
-            v_c = np.einsum("il,riln->rln", plan.weights, vb)
-            pw = pw + p_dc * plan.eta[None, :] * np.sum(np.abs(v_c) ** 2, axis=2)
-        sums.power[b] = pw.sum(axis=0)
+            E = np.einsum("il,kilr->klr", plan.weights, P)
+            if not coherent:
+                sums.int_c[b] = np.einsum("l,klr->k", plan.eta, np.abs(E) ** 2)
+        for m, col in enumerate(columns):
+            y = np.exp(-1j * _realizations_last(batch.ap_phase[sl, :, col]))  # (L, r)
+            xy = np.exp(-1j * _realizations_last(batch.ue_phase[sl, :, col]))[:, None] * y
+            sums.ds_p[b, m] = sq_mu * np.einsum("klr,klr->kl", xy, diag)
+            if coherent:
+                c = np.einsum("kilr,ilr->kir", P, sq_mu[:, :, None] * y)
+                sums.int_p[b, m] = np.sum(np.abs(c) ** 2, axis=-1)
+            if plan.rho > 0:
+                sums.ds_c[b, m] = sq_eta * np.einsum("klr,klr->kl", xy, E)
+                if coherent:
+                    ec = np.einsum("klr,lr->kr", E, sq_eta[:, None] * y)
+                    sums.int_c[b, m] = np.sum(np.abs(ec) ** 2, axis=-1)
     return sums
 
 
@@ -500,5 +519,16 @@ def transmit_power_stats(
     stats: EstimationStatistics | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-AP mean transmit power and its standard error over the batch."""
-    sums = _accumulate(batch, plan, net, config, [config.estimation_instant], stats)
-    return _mean_and_stderr(sums.power, sums.counts)
+    slices = _batch_blocks(batch, net)
+    p_dc = plan.rho * config.p_d
+    p_dp = (1.0 - plan.rho) * config.p_d
+    power = np.zeros((len(slices), net.L))
+    for b, sl in enumerate(slices):
+        vb = private_precoders(batch.hhat[sl], net, plan.private_scheme, stats, config, p_dp)
+        pw = p_dp * np.einsum("il,ril->rl", plan.mu, np.sum(np.abs(vb) ** 2, axis=3))
+        if plan.rho > 0:
+            v_c = np.einsum("il,riln->rln", plan.weights, vb)
+            pw = pw + p_dc * plan.eta[None, :] * np.sum(np.abs(v_c) ** 2, axis=2)
+        power[b] = pw.sum(axis=0)
+    counts = np.array([s.stop - s.start for s in slices])
+    return _mean_and_stderr(power, counts)

@@ -277,6 +277,23 @@ def test_rho_zero_common_sinr_is_zero(desk):
     assert np.all(cf.common_sinr(terms, plan, phases, cfg, ns) == 0.0)
 
 
+def test_plan_freezes_a_copy_of_the_callers_arrays(desk):
+    _, _, _, _, _, terms = desk
+    w = np.ones((terms.K, terms.L))
+    plan = cf.make_plan(terms, "du_mr", "coherent", 0.5, weights=w)
+    w[0, 0] = 2.0  # the caller's array stays writeable ...
+    assert plan.weights[0, 0] == 1.0  # ... and the plan does not see the write
+    mu = plan.mu.copy()
+    direct = cf.PrecodingPlan("du_mr", "coherent", 0.5, weights=w, mu=mu, eta=plan.eta)
+    mu[0, 0] = 0.5
+    assert direct.mu[0, 0] == plan.mu[0, 0]
+    for p in (plan, direct, plan.replace_rho(0.2)):
+        for arr in (p.weights, p.mu, p.eta):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 1.0
+
+
 def test_out_of_range_instant_rejected(desk):
     cfg, _, _, phases, _, terms = desk
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)

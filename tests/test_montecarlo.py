@@ -280,3 +280,119 @@ def test_per_ap_power_within_limit(desk, desk_batch):
         mean, se = cfrs.transmit_power_stats(batch, plan, net, cfg, stats)
         assert np.all(mean - 3 * se <= cfg.p_d), (
             plan.private_scheme, plan.transmission, plan.rho, mean / cfg.p_d)
+
+
+# ---------------------------------------------------------------------------
+# factored accumulation
+# ---------------------------------------------------------------------------
+
+def direct_terms(batch, plan, net, cfg, stats, n):
+    """Per-realization DS/INT terms at instant n from the rotated channel.
+
+    The plain formula: g = theta exp(i(ue + ap)) h, d[k,i,l] = g[k,l]^H v[i,l],
+    then the private and common desired-signal and interference terms.
+    """
+    col = batch.instant_index(n)
+    v = mc.private_precoders(batch.hhat, net, plan.private_scheme, stats, cfg,
+                             (1.0 - plan.rho) * cfg.p_d)
+    rotation = np.exp(1j * (batch.ue_phase[:, :, None, col] + batch.ap_phase[:, None, :, col]))
+    g = net.theta[None, :, :, None] * rotation[..., None] * batch.h
+    d = np.einsum("rkln,riln->rkil", np.conj(g), v)
+    sq_mu, sq_eta = np.sqrt(plan.mu), np.sqrt(plan.eta)
+    ds = sq_mu * np.einsum("rkkl->rkl", d)
+    e = np.einsum("il,rkil->rkl", plan.weights, d)
+    ds_c = sq_eta * e
+    if plan.transmission == "coherent":
+        int_ = np.abs(np.einsum("il,rkil->rki", sq_mu, d)) ** 2
+        int_c = np.abs(ds_c.sum(axis=2)) ** 2
+    else:
+        int_ = np.einsum("il,rkil->rki", plan.mu, np.abs(d) ** 2)
+        int_c = np.einsum("l,rkl->rk", plan.eta, np.abs(e) ** 2)
+    common = float(plan.rho > 0)  # no common stream, no common terms
+    return ds, int_, common * ds_c, common * int_c
+
+
+def assert_close(actual, expected):
+    """Every entry within 1e-12 of the largest |entry| of the reference."""
+    scale = np.max(np.abs(expected))
+    assert np.all(np.abs(actual - expected) <= 1e-12 * scale), np.max(np.abs(actual - expected))
+
+
+def test_factored_accumulation_matches_direct_formula():
+    # co-pilot groups (K > tau_p), three antennas, delay phases spread over the
+    # whole circle and ten times the default oscillator variance
+    cfg = cfrs.SystemConfig(L=3, K=3, N=3, tau_p=2, tau_c=20, seed=5)
+    default = cfrs.PhaseStatistics.from_config(cfg)
+    phases = cfrs.PhaseStatistics(10 * default.var_ap, 10 * default.var_ue)
+    theta = np.exp(2j * np.pi * np.random.default_rng(0).random((cfg.K, cfg.L)))
+    net = dataclasses.replace(cfrs.build_network(cfg), theta=theta)
+    pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p)
+    assert any(len(g) > 1 for g in pilots.groups)
+    stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
+    terms = cf.TraceTerms.compute(net, stats, pilots)
+    instants = [cfg.estimation_instant, cfg.estimation_instant + 6, cfg.tau_c]
+    batch = cfrs.sample_batch(net, pilots, phases, cfg, 1000, seed=4, instants=instants)
+    slices = mc._batch_blocks(batch, net)
+    counts = np.array([s.stop - s.start for s in slices])
+    assert len(slices) > 2
+    for scheme in ("du_mr", "df_mr", "du_mmse"):
+        for transmission in cf.TRANSMISSIONS:
+            for rho in (0.0, 0.5):
+                plan = cf.make_plan(terms, scheme, transmission, rho)
+                per_instant = [direct_terms(batch, plan, net, cfg, stats, n) for n in instants]
+                # (B, M, ...) block sums of each term, as the jackknife reads them
+                blocks = [np.stack([np.stack([t[i][sl].sum(axis=0) for sl in slices])
+                                    for t in per_instant], axis=1) for i in range(4)]
+                for m, n in enumerate(instants):
+                    uatf = cfrs.estimate_uatf_terms(batch, plan, net, cfg, n, stats)
+                    for i, (mean, se) in enumerate([
+                            (uatf.ds, uatf.ds_stderr), (uatf.int_, uatf.int_stderr),
+                            (uatf.ds_common, uatf.ds_common_stderr),
+                            (uatf.int_common, uatf.int_common_stderr)]):
+                        assert_close(mean, per_instant[m][i].mean(axis=0))
+                        assert_close(se, mc._mean_and_stderr(blocks[i][:, m], counts)[1])
+                sums = mc._BlockSums(counts, *blocks, coherent=transmission == "coherent")
+                for m, res in enumerate(cfrs.mc_sinr(batch, plan, net, cfg, instants, stats)):
+                    expected = mc._jackknife(sums, plan, cfg, m)
+                    for actual, ref in zip((res.private, res.private_stderr,
+                                            res.common, res.common_stderr), expected):
+                        assert_close(actual, ref)
+
+
+def test_noncoherent_interference_does_not_depend_on_the_instant(desk, desk_batch):
+    # the phase factors have unit modulus, so per-AP interference powers carry no phase
+    cfg, net, pilots, phases, stats, terms = desk
+    batch, _ = desk_batch
+    lam, end = cfg.estimation_instant, cfg.tau_c
+    assert phases.var_ap > 0 and phases.var_ue > 0
+    plan = cf.make_plan(terms, "du_mr", "noncoherent", 0.5)
+    first, last = (cfrs.estimate_uatf_terms(batch, plan, net, cfg, n, stats) for n in (lam, end))
+    assert np.array_equal(first.int_, last.int_)
+    assert np.array_equal(first.int_common, last.int_common)
+    assert not np.array_equal(first.ds, last.ds)
+    coherent = cf.make_plan(terms, "du_mr", "coherent", 0.5)
+    first, last = (cfrs.estimate_uatf_terms(batch, coherent, net, cfg, n, stats)
+                   for n in (lam, end))
+    assert not np.array_equal(first.int_, last.int_)
+
+
+def test_transmit_power_matches_per_realization_sums(desk, desk_batch):
+    cfg, net, pilots, phases, stats, terms = desk
+    batch, _ = desk_batch
+    slices = mc._batch_blocks(batch, net)
+    for plan in (cf.make_plan(terms, "du_mr", "coherent", 0.5),
+                 cf.make_plan(terms, "df_mr", "noncoherent", 0.0),
+                 cf.make_plan(terms, "du_mmse", "coherent", 0.3)):
+        p_dp, p_dc = (1.0 - plan.rho) * cfg.p_d, plan.rho * cfg.p_d
+        v = mc.private_precoders(batch.hhat, net, plan.private_scheme, stats, cfg, p_dp)
+        v_c = np.einsum("il,riln->rln", plan.weights, v)
+        power = (p_dp * np.einsum("il,ril->rl", plan.mu, np.sum(np.abs(v) ** 2, axis=3))
+                 + p_dc * plan.eta * np.sum(np.abs(v_c) ** 2, axis=2))  # (count, L)
+        total = power.sum(axis=0)
+        loo = np.array([(total - power[sl].sum(axis=0)) / (batch.count - (sl.stop - sl.start))
+                        for sl in slices])
+        B = len(slices)
+        stderr = np.sqrt((B - 1) / B * np.sum((loo - loo.mean(axis=0)) ** 2, axis=0))
+        mean, se = cfrs.transmit_power_stats(batch, plan, net, cfg, stats)
+        assert np.all(np.abs(mean - total / batch.count) <= 1e-12 * total / batch.count)
+        assert np.all(np.abs(se - stderr) <= 1e-12 * stderr)
