@@ -10,6 +10,11 @@ rho-opt   binary search for the optimal common/private power split
 robust    max-min robust common precoding weights
 sweep     full experiment from an experiment spec, with replayable manifest
 
+Each section of an experiment spec (system, schemes, sweep, top level) is
+one table of JSON key -> (field, parser); the same tables parse a spec and
+write it back for the manifest.  Parsers reject the wrong JSON type and name
+the field: numeric keys take JSON numbers, not strings or booleans.
+
 Units at the boundary: powers accept watts (plain numbers) or "<x> dBm";
 variances accept rad^2 (plain numbers) or "<x> dB".  Everything is linear
 SI internally (dBm -> 10^(x/10) mW; dB -> 10^(x/10)).  CSV files start
@@ -48,7 +53,6 @@ TERMS_SCHEMA = "cfrs.mcterms.v1"
 WEIGHTS_SCHEMA = "cfrs.weights.v1"
 MANIFEST_SCHEMA = "cfrs.manifest.v1"
 
-SWEEP_PARAMETERS = ("none", "oscillator_variance", "transmit_power", "antenna_count", "rho")
 WEIGHTS_MODES = ("simple", "robust")
 
 
@@ -57,25 +61,18 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# unit parsing
+# value parsers: each takes (value, where) and rejects the wrong JSON type
 # ---------------------------------------------------------------------------
 
-def parse_power(value, key: str = "power") -> float:
-    """Power in watts from a number (W) or a string like '23 dBm' / '0.1 W'."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def parse_float(value, key: str = "number") -> float:
+    """A JSON number; bools and numeric strings are rejected."""
+    if _is_number(value):
         return float(value)
-    if isinstance(value, str):
-        text = value.strip()
-        lowered = text.lower()
-        try:
-            if lowered.endswith("dbm"):
-                return 10.0 ** (float(text[:-3]) / 10.0) / 1000.0
-            if lowered.endswith("w"):
-                return float(text[:-1])
-            return float(text)
-        except ValueError:
-            pass
-    raise ConfigError(f"{key}: cannot parse power value {value!r} (use watts or 'x dBm')")
+    raise ConfigError(f"{key}: expected a number, got {value!r}")
 
 
 def parse_int(value, key: str = "integer") -> int:
@@ -87,20 +84,89 @@ def parse_int(value, key: str = "integer") -> int:
     raise ConfigError(f"{key}: expected an integer, got {value!r}")
 
 
-def parse_variance(value, key: str = "variance") -> float:
-    """Variance in rad^2 from a number or a string like '-20 dB'."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+def parse_bool(value, key: str = "flag") -> bool:
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{key}: expected true or false, got {value!r}")
+
+
+def parse_str(value, key: str = "string") -> str:
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{key}: expected a string, got {value!r}")
+
+
+def _choice(options: tuple[str, ...]):
+    """Parser of one of ``options``."""
+    def parse(value, key: str) -> str:
+        if isinstance(value, str) and value in options:
+            return value
+        raise ConfigError(f"{key}: must be one of {options}, got {value!r}")
+    return parse
+
+
+def _list_of(parse):
+    """Parser of a JSON list whose items ``parse`` reads; returns a tuple."""
+    def parse_list(value, key: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{key}: expected a list, got {value!r}")
+        return tuple(parse(v, f"{key}[{i}]") for i, v in enumerate(value))
+    return parse_list
+
+
+def _with_unit(value, key: str, units, what: str, hint: str) -> float:
+    """A number, or a string ending in the first matching suffix of
+    ``units`` (suffix, conversion to linear); the empty suffix comes last."""
+    if _is_number(value):
         return float(value)
     if isinstance(value, str):
         text = value.strip()
-        lowered = text.lower()
-        try:
-            if lowered.endswith("db"):
-                return 10.0 ** (float(text[:-2]) / 10.0)
-            return float(text)
-        except ValueError:
-            pass
-    raise ConfigError(f"{key}: cannot parse variance value {value!r} (use rad^2 or 'x dB')")
+        for suffix, linear in units:
+            if text.lower().endswith(suffix):
+                try:
+                    return linear(float(text[:len(text) - len(suffix)]))
+                except ValueError:
+                    break
+    raise ConfigError(f"{key}: cannot parse {what} value {value!r} ({hint})")
+
+
+_POWER_UNITS = (("dbm", lambda x: 10.0 ** (x / 10.0) / 1000.0), ("w", float), ("", float))
+_VARIANCE_UNITS = (("db", lambda x: 10.0 ** (x / 10.0)), ("", float))
+
+
+def parse_power(value, key: str = "power") -> float:
+    """Power in watts from a number (W) or a string like '23 dBm' / '0.1 W'."""
+    return _with_unit(value, key, _POWER_UNITS, "power", "use watts or 'x dBm'")
+
+
+def parse_variance(value, key: str = "variance") -> float:
+    """Variance in rad^2 from a number or a string like '-20 dB'."""
+    return _with_unit(value, key, _VARIANCE_UNITS, "variance", "use rad^2 or 'x dB'")
+
+
+def _parse_pilot_power(value, key: str):
+    """One pilot power for every UE, or a per-UE list."""
+    return _list_of(parse_power)(value, key) if isinstance(value, list) else parse_power(value, key)
+
+
+# per sweep: value parser, admissible range (an "inside" test, so that nan
+# fails it) and that range as the error message states it
+_SWEEP_VALUES = {
+    "oscillator_variance": (parse_variance, lambda v: 0 <= v < np.inf, "[0, inf)"),
+    "transmit_power": (parse_power, lambda v: 0 < v < np.inf, "(0, inf)"),
+    "antenna_count": (lambda v, key: float(parse_int(v, key)), lambda v: v >= 1, "[1, inf)"),
+    "rho": (parse_float, lambda v: 0 <= v <= 1, "[0, 1]"),
+}
+SWEEP_PARAMETERS = ("none", *_SWEEP_VALUES)
+
+
+def _sweep_value(parameter: str, value, key: str) -> float:
+    """One value of an active sweep, parsed and range-checked."""
+    parse, inside, interval = _SWEEP_VALUES[parameter]
+    v = parse(value, key)
+    if not inside(v):
+        raise ConfigError(f"{key}: {parameter} {v!r} is outside {interval}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +192,12 @@ class SchemeSpec:
 @dataclass(frozen=True)
 class ExperimentSpec:
     base: SystemConfig
-    sweep_parameter: str
-    sweep_values: tuple[float, ...]
     schemes: tuple[SchemeSpec, ...]
-    mc_realizations: int
-    repetitions: int
-    output_path: str
+    sweep_parameter: str = "none"
+    sweep_values: tuple[float, ...] = ()
+    mc_realizations: int = 0
+    repetitions: int = 1
+    output_path: str = "results"
 
     def __post_init__(self):
         if self.sweep_parameter not in SWEEP_PARAMETERS:
@@ -149,166 +215,117 @@ class ExperimentSpec:
             raise ConfigError("at least one scheme is required")
 
 
+# Each section of the spec is a table of JSON key -> (field, parser(value,
+# where)); _parse_section reads a section through its tables and
+# _section_dict writes it back.
 _SYSTEM_REQUIRED = {
     "L": ("L", parse_int),
     "K": ("K", parse_int),
     "N": ("N", parse_int),
     "tau_p": ("tau_p", parse_int),
     "tau_c": ("tau_c", parse_int),
-    "pilot_power": ("p_pilot", parse_power),
+    "pilot_power": ("p_pilot", _parse_pilot_power),
     "downlink_power": ("p_d", parse_power),
     "noise_ul": ("sigma2_ul", parse_power),
     "noise_dl": ("sigma2_dl", parse_power),
-    "symbol_duration_s": ("T_s", float),
-    "carrier_hz": ("f_c", float),
-    "osc_constant_ap": ("c_ap", float),
-    "osc_constant_ue": ("c_ue", float),
-    "area_side_m": ("area_side", float),
+    "symbol_duration_s": ("T_s", parse_float),
+    "carrier_hz": ("f_c", parse_float),
+    "osc_constant_ap": ("c_ap", parse_float),
+    "osc_constant_ue": ("c_ue", parse_float),
+    "area_side_m": ("area_side", parse_float),
     "seed": ("seed", parse_int),
 }
 _SYSTEM_OPTIONAL = {
-    "correlation": ("correlation", str),
-    "corr_r": ("corr_r", float),
-    "pl_fixed_db": ("pl_fixed_db", float),
-    "pl_break1_m": ("pl_break1_m", float),
-    "pl_break2_m": ("pl_break2_m", float),
-    "min_dist_m": ("min_dist_m", float),
-    "shadow_std_db": ("shadow_std_db", float),
+    "correlation": ("correlation", _choice(model.CORRELATION_MODELS)),
+    "corr_r": ("corr_r", parse_float),
+    "pl_fixed_db": ("pl_fixed_db", parse_float),
+    "pl_break1_m": ("pl_break1_m", parse_float),
+    "pl_break2_m": ("pl_break2_m", parse_float),
+    "min_dist_m": ("min_dist_m", parse_float),
+    "shadow_std_db": ("shadow_std_db", parse_float),
 }
-# per sweep: value parser, admissible range (an "inside" test, so that nan
-# fails it) and that range as the error message states it
-_SWEEP_VALUES = {
-    "oscillator_variance": (parse_variance, lambda v: 0 <= v < np.inf, "[0, inf)"),
-    "transmit_power": (parse_power, lambda v: 0 < v < np.inf, "(0, inf)"),
-    "antenna_count": (lambda v, key: float(parse_int(v, key)), lambda v: v >= 1, "[1, inf)"),
-    "rho": (lambda v, key: _convert(float, v, key), lambda v: 0 <= v <= 1, "[0, 1]"),
+_SCHEME_REQUIRED = {
+    "private": ("private_scheme", _choice(closed_form.PRIVATE_SCHEMES)),
+    "transmission": ("transmission", _choice(closed_form.TRANSMISSIONS)),
+    "rs": ("rs_enabled", parse_bool),
 }
-_SCHEME_KEYS = {"private", "transmission", "rs", "weights"}
-_TOP_KEYS = {"system", "sweep", "schemes", "mc_realizations", "repetitions", "output"}
+_SCHEME_OPTIONAL = {"weights": ("weights_mode", _choice(WEIGHTS_MODES))}
+# the sweep's values are read as they stand here; _parse_sweep parses them
+# once the parameter is known
+_SWEEP_OPTIONAL = {
+    "parameter": ("sweep_parameter", _choice(SWEEP_PARAMETERS)),
+    "values": ("sweep_values", _list_of(lambda value, key: value)),
+}
+_TOP_SCALARS = {
+    "mc_realizations": ("mc_realizations", parse_int),
+    "repetitions": ("repetitions", parse_int),
+    "output": ("output_path", parse_str),
+}
 
 
-def _convert(conv, value, where: str):
-    if conv is parse_power and isinstance(value, list):  # per-UE pilot powers
-        return tuple(parse_power(v, where) for v in value)
-    if conv in (parse_power, parse_int):
-        return conv(value, where)
-    try:
-        return conv(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: bad value {value!r} ({exc})") from exc
-
-
-def _system_from_dict(section: dict, where: str) -> SystemConfig:
+def _parse_section(section, where: str, required: dict, optional: dict) -> dict:
+    """The fields of one JSON object, each key run through its parser."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: must be an object")
-    unknown = set(section) - set(_SYSTEM_REQUIRED) - set(_SYSTEM_OPTIONAL)
+    unknown = set(section) - set(required) - set(optional)
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
-    kwargs = {}
-    for key, (field_name, conv) in _SYSTEM_REQUIRED.items():
-        if key not in section:
-            raise ConfigError(f"{where}: missing required key {key!r}")
-        kwargs[field_name] = _convert(conv, section[key], f"{where}.{key}")
-    for key, (field_name, conv) in _SYSTEM_OPTIONAL.items():
+    fields = {}
+    for key, (field_name, parse) in (required | optional).items():
         if key in section:
-            kwargs[field_name] = _convert(conv, section[key], f"{where}.{key}")
+            fields[field_name] = parse(section[key], f"{where}.{key}")
+        elif key in required:
+            raise ConfigError(f"{where}: missing required key {key!r}")
+    return fields
+
+
+def _section_dict(obj, table: dict) -> dict:
+    """One section's JSON object from its table; tuples become lists."""
+    values = {key: getattr(obj, field_name) for key, (field_name, _) in table.items()}
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
+
+
+def _parse_system(section, where: str) -> SystemConfig:
+    fields = _parse_section(section, where, _SYSTEM_REQUIRED, _SYSTEM_OPTIONAL)
     try:
-        return SystemConfig(**kwargs)
+        return SystemConfig(**fields)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _scheme_from_dict(entry: dict, where: str) -> SchemeSpec:
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where}: each scheme must be an object")
-    unknown = set(entry) - _SCHEME_KEYS
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
-    for key in ("private", "transmission", "rs"):
-        if key not in entry:
-            raise ConfigError(f"{where}: missing required key {key!r}")
-    if not isinstance(entry["rs"], bool):
-        raise ConfigError(f"{where}.rs: expected true or false, got {entry['rs']!r}")
-    spec = SchemeSpec(
-        private_scheme=str(entry["private"]),
-        transmission=str(entry["transmission"]),
-        rs_enabled=entry["rs"],
-        weights_mode=str(entry.get("weights", "simple")),
-    )
-    if spec.private_scheme not in closed_form.PRIVATE_SCHEMES:
-        raise ConfigError(f"{where}.private: must be one of {closed_form.PRIVATE_SCHEMES}")
-    if spec.transmission not in closed_form.TRANSMISSIONS:
-        raise ConfigError(f"{where}.transmission: must be one of {closed_form.TRANSMISSIONS}")
-    if spec.weights_mode not in WEIGHTS_MODES:
-        raise ConfigError(f"{where}.weights: must be one of {WEIGHTS_MODES}")
-    return spec
+def _parse_scheme(entry, where: str) -> SchemeSpec:
+    return SchemeSpec(**_parse_section(entry, where, _SCHEME_REQUIRED, _SCHEME_OPTIONAL))
+
+
+def _parse_sweep(section, where: str) -> dict:
+    fields = _parse_section(section, where, {}, _SWEEP_OPTIONAL)
+    parameter = fields.get("sweep_parameter", "none")
+    values = fields.get("sweep_values", ())
+    fields["sweep_values"] = () if parameter == "none" else tuple(
+        _sweep_value(parameter, v, f"{where}.values[{i}]") for i, v in enumerate(values))
+    return fields
+
+
+_TOP_REQUIRED = {
+    "system": ("base", _parse_system),
+    "schemes": ("schemes", _list_of(_parse_scheme)),
+}
+_TOP_OPTIONAL = {"sweep": ("sweep", _parse_sweep), **_TOP_SCALARS}
 
 
 def spec_from_dict(data: dict, where: str = "config") -> ExperimentSpec:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where}: top level must be an object")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"{where}: unknown top-level key(s) {sorted(unknown)}")
-    if "system" not in data:
-        raise ConfigError(f"{where}: missing required key 'system'")
-    base = _system_from_dict(data["system"], f"{where}.system")
-
-    sweep = data.get("sweep", {"parameter": "none", "values": []})
-    if not isinstance(sweep, dict) or set(sweep) - {"parameter", "values"}:
-        raise ConfigError(f"{where}.sweep: expects keys 'parameter' and 'values'")
-    parameter = sweep.get("parameter", "none")
-    if parameter == "none":
-        values = ()
-    elif parameter in _SWEEP_VALUES:
-        parse, inside, interval = _SWEEP_VALUES[parameter]
-        values = tuple(parse(v, f"{where}.sweep.values") for v in sweep.get("values", []))
-        for v in values:
-            if not inside(v):
-                raise ConfigError(
-                    f"{where}.sweep.values: {parameter} {v!r} is outside {interval}")
-    else:
-        raise ConfigError(f"{where}.sweep.parameter: unknown sweep {parameter!r}")
-
-    schemes_raw = data.get("schemes")
-    if not schemes_raw:
-        raise ConfigError(f"{where}: missing required key 'schemes'")
-    schemes = tuple(
-        _scheme_from_dict(entry, f"{where}.schemes[{i}]")
-        for i, entry in enumerate(schemes_raw)
-    )
-    return ExperimentSpec(
-        base=base,
-        sweep_parameter=parameter,
-        sweep_values=values,
-        schemes=schemes,
-        mc_realizations=parse_int(data.get("mc_realizations", 0), f"{where}.mc_realizations"),
-        repetitions=parse_int(data.get("repetitions", 1), f"{where}.repetitions"),
-        output_path=str(data.get("output", "results")),
-    )
+    fields = _parse_section(data, where, _TOP_REQUIRED, _TOP_OPTIONAL)
+    return ExperimentSpec(**fields.pop("sweep", {}), **fields)
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
     """Canonical (linear-unit) dict representation; parse round-trips it."""
-    system = {}
-    for key, (field_name, _) in (_SYSTEM_REQUIRED | _SYSTEM_OPTIONAL).items():
-        value = getattr(spec.base, field_name)
-        system[key] = list(value) if isinstance(value, tuple) else value  # per-UE powers
     return {
-        "system": system,
-        "sweep": {"parameter": spec.sweep_parameter, "values": list(spec.sweep_values)},
-        "schemes": [
-            {
-                "private": s.private_scheme,
-                "transmission": s.transmission,
-                "rs": s.rs_enabled,
-                "weights": s.weights_mode,
-            }
-            for s in spec.schemes
-        ],
-        "mc_realizations": spec.mc_realizations,
-        "repetitions": spec.repetitions,
-        "output": spec.output_path,
+        "system": _section_dict(spec.base, _SYSTEM_REQUIRED | _SYSTEM_OPTIONAL),
+        "sweep": _section_dict(spec, _SWEEP_OPTIONAL),
+        "schemes": [_section_dict(s, _SCHEME_REQUIRED | _SCHEME_OPTIONAL)
+                    for s in spec.schemes],
+        **_section_dict(spec, _TOP_SCALARS),
     }
 
 
@@ -347,20 +364,20 @@ def _job_seed(master: int, repetition: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint32)[0])
 
 
-def _job_config(spec: ExperimentSpec, sweep_idx: int, seed: int) -> SystemConfig:
+def _job_inputs(spec: ExperimentSpec, sweep_value: float | None, seed: int,
+                ) -> tuple[SystemConfig, PhaseStatistics, float | None]:
+    """A job's system config, phase statistics and fixed power split (None
+    lets RS schemes optimize it) at one sweep point."""
     cfg = dataclasses.replace(spec.base, seed=seed)
     if spec.sweep_parameter == "transmit_power":
-        cfg = dataclasses.replace(cfg, p_d=spec.sweep_values[sweep_idx])
+        cfg = dataclasses.replace(cfg, p_d=sweep_value)
     elif spec.sweep_parameter == "antenna_count":
-        cfg = dataclasses.replace(cfg, N=int(spec.sweep_values[sweep_idx]))
-    return cfg
-
-
-def _job_phases(spec: ExperimentSpec, sweep_idx: int, cfg: SystemConfig) -> PhaseStatistics:
+        cfg = dataclasses.replace(cfg, N=int(sweep_value))
     if spec.sweep_parameter == "oscillator_variance":
-        v = spec.sweep_values[sweep_idx]
-        return PhaseStatistics(var_ap=v, var_ue=v)
-    return PhaseStatistics.from_config(cfg)
+        phases = PhaseStatistics(var_ap=sweep_value, var_ue=sweep_value)
+    else:
+        phases = PhaseStatistics.from_config(cfg)
+    return cfg, phases, sweep_value if spec.sweep_parameter == "rho" else None
 
 
 class Topology(NamedTuple):
@@ -439,12 +456,29 @@ def run_scheme(
     return report, extras
 
 
-RESULT_COLUMNS = [
+LABEL_COLUMNS = [
     "sweep_parameter", "sweep_value", "private_scheme", "transmission", "rs",
-    "weights_mode", "repetition", "k", "rho", "se_private", "se_common_per_ue",
-    "se_common", "sum_se", "seed", "mc_rel_err_private", "mc_rel_err_common",
-    "status",
+    "weights_mode",
 ]
+RESULT_COLUMNS = LABEL_COLUMNS + [
+    "repetition", "k", "rho", "se_private", "se_common_per_ue", "se_common",
+    "sum_se", "seed", "mc_rel_err_private", "mc_rel_err_common", "status",
+]
+AGGREGATE_COLUMNS = LABEL_COLUMNS + [
+    "repetitions_ok", "mean_sum_se", "min_sum_se", "max_sum_se",
+]
+
+
+def _job_label(spec: ExperimentSpec, sweep_value: float | None, scheme: SchemeSpec) -> dict:
+    """The columns that name a job's sweep point and scheme in both CSVs."""
+    return {
+        "sweep_parameter": spec.sweep_parameter,
+        "sweep_value": "" if sweep_value is None else repr(float(sweep_value)),
+        "private_scheme": scheme.private_scheme,
+        "transmission": scheme.transmission,
+        "rs": int(scheme.rs_enabled),
+        "weights_mode": scheme.weights_mode if scheme.rs_enabled else "",
+    }
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> Path:
@@ -459,30 +493,14 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> P
     out = Path(out_dir) if out_dir is not None else Path(spec.output_path)
     out.mkdir(parents=True, exist_ok=True)
 
-    sweep_points = list(enumerate(spec.sweep_values)) or [(0, None)]
+    sweep_points = spec.sweep_values or (None,)
     rows = []
     agg: dict[tuple, list[float]] = {}
-    for sweep_idx, sweep_value in sweep_points:
+    for sweep_idx, sweep_value in enumerate(sweep_points):
         for rep in range(spec.repetitions):
             seed = _job_seed(spec.base.seed, rep)
-            cfg = _job_config(spec, sweep_idx, seed)
-            phases = _job_phases(spec, sweep_idx, cfg)
+            cfg, phases, fixed_rho = _job_inputs(spec, sweep_value, seed)
             for scheme_idx, scheme in enumerate(spec.schemes):
-                fixed_rho = (
-                    spec.sweep_values[sweep_idx]
-                    if spec.sweep_parameter == "rho" and scheme.rs_enabled
-                    else None
-                )
-                base_row = {
-                    "sweep_parameter": spec.sweep_parameter,
-                    "sweep_value": "" if sweep_value is None else repr(float(sweep_value)),
-                    "private_scheme": scheme.private_scheme,
-                    "transmission": scheme.transmission,
-                    "rs": int(scheme.rs_enabled),
-                    "weights_mode": scheme.weights_mode if scheme.rs_enabled else "",
-                    "repetition": rep,
-                    "seed": seed,
-                }
                 topology = None  # frees the previous job's arrays first
                 try:
                     topology = build_topology(cfg, phases)
@@ -491,21 +509,12 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> P
                     )
                 except Exception as exc:  # recorded, run continues
                     log.warning("job failed (%s, rep %d): %s", scheme.label(), rep, exc)
-                    for k in range(cfg.K):
-                        rows.append(
-                            {**base_row, "k": k, "rho": "", "se_private": "",
-                             "se_common_per_ue": "", "se_common": "", "sum_se": "",
-                             "mc_rel_err_private": "", "mc_rel_err_common": "",
-                             "status": f"error:{type(exc).__name__}"}
-                        )
-                    continue
-                key = (sweep_idx, scheme_idx)
-                agg.setdefault(key, []).append(report.sum_se)
-                for k in range(cfg.K):
-                    rows.append(
+                    # _write_csv leaves the value columns of these rows blank
+                    values = [{"status": f"error:{type(exc).__name__}"}] * cfg.K
+                else:
+                    agg.setdefault((sweep_idx, scheme_idx), []).append(report.sum_se)
+                    values = [
                         {
-                            **base_row,
-                            "k": k,
                             "rho": repr(float(report.rho)),
                             "se_private": repr(float(report.se_private[k])),
                             "se_common_per_ue": repr(float(report.se_common_per_ue[k])),
@@ -515,37 +524,27 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> P
                             "mc_rel_err_common": extras.get("mc_rel_err_common", ""),
                             "status": "ok",
                         }
-                    )
+                        for k in range(cfg.K)
+                    ]
+                label = _job_label(spec, sweep_value, scheme)
+                rows += [{**label, "repetition": rep, "k": k, "seed": seed, **v}
+                         for k, v in enumerate(values)]
 
-    rows.sort(key=lambda r: (r["sweep_parameter"], r["sweep_value"],
-                             r["private_scheme"], r["transmission"], r["rs"],
-                             r["weights_mode"], r["repetition"], r["k"]))
+    order = LABEL_COLUMNS + ["repetition", "k"]
+    rows.sort(key=lambda r: [r[c] for c in order])
     _write_csv(out / "results.csv", RESULTS_SCHEMA, RESULT_COLUMNS, rows)
 
-    agg_rows = []
-    for (sweep_idx, scheme_idx), values in sorted(agg.items()):
-        scheme = spec.schemes[scheme_idx]
-        sweep_value = spec.sweep_values[sweep_idx] if spec.sweep_values else None
-        agg_rows.append(
-            {
-                "sweep_parameter": spec.sweep_parameter,
-                "sweep_value": "" if sweep_value is None else repr(float(sweep_value)),
-                "private_scheme": scheme.private_scheme,
-                "transmission": scheme.transmission,
-                "rs": int(scheme.rs_enabled),
-                "weights_mode": scheme.weights_mode if scheme.rs_enabled else "",
-                "repetitions_ok": len(values),
-                "mean_sum_se": repr(float(np.mean(values))),
-                "min_sum_se": repr(float(np.min(values))),
-                "max_sum_se": repr(float(np.max(values))),
-            }
-        )
-    _write_csv(
-        out / "aggregate.csv", AGGREGATE_SCHEMA,
-        ["sweep_parameter", "sweep_value", "private_scheme", "transmission", "rs",
-         "weights_mode", "repetitions_ok", "mean_sum_se", "min_sum_se", "max_sum_se"],
-        agg_rows,
-    )
+    agg_rows = [
+        {
+            **_job_label(spec, sweep_points[sweep_idx], spec.schemes[scheme_idx]),
+            "repetitions_ok": len(values),
+            "mean_sum_se": repr(float(np.mean(values))),
+            "min_sum_se": repr(float(np.min(values))),
+            "max_sum_se": repr(float(np.max(values))),
+        }
+        for (sweep_idx, scheme_idx), values in sorted(agg.items())
+    ]
+    _write_csv(out / "aggregate.csv", AGGREGATE_SCHEMA, AGGREGATE_COLUMNS, agg_rows)
 
     manifest = {
         "schema": MANIFEST_SCHEMA,
@@ -556,7 +555,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> P
                 "sweep_idx": si, "scheme_idx": ci, "repetition": rep,
                 "seed": _job_seed(spec.base.seed, rep),
             }
-            for si, _ in sweep_points
+            for si in range(len(sweep_points))
             for ci in range(len(spec.schemes))
             for rep in range(spec.repetitions)
         ],
@@ -566,6 +565,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> P
 
 
 def _write_csv(path: Path, schema: str, columns: list[str], rows: list[dict]):
+    """Schema line, header and rows; a column missing from a row is blank."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# schema={schema}\n")
         writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
@@ -600,14 +600,11 @@ def _load_system(args, default: SystemConfig | None = None) -> tuple[SystemConfi
 def cmd_nmse(args) -> int:
     cfg, _ = _load_system(args)
     variances = (
-        [parse_variance(v, "--variances") for v in args.variances.split(",")]
+        [_sweep_value("oscillator_variance", v, "--variances")
+         for v in args.variances.split(",")]
         if args.variances
         else [None]
     )
-    _, inside, interval = _SWEEP_VALUES["oscillator_variance"]
-    for var in variances:
-        if var is not None and not inside(var):
-            raise ConfigError(f"--variances: {var!r} is outside {interval}")
     net = build_network(cfg)
     pilots = assign_pilots(cfg.K, cfg.tau_p)
     rows = []
@@ -709,14 +706,12 @@ def validate_families(
     phases: PhaseStatistics,
     count: int,
     rho: float = 0.5,
-    instants=None,
     terms_out: Path | None = None,
 ):
     """Closed form vs Monte Carlo for all eight SINR families."""
     net, pilots, stats, terms = build_topology(cfg, phases)
     lam = cfg.estimation_instant
-    if instants is None:
-        instants = [lam, min(lam + 5, cfg.tau_c), cfg.tau_c]
+    instants = [lam, min(lam + 5, cfg.tau_c), cfg.tau_c]
     batch = montecarlo.sample_batch(
         net, pilots, phases, cfg, count, cfg.seed, instants=instants
     )
@@ -828,13 +823,11 @@ def cmd_robust(args) -> int:
     lam = cfg.estimation_instant
     if args.instant is not None and not lam <= args.instant <= cfg.tau_c:
         raise ConfigError(f"--instant: {args.instant} is outside [{lam}, {cfg.tau_c}]")
-    if args.verbose:
-        logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     phases = PhaseStatistics.from_config(cfg)
     terms = build_topology(cfg, phases).terms
     problem = optimize.build_maxmin_problem(terms, phases, cfg, args.rho,
                                             n=args.instant)
-    result = optimize.robust_common_precoding(problem, eps=args.eps, verbose=args.verbose)
+    result = optimize.robust_common_precoding(problem, eps=args.eps)
     rows = [
         {"k": k, "l": l, "weight": repr(float(result.weights[k, l]))}
         for k in range(cfg.K)
@@ -867,7 +860,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cfrs",
         description="Asynchronous cell-free massive MIMO downlink with rate-splitting",
@@ -917,10 +910,13 @@ def main(argv=None) -> int:
     p.add_argument("--mc", type=int, help="override mc_realizations")
     p.add_argument("--replay", help="re-run byte-identically from a manifest.json")
     p.set_defaults(func=cmd_sweep)
+    return parser
 
-    args = parser.parse_args(argv)
-    if getattr(args, "verbose", False):
-        logging.basicConfig(level=logging.DEBUG, stream=sys.stderr)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    if args.verbose:
+        logging.basicConfig(level=logging.DEBUG, format="%(message)s", stream=sys.stderr)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -191,7 +191,7 @@ def dummse_precoder(
     net: NetworkModel,
     stats: EstimationStatistics,
     config: SystemConfig,
-    p_dp: float | None = None,
+    p_dp: float,
 ) -> np.ndarray:
     """(count, K, L, N) MMSE-style private precoders for estimates ``hhat``.
 
@@ -199,8 +199,6 @@ def dummse_precoder(
     with C_i the estimation-error covariance; regularized by the noise
     power, so the inverse always exists.
     """
-    if p_dp is None:
-        p_dp = config.p_d
     N = net.N
     err_cov = (net.R - stats.Q).sum(axis=0)  # (L, N, N)
     base = p_dp * err_cov + config.sigma2_ul * np.eye(N)[None]
@@ -216,9 +214,9 @@ def private_precoders(
     hhat: np.ndarray,
     net: NetworkModel,
     scheme: str,
-    stats: EstimationStatistics | None = None,
-    config: SystemConfig | None = None,
-    p_dp: float | None = None,
+    stats: EstimationStatistics,
+    config: SystemConfig,
+    p_dp: float,
 ) -> np.ndarray:
     """Private precoders of one scheme tag for the estimates ``hhat``."""
     if scheme == "du_mr":
@@ -226,8 +224,6 @@ def private_precoders(
     if scheme == "df_mr":
         return hhat
     if scheme == "du_mmse":
-        if stats is None or config is None:
-            raise ValueError("du_mmse precoding needs stats and config")
         return dummse_precoder(hhat, net, stats, config, p_dp)
     raise ValueError(f"unknown private precoding scheme {scheme!r}")
 
@@ -289,7 +285,7 @@ def _accumulate(
     net: NetworkModel,
     config: SystemConfig,
     eval_instants,
-    stats: EstimationStatistics | None = None,
+    stats: EstimationStatistics,
 ) -> _BlockSums:
     """Per-block sums of every term at the instants; the estimators' entry.
 
@@ -441,7 +437,7 @@ def estimate_uatf_terms(
     net: NetworkModel,
     config: SystemConfig,
     n: int,
-    stats: EstimationStatistics | None = None,
+    stats: EstimationStatistics,
 ) -> UatFTerms:
     """Empirical DS/INT terms (and common-stream analogs) at instant n."""
     sums = _accumulate(batch, plan, net, config, [n], stats)
@@ -496,7 +492,7 @@ def mc_sinr(
     net: NetworkModel,
     config: SystemConfig,
     n,
-    stats: EstimationStatistics | None = None,
+    stats: EstimationStatistics,
 ) -> MCSinr | list[MCSinr]:
     """Use-and-then-forget SINRs at instant(s) n from one batch.
 
@@ -516,7 +512,7 @@ def transmit_power_stats(
     plan: PrecodingPlan,
     net: NetworkModel,
     config: SystemConfig,
-    stats: EstimationStatistics | None = None,
+    stats: EstimationStatistics,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-AP mean transmit power and its standard error over the batch."""
     slices = _batch_blocks(batch, net)

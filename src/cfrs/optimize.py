@@ -412,7 +412,6 @@ def scaled_simple_weights(problem: MaxMinProblem) -> np.ndarray:
 def robust_common_precoding(
     problem: MaxMinProblem,
     eps: float = 1e-4,
-    verbose: bool = False,
 ) -> RobustPrecodingResult:
     """Bisection on the max-min common SINR target.
 
@@ -421,7 +420,8 @@ def robust_common_precoding(
     as a warm start, and t_max doubled from max(1, 2 t_min) until
     infeasible.  Returns the weights from the last feasible target;
     plugging them into the coherent common SINR with unit eta achieves
-    min-UE SINR within the final bracket at the problem's instant.
+    min-UE SINR within the final bracket at the problem's instant.  Each
+    step is also logged at INFO level as one JSON line.
     """
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
@@ -432,8 +432,7 @@ def robust_common_precoding(
     def record(event, **kw):
         entry = {"event": event, **kw}
         trace.append(entry)
-        if verbose:
-            log.info(json.dumps(entry))
+        log.info(json.dumps(entry))
 
     t_min, best_point = 0.0, np.zeros(problem.K * problem.L)
     start = scaled_simple_weights(problem)

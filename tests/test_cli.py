@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -185,6 +186,40 @@ def test_bad_system_values_in_a_config_file_rejected(key, value, tmp_path):
 def test_mc_realizations_below_the_floor_rejected(count):
     with pytest.raises(cli.ConfigError, match="mc_realizations"):
         cli.spec_from_dict(one_scheme_spec(mc_realizations=count))
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("system", "symbol_duration_s", True),
+    ("system", "min_dist_m", False),
+    ("system", "corr_r", True),
+    ("system", "carrier_hz", "2e9"),
+    ("system", "downlink_power", [1, 2]),
+    ("system", "noise_ul", [1e-12]),
+    ("system", "noise_dl", [1e-12, 1e-12]),
+    ("system", "correlation", 5),
+    ("sweep", "values", 0.5),
+    ("sweep", "parameter", ["rho"]),
+    (None, "output", 5),
+])
+def test_values_of_the_wrong_json_type_rejected(section, key, value):
+    # each is coerced or crashes with a TypeError unless its parser checks the type
+    data = one_scheme_spec(sweep={"parameter": "rho", "values": [0.5]})
+    (data[section] if section else data)[key] = value
+    field = f"config.{section}.{key}" if section else f"config.{key}"
+    with pytest.raises(cli.ConfigError, match=rf"^{re.escape(field)}: ") as info:
+        cli.spec_from_dict(data)
+    assert str(info.value).count("config") == 1
+
+
+def test_malformed_config_file_exits_2_naming_the_field(tmp_path, capsys):
+    data = one_scheme_spec()
+    data["system"]["downlink_power"] = [1, 2]
+    path = write_spec(tmp_path, data)
+    assert cli.main(["se", "--config", str(path), "--out", str(tmp_path / "se.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}.system.downlink_power: ")
+    assert err.count(str(path)) == 1
+    assert "Traceback" not in err
 
 
 def test_each_job_estimates_on_its_sweep_point(tmp_path, monkeypatch):
@@ -502,3 +537,42 @@ def test_bad_flags_fail_at_the_boundary(argv, tmp_path, monkeypatch, capsys):
     assert cli.main(argv + ["--out", str(out)]) == 2
     assert f"error: {argv[1]}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_rho_opt_prints_the_split_and_the_grid_check(tmp_path, capsys):
+    path = write_spec(tmp_path, one_scheme_spec())
+    assert cli.main(["rho-opt", "--config", str(path), "--grid", "11"]) == 0
+    out = capsys.readouterr().out
+    rho = float(re.search(r"rho\* = (\S+),", out).group(1))
+    assert 0.0 <= rho <= 1.0
+    assert re.search(r"^grid check: rho = \S+, sum SE = \S+$", out, re.MULTILINE)
+
+
+def test_robust_verbose_writes_json_lines_to_stderr(tmp_path):
+    path = write_spec(tmp_path, one_scheme_spec())
+    out = tmp_path / "weights.csv"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "cfrs.cli", "robust", "--config", str(path),
+         "--out", str(out), "--verbose"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines
+    assert all("event" in json.loads(line) for line in lines)
+    rows, schema = read_csv(out)
+    assert schema == f"# schema={cli.WEIGHTS_SCHEMA}"
+    system = desk_system()
+    assert len(rows) == system["K"] * system["L"]
+    assert all(float(r["weight"]) >= 0 for r in rows)
+
+
+def test_readme_command_lines_parse():
+    # a renamed or deleted flag must fail here, not in a reader's shell
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("cfrs ")]
+    assert len(lines) >= 6
+    for line in lines:
+        args = cli._parser().parse_args(shlex.split(line)[1:])
+        assert args.func.__name__ == "cmd_" + args.command.replace("-", "_")

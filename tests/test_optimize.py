@@ -322,7 +322,7 @@ def test_bottleneck_user_cannot_be_lifted_further():
 
 def test_bisection_trace_emitted():
     *_, problem = setup_instance(seed=10)
-    res = opt.robust_common_precoding(problem, eps=1e-3, verbose=False)
+    res = opt.robust_common_precoding(problem, eps=1e-3)
     events = {e["event"] for e in res.trace}
     assert "bisect" in events
     assert res.iterations > 0
