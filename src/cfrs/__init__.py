@@ -46,7 +46,6 @@ from .montecarlo import (
     RealizationBatch,
     UatFTerms,
     dummse_precoder,
-    estimate_uatf_terms,
     mc_sinr,
     sample_batch,
     transmit_power_stats,

@@ -315,7 +315,10 @@ _TOP_OPTIONAL = {"sweep": ("sweep", _parse_sweep), **_TOP_SCALARS}
 
 def spec_from_dict(data: dict, where: str = "config") -> ExperimentSpec:
     fields = _parse_section(data, where, _TOP_REQUIRED, _TOP_OPTIONAL)
-    return ExperimentSpec(**fields.pop("sweep", {}), **fields)
+    try:
+        return ExperimentSpec(**fields.pop("sweep", {}), **fields)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
@@ -329,19 +332,21 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
     }
 
 
-def parse_config(path: str | Path) -> ExperimentSpec:
-    """Strictly parse an experiment spec from a JSON file."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    text = path.read_text()
+def _read_json(path: Path):
+    """The JSON value in ``path``; a missing file or bad JSON is a ConfigError."""
+    if not path.is_file():
+        raise ConfigError(f"{path}: file not found")
     try:
-        data = json.loads(text)
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return spec_from_dict(data, where=str(path))
+
+
+def parse_config(path: str | Path) -> ExperimentSpec:
+    """Strictly parse an experiment spec from a JSON file."""
+    return spec_from_dict(_read_json(Path(path)), where=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +446,7 @@ def run_scheme(
         lam = cfg.estimation_instant
         mid = (lam + cfg.tau_c) // 2
         batch = montecarlo.sample_batch(
-            net, pilots, phases, cfg, mc_realizations, cfg.seed, instants=[mid]
+            net, pilots, stats, phases, cfg, mc_realizations, cfg.seed, instants=[mid]
         )
         mc = montecarlo.mc_sinr(batch, plan, net, cfg, mid, stats)
         closed_p, closed_c = closed_form.assemble(
@@ -713,7 +718,7 @@ def validate_families(
     lam = cfg.estimation_instant
     instants = [lam, min(lam + 5, cfg.tau_c), cfg.tau_c]
     batch = montecarlo.sample_batch(
-        net, pilots, phases, cfg, count, cfg.seed, instants=instants
+        net, pilots, stats, phases, cfg, count, cfg.seed, instants=instants
     )
     rows = []
     term_rows = []
@@ -746,10 +751,9 @@ def validate_families(
                     }
                 )
         if terms_out is not None:
-            t = montecarlo.estimate_uatf_terms(batch, plan, net, cfg, instants[0], stats)
             family = {"stream": stream, "transmission": transmission, "scheme": scheme,
                       "n": instants[0]}
-            term_rows += [{**family, **row} for row in _term_rows(t)]
+            term_rows += [{**family, **row} for row in _term_rows(mc_list[0].terms)]
     if terms_out is not None:
         _write_csv(terms_out, TERMS_SCHEMA,
                    ["stream", "transmission", "scheme", "n", "term", "k", "l_or_i",
@@ -845,8 +849,9 @@ def cmd_robust(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.replay:
-        manifest = json.loads(Path(args.replay).read_text())
-        if manifest.get("schema") != MANIFEST_SCHEMA:
+        manifest = _read_json(Path(args.replay))
+        if not (isinstance(manifest, dict) and manifest.get("schema") == MANIFEST_SCHEMA
+                and "spec" in manifest):
             raise ConfigError(f"{args.replay}: not a {MANIFEST_SCHEMA} manifest")
         spec = spec_from_dict(manifest["spec"], where=str(args.replay))
     else:

@@ -166,16 +166,17 @@ def estimation_statistics(
 def mmse_filter_matrices(
     net: NetworkModel,
     pilots: PilotAssignment,
+    stats: EstimationStatistics,
     phases: PhaseStatistics,
     config: SystemConfig,
 ) -> np.ndarray:
     """(K, L, N, N) linear MMSE filters B with hhat = theta* . B @ z.
 
-    B[k,l] = sqrt(p_k) * exp(-(lambda-t_k)(var_ap+var_ue)/2) * R Psi; the
-    remaining conj(theta[k,l]) factor is applied by the caller so the same
-    filters serve both the scalar and the batched estimation paths.
+    B[k,l] = sqrt(p_k) * exp(-(lambda-t_k)(var_ap+var_ue)/2) * R Psi, with
+    Psi from ``stats``; the remaining conj(theta[k,l]) factor is applied by
+    the caller so the same filters serve both the scalar and the batched
+    estimation paths.
     """
-    stats = estimation_statistics(net, pilots, phases, config)
     p = config.pilot_powers()
     amp = np.sqrt(p * decay_factors(pilots, phases))
     return amp[:, None, None, None] * np.einsum(

@@ -1,9 +1,11 @@
 """Monte Carlo oracle for the closed-form SINR expressions.
 
 Draws i.i.d. realizations of channels, Wiener oscillator trajectories, and
-pilot noise; runs the actual estimator on each pilot observation; forms
-per-realization precoders (including the MMSE-style private precoder that
-has no closed form); and empirically estimates the hardening-bound terms
+pilot noise; runs the actual estimator, built from the caller's estimation
+statistics, on each pilot observation, and keeps only what the estimators
+read (no pilot signal, no pilot-instant phases); forms per-realization
+precoders (including the MMSE-style private precoder that has no closed
+form); and empirically estimates the hardening-bound terms
 
     DS[k,l]  = E{ g[k,l,n]^H sqrt(mu) v[k,l] }          (desired signal)
     INT[k,i] = E{ |sum_l g^H sqrt(mu) v[i,l]|^2 }       (coherent)
@@ -27,8 +29,8 @@ seeded by SeedSequence(seed, spawn_key=(i,)) feeding a counter-based
 Philox generator, so a batch is bitwise reproducible and independent of
 how chunks might be scheduled.  Standard errors come from a delete-one
 block jackknife over contiguous realization blocks; one helper gives the
-delete-one-block means that both the term standard errors and the
-bias-corrected SINRs are computed from.
+delete-one-block means, so one accumulation yields both the term estimates
+(``MCSinr.terms``) and the bias-corrected SINRs with their standard errors.
 """
 
 from __future__ import annotations
@@ -53,27 +55,25 @@ MIN_REALIZATIONS = 100  # fewest realizations for meaningful standard errors
 
 @dataclass(frozen=True)
 class RealizationBatch:
-    """One reproducible batch of channel/phase/pilot-noise realizations.
+    """One reproducible batch of channel and oscillator-phase realizations.
 
     h (count, K, L, N): base channels at the estimation instant.
     hhat (count, K, L, N): MMSE estimates from the simulated pilots.
     ue_phase (count, K, M) / ap_phase (count, L, M): oscillator phases at
-        the instants listed in ``instants`` (pilot instants, the estimation
-        instant, and every requested evaluation instant).
-    pilot_rx (count, G, L, N): received pilot signal per co-pilot group.
+        the instants listed in ``instants``: the estimation instant and every
+        requested evaluation instant.  The pilot signal and the phases at the
+        pilot instants are drawn (see ``_draw_chunks``) but not kept.
     """
 
     count: int
-    seed: int
     instants: tuple[int, ...]
     h: np.ndarray
     hhat: np.ndarray
     ue_phase: np.ndarray
     ap_phase: np.ndarray
-    pilot_rx: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.h, self.hhat, self.ue_phase, self.ap_phase, self.pilot_rx):
+        for arr in (self.h, self.hhat, self.ue_phase, self.ap_phase):
             arr.setflags(write=False)
 
     def instant_index(self, n: int) -> int:
@@ -100,86 +100,104 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(2.0)
 
 
+def _phase_instants(pilots: PilotAssignment, config: SystemConfig, instants) -> list[int]:
+    """The instants a draw samples phases at, sorted: every occupied pilot
+    instant, the estimation instant and the requested ``instants``."""
+    return sorted(set(pilots.t.tolist()) | {config.estimation_instant}
+                  | {int(n) for n in instants})
+
+
+def _draw_chunks(
+    net: NetworkModel,
+    pilots: PilotAssignment,
+    stats: EstimationStatistics,
+    phases: PhaseStatistics,
+    config: SystemConfig,
+    count: int,
+    seed: int,
+    instants,
+):
+    """Draw ``count`` realizations one RNG chunk at a time.
+
+    Yields (h, hhat, ue, ap, z) per chunk of c realizations: channels and
+    estimates (c, K, L, N), the UE (c, K, M) and AP (c, L, M) phases at
+    ``_phase_instants(pilots, config, instants)``, and the received pilot
+    signal z (c, G, L, N) per co-pilot group, which the filters of ``stats``
+    turn into hhat.
+    """
+    K, L, N = net.K, net.L, net.N
+    needed = _phase_instants(pilots, config, instants)
+    gaps = np.diff([0] + needed)
+    M = len(needed)
+
+    chol = _chol_factors(net)
+    filters = mmse_filter_matrices(net, pilots, stats, phases, config)
+    p = config.pilot_powers()
+
+    for chunk, start in enumerate(range(0, count, RNG_CHUNK)):
+        c = min(RNG_CHUNK, count - start)
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(chunk,)))
+        )
+        u = _complex_normal(rng, (c, K, L, N))
+        h = np.einsum("klnm,rklm->rkln", chol, u)
+        ue = np.cumsum(rng.standard_normal((c, K, M)) * np.sqrt(phases.var_ue * gaps), axis=2)
+        ap = np.cumsum(rng.standard_normal((c, L, M)) * np.sqrt(phases.var_ap * gaps), axis=2)
+        z = _complex_normal(rng, (c, len(pilots.groups), L, N)) * np.sqrt(config.sigma2_ul)
+
+        hhat = np.empty((c, K, L, N), dtype=complex)
+        for g, group in enumerate(pilots.groups):
+            # the group's transmissions accumulate on top of the noise
+            m = needed.index(int(pilots.t[group[0]]))
+            for i in group:
+                rot = np.exp(1j * (ue[:, i, m, None] + ap[:, :, m]))
+                z[:, g] += (
+                    np.sqrt(p[i]) * net.theta[i][None, :, None]
+                    * rot[:, :, None] * h[:, i]
+                )
+            for k in group:
+                hhat[:, k] = np.conj(net.theta[k])[None, :, None] * np.einsum(
+                    "lnm,rlm->rln", filters[k], z[:, g]
+                )
+        yield h, hhat, ue, ap, z
+
+
 def sample_batch(
     net: NetworkModel,
     pilots: PilotAssignment,
+    stats: EstimationStatistics,
     phases: PhaseStatistics,
     config: SystemConfig,
     count: int,
     seed: int,
     instants=(),
 ) -> RealizationBatch:
-    """Draw ``count`` realizations with phases sampled at the instants needed.
+    """Draw ``count`` realizations and keep what the estimators read.
 
     ``instants`` lists the data instants at which SINRs will later be
-    evaluated; the estimation instant and all occupied pilot instants are
-    always included.  Identical (seed, inputs) give identical batches.
+    evaluated; the phases there and at the estimation instant are kept.
+    The estimates use the filters of ``stats``.  Identical (seed, inputs)
+    give identical batches.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    K, L, N = net.K, net.L, net.N
-    lam = config.estimation_instant
-    group_instants = tuple(int(pilots.t[g[0]]) for g in pilots.groups)
-    needed = sorted(set(group_instants) | {lam} | {int(n) for n in np.atleast_1d(instants)})
-    gaps = np.diff([0] + needed)
-    M = len(needed)
-    G = len(pilots.groups)
+    instants = check_instants(config, instants)
+    kept = sorted({config.estimation_instant} | {int(n) for n in instants})
+    columns = [_phase_instants(pilots, config, instants).index(n) for n in kept]
 
-    chol = _chol_factors(net)
-    filters = mmse_filter_matrices(net, pilots, phases, config)
-    p = config.pilot_powers()
-    group_of = {k: g for g, grp in enumerate(pilots.groups) for k in grp}
+    h = np.empty((count, net.K, net.L, net.N), dtype=complex)
+    hhat = np.empty_like(h)
+    ue_phase = np.empty((count, net.K, len(kept)))
+    ap_phase = np.empty((count, net.L, len(kept)))
+    chunks = _draw_chunks(net, pilots, stats, phases, config, count, seed, instants)
+    for start, (h_c, hhat_c, ue_c, ap_c, _) in zip(range(0, count, RNG_CHUNK), chunks):
+        sl = slice(start, start + len(h_c))
+        h[sl], hhat[sl] = h_c, hhat_c
+        ue_phase[sl] = ue_c[:, :, columns]
+        ap_phase[sl] = ap_c[:, :, columns]
 
-    h = np.empty((count, K, L, N), dtype=complex)
-    hhat = np.empty((count, K, L, N), dtype=complex)
-    ue_phase = np.empty((count, K, M))
-    ap_phase = np.empty((count, L, M))
-    pilot_rx = np.empty((count, G, L, N), dtype=complex)
-
-    for chunk, start in enumerate(range(0, count, RNG_CHUNK)):
-        stop = min(start + RNG_CHUNK, count)
-        c = stop - start
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(chunk,)))
-        )
-        u = _complex_normal(rng, (c, K, L, N))
-        h_c = np.einsum("klnm,rklm->rkln", chol, u)
-        ue_inc = rng.standard_normal((c, K, M)) * np.sqrt(phases.var_ue * gaps)
-        ap_inc = rng.standard_normal((c, L, M)) * np.sqrt(phases.var_ap * gaps)
-        ue_c = np.cumsum(ue_inc, axis=2)
-        ap_c = np.cumsum(ap_inc, axis=2)
-        noise = _complex_normal(rng, (c, G, L, N)) * np.sqrt(config.sigma2_ul)
-
-        z_c = noise  # accumulate the group transmissions on top of the noise
-        for g, (group, t_g) in enumerate(zip(pilots.groups, group_instants)):
-            m = needed.index(t_g)
-            for i in group:
-                rot = np.exp(1j * (ue_c[:, i, m, None] + ap_c[:, :, m]))
-                z_c[:, g] += (
-                    np.sqrt(p[i]) * net.theta[i][None, :, None]
-                    * rot[:, :, None] * h_c[:, i]
-                )
-
-        for k in range(K):
-            hhat[start:stop, k] = np.conj(net.theta[k])[None, :, None] * np.einsum(
-                "lnm,rlm->rln", filters[k], z_c[:, group_of[k]]
-            )
-
-        h[start:stop] = h_c
-        ue_phase[start:stop] = ue_c
-        ap_phase[start:stop] = ap_c
-        pilot_rx[start:stop] = z_c
-
-    return RealizationBatch(
-        count=count,
-        seed=seed,
-        instants=tuple(needed),
-        h=h,
-        hhat=hhat,
-        ue_phase=ue_phase,
-        ap_phase=ap_phase,
-        pilot_rx=pilot_rx,
-    )
+    return RealizationBatch(count=count, instants=tuple(kept), h=h, hhat=hhat,
+                            ue_phase=ue_phase, ap_phase=ap_phase)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +417,7 @@ def _jackknife(sums: _BlockSums, plan, config, m: int):
 
     The plain ratio-of-means SINR carries an O(1/count) bias; the delete-one
     estimate removes the leading term, and the same leave-one-out spread
-    yields the standard error.
+    yields the standard error.  The same delete-one means give the terms.
     """
     terms = [_delete_one_means(x[:, m], sums.counts)
              for x in (sums.ds_p, sums.int_p, sums.ds_c, sums.int_c)]
@@ -411,14 +429,14 @@ def _jackknife(sums: _BlockSums, plan, config, m: int):
     # the corrected estimate must stay in the physical range
     est = np.maximum(est, 0.0)
     se = _spread(loo)
-    return est[0], se[0], est[1], se[1]
+    uatf = UatFTerms(*(x for mean, drop in terms for x in (mean, _spread(drop))))
+    return est[0], se[0], est[1], se[1], uatf
 
 
 @dataclass(frozen=True)
 class UatFTerms:
     """Empirical hardening-bound terms at one instant, with standard errors."""
 
-    instant: int
     ds: np.ndarray
     ds_stderr: np.ndarray
     int_: np.ndarray
@@ -427,48 +445,19 @@ class UatFTerms:
     ds_common_stderr: np.ndarray
     int_common: np.ndarray
     int_common_stderr: np.ndarray
-    coherent: bool
-    count: int
-
-
-def estimate_uatf_terms(
-    batch: RealizationBatch,
-    plan: PrecodingPlan,
-    net: NetworkModel,
-    config: SystemConfig,
-    n: int,
-    stats: EstimationStatistics,
-) -> UatFTerms:
-    """Empirical DS/INT terms (and common-stream analogs) at instant n."""
-    sums = _accumulate(batch, plan, net, config, [n], stats)
-    ds, ds_se = _mean_and_stderr(sums.ds_p[:, 0], sums.counts)
-    int_, int_se = _mean_and_stderr(sums.int_p[:, 0], sums.counts)
-    ds_c, ds_c_se = _mean_and_stderr(sums.ds_c[:, 0], sums.counts)
-    int_c, int_c_se = _mean_and_stderr(sums.int_c[:, 0], sums.counts)
-    return UatFTerms(
-        instant=n,
-        ds=ds,
-        ds_stderr=ds_se,
-        int_=int_,
-        int_stderr=int_se,
-        ds_common=ds_c,
-        ds_common_stderr=ds_c_se,
-        int_common=int_c,
-        int_common_stderr=int_c_se,
-        coherent=sums.coherent,
-        count=batch.count,
-    )
 
 
 @dataclass(frozen=True)
 class MCSinr:
-    """Monte Carlo SINR estimates with jackknife standard errors and 95% CIs."""
+    """Monte Carlo SINR estimates with jackknife standard errors and 95% CIs,
+    and the term estimates they are assembled from."""
 
     instant: int
     private: np.ndarray
     private_stderr: np.ndarray
     common: np.ndarray
     common_stderr: np.ndarray
+    terms: UatFTerms
     count: int
 
     @property
@@ -498,7 +487,8 @@ def mc_sinr(
 
     Coherent plans use the joint-transmission assembly; non-coherent plans
     sum per-AP desired/interference contributions, matching successive
-    per-AP decoding in AP-index order (the rate is order-invariant).
+    per-AP decoding in AP-index order (the rate is order-invariant).  Each
+    result also carries the term means behind it in ``terms``.
     """
     instants = [int(x) for x in np.atleast_1d(n)]
     sums = _accumulate(batch, plan, net, config, instants, stats)

@@ -24,7 +24,7 @@ def desk_batch(desk):
     cfg, net, pilots, phases, stats, terms = desk
     lam = cfg.estimation_instant
     instants = [lam, lam + 5, cfg.tau_c]
-    batch = cfrs.sample_batch(net, pilots, phases, cfg, 100_000, seed=7, instants=instants)
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 100_000, seed=7, instants=instants)
     return batch, instants
 
 

@@ -35,7 +35,7 @@ def test_criterion_1_oracle_equivalence(desk):
     lam = cfg.estimation_instant
     instants = [lam, lam + 5, cfg.tau_c]
     start = time.time()
-    batch = cfrs.sample_batch(net, pilots, phases, cfg, 100_000, seed=7,
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 100_000, seed=7,
                               instants=instants)
     worst = 0.0
     worst_tag = ""

@@ -222,6 +222,20 @@ def test_malformed_config_file_exits_2_naming_the_field(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("overrides", [
+    {"repetitions": 0},
+    {"mc_realizations": 50},
+    {"schemes": []},
+    {"sweep": {"parameter": "rho", "values": []}},
+], ids=["repetitions", "mc_realizations", "schemes", "sweep-values"])
+def test_bad_spec_values_exit_2_naming_the_file(overrides, tmp_path, capsys):
+    path = write_spec(tmp_path, one_scheme_spec(**overrides))
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert err.count(str(path)) == 1
+
+
 def test_each_job_estimates_on_its_sweep_point(tmp_path, monkeypatch):
     calls = []
     original = cli.estimation_statistics
@@ -379,6 +393,23 @@ def test_replay_reproduces_csv_bytes(tmp_path):
     agg1 = (tmp_path / "one" / "aggregate.csv").read_bytes()
     agg2 = (tmp_path / "two" / "aggregate.csv").read_bytes()
     assert agg1 == agg2
+
+
+@pytest.mark.parametrize("content", [
+    None,  # no such file
+    '{"schema": ',
+    "[1, 2]",
+    json.dumps({"schema": cli.MANIFEST_SCHEMA}),
+], ids=["missing", "bad-json", "not-an-object", "no-spec"])
+def test_bad_replay_manifest_exits_2_naming_the_file(content, tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    if content is not None:
+        path.write_text(content)
+    assert cli.main(["sweep", "--replay", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_manifest_contents(tmp_path):

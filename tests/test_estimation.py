@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cfrs
+from cfrs import montecarlo as mc
 from cfrs.estimation import decay_factors, mmse_filter_matrices
 from cfrs.model import NetworkModel
 
@@ -213,13 +214,16 @@ def test_estimate_is_linear_and_zero_on_zero_input(desk):
 
 def test_batch_estimates_match_single_realization_path(desk, desk_batch):
     cfg, net, pilots, phases, stats, _ = desk
-    batch, _ = desk_batch
+    batch, instants = desk_batch
     group_of = {k: g for g, grp in enumerate(pilots.groups) for k in grp}
+    # the pilot signal of the batch's first two chunks, redrawn with its seed
+    chunks = mc._draw_chunks(net, pilots, stats, phases, cfg, batch.count, 7, instants)
+    z = np.concatenate([next(chunks)[4] for _ in range(2)])
     for r in (0, 123, 4567):
         for k in range(cfg.K):
             for l in range(cfg.L):
                 direct = cfrs.mmse_estimate_realization(
-                    batch.pilot_rx[r, group_of[k], l], k, l,
+                    z[r, group_of[k], l], k, l,
                     stats, net, pilots, phases, cfg,
                 )
                 assert np.allclose(direct, batch.hhat[r, k, l], rtol=1e-12)
@@ -258,7 +262,8 @@ def test_filter_matrices_reduce_to_classic_mmse_without_phase_noise():
     cfg = cfrs.SystemConfig(L=1, K=1, N=2, tau_p=1, tau_c=20, seed=0)
     pilots = cfrs.assign_pilots(1, 1)
     phases = cfrs.PhaseStatistics(0.0, 0.0)
-    filt = mmse_filter_matrices(net, pilots, phases, cfg)
+    stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
+    filt = mmse_filter_matrices(net, pilots, stats, phases, cfg)
     p = cfg.pilot_powers()[0]
     classic = np.sqrt(p) * net.R[0, 0] @ np.linalg.inv(
         p * net.R[0, 0] + cfg.sigma2_ul * np.eye(2)

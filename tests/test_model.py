@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import cfrs
+from cfrs import montecarlo as mc
 from cfrs.model import delay_phases, three_slope_gain_db
 
 
@@ -53,15 +54,16 @@ def test_expected_phase_decay_strictly_monotone():
 
 
 def _link_phases(var_ap, var_ue, count, instants, seed):
-    """Monte Carlo oscillator phases of one single-antenna link: the sampled
-    instants and the (count, M) UE and AP phases there, zero at instant 0."""
+    """Monte Carlo oscillator phases of one single-antenna link: every instant
+    the draw samples (the pilot instant included) and the (count, M) UE and AP
+    phase paths there, zero at instant 0."""
     cfg = cfrs.SystemConfig(L=1, K=1, N=1, tau_p=1, tau_c=20, seed=1)
-    batch = cfrs.sample_batch(
-        cfrs.build_network(cfg), cfrs.assign_pilots(1, 1),
-        cfrs.PhaseStatistics(var_ap=var_ap, var_ue=var_ue), cfg, count, seed=seed,
-        instants=instants,
-    )
-    return list(batch.instants), batch.ue_phase[:, 0], batch.ap_phase[:, 0]
+    net, pilots = cfrs.build_network(cfg), cfrs.assign_pilots(1, 1)
+    phases = cfrs.PhaseStatistics(var_ap=var_ap, var_ue=var_ue)
+    stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
+    chunks = list(mc._draw_chunks(net, pilots, stats, phases, cfg, count, seed, instants))
+    ue, ap = (np.concatenate([chunk[i][:, 0] for chunk in chunks]) for i in (2, 3))
+    return mc._phase_instants(pilots, cfg, instants), ue, ap
 
 
 def test_phase_trajectory_zero_variance():

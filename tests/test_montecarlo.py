@@ -31,13 +31,13 @@ def test_channel_sampler_covariance(desk, desk_batch):
 
 def test_batches_identical_for_same_seed(desk):
     cfg, net, pilots, phases, stats, _ = desk
-    a = cfrs.sample_batch(net, pilots, phases, cfg, 5000, seed=42, instants=[10])
-    b = cfrs.sample_batch(net, pilots, phases, cfg, 5000, seed=42, instants=[10])
+    a = cfrs.sample_batch(net, pilots, stats, phases, cfg, 5000, seed=42, instants=[10])
+    b = cfrs.sample_batch(net, pilots, stats, phases, cfg, 5000, seed=42, instants=[10])
     assert np.array_equal(a.h, b.h)
     assert np.array_equal(a.hhat, b.hhat)
     assert np.array_equal(a.ue_phase, b.ue_phase)
-    assert np.array_equal(a.pilot_rx, b.pilot_rx)
-    c = cfrs.sample_batch(net, pilots, phases, cfg, 5000, seed=43, instants=[10])
+    assert np.array_equal(a.ap_phase, b.ap_phase)
+    c = cfrs.sample_batch(net, pilots, stats, phases, cfg, 5000, seed=43, instants=[10])
     assert not np.array_equal(a.h, c.h)
 
 
@@ -47,7 +47,7 @@ def test_mc_sinr_outputs_bitwise_deterministic():
     n = cfg.estimation_instant + 3
     outs = []
     for _ in range(2):
-        batch = cfrs.sample_batch(net, pilots, phases, cfg, 3000, seed=8, instants=[n])
+        batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 3000, seed=8, instants=[n])
         outs.append(cfrs.mc_sinr(batch, plan, net, cfg, n, stats))
     assert np.array_equal(outs[0].private, outs[1].private)
     assert np.array_equal(outs[0].common, outs[1].common)
@@ -57,14 +57,51 @@ def test_mc_sinr_outputs_bitwise_deterministic():
 def test_instants_outside_data_segment_rejected(desk, desk_batch):
     cfg, net, pilots, phases, stats, terms = desk
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
-    batch = cfrs.sample_batch(net, pilots, phases, cfg, 500, seed=1, instants=[5])
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 500, seed=1, instants=[5])
     with pytest.raises(ValueError, match="instants"):
         cfrs.mc_sinr(batch, plan, net, cfg, cfg.tau_p, stats)  # pilot region
+    for bad in ([-1], [cfg.tau_c + 480]):  # before the first instant, past the block
+        with pytest.raises(ValueError, match="instants"):
+            cfrs.sample_batch(net, pilots, stats, phases, cfg, 500, seed=1, instants=bad)
+
+
+def test_batch_keeps_the_estimation_and_requested_instants(desk):
+    cfg, net, pilots, phases, stats, _ = desk
+    lam = cfg.estimation_instant
+    requested = [12, lam + 5, 12]
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 5000, seed=42,
+                              instants=requested)
+    assert list(batch.instants) == sorted({lam, *requested})
+    drawn = mc._phase_instants(pilots, cfg, requested)
+    assert drawn[0] < lam  # the pilot instants are drawn, not kept
+    columns = [drawn.index(n) for n in batch.instants]
+    chunks = list(mc._draw_chunks(net, pilots, stats, phases, cfg, 5000, 42, requested))
+    ue, ap = (np.concatenate([c[i] for c in chunks]) for i in (2, 3))
+    assert np.array_equal(batch.ue_phase, ue[:, :, columns])
+    assert np.array_equal(batch.ap_phase, ap[:, :, columns])
+    assert np.array_equal(batch.hhat, np.concatenate([c[1] for c in chunks]))
+
+
+def test_oracle_uses_the_callers_estimation_statistics(desk, monkeypatch):
+    cfg, net, pilots, phases, stats, _ = desk
+
+    def recomputed(*args):
+        raise AssertionError("the oracle must not recompute estimation statistics")
+
+    monkeypatch.setattr(cfrs.estimation, "estimation_statistics", recomputed)
+    n = cfg.estimation_instant + 2
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 500, seed=2, instants=[n])
+    v = cfrs.dummse_precoder(batch.hhat, net, stats, cfg, cfg.p_d)
+    mu, eta = mc.empirical_normalizations(v, np.ones((cfg.K, cfg.L)))
+    plan = cf.PrecodingPlan(private_scheme="du_mmse", transmission="coherent", rho=0.0,
+                            weights=np.ones((cfg.K, cfg.L)), mu=mu, eta=eta)
+    res = cfrs.mc_sinr(batch, plan, net, cfg, n, stats)
+    assert np.all(np.isfinite(res.private)) and np.all(res.private > 0)
 
 
 def test_zero_phase_variance_gives_classic_mmse_estimates():
     cfg, net, pilots, phases, stats, _ = small_setup(var=0.0)
-    batch = cfrs.sample_batch(net, pilots, phases, cfg, 500, seed=3)
+    (_, hhat, _, _, z), = mc._draw_chunks(net, pilots, stats, phases, cfg, 500, 3, ())
     p = cfg.pilot_powers()
     group_of = {k: g for g, grp in enumerate(pilots.groups) for k in grp}
     for k in range(cfg.K):
@@ -77,9 +114,8 @@ def test_zero_phase_variance_gives_classic_mmse_estimates():
                 np.sqrt(p[k]) * np.conj(net.theta[k, l])
                 * net.R[k, l] @ np.linalg.inv(cov)
             )
-            z = batch.pilot_rx[:, group_of[k], l]
-            expected = z @ classic.T
-            assert np.allclose(expected, batch.hhat[:, k, l], rtol=1e-10)
+            expected = z[:, group_of[k], l] @ classic.T
+            assert np.allclose(expected, hhat[:, k, l], rtol=1e-10)
 
 
 def test_ds_term_matches_statistical_value(desk, desk_batch):
@@ -87,7 +123,7 @@ def test_ds_term_matches_statistical_value(desk, desk_batch):
     batch, instants = desk_batch
     n = instants[1]
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
-    uatf = cfrs.estimate_uatf_terms(batch, plan, net, cfg, n, stats)
+    uatf = cfrs.mc_sinr(batch, plan, net, cfg, n, stats).terms
     lam = cfg.estimation_instant
     decay = np.exp(-(n - lam) * phases.var_sum / 2.0)
     expected = decay * np.sqrt(plan.mu) * terms.tr_Q
@@ -97,9 +133,9 @@ def test_ds_term_matches_statistical_value(desk, desk_batch):
 def test_interference_self_term_single_link():
     # one AP, one UE, no phases: E|h^H v|^2 = mu (tr(QR) + tr(Q)^2)
     cfg, net, pilots, phases, stats, terms = small_setup(L=1, K=1, tau_p=1, var=0.0)
-    batch = cfrs.sample_batch(net, pilots, phases, cfg, 200_000, seed=9)
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 200_000, seed=9)
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
-    uatf = cfrs.estimate_uatf_terms(batch, plan, net, cfg, cfg.estimation_instant, stats)
+    uatf = cfrs.mc_sinr(batch, plan, net, cfg, cfg.estimation_instant, stats).terms
     expected = plan.mu[0, 0] * (terms.tr_QR[0, 0, 0] + terms.tr_Q[0, 0] ** 2)
     assert abs(uatf.int_[0, 0] - expected) <= 3 * uatf.int_stderr[0, 0]
 
@@ -108,7 +144,7 @@ def test_uatf_variance_nonnegativity(desk, desk_batch):
     cfg, net, pilots, phases, stats, terms = desk
     batch, instants = desk_batch
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.5)
-    uatf = cfrs.estimate_uatf_terms(batch, plan, net, cfg, instants[0], stats)
+    uatf = cfrs.mc_sinr(batch, plan, net, cfg, instants[0], stats).terms
     for k in range(cfg.K):
         ds_power = np.abs(uatf.ds[k].sum()) ** 2
         tol = 6 * uatf.int_stderr[k, k] + 6 * np.sum(uatf.ds_stderr[k])
@@ -117,12 +153,10 @@ def test_uatf_variance_nonnegativity(desk, desk_batch):
 
 def test_small_batches_rejected(desk):
     cfg, net, pilots, phases, stats, terms = desk
-    batch = cfrs.sample_batch(net, pilots, phases, cfg, 50, seed=1)
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 50, seed=1)
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
     with pytest.raises(ValueError):
         cfrs.mc_sinr(batch, plan, net, cfg, cfg.estimation_instant, stats)
-    with pytest.raises(ValueError):
-        cfrs.estimate_uatf_terms(batch, plan, net, cfg, cfg.estimation_instant, stats)
     with pytest.raises(ValueError):
         cfrs.transmit_power_stats(batch, plan, net, cfg, stats)
 
@@ -145,13 +179,13 @@ def test_confidence_intervals_cover_reference():
     cfg, net, pilots, phases, stats, terms = small_setup(seed=4, L=4, K=2)
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.5)
     n = cfg.estimation_instant + 5
-    ref_batch = cfrs.sample_batch(net, pilots, phases, cfg, 2_000_000, seed=999,
+    ref_batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 2_000_000, seed=999,
                                   instants=[n])
     ref = cfrs.mc_sinr(ref_batch, plan, net, cfg, n, stats)
     covered = 0
     trials = 0
     for seed in range(30):
-        batch = cfrs.sample_batch(net, pilots, phases, cfg, 20_000, seed=seed,
+        batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 20_000, seed=seed,
                                   instants=[n])
         res = cfrs.mc_sinr(batch, plan, net, cfg, n, stats)
         for k in range(cfg.K):
@@ -170,7 +204,7 @@ def test_confidence_interval_clt_scaling(desk):
     for count in (1000, 10_000, 100_000):
         per_seed = []
         for seed in (11, 12, 13, 14):
-            batch = cfrs.sample_batch(net, pilots, phases, cfg, count, seed, instants=[n])
+            batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, count, seed, instants=[n])
             res = cfrs.mc_sinr(batch, plan, net, cfg, n, stats)
             per_seed.append(np.mean(res.private_ci[:, 1] - res.private_ci[:, 0]))
         widths.append(np.mean(per_seed))
@@ -185,7 +219,7 @@ def test_mc_matches_closed_form_under_pilot_contamination():
     )
     assert any(len(g) > 1 for g in pilots.groups)
     n = cfg.estimation_instant + 4
-    batch = cfrs.sample_batch(net, pilots, phases, cfg, 60_000, seed=17, instants=[n])
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 60_000, seed=17, instants=[n])
     for transmission in cf.TRANSMISSIONS:
         for scheme in cf.PRIVATE_SCHEMES:
             plan = cf.make_plan(terms, scheme, transmission, 0.5)
@@ -214,7 +248,7 @@ def test_mc_matches_closed_form_with_power_control(desk, desk_batch):
 
 def test_dummse_scalar_reduction():
     cfg, net, pilots, phases, stats, terms = small_setup(L=1, K=1, N=1, tau_p=1)
-    batch = cfrs.sample_batch(net, pilots, phases, cfg, 200, seed=5)
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 200, seed=5)
     v = cfrs.dummse_precoder(batch.hhat, net, stats, cfg, p_dp=cfg.p_d)
     hh = batch.hhat[:, 0, 0, 0]
     c_err = (net.R[0, 0, 0, 0] - stats.Q[0, 0, 0, 0]).real
@@ -228,7 +262,7 @@ def test_dummse_scalar_reduction():
 def test_dummse_approaches_mr_direction_at_high_noise():
     cfg, net, pilots, phases, stats, terms = small_setup(L=2, K=2, N=2)
     noisy = dataclasses.replace(cfg, sigma2_ul=1e6)
-    batch = cfrs.sample_batch(net, pilots, phases, cfg, 64, seed=8)
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 64, seed=8)
     v = cfrs.dummse_precoder(batch.hhat, net, stats, noisy, p_dp=cfg.p_d)
     mr = net.theta[None, :, :, None] * batch.hhat
     dots = np.abs(np.einsum("rkln,rkln->rkl", np.conj(v), mr))
@@ -245,7 +279,7 @@ def test_dummse_beats_mr_sum_se():
             seed=100 + seed, L=4, K=2, N=2
         )
         ns = list(cfg.data_instants())
-        batch = cfrs.sample_batch(net, pilots, phases, cfg, 4000, seed=seed, instants=ns)
+        batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 4000, seed=seed, instants=ns)
         se = {}
         for scheme in ("du_mr", "du_mmse"):
             if scheme == "du_mr":
@@ -331,7 +365,7 @@ def test_factored_accumulation_matches_direct_formula():
     stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
     terms = cf.TraceTerms.compute(net, stats, pilots)
     instants = [cfg.estimation_instant, cfg.estimation_instant + 6, cfg.tau_c]
-    batch = cfrs.sample_batch(net, pilots, phases, cfg, 1000, seed=4, instants=instants)
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 1000, seed=4, instants=instants)
     slices = mc._batch_blocks(batch, net)
     counts = np.array([s.stop - s.start for s in slices])
     assert len(slices) > 2
@@ -343,20 +377,19 @@ def test_factored_accumulation_matches_direct_formula():
                 # (B, M, ...) block sums of each term, as the jackknife reads them
                 blocks = [np.stack([np.stack([t[i][sl].sum(axis=0) for sl in slices])
                                     for t in per_instant], axis=1) for i in range(4)]
-                for m, n in enumerate(instants):
-                    uatf = cfrs.estimate_uatf_terms(batch, plan, net, cfg, n, stats)
-                    for i, (mean, se) in enumerate([
-                            (uatf.ds, uatf.ds_stderr), (uatf.int_, uatf.int_stderr),
-                            (uatf.ds_common, uatf.ds_common_stderr),
-                            (uatf.int_common, uatf.int_common_stderr)]):
-                        assert_close(mean, per_instant[m][i].mean(axis=0))
-                        assert_close(se, mc._mean_and_stderr(blocks[i][:, m], counts)[1])
                 sums = mc._BlockSums(counts, *blocks, coherent=transmission == "coherent")
                 for m, res in enumerate(cfrs.mc_sinr(batch, plan, net, cfg, instants, stats)):
                     expected = mc._jackknife(sums, plan, cfg, m)
                     for actual, ref in zip((res.private, res.private_stderr,
                                             res.common, res.common_stderr), expected):
                         assert_close(actual, ref)
+                    uatf = res.terms
+                    for i, (mean, se) in enumerate([
+                            (uatf.ds, uatf.ds_stderr), (uatf.int_, uatf.int_stderr),
+                            (uatf.ds_common, uatf.ds_common_stderr),
+                            (uatf.int_common, uatf.int_common_stderr)]):
+                        assert_close(mean, per_instant[m][i].mean(axis=0))
+                        assert_close(se, mc._mean_and_stderr(blocks[i][:, m], counts)[1])
 
 
 def test_noncoherent_interference_does_not_depend_on_the_instant(desk, desk_batch):
@@ -366,13 +399,12 @@ def test_noncoherent_interference_does_not_depend_on_the_instant(desk, desk_batc
     lam, end = cfg.estimation_instant, cfg.tau_c
     assert phases.var_ap > 0 and phases.var_ue > 0
     plan = cf.make_plan(terms, "du_mr", "noncoherent", 0.5)
-    first, last = (cfrs.estimate_uatf_terms(batch, plan, net, cfg, n, stats) for n in (lam, end))
+    first, last = (cfrs.mc_sinr(batch, plan, net, cfg, n, stats).terms for n in (lam, end))
     assert np.array_equal(first.int_, last.int_)
     assert np.array_equal(first.int_common, last.int_common)
     assert not np.array_equal(first.ds, last.ds)
     coherent = cf.make_plan(terms, "du_mr", "coherent", 0.5)
-    first, last = (cfrs.estimate_uatf_terms(batch, coherent, net, cfg, n, stats)
-                   for n in (lam, end))
+    first, last = (cfrs.mc_sinr(batch, coherent, net, cfg, n, stats).terms for n in (lam, end))
     assert not np.array_equal(first.int_, last.int_)
 
 
