@@ -448,7 +448,7 @@ def run_scheme(
         batch = montecarlo.sample_batch(
             net, pilots, stats, phases, cfg, mc_realizations, cfg.seed, instants=[mid]
         )
-        mc = montecarlo.mc_sinr(batch, plan, net, cfg, mid, stats)
+        mc = montecarlo.mc_sinr(batch, plan, mid)
         closed_p, closed_c = closed_form.assemble(
             closed_form.plan_parts(terms, plan, phases, cfg, mid), plan.rho)
         extras["mc_rel_err_private"] = float(
@@ -724,7 +724,7 @@ def validate_families(
     term_rows = []
     for stream, transmission, scheme in FAMILIES:
         plan = make_plan(terms, scheme, transmission, rho)
-        mc_list = montecarlo.mc_sinr(batch, plan, net, cfg, instants, stats)
+        mc_list = montecarlo.mc_sinr(batch, plan, instants)
         closed_p, closed_c = closed_form.assemble(
             closed_form.plan_parts(terms, plan, phases, cfg, instants), plan.rho)
         closed_all = closed_p if stream == "private" else closed_c  # (K, M)

@@ -24,6 +24,12 @@ form share one rational SINR form.  Data symbols are never sampled: with
 unit-power, independent symbols the bound's expectations are over
 channels, phases, and noise only, which removes a variance source.
 
+Layout: a batch stores every array with its realizations on the last axis,
+the layout the accumulation contracts, so slicing a block copies nothing,
+and it carries the network, estimation statistics and config it was drawn
+from, so ``mc_sinr(batch, plan, n)`` and ``transmit_power_stats(batch,
+plan)`` need nothing else.
+
 Reproducibility: realizations are generated in fixed-size chunks, chunk i
 seeded by SeedSequence(seed, spawn_key=(i,)) feeding a counter-based
 Philox generator, so a batch is bitwise reproducible and independent of
@@ -55,11 +61,15 @@ MIN_REALIZATIONS = 100  # fewest realizations for meaningful standard errors
 
 @dataclass(frozen=True)
 class RealizationBatch:
-    """One reproducible batch of channel and oscillator-phase realizations.
+    """One reproducible batch of channel and oscillator-phase realizations,
+    with the network, estimation statistics and config it was drawn from.
 
-    h (count, K, L, N): base channels at the estimation instant.
-    hhat (count, K, L, N): MMSE estimates from the simulated pilots.
-    ue_phase (count, K, M) / ap_phase (count, L, M): oscillator phases at
+    Every array keeps its realizations on the last axis, the layout the
+    accumulation contracts:
+
+    h (K, L, N, count): base channels at the estimation instant.
+    hhat (K, L, N, count): MMSE estimates from the simulated pilots.
+    ue_phase (K, M, count) / ap_phase (L, M, count): oscillator phases at
         the instants listed in ``instants``: the estimation instant and every
         requested evaluation instant.  The pilot signal and the phases at the
         pilot instants are drawn (see ``_draw_chunks``) but not kept.
@@ -71,6 +81,9 @@ class RealizationBatch:
     hhat: np.ndarray
     ue_phase: np.ndarray
     ap_phase: np.ndarray
+    net: NetworkModel
+    stats: EstimationStatistics
+    config: SystemConfig
 
     def __post_init__(self):
         for arr in (self.h, self.hhat, self.ue_phase, self.ap_phase):
@@ -80,7 +93,8 @@ class RealizationBatch:
         try:
             return self.instants.index(n)
         except ValueError:
-            raise ValueError(f"instant {n} was not sampled in this batch") from None
+            raise ValueError(
+                f"instant {n} is not among the batch's instants {self.instants}") from None
 
 
 def _chol_factors(net: NetworkModel) -> np.ndarray:
@@ -185,19 +199,22 @@ def sample_batch(
     kept = sorted({config.estimation_instant} | {int(n) for n in instants})
     columns = [_phase_instants(pilots, config, instants).index(n) for n in kept]
 
-    h = np.empty((count, net.K, net.L, net.N), dtype=complex)
+    h = np.empty((net.K, net.L, net.N, count), dtype=complex)
     hhat = np.empty_like(h)
-    ue_phase = np.empty((count, net.K, len(kept)))
-    ap_phase = np.empty((count, net.L, len(kept)))
+    ue_phase = np.empty((net.K, len(kept), count))
+    ap_phase = np.empty((net.L, len(kept), count))
     chunks = _draw_chunks(net, pilots, stats, phases, config, count, seed, instants)
     for start, (h_c, hhat_c, ue_c, ap_c, _) in zip(range(0, count, RNG_CHUNK), chunks):
+        # each chunk is drawn realizations-first and stored realizations-last
         sl = slice(start, start + len(h_c))
-        h[sl], hhat[sl] = h_c, hhat_c
-        ue_phase[sl] = ue_c[:, :, columns]
-        ap_phase[sl] = ap_c[:, :, columns]
+        h[..., sl] = np.moveaxis(h_c, 0, -1)
+        hhat[..., sl] = np.moveaxis(hhat_c, 0, -1)
+        ue_phase[..., sl] = np.moveaxis(ue_c[:, :, columns], 0, -1)
+        ap_phase[..., sl] = np.moveaxis(ap_c[:, :, columns], 0, -1)
 
     return RealizationBatch(count=count, instants=tuple(kept), h=h, hhat=hhat,
-                            ue_phase=ue_phase, ap_phase=ap_phase)
+                            ue_phase=ue_phase, ap_phase=ap_phase,
+                            net=net, stats=stats, config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -211,21 +228,21 @@ def dummse_precoder(
     config: SystemConfig,
     p_dp: float,
 ) -> np.ndarray:
-    """(count, K, L, N) MMSE-style private precoders for estimates ``hhat``.
+    """(K, L, N, count) MMSE-style private precoders for estimates ``hhat``.
 
     v[k,l] = theta[k,l] * p * (sum_i p (hhat_i hhat_i^H + C_i) + sigma2 I)^-1 hhat_k
     with C_i the estimation-error covariance; regularized by the noise
-    power, so the inverse always exists.
+    power, so the inverse always exists.  The realization axis goes first
+    only for the batched solve.
     """
     N = net.N
     err_cov = (net.R - stats.Q).sum(axis=0)  # (L, N, N)
     base = p_dp * err_cov + config.sigma2_ul * np.eye(N)[None]
-    outer = np.einsum("rkln,rklm->rlnm", hhat, np.conj(hhat))
+    outer = np.einsum("klnr,klmr->rlnm", hhat, np.conj(hhat))
     A = p_dp * outer + base[None]
-    rhs = np.swapaxes(hhat, 1, 2).transpose(0, 1, 3, 2)  # (count, L, N, K)
-    sol = np.linalg.solve(A, rhs)  # (count, L, N, K)
-    v = sol.transpose(0, 3, 1, 2) * p_dp
-    return v * net.theta[None, :, :, None]
+    sol = np.linalg.solve(A, hhat.transpose(3, 1, 2, 0))  # (count, L, N, K)
+    v = sol.transpose(3, 1, 2, 0) * p_dp
+    return v * net.theta[:, :, None, None]
 
 
 def private_precoders(
@@ -236,9 +253,9 @@ def private_precoders(
     config: SystemConfig,
     p_dp: float,
 ) -> np.ndarray:
-    """Private precoders of one scheme tag for the estimates ``hhat``."""
+    """(K, L, N, count) private precoders of one scheme tag for the estimates ``hhat``."""
     if scheme == "du_mr":
-        return hhat * net.theta[None, :, :, None]
+        return hhat * net.theta[:, :, None, None]
     if scheme == "df_mr":
         return hhat
     if scheme == "du_mmse":
@@ -249,15 +266,16 @@ def private_precoders(
 def empirical_normalizations(
     v: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch estimates of (mu (K,L) uniform, eta (L,)) for arbitrary precoders.
+    """Batch estimates of (mu (K,L) uniform, eta (L,)) for arbitrary
+    (K, L, N, count) precoders.
 
     Matches the statistical normalizations exactly in expectation; used for
     precoders without closed-form second-order statistics.
     """
-    norms = np.mean(np.sum(np.abs(v) ** 2, axis=3), axis=0)  # (K, L)
+    norms = np.mean(np.sum(np.abs(v) ** 2, axis=2), axis=-1)  # (K, L)
     mu_l = 1.0 / norms.sum(axis=0)
-    v_c = np.einsum("il,riln->rln", weights, v)
-    eta = 1.0 / np.mean(np.sum(np.abs(v_c) ** 2, axis=2), axis=0)
+    v_c = np.einsum("il,ilnr->lnr", weights, v)
+    eta = 1.0 / np.mean(np.sum(np.abs(v_c) ** 2, axis=1), axis=-1)
     return np.broadcast_to(mu_l, norms.shape).copy(), eta
 
 
@@ -281,30 +299,17 @@ def _block_slices(count: int, inner: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
-def _batch_blocks(batch: RealizationBatch, net: NetworkModel) -> list[slice]:
+def _batch_blocks(batch: RealizationBatch) -> list[slice]:
     """The batch's jackknife blocks, after the realization floor."""
     if batch.count < MIN_REALIZATIONS:
         raise ValueError(
             f"need at least {MIN_REALIZATIONS} realizations for meaningful errors")
-    K, L = net.K, net.L
+    K, L = batch.net.K, batch.net.L
     inner = max(64, min(2**22 // max(K * K * L, 1), math.ceil(batch.count / 10)))
     return _block_slices(batch.count, inner)
 
 
-def _realizations_last(a: np.ndarray) -> np.ndarray:
-    """Contiguous copy of ``a`` with its leading realization axis moved last,
-    so elementwise steps run along that long axis, not the short K, L or N."""
-    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
-
-
-def _accumulate(
-    batch: RealizationBatch,
-    plan: PrecodingPlan,
-    net: NetworkModel,
-    config: SystemConfig,
-    eval_instants,
-    stats: EstimationStatistics,
-) -> _BlockSums:
+def _accumulate(batch: RealizationBatch, plan: PrecodingPlan, eval_instants) -> _BlockSums:
     """Per-block sums of every term at the instants; the estimators' entry.
 
     The effective channel is g[k,l] = theta[k,l] exp(i(ue[k] + ap[l])) h[k,l],
@@ -318,11 +323,13 @@ def _accumulate(
     the plan's private precoders, and each instant only brings its own x and
     y.  |x| = 1 drops the per-UE factor from every interference term, and the
     non-coherent interference (|P|^2 summed over APs) has no phase at all, so
-    it is the same at every instant and is summed once per block.
+    it is the same at every instant and is summed once per block.  The
+    batch's realization-last arrays are sliced, never copied.
     """
-    slices = _batch_blocks(batch, net)
+    net, config = batch.net, batch.config
+    slices = _batch_blocks(batch)
     K, L = net.K, net.L
-    columns = [batch.instant_index(int(n)) for n in check_instants(config, eval_instants)]
+    columns = [batch.instant_index(int(n)) for n in eval_instants]
     M = len(columns)
     coherent = plan.transmission == "coherent"
     sq_mu = np.sqrt(plan.mu)
@@ -341,9 +348,9 @@ def _accumulate(
 
     conj_theta = np.conj(net.theta)[:, :, None, None]
     for b, sl in enumerate(slices):
-        v = _realizations_last(private_precoders(
-            batch.hhat[sl], net, plan.private_scheme, stats, config, p_dp))
-        gh = conj_theta * np.conj(_realizations_last(batch.h[sl]))
+        v = private_precoders(batch.hhat[..., sl], net, plan.private_scheme, batch.stats,
+                              config, p_dp)
+        gh = conj_theta * np.conj(batch.h[..., sl])
         # explicit sum over antennas: a batched matmul of the tiny per-realization
         # matrices is several times slower
         P = sum(gh[:, None, :, n] * v[None, :, :, n] for n in range(net.N))  # (K, K, L, r)
@@ -355,8 +362,8 @@ def _accumulate(
             if not coherent:
                 sums.int_c[b] = np.einsum("l,klr->k", plan.eta, np.abs(E) ** 2)
         for m, col in enumerate(columns):
-            y = np.exp(-1j * _realizations_last(batch.ap_phase[sl, :, col]))  # (L, r)
-            xy = np.exp(-1j * _realizations_last(batch.ue_phase[sl, :, col]))[:, None] * y
+            y = np.exp(-1j * batch.ap_phase[:, col, sl])  # (L, r)
+            xy = np.exp(-1j * batch.ue_phase[:, col, sl])[:, None] * y
             sums.ds_p[b, m] = sq_mu * np.einsum("klr,klr->kl", xy, diag)
             if coherent:
                 c = np.einsum("kilr,ilr->kir", P, sq_mu[:, :, None] * y)
@@ -475,14 +482,7 @@ class MCSinr:
         )
 
 
-def mc_sinr(
-    batch: RealizationBatch,
-    plan: PrecodingPlan,
-    net: NetworkModel,
-    config: SystemConfig,
-    n,
-    stats: EstimationStatistics,
-) -> MCSinr | list[MCSinr]:
+def mc_sinr(batch: RealizationBatch, plan: PrecodingPlan, n) -> MCSinr | list[MCSinr]:
     """Use-and-then-forget SINRs at instant(s) n from one batch.
 
     Coherent plans use the joint-transmission assembly; non-coherent plans
@@ -491,30 +491,28 @@ def mc_sinr(
     result also carries the term means behind it in ``terms``.
     """
     instants = [int(x) for x in np.atleast_1d(n)]
-    sums = _accumulate(batch, plan, net, config, instants, stats)
-    out = [MCSinr(inst, *_jackknife(sums, plan, config, m), count=batch.count)
+    sums = _accumulate(batch, plan, instants)
+    out = [MCSinr(inst, *_jackknife(sums, plan, batch.config, m), count=batch.count)
            for m, inst in enumerate(instants)]
     return out[0] if np.isscalar(n) else out
 
 
 def transmit_power_stats(
-    batch: RealizationBatch,
-    plan: PrecodingPlan,
-    net: NetworkModel,
-    config: SystemConfig,
-    stats: EstimationStatistics,
+    batch: RealizationBatch, plan: PrecodingPlan
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-AP mean transmit power and its standard error over the batch."""
-    slices = _batch_blocks(batch, net)
+    net, config = batch.net, batch.config
+    slices = _batch_blocks(batch)
     p_dc = plan.rho * config.p_d
     p_dp = (1.0 - plan.rho) * config.p_d
     power = np.zeros((len(slices), net.L))
     for b, sl in enumerate(slices):
-        vb = private_precoders(batch.hhat[sl], net, plan.private_scheme, stats, config, p_dp)
-        pw = p_dp * np.einsum("il,ril->rl", plan.mu, np.sum(np.abs(vb) ** 2, axis=3))
+        vb = private_precoders(batch.hhat[..., sl], net, plan.private_scheme, batch.stats,
+                               config, p_dp)
+        pw = p_dp * np.einsum("il,ilr->lr", plan.mu, np.sum(np.abs(vb) ** 2, axis=2))
         if plan.rho > 0:
-            v_c = np.einsum("il,riln->rln", plan.weights, vb)
-            pw = pw + p_dc * plan.eta[None, :] * np.sum(np.abs(v_c) ** 2, axis=2)
-        power[b] = pw.sum(axis=0)
+            v_c = np.einsum("il,ilnr->lnr", plan.weights, vb)
+            pw = pw + p_dc * plan.eta[:, None] * np.sum(np.abs(v_c) ** 2, axis=1)
+        power[b] = pw.sum(axis=-1)
     counts = np.array([s.stop - s.start for s in slices])
     return _mean_and_stderr(power, counts)

@@ -44,7 +44,7 @@ def test_criterion_1_oracle_equivalence(desk):
             for scheme in cf.PRIVATE_SCHEMES:
                 rho = 0.0 if stream == "private" else 0.5
                 plan = cf.make_plan(terms, scheme, transmission, rho)
-                results = cfrs.mc_sinr(batch, plan, net, cfg, instants, stats)
+                results = cfrs.mc_sinr(batch, plan, instants)
                 for n, res in zip(instants, results):
                     closed = (
                         cf.private_sinr(terms, plan, phases, cfg, int(n))
@@ -128,8 +128,8 @@ def test_criterion_3_estimation_statistics(desk, desk_batch):
     worst_frob = 0.0
     for k in range(cfg.K):
         for l in range(cfg.L):
-            emp = np.einsum("rn,rm->nm", batch.hhat[:, k, l],
-                            np.conj(batch.hhat[:, k, l])) / batch.count
+            emp = np.einsum("nr,mr->nm", batch.hhat[k, l],
+                            np.conj(batch.hhat[k, l])) / batch.count
             rel = np.linalg.norm(emp - stats.Q[k, l]) / np.linalg.norm(stats.Q[k, l])
             worst_frob = max(worst_frob, float(rel))
 
@@ -346,7 +346,7 @@ def test_criterion_7_power_constraint(desk, desk_batch):
     worst = -np.inf
     ok = True
     for tag, plan in plans.items():
-        mean, se = cfrs.transmit_power_stats(batch, plan, net, cfg, stats)
+        mean, se = cfrs.transmit_power_stats(batch, plan)
         slack = np.max((mean - 3 * se) / cfg.p_d - 1.0)
         worst = max(worst, float(slack))
         ok &= bool(np.all(mean - 3 * se <= cfg.p_d))

@@ -42,8 +42,8 @@ def test_private_normalization_monte_carlo(desk, desk_batch):
     cfg, net, _, _, _, terms = desk
     batch, _ = desk_batch
     mu = cf.private_normalization(terms)
-    v = net.theta[None, :, :, None] * batch.hhat
-    total = np.mean(np.sum(np.abs(v) ** 2, axis=(1, 3)), axis=0)  # (L,)
+    v = net.theta[:, :, None, None] * batch.hhat
+    total = np.mean(np.sum(np.abs(v) ** 2, axis=(0, 2)), axis=-1)  # (L,)
     assert np.allclose(mu * total, 1.0, rtol=0.01)
 
 
@@ -71,9 +71,9 @@ def test_common_normalization_monte_carlo(desk, desk_batch):
     batch, _ = desk_batch
     a = np.full((cfg.K, cfg.L), 1.0)
     eta = cf.common_normalization(terms, a)
-    v = net.theta[None, :, :, None] * batch.hhat
-    v_c = np.einsum("il,riln->rln", a, v)
-    total = np.mean(np.sum(np.abs(v_c) ** 2, axis=2), axis=0)
+    v = net.theta[:, :, None, None] * batch.hhat
+    v_c = np.einsum("il,ilnr->lnr", a, v)
+    total = np.mean(np.sum(np.abs(v_c) ** 2, axis=1), axis=-1)
     assert np.allclose(eta * total, 1.0, rtol=0.01)
 
 

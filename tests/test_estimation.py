@@ -226,7 +226,7 @@ def test_batch_estimates_match_single_realization_path(desk, desk_batch):
                     z[r, group_of[k], l], k, l,
                     stats, net, pilots, phases, cfg,
                 )
-                assert np.allclose(direct, batch.hhat[r, k, l], rtol=1e-12)
+                assert np.allclose(direct, batch.hhat[k, l, :, r], rtol=1e-12)
 
 
 def test_estimate_covariance_matches_q(desk, desk_batch):
@@ -234,8 +234,8 @@ def test_estimate_covariance_matches_q(desk, desk_batch):
     batch, _ = desk_batch
     for k in range(cfg.K):
         for l in range(cfg.L):
-            emp = np.einsum("rn,rm->nm", batch.hhat[:, k, l],
-                            np.conj(batch.hhat[:, k, l])) / batch.count
+            emp = np.einsum("nr,mr->nm", batch.hhat[k, l],
+                            np.conj(batch.hhat[k, l])) / batch.count
             rel = np.linalg.norm(emp - stats.Q[k, l]) / np.linalg.norm(stats.Q[k, l])
             assert rel < 0.02
 
@@ -246,13 +246,13 @@ def test_estimate_error_orthogonality(desk, desk_batch):
     lam_idx = batch.instant_index(cfg.estimation_instant)
     for k in range(cfg.K):
         for l in range(cfg.L):
-            rot = np.exp(1j * (batch.ue_phase[:, k, lam_idx] + batch.ap_phase[:, l, lam_idx]))
-            h_lam = rot[:, None] * batch.h[:, k, l]  # oscillator-rotated channel at lam
-            err = h_lam - batch.hhat[:, k, l]
-            prods = np.einsum("rn,rm->rnm", batch.hhat[:, k, l], np.conj(err))
-            mean = prods.mean(axis=0)
+            rot = np.exp(1j * (batch.ue_phase[k, lam_idx] + batch.ap_phase[l, lam_idx]))
+            h_lam = rot * batch.h[k, l]  # oscillator-rotated channel at lam
+            err = h_lam - batch.hhat[k, l]
+            prods = np.einsum("nr,mr->nmr", batch.hhat[k, l], np.conj(err))
+            mean = prods.mean(axis=-1)
             stderr = np.sqrt(
-                (np.var(prods.real, axis=0) + np.var(prods.imag, axis=0)) / batch.count
+                (np.var(prods.real, axis=-1) + np.var(prods.imag, axis=-1)) / batch.count
             )
             assert np.all(np.abs(mean) <= 3 * stderr + 1e-15)
 

@@ -23,8 +23,8 @@ def test_channel_sampler_covariance(desk, desk_batch):
     batch, _ = desk_batch
     for k in range(cfg.K):
         for l in range(cfg.L):
-            emp = np.einsum("rn,rm->nm", batch.h[:, k, l],
-                            np.conj(batch.h[:, k, l])) / batch.count
+            emp = np.einsum("nr,mr->nm", batch.h[k, l],
+                            np.conj(batch.h[k, l])) / batch.count
             rel = np.linalg.norm(emp - net.R[k, l]) / np.linalg.norm(net.R[k, l])
             assert rel < 0.02
 
@@ -48,7 +48,7 @@ def test_mc_sinr_outputs_bitwise_deterministic():
     outs = []
     for _ in range(2):
         batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 3000, seed=8, instants=[n])
-        outs.append(cfrs.mc_sinr(batch, plan, net, cfg, n, stats))
+        outs.append(cfrs.mc_sinr(batch, plan, n))
     assert np.array_equal(outs[0].private, outs[1].private)
     assert np.array_equal(outs[0].common, outs[1].common)
     assert np.array_equal(outs[0].private_stderr, outs[1].private_stderr)
@@ -59,7 +59,7 @@ def test_instants_outside_data_segment_rejected(desk, desk_batch):
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
     batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 500, seed=1, instants=[5])
     with pytest.raises(ValueError, match="instants"):
-        cfrs.mc_sinr(batch, plan, net, cfg, cfg.tau_p, stats)  # pilot region
+        cfrs.mc_sinr(batch, plan, cfg.tau_p)  # pilot region
     for bad in ([-1], [cfg.tau_c + 480]):  # before the first instant, past the block
         with pytest.raises(ValueError, match="instants"):
             cfrs.sample_batch(net, pilots, stats, phases, cfg, 500, seed=1, instants=bad)
@@ -75,11 +75,19 @@ def test_batch_keeps_the_estimation_and_requested_instants(desk):
     drawn = mc._phase_instants(pilots, cfg, requested)
     assert drawn[0] < lam  # the pilot instants are drawn, not kept
     columns = [drawn.index(n) for n in batch.instants]
+    # realizations last, and bitwise the drawn chunks with that axis moved
+    M = len(batch.instants)
+    assert batch.h.shape == batch.hhat.shape == (cfg.K, cfg.L, cfg.N, 5000)
+    assert batch.ue_phase.shape == (cfg.K, M, 5000)
+    assert batch.ap_phase.shape == (cfg.L, M, 5000)
     chunks = list(mc._draw_chunks(net, pilots, stats, phases, cfg, 5000, 42, requested))
-    ue, ap = (np.concatenate([c[i] for c in chunks]) for i in (2, 3))
-    assert np.array_equal(batch.ue_phase, ue[:, :, columns])
-    assert np.array_equal(batch.ap_phase, ap[:, :, columns])
-    assert np.array_equal(batch.hhat, np.concatenate([c[1] for c in chunks]))
+    assert len(chunks) > 1
+    h, hhat, ue, ap = (np.moveaxis(np.concatenate([c[i] for c in chunks]), 0, -1)
+                       for i in range(4))
+    assert np.array_equal(batch.h, h)
+    assert np.array_equal(batch.hhat, hhat)
+    assert np.array_equal(batch.ue_phase, ue[:, columns])
+    assert np.array_equal(batch.ap_phase, ap[:, columns])
 
 
 def test_oracle_uses_the_callers_estimation_statistics(desk, monkeypatch):
@@ -95,7 +103,7 @@ def test_oracle_uses_the_callers_estimation_statistics(desk, monkeypatch):
     mu, eta = mc.empirical_normalizations(v, np.ones((cfg.K, cfg.L)))
     plan = cf.PrecodingPlan(private_scheme="du_mmse", transmission="coherent", rho=0.0,
                             weights=np.ones((cfg.K, cfg.L)), mu=mu, eta=eta)
-    res = cfrs.mc_sinr(batch, plan, net, cfg, n, stats)
+    res = cfrs.mc_sinr(batch, plan, n)
     assert np.all(np.isfinite(res.private)) and np.all(res.private > 0)
 
 
@@ -123,7 +131,7 @@ def test_ds_term_matches_statistical_value(desk, desk_batch):
     batch, instants = desk_batch
     n = instants[1]
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
-    uatf = cfrs.mc_sinr(batch, plan, net, cfg, n, stats).terms
+    uatf = cfrs.mc_sinr(batch, plan, n).terms
     lam = cfg.estimation_instant
     decay = np.exp(-(n - lam) * phases.var_sum / 2.0)
     expected = decay * np.sqrt(plan.mu) * terms.tr_Q
@@ -135,7 +143,7 @@ def test_interference_self_term_single_link():
     cfg, net, pilots, phases, stats, terms = small_setup(L=1, K=1, tau_p=1, var=0.0)
     batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 200_000, seed=9)
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
-    uatf = cfrs.mc_sinr(batch, plan, net, cfg, cfg.estimation_instant, stats).terms
+    uatf = cfrs.mc_sinr(batch, plan, cfg.estimation_instant).terms
     expected = plan.mu[0, 0] * (terms.tr_QR[0, 0, 0] + terms.tr_Q[0, 0] ** 2)
     assert abs(uatf.int_[0, 0] - expected) <= 3 * uatf.int_stderr[0, 0]
 
@@ -144,7 +152,7 @@ def test_uatf_variance_nonnegativity(desk, desk_batch):
     cfg, net, pilots, phases, stats, terms = desk
     batch, instants = desk_batch
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.5)
-    uatf = cfrs.mc_sinr(batch, plan, net, cfg, instants[0], stats).terms
+    uatf = cfrs.mc_sinr(batch, plan, instants[0]).terms
     for k in range(cfg.K):
         ds_power = np.abs(uatf.ds[k].sum()) ** 2
         tol = 6 * uatf.int_stderr[k, k] + 6 * np.sum(uatf.ds_stderr[k])
@@ -156,9 +164,9 @@ def test_small_batches_rejected(desk):
     batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 50, seed=1)
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
     with pytest.raises(ValueError):
-        cfrs.mc_sinr(batch, plan, net, cfg, cfg.estimation_instant, stats)
+        cfrs.mc_sinr(batch, plan, cfg.estimation_instant)
     with pytest.raises(ValueError):
-        cfrs.transmit_power_stats(batch, plan, net, cfg, stats)
+        cfrs.transmit_power_stats(batch, plan)
 
 
 def test_power_extremes_zero_out_streams(desk, desk_batch):
@@ -166,10 +174,10 @@ def test_power_extremes_zero_out_streams(desk, desk_batch):
     batch, instants = desk_batch
     n = instants[0]
     all_common = cf.make_plan(terms, "du_mr", "coherent", 1.0)
-    res = cfrs.mc_sinr(batch, all_common, net, cfg, n, stats)
+    res = cfrs.mc_sinr(batch, all_common, n)
     assert np.all(res.private == 0.0)
     no_common = cf.make_plan(terms, "du_mr", "coherent", 0.0)
-    res0 = cfrs.mc_sinr(batch, no_common, net, cfg, n, stats)
+    res0 = cfrs.mc_sinr(batch, no_common, n)
     assert np.all(res0.common == 0.0)
 
 
@@ -181,13 +189,13 @@ def test_confidence_intervals_cover_reference():
     n = cfg.estimation_instant + 5
     ref_batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 2_000_000, seed=999,
                                   instants=[n])
-    ref = cfrs.mc_sinr(ref_batch, plan, net, cfg, n, stats)
+    ref = cfrs.mc_sinr(ref_batch, plan, n)
     covered = 0
     trials = 0
     for seed in range(30):
         batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 20_000, seed=seed,
                                   instants=[n])
-        res = cfrs.mc_sinr(batch, plan, net, cfg, n, stats)
+        res = cfrs.mc_sinr(batch, plan, n)
         for k in range(cfg.K):
             trials += 2
             covered += res.private_ci[k, 0] <= ref.private[k] <= res.private_ci[k, 1]
@@ -205,7 +213,7 @@ def test_confidence_interval_clt_scaling(desk):
         per_seed = []
         for seed in (11, 12, 13, 14):
             batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, count, seed, instants=[n])
-            res = cfrs.mc_sinr(batch, plan, net, cfg, n, stats)
+            res = cfrs.mc_sinr(batch, plan, n)
             per_seed.append(np.mean(res.private_ci[:, 1] - res.private_ci[:, 0]))
         widths.append(np.mean(per_seed))
     slope = np.polyfit(np.log10([1e3, 1e4, 1e5]), np.log10(widths), 1)[0]
@@ -223,7 +231,7 @@ def test_mc_matches_closed_form_under_pilot_contamination():
     for transmission in cf.TRANSMISSIONS:
         for scheme in cf.PRIVATE_SCHEMES:
             plan = cf.make_plan(terms, scheme, transmission, 0.5)
-            res = cfrs.mc_sinr(batch, plan, net, cfg, n, stats)
+            res = cfrs.mc_sinr(batch, plan, n)
             closed_p = cf.private_sinr(terms, plan, phases, cfg, n)
             closed_c = cf.common_sinr(terms, plan, phases, cfg, n)
             assert np.all(np.abs(res.private - closed_p) / closed_p < 0.04), (
@@ -237,7 +245,7 @@ def test_mc_matches_closed_form_with_power_control(desk, desk_batch):
     batch, instants = desk_batch
     mu = cf.power_control_coefficients(terms, net, alpha=-1.0)
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0, power_control_alpha=-1.0, net=net)
-    res = cfrs.mc_sinr(batch, plan, net, cfg, instants[1], stats)
+    res = cfrs.mc_sinr(batch, plan, instants[1])
     closed = cf.private_sinr(terms, plan, phases, cfg, instants[1])
     assert np.all(np.abs(res.private - closed) / closed < 0.03)
 
@@ -250,13 +258,13 @@ def test_dummse_scalar_reduction():
     cfg, net, pilots, phases, stats, terms = small_setup(L=1, K=1, N=1, tau_p=1)
     batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 200, seed=5)
     v = cfrs.dummse_precoder(batch.hhat, net, stats, cfg, p_dp=cfg.p_d)
-    hh = batch.hhat[:, 0, 0, 0]
+    hh = batch.hhat[0, 0, 0]
     c_err = (net.R[0, 0, 0, 0] - stats.Q[0, 0, 0, 0]).real
     expected = (
         net.theta[0, 0] * cfg.p_d * hh
         / (cfg.p_d * np.abs(hh) ** 2 + cfg.p_d * c_err + cfg.sigma2_ul)
     )
-    assert np.allclose(v[:, 0, 0, 0], expected, rtol=1e-10)
+    assert np.allclose(v[0, 0, 0], expected, rtol=1e-10)
 
 
 def test_dummse_approaches_mr_direction_at_high_noise():
@@ -264,9 +272,9 @@ def test_dummse_approaches_mr_direction_at_high_noise():
     noisy = dataclasses.replace(cfg, sigma2_ul=1e6)
     batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 64, seed=8)
     v = cfrs.dummse_precoder(batch.hhat, net, stats, noisy, p_dp=cfg.p_d)
-    mr = net.theta[None, :, :, None] * batch.hhat
-    dots = np.abs(np.einsum("rkln,rkln->rkl", np.conj(v), mr))
-    norms = np.linalg.norm(v, axis=3) * np.linalg.norm(mr, axis=3)
+    mr = net.theta[:, :, None, None] * batch.hhat
+    dots = np.abs(np.einsum("klnr,klnr->klr", np.conj(v), mr))
+    norms = np.linalg.norm(v, axis=2) * np.linalg.norm(mr, axis=2)
     assert np.all(dots / norms > 1 - 1e-9)
 
 
@@ -291,7 +299,7 @@ def test_dummse_beats_mr_sum_se():
                     private_scheme="du_mmse", transmission="coherent", rho=0.0,
                     weights=np.ones((cfg.K, cfg.L)), mu=mu, eta=eta,
                 )
-            results = cfrs.mc_sinr(batch, plan, net, cfg, ns, stats)
+            results = cfrs.mc_sinr(batch, plan, ns)
             sinr = np.stack([r.private for r in results], axis=1)
             se[scheme] = float(np.sum(cf.se_from_sinr(sinr, cfg.tau_c)))
         gains.append(se["du_mmse"] - se["du_mr"])
@@ -311,7 +319,7 @@ def test_per_ap_power_within_limit(desk, desk_batch):
         cf.make_plan(terms, "du_mr", "coherent", 0.3, power_control_alpha=-1.0, net=net),
     ]
     for plan in plans:
-        mean, se = cfrs.transmit_power_stats(batch, plan, net, cfg, stats)
+        mean, se = cfrs.transmit_power_stats(batch, plan)
         assert np.all(mean - 3 * se <= cfg.p_d), (
             plan.private_scheme, plan.transmission, plan.rho, mean / cfg.p_d)
 
@@ -321,7 +329,8 @@ def test_per_ap_power_within_limit(desk, desk_batch):
 # ---------------------------------------------------------------------------
 
 def direct_terms(batch, plan, net, cfg, stats, n):
-    """Per-realization DS/INT terms at instant n from the rotated channel.
+    """Per-realization DS/INT terms at instant n from the rotated channel,
+    realizations on the last axis.
 
     The plain formula: g = theta exp(i(ue + ap)) h, d[k,i,l] = g[k,l]^H v[i,l],
     then the private and common desired-signal and interference terms.
@@ -329,19 +338,19 @@ def direct_terms(batch, plan, net, cfg, stats, n):
     col = batch.instant_index(n)
     v = mc.private_precoders(batch.hhat, net, plan.private_scheme, stats, cfg,
                              (1.0 - plan.rho) * cfg.p_d)
-    rotation = np.exp(1j * (batch.ue_phase[:, :, None, col] + batch.ap_phase[:, None, :, col]))
-    g = net.theta[None, :, :, None] * rotation[..., None] * batch.h
-    d = np.einsum("rkln,riln->rkil", np.conj(g), v)
+    rotation = np.exp(1j * (batch.ue_phase[:, None, col] + batch.ap_phase[None, :, col]))
+    g = net.theta[:, :, None, None] * rotation[:, :, None] * batch.h
+    d = np.einsum("klnr,ilnr->kilr", np.conj(g), v)
     sq_mu, sq_eta = np.sqrt(plan.mu), np.sqrt(plan.eta)
-    ds = sq_mu * np.einsum("rkkl->rkl", d)
-    e = np.einsum("il,rkil->rkl", plan.weights, d)
-    ds_c = sq_eta * e
+    ds = sq_mu[..., None] * np.einsum("kklr->klr", d)
+    e = np.einsum("il,kilr->klr", plan.weights, d)
+    ds_c = sq_eta[:, None] * e
     if plan.transmission == "coherent":
-        int_ = np.abs(np.einsum("il,rkil->rki", sq_mu, d)) ** 2
-        int_c = np.abs(ds_c.sum(axis=2)) ** 2
+        int_ = np.abs(np.einsum("il,kilr->kir", sq_mu, d)) ** 2
+        int_c = np.abs(ds_c.sum(axis=1)) ** 2
     else:
-        int_ = np.einsum("il,rkil->rki", plan.mu, np.abs(d) ** 2)
-        int_c = np.einsum("l,rkl->rk", plan.eta, np.abs(e) ** 2)
+        int_ = np.einsum("il,kilr->kir", plan.mu, np.abs(d) ** 2)
+        int_c = np.einsum("l,klr->kr", plan.eta, np.abs(e) ** 2)
     common = float(plan.rho > 0)  # no common stream, no common terms
     return ds, int_, common * ds_c, common * int_c
 
@@ -366,7 +375,7 @@ def test_factored_accumulation_matches_direct_formula():
     terms = cf.TraceTerms.compute(net, stats, pilots)
     instants = [cfg.estimation_instant, cfg.estimation_instant + 6, cfg.tau_c]
     batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 1000, seed=4, instants=instants)
-    slices = mc._batch_blocks(batch, net)
+    slices = mc._batch_blocks(batch)
     counts = np.array([s.stop - s.start for s in slices])
     assert len(slices) > 2
     for scheme in ("du_mr", "df_mr", "du_mmse"):
@@ -375,10 +384,10 @@ def test_factored_accumulation_matches_direct_formula():
                 plan = cf.make_plan(terms, scheme, transmission, rho)
                 per_instant = [direct_terms(batch, plan, net, cfg, stats, n) for n in instants]
                 # (B, M, ...) block sums of each term, as the jackknife reads them
-                blocks = [np.stack([np.stack([t[i][sl].sum(axis=0) for sl in slices])
+                blocks = [np.stack([np.stack([t[i][..., sl].sum(axis=-1) for sl in slices])
                                     for t in per_instant], axis=1) for i in range(4)]
                 sums = mc._BlockSums(counts, *blocks, coherent=transmission == "coherent")
-                for m, res in enumerate(cfrs.mc_sinr(batch, plan, net, cfg, instants, stats)):
+                for m, res in enumerate(cfrs.mc_sinr(batch, plan, instants)):
                     expected = mc._jackknife(sums, plan, cfg, m)
                     for actual, ref in zip((res.private, res.private_stderr,
                                             res.common, res.common_stderr), expected):
@@ -388,7 +397,7 @@ def test_factored_accumulation_matches_direct_formula():
                             (uatf.ds, uatf.ds_stderr), (uatf.int_, uatf.int_stderr),
                             (uatf.ds_common, uatf.ds_common_stderr),
                             (uatf.int_common, uatf.int_common_stderr)]):
-                        assert_close(mean, per_instant[m][i].mean(axis=0))
+                        assert_close(mean, per_instant[m][i].mean(axis=-1))
                         assert_close(se, mc._mean_and_stderr(blocks[i][:, m], counts)[1])
 
 
@@ -399,32 +408,32 @@ def test_noncoherent_interference_does_not_depend_on_the_instant(desk, desk_batc
     lam, end = cfg.estimation_instant, cfg.tau_c
     assert phases.var_ap > 0 and phases.var_ue > 0
     plan = cf.make_plan(terms, "du_mr", "noncoherent", 0.5)
-    first, last = (cfrs.mc_sinr(batch, plan, net, cfg, n, stats).terms for n in (lam, end))
+    first, last = (cfrs.mc_sinr(batch, plan, n).terms for n in (lam, end))
     assert np.array_equal(first.int_, last.int_)
     assert np.array_equal(first.int_common, last.int_common)
     assert not np.array_equal(first.ds, last.ds)
     coherent = cf.make_plan(terms, "du_mr", "coherent", 0.5)
-    first, last = (cfrs.mc_sinr(batch, coherent, net, cfg, n, stats).terms for n in (lam, end))
+    first, last = (cfrs.mc_sinr(batch, coherent, n).terms for n in (lam, end))
     assert not np.array_equal(first.int_, last.int_)
 
 
 def test_transmit_power_matches_per_realization_sums(desk, desk_batch):
     cfg, net, pilots, phases, stats, terms = desk
     batch, _ = desk_batch
-    slices = mc._batch_blocks(batch, net)
+    slices = mc._batch_blocks(batch)
     for plan in (cf.make_plan(terms, "du_mr", "coherent", 0.5),
                  cf.make_plan(terms, "df_mr", "noncoherent", 0.0),
                  cf.make_plan(terms, "du_mmse", "coherent", 0.3)):
         p_dp, p_dc = (1.0 - plan.rho) * cfg.p_d, plan.rho * cfg.p_d
         v = mc.private_precoders(batch.hhat, net, plan.private_scheme, stats, cfg, p_dp)
-        v_c = np.einsum("il,riln->rln", plan.weights, v)
-        power = (p_dp * np.einsum("il,ril->rl", plan.mu, np.sum(np.abs(v) ** 2, axis=3))
-                 + p_dc * plan.eta * np.sum(np.abs(v_c) ** 2, axis=2))  # (count, L)
-        total = power.sum(axis=0)
-        loo = np.array([(total - power[sl].sum(axis=0)) / (batch.count - (sl.stop - sl.start))
+        v_c = np.einsum("il,ilnr->lnr", plan.weights, v)
+        power = (p_dp * np.einsum("il,ilr->lr", plan.mu, np.sum(np.abs(v) ** 2, axis=2))
+                 + p_dc * plan.eta[:, None] * np.sum(np.abs(v_c) ** 2, axis=1))  # (L, count)
+        total = power.sum(axis=-1)
+        loo = np.array([(total - power[:, sl].sum(axis=-1)) / (batch.count - (sl.stop - sl.start))
                         for sl in slices])
         B = len(slices)
         stderr = np.sqrt((B - 1) / B * np.sum((loo - loo.mean(axis=0)) ** 2, axis=0))
-        mean, se = cfrs.transmit_power_stats(batch, plan, net, cfg, stats)
+        mean, se = cfrs.transmit_power_stats(batch, plan)
         assert np.all(np.abs(mean - total / batch.count) <= 1e-12 * total / batch.count)
         assert np.all(np.abs(se - stderr) <= 1e-12 * stderr)
