@@ -436,15 +436,13 @@ def run_scheme(
             terms, scheme.private_scheme, scheme.transmission, rho,
             weights=result.weights, unit_eta=True,
         )
-        extras["robust_t"] = result.achieved_t
     else:
         plan = make_plan(terms, scheme.private_scheme, scheme.transmission, rho)
 
     report = evaluate_plan(terms, plan, phases, cfg)
 
     if mc_realizations > 0:
-        lam = cfg.estimation_instant
-        mid = (lam + cfg.tau_c) // 2
+        mid = cfg.mid_instant
         batch = montecarlo.sample_batch(
             net, pilots, stats, phases, cfg, mc_realizations, cfg.seed, instants=[mid]
         )
@@ -859,7 +857,10 @@ def cmd_sweep(args) -> int:
             raise ConfigError("sweep requires --config or --replay")
         spec = parse_config(args.config)
     if args.mc is not None:
-        spec = dataclasses.replace(spec, mc_realizations=args.mc)
+        try:
+            spec = dataclasses.replace(spec, mc_realizations=args.mc)
+        except ConfigError as exc:
+            raise ConfigError(f"--mc: {exc}") from exc
     out = run_experiment(spec, out_dir=args.out)
     print(f"experiment written to {out}")
     return 0

@@ -100,6 +100,12 @@ class SystemConfig:
         """Instant at which channels are estimated: first data instant."""
         return self.tau_p + 1
 
+    @property
+    def mid_instant(self) -> int:
+        """Mid-block data instant, ceil((lambda + tau_c) / 2): where robust
+        weights are optimized and a sweep's Monte Carlo check evaluates."""
+        return (self.estimation_instant + self.tau_c + 1) // 2
+
     def data_instants(self) -> np.ndarray:
         """All downlink data instants of the block, tau_p+1 .. tau_c."""
         return np.arange(self.tau_p + 1, self.tau_c + 1)

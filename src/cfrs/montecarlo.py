@@ -14,7 +14,7 @@ form); and empirically estimates the hardening-bound terms
 plus the analogous common-stream terms.  The rotated channel g is never
 formed: g[k,l]^H v[i,l] factors into a per-UE phase factor, a per-AP phase
 factor and an instant-free antenna contraction of theta, h and v, which is
-computed once per jackknife block (see ``_accumulate``).  The phase factors
+computed once per realization slice (see ``_accumulate``).  The phase factors
 have unit modulus, so the non-coherent interference terms do not depend on
 the instant at all, and the coherent ones only through a length-L
 combination with the per-AP factor.  The use-and-then-forget SINRs are
@@ -25,7 +25,7 @@ unit-power, independent symbols the bound's expectations are over
 channels, phases, and noise only, which removes a variance source.
 
 Layout: a batch stores every array with its realizations on the last axis,
-the layout the accumulation contracts, so slicing a block copies nothing,
+the layout the accumulation contracts, so slicing it copies nothing,
 and it carries the network, estimation statistics and config it was drawn
 from, so ``mc_sinr(batch, plan, n)`` and ``transmit_power_stats(batch,
 plan)`` need nothing else.
@@ -34,14 +34,15 @@ Reproducibility: realizations are generated in fixed-size chunks, chunk i
 seeded by SeedSequence(seed, spawn_key=(i,)) feeding a counter-based
 Philox generator, so a batch is bitwise reproducible and independent of
 how chunks might be scheduled.  Standard errors come from a delete-one
-block jackknife over contiguous realization blocks; one helper gives the
-delete-one-block means, so one accumulation yields both the term estimates
-(``MCSinr.terms``) and the bias-corrected SINRs with their standard errors.
+block jackknife over ``JACKKNIFE_GROUPS`` contiguous realization blocks, so
+the 95% intervals use the Student t quantile with one degree of freedom
+fewer than blocks.  One helper gives the delete-one-block means, so one
+accumulation yields both the term estimates (``MCSinr.terms``) and the
+bias-corrected SINRs with their standard errors.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +56,12 @@ from .estimation import (
 from .model import NetworkModel, PhaseStatistics, SystemConfig
 
 RNG_CHUNK = 4096  # realizations per RNG stream; fixed for reproducibility
-_Z95 = 1.959963984540054
 MIN_REALIZATIONS = 100  # fewest realizations for meaningful standard errors
+JACKKNIFE_GROUPS = 10  # delete-one groups of every jackknife
+# two-sided 95% Student t quantile with JACKKNIFE_GROUPS - 1 = 9 degrees of
+# freedom, those of the delete-one-group standard error
+_T95 = 2.2621571627982
+_WORK_ELEMENTS = 2**22  # (K, K, L, r) work-array elements per accumulated slice
 
 
 @dataclass(frozen=True)
@@ -285,7 +290,7 @@ def empirical_normalizations(
 
 @dataclass
 class _BlockSums:
-    counts: np.ndarray       # (B,)
+    counts: np.ndarray       # (B,) realizations per jackknife group
     ds_p: np.ndarray         # (B, M, K, L) complex
     int_p: np.ndarray        # (B, M, K, K) coherent or per-AP-summed
     ds_c: np.ndarray         # (B, M, K, L) complex
@@ -293,24 +298,30 @@ class _BlockSums:
     coherent: bool
 
 
-def _block_slices(count: int, inner: int) -> list[slice]:
-    n_blocks = max(2, math.ceil(count / inner))
-    edges = np.linspace(0, count, n_blocks + 1).astype(int)
-    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+def _batch_blocks(batch: RealizationBatch) -> tuple[np.ndarray, list[tuple[int, slice]]]:
+    """The batch's jackknife groups, after the realization floor.
 
-
-def _batch_blocks(batch: RealizationBatch) -> list[slice]:
-    """The batch's jackknife blocks, after the realization floor."""
+    The realizations split into ``JACKKNIFE_GROUPS`` contiguous groups at
+    ``np.linspace`` edges; the confidence intervals assume that count.  Each
+    group is covered by slices of at most ``_WORK_ELEMENTS / (K*K*L)``
+    (but at least 64) realizations, which bounds the (K, K, L, r) work
+    arrays of one slice; the slices of a group add up into its sums.
+    Returns the per-group realization counts and the (group, slice) pairs.
+    """
     if batch.count < MIN_REALIZATIONS:
         raise ValueError(
             f"need at least {MIN_REALIZATIONS} realizations for meaningful errors")
     K, L = batch.net.K, batch.net.L
-    inner = max(64, min(2**22 // max(K * K * L, 1), math.ceil(batch.count / 10)))
-    return _block_slices(batch.count, inner)
+    cap = max(64, _WORK_ELEMENTS // (K * K * L))
+    edges = np.linspace(0, batch.count, JACKKNIFE_GROUPS + 1).astype(int)
+    slices = [(b, slice(s, min(s + cap, end)))
+              for b, (start, end) in enumerate(zip(edges[:-1], edges[1:]))
+              for s in range(start, end, cap)]
+    return np.diff(edges), slices
 
 
 def _accumulate(batch: RealizationBatch, plan: PrecodingPlan, eval_instants) -> _BlockSums:
-    """Per-block sums of every term at the instants; the estimators' entry.
+    """Per-group sums of every term at the instants; the estimators' entry.
 
     The effective channel is g[k,l] = theta[k,l] exp(i(ue[k] + ap[l])) h[k,l],
     so each link-precoder product factors as
@@ -319,15 +330,16 @@ def _accumulate(batch: RealizationBatch, plan: PrecodingPlan, eval_instants) -> 
         P[k,i,l] = sum_n conj(theta[k,l] h[k,l,n]) v[i,l,n],
 
     with the unit-modulus phase factors x = exp(-i ue) (per UE) and
-    y = exp(-i ap) (per AP).  P is formed once per block slice, together with
-    the plan's private precoders, and each instant only brings its own x and
-    y.  |x| = 1 drops the per-UE factor from every interference term, and the
-    non-coherent interference (|P|^2 summed over APs) has no phase at all, so
-    it is the same at every instant and is summed once per block.  The
-    batch's realization-last arrays are sliced, never copied.
+    y = exp(-i ap) (per AP).  P is formed once per slice of a jackknife
+    group, together with the plan's private precoders, and each instant only
+    brings its own x and y.  |x| = 1 drops the per-UE factor from every
+    interference term, and the non-coherent interference (|P|^2 summed over
+    APs) has no phase at all, so it is the same at every instant and is
+    summed once per slice.  The batch's realization-last arrays are sliced,
+    never copied.
     """
     net, config = batch.net, batch.config
-    slices = _batch_blocks(batch)
+    counts, slices = _batch_blocks(batch)
     K, L = net.K, net.L
     columns = [batch.instant_index(int(n)) for n in eval_instants]
     M = len(columns)
@@ -335,10 +347,10 @@ def _accumulate(batch: RealizationBatch, plan: PrecodingPlan, eval_instants) -> 
     sq_mu = np.sqrt(plan.mu)
     sq_eta = np.sqrt(plan.eta)
     p_dp = (1.0 - plan.rho) * config.p_d
-    B = len(slices)
+    B = len(counts)
 
     sums = _BlockSums(
-        counts=np.array([s.stop - s.start for s in slices]),
+        counts=counts,
         ds_p=np.zeros((B, M, K, L), dtype=complex),
         int_p=np.zeros((B, M, K, K)),
         ds_c=np.zeros((B, M, K, L), dtype=complex),
@@ -347,7 +359,7 @@ def _accumulate(batch: RealizationBatch, plan: PrecodingPlan, eval_instants) -> 
     )
 
     conj_theta = np.conj(net.theta)[:, :, None, None]
-    for b, sl in enumerate(slices):
+    for b, sl in slices:
         v = private_precoders(batch.hhat[..., sl], net, plan.private_scheme, batch.stats,
                               config, p_dp)
         gh = conj_theta * np.conj(batch.h[..., sl])
@@ -356,23 +368,23 @@ def _accumulate(batch: RealizationBatch, plan: PrecodingPlan, eval_instants) -> 
         P = sum(gh[:, None, :, n] * v[None, :, :, n] for n in range(net.N))  # (K, K, L, r)
         diag = np.einsum("kklr->klr", P)
         if not coherent:
-            sums.int_p[b] = np.einsum("il,kil->ki", plan.mu, np.sum(np.abs(P) ** 2, axis=-1))
+            sums.int_p[b] += np.einsum("il,kil->ki", plan.mu, np.sum(np.abs(P) ** 2, axis=-1))
         if plan.rho > 0:
             E = np.einsum("il,kilr->klr", plan.weights, P)
             if not coherent:
-                sums.int_c[b] = np.einsum("l,klr->k", plan.eta, np.abs(E) ** 2)
+                sums.int_c[b] += np.einsum("l,klr->k", plan.eta, np.abs(E) ** 2)
         for m, col in enumerate(columns):
             y = np.exp(-1j * batch.ap_phase[:, col, sl])  # (L, r)
             xy = np.exp(-1j * batch.ue_phase[:, col, sl])[:, None] * y
-            sums.ds_p[b, m] = sq_mu * np.einsum("klr,klr->kl", xy, diag)
+            sums.ds_p[b, m] += sq_mu * np.einsum("klr,klr->kl", xy, diag)
             if coherent:
                 c = np.einsum("kilr,ilr->kir", P, sq_mu[:, :, None] * y)
-                sums.int_p[b, m] = np.sum(np.abs(c) ** 2, axis=-1)
+                sums.int_p[b, m] += np.sum(np.abs(c) ** 2, axis=-1)
             if plan.rho > 0:
-                sums.ds_c[b, m] = sq_eta * np.einsum("klr,klr->kl", xy, E)
+                sums.ds_c[b, m] += sq_eta * np.einsum("klr,klr->kl", xy, E)
                 if coherent:
                     ec = np.einsum("klr,lr->kr", E, sq_eta[:, None] * y)
-                    sums.int_c[b, m] = np.sum(np.abs(ec) ** 2, axis=-1)
+                    sums.int_c[b, m] += np.sum(np.abs(ec) ** 2, axis=-1)
     return sums
 
 
@@ -456,8 +468,9 @@ class UatFTerms:
 
 @dataclass(frozen=True)
 class MCSinr:
-    """Monte Carlo SINR estimates with jackknife standard errors and 95% CIs,
-    and the term estimates they are assembled from."""
+    """Monte Carlo SINR estimates with jackknife standard errors and 95% CIs
+    (Student t with ``JACKKNIFE_GROUPS`` - 1 degrees of freedom), and the
+    term estimates they are assembled from."""
 
     instant: int
     private: np.ndarray
@@ -470,15 +483,15 @@ class MCSinr:
     @property
     def private_ci(self) -> np.ndarray:
         return np.stack(
-            [self.private - _Z95 * self.private_stderr,
-             self.private + _Z95 * self.private_stderr], axis=1
+            [self.private - _T95 * self.private_stderr,
+             self.private + _T95 * self.private_stderr], axis=1
         )
 
     @property
     def common_ci(self) -> np.ndarray:
         return np.stack(
-            [self.common - _Z95 * self.common_stderr,
-             self.common + _Z95 * self.common_stderr], axis=1
+            [self.common - _T95 * self.common_stderr,
+             self.common + _T95 * self.common_stderr], axis=1
         )
 
 
@@ -502,17 +515,16 @@ def transmit_power_stats(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-AP mean transmit power and its standard error over the batch."""
     net, config = batch.net, batch.config
-    slices = _batch_blocks(batch)
+    counts, slices = _batch_blocks(batch)
     p_dc = plan.rho * config.p_d
     p_dp = (1.0 - plan.rho) * config.p_d
-    power = np.zeros((len(slices), net.L))
-    for b, sl in enumerate(slices):
+    power = np.zeros((len(counts), net.L))
+    for b, sl in slices:
         vb = private_precoders(batch.hhat[..., sl], net, plan.private_scheme, batch.stats,
                                config, p_dp)
         pw = p_dp * np.einsum("il,ilr->lr", plan.mu, np.sum(np.abs(vb) ** 2, axis=2))
         if plan.rho > 0:
             v_c = np.einsum("il,ilnr->lnr", plan.weights, vb)
             pw = pw + p_dc * plan.eta[:, None] * np.sum(np.abs(v_c) ** 2, axis=1)
-        power[b] = pw.sum(axis=-1)
-    counts = np.array([s.stop - s.start for s in slices])
+        power[b] += pw.sum(axis=-1)
     return _mean_and_stderr(power, counts)

@@ -177,13 +177,13 @@ def build_maxmin_problem(
     vanishes off UE k's co-pilot set, and M_k is stored only inside the
     co-pilot sets.  The private interference constant uses
     delay-compensated MR precoding with the per-AP normalization.
-    Default instant: mid-block.
+    Default instant: ``config.mid_instant``.
     """
     if not 0 < rho <= 1:
         raise ValueError(f"rho must lie in (0, 1] for a common stream, got {rho}")
     K, L = terms.K, terms.L
     if n is None:
-        n = math.ceil((config.estimation_instant + config.tau_c) / 2)
+        n = config.mid_instant
     ea, eu = decay_pair(phases, config, n)
 
     tr_Qc = terms.tr_Qc.real  # real for the supported correlation models

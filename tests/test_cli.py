@@ -522,6 +522,27 @@ def test_failed_jobs_are_tagged_and_run_continues(tmp_path):
     assert by_value["1.5"] == {"error:ValueError"}
 
 
+def test_robust_job_checks_the_instant_its_weights_were_optimized_for(monkeypatch):
+    sampled = []
+    original = cli.montecarlo.sample_batch
+
+    def recorded(*args, instants=(), **kwargs):
+        sampled.append(list(instants))
+        return original(*args, instants=instants, **kwargs)
+
+    monkeypatch.setattr(cli.montecarlo, "sample_batch", recorded)
+    spec = cli.spec_from_dict(one_scheme_spec(schemes=[
+        {"private": "du_mr", "transmission": "coherent", "rs": True, "weights": "robust"}]))
+    cfg = spec.base
+    phases = cli.PhaseStatistics.from_config(cfg)
+    topology = cli.build_topology(cfg, phases)
+    _, extras = cli.run_scheme(cfg, phases, spec.schemes[0], topology, fixed_rho=0.5,
+                               mc_realizations=100)
+    problem = cli.optimize.build_maxmin_problem(topology.terms, phases, cfg, 0.5)
+    assert sampled == [[problem.instant]]
+    assert "mc_rel_err_common" in extras
+
+
 def test_single_user_run(tmp_path):
     system = desk_system()
     system["K"] = 1
@@ -570,6 +591,20 @@ def test_bad_flags_fail_at_the_boundary(argv, tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", ["50", "-3"])
+def test_bad_sweep_mc_override_fails_naming_the_flag(count, tmp_path, monkeypatch, capsys):
+    def no_topology(*args):
+        raise AssertionError("a bad flag must fail before anything is computed")
+
+    monkeypatch.setattr(cli, "build_topology", no_topology)
+    monkeypatch.setattr(cli, "build_network", no_topology)
+    path = write_spec(tmp_path, one_scheme_spec())
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(path), "--mc", count, "--out", str(out)]) == 2
+    assert "error: --mc: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rho_opt_prints_the_split_and_the_grid_check(tmp_path, capsys):
     path = write_spec(tmp_path, one_scheme_spec())
     assert cli.main(["rho-opt", "--config", str(path), "--grid", "11"]) == 0
@@ -607,3 +642,10 @@ def test_readme_command_lines_parse():
     for line in lines:
         args = cli._parser().parse_args(shlex.split(line)[1:])
         assert args.func.__name__ == "cmd_" + args.command.replace("-", "_")
+
+
+def test_readme_library_quick_start_runs():
+    # a changed signature must fail here, not in a reader's session
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python", 1)[1]
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})

@@ -183,6 +183,14 @@ def test_config_rejects_non_finite_values(field, value):
         cfrs.SystemConfig(**{field: value})
 
 
+def test_mid_instant_is_the_rounded_up_block_midpoint():
+    # lambda = tau_p + 1; ceil((lambda + tau_c) / 2)
+    for tau_p, tau_c, mid in ((2, 20, 12), (4, 200, 103), (2, 21, 12), (1, 2, 2)):
+        cfg = cfrs.SystemConfig(L=2, K=1, N=1, tau_p=tau_p, tau_c=tau_c)
+        assert cfg.mid_instant == mid
+        assert cfg.mid_instant in cfg.data_instants()
+
+
 def test_min_distance_clamp():
     # UE dropped (almost) on top of an AP must not blow up the gain
     cfg = cfrs.SystemConfig(L=2, K=2, area_side=2.0, seed=13)

@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -204,6 +205,61 @@ def test_confidence_intervals_cover_reference():
     assert covered >= 107, f"coverage {covered}/{trials}"
 
 
+def test_intervals_at_the_realization_floor_cover_reference():
+    # at 100 realizations each jackknife group holds 10; the t intervals must
+    # still cover a 1e6-realization reference in about 95% of trials
+    cfg, net, pilots, phases, stats, terms = small_setup(seed=4, L=4, K=2)
+    plan = cf.make_plan(terms, "du_mr", "coherent", 0.5)
+    n = cfg.estimation_instant + 5
+    ref_batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 1_000_000, seed=999,
+                                  instants=[n])
+    ref = cfrs.mc_sinr(ref_batch, plan, n)
+    del ref_batch
+    covered = 0
+    for seed in range(100):
+        batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, mc.MIN_REALIZATIONS,
+                                  seed=seed, instants=[n])
+        res = cfrs.mc_sinr(batch, plan, n)
+        for ci, value in ((res.private_ci, ref.private), (res.common_ci, ref.common)):
+            covered += int(np.sum((ci[:, 0] <= value) & (value <= ci[:, 1])))
+    # binomial(400, 0.95): >= 366 with probability > 0.999
+    assert covered >= 366, f"coverage {covered}/400"
+
+
+def test_jackknife_groups_are_fixed_and_memory_capped():
+    for count, K, L in ((100, 2, 4), (127, 2, 4), (640, 2, 4), (100_000, 2, 4),
+                        (100_000, 8, 40), (1000, 32, 200)):
+        batch = SimpleNamespace(count=count, net=SimpleNamespace(K=K, L=L))
+        counts, slices = mc._batch_blocks(batch)
+        edges = np.linspace(0, count, mc.JACKKNIFE_GROUPS + 1).astype(int)
+        assert np.array_equal(counts, np.diff(edges))
+        cap = max(64, mc._WORK_ELEMENTS // (K * K * L))
+        # the slices tile the realizations in order, each inside its group
+        assert [sl.start for _, sl in slices[1:]] == [sl.stop for _, sl in slices[:-1]]
+        assert slices[0][1].start == 0 and slices[-1][1].stop == count
+        for b, sl in slices:
+            assert edges[b] <= sl.start < sl.stop <= edges[b + 1]
+            assert sl.stop - sl.start <= cap
+
+
+def test_memory_capped_slices_add_up_to_their_group(desk, monkeypatch):
+    cfg, net, pilots, phases, stats, terms = desk
+    instants = [cfg.estimation_instant, cfg.tau_c]
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 1000, seed=3, instants=instants)
+    plans = [cf.make_plan(terms, scheme, transmission, 0.5)
+             for scheme in cf.PRIVATE_SCHEMES for transmission in cf.TRANSMISSIONS]
+    whole = [(cfrs.mc_sinr(batch, plan, instants), cfrs.transmit_power_stats(batch, plan))
+             for plan in plans]
+    monkeypatch.setattr(mc, "_WORK_ELEMENTS", 1)  # 64-realization slices
+    assert len(mc._batch_blocks(batch)[1]) == 2 * mc.JACKKNIFE_GROUPS
+    for plan, (results, power) in zip(plans, whole):
+        for res, ref in zip(cfrs.mc_sinr(batch, plan, instants), results):
+            for field in ("private", "private_stderr", "common", "common_stderr"):
+                assert_close(getattr(res, field), getattr(ref, field))
+        for actual, expected in zip(cfrs.transmit_power_stats(batch, plan), power):
+            assert_close(actual, expected)
+
+
 def test_confidence_interval_clt_scaling(desk):
     cfg, net, pilots, phases, stats, terms = desk
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
@@ -355,6 +411,13 @@ def direct_terms(batch, plan, net, cfg, stats, n):
     return ds, int_, common * ds_c, common * int_c
 
 
+def jackknife_groups(batch):
+    """The batch's jackknife groups as whole slices, and their realization counts."""
+    counts, _ = mc._batch_blocks(batch)
+    edges = np.concatenate([[0], np.cumsum(counts)])
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])], counts
+
+
 def assert_close(actual, expected):
     """Every entry within 1e-12 of the largest |entry| of the reference."""
     scale = np.max(np.abs(expected))
@@ -375,16 +438,15 @@ def test_factored_accumulation_matches_direct_formula():
     terms = cf.TraceTerms.compute(net, stats, pilots)
     instants = [cfg.estimation_instant, cfg.estimation_instant + 6, cfg.tau_c]
     batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 1000, seed=4, instants=instants)
-    slices = mc._batch_blocks(batch)
-    counts = np.array([s.stop - s.start for s in slices])
-    assert len(slices) > 2
+    groups, counts = jackknife_groups(batch)
+    assert len(groups) == mc.JACKKNIFE_GROUPS
     for scheme in ("du_mr", "df_mr", "du_mmse"):
         for transmission in cf.TRANSMISSIONS:
             for rho in (0.0, 0.5):
                 plan = cf.make_plan(terms, scheme, transmission, rho)
                 per_instant = [direct_terms(batch, plan, net, cfg, stats, n) for n in instants]
                 # (B, M, ...) block sums of each term, as the jackknife reads them
-                blocks = [np.stack([np.stack([t[i][..., sl].sum(axis=-1) for sl in slices])
+                blocks = [np.stack([np.stack([t[i][..., sl].sum(axis=-1) for sl in groups])
                                     for t in per_instant], axis=1) for i in range(4)]
                 sums = mc._BlockSums(counts, *blocks, coherent=transmission == "coherent")
                 for m, res in enumerate(cfrs.mc_sinr(batch, plan, instants)):
@@ -420,7 +482,7 @@ def test_noncoherent_interference_does_not_depend_on_the_instant(desk, desk_batc
 def test_transmit_power_matches_per_realization_sums(desk, desk_batch):
     cfg, net, pilots, phases, stats, terms = desk
     batch, _ = desk_batch
-    slices = mc._batch_blocks(batch)
+    groups, _ = jackknife_groups(batch)
     for plan in (cf.make_plan(terms, "du_mr", "coherent", 0.5),
                  cf.make_plan(terms, "df_mr", "noncoherent", 0.0),
                  cf.make_plan(terms, "du_mmse", "coherent", 0.3)):
@@ -431,8 +493,8 @@ def test_transmit_power_matches_per_realization_sums(desk, desk_batch):
                  + p_dc * plan.eta[:, None] * np.sum(np.abs(v_c) ** 2, axis=1))  # (L, count)
         total = power.sum(axis=-1)
         loo = np.array([(total - power[:, sl].sum(axis=-1)) / (batch.count - (sl.stop - sl.start))
-                        for sl in slices])
-        B = len(slices)
+                        for sl in groups])
+        B = len(groups)
         stderr = np.sqrt((B - 1) / B * np.sum((loo - loo.mean(axis=0)) ** 2, axis=0))
         mean, se = cfrs.transmit_power_stats(batch, plan)
         assert np.all(np.abs(mean - total / batch.count) <= 1e-12 * total / batch.count)
