@@ -102,8 +102,7 @@ class SystemConfig:
 
     @property
     def mid_instant(self) -> int:
-        """Mid-block data instant, ceil((lambda + tau_c) / 2): where robust
-        weights are optimized and a sweep's Monte Carlo check evaluates."""
+        """Mid-block data instant ceil((lambda + tau_c) / 2)."""
         return (self.estimation_instant + self.tau_c + 1) // 2
 
     def data_instants(self) -> np.ndarray:

@@ -24,21 +24,18 @@ form share one rational SINR form.  Data symbols are never sampled: with
 unit-power, independent symbols the bound's expectations are over
 channels, phases, and noise only, which removes a variance source.
 
-Layout: a batch stores every array with its realizations on the last axis,
-the layout the accumulation contracts, so slicing it copies nothing,
-and it carries the network, estimation statistics and config it was drawn
-from, so ``mc_sinr(batch, plan, n)`` and ``transmit_power_stats(batch,
-plan)`` need nothing else.
+A batch keeps its realizations on the last axis, the layout the
+accumulation contracts, and carries the network, estimation statistics and
+config it was drawn from, which the estimators read.
 
 Reproducibility: realizations are generated in fixed-size chunks, chunk i
 seeded by SeedSequence(seed, spawn_key=(i,)) feeding a counter-based
 Philox generator, so a batch is bitwise reproducible and independent of
 how chunks might be scheduled.  Standard errors come from a delete-one
-block jackknife over ``JACKKNIFE_GROUPS`` contiguous realization blocks, so
-the 95% intervals use the Student t quantile with one degree of freedom
-fewer than blocks.  One helper gives the delete-one-block means, so one
-accumulation yields both the term estimates (``MCSinr.terms``) and the
-bias-corrected SINRs with their standard errors.
+block jackknife over ``JACKKNIFE_GROUPS`` contiguous realization blocks (95%
+intervals: Student t quantile); one helper gives the delete-one-block
+means, so one accumulation yields both the term estimates (``MCSinr.terms``)
+and the bias-corrected SINRs with their standard errors.
 """
 
 from __future__ import annotations
@@ -58,9 +55,7 @@ from .model import NetworkModel, PhaseStatistics, SystemConfig
 RNG_CHUNK = 4096  # realizations per RNG stream; fixed for reproducibility
 MIN_REALIZATIONS = 100  # fewest realizations for meaningful standard errors
 JACKKNIFE_GROUPS = 10  # delete-one groups of every jackknife
-# two-sided 95% Student t quantile with JACKKNIFE_GROUPS - 1 = 9 degrees of
-# freedom, those of the delete-one-group standard error
-_T95 = 2.2621571627982
+_T95 = 2.2621571627982  # two-sided 95% t quantile, JACKKNIFE_GROUPS - 1 = 9 dof
 _WORK_ELEMENTS = 2**22  # (K, K, L, r) work-array elements per accumulated slice
 
 
@@ -68,9 +63,6 @@ _WORK_ELEMENTS = 2**22  # (K, K, L, r) work-array elements per accumulated slice
 class RealizationBatch:
     """One reproducible batch of channel and oscillator-phase realizations,
     with the network, estimation statistics and config it was drawn from.
-
-    Every array keeps its realizations on the last axis, the layout the
-    accumulation contracts:
 
     h (K, L, N, count): base channels at the estimation instant.
     hhat (K, L, N, count): MMSE estimates from the simulated pilots.
@@ -98,8 +90,7 @@ class RealizationBatch:
         try:
             return self.instants.index(n)
         except ValueError:
-            raise ValueError(
-                f"instant {n} is not among the batch's instants {self.instants}") from None
+            raise ValueError(f"instant {n} is not among the batch's instants") from None
 
 
 def _chol_factors(net: NetworkModel) -> np.ndarray:
@@ -210,7 +201,6 @@ def sample_batch(
     ap_phase = np.empty((net.L, len(kept), count))
     chunks = _draw_chunks(net, pilots, stats, phases, config, count, seed, instants)
     for start, (h_c, hhat_c, ue_c, ap_c, _) in zip(range(0, count, RNG_CHUNK), chunks):
-        # each chunk is drawn realizations-first and stored realizations-last
         sl = slice(start, start + len(h_c))
         h[..., sl] = np.moveaxis(h_c, 0, -1)
         hhat[..., sl] = np.moveaxis(hhat_c, 0, -1)
@@ -237,8 +227,7 @@ def dummse_precoder(
 
     v[k,l] = theta[k,l] * p * (sum_i p (hhat_i hhat_i^H + C_i) + sigma2 I)^-1 hhat_k
     with C_i the estimation-error covariance; regularized by the noise
-    power, so the inverse always exists.  The realization axis goes first
-    only for the batched solve.
+    power, so the inverse always exists.
     """
     N = net.N
     err_cov = (net.R - stats.Q).sum(axis=0)  # (L, N, N)
@@ -299,14 +288,10 @@ class _BlockSums:
 
 
 def _batch_blocks(batch: RealizationBatch) -> tuple[np.ndarray, list[tuple[int, slice]]]:
-    """The batch's jackknife groups, after the realization floor.
-
-    The realizations split into ``JACKKNIFE_GROUPS`` contiguous groups at
-    ``np.linspace`` edges; the confidence intervals assume that count.  Each
-    group is covered by slices of at most ``_WORK_ELEMENTS / (K*K*L)``
-    (but at least 64) realizations, which bounds the (K, K, L, r) work
-    arrays of one slice; the slices of a group add up into its sums.
-    Returns the per-group realization counts and the (group, slice) pairs.
+    """Realization counts of the batch's ``JACKKNIFE_GROUPS`` contiguous
+    groups, and the (group, slice) pairs that cover them; a slice of at
+    least 64 realizations bounds the (K, K, L, r) work arrays to about
+    ``_WORK_ELEMENTS`` entries.
     """
     if batch.count < MIN_REALIZATIONS:
         raise ValueError(
@@ -330,13 +315,11 @@ def _accumulate(batch: RealizationBatch, plan: PrecodingPlan, eval_instants) -> 
         P[k,i,l] = sum_n conj(theta[k,l] h[k,l,n]) v[i,l,n],
 
     with the unit-modulus phase factors x = exp(-i ue) (per UE) and
-    y = exp(-i ap) (per AP).  P is formed once per slice of a jackknife
-    group, together with the plan's private precoders, and each instant only
-    brings its own x and y.  |x| = 1 drops the per-UE factor from every
-    interference term, and the non-coherent interference (|P|^2 summed over
-    APs) has no phase at all, so it is the same at every instant and is
-    summed once per slice.  The batch's realization-last arrays are sliced,
-    never copied.
+    y = exp(-i ap) (per AP).  P is formed once per slice, together with the
+    plan's private precoders, and each instant only brings its own x and y.
+    |x| = 1 drops the per-UE factor from every interference term, and the
+    non-coherent interference (|P|^2 summed over APs) has no phase at all, so
+    it is the same at every instant and is summed once per slice.
     """
     net, config = batch.net, batch.config
     counts, slices = _batch_blocks(batch)
@@ -468,9 +451,8 @@ class UatFTerms:
 
 @dataclass(frozen=True)
 class MCSinr:
-    """Monte Carlo SINR estimates with jackknife standard errors and 95% CIs
-    (Student t with ``JACKKNIFE_GROUPS`` - 1 degrees of freedom), and the
-    term estimates they are assembled from."""
+    """Monte Carlo SINR estimates with jackknife standard errors and 95% CIs,
+    and the term estimates they are assembled from."""
 
     instant: int
     private: np.ndarray
@@ -482,17 +464,13 @@ class MCSinr:
 
     @property
     def private_ci(self) -> np.ndarray:
-        return np.stack(
-            [self.private - _T95 * self.private_stderr,
-             self.private + _T95 * self.private_stderr], axis=1
-        )
+        return np.stack([self.private - _T95 * self.private_stderr,
+                         self.private + _T95 * self.private_stderr], axis=1)
 
     @property
     def common_ci(self) -> np.ndarray:
-        return np.stack(
-            [self.common - _T95 * self.common_stderr,
-             self.common + _T95 * self.common_stderr], axis=1
-        )
+        return np.stack([self.common - _T95 * self.common_stderr,
+                         self.common + _T95 * self.common_stderr], axis=1)
 
 
 def mc_sinr(batch: RealizationBatch, plan: PrecodingPlan, n) -> MCSinr | list[MCSinr]:
