@@ -45,7 +45,6 @@ from .montecarlo import (
     MCSinr,
     RealizationBatch,
     UatFTerms,
-    dummse_precoder,
     mc_sinr,
     sample_batch,
     transmit_power_stats,

@@ -297,18 +297,32 @@ def _parse_scheme(entry, where: str) -> SchemeSpec:
     return SchemeSpec(**_parse_section(entry, where, _SCHEME_REQUIRED, _SCHEME_OPTIONAL))
 
 
+def _parse_schemes(value, where: str) -> tuple[SchemeSpec, ...]:
+    """The scheme list; two entries with one label would run the same job twice."""
+    schemes = _list_of(_parse_scheme)(value, where)
+    first = {}
+    for i, scheme in enumerate(schemes):
+        j = first.setdefault(scheme.label(), i)
+        if j != i:
+            raise ConfigError(f"{where}[{i}]: scheme {scheme.label()!r} repeats {where}[{j}]")
+    return schemes
+
+
 def _parse_sweep(section, where: str) -> dict:
     fields = _parse_section(section, where, {}, _SWEEP_OPTIONAL)
     parameter = fields.get("sweep_parameter", "none")
     values = fields.get("sweep_values", ())
-    fields["sweep_values"] = () if parameter == "none" else tuple(
+    if parameter == "none" and values:
+        raise ConfigError(f"{where}.values: {len(values)} value(s) given, but no "
+                          f"sweep.parameter selects what they sweep")
+    fields["sweep_values"] = tuple(
         _sweep_value(parameter, v, f"{where}.values[{i}]") for i, v in enumerate(values))
     return fields
 
 
 _TOP_REQUIRED = {
     "system": ("base", _parse_system),
-    "schemes": ("schemes", _list_of(_parse_scheme)),
+    "schemes": ("schemes", _parse_schemes),
 }
 _TOP_OPTIONAL = {"sweep": ("sweep", _parse_sweep), **_TOP_SCALARS}
 
@@ -692,16 +706,9 @@ def cmd_se(args) -> int:
     return 0
 
 
-FAMILIES = [
-    ("private", "coherent", "du_mr"),
-    ("private", "coherent", "df_mr"),
-    ("private", "noncoherent", "du_mr"),
-    ("private", "noncoherent", "df_mr"),
-    ("common", "coherent", "du_mr"),
-    ("common", "coherent", "df_mr"),
-    ("common", "noncoherent", "du_mr"),
-    ("common", "noncoherent", "df_mr"),
-]
+FAMILIES = [(stream, transmission, scheme) for stream in ("private", "common")
+            for transmission in closed_form.TRANSMISSIONS
+            for scheme in closed_form.PRIVATE_SCHEMES]
 
 
 def validate_families(
@@ -714,7 +721,7 @@ def validate_families(
     """Closed form vs Monte Carlo for all eight SINR families."""
     net, pilots, stats, terms = build_topology(cfg, phases)
     lam = cfg.estimation_instant
-    instants = [lam, min(lam + 5, cfg.tau_c), cfg.tau_c]
+    instants = sorted({lam, min(lam + 5, cfg.tau_c), cfg.tau_c})
     batch = montecarlo.sample_batch(
         net, pilots, stats, phases, cfg, count, cfg.seed, instants=instants
     )

@@ -44,9 +44,6 @@ from .model import (
 )
 
 PRIVATE_SCHEMES = ("du_mr", "df_mr")
-# the MMSE-style private precoder has no closed form; it is handled by the
-# Monte Carlo oracle only
-PLAN_SCHEMES = PRIVATE_SCHEMES + ("du_mmse",)
 TRANSMISSIONS = ("coherent", "noncoherent")
 
 
@@ -140,8 +137,8 @@ class PrecodingPlan:
             arr = np.array(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.private_scheme not in PLAN_SCHEMES:
-            raise ValueError(f"private_scheme must be one of {PLAN_SCHEMES}")
+        if self.private_scheme not in PRIVATE_SCHEMES:
+            raise ValueError(f"private_scheme must be one of {PRIVATE_SCHEMES}")
         if self.transmission not in TRANSMISSIONS:
             raise ValueError(f"transmission must be one of {TRANSMISSIONS}")
         if not 0.0 <= self.rho <= 1.0:
@@ -260,11 +257,7 @@ def _theta_eff(terms: TraceTerms, scheme: str) -> np.ndarray:
     """Delay phase as seen by the precoder: compensated away for DU."""
     if scheme == "du_mr":
         return np.ones_like(terms.theta)
-    if scheme == "df_mr":
-        return terms.theta
-    raise ValueError(
-        f"no closed-form expression for {scheme!r}; use the Monte Carlo oracle"
-    )
+    return terms.theta
 
 
 def check_instants(config: SystemConfig, instants) -> np.ndarray:

@@ -3,9 +3,9 @@
 Draws i.i.d. realizations of channels, Wiener oscillator trajectories, and
 pilot noise; runs the actual estimator, built from the caller's estimation
 statistics, on each pilot observation, and keeps only what the estimators
-read (no pilot signal, no pilot-instant phases); forms per-realization
-precoders (including the MMSE-style private precoder that has no closed
-form); and empirically estimates the hardening-bound terms
+read (no pilot signal, no pilot-instant phases); forms the per-realization
+MR precoders (DU or DF); and empirically estimates the hardening-bound
+terms
 
     DS[k,l]  = E{ g[k,l,n]^H sqrt(mu) v[k,l] }          (desired signal)
     INT[k,i] = E{ |sum_l g^H sqrt(mu) v[i,l]|^2 }       (coherent)
@@ -25,8 +25,8 @@ unit-power, independent symbols the bound's expectations are over
 channels, phases, and noise only, which removes a variance source.
 
 A batch keeps its realizations on the last axis, the layout the
-accumulation contracts, and carries the network, estimation statistics and
-config it was drawn from, which the estimators read.
+accumulation contracts, and carries the network and config it was drawn
+from, which the estimators read.
 
 Reproducibility: realizations are generated in fixed-size chunks, chunk i
 seeded by SeedSequence(seed, spawn_key=(i,)) feeding a counter-based
@@ -62,7 +62,7 @@ _WORK_ELEMENTS = 2**22  # (K, K, L, r) work-array elements per accumulated slice
 @dataclass(frozen=True)
 class RealizationBatch:
     """One reproducible batch of channel and oscillator-phase realizations,
-    with the network, estimation statistics and config it was drawn from.
+    with the network and config it was drawn from.
 
     h (K, L, N, count): base channels at the estimation instant.
     hhat (K, L, N, count): MMSE estimates from the simulated pilots.
@@ -79,7 +79,6 @@ class RealizationBatch:
     ue_phase: np.ndarray
     ap_phase: np.ndarray
     net: NetworkModel
-    stats: EstimationStatistics
     config: SystemConfig
 
     def __post_init__(self):
@@ -209,68 +208,21 @@ def sample_batch(
 
     return RealizationBatch(count=count, instants=tuple(kept), h=h, hhat=hhat,
                             ue_phase=ue_phase, ap_phase=ap_phase,
-                            net=net, stats=stats, config=config)
+                            net=net, config=config)
 
 
 # ---------------------------------------------------------------------------
 # precoders
 # ---------------------------------------------------------------------------
 
-def dummse_precoder(
-    hhat: np.ndarray,
-    net: NetworkModel,
-    stats: EstimationStatistics,
-    config: SystemConfig,
-    p_dp: float,
-) -> np.ndarray:
-    """(K, L, N, count) MMSE-style private precoders for estimates ``hhat``.
-
-    v[k,l] = theta[k,l] * p * (sum_i p (hhat_i hhat_i^H + C_i) + sigma2 I)^-1 hhat_k
-    with C_i the estimation-error covariance; regularized by the noise
-    power, so the inverse always exists.
-    """
-    N = net.N
-    err_cov = (net.R - stats.Q).sum(axis=0)  # (L, N, N)
-    base = p_dp * err_cov + config.sigma2_ul * np.eye(N)[None]
-    outer = np.einsum("klnr,klmr->rlnm", hhat, np.conj(hhat))
-    A = p_dp * outer + base[None]
-    sol = np.linalg.solve(A, hhat.transpose(3, 1, 2, 0))  # (count, L, N, K)
-    v = sol.transpose(3, 1, 2, 0) * p_dp
-    return v * net.theta[:, :, None, None]
-
-
-def private_precoders(
-    hhat: np.ndarray,
-    net: NetworkModel,
-    scheme: str,
-    stats: EstimationStatistics,
-    config: SystemConfig,
-    p_dp: float,
-) -> np.ndarray:
-    """(K, L, N, count) private precoders of one scheme tag for the estimates ``hhat``."""
+def private_precoders(hhat: np.ndarray, net: NetworkModel, scheme: str) -> np.ndarray:
+    """(K, L, N, count) MR private precoders of one scheme tag for the estimates
+    ``hhat``: DU compensates the delay phase theta, DF forgets it."""
     if scheme == "du_mr":
         return hhat * net.theta[:, :, None, None]
     if scheme == "df_mr":
         return hhat
-    if scheme == "du_mmse":
-        return dummse_precoder(hhat, net, stats, config, p_dp)
     raise ValueError(f"unknown private precoding scheme {scheme!r}")
-
-
-def empirical_normalizations(
-    v: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batch estimates of (mu (K,L) uniform, eta (L,)) for arbitrary
-    (K, L, N, count) precoders.
-
-    Matches the statistical normalizations exactly in expectation; used for
-    precoders without closed-form second-order statistics.
-    """
-    norms = np.mean(np.sum(np.abs(v) ** 2, axis=2), axis=-1)  # (K, L)
-    mu_l = 1.0 / norms.sum(axis=0)
-    v_c = np.einsum("il,ilnr->lnr", weights, v)
-    eta = 1.0 / np.mean(np.sum(np.abs(v_c) ** 2, axis=1), axis=-1)
-    return np.broadcast_to(mu_l, norms.shape).copy(), eta
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +273,7 @@ def _accumulate(batch: RealizationBatch, plan: PrecodingPlan, eval_instants) -> 
     non-coherent interference (|P|^2 summed over APs) has no phase at all, so
     it is the same at every instant and is summed once per slice.
     """
-    net, config = batch.net, batch.config
+    net = batch.net
     counts, slices = _batch_blocks(batch)
     K, L = net.K, net.L
     columns = [batch.instant_index(int(n)) for n in eval_instants]
@@ -329,7 +281,6 @@ def _accumulate(batch: RealizationBatch, plan: PrecodingPlan, eval_instants) -> 
     coherent = plan.transmission == "coherent"
     sq_mu = np.sqrt(plan.mu)
     sq_eta = np.sqrt(plan.eta)
-    p_dp = (1.0 - plan.rho) * config.p_d
     B = len(counts)
 
     sums = _BlockSums(
@@ -343,8 +294,7 @@ def _accumulate(batch: RealizationBatch, plan: PrecodingPlan, eval_instants) -> 
 
     conj_theta = np.conj(net.theta)[:, :, None, None]
     for b, sl in slices:
-        v = private_precoders(batch.hhat[..., sl], net, plan.private_scheme, batch.stats,
-                              config, p_dp)
+        v = private_precoders(batch.hhat[..., sl], net, plan.private_scheme)
         gh = conj_theta * np.conj(batch.h[..., sl])
         # explicit sum over antennas: a batched matmul of the tiny per-realization
         # matrices is several times slower
@@ -498,8 +448,7 @@ def transmit_power_stats(
     p_dp = (1.0 - plan.rho) * config.p_d
     power = np.zeros((len(counts), net.L))
     for b, sl in slices:
-        vb = private_precoders(batch.hhat[..., sl], net, plan.private_scheme, batch.stats,
-                               config, p_dp)
+        vb = private_precoders(batch.hhat[..., sl], net, plan.private_scheme)
         pw = p_dp * np.einsum("il,ilr->lr", plan.mu, np.sum(np.abs(vb) ** 2, axis=2))
         if plan.rho > 0:
             v_c = np.einsum("il,ilnr->lnr", plan.weights, vb)

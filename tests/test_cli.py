@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cfrs
 import cfrs.cli as cli
 
 
@@ -234,6 +235,44 @@ def test_bad_spec_values_exit_2_naming_the_file(overrides, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ")
     assert err.count(str(path)) == 1
+
+
+@pytest.mark.parametrize("sweep", [
+    {"parameter": "none", "values": [1, 2]},
+    {"values": ["-30 dB"]},
+], ids=["parameter-none", "parameter-missing"])
+def test_sweep_values_that_nothing_sweeps_exit_2(sweep, tmp_path, capsys):
+    path = write_spec(tmp_path, one_scheme_spec(sweep=sweep))
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}.sweep.values: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_sweep_values_without_a_sweep_are_valid():
+    # the form spec_to_dict writes for a spec that sweeps nothing
+    spec = cli.spec_from_dict(one_scheme_spec(sweep={"parameter": "none", "values": []}))
+    assert spec.sweep_values == ()
+    assert cli.spec_to_dict(spec)["sweep"] == {"parameter": "none", "values": []}
+    assert cli.spec_from_dict(cli.spec_to_dict(spec)) == spec
+
+
+def test_schemes_that_repeat_a_label_rejected(tmp_path, capsys):
+    # without RS the weights mode is not part of the job, so both run the same job
+    schemes = [{"private": "du_mr", "transmission": "coherent", "rs": False},
+               {"private": "df_mr", "transmission": "coherent", "rs": False},
+               {"private": "du_mr", "transmission": "coherent", "rs": False,
+                "weights": "robust"}]
+    with pytest.raises(cli.ConfigError,
+                       match=r"^config\.schemes\[2\]: .*du_mr\.coherent\.nors.*"
+                             r"config\.schemes\[0\]$"):
+        cli.spec_from_dict(one_scheme_spec(schemes=schemes))
+    path = write_spec(tmp_path, one_scheme_spec(schemes=schemes))
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}.schemes[2]: ")
+    # the same private scheme with RS on is a different job
+    schemes[2]["rs"] = True
+    assert len(cli.spec_from_dict(one_scheme_spec(schemes=schemes)).schemes) == 3
 
 
 def test_each_job_estimates_on_its_sweep_point(tmp_path, monkeypatch):
@@ -499,6 +538,17 @@ def test_validate_subcommand(tmp_path):
     }
     # int_common is per UE; every other term is per (UE, AP) or (UE, UE)
     assert all((r["l_or_i"] == "") == (r["term"] == "int_common") for r in term_rows)
+
+
+def test_validate_evaluates_each_instant_once():
+    # tau_c < lambda + 5 clips the middle instant onto the last one
+    cfg = cfrs.SystemConfig(L=4, K=2, N=2, tau_p=2, tau_c=6, seed=1)
+    assert cfg.tau_c < cfg.estimation_instant + 5
+    rows = cli.validate_families(cfg, cfrs.PhaseStatistics.from_config(cfg), 200)
+    keys = [(r["stream"], r["transmission"], r["scheme"], r["n"], r["k"]) for r in rows]
+    assert len(keys) == len(set(keys))
+    assert sorted({r["n"] for r in rows}) == [cfg.estimation_instant, cfg.tau_c]
+    assert len(rows) == len(cli.FAMILIES) * 2 * cfg.K
 
 
 def test_failed_jobs_are_tagged_and_run_continues(tmp_path):

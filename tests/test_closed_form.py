@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -263,11 +264,13 @@ def test_blocked_tr_qcr_matches_dense_einsum():
         assert np.max(np.abs(cross - cross_dense)) <= 1e-12 * np.max(np.abs(cross_dense))
 
 
-def test_du_mmse_has_no_closed_form(desk):
-    cfg, _, _, phases, _, terms = desk
-    plan = cf.make_plan(terms, "du_mmse", "noncoherent", 0.5)
-    with pytest.raises(ValueError, match="Monte Carlo"):
-        cf.plan_parts(terms, plan, phases, cfg, cfg.data_instants())
+@pytest.mark.parametrize("scheme", ["du_mmse", "mr", "DU_MR", ""])
+def test_make_plan_rejects_schemes_without_a_closed_form(desk, scheme):
+    # the plan is the boundary: no other tag can reach plan_parts
+    terms = desk[-1]
+    allowed = re.escape(str(cf.PRIVATE_SCHEMES))
+    with pytest.raises(ValueError, match=f"private_scheme must be one of {allowed}"):
+        cf.make_plan(terms, scheme, "noncoherent", 0.5)
 
 
 def test_rho_zero_common_sinr_is_zero(desk):

@@ -92,7 +92,7 @@ def test_batch_keeps_the_estimation_and_requested_instants(desk):
 
 
 def test_oracle_uses_the_callers_estimation_statistics(desk, monkeypatch):
-    cfg, net, pilots, phases, stats, _ = desk
+    cfg, net, pilots, phases, stats, terms = desk
 
     def recomputed(*args):
         raise AssertionError("the oracle must not recompute estimation statistics")
@@ -100,10 +100,7 @@ def test_oracle_uses_the_callers_estimation_statistics(desk, monkeypatch):
     monkeypatch.setattr(cfrs.estimation, "estimation_statistics", recomputed)
     n = cfg.estimation_instant + 2
     batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 500, seed=2, instants=[n])
-    v = cfrs.dummse_precoder(batch.hhat, net, stats, cfg, cfg.p_d)
-    mu, eta = mc.empirical_normalizations(v, np.ones((cfg.K, cfg.L)))
-    plan = cf.PrecodingPlan(private_scheme="du_mmse", transmission="coherent", rho=0.0,
-                            weights=np.ones((cfg.K, cfg.L)), mu=mu, eta=eta)
+    plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
     res = cfrs.mc_sinr(batch, plan, n)
     assert np.all(np.isfinite(res.private)) and np.all(res.private > 0)
 
@@ -306,63 +303,6 @@ def test_mc_matches_closed_form_with_power_control(desk, desk_batch):
     assert np.all(np.abs(res.private - closed) / closed < 0.03)
 
 
-# ---------------------------------------------------------------------------
-# MMSE-style precoder (Monte Carlo only)
-# ---------------------------------------------------------------------------
-
-def test_dummse_scalar_reduction():
-    cfg, net, pilots, phases, stats, terms = small_setup(L=1, K=1, N=1, tau_p=1)
-    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 200, seed=5)
-    v = cfrs.dummse_precoder(batch.hhat, net, stats, cfg, p_dp=cfg.p_d)
-    hh = batch.hhat[0, 0, 0]
-    c_err = (net.R[0, 0, 0, 0] - stats.Q[0, 0, 0, 0]).real
-    expected = (
-        net.theta[0, 0] * cfg.p_d * hh
-        / (cfg.p_d * np.abs(hh) ** 2 + cfg.p_d * c_err + cfg.sigma2_ul)
-    )
-    assert np.allclose(v[0, 0, 0], expected, rtol=1e-10)
-
-
-def test_dummse_approaches_mr_direction_at_high_noise():
-    cfg, net, pilots, phases, stats, terms = small_setup(L=2, K=2, N=2)
-    noisy = dataclasses.replace(cfg, sigma2_ul=1e6)
-    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 64, seed=8)
-    v = cfrs.dummse_precoder(batch.hhat, net, stats, noisy, p_dp=cfg.p_d)
-    mr = net.theta[:, :, None, None] * batch.hhat
-    dots = np.abs(np.einsum("klnr,klnr->klr", np.conj(v), mr))
-    norms = np.linalg.norm(v, axis=2) * np.linalg.norm(mr, axis=2)
-    assert np.all(dots / norms > 1 - 1e-9)
-
-
-def test_dummse_beats_mr_sum_se():
-    # interference suppression should win on average over random topologies
-    wins = 0
-    gains = []
-    for seed in range(20):
-        cfg, net, pilots, phases, stats, terms = small_setup(
-            seed=100 + seed, L=4, K=2, N=2
-        )
-        ns = list(cfg.data_instants())
-        batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 4000, seed=seed, instants=ns)
-        se = {}
-        for scheme in ("du_mr", "du_mmse"):
-            if scheme == "du_mr":
-                plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
-            else:
-                v = cfrs.dummse_precoder(batch.hhat, net, stats, cfg, cfg.p_d)
-                mu, eta = mc.empirical_normalizations(v, np.ones((cfg.K, cfg.L)))
-                plan = cf.PrecodingPlan(
-                    private_scheme="du_mmse", transmission="coherent", rho=0.0,
-                    weights=np.ones((cfg.K, cfg.L)), mu=mu, eta=eta,
-                )
-            results = cfrs.mc_sinr(batch, plan, ns)
-            sinr = np.stack([r.private for r in results], axis=1)
-            se[scheme] = float(np.sum(cf.se_from_sinr(sinr, cfg.tau_c)))
-        gains.append(se["du_mmse"] - se["du_mr"])
-        wins += se["du_mmse"] >= se["du_mr"]
-    assert wins == 20, f"du_mmse lost on {20 - wins} instances: {gains}"
-
-
 def test_per_ap_power_within_limit(desk, desk_batch):
     cfg, net, pilots, phases, stats, terms = desk
     batch, _ = desk_batch
@@ -384,16 +324,16 @@ def test_per_ap_power_within_limit(desk, desk_batch):
 # factored accumulation
 # ---------------------------------------------------------------------------
 
-def direct_terms(batch, plan, net, cfg, stats, n):
+def direct_terms(batch, plan, n):
     """Per-realization DS/INT terms at instant n from the rotated channel,
     realizations on the last axis.
 
     The plain formula: g = theta exp(i(ue + ap)) h, d[k,i,l] = g[k,l]^H v[i,l],
     then the private and common desired-signal and interference terms.
     """
+    net = batch.net
     col = batch.instant_index(n)
-    v = mc.private_precoders(batch.hhat, net, plan.private_scheme, stats, cfg,
-                             (1.0 - plan.rho) * cfg.p_d)
+    v = mc.private_precoders(batch.hhat, net, plan.private_scheme)
     rotation = np.exp(1j * (batch.ue_phase[:, None, col] + batch.ap_phase[None, :, col]))
     g = net.theta[:, :, None, None] * rotation[:, :, None] * batch.h
     d = np.einsum("klnr,ilnr->kilr", np.conj(g), v)
@@ -440,11 +380,11 @@ def test_factored_accumulation_matches_direct_formula():
     batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 1000, seed=4, instants=instants)
     groups, counts = jackknife_groups(batch)
     assert len(groups) == mc.JACKKNIFE_GROUPS
-    for scheme in ("du_mr", "df_mr", "du_mmse"):
+    for scheme in cf.PRIVATE_SCHEMES:
         for transmission in cf.TRANSMISSIONS:
             for rho in (0.0, 0.5):
                 plan = cf.make_plan(terms, scheme, transmission, rho)
-                per_instant = [direct_terms(batch, plan, net, cfg, stats, n) for n in instants]
+                per_instant = [direct_terms(batch, plan, n) for n in instants]
                 # (B, M, ...) block sums of each term, as the jackknife reads them
                 blocks = [np.stack([np.stack([t[i][..., sl].sum(axis=-1) for sl in groups])
                                     for t in per_instant], axis=1) for i in range(4)]
@@ -484,10 +424,9 @@ def test_transmit_power_matches_per_realization_sums(desk, desk_batch):
     batch, _ = desk_batch
     groups, _ = jackknife_groups(batch)
     for plan in (cf.make_plan(terms, "du_mr", "coherent", 0.5),
-                 cf.make_plan(terms, "df_mr", "noncoherent", 0.0),
-                 cf.make_plan(terms, "du_mmse", "coherent", 0.3)):
+                 cf.make_plan(terms, "df_mr", "noncoherent", 0.0)):
         p_dp, p_dc = (1.0 - plan.rho) * cfg.p_d, plan.rho * cfg.p_d
-        v = mc.private_precoders(batch.hhat, net, plan.private_scheme, stats, cfg, p_dp)
+        v = mc.private_precoders(batch.hhat, net, plan.private_scheme)
         v_c = np.einsum("il,ilnr->lnr", plan.weights, v)
         power = (p_dp * np.einsum("il,ilr->lr", plan.mu, np.sum(np.abs(v) ** 2, axis=2))
                  + p_dc * plan.eta[:, None] * np.sum(np.abs(v_c) ** 2, axis=1))  # (L, count)
