@@ -26,7 +26,16 @@ channels, phases, and noise only, which removes a variance source.
 
 A batch keeps its realizations on the last axis, the layout the
 accumulation contracts, and carries the network and config it was drawn
-from, which the estimators read.
+from, which the estimators read.  The work is split by how often it runs.
+Once per batch, ``sample_batch`` draws, colours the channels and runs the
+estimation filters (explicit antenna sums, bit for bit what ``einsum``
+gives), and turns every kept phase into its unit-modulus factor
+exp(-i phase) with one cos/sin evaluation.  Once per ``mc_sinr`` or
+``transmit_power_stats`` call, the estimators form the plan's precoders
+and terms slice by slice, with (K, K, L, r) work arrays of about
+``_WORK_ELEMENTS`` entries that fit in cache and slices that never
+straddle a jackknife group, and read the stored factors with no
+trigonometry.
 
 Reproducibility: realizations are generated in fixed-size chunks, chunk i
 seeded by SeedSequence(seed, spawn_key=(i,)) feeding a counter-based
@@ -56,7 +65,7 @@ RNG_CHUNK = 4096  # realizations per RNG stream; fixed for reproducibility
 MIN_REALIZATIONS = 100  # fewest realizations for meaningful standard errors
 JACKKNIFE_GROUPS = 10  # delete-one groups of every jackknife
 _T95 = 2.2621571627982  # two-sided 95% t quantile, JACKKNIFE_GROUPS - 1 = 9 dof
-_WORK_ELEMENTS = 2**22  # (K, K, L, r) work-array elements per accumulated slice
+_WORK_ELEMENTS = 2**17  # (K, K, L, r) work-array elements per accumulated slice
 
 
 @dataclass(frozen=True)
@@ -66,23 +75,26 @@ class RealizationBatch:
 
     h (K, L, N, count): base channels at the estimation instant.
     hhat (K, L, N, count): MMSE estimates from the simulated pilots.
-    ue_phase (K, M, count) / ap_phase (L, M, count): oscillator phases at
-        the instants listed in ``instants``: the estimation instant and every
-        requested evaluation instant.  The pilot signal and the phases at the
-        pilot instants are drawn (see ``_draw_chunks``) but not kept.
+    ue_factor (K, M, count) / ap_factor (L, M, count): the unit-modulus
+        phase factors exp(-i phase) of the UE and AP oscillators at the
+        instants listed in ``instants``: the estimation instant and every
+        requested evaluation instant.  They are formed once, when the batch
+        is drawn, so no accumulation evaluates a trigonometric function.  The
+        pilot signal and the phases at the pilot instants are drawn (see
+        ``_draw_chunks``) but not kept.
     """
 
     count: int
     instants: tuple[int, ...]
     h: np.ndarray
     hhat: np.ndarray
-    ue_phase: np.ndarray
-    ap_phase: np.ndarray
+    ue_factor: np.ndarray
+    ap_factor: np.ndarray
     net: NetworkModel
     config: SystemConfig
 
     def __post_init__(self):
-        for arr in (self.h, self.hhat, self.ue_phase, self.ap_phase):
+        for arr in (self.h, self.hhat, self.ue_factor, self.ap_factor):
             arr.setflags(write=False)
 
     def instant_index(self, n: int) -> int:
@@ -104,9 +116,46 @@ def _chol_factors(net: NetworkModel) -> np.ndarray:
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)
+    """(re + i im) / sqrt(2), re drawn before im, both in the C order of
+    ``shape``; returned with its first (realization) axis moved last."""
+    out = np.empty(shape[1:] + shape[:1], dtype=complex)
+    drawn = np.moveaxis(out, -1, 0)
+    part = rng.standard_normal(shape)
+    part *= 1.0 / np.sqrt(2.0)
+    drawn.real = part
+    rng.standard_normal(shape, out=part)
+    part *= 1.0 / np.sqrt(2.0)
+    drawn.imag = part
+    return out
+
+
+def _phasor(angle: np.ndarray) -> np.ndarray:
+    """exp(i angle) from cos and sin, cheaper than the complex exponential."""
+    out = np.empty(angle.shape, dtype=complex)
+    out.real = np.cos(angle)
+    out.imag = np.sin(angle)
+    return out
+
+
+def _matvec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(..., N, r) stack of sum_m a[..., n, m] b[..., m, r]: the draw's N x N
+    products for r realizations, as an explicit antenna sum.
+
+    Each complex product is formed in plain real arithmetic and the terms are
+    added in m order, as ``einsum`` does, so the result is bit for bit what
+    ``einsum`` gives; the vectorized complex multiply may fuse operations and
+    round differently.
+    """
+    re = im = 0.0
+    for m in range(a.shape[-1]):
+        ar, ai = a[..., m, None].real, a[..., m, None].imag
+        br, bi = b[..., m, None, :].real, b[..., m, None, :].imag
+        re = re + (ar * br - ai * bi)
+        im = im + (ar * bi + ai * br)
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
 
 
 def _phase_instants(pilots: PilotAssignment, config: SystemConfig, instants) -> list[int]:
@@ -132,7 +181,10 @@ def _draw_chunks(
     estimates (c, K, L, N), the UE (c, K, M) and AP (c, L, M) phases at
     ``_phase_instants(pilots, config, instants)``, and the received pilot
     signal z (c, G, L, N) per co-pilot group, which the filters of ``stats``
-    turn into hhat.
+    turn into hhat.  The draws are made in that order and layout; the
+    channels, estimates and pilot signal are computed with the realizations
+    last, which gives the antenna sums long inner loops, and yielded as
+    views with that axis moved first.
     """
     K, L, N = net.K, net.L, net.N
     needed = _phase_instants(pilots, config, instants)
@@ -148,27 +200,23 @@ def _draw_chunks(
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(seed, spawn_key=(chunk,)))
         )
-        u = _complex_normal(rng, (c, K, L, N))
-        h = np.einsum("klnm,rklm->rkln", chol, u)
+        h = _matvec(chol, _complex_normal(rng, (c, K, L, N)))  # (K, L, N, c)
         ue = np.cumsum(rng.standard_normal((c, K, M)) * np.sqrt(phases.var_ue * gaps), axis=2)
         ap = np.cumsum(rng.standard_normal((c, L, M)) * np.sqrt(phases.var_ap * gaps), axis=2)
-        z = _complex_normal(rng, (c, len(pilots.groups), L, N)) * np.sqrt(config.sigma2_ul)
+        z = _complex_normal(rng, (c, len(pilots.groups), L, N))  # (G, L, N, c)
+        z *= np.sqrt(config.sigma2_ul)
 
-        hhat = np.empty((c, K, L, N), dtype=complex)
+        hhat = np.empty_like(h)
         for g, group in enumerate(pilots.groups):
             # the group's transmissions accumulate on top of the noise
             m = needed.index(int(pilots.t[group[0]]))
             for i in group:
-                rot = np.exp(1j * (ue[:, i, m, None] + ap[:, :, m]))
-                z[:, g] += (
-                    np.sqrt(p[i]) * net.theta[i][None, :, None]
-                    * rot[:, :, None] * h[:, i]
-                )
+                rot = _phasor(ue[:, i, m] + ap[:, :, m].T)  # (L, c)
+                z[g] += np.sqrt(p[i]) * net.theta[i][:, None, None] * rot[:, None] * h[i]
             for k in group:
-                hhat[:, k] = np.conj(net.theta[k])[None, :, None] * np.einsum(
-                    "lnm,rlm->rln", filters[k], z[:, g]
-                )
-        yield h, hhat, ue, ap, z
+                hhat[k] = np.conj(net.theta[k])[:, None, None] * _matvec(filters[k], z[g])
+        yield (np.moveaxis(h, -1, 0), np.moveaxis(hhat, -1, 0), ue, ap,
+               np.moveaxis(z, -1, 0))
 
 
 def sample_batch(
@@ -184,9 +232,9 @@ def sample_batch(
     """Draw ``count`` realizations and keep what the estimators read.
 
     ``instants`` lists the data instants at which SINRs will later be
-    evaluated; the phases there and at the estimation instant are kept.
-    The estimates use the filters of ``stats``.  Identical (seed, inputs)
-    give identical batches.
+    evaluated; the phase factors there and at the estimation instant are
+    kept.  The estimates use the filters of ``stats``.  Identical (seed,
+    inputs) give identical batches.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -196,18 +244,18 @@ def sample_batch(
 
     h = np.empty((net.K, net.L, net.N, count), dtype=complex)
     hhat = np.empty_like(h)
-    ue_phase = np.empty((net.K, len(kept), count))
-    ap_phase = np.empty((net.L, len(kept), count))
+    ue_factor = np.empty((net.K, len(kept), count), dtype=complex)
+    ap_factor = np.empty((net.L, len(kept), count), dtype=complex)
     chunks = _draw_chunks(net, pilots, stats, phases, config, count, seed, instants)
     for start, (h_c, hhat_c, ue_c, ap_c, _) in zip(range(0, count, RNG_CHUNK), chunks):
         sl = slice(start, start + len(h_c))
         h[..., sl] = np.moveaxis(h_c, 0, -1)
         hhat[..., sl] = np.moveaxis(hhat_c, 0, -1)
-        ue_phase[..., sl] = np.moveaxis(ue_c[:, :, columns], 0, -1)
-        ap_phase[..., sl] = np.moveaxis(ap_c[:, :, columns], 0, -1)
+        ue_factor[..., sl] = np.moveaxis(_phasor(-ue_c[:, :, columns]), 0, -1)
+        ap_factor[..., sl] = np.moveaxis(_phasor(-ap_c[:, :, columns]), 0, -1)
 
     return RealizationBatch(count=count, instants=tuple(kept), h=h, hhat=hhat,
-                            ue_phase=ue_phase, ap_phase=ap_phase,
+                            ue_factor=ue_factor, ap_factor=ap_factor,
                             net=net, config=config)
 
 
@@ -241,9 +289,11 @@ class _BlockSums:
 
 def _batch_blocks(batch: RealizationBatch) -> tuple[np.ndarray, list[tuple[int, slice]]]:
     """Realization counts of the batch's ``JACKKNIFE_GROUPS`` contiguous
-    groups, and the (group, slice) pairs that cover them; a slice of at
-    least 64 realizations bounds the (K, K, L, r) work arrays to about
-    ``_WORK_ELEMENTS`` entries.
+    groups, and the (group, slice) pairs that cover them.  Each group is cut
+    into slices of at most ``cap`` realizations (the last one may be
+    shorter), so no slice straddles two groups; a slice of at least 64
+    realizations bounds the (K, K, L, r) work arrays to about
+    ``_WORK_ELEMENTS`` entries, a size that stays in cache.
     """
     if batch.count < MIN_REALIZATIONS:
         raise ValueError(
@@ -257,6 +307,35 @@ def _batch_blocks(batch: RealizationBatch) -> tuple[np.ndarray, list[tuple[int, 
     return np.diff(edges), slices
 
 
+def _check_plan(batch: RealizationBatch, plan: PrecodingPlan) -> None:
+    """Raise ValueError unless the plan's arrays have the batch network's shapes."""
+    K, L = batch.net.K, batch.net.L
+    for name, shape in (("mu", (K, L)), ("weights", (K, L)), ("eta", (L,))):
+        got = getattr(plan, name).shape
+        if got != shape:
+            raise ValueError(
+                f"plan {name} has shape {got}, but the batch's network needs {shape}")
+
+
+def _sum(terms) -> np.ndarray:
+    """Sum of arrays, added in place into the first, which has the full shape."""
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total += term
+    return total
+
+
+def _sumsq(a: np.ndarray) -> np.ndarray:
+    """sum of |a|^2 over the last axis: the float view dotted with itself.
+
+    Formed elementwise rather than by ``matmul``: a threaded BLAS splits long
+    real dot products over its thread pool, whose wake-up can cost more than
+    the dot.
+    """
+    return np.square(a.view(float)).sum(axis=-1)
+
+
 def _accumulate(batch: RealizationBatch, plan: PrecodingPlan, eval_instants) -> _BlockSums:
     """Per-group sums of every term at the instants; the estimators' entry.
 
@@ -267,12 +346,16 @@ def _accumulate(batch: RealizationBatch, plan: PrecodingPlan, eval_instants) -> 
         P[k,i,l] = sum_n conj(theta[k,l] h[k,l,n]) v[i,l,n],
 
     with the unit-modulus phase factors x = exp(-i ue) (per UE) and
-    y = exp(-i ap) (per AP).  P is formed once per slice, together with the
-    plan's private precoders, and each instant only brings its own x and y.
-    |x| = 1 drops the per-UE factor from every interference term, and the
-    non-coherent interference (|P|^2 summed over APs) has no phase at all, so
-    it is the same at every instant and is summed once per slice.
+    y = exp(-i ap) (per AP), which the batch stores.  Per call, P is formed
+    once per slice, together with the plan's private precoders, and each
+    instant only reads its own x and y.  |x| = 1 drops the per-UE factor from
+    every interference term, and the non-coherent interference (|P|^2 summed
+    over APs) has no phase at all, so it is the same at every instant and is
+    summed once per slice.  The sums over antennas, UEs and APs are explicit
+    loops over the short axes, and sum |.|^2 over realizations is a real dot
+    product.
     """
+    _check_plan(batch, plan)
     net = batch.net
     counts, slices = _batch_blocks(batch)
     K, L = net.K, net.L
@@ -298,26 +381,27 @@ def _accumulate(batch: RealizationBatch, plan: PrecodingPlan, eval_instants) -> 
         gh = conj_theta * np.conj(batch.h[..., sl])
         # explicit sum over antennas: a batched matmul of the tiny per-realization
         # matrices is several times slower
-        P = sum(gh[:, None, :, n] * v[None, :, :, n] for n in range(net.N))  # (K, K, L, r)
-        diag = np.einsum("kklr->klr", P)
+        P = _sum(gh[:, None, :, n] * v[None, :, :, n] for n in range(net.N))  # (K, K, L, r)
+        diag = np.moveaxis(np.diagonal(P), -1, 0)  # (K, L, r) view of P[k, k]
         if not coherent:
-            sums.int_p[b] += np.einsum("il,kil->ki", plan.mu, np.sum(np.abs(P) ** 2, axis=-1))
+            sums.int_p[b] += np.sum(plan.mu * _sumsq(P), axis=-1)
         if plan.rho > 0:
-            E = np.einsum("il,kilr->klr", plan.weights, P)
+            E = _sum(plan.weights[i, :, None] * P[:, i] for i in range(K))  # (K, L, r)
             if not coherent:
-                sums.int_c[b] += np.einsum("l,klr->k", plan.eta, np.abs(E) ** 2)
+                sums.int_c[b] += _sumsq(E) @ plan.eta
         for m, col in enumerate(columns):
-            y = np.exp(-1j * batch.ap_phase[:, col, sl])  # (L, r)
-            xy = np.exp(-1j * batch.ue_phase[:, col, sl])[:, None] * y
-            sums.ds_p[b, m] += sq_mu * np.einsum("klr,klr->kl", xy, diag)
+            x = batch.ue_factor[:, col, sl, None]  # (K, r, 1)
+            y = batch.ap_factor[:, col, sl]  # (L, r)
+            sums.ds_p[b, m] += sq_mu * np.matmul(y * diag, x)[..., 0]
             if coherent:
-                c = np.einsum("kilr,ilr->kir", P, sq_mu[:, :, None] * y)
-                sums.int_p[b, m] += np.sum(np.abs(c) ** 2, axis=-1)
+                w = sq_mu[:, :, None] * y  # (K, L, r)
+                c = _sum(P[:, :, l] * w[:, l] for l in range(L))  # (K, K, r)
+                sums.int_p[b, m] += _sumsq(c)
             if plan.rho > 0:
-                sums.ds_c[b, m] += sq_eta * np.einsum("klr,klr->kl", xy, E)
+                sums.ds_c[b, m] += sq_eta * np.matmul(y * E, x)[..., 0]
                 if coherent:
-                    ec = np.einsum("klr,lr->kr", E, sq_eta[:, None] * y)
-                    sums.int_c[b, m] += np.sum(np.abs(ec) ** 2, axis=-1)
+                    ec = _sum(E[:, l] * (sq_eta[l] * y[l]) for l in range(L))  # (K, r)
+                    sums.int_c[b, m] += _sumsq(ec)
     return sums
 
 
@@ -442,6 +526,7 @@ def transmit_power_stats(
     batch: RealizationBatch, plan: PrecodingPlan
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-AP mean transmit power and its standard error over the batch."""
+    _check_plan(batch, plan)
     net, config = batch.net, batch.config
     counts, slices = _batch_blocks(batch)
     p_dc = plan.rho * config.p_d
@@ -449,9 +534,8 @@ def transmit_power_stats(
     power = np.zeros((len(counts), net.L))
     for b, sl in slices:
         vb = private_precoders(batch.hhat[..., sl], net, plan.private_scheme)
-        pw = p_dp * np.einsum("il,ilr->lr", plan.mu, np.sum(np.abs(vb) ** 2, axis=2))
+        power[b] += p_dp * np.sum(plan.mu * _sumsq(vb).sum(axis=-1), axis=0)
         if plan.rho > 0:
-            v_c = np.einsum("il,ilnr->lnr", plan.weights, vb)
-            pw = pw + p_dc * plan.eta[:, None] * np.sum(np.abs(v_c) ** 2, axis=1)
-        power[b] += pw.sum(axis=-1)
+            v_c = _sum(plan.weights[i, :, None, None] * vb[i] for i in range(net.K))
+            power[b] += p_dc * plan.eta * _sumsq(v_c).sum(axis=-1)
     return _mean_and_stderr(power, counts)

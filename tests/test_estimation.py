@@ -246,7 +246,8 @@ def test_estimate_error_orthogonality(desk, desk_batch):
     lam_idx = batch.instant_index(cfg.estimation_instant)
     for k in range(cfg.K):
         for l in range(cfg.L):
-            rot = np.exp(1j * (batch.ue_phase[k, lam_idx] + batch.ap_phase[l, lam_idx]))
+            # exp(i(ue + ap)) from the stored factors exp(-i ue) and exp(-i ap)
+            rot = np.conj(batch.ue_factor[k, lam_idx] * batch.ap_factor[l, lam_idx])
             h_lam = rot * batch.h[k, l]  # oscillator-rotated channel at lam
             err = h_lam - batch.hhat[k, l]
             prods = np.einsum("nr,mr->nmr", batch.hhat[k, l], np.conj(err))

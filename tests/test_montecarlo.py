@@ -36,8 +36,8 @@ def test_batches_identical_for_same_seed(desk):
     b = cfrs.sample_batch(net, pilots, stats, phases, cfg, 5000, seed=42, instants=[10])
     assert np.array_equal(a.h, b.h)
     assert np.array_equal(a.hhat, b.hhat)
-    assert np.array_equal(a.ue_phase, b.ue_phase)
-    assert np.array_equal(a.ap_phase, b.ap_phase)
+    assert np.array_equal(a.ue_factor, b.ue_factor)
+    assert np.array_equal(a.ap_factor, b.ap_factor)
     c = cfrs.sample_batch(net, pilots, stats, phases, cfg, 5000, seed=43, instants=[10])
     assert not np.array_equal(a.h, c.h)
 
@@ -79,16 +79,19 @@ def test_batch_keeps_the_estimation_and_requested_instants(desk):
     # realizations last, and bitwise the drawn chunks with that axis moved
     M = len(batch.instants)
     assert batch.h.shape == batch.hhat.shape == (cfg.K, cfg.L, cfg.N, 5000)
-    assert batch.ue_phase.shape == (cfg.K, M, 5000)
-    assert batch.ap_phase.shape == (cfg.L, M, 5000)
+    assert batch.ue_factor.shape == (cfg.K, M, 5000)
+    assert batch.ap_factor.shape == (cfg.L, M, 5000)
     chunks = list(mc._draw_chunks(net, pilots, stats, phases, cfg, 5000, 42, requested))
     assert len(chunks) > 1
     h, hhat, ue, ap = (np.moveaxis(np.concatenate([c[i] for c in chunks]), 0, -1)
                        for i in range(4))
     assert np.array_equal(batch.h, h)
     assert np.array_equal(batch.hhat, hhat)
-    assert np.array_equal(batch.ue_phase, ue[:, columns])
-    assert np.array_equal(batch.ap_phase, ap[:, columns])
+    # the stored phase factors are exp(-i phase) of the drawn phases
+    assert np.array_equal(batch.ue_factor, mc._phasor(-ue[:, columns]))
+    assert np.array_equal(batch.ap_factor, mc._phasor(-ap[:, columns]))
+    for factor in (batch.ue_factor, batch.ap_factor):
+        assert np.all(np.abs(np.abs(factor) - 1.0) <= 1e-15)
 
 
 def test_oracle_uses_the_callers_estimation_statistics(desk, monkeypatch):
@@ -334,7 +337,8 @@ def direct_terms(batch, plan, n):
     net = batch.net
     col = batch.instant_index(n)
     v = mc.private_precoders(batch.hhat, net, plan.private_scheme)
-    rotation = np.exp(1j * (batch.ue_phase[:, None, col] + batch.ap_phase[None, :, col]))
+    # exp(i(ue + ap)) from the stored factors exp(-i ue) and exp(-i ap)
+    rotation = np.conj(batch.ue_factor[:, None, col] * batch.ap_factor[None, :, col])
     g = net.theta[:, :, None, None] * rotation[:, :, None] * batch.h
     d = np.einsum("klnr,ilnr->kilr", np.conj(g), v)
     sq_mu, sq_eta = np.sqrt(plan.mu), np.sqrt(plan.eta)
@@ -364,7 +368,18 @@ def assert_close(actual, expected):
     assert np.all(np.abs(actual - expected) <= 1e-12 * scale), np.max(np.abs(actual - expected))
 
 
-def test_factored_accumulation_matches_direct_formula():
+def assert_groups_span_partial_slices(batch):
+    """Every jackknife group is cut into at least two slices, the last one short."""
+    counts, slices = mc._batch_blocks(batch)
+    cap = max(64, mc._WORK_ELEMENTS // (batch.net.K ** 2 * batch.net.L))
+    for b in range(len(counts)):
+        sizes = [sl.stop - sl.start for group, sl in slices if group == b]
+        assert len(sizes) >= 2 and 0 < sizes[-1] < cap, sizes
+
+
+def check_factored_accumulation():
+    """Check every estimator output against the plain per-realization formula;
+    returns the batch it checked."""
     # co-pilot groups (K > tau_p), three antennas, delay phases spread over the
     # whole circle and ten times the default oscillator variance
     cfg = cfrs.SystemConfig(L=3, K=3, N=3, tau_p=2, tau_c=20, seed=5)
@@ -401,6 +416,16 @@ def test_factored_accumulation_matches_direct_formula():
                             (uatf.int_common, uatf.int_common_stderr)]):
                         assert_close(mean, per_instant[m][i].mean(axis=-1))
                         assert_close(se, mc._mean_and_stderr(blocks[i][:, m], counts)[1])
+    return batch
+
+
+def test_factored_accumulation_matches_direct_formula():
+    check_factored_accumulation()
+
+
+def test_factored_accumulation_over_partial_slices(monkeypatch):
+    monkeypatch.setattr(mc, "_WORK_ELEMENTS", 1)  # 64-realization slices
+    assert_groups_span_partial_slices(check_factored_accumulation())
 
 
 def test_noncoherent_interference_does_not_depend_on_the_instant(desk, desk_batch):
@@ -419,9 +444,9 @@ def test_noncoherent_interference_does_not_depend_on_the_instant(desk, desk_batc
     assert not np.array_equal(first.int_, last.int_)
 
 
-def test_transmit_power_matches_per_realization_sums(desk, desk_batch):
+def check_transmit_power(desk, batch):
+    """Check transmit_power_stats against per-realization power sums."""
     cfg, net, pilots, phases, stats, terms = desk
-    batch, _ = desk_batch
     groups, _ = jackknife_groups(batch)
     for plan in (cf.make_plan(terms, "du_mr", "coherent", 0.5),
                  cf.make_plan(terms, "df_mr", "noncoherent", 0.0)):
@@ -438,3 +463,30 @@ def test_transmit_power_matches_per_realization_sums(desk, desk_batch):
         mean, se = cfrs.transmit_power_stats(batch, plan)
         assert np.all(np.abs(mean - total / batch.count) <= 1e-12 * total / batch.count)
         assert np.all(np.abs(se - stderr) <= 1e-12 * stderr)
+
+
+def test_transmit_power_matches_per_realization_sums(desk, desk_batch):
+    check_transmit_power(desk, desk_batch[0])
+
+
+def test_transmit_power_over_partial_slices(desk, desk_batch, monkeypatch):
+    monkeypatch.setattr(mc, "_WORK_ELEMENTS", 1)  # 64-realization slices
+    assert_groups_span_partial_slices(desk_batch[0])
+    check_transmit_power(desk, desk_batch[0])
+
+
+def test_plans_of_another_network_are_rejected(desk, desk_batch):
+    # a mismatch names both shapes instead of failing inside, or being
+    # truncated by, the sums over UEs and APs
+    cfg, net, pilots, phases, stats, terms = desk
+    batch, instants = desk_batch
+    three_ues = small_setup(L=cfg.L, K=3, tau_p=2)[-1]
+    wide = cf.make_plan(three_ues, "du_mr", "coherent", 0.5)
+    plan = cf.make_plan(terms, "du_mr", "noncoherent", 0.5)
+    long_eta = dataclasses.replace(plan, eta=np.ones(cfg.L + 1))
+    for bad, message in ((wide, r"mu has shape \(3, 4\).*needs \(2, 4\)"),
+                         (long_eta, r"eta has shape \(5,\).*needs \(4,\)")):
+        with pytest.raises(ValueError, match=message):
+            cfrs.mc_sinr(batch, bad, instants[0])
+        with pytest.raises(ValueError, match=message):
+            cfrs.transmit_power_stats(batch, bad)
