@@ -294,7 +294,13 @@ def _parse_system(section, where: str) -> SystemConfig:
 
 
 def _parse_scheme(entry, where: str) -> SchemeSpec:
-    return SchemeSpec(**_parse_section(entry, where, _SCHEME_REQUIRED, _SCHEME_OPTIONAL))
+    scheme = SchemeSpec(**_parse_section(entry, where, _SCHEME_REQUIRED, _SCHEME_OPTIONAL))
+    pair = (scheme.private_scheme, scheme.transmission)
+    if scheme.rs_enabled and scheme.weights_mode == "robust" and pair != optimize.MAXMIN_SCHEME:
+        raise ConfigError(
+            f"{where}.weights: robust weights are optimized for the "
+            f"{' '.join(optimize.MAXMIN_SCHEME)} common SINR only, not {' '.join(pair)}")
+    return scheme
 
 
 def _parse_schemes(value, where: str) -> tuple[SchemeSpec, ...]:

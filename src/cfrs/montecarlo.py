@@ -30,17 +30,24 @@ from, which the estimators read.  The work is split by how often it runs.
 Once per batch, ``sample_batch`` draws, colours the channels and runs the
 estimation filters (explicit antenna sums, bit for bit what ``einsum``
 gives), and turns every kept phase into its unit-modulus factor
-exp(-i phase) with one cos/sin evaluation.  Once per ``mc_sinr`` or
-``transmit_power_stats`` call, the estimators form the plan's precoders
-and terms slice by slice, with (K, K, L, r) work arrays of about
-``_WORK_ELEMENTS`` entries that fit in cache and slices that never
-straddle a jackknife group, and read the stored factors with no
-trigonometry.
+exp(-i phase) with one cos/sin evaluation; each RNG chunk is drawn on a
+worker thread and written into its own slice of the batch.  Once per
+``mc_sinr`` or ``transmit_power_stats`` call, the estimators form the
+plan's precoders and terms slice by slice, with (K, K, L, r) work arrays
+of about ``_WORK_ELEMENTS`` entries that fit in cache and slices that
+never straddle a jackknife group, and read the stored factors with no
+trigonometry; each jackknife group is summed on a worker thread.  Both
+run on ``_map``, at most one thread per CPU available to the process;
+numpy's RNG fills and ufunc loops release the GIL, so the threads run in
+parallel.
 
 Reproducibility: realizations are generated in fixed-size chunks, chunk i
 seeded by SeedSequence(seed, spawn_key=(i,)) feeding a counter-based
 Philox generator, so a batch is bitwise reproducible and independent of
-how chunks might be scheduled.  Standard errors come from a delete-one
+how the chunks are scheduled over the threads.  The slice plan does not
+depend on the worker count either, and each group's worker adds its slices
+in order into that group's row of the sums, so every output is bitwise the
+same at any worker count.  Standard errors come from a delete-one
 block jackknife over ``JACKKNIFE_GROUPS`` contiguous realization blocks (95%
 intervals: Student t quantile); one helper gives the delete-one-block
 means, so one accumulation yields both the term estimates (``MCSinr.terms``)
@@ -49,6 +56,7 @@ and the bias-corrected SINRs with their standard errors.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +73,13 @@ RNG_CHUNK = 4096  # realizations per RNG stream; fixed for reproducibility
 MIN_REALIZATIONS = 100  # fewest realizations for meaningful standard errors
 JACKKNIFE_GROUPS = 10  # delete-one groups of every jackknife
 _T95 = 2.2621571627982  # two-sided 95% t quantile, JACKKNIFE_GROUPS - 1 = 9 dof
-_WORK_ELEMENTS = 2**17  # (K, K, L, r) work-array elements per accumulated slice
+# (K, K, L, r) work-array elements per accumulated slice.  Each worker holds
+# one slice at a time, so two workers together stay within the 2**17 that one
+# held before the groups were summed in parallel; the plan does not depend on
+# the worker count, which keeps every sum's order fixed.
+_WORK_ELEMENTS = 2**16
+# CPUs this process may run on: the most workers ``_map`` starts
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -102,6 +116,28 @@ class RealizationBatch:
             return self.instants.index(n)
         except ValueError:
             raise ValueError(f"instant {n} is not among the batch's instants") from None
+
+
+def _map(fn, items) -> list:
+    """[fn(item) for item in items], on min(len(items), ``_CPUS``) threads.
+
+    numpy's RNG fills and ufunc loops release the GIL, so the threads run in
+    parallel.  Results come back in item order.  A call that raises cancels
+    the items not yet started, and its exception reaches the caller once
+    every started call has ended; no thread outlives the call.  With one
+    worker the items run inline.  ``fn`` must call nothing that
+    ``perfbench/spans.py`` wraps (``sample_batch``, ``mc_sinr``, ...): its
+    spans assume that the calls of one thread never overlap.
+    """
+    items = list(items)
+    workers = min(len(items), _CPUS)
+    if workers <= 1:
+        return [fn(item) for item in items]
+    # imported on first use, not with the package: every CLI start-up would pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _chol_factors(net: NetworkModel) -> np.ndarray:
@@ -165,7 +201,7 @@ def _phase_instants(pilots: PilotAssignment, config: SystemConfig, instants) -> 
                   | {int(n) for n in instants})
 
 
-def _draw_chunks(
+def _chunk_draw(
     net: NetworkModel,
     pilots: PilotAssignment,
     stats: EstimationStatistics,
@@ -175,34 +211,38 @@ def _draw_chunks(
     seed: int,
     instants,
 ):
-    """Draw ``count`` realizations one RNG chunk at a time.
+    """Set up the draw of ``count`` realizations once and return its per-chunk
+    function ``draw(chunk)``, which several threads may call at once.
 
-    Yields (h, hhat, ue, ap, z) per chunk of c realizations: channels and
-    estimates (c, K, L, N), the UE (c, K, M) and AP (c, L, M) phases at
-    ``_phase_instants(pilots, config, instants)``, and the received pilot
-    signal z (c, G, L, N) per co-pilot group, which the filters of ``stats``
-    turn into hhat.  The draws are made in that order and layout; the
+    The setup computes the Cholesky factors, the estimation filters of
+    ``stats`` and the phase instants; ``draw(chunk)`` draws RNG chunk
+    ``chunk`` from its own stream and returns (h, hhat, ue, ap, z) for its c
+    realizations: channels and estimates (c, K, L, N), the UE (c, K, M) and
+    AP (c, L, M) phases at ``_phase_instants(pilots, config, instants)``, and
+    the received pilot signal z (c, G, L, N) per co-pilot group, which the
+    filters turn into hhat.  The draws are made in that order and layout; the
     channels, estimates and pilot signal are computed with the realizations
-    last, which gives the antenna sums long inner loops, and yielded as
+    last, which gives the antenna sums long inner loops, and returned as
     views with that axis moved first.
     """
     K, L, N = net.K, net.L, net.N
     needed = _phase_instants(pilots, config, instants)
     gaps = np.diff([0] + needed)
     M = len(needed)
-
+    sd_ue = np.sqrt(phases.var_ue * gaps)
+    sd_ap = np.sqrt(phases.var_ap * gaps)
     chol = _chol_factors(net)
     filters = mmse_filter_matrices(net, pilots, stats, phases, config)
     p = config.pilot_powers()
 
-    for chunk, start in enumerate(range(0, count, RNG_CHUNK)):
-        c = min(RNG_CHUNK, count - start)
+    def draw(chunk: int):
+        c = min(RNG_CHUNK, count - chunk * RNG_CHUNK)
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(seed, spawn_key=(chunk,)))
         )
         h = _matvec(chol, _complex_normal(rng, (c, K, L, N)))  # (K, L, N, c)
-        ue = np.cumsum(rng.standard_normal((c, K, M)) * np.sqrt(phases.var_ue * gaps), axis=2)
-        ap = np.cumsum(rng.standard_normal((c, L, M)) * np.sqrt(phases.var_ap * gaps), axis=2)
+        ue = np.cumsum(rng.standard_normal((c, K, M)) * sd_ue, axis=2)
+        ap = np.cumsum(rng.standard_normal((c, L, M)) * sd_ap, axis=2)
         z = _complex_normal(rng, (c, len(pilots.groups), L, N))  # (G, L, N, c)
         z *= np.sqrt(config.sigma2_ul)
 
@@ -215,8 +255,17 @@ def _draw_chunks(
                 z[g] += np.sqrt(p[i]) * net.theta[i][:, None, None] * rot[:, None] * h[i]
             for k in group:
                 hhat[k] = np.conj(net.theta[k])[:, None, None] * _matvec(filters[k], z[g])
-        yield (np.moveaxis(h, -1, 0), np.moveaxis(hhat, -1, 0), ue, ap,
-               np.moveaxis(z, -1, 0))
+        return (np.moveaxis(h, -1, 0), np.moveaxis(hhat, -1, 0), ue, ap,
+                np.moveaxis(z, -1, 0))
+
+    return draw
+
+
+def _draw_chunks(net, pilots, stats, phases, config, count, seed, instants):
+    """Yield ``draw(chunk)`` of ``_chunk_draw`` for every RNG chunk in order."""
+    draw = _chunk_draw(net, pilots, stats, phases, config, count, seed, instants)
+    for chunk in range(-(-count // RNG_CHUNK)):
+        yield draw(chunk)
 
 
 def sample_batch(
@@ -234,7 +283,8 @@ def sample_batch(
     ``instants`` lists the data instants at which SINRs will later be
     evaluated; the phase factors there and at the estimation instant are
     kept.  The estimates use the filters of ``stats``.  Identical (seed,
-    inputs) give identical batches.
+    inputs) give identical batches, whatever the worker count: the chunks
+    are drawn on ``_map``'s workers, each into its own slice of the batch.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -246,14 +296,17 @@ def sample_batch(
     hhat = np.empty_like(h)
     ue_factor = np.empty((net.K, len(kept), count), dtype=complex)
     ap_factor = np.empty((net.L, len(kept), count), dtype=complex)
-    chunks = _draw_chunks(net, pilots, stats, phases, config, count, seed, instants)
-    for start, (h_c, hhat_c, ue_c, ap_c, _) in zip(range(0, count, RNG_CHUNK), chunks):
-        sl = slice(start, start + len(h_c))
+    draw = _chunk_draw(net, pilots, stats, phases, config, count, seed, instants)
+
+    def fill(chunk: int) -> None:
+        h_c, hhat_c, ue_c, ap_c, _ = draw(chunk)
+        sl = slice(chunk * RNG_CHUNK, chunk * RNG_CHUNK + len(h_c))
         h[..., sl] = np.moveaxis(h_c, 0, -1)
         hhat[..., sl] = np.moveaxis(hhat_c, 0, -1)
         ue_factor[..., sl] = np.moveaxis(_phasor(-ue_c[:, :, columns]), 0, -1)
         ap_factor[..., sl] = np.moveaxis(_phasor(-ap_c[:, :, columns]), 0, -1)
 
+    _map(fill, range(-(-count // RNG_CHUNK)))
     return RealizationBatch(count=count, instants=tuple(kept), h=h, hhat=hhat,
                             ue_factor=ue_factor, ap_factor=ap_factor,
                             net=net, config=config)
@@ -307,6 +360,21 @@ def _batch_blocks(batch: RealizationBatch) -> tuple[np.ndarray, list[tuple[int, 
     return np.diff(edges), slices
 
 
+def _each_group(slices: list[tuple[int, slice]], add) -> None:
+    """add(b, sl) for every (group, slice) pair of ``_batch_blocks``: one
+    group per ``_map`` worker, its slices in order.  ``add`` writes only row
+    b of its sums, so the workers write disjoint rows and every sum adds its
+    terms in the same order at any worker count.
+    """
+    groups = [[sl for g, sl in slices if g == b] for b in range(JACKKNIFE_GROUPS)]
+
+    def run(b: int) -> None:
+        for sl in groups[b]:
+            add(b, sl)
+
+    _map(run, range(len(groups)))
+
+
 def _check_plan(batch: RealizationBatch, plan: PrecodingPlan) -> None:
     """Raise ValueError unless the plan's arrays have the batch network's shapes."""
     K, L = batch.net.K, batch.net.L
@@ -354,6 +422,10 @@ def _accumulate(batch: RealizationBatch, plan: PrecodingPlan, eval_instants) -> 
     summed once per slice.  The sums over antennas, UEs and APs are explicit
     loops over the short axes, and sum |.|^2 over realizations is a real dot
     product.
+
+    Each jackknife group is summed on one worker of ``_map`` (see
+    ``_each_group``), which adds the group's slices in order and writes only
+    the group's row of the sums.
     """
     _check_plan(batch, plan)
     net = batch.net
@@ -376,7 +448,8 @@ def _accumulate(batch: RealizationBatch, plan: PrecodingPlan, eval_instants) -> 
     )
 
     conj_theta = np.conj(net.theta)[:, :, None, None]
-    for b, sl in slices:
+
+    def add(b: int, sl: slice) -> None:
         v = private_precoders(batch.hhat[..., sl], net, plan.private_scheme)
         gh = conj_theta * np.conj(batch.h[..., sl])
         # explicit sum over antennas: a batched matmul of the tiny per-realization
@@ -402,6 +475,8 @@ def _accumulate(batch: RealizationBatch, plan: PrecodingPlan, eval_instants) -> 
                 if coherent:
                     ec = _sum(E[:, l] * (sq_eta[l] * y[l]) for l in range(L))  # (K, r)
                     sums.int_c[b, m] += _sumsq(ec)
+
+    _each_group(slices, add)
     return sums
 
 
@@ -532,10 +607,13 @@ def transmit_power_stats(
     p_dc = plan.rho * config.p_d
     p_dp = (1.0 - plan.rho) * config.p_d
     power = np.zeros((len(counts), net.L))
-    for b, sl in slices:
+
+    def add(b: int, sl: slice) -> None:
         vb = private_precoders(batch.hhat[..., sl], net, plan.private_scheme)
         power[b] += p_dp * np.sum(plan.mu * _sumsq(vb).sum(axis=-1), axis=0)
         if plan.rho > 0:
             v_c = _sum(plan.weights[i, :, None, None] * vb[i] for i in range(net.K))
             power[b] += p_dc * plan.eta * _sumsq(v_c).sum(axis=-1)
+
+    _each_group(slices, add)
     return _mean_and_stderr(power, counts)

@@ -46,6 +46,10 @@ log = logging.getLogger(__name__)
 # point, and the LP optimum below which a target counts as infeasible
 TOL_FEAS = 1e-8
 
+# the (private scheme, transmission) whose common SINR the max-min program
+# optimizes; robust weights are certified for this pair only
+MAXMIN_SCHEME = ("du_mr", "coherent")
+
 
 class SolverIndeterminate(RuntimeError):
     """The feasibility subproblem did not converge to a usable verdict."""
@@ -195,7 +199,7 @@ def build_maxmin_problem(
     b = np.transpose(tr_Qc, (0, 2, 1)).reshape(K, K * L)
     Theta = np.transpose(tr_Qc, (2, 0, 1)).copy()  # (L, K, K)
 
-    plan = make_plan(terms, "du_mr", "coherent")
+    plan = make_plan(terms, *MAXMIN_SCHEME)
     xi = plan_parts(terms, plan, phases, config, n).xi[0]
 
     return MaxMinProblem(

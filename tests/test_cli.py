@@ -275,6 +275,28 @@ def test_schemes_that_repeat_a_label_rejected(tmp_path, capsys):
     assert len(cli.spec_from_dict(one_scheme_spec(schemes=schemes)).schemes) == 3
 
 
+def test_robust_weights_only_where_they_are_certified(tmp_path, capsys):
+    # the max-min program optimizes the du_mr coherent common SINR, so any other
+    # RS scheme would run weights optimized for another SINR
+    certified = {"private": "du_mr", "transmission": "coherent", "rs": True,
+                 "weights": "robust"}
+    spec = cli.spec_from_dict(one_scheme_spec(schemes=[certified]))
+    assert spec.schemes[0].weights_mode == "robust"
+    for private, transmission in (("du_mr", "noncoherent"), ("df_mr", "coherent"),
+                                  ("df_mr", "noncoherent")):
+        schemes = [certified, {**certified, "private": private, "transmission": transmission}]
+        with pytest.raises(cli.ConfigError, match=rf"^config\.schemes\[1\]\.weights: "
+                                                  rf".*not {private} {transmission}$"):
+            cli.spec_from_dict(one_scheme_spec(schemes=schemes))
+        path = write_spec(tmp_path, one_scheme_spec(schemes=schemes))
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}.schemes[1].weights: ")
+        # without RS the weights mode is never used
+        schemes[1]["rs"] = False
+        assert len(cli.spec_from_dict(one_scheme_spec(schemes=schemes)).schemes) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_each_job_estimates_on_its_sweep_point(tmp_path, monkeypatch):
     calls = []
     original = cli.estimation_statistics

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -258,6 +260,83 @@ def test_memory_capped_slices_add_up_to_their_group(desk, monkeypatch):
                 assert_close(getattr(res, field), getattr(ref, field))
         for actual, expected in zip(cfrs.transmit_power_stats(batch, plan), power):
             assert_close(actual, expected)
+
+
+def worker_count_outputs(monkeypatch, workers):
+    """Every array sample_batch, mc_sinr and transmit_power_stats return on
+    3 RNG chunks plus a short one, cut into 64-realization slices."""
+    monkeypatch.setattr(mc, "_CPUS", workers)
+    monkeypatch.setattr(mc, "_WORK_ELEMENTS", 1)
+    cfg, net, pilots, phases, stats, terms = small_setup(seed=5, L=3, K=3, tau_p=2)
+    instants = [cfg.estimation_instant, cfg.tau_c]
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 3 * mc.RNG_CHUNK + 17, seed=6,
+                              instants=instants)
+    assert len(mc._batch_blocks(batch)[1]) > 10 * mc.JACKKNIFE_GROUPS
+    out = [batch.h, batch.hhat, batch.ue_factor, batch.ap_factor]
+    for scheme in cf.PRIVATE_SCHEMES:
+        for transmission in cf.TRANSMISSIONS:
+            for rho in (0.0, 0.5):
+                plan = cf.make_plan(terms, scheme, transmission, rho)
+                for res in cfrs.mc_sinr(batch, plan, instants):
+                    out += [res.private, res.private_stderr, res.common, res.common_stderr,
+                            *dataclasses.astuple(res.terms)]
+                out += cfrs.transmit_power_stats(batch, plan)
+    return out
+
+
+def test_outputs_do_not_depend_on_the_worker_count(monkeypatch):
+    serial = worker_count_outputs(monkeypatch, 1)
+    # more workers than cores, switching threads often: a lost or reordered
+    # update of a shared sum would change some output bits
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = worker_count_outputs(monkeypatch, 3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(serial) == len(threaded)
+    for a, b in zip(serial, threaded):
+        assert np.array_equal(a, b)
+
+
+class WorkerFailure(Exception):
+    pass
+
+
+def test_worker_failures_reach_the_caller(desk, monkeypatch):
+    cfg, net, pilots, phases, stats, terms = desk
+    monkeypatch.setattr(mc, "_CPUS", 3)
+    count = 3 * mc.RNG_CHUNK + 17
+    complex_normal = mc._complex_normal
+
+    def fails_on_the_last_chunk(rng, shape):
+        if shape[0] == 17:
+            raise WorkerFailure
+        return complex_normal(rng, shape)
+
+    threads = threading.active_count()
+    with monkeypatch.context() as patched:
+        patched.setattr(mc, "_complex_normal", fails_on_the_last_chunk)
+        with pytest.raises(WorkerFailure):
+            cfrs.sample_batch(net, pilots, stats, phases, cfg, count, seed=1)
+    assert threading.active_count() == threads
+
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, count, seed=1)
+    marker = batch.hhat[0, 0, 0, count // 2]  # a realization of group 5
+    precoders = mc.private_precoders
+
+    def fails_on_one_group(hhat, net, scheme):
+        if np.any(hhat[0, 0, 0] == marker):
+            raise WorkerFailure
+        return precoders(hhat, net, scheme)
+
+    monkeypatch.setattr(mc, "private_precoders", fails_on_one_group)
+    plan = cf.make_plan(terms, "du_mr", "coherent", 0.5)
+    for call in (lambda: cfrs.mc_sinr(batch, plan, cfg.estimation_instant),
+                 lambda: cfrs.transmit_power_stats(batch, plan)):
+        with pytest.raises(WorkerFailure):
+            call()
+        assert threading.active_count() == threads
 
 
 def test_confidence_interval_clt_scaling(desk):
