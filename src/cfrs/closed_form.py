@@ -21,9 +21,11 @@ slightly, and more so as the increment variances grow.
 
 Every SINR is rational in the power split rho with rho-independent
 coefficients.  ``plan_parts`` computes those coefficients once per plan
-(the trace contractions, including the cross term over the co-pilot
-blocks of ``tr_QcR``); ``assemble`` turns them into both streams' SINRs
-at one rho with elementwise work only.  ``private_sinr``, ``common_sinr``,
+(the trace contractions, including the common stream's pilot-contamination
+cross term, which sums the plan-weighted co-pilot blocks of ``Q_cross`` into
+one N x N matrix per AP before tracing it against every UE's R);
+``assemble`` turns them into both streams' SINRs at one rho with
+elementwise work only.  ``private_sinr``, ``common_sinr``,
 ``evaluate_plan`` and the rho search (``sum_se_curve``) all go through
 this one path.
 """
@@ -66,22 +68,24 @@ class TraceTerms:
     tr_QR (K, K, L): [i, k, l] = tr(Q[i,l] R[k,l]), real.
     tr_Qc (K, K, L): [k, i, l] = tr(Q_cross[k,i,l]), zero off pilot group.
     groups: co-pilot sets as index arrays, in ``PilotAssignment.groups``
-        order; the blocks below follow the same order.
-    tr_QcR: one (g, g, K, L) block per co-pilot set, [a, b, k, l] =
-        tr(Q_cross[i,j,l] R[k,l]) for the set's a-th and b-th UEs i and j.
-        Pairs on different pilots vanish and have no entry.
+        order, which is also the order of the ``Q_cross`` blocks.
+    Q_cross, R: the estimation statistics' co-pilot blocks and the
+        network's correlation matrices, held by reference, not copied.  The
+        cross term traces plan-weighted sums of the blocks against R per plan
+        (``_cross_term``), so no tr(Q_cross R) tensor is built here.
     """
 
     tr_Q: np.ndarray
     tr_QR: np.ndarray
     tr_Qc: np.ndarray
-    tr_QcR: tuple[np.ndarray, ...]
     theta: np.ndarray
     groups: tuple[np.ndarray, ...]
+    Q_cross: tuple[np.ndarray, ...]
+    R: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.tr_Q, self.tr_QR, self.tr_Qc, *self.tr_QcR, self.theta,
-                    *self.groups):
+        for arr in (self.tr_Q, self.tr_QR, self.tr_Qc, self.theta, *self.groups,
+                    *self.Q_cross, self.R):
             arr.setflags(write=False)
 
     @property
@@ -107,9 +111,10 @@ class TraceTerms:
             tr_Q=np.einsum("klnn->kl", stats.Q).real,
             tr_QR=_pair_traces(stats.Q, net.R).real,
             tr_Qc=tr_Qc,
-            tr_QcR=tuple(_pair_traces(block, net.R) for block in stats.Q_cross),
             theta=net.theta.copy(),
             groups=groups,
+            Q_cross=stats.Q_cross,
+            R=net.R,
         )
 
 
@@ -150,6 +155,15 @@ class PrecodingPlan:
 
     def replace_rho(self, rho: float) -> "PrecodingPlan":
         return dataclasses.replace(self, rho=rho)
+
+
+def check_plan_shapes(plan: PrecodingPlan, K: int, L: int) -> None:
+    """Raise ValueError, naming the field, unless the plan's mu and weights
+    are (K, L) and its eta is (L,): a plan is never broadcast to a network."""
+    for name, shape in (("mu", (K, L)), ("weights", (K, L)), ("eta", (L,))):
+        got = getattr(plan, name).shape
+        if got != shape:
+            raise ValueError(f"plan {name} has shape {got}, but the network needs {shape}")
 
 
 @dataclass(frozen=True)
@@ -228,7 +242,8 @@ def make_plan(
     """Assemble a plan with consistent normalizations.
 
     ``unit_eta`` keeps eta = 1 for weights that already satisfy the per-AP
-    common power constraint (robust precoding output).
+    common power constraint (robust precoding output).  Weights of another
+    shape than (K, L) raise ValueError before any normalization.
     """
     if weights is None:
         weights = np.ones((terms.K, terms.L))
@@ -238,15 +253,18 @@ def make_plan(
         if net is None:
             raise ValueError("power control needs the network model")
         mu = power_control_coefficients(terms, net, power_control_alpha)
-    eta = np.ones(terms.L) if unit_eta else common_normalization(terms, weights)
-    return PrecodingPlan(
+    plan = PrecodingPlan(
         private_scheme=private_scheme,
         transmission=transmission,
         rho=rho,
         weights=np.asarray(weights, dtype=float),
         mu=mu,
-        eta=eta,
+        eta=np.ones(terms.L),
     )
+    check_plan_shapes(plan, terms.K, terms.L)
+    if unit_eta:
+        return plan
+    return dataclasses.replace(plan, eta=common_normalization(terms, plan.weights))
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +297,23 @@ def decay_pair(phases: PhaseStatistics, config: SystemConfig, instants):
 
 
 def _cross_term(terms: TraceTerms, eta: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(K,) sum_l eta_l sum_{i,j} conj(w[i,l]) w[j,l] tr(Qc[i,j,l] R[k,l]).
+    """(K,) Re sum_l eta_l sum_{i,j} conj(w[i,l]) w[j,l] tr(Qc[i,j,l] R[k,l]).
 
-    tr_QcR vanishes unless i and j share a pilot, so only the co-pilot
-    blocks are contracted: K*g*K*L work for groups of size g.
+    Qc vanishes unless i and j share a pilot, so the plan-weighted co-pilot
+    blocks are first summed into one N x N matrix per AP,
+    S_l = eta_l sum_{i,j} conj(w[i,l]) w[j,l] Qc[i,j,l] (g^2 L N^2 work for
+    a set of size g), and then, as tr(S R) = vec(S^T).vec(R), every UE's
+    trace is one (K, L N^2) matrix-vector product.
     """
-    cross = np.zeros(terms.K)
-    for g, block in zip(terms.groups, terms.tr_QcR):
+    L, N = terms.L, terms.R.shape[-1]
+    S = np.zeros((L, 1, N * N), dtype=complex)
+    for g, block in zip(terms.groups, terms.Q_cross):
         pair = eta * np.conj(w[g])[:, None] * w[g][None, :]  # (g, g, L)
-        cross += np.einsum("ijl,ijkl->k", pair, block).real
-    return cross
+        # per AP, a (1, g^2) row of pair weights times the (g^2, N^2) blocks
+        S += (pair.reshape(-1, L).T[:, None, :]
+              @ block.reshape(-1, L, N * N).transpose(1, 0, 2))
+    S_T = np.swapaxes(S.reshape(L, N, N), -1, -2).reshape(-1)
+    return (terms.R.reshape(terms.K, -1) @ S_T).real
 
 
 @dataclass(frozen=True)
@@ -323,6 +348,7 @@ def plan_parts(
     removes it, so DU and DF agree exactly); the non-coherent common stream
     keeps it, because the per-AP common precoders mix all UEs' phases.
     """
+    check_plan_shapes(plan, terms.K, terms.L)
     ea, eu = decay_pair(phases, config, instants)
     theta_eff = _theta_eff(terms, plan.private_scheme)
     mu = plan.mu

@@ -19,7 +19,7 @@ exceed one because the LS estimate and its error are correlated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,27 +28,27 @@ from .model import NetworkModel, PhaseStatistics, SystemConfig, expected_phase_d
 
 @dataclass(frozen=True)
 class PilotAssignment:
-    """Pilot instants t (K,), values in 1..tau_p, plus the co-pilot groups."""
+    """Pilot instants t (K,), values in 1..tau_p, plus the co-pilot groups.
+
+    groups: the co-pilot sets, one tuple of UE indices per occupied pilot
+        instant in increasing instant order, derived once from t.
+    """
 
     t: np.ndarray
     tau_p: int
+    groups: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.t.setflags(write=False)
         if np.any(self.t < 1) or np.any(self.t > self.tau_p):
             raise ValueError("pilot instants must lie in 1..tau_p")
+        groups = tuple(tuple(int(k) for k in np.flatnonzero(self.t == inst))
+                       for inst in sorted(set(self.t.tolist())))
+        object.__setattr__(self, "groups", groups)
 
     @property
     def K(self) -> int:
         return self.t.shape[0]
-
-    @property
-    def groups(self) -> tuple[tuple[int, ...], ...]:
-        """Co-pilot sets, one tuple per occupied pilot instant."""
-        out = []
-        for inst in sorted(set(self.t.tolist())):
-            out.append(tuple(int(k) for k in np.flatnonzero(self.t == inst)))
-        return tuple(out)
 
 
 def assign_pilots(

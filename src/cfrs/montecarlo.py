@@ -61,7 +61,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import PlanParts, PrecodingPlan, assemble, check_instants
+from .closed_form import (
+    PlanParts,
+    PrecodingPlan,
+    assemble,
+    check_instants,
+    check_plan_shapes,
+)
 from .estimation import (
     EstimationStatistics,
     PilotAssignment,
@@ -375,16 +381,6 @@ def _each_group(slices: list[tuple[int, slice]], add) -> None:
     _map(run, range(len(groups)))
 
 
-def _check_plan(batch: RealizationBatch, plan: PrecodingPlan) -> None:
-    """Raise ValueError unless the plan's arrays have the batch network's shapes."""
-    K, L = batch.net.K, batch.net.L
-    for name, shape in (("mu", (K, L)), ("weights", (K, L)), ("eta", (L,))):
-        got = getattr(plan, name).shape
-        if got != shape:
-            raise ValueError(
-                f"plan {name} has shape {got}, but the batch's network needs {shape}")
-
-
 def _sum(terms) -> np.ndarray:
     """Sum of arrays, added in place into the first, which has the full shape."""
     terms = iter(terms)
@@ -427,7 +423,7 @@ def _accumulate(batch: RealizationBatch, plan: PrecodingPlan, eval_instants) -> 
     ``_each_group``), which adds the group's slices in order and writes only
     the group's row of the sums.
     """
-    _check_plan(batch, plan)
+    check_plan_shapes(plan, batch.net.K, batch.net.L)
     net = batch.net
     counts, slices = _batch_blocks(batch)
     K, L = net.K, net.L
@@ -601,7 +597,7 @@ def transmit_power_stats(
     batch: RealizationBatch, plan: PrecodingPlan
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-AP mean transmit power and its standard error over the batch."""
-    _check_plan(batch, plan)
+    check_plan_shapes(plan, batch.net.K, batch.net.L)
     net, config = batch.net, batch.config
     counts, slices = _batch_blocks(batch)
     p_dc = plan.rho * config.p_d

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_form import TraceTerms, decay_pair, make_plan, plan_parts
+from .closed_form import TraceTerms, _pair_traces, decay_pair, make_plan, plan_parts
 from .model import PhaseStatistics, SystemConfig
 
 log = logging.getLogger(__name__)
@@ -108,6 +108,9 @@ class MaxMinProblem:
     of b_k, and entry (i, j) of the AP-l block of M_k is
     Re tr(Q_cross[i,j,l] R[k,l]), nonzero only for co-pilot i and j, so it
     is read from the per-group blocks ``tr_QcR`` (in ``groups`` order).
+    Only this program reads every UE's trace against every co-pilot pair,
+    so ``build_maxmin_problem`` forms these blocks and the closed form
+    does not.
     """
 
     b: np.ndarray          # (K, KL) real
@@ -179,8 +182,10 @@ def build_maxmin_problem(
 
     Zero entries follow the pilot structure exactly: b_k (and so H_k)
     vanishes off UE k's co-pilot set, and M_k is stored only inside the
-    co-pilot sets.  The private interference constant uses
-    delay-compensated MR precoding with the per-AP normalization.
+    co-pilot sets, as the real part of tr(Q_cross R) per set, formed here
+    from the terms' ``Q_cross`` blocks and R.  The private interference
+    constant uses delay-compensated MR precoding with the per-AP
+    normalization.
     Default instant: ``config.mid_instant``.
     """
     if not 0 < rho <= 1:
@@ -205,7 +210,7 @@ def build_maxmin_problem(
     return MaxMinProblem(
         b=b,
         groups=terms.groups,
-        tr_QcR=tuple(block.real.copy() for block in terms.tr_QcR),
+        tr_QcR=tuple(_pair_traces(block, terms.R).real.copy() for block in terms.Q_cross),
         Theta=Theta,
         xi=xi,
         p_dc=rho * config.p_d,

@@ -82,15 +82,18 @@ def per_link_statistics(net, pilots, phases, cfg):
     return Psi, Q, Q_cross, nmse_ls
 
 
-def dense_maxmin_matrices(terms):
+def dense_maxmin_matrices(net, pilots, phases, cfg):
     """Reference: the dense (K, KL, KL) H_k and M_k of the max-min program.
 
-    AP-major stacking; the AP-l block of H_k is outer(tau, tau) with
-    tau = tr_Qc[k, :, l], and that of M_k is tr_QcR[:, :, k, l].
+    Built from ``per_link_statistics``' dense Q_cross and the network's R,
+    with AP-major stacking: the AP-l block of H_k is outer(tau, tau) with
+    tau[i] = tr(Q_cross[k,i,l]), and entry (i, j) of that of M_k is
+    Re tr(Q_cross[i,j,l] R[k,l]).
     """
-    K, L = terms.K, terms.L
-    tr_Qc = terms.tr_Qc.real
-    tr_QcR = dense_copilot(terms.tr_QcR, terms.groups, K).real
+    K, L = net.K, net.L
+    Q_cross = per_link_statistics(net, pilots, phases, cfg)[2]
+    tr_Qc = np.einsum("kilnn->kil", Q_cross).real
+    tr_QcR = np.einsum("ijlab,klba->ijkl", Q_cross, net.R).real
     H = np.zeros((K, K * L, K * L))
     M = np.zeros((K, K * L, K * L))
     for k in range(K):

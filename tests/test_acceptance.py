@@ -278,7 +278,7 @@ def test_criterion_6_robust_precoding():
     terms = cf.TraceTerms.compute(net, stats, pilots)
     problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.5)
     res = opt.robust_common_precoding(problem, eps=1e-6)
-    H, M = dense_maxmin_matrices(terms)
+    H, M = dense_maxmin_matrices(net, pilots, phases, cfg)
 
     inv_sq = 1.0 / np.sqrt(np.einsum("lkk->lk", problem.Theta).real)  # (L, K)
 

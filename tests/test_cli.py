@@ -615,6 +615,41 @@ def test_robust_job_checks_the_instant_its_weights_were_optimized_for(monkeypatc
     assert "mc_rel_err_common" in extras
 
 
+def test_sweep_jobs_form_no_copilot_trace_block(monkeypatch):
+    # the closed form contracts the cross term per plan, so neither the
+    # topology's trace terms nor a simple-weights RS job trace a (g, g, L, N, N)
+    # Q_cross block against R; only the max-min program forms those blocks
+    traced = []
+    original = cli.closed_form._pair_traces
+
+    def spy(A, B):
+        if A.ndim == 5:
+            traced.append(A.shape)
+        return original(A, B)
+
+    monkeypatch.setattr(cli.closed_form, "_pair_traces", spy)
+    monkeypatch.setattr(cli.optimize, "_pair_traces", spy, raising=False)
+    spec = cli.spec_from_dict(one_scheme_spec(
+        system={**desk_system(), "K": 5, "tau_p": 2},
+        schemes=[{"private": private, "transmission": transmission, "rs": True,
+                  "weights": "simple"}
+                 for private in ("du_mr", "df_mr")
+                 for transmission in ("coherent", "noncoherent")]))
+    cfg = spec.base
+    phases = cli.PhaseStatistics.from_config(cfg)
+    topology = cli.build_topology(cfg, phases)
+    assert max(len(g) for g in topology.pilots.groups) > 1
+    block_shapes = {(len(g), len(g), cfg.K, cfg.L) for g in topology.pilots.groups}
+    held = [a for value in vars(topology.terms).values()
+            for a in (value if isinstance(value, tuple) else (value,))]
+    assert not any(np.shape(a) in block_shapes for a in held)
+    for scheme in spec.schemes:
+        cli.run_scheme(cfg, phases, scheme, topology)
+    assert traced == []
+    cli.optimize.build_maxmin_problem(topology.terms, phases, cfg, 0.5)
+    assert traced == [block.shape for block in topology.stats.Q_cross]
+
+
 def test_single_user_run(tmp_path):
     system = desk_system()
     system["K"] = 1

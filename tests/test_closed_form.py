@@ -7,6 +7,7 @@ import pytest
 
 import cfrs
 from cfrs import closed_form as cf
+from cfrs import optimize as opt
 
 from conftest import dense_copilot, per_link_statistics, random_instance
 
@@ -18,9 +19,10 @@ def tiny_terms(tr_q: float = 2.0):
         tr_Q=tr_q * one,
         tr_QR=tr_q * one[None] * 1.5,
         tr_Qc=tr_q * one[None].astype(complex),
-        tr_QcR=((tr_q * 1.5) * np.ones((1, 1, 1, 1), dtype=complex),),
         theta=np.ones((1, 1), dtype=complex),
         groups=(np.array([0]),),
+        Q_cross=(tr_q * np.ones((1, 1, 1, 1, 1), dtype=complex),),
+        R=np.full((1, 1, 1, 1), 1.5, dtype=complex),  # tr(Qc R) = 1.5 tr_q
     )
 
 
@@ -255,13 +257,40 @@ def test_blocked_tr_qcr_matches_dense_einsum():
         terms = cf.TraceTerms.compute(net, stats, pilots)
         Q_cross = per_link_statistics(net, pilots, phases, cfg)[2]
         dense = np.einsum("ijlab,klba->ijkl", Q_cross, net.R)
-        got = dense_copilot(terms.tr_QcR, pilots.groups, cfg.K)
-        assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+        # the max-min program keeps the real part of tr(Q_cross R) and needs
+        # real cross-traces; its blocks come from Q_cross and R alone, so the
+        # imaginary part of tr_Qc is dropped to keep this generic R
+        real_terms = dataclasses.replace(terms, tr_Qc=terms.tr_Qc.real.astype(complex))
+        problem = opt.build_maxmin_problem(real_terms, phases, cfg, rho=0.5)
+        got = dense_copilot(problem.tr_QcR, pilots.groups, cfg.K)
+        assert np.max(np.abs(got - dense.real)) <= 1e-12 * np.max(np.abs(dense.real))
         tr_Qc = np.einsum("kilnn->kil", Q_cross)
         assert np.max(np.abs(terms.tr_Qc - tr_Qc)) <= 1e-12 * np.max(np.abs(tr_Qc))
         cross_dense = np.einsum("l,il,jl,ijkl->k", eta, np.conj(w), w, dense).real
         cross = cf._cross_term(terms, eta, w)
         assert np.max(np.abs(cross - cross_dense)) <= 1e-12 * np.max(np.abs(cross_dense))
+
+
+def test_plans_that_would_broadcast_are_rejected():
+    # weights of shape (1, L) or (K, 1) and a (1, 1) mu used to broadcast
+    # silently to (K, L) and give a sum SE; each now names its field
+    cfg = cfrs.SystemConfig(L=4, K=3, N=2, tau_p=2, tau_c=20, seed=1)
+    net = cfrs.build_network(cfg)
+    pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p)
+    phases = cfrs.PhaseStatistics.from_config(cfg)
+    terms = cf.TraceTerms.compute(net, cfrs.estimation_statistics(net, pilots, phases, cfg),
+                                  pilots)
+    for weights in (np.ones((1, cfg.L)), np.ones((cfg.K, 1))):
+        for unit_eta in (False, True):
+            with pytest.raises(ValueError, match=r"plan weights has shape .* needs \(3, 4\)"):
+                cf.make_plan(terms, "du_mr", "coherent", 0.5, weights=weights,
+                             unit_eta=unit_eta)
+    plan = cf.make_plan(terms, "du_mr", "coherent", 0.5)
+    for name, bad in (("weights", np.ones((1, cfg.L))), ("mu", np.full((1, 1), 0.1)),
+                      ("eta", np.ones(1))):
+        wrong = dataclasses.replace(plan, **{name: bad})
+        with pytest.raises(ValueError, match=f"plan {name} has shape"):
+            cf.evaluate_plan(terms, wrong, phases, cfg)
 
 
 @pytest.mark.parametrize("scheme", ["du_mmse", "mr", "DU_MR", ""])
@@ -358,12 +387,16 @@ def test_report_recomposition_and_rho_zero(desk):
 
 
 def test_trace_terms_sparsity(desk):
-    _, net, pilots, _, stats, terms = desk
+    cfg, net, pilots, phases, stats, terms = desk
     copilot = pilots.t[:, None] == pilots.t[None, :]
     assert np.all(terms.tr_Qc[~copilot] == 0)
-    # tr_QcR holds exactly the co-pilot pairs, each once
+    # the terms hold the statistics' blocks and R themselves, not copies
+    assert terms.R is net.R
+    assert all(a is b for a, b in zip(terms.Q_cross, stats.Q_cross, strict=True))
+    # the max-min blocks of tr(Q_cross R) hold exactly the co-pilot pairs, each once
+    problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.5)
     covered = np.zeros((net.K, net.K), dtype=int)
-    for g, block in zip(terms.groups, terms.tr_QcR):
+    for g, block in zip(problem.groups, problem.tr_QcR, strict=True):
         assert block.shape == (len(g), len(g), net.K, net.L)
         covered[np.ix_(g, g)] += 1
     assert np.array_equal(covered, copilot.astype(int))

@@ -82,7 +82,7 @@ def test_orthogonal_pilots_make_blocks_diagonal():
     for l in range(cfg.L):
         off = problem.Theta[l] - np.diag(np.diag(problem.Theta[l]))
         assert np.all(off == 0)
-    H, M = dense_maxmin_matrices(terms)
+    H, M = dense_maxmin_matrices(net, pilots, phases, cfg)
     for k in range(cfg.K):
         for mat in (H[k], M[k]):
             assert np.all(mat - np.diag(np.diag(mat)) == 0)
@@ -197,7 +197,7 @@ def test_block_products_match_dense_reference():
     stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
     terms = cf.TraceTerms.compute(net, stats, pilots)
     problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.4)
-    H, M = dense_maxmin_matrices(terms)
+    H, M = dense_maxmin_matrices(net, pilots, phases, cfg)
     rng = np.random.default_rng(13)
     for _ in range(10):
         a = rng.uniform(0, 1e4, cfg.K * cfg.L)
