@@ -31,7 +31,6 @@ from .estimation import (
     PilotAssignment,
     assign_pilots,
     estimation_statistics,
-    mmse_estimate_realization,
 )
 from .model import (
     NetworkModel,

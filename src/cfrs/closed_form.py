@@ -19,11 +19,16 @@ through Q; the gain-uncertainty (fourth-moment) terms omit it, so under
 oscillator drift the bound is an approximation that overstates SINR
 slightly, and more so as the increment variances grow.
 
+The estimation statistics are eigenvalues in the eigenbasis of the
+correlation template T shared by all links (``R[k,l] = beta[k,l] T``), so
+every trace is a sum over T's N eigenvalues and
+tr(Q[i,l] R[k,l]) = beta[k,l] tr(Q[i,l] T).
+
 Every SINR is rational in the power split rho with rho-independent
 coefficients.  ``plan_parts`` computes those coefficients once per plan
 (the trace contractions, including the common stream's pilot-contamination
 cross term, which sums the plan-weighted co-pilot blocks of ``Q_cross`` into
-one N x N matrix per AP before tracing it against every UE's R);
+one (L, N) eigenvalue array before contracting it with every UE's gains);
 ``assemble`` turns them into both streams' SINRs at one rho with
 elementwise work only.  ``private_sinr``, ``common_sinr``,
 ``evaluate_plan`` and the rho search (``sum_se_curve``) all go through
@@ -49,43 +54,35 @@ PRIVATE_SCHEMES = ("du_mr", "df_mr")
 TRANSMISSIONS = ("coherent", "noncoherent")
 
 
-def _pair_traces(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """[..., k, l] = tr(A[..., l, :, :] B[k, l]) for B of shape (K, L, N, N).
-
-    tr(A B) = vec(A) . vec(B^T), so this is one matrix product per AP.
-    """
-    K, L, N = B.shape[0], B.shape[1], B.shape[-1]
-    a = A.reshape(-1, L, N * N).transpose(1, 0, 2)  # (L, P, N^2)
-    b = np.swapaxes(B, -1, -2).reshape(K, L, N * N).transpose(1, 2, 0)  # (L, N^2, K)
-    return (a @ b).transpose(1, 2, 0).reshape(*A.shape[:-3], K, L)
-
-
 @dataclass(frozen=True)
 class TraceTerms:
     """Precomputed trace tensors feeding every closed-form expression.
 
-    tr_Q (K, L): tr(Q[k,l]), real.
-    tr_QR (K, K, L): [i, k, l] = tr(Q[i,l] R[k,l]), real.
-    tr_Qc (K, K, L): [k, i, l] = tr(Q_cross[k,i,l]), zero off pilot group.
+    tr_Q (K, L): tr(Q[k,l]).
+    tr_QT (K, L): tr(Q[k,l] T) with T the correlation template, so that
+        tr(Q[i,l] R[k,l]) = beta[k,l] * tr_QT[i,l].
+    tr_Qc (K, K, L): [k, i, l] = tr(Q_cross[k,i,l]), real, zero off pilot group.
     groups: co-pilot sets as index arrays, in ``PilotAssignment.groups``
         order, which is also the order of the ``Q_cross`` blocks.
-    Q_cross, R: the estimation statistics' co-pilot blocks and the
-        network's correlation matrices, held by reference, not copied.  The
-        cross term traces plan-weighted sums of the blocks against R per plan
-        (``_cross_term``), so no tr(Q_cross R) tensor is built here.
+    Q_cross, beta, lam: the estimation statistics' co-pilot eigenvalue
+        blocks, the network's gains and T's eigenvalues, held by reference,
+        not copied.  The cross term contracts plan-weighted sums of the
+        blocks per plan (``_cross_term``), so no tr(Q_cross R) tensor is
+        built here.
     """
 
     tr_Q: np.ndarray
-    tr_QR: np.ndarray
+    tr_QT: np.ndarray
     tr_Qc: np.ndarray
     theta: np.ndarray
     groups: tuple[np.ndarray, ...]
     Q_cross: tuple[np.ndarray, ...]
-    R: np.ndarray
+    beta: np.ndarray
+    lam: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.tr_Q, self.tr_QR, self.tr_Qc, self.theta, *self.groups,
-                    *self.Q_cross, self.R):
+        for arr in (self.tr_Q, self.tr_QT, self.tr_Qc, self.theta, *self.groups,
+                    *self.Q_cross, self.beta, self.lam):
             arr.setflags(write=False)
 
     @property
@@ -104,17 +101,18 @@ class TraceTerms:
         pilots: PilotAssignment,
     ) -> "TraceTerms":
         groups = tuple(np.array(g) for g in pilots.groups)
-        tr_Qc = np.zeros((net.K, net.K, net.L), dtype=complex)
+        tr_Qc = np.zeros((net.K, net.K, net.L))
         for g, block in zip(groups, stats.Q_cross):
-            tr_Qc[np.ix_(g, g)] = np.einsum("kilnn->kil", block)
+            tr_Qc[np.ix_(g, g)] = block.sum(axis=-1)
         return cls(
-            tr_Q=np.einsum("klnn->kl", stats.Q).real,
-            tr_QR=_pair_traces(stats.Q, net.R).real,
+            tr_Q=stats.Q.sum(axis=-1),
+            tr_QT=np.sum(stats.Q * net.lam, axis=-1),
             tr_Qc=tr_Qc,
             theta=net.theta.copy(),
             groups=groups,
             Q_cross=stats.Q_cross,
-            R=net.R,
+            beta=net.beta,
+            lam=net.lam,
         )
 
 
@@ -199,7 +197,7 @@ def common_normalization(terms: TraceTerms, weights: np.ndarray) -> np.ndarray:
     """
     if np.any(weights < 0):
         raise ValueError("common weights must be >= 0")
-    denom = np.einsum("kl,il,kil->l", weights, weights, terms.tr_Qc).real
+    denom = np.einsum("kl,il,kil->l", weights, weights, terms.tr_Qc)
     if np.any(denom <= 0):
         raise ValueError("common precoder power is not positive at some AP")
     return 1.0 / denom
@@ -299,21 +297,18 @@ def decay_pair(phases: PhaseStatistics, config: SystemConfig, instants):
 def _cross_term(terms: TraceTerms, eta: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(K,) Re sum_l eta_l sum_{i,j} conj(w[i,l]) w[j,l] tr(Qc[i,j,l] R[k,l]).
 
-    Qc vanishes unless i and j share a pilot, so the plan-weighted co-pilot
-    blocks are first summed into one N x N matrix per AP,
-    S_l = eta_l sum_{i,j} conj(w[i,l]) w[j,l] Qc[i,j,l] (g^2 L N^2 work for
-    a set of size g), and then, as tr(S R) = vec(S^T).vec(R), every UE's
-    trace is one (K, L N^2) matrix-vector product.
+    Qc vanishes unless i and j share a pilot, and in T's eigenbasis
+    tr(Qc[i,j,l] R[k,l]) = beta[k,l] sum_n Qc[i,j,l,n] lam_n with real Qc, so
+    the plan-weighted co-pilot blocks are first summed into one (L, N) array,
+    S[l, n] = eta_l sum_{i,j} Re(conj(w[i,l]) w[j,l]) Qc[i,j,l,n]
+    (g^2 L N work for a set of size g), and every UE's term is then
+    beta @ (S @ lam).
     """
-    L, N = terms.L, terms.R.shape[-1]
-    S = np.zeros((L, 1, N * N), dtype=complex)
+    S = np.zeros((terms.L, terms.lam.shape[0]))
     for g, block in zip(terms.groups, terms.Q_cross):
-        pair = eta * np.conj(w[g])[:, None] * w[g][None, :]  # (g, g, L)
-        # per AP, a (1, g^2) row of pair weights times the (g^2, N^2) blocks
-        S += (pair.reshape(-1, L).T[:, None, :]
-              @ block.reshape(-1, L, N * N).transpose(1, 0, 2))
-    S_T = np.swapaxes(S.reshape(L, N, N), -1, -2).reshape(-1)
-    return (terms.R.reshape(terms.K, -1) @ S_T).real
+        pair = eta * (np.conj(w[g])[:, None] * w[g][None]).real  # (g, g, L)
+        S += np.sum(pair[..., None] * block, axis=(0, 1))
+    return terms.beta @ (S @ terms.lam)
 
 
 @dataclass(frozen=True)
@@ -352,7 +347,8 @@ def plan_parts(
     ea, eu = decay_pair(phases, config, instants)
     theta_eff = _theta_eff(terms, plan.private_scheme)
     mu = plan.mu
-    total = np.einsum("il,ikl->k", mu, terms.tr_QR)  # sum_il mu tr(Q[i,l] R[k,l])
+    # sum_il mu[i,l] tr(Q[i,l] R[k,l]), with tr(Q[i,l] R[k,l]) = beta[k,l] tr(Q[i,l] T)
+    total = terms.beta @ np.sum(mu * terms.tr_QT, axis=0)
     # sum_{i in P_k} sum_l mu[i,l] |tr(Qc[k,i,l])|^2
     percontam = np.einsum("il,kil->k", mu, np.abs(terms.tr_Qc) ** 2)
     w = plan.weights * np.conj(theta_eff)  # (K, L)
@@ -366,7 +362,9 @@ def plan_parts(
         xi = (total[None, :] + (1.0 - ea)[:, None] * percontam[None, :]
               + ea[:, None] * coherent[None, :])
         sig_private = np.abs(np.einsum("kl,kl->k", sq, terms.tr_Q)) ** 2
-        sig_common = np.abs(per_ap @ np.sqrt(plan.eta)) ** 2  # coherent |sum_l|^2
+        # coherent |sum_l|^2; a complex-by-real matmul here would wake the
+        # threaded BLAS, whose start-up costs far more than the sum
+        sig_common = np.abs(np.einsum("kl,l->k", per_ap, np.sqrt(plan.eta))) ** 2
         gamma = ((1.0 - ea)[:, None] * gain_unc[None, :] + cross[None, :]
                  + (ea * (1.0 - eu))[:, None] * sig_common[None, :])
     else:

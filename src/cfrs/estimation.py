@@ -15,6 +15,12 @@ vanishes for UEs on different pilots, so it is stored as one block per
 co-pilot set.  NMSE = tr(R - Q)/tr(R) for MMSE; the LS NMSE
 is exp(+(lambda-t_k)(var_ap+var_ue)) * tr(Psi^-1) / (p_k tr R) - 1 and can
 exceed one because the LS estimate and its error are correlated.
+
+Every R[k,l] is beta[k,l] times the network's one correlation template T,
+so all of these matrices share T's eigenvectors and are stored as their N
+real eigenvalues: each formula above is elementwise in T's eigenbasis.  The
+pilot covariance's eigenvalues are at least sigma2 > 0, so it is always
+invertible.
 """
 
 from __future__ import annotations
@@ -73,11 +79,14 @@ def assign_pilots(
 
 @dataclass(frozen=True)
 class EstimationStatistics:
-    """Second-order statistics of the channel estimates.
+    """Second-order statistics of the channel estimates, as eigenvalues.
 
-    Psi (K, L, N, N): inverse of the group pilot covariance (Hermitian PD).
-    Q (K, L, N, N): estimate covariance, 0 <= Q <= R in the PSD order.
-    Q_cross: estimate cross-covariances, one (g, g, L, N, N) block per
+    Every matrix here is diagonal in the eigenbasis of the network's
+    correlation template T (see ``NetworkModel``), so each is stored as its
+    N real eigenvalues on the last axis, in the order of ``NetworkModel.lam``:
+    Psi (K, L, N): inverse of the group pilot covariance, > 0.
+    Q (K, L, N): estimate covariance, 0 <= Q <= beta * lam.
+    Q_cross: estimate cross-covariances, one (g, g, L, N) block per
         co-pilot set in ``PilotAssignment.groups`` order; entry [a, b] of a
         group's block pairs its a-th and b-th UE, and the diagonal equals Q.
         UEs on different pilots are uncorrelated and have no entry.
@@ -95,13 +104,6 @@ class EstimationStatistics:
             arr.setflags(write=False)
 
 
-def _check_hermitian(R: np.ndarray, tol: float = 1e-10):
-    dev = np.max(np.abs(R - np.conj(np.swapaxes(R, -1, -2))))
-    scale = max(np.max(np.abs(R)), 1e-300)
-    if dev > tol * max(scale, 1.0):
-        raise ValueError("correlation matrices must be Hermitian")
-
-
 def decay_factors(pilots: PilotAssignment, phases: PhaseStatistics) -> np.ndarray:
     """(K,) amplitude decay exp(-(lambda - t_k)(var_ap + var_ue)) per UE."""
     gaps = pilots.tau_p + 1 - pilots.t
@@ -115,46 +117,38 @@ def estimation_statistics(
     phases: PhaseStatistics,
     config: SystemConfig,
 ) -> EstimationStatistics:
-    """Compute Psi, Q, Q_cross and both NMSE matrices for every link."""
-    K, L, N = net.K, net.L, net.N
+    """Compute Psi, Q, Q_cross and both NMSE matrices for every link.
+
+    Per co-pilot set P and AP l, the pilot covariance has the eigenvalues
+    sigma2 + sum_{j in P} p_j beta[j,l] lam_n, and R[i,l] has beta[i,l] lam_n,
+    so every product of the formulas above is elementwise over n.
+    """
+    K, L = net.K, net.L
     if pilots.K != K:
         raise ValueError("pilot assignment size does not match network")
-    _check_hermitian(net.R)
     p = config.pilot_powers()
-    sigma2 = config.sigma2_ul
     decay = decay_factors(pilots, phases)
 
-    Psi = np.empty((K, L, N, N), dtype=complex)
-    Q = np.empty((K, L, N, N), dtype=complex)
+    Psi = np.empty((K, L, net.N))
+    Q = np.empty_like(Psi)
     Q_cross = []
     tr_cov = np.empty((K, L))
 
     for group in pilots.groups:
         g = list(group)
-        pilot_cov = sigma2 * np.eye(N, dtype=complex)
-        for i in g:
-            pilot_cov = pilot_cov + p[i] * net.R[i]  # (L, N, N)
-        # non-PD input is an upstream bug, not something to paper over with
-        # a pseudo-inverse, so factorization failure raises
-        try:
-            chol_inv = np.linalg.inv(np.linalg.cholesky(pilot_cov))
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                "pilot covariance is not positive definite; "
-                "check correlation matrices and noise power"
-            ) from exc
-        Psi_g = np.conj(np.swapaxes(chol_inv, -1, -2)) @ chol_inv
-        PsiR = Psi_g @ net.R[g]  # [k] = Psi R[k], (g, L, N, N)
+        r = net.beta[g][:, :, None] * net.lam  # (g, L, N) eigenvalues of R[g]
+        cov = config.sigma2_ul + (p[g] @ net.beta[g])[:, None] * net.lam  # (L, N)
+        psi = 1.0 / cov
         # [k, i] = sqrt(p_k p_i) decay_k R[i] Psi R[k]
         coef = np.sqrt(np.outer(p[g], p[g])) * decay[g][:, None]
-        block = coef[:, :, None, None, None] * (net.R[g][None] @ PsiR[:, None])
+        block = coef[:, :, None, None] * r[None] * (psi * r)[:, None]
         Q_cross.append(block)
         Q[g] = block[np.arange(len(g)), np.arange(len(g))]
-        Psi[g] = Psi_g
-        tr_cov[g] = np.trace(pilot_cov, axis1=-2, axis2=-1).real
+        Psi[g] = psi
+        tr_cov[g] = cov.sum(axis=-1)
 
-    tr_R = np.einsum("klnn->kl", net.R).real
-    tr_Q = np.einsum("klnn->kl", Q).real
+    tr_R = net.beta * net.lam.sum()
+    tr_Q = Q.sum(axis=-1)
     nmse_mmse = (tr_R - tr_Q) / tr_R
     nmse_ls = tr_cov / ((decay * p)[:, None] * tr_R) - 1.0
 
@@ -163,40 +157,20 @@ def estimation_statistics(
     )
 
 
-def mmse_filter_matrices(
+def mmse_filters(
     net: NetworkModel,
     pilots: PilotAssignment,
     stats: EstimationStatistics,
     phases: PhaseStatistics,
     config: SystemConfig,
 ) -> np.ndarray:
-    """(K, L, N, N) linear MMSE filters B with hhat = theta* . B @ z.
+    """(K, L, N) linear MMSE filters B, as eigenvalues, with hhat = theta* . B z
+    for a pilot observation z in T's eigenbasis.
 
     B[k,l] = sqrt(p_k) * exp(-(lambda-t_k)(var_ap+var_ue)/2) * R Psi, with
     Psi from ``stats``; the remaining conj(theta[k,l]) factor is applied by
-    the caller so the same filters serve both the scalar and the batched
-    estimation paths.
+    the caller.
     """
     p = config.pilot_powers()
     amp = np.sqrt(p * decay_factors(pilots, phases))
-    return amp[:, None, None, None] * np.einsum(
-        "klab,klbc->klac", net.R, stats.Psi
-    )
-
-
-def mmse_estimate_realization(
-    z: np.ndarray,
-    k: int,
-    l: int,
-    stats: EstimationStatistics,
-    net: NetworkModel,
-    pilots: PilotAssignment,
-    phases: PhaseStatistics,
-    config: SystemConfig,
-) -> np.ndarray:
-    """MMSE estimate of h[k,l] at the estimation instant from one pilot rx z."""
-    if z.shape != (net.N,):
-        raise ValueError(f"pilot observation must have shape ({net.N},)")
-    p = config.pilot_powers()
-    amp = np.sqrt(p[k] * decay_factors(pilots, phases)[k])
-    return amp * np.conj(net.theta[k, l]) * (net.R[k, l] @ (stats.Psi[k, l] @ z))
+    return amp[:, None, None] * net.beta[:, :, None] * net.lam * stats.Psi

@@ -5,7 +5,9 @@ single-antenna user equipments (UEs) dropped uniformly in a square.  Each
 AP-UE link carries
 
 * a large-scale gain ``beta[k, l]`` from a three-slope path-loss profile,
-* an N x N spatial correlation matrix ``R[k, l]`` with tr(R)/N = beta,
+* the spatial correlation R[k, l] = beta[k, l] * T, with one N x N template
+  T (tr T = N) shared by every link, so all of them have T's eigenvectors;
+  the model keeps beta, T and T's eigenvalues ``lam`` and never forms R,
 * a unit-modulus delay phase ``theta[k, l]`` from the propagation-time
   offset relative to the UE's earliest-arriving AP,
 
@@ -16,7 +18,7 @@ oracle draws the increments itself; this module gives their statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -148,20 +150,48 @@ class NetworkModel:
     """Immutable geometry + large-scale statistics of one topology draw.
 
     Arrays are all keyed (k, l) = (UE, AP):
-      ap_positions (L, 2), ue_positions (K, 2), beta (K, L),
-      R (K, L, N, N) Hermitian PSD with tr(R[k,l])/N == beta[k,l],
+      ap_positions (L, 2), ue_positions (K, 2), beta (K, L) finite and > 0,
+      template T (N, N) Hermitian PSD with tr T = N, so that
+      R[k, l] = beta[k, l] * T has tr(R[k, l])/N == beta[k, l],
       theta (K, L) unit-modulus delay phases with theta == 1 at each UE's
       earliest-arriving AP.
+    lam (N,) holds T's eigenvalues, derived once from T.  Every R, and so
+    every estimation statistic, is diagonal in T's eigenbasis, where the
+    statistics are computed from beta and lam alone.  Invalid fields raise
+    ValueError naming the field.
     """
 
     ap_positions: np.ndarray
     ue_positions: np.ndarray
     beta: np.ndarray
-    R: np.ndarray
+    template: np.ndarray
     theta: np.ndarray
+    lam: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for arr in (self.ap_positions, self.ue_positions, self.beta, self.R, self.theta):
+        K, L = self.ue_positions.shape[0], self.ap_positions.shape[0]
+        for name in ("beta", "theta"):
+            if getattr(self, name).shape != (K, L):
+                raise ValueError(f"{name} has shape {getattr(self, name).shape}, "
+                                 f"but the positions need {(K, L)}")
+        # written as "not inside" so that nan fails the check
+        if not np.all((self.beta > 0) & (self.beta < np.inf)):
+            raise ValueError("beta must be finite and > 0")
+        T = self.template
+        N = T.shape[0] if T.ndim == 2 else 0
+        if N < 1 or T.shape != (N, N) or not np.all(np.isfinite(T)):
+            raise ValueError(f"template must be a finite square matrix, got shape {T.shape}")
+        if not np.max(np.abs(T - np.conj(T.T))) <= 1e-12 * N:
+            raise ValueError("template must be Hermitian")
+        if not abs(np.trace(T) - N) <= 1e-10 * N:
+            raise ValueError(f"template must have trace N = {N}")
+        lam = np.linalg.eigvalsh(T)
+        if not lam[0] >= -1e-12 * N:
+            raise ValueError("template must be positive semidefinite")
+        # rounding may leave a null direction's eigenvalue slightly negative
+        object.__setattr__(self, "lam", np.maximum(lam, 0.0))
+        for arr in (self.ap_positions, self.ue_positions, self.beta, self.template,
+                    self.theta, self.lam):
             arr.setflags(write=False)
 
     @property
@@ -174,7 +204,7 @@ class NetworkModel:
 
     @property
     def N(self) -> int:
-        return self.R.shape[-1]
+        return self.lam.shape[0]
 
 
 def phase_increment_variance(f_c: float, c_osc: float, T_s: float) -> float:
@@ -250,7 +280,8 @@ def delay_phases(dist_m: np.ndarray, T_s: float) -> np.ndarray:
 
 
 def build_network(config: SystemConfig) -> NetworkModel:
-    """Draw a topology and derive beta, R, and delay phases from it.
+    """Draw a topology and derive beta, the correlation template and the
+    delay phases from it.
 
     Positions are uniform in the square, distances floored at
     ``min_dist_m`` to avoid path-loss singularities, and the delay phase of
@@ -263,7 +294,7 @@ def build_network(config: SystemConfig) -> NetworkModel:
     ue_pos = rng.uniform(0.0, config.area_side, size=(config.K, 2))
 
     diff = ue_pos[:, None, :] - ap_pos[None, :, :]
-    dist = np.maximum(np.linalg.norm(diff, axis=2), config.min_dist_m)  # (K, L)
+    dist = np.maximum(np.sqrt(np.sum(diff * diff, axis=2)), config.min_dist_m)  # (K, L)
 
     gain_db = three_slope_gain_db(
         dist, config.pl_fixed_db, config.pl_break1_m, config.pl_break2_m
@@ -272,10 +303,7 @@ def build_network(config: SystemConfig) -> NetworkModel:
         gain_db = gain_db + config.shadow_std_db * rng.normal(size=dist.shape)
     beta = 10.0 ** (gain_db / 10.0)
 
-    template = _correlation_template(config)
-    R = beta[:, :, None, None] * template[None, None, :, :]
-    theta = delay_phases(dist, config.T_s)
-
     return NetworkModel(
-        ap_positions=ap_pos, ue_positions=ue_pos, beta=beta, R=R, theta=theta
+        ap_positions=ap_pos, ue_positions=ue_pos, beta=beta,
+        template=_correlation_template(config), theta=delay_phases(dist, config.T_s),
     )

@@ -24,16 +24,23 @@ form share one rational SINR form.  Data symbols are never sampled: with
 unit-power, independent symbols the bound's expectations are over
 channels, phases, and noise only, which removes a variance source.
 
+Every link's correlation is R[k,l] = beta[k,l] T with one template T, so
+the oracle works in T's eigenbasis: there R is diagonal, a channel is
+sqrt(beta lam) times i.i.d. complex normals (lam: T's eigenvalues), white
+pilot noise stays white, and the MMSE filters are elementwise.  The
+hardening-bound terms are inner products over the antennas, which the
+common unitary change of basis leaves unchanged.
+
 A batch keeps its realizations on the last axis, the layout the
 accumulation contracts, and carries the network and config it was drawn
 from, which the estimators read.  The work is split by how often it runs.
-Once per batch, ``sample_batch`` draws, colours the channels and runs the
-estimation filters (explicit antenna sums, bit for bit what ``einsum``
-gives), and turns every kept phase into its unit-modulus factor
-exp(-i phase) with one cos/sin evaluation; each RNG chunk is drawn on a
-worker thread and written into its own slice of the batch.  Once per
-``mc_sinr`` or ``transmit_power_stats`` call, the estimators form the
-plan's precoders and terms slice by slice, with (K, K, L, r) work arrays
+Once per batch, ``sample_batch`` draws, scales the channels and runs the
+elementwise estimation filters, and turns every kept phase into its
+unit-modulus factor exp(-i phase) with one cos/sin evaluation; each RNG
+chunk is drawn on a worker thread and written into its own slice of the
+batch.  Once per ``mc_sinr`` or ``transmit_power_stats`` call, the
+estimators form the plan's precoders and terms slice by slice, with
+(K, K, L, r) work arrays
 of about ``_WORK_ELEMENTS`` entries that fit in cache and slices that
 never straddle a jackknife group, and read the stored factors with no
 trigonometry; each jackknife group is summed on a worker thread.  Both
@@ -68,11 +75,7 @@ from .closed_form import (
     check_instants,
     check_plan_shapes,
 )
-from .estimation import (
-    EstimationStatistics,
-    PilotAssignment,
-    mmse_filter_matrices,
-)
+from .estimation import EstimationStatistics, PilotAssignment, mmse_filters
 from .model import NetworkModel, PhaseStatistics, SystemConfig
 
 RNG_CHUNK = 4096  # realizations per RNG stream; fixed for reproducibility
@@ -93,15 +96,17 @@ class RealizationBatch:
     """One reproducible batch of channel and oscillator-phase realizations,
     with the network and config it was drawn from.
 
-    h (K, L, N, count): base channels at the estimation instant.
-    hhat (K, L, N, count): MMSE estimates from the simulated pilots.
+    h (K, L, N, count): base channels at the estimation instant, in the
+        eigenbasis of the network's correlation template.
+    hhat (K, L, N, count): MMSE estimates from the simulated pilots, in the
+        same basis.
     ue_factor (K, M, count) / ap_factor (L, M, count): the unit-modulus
         phase factors exp(-i phase) of the UE and AP oscillators at the
         instants listed in ``instants``: the estimation instant and every
         requested evaluation instant.  They are formed once, when the batch
         is drawn, so no accumulation evaluates a trigonometric function.  The
         pilot signal and the phases at the pilot instants are drawn (see
-        ``_draw_chunks``) but not kept.
+        ``_chunk_draw``) but not kept.
     """
 
     count: int
@@ -146,17 +151,6 @@ def _map(fn, items) -> list:
         return list(pool.map(fn, items))
 
 
-def _chol_factors(net: NetworkModel) -> np.ndarray:
-    """(K, L, N, N) Cholesky factors of the correlation matrices."""
-    try:
-        return np.linalg.cholesky(net.R)
-    except np.linalg.LinAlgError:
-        # PSD repair for rank-deficient correlation inputs
-        vals, vecs = np.linalg.eigh(net.R)
-        vals = np.clip(vals, 0.0, None)
-        return vecs * np.sqrt(vals)[..., None, :] @ np.conj(np.swapaxes(vecs, -1, -2))
-
-
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """(re + i im) / sqrt(2), re drawn before im, both in the C order of
     ``shape``; returned with its first (realization) axis moved last."""
@@ -176,27 +170,6 @@ def _phasor(angle: np.ndarray) -> np.ndarray:
     out = np.empty(angle.shape, dtype=complex)
     out.real = np.cos(angle)
     out.imag = np.sin(angle)
-    return out
-
-
-def _matvec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(..., N, r) stack of sum_m a[..., n, m] b[..., m, r]: the draw's N x N
-    products for r realizations, as an explicit antenna sum.
-
-    Each complex product is formed in plain real arithmetic and the terms are
-    added in m order, as ``einsum`` does, so the result is bit for bit what
-    ``einsum`` gives; the vectorized complex multiply may fuse operations and
-    round differently.
-    """
-    re = im = 0.0
-    for m in range(a.shape[-1]):
-        ar, ai = a[..., m, None].real, a[..., m, None].imag
-        br, bi = b[..., m, None, :].real, b[..., m, None, :].imag
-        re = re + (ar * br - ai * bi)
-        im = im + (ar * bi + ai * br)
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real = re
-    out.imag = im
     return out
 
 
@@ -220,16 +193,16 @@ def _chunk_draw(
     """Set up the draw of ``count`` realizations once and return its per-chunk
     function ``draw(chunk)``, which several threads may call at once.
 
-    The setup computes the Cholesky factors, the estimation filters of
-    ``stats`` and the phase instants; ``draw(chunk)`` draws RNG chunk
-    ``chunk`` from its own stream and returns (h, hhat, ue, ap, z) for its c
-    realizations: channels and estimates (c, K, L, N), the UE (c, K, M) and
-    AP (c, L, M) phases at ``_phase_instants(pilots, config, instants)``, and
-    the received pilot signal z (c, G, L, N) per co-pilot group, which the
-    filters turn into hhat.  The draws are made in that order and layout; the
-    channels, estimates and pilot signal are computed with the realizations
-    last, which gives the antenna sums long inner loops, and returned as
-    views with that axis moved first.
+    The setup computes the channel standard deviations sqrt(beta lam), the
+    estimation filters of ``stats`` and the phase instants; ``draw(chunk)``
+    draws RNG chunk ``chunk`` from its own stream and returns
+    (h, hhat, ue, ap, z) for its c realizations: channels and estimates
+    (c, K, L, N) in T's eigenbasis, the UE (c, K, M) and AP (c, L, M) phases
+    at ``_phase_instants(pilots, config, instants)``, and the received pilot
+    signal z (c, G, L, N) per co-pilot group, which the filters turn into
+    hhat.  The draws are made in that order and layout; the channels,
+    estimates and pilot signal are computed with the realizations last and
+    returned as views with that axis moved first.
     """
     K, L, N = net.K, net.L, net.N
     needed = _phase_instants(pilots, config, instants)
@@ -237,8 +210,8 @@ def _chunk_draw(
     M = len(needed)
     sd_ue = np.sqrt(phases.var_ue * gaps)
     sd_ap = np.sqrt(phases.var_ap * gaps)
-    chol = _chol_factors(net)
-    filters = mmse_filter_matrices(net, pilots, stats, phases, config)
+    sd = np.sqrt(net.beta[:, :, None] * net.lam)[..., None]  # (K, L, N, 1)
+    filters = mmse_filters(net, pilots, stats, phases, config)[..., None]
     p = config.pilot_powers()
 
     def draw(chunk: int):
@@ -246,7 +219,8 @@ def _chunk_draw(
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(seed, spawn_key=(chunk,)))
         )
-        h = _matvec(chol, _complex_normal(rng, (c, K, L, N)))  # (K, L, N, c)
+        h = _complex_normal(rng, (c, K, L, N))  # (K, L, N, c)
+        h *= sd
         ue = np.cumsum(rng.standard_normal((c, K, M)) * sd_ue, axis=2)
         ap = np.cumsum(rng.standard_normal((c, L, M)) * sd_ap, axis=2)
         z = _complex_normal(rng, (c, len(pilots.groups), L, N))  # (G, L, N, c)
@@ -260,18 +234,11 @@ def _chunk_draw(
                 rot = _phasor(ue[:, i, m] + ap[:, :, m].T)  # (L, c)
                 z[g] += np.sqrt(p[i]) * net.theta[i][:, None, None] * rot[:, None] * h[i]
             for k in group:
-                hhat[k] = np.conj(net.theta[k])[:, None, None] * _matvec(filters[k], z[g])
+                hhat[k] = np.conj(net.theta[k])[:, None, None] * (filters[k] * z[g])
         return (np.moveaxis(h, -1, 0), np.moveaxis(hhat, -1, 0), ue, ap,
                 np.moveaxis(z, -1, 0))
 
     return draw
-
-
-def _draw_chunks(net, pilots, stats, phases, config, count, seed, instants):
-    """Yield ``draw(chunk)`` of ``_chunk_draw`` for every RNG chunk in order."""
-    draw = _chunk_draw(net, pilots, stats, phases, config, count, seed, instants)
-    for chunk in range(-(-count // RNG_CHUNK)):
-        yield draw(chunk)
 
 
 def sample_batch(

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_form import TraceTerms, _pair_traces, decay_pair, make_plan, plan_parts
+from .closed_form import TraceTerms, decay_pair, make_plan, plan_parts
 from .model import PhaseStatistics, SystemConfig
 
 log = logging.getLogger(__name__)
@@ -106,8 +106,8 @@ class MaxMinProblem:
     are block-diagonal per AP and are never formed (``products`` applies
     them): the AP-l block of H_k is outer(tau, tau) with tau the AP-l slice
     of b_k, and entry (i, j) of the AP-l block of M_k is
-    Re tr(Q_cross[i,j,l] R[k,l]), nonzero only for co-pilot i and j, so it
-    is read from the per-group blocks ``tr_QcR`` (in ``groups`` order).
+    tr(Q_cross[i,j,l] R[k,l]), real and nonzero only for co-pilot i and j, so
+    it is read from the per-group blocks ``tr_QcR`` (in ``groups`` order).
     Only this program reads every UE's trace against every co-pilot pair,
     so ``build_maxmin_problem`` forms these blocks and the closed form
     does not.
@@ -182,8 +182,8 @@ def build_maxmin_problem(
 
     Zero entries follow the pilot structure exactly: b_k (and so H_k)
     vanishes off UE k's co-pilot set, and M_k is stored only inside the
-    co-pilot sets, as the real part of tr(Q_cross R) per set, formed here
-    from the terms' ``Q_cross`` blocks and R.  The private interference
+    co-pilot sets, as tr(Q_cross R) = beta * (Q_cross @ lam) per set, formed
+    here from the terms' eigenvalue blocks.  The private interference
     constant uses delay-compensated MR precoding with the per-AP
     normalization.
     Default instant: ``config.mid_instant``.
@@ -195,14 +195,9 @@ def build_maxmin_problem(
         n = config.mid_instant
     ea, eu = decay_pair(phases, config, n)
 
-    tr_Qc = terms.tr_Qc.real  # real for the supported correlation models
-    imag_leak = np.max(np.abs(terms.tr_Qc.imag)) if terms.tr_Qc.size else 0.0
-    if imag_leak > 1e-9 * max(np.max(np.abs(tr_Qc)), 1e-300):
-        raise ValueError("estimate cross-traces are not real; unsupported correlation")
-
     # b_k stacked AP-major: entry l*K + i = tr(Qc[k,i,l]) on k's pilot group
-    b = np.transpose(tr_Qc, (0, 2, 1)).reshape(K, K * L)
-    Theta = np.transpose(tr_Qc, (2, 0, 1)).copy()  # (L, K, K)
+    b = np.transpose(terms.tr_Qc, (0, 2, 1)).reshape(K, K * L)
+    Theta = np.transpose(terms.tr_Qc, (2, 0, 1)).copy()  # (L, K, K)
 
     plan = make_plan(terms, *MAXMIN_SCHEME)
     xi = plan_parts(terms, plan, phases, config, n).xi[0]
@@ -210,7 +205,8 @@ def build_maxmin_problem(
     return MaxMinProblem(
         b=b,
         groups=terms.groups,
-        tr_QcR=tuple(_pair_traces(block, terms.R).real.copy() for block in terms.Q_cross),
+        tr_QcR=tuple((block @ terms.lam)[:, :, None, :] * terms.beta
+                     for block in terms.Q_cross),
         Theta=Theta,
         xi=xi,
         p_dc=rho * config.p_d,

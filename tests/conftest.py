@@ -51,6 +51,35 @@ def random_instance(rng, L=None, K=None, N=None, tau_p=None, correlation=None):
     return cfg, net, pilots, phases, stats, terms
 
 
+def dense_R(net):
+    """(K, L, N, N) dense correlation matrices R = beta * T, bit for bit the
+    product ``build_network`` once stored."""
+    return net.beta[..., None, None] * net.template
+
+
+def random_template(rng, N):
+    """Generic complex Hermitian PD N x N template with trace N and distinct
+    eigenvalues, so that no transpose, conjugate or swapped gain cancels."""
+    A = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    U = np.linalg.qr(A)[0]
+    lam = np.linspace(0.5, 1.5, N) if N > 1 else np.ones(1)
+    T = (U * lam) @ np.conj(U.T)
+    return 0.5 * (T + np.conj(T.T))
+
+
+def to_eigenbasis(net, dense):
+    """Dense (..., N, N) matrices in the eigenbasis of the network's template."""
+    U = np.linalg.eigh(net.template)[1]
+    return np.conj(U.T) @ dense @ U
+
+
+def from_eigenbasis(net, eig):
+    """Dense (..., N, N) matrices U diag(eig) U^H from their (..., N) eigenvalues
+    in the eigenbasis U of the network's template."""
+    U = np.linalg.eigh(net.template)[1]
+    return (U * eig[..., None, :]) @ np.conj(U.T)
+
+
 def dense_copilot(blocks, groups, K):
     """Scatter per-co-pilot-set (g, g, ...) blocks into a dense (K, K, ...) array."""
     out = np.zeros((K, K) + blocks[0].shape[2:], dtype=blocks[0].dtype)
@@ -60,8 +89,10 @@ def dense_copilot(blocks, groups, K):
 
 
 def per_link_statistics(net, pilots, phases, cfg):
-    """Reference: Psi, Q, dense Q_cross and the LS NMSE one link at a time."""
+    """Reference: Psi, Q, dense Q_cross and the LS NMSE one link at a time,
+    from the dense correlation matrices ``dense_R``."""
     K, L, N = net.K, net.L, net.N
+    R = dense_R(net)
     p = cfg.pilot_powers()
     decay = decay_factors(pilots, phases)
     Psi = np.zeros((K, L, N, N), dtype=complex)
@@ -71,21 +102,21 @@ def per_link_statistics(net, pilots, phases, cfg):
     for k in range(K):
         members = np.flatnonzero(pilots.t == pilots.t[k])
         for l in range(L):
-            cov = cfg.sigma2_ul * np.eye(N) + sum(p[i] * net.R[i, l] for i in members)
+            cov = cfg.sigma2_ul * np.eye(N) + sum(p[i] * R[i, l] for i in members)
             Psi[k, l] = cho_solve(cho_factor(cov), np.eye(N))
-            Q[k, l] = p[k] * decay[k] * net.R[k, l] @ Psi[k, l] @ net.R[k, l]
+            Q[k, l] = p[k] * decay[k] * R[k, l] @ Psi[k, l] @ R[k, l]
             for i in members:
                 Q_cross[k, i, l] = (np.sqrt(p[k] * p[i]) * decay[k]
-                                    * net.R[i, l] @ Psi[k, l] @ net.R[k, l])
+                                    * R[i, l] @ Psi[k, l] @ R[k, l])
             nmse_ls[k, l] = (np.trace(cov).real
-                             / (decay[k] * p[k] * np.trace(net.R[k, l]).real) - 1.0)
+                             / (decay[k] * p[k] * np.trace(R[k, l]).real) - 1.0)
     return Psi, Q, Q_cross, nmse_ls
 
 
 def dense_maxmin_matrices(net, pilots, phases, cfg):
     """Reference: the dense (K, KL, KL) H_k and M_k of the max-min program.
 
-    Built from ``per_link_statistics``' dense Q_cross and the network's R,
+    Built from ``per_link_statistics``' dense Q_cross and ``dense_R``,
     with AP-major stacking: the AP-l block of H_k is outer(tau, tau) with
     tau[i] = tr(Q_cross[k,i,l]), and entry (i, j) of that of M_k is
     Re tr(Q_cross[i,j,l] R[k,l]).
@@ -93,7 +124,7 @@ def dense_maxmin_matrices(net, pilots, phases, cfg):
     K, L = net.K, net.L
     Q_cross = per_link_statistics(net, pilots, phases, cfg)[2]
     tr_Qc = np.einsum("kilnn->kil", Q_cross).real
-    tr_QcR = np.einsum("ijlab,klba->ijkl", Q_cross, net.R).real
+    tr_QcR = np.einsum("ijlab,klba->ijkl", Q_cross, dense_R(net)).real
     H = np.zeros((K, K * L, K * L))
     M = np.zeros((K, K * L, K * L))
     for k in range(K):

@@ -615,20 +615,10 @@ def test_robust_job_checks_the_instant_its_weights_were_optimized_for(monkeypatc
     assert "mc_rel_err_common" in extras
 
 
-def test_sweep_jobs_form_no_copilot_trace_block(monkeypatch):
-    # the closed form contracts the cross term per plan, so neither the
-    # topology's trace terms nor a simple-weights RS job trace a (g, g, L, N, N)
-    # Q_cross block against R; only the max-min program forms those blocks
-    traced = []
-    original = cli.closed_form._pair_traces
-
-    def spy(A, B):
-        if A.ndim == 5:
-            traced.append(A.shape)
-        return original(A, B)
-
-    monkeypatch.setattr(cli.closed_form, "_pair_traces", spy)
-    monkeypatch.setattr(cli.optimize, "_pair_traces", spy, raising=False)
+def test_sweep_jobs_form_no_copilot_trace_block():
+    # the closed form contracts the cross term per plan, so the topology's
+    # trace terms hold no (g, g, K, L) tr(Q_cross R) block; only the max-min
+    # program forms those blocks, one per co-pilot set
     spec = cli.spec_from_dict(one_scheme_spec(
         system={**desk_system(), "K": 5, "tau_p": 2},
         schemes=[{"private": private, "transmission": transmission, "rs": True,
@@ -639,15 +629,44 @@ def test_sweep_jobs_form_no_copilot_trace_block(monkeypatch):
     phases = cli.PhaseStatistics.from_config(cfg)
     topology = cli.build_topology(cfg, phases)
     assert max(len(g) for g in topology.pilots.groups) > 1
-    block_shapes = {(len(g), len(g), cfg.K, cfg.L) for g in topology.pilots.groups}
+    block_shapes = [(len(g), len(g), cfg.K, cfg.L) for g in topology.pilots.groups]
     held = [a for value in vars(topology.terms).values()
             for a in (value if isinstance(value, tuple) else (value,))]
     assert not any(np.shape(a) in block_shapes for a in held)
     for scheme in spec.schemes:
         cli.run_scheme(cfg, phases, scheme, topology)
-    assert traced == []
-    cli.optimize.build_maxmin_problem(topology.terms, phases, cfg, 0.5)
-    assert traced == [block.shape for block in topology.stats.Q_cross]
+    problem = cli.optimize.build_maxmin_problem(topology.terms, phases, cfg, 0.5)
+    assert [block.shape for block in problem.tr_QcR] == block_shapes
+
+
+def test_sweep_jobs_factor_no_matrix_but_the_template(monkeypatch):
+    # every statistic is computed in the eigenbasis of the correlation
+    # template T, so a topology and its sweep jobs call np.linalg once: the
+    # eigenvalues of the N x N template
+    spec = cli.spec_from_dict(one_scheme_spec(
+        system={**desk_system(), "K": 5, "N": 3, "tau_p": 2,
+                "correlation": "exponential", "corr_r": 0.6},
+        schemes=[{"private": private, "transmission": transmission, "rs": rs,
+                  "weights": "simple"}
+                 for private in ("du_mr", "df_mr")
+                 for transmission in ("coherent", "noncoherent")
+                 for rs in (True, False)]))
+    cfg = spec.base
+    phases = cli.PhaseStatistics.from_config(cfg)
+    calls = []
+    for name in np.linalg.__all__:
+        target = getattr(np.linalg, name)
+        if callable(target) and not isinstance(target, type):
+            def spy(*args, _name=name, _target=target, **kwargs):
+                calls.append((_name, np.shape(args[0]) if args else None))
+                return _target(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+    topology = cli.build_topology(cfg, phases)
+    assert cfg.K > cfg.tau_p
+    for scheme in spec.schemes:
+        cli.run_scheme(cfg, phases, scheme, topology)
+    assert calls == [("eigvalsh", (cfg.N, cfg.N))]
 
 
 def test_single_user_run(tmp_path):

@@ -9,20 +9,27 @@ import cfrs
 from cfrs import closed_form as cf
 from cfrs import optimize as opt
 
-from conftest import dense_copilot, per_link_statistics, random_instance
+from conftest import (
+    dense_copilot,
+    dense_R,
+    per_link_statistics,
+    random_instance,
+    random_template,
+)
 
 
 def tiny_terms(tr_q: float = 2.0):
-    """Hand-built single-link trace terms for scalar identities."""
+    """Hand-built single-link, single-antenna trace terms for scalar identities."""
     one = np.ones((1, 1))
     return cf.TraceTerms(
         tr_Q=tr_q * one,
-        tr_QR=tr_q * one[None] * 1.5,
-        tr_Qc=tr_q * one[None].astype(complex),
+        tr_QT=tr_q * one,
+        tr_Qc=tr_q * one[None],
         theta=np.ones((1, 1), dtype=complex),
         groups=(np.array([0]),),
-        Q_cross=(tr_q * np.ones((1, 1, 1, 1, 1), dtype=complex),),
-        R=np.full((1, 1, 1, 1), 1.5, dtype=complex),  # tr(Qc R) = 1.5 tr_q
+        Q_cross=(tr_q * np.ones((1, 1, 1, 1)),),
+        beta=1.5 * one,  # R = 1.5 T, so tr(Q R) = tr(Qc R) = 1.5 tr_q
+        lam=np.ones(1),
     )
 
 
@@ -240,9 +247,11 @@ def test_blocked_tr_qcr_matches_dense_einsum():
     # uneven co-pilot groups: K = 7 UEs on 3 pilots gives sizes 3, 2, 2
     rng = np.random.default_rng(8)
     cfg, net, _, phases, _, _ = random_instance(rng, L=4, K=7, N=3, tau_p=3)
-    # generic complex Hermitian R, so that no transpose or conjugate cancels
-    A = rng.normal(size=net.R.shape) + 1j * rng.normal(size=net.R.shape)
-    net = dataclasses.replace(net, R=A @ np.conj(np.swapaxes(A, -1, -2)) * 1e-9)
+    # distinct gains and a generic complex template with distinct eigenvalues,
+    # so that no transpose, conjugate or swapped gain cancels
+    net = dataclasses.replace(net, beta=10 ** rng.uniform(-10, -8, net.beta.shape),
+                              template=random_template(rng, cfg.N))
+    R = dense_R(net)
     w = rng.uniform(0, 1, (cfg.K, cfg.L)) * np.conj(net.theta)
     eta = rng.uniform(0.5, 2, cfg.L)
     for policy in ("round_robin", "random"):
@@ -255,13 +264,15 @@ def test_blocked_tr_qcr_matches_dense_einsum():
             assert firsts != sorted(firsts)
         stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
         terms = cf.TraceTerms.compute(net, stats, pilots)
-        Q_cross = per_link_statistics(net, pilots, phases, cfg)[2]
-        dense = np.einsum("ijlab,klba->ijkl", Q_cross, net.R)
-        # the max-min program keeps the real part of tr(Q_cross R) and needs
-        # real cross-traces; its blocks come from Q_cross and R alone, so the
-        # imaginary part of tr_Qc is dropped to keep this generic R
-        real_terms = dataclasses.replace(terms, tr_Qc=terms.tr_Qc.real.astype(complex))
-        problem = opt.build_maxmin_problem(real_terms, phases, cfg, rho=0.5)
+        _, Q, Q_cross, _ = per_link_statistics(net, pilots, phases, cfg)
+        # the private traces: tr(Q) and tr(Q[i,l] R[k,l]) = beta[k,l] tr(Q[i,l] T)
+        tr_Q = np.einsum("klnn->kl", Q).real
+        assert np.max(np.abs(terms.tr_Q - tr_Q)) <= 1e-12 * np.max(np.abs(tr_Q))
+        tr_QR = np.einsum("ilab,klba->ikl", Q, R).real
+        got = terms.beta[None] * terms.tr_QT[:, None]
+        assert np.max(np.abs(got - tr_QR)) <= 1e-12 * np.max(np.abs(tr_QR))
+        dense = np.einsum("ijlab,klba->ijkl", Q_cross, R)
+        problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.5)
         got = dense_copilot(problem.tr_QcR, pilots.groups, cfg.K)
         assert np.max(np.abs(got - dense.real)) <= 1e-12 * np.max(np.abs(dense.real))
         tr_Qc = np.einsum("kilnn->kil", Q_cross)
@@ -390,8 +401,8 @@ def test_trace_terms_sparsity(desk):
     cfg, net, pilots, phases, stats, terms = desk
     copilot = pilots.t[:, None] == pilots.t[None, :]
     assert np.all(terms.tr_Qc[~copilot] == 0)
-    # the terms hold the statistics' blocks and R themselves, not copies
-    assert terms.R is net.R
+    # the terms hold the statistics' blocks, beta and lam themselves, not copies
+    assert terms.beta is net.beta and terms.lam is net.lam
     assert all(a is b for a, b in zip(terms.Q_cross, stats.Q_cross, strict=True))
     # the max-min blocks of tr(Q_cross R) hold exactly the co-pilot pairs, each once
     problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.5)

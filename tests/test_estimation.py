@@ -5,10 +5,18 @@ import pytest
 
 import cfrs
 from cfrs import montecarlo as mc
-from cfrs.estimation import decay_factors, mmse_filter_matrices
+from cfrs.estimation import decay_factors, mmse_filters
 from cfrs.model import NetworkModel
 
-from conftest import dense_copilot, per_link_statistics, random_instance
+from conftest import (
+    dense_R,
+    dense_copilot,
+    from_eigenbasis,
+    per_link_statistics,
+    random_instance,
+    random_template,
+    to_eigenbasis,
+)
 
 
 def single_link_network(beta: float, N: int = 1) -> NetworkModel:
@@ -16,7 +24,7 @@ def single_link_network(beta: float, N: int = 1) -> NetworkModel:
         ap_positions=np.zeros((1, 2)),
         ue_positions=np.ones((1, 2)),
         beta=np.array([[beta]]),
-        R=beta * np.eye(N, dtype=complex)[None, None],
+        template=np.eye(N, dtype=complex),
         theta=np.ones((1, 1), dtype=complex),
     )
 
@@ -143,89 +151,78 @@ def test_statistics_invariants_random_instances(desk):
     rng = np.random.default_rng(7)
     for _ in range(20):
         _, net, pilots, _, stats, _ = random_instance(rng)
-        # Psi Hermitian PD
-        herm = np.max(np.abs(stats.Psi - np.conj(np.swapaxes(stats.Psi, -1, -2))))
-        assert herm < 1e-8 * np.max(np.abs(stats.Psi))
-        assert np.linalg.eigvalsh(stats.Psi).min() > 0
-        # 0 <= Q <= R
-        assert np.linalg.eigvalsh(stats.Q).min() >= -1e-10
-        assert np.linalg.eigvalsh(net.R - stats.Q).min() >= -1e-10
+        # the statistics are eigenvalues in T's eigenbasis: Psi PD
+        assert stats.Psi.min() > 0
+        # 0 <= Q <= R, with R's eigenvalues beta * lam
+        assert stats.Q.min() >= -1e-10
+        assert (net.beta[..., None] * net.lam - stats.Q).min() >= -1e-10
         for g, block in zip(pilots.groups, stats.Q_cross):
             # Q_cross collapses to Q on the diagonal
             for a, k in enumerate(g):
                 assert np.allclose(block[a, a], stats.Q[k], rtol=1e-12)
             # trace symmetry within pilot groups (real, equal traces)
-            tr = np.einsum("kilnn->kil", block)
-            assert np.max(np.abs(tr.imag)) < 1e-9 * max(np.max(np.abs(tr)), 1e-300)
+            tr = block.sum(axis=-1)
+            assert np.isrealobj(tr)
             assert np.allclose(tr, np.swapaxes(tr, 0, 1), rtol=1e-9)
 
 
 def test_batched_statistics_match_per_link_loop():
     rng = np.random.default_rng(23)
     for _ in range(12):
-        cfg, net, pilots, phases, stats, _ = random_instance(rng)
+        # co-pilot sets of several UEs, each with its own gains and pilot power
+        K = int(rng.integers(3, 6))
+        cfg, net, pilots, phases, stats, _ = random_instance(
+            rng, K=K, tau_p=int(rng.integers(1, K)))
+        assert max(len(g) for g in pilots.groups) > 1
         cfg = dataclasses.replace(cfg, p_pilot=tuple(rng.uniform(0.05, 0.2, cfg.K)))
-        # generic complex Hermitian R: the model's R[k, l] all commute
-        A = rng.normal(size=net.R.shape) + 1j * rng.normal(size=net.R.shape)
-        R = A @ np.conj(np.swapaxes(A, -1, -2)) * (net.beta / net.N)[..., None, None]
-        net = dataclasses.replace(net, R=R)
+        # distinct gains (the path loss is flat near an AP), and a generic
+        # complex template with distinct eigenvalues, so that the eigenbasis
+        # is not the antenna basis and no eigenvalue repeats
+        net = dataclasses.replace(net, beta=10 ** rng.uniform(-10, -8, net.beta.shape),
+                                  template=random_template(rng, cfg.N))
         stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
         ref = per_link_statistics(net, pilots, phases, cfg)
         Q_cross = dense_copilot(stats.Q_cross, pilots.groups, cfg.K)
-        for got, want in zip((stats.Psi, stats.Q, Q_cross, stats.nmse_ls), ref):
+        got = [from_eigenbasis(net, x) for x in (stats.Psi, stats.Q, Q_cross)]
+        for got, want in zip(got + [stats.nmse_ls], ref):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_indefinite_pilot_covariance_raises():
+    # a negative gain or an indefinite template would make the pilot
+    # covariance indefinite; the network model refuses both when it is built
     net = single_link_network(1e-9, N=2)
-    bad = dataclasses.replace(net, R=-net.R)  # Hermitian, negative definite
-    cfg = cfrs.SystemConfig(L=1, K=1, N=2, tau_p=1, tau_c=20, seed=0)
-    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-        cfrs.estimation_statistics(
-            bad, cfrs.assign_pilots(1, 1), cfrs.PhaseStatistics(0, 0), cfg
-        )
+    with pytest.raises(ValueError, match="beta must be finite and > 0"):
+        dataclasses.replace(net, beta=-net.beta)
+    with pytest.raises(ValueError, match="template must be positive semidefinite"):
+        dataclasses.replace(net, template=np.diag([3.0, -1.0]).astype(complex))
 
 
 def test_rejects_non_hermitian_correlation():
     net = single_link_network(1e-9, N=2)
-    bad_R = net.R.copy()
-    bad_R[0, 0, 0, 1] = 5e-10  # break symmetry
-    bad = dataclasses.replace(net, R=bad_R)
-    cfg = cfrs.SystemConfig(L=1, K=1, N=2, tau_p=1, tau_c=20, seed=0)
-    with pytest.raises(ValueError, match="Hermitian"):
-        cfrs.estimation_statistics(
-            bad, cfrs.assign_pilots(1, 1), cfrs.PhaseStatistics(0, 0), cfg
-        )
+    bad_T = net.template.copy()
+    bad_T[0, 1] = 0.5  # break symmetry
+    with pytest.raises(ValueError, match="template must be Hermitian"):
+        dataclasses.replace(net, template=bad_T)
 
 
 # ---------------------------------------------------------------------------
 # estimate realizations
 # ---------------------------------------------------------------------------
 
-def test_estimate_is_linear_and_zero_on_zero_input(desk):
-    cfg, net, pilots, phases, stats, _ = desk
-    z = np.zeros(cfg.N, dtype=complex)
-    est = cfrs.mmse_estimate_realization(z, 0, 0, stats, net, pilots, phases, cfg)
-    assert np.all(est == 0)
-    with pytest.raises(ValueError):
-        cfrs.mmse_estimate_realization(np.zeros(cfg.N + 1, dtype=complex), 0, 0,
-                                       stats, net, pilots, phases, cfg)
-
-
 def test_batch_estimates_match_single_realization_path(desk, desk_batch):
     cfg, net, pilots, phases, stats, _ = desk
     batch, instants = desk_batch
     group_of = {k: g for g, grp in enumerate(pilots.groups) for k in grp}
     # the pilot signal of the batch's first two chunks, redrawn with its seed
-    chunks = mc._draw_chunks(net, pilots, stats, phases, cfg, batch.count, 7, instants)
-    z = np.concatenate([next(chunks)[4] for _ in range(2)])
+    draw = mc._chunk_draw(net, pilots, stats, phases, cfg, batch.count, 7, instants)
+    z = np.concatenate([draw(chunk)[4] for chunk in range(2)])
+    filters = mmse_filters(net, pilots, stats, phases, cfg)
     for r in (0, 123, 4567):
         for k in range(cfg.K):
             for l in range(cfg.L):
-                direct = cfrs.mmse_estimate_realization(
-                    z[r, group_of[k], l], k, l,
-                    stats, net, pilots, phases, cfg,
-                )
+                # one realization's estimate: the filter applied to its pilot signal
+                direct = np.conj(net.theta[k, l]) * filters[k, l] * z[r, group_of[k], l]
                 assert np.allclose(direct, batch.hhat[k, l, :, r], rtol=1e-12)
 
 
@@ -236,7 +233,9 @@ def test_estimate_covariance_matches_q(desk, desk_batch):
         for l in range(cfg.L):
             emp = np.einsum("nr,mr->nm", batch.hhat[k, l],
                             np.conj(batch.hhat[k, l])) / batch.count
-            rel = np.linalg.norm(emp - stats.Q[k, l]) / np.linalg.norm(stats.Q[k, l])
+            # the batch is drawn in T's eigenbasis, where Q is diagonal
+            Q = np.diag(stats.Q[k, l])
+            rel = np.linalg.norm(emp - Q) / np.linalg.norm(Q)
             assert rel < 0.02
 
 
@@ -259,15 +258,18 @@ def test_estimate_error_orthogonality(desk, desk_batch):
 
 
 def test_filter_matrices_reduce_to_classic_mmse_without_phase_noise():
-    net = single_link_network(2e-9, N=2)
+    # a complex template with distinct eigenvalues, so the filter is not a
+    # multiple of the identity
+    net = dataclasses.replace(single_link_network(2e-9, N=2),
+                              template=np.array([[1.0, 0.5j], [-0.5j, 1.0]]))
     cfg = cfrs.SystemConfig(L=1, K=1, N=2, tau_p=1, tau_c=20, seed=0)
     pilots = cfrs.assign_pilots(1, 1)
     phases = cfrs.PhaseStatistics(0.0, 0.0)
     stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
-    filt = mmse_filter_matrices(net, pilots, stats, phases, cfg)
+    filt = mmse_filters(net, pilots, stats, phases, cfg)
     p = cfg.pilot_powers()[0]
-    classic = np.sqrt(p) * net.R[0, 0] @ np.linalg.inv(
-        p * net.R[0, 0] + cfg.sigma2_ul * np.eye(2)
-    )
-    assert np.allclose(filt[0, 0], classic, rtol=1e-12)
+    R = dense_R(net)[0, 0]
+    classic = np.sqrt(p) * R @ np.linalg.inv(p * R + cfg.sigma2_ul * np.eye(2))
+    assert np.allclose(from_eigenbasis(net, filt[0, 0]), classic, rtol=1e-12)
+    assert np.allclose(filt[0, 0], np.diag(to_eigenbasis(net, classic)), rtol=1e-12)
     assert decay_factors(pilots, phases)[0] == 1.0

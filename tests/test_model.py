@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import cfrs
 from cfrs import montecarlo as mc
 from cfrs.model import delay_phases, three_slope_gain_db
+
+from conftest import dense_R
 
 
 def test_phase_increment_variance_zero_constant():
@@ -61,7 +65,8 @@ def _link_phases(var_ap, var_ue, count, instants, seed):
     net, pilots = cfrs.build_network(cfg), cfrs.assign_pilots(1, 1)
     phases = cfrs.PhaseStatistics(var_ap=var_ap, var_ue=var_ue)
     stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
-    chunks = list(mc._draw_chunks(net, pilots, stats, phases, cfg, count, seed, instants))
+    draw = mc._chunk_draw(net, pilots, stats, phases, cfg, count, seed, instants)
+    chunks = [draw(chunk) for chunk in range(-(-count // mc.RNG_CHUNK))]
     ue, ap = (np.concatenate([chunk[i][:, 0] for chunk in chunks]) for i in (2, 3))
     return mc._phase_instants(pilots, cfg, instants), ue, ap
 
@@ -123,7 +128,8 @@ def test_build_network_deterministic():
     b = cfrs.build_network(cfg)
     assert np.array_equal(a.beta, b.beta)
     assert np.array_equal(a.theta, b.theta)
-    assert np.array_equal(a.R, b.R)
+    assert np.array_equal(a.template, b.template)
+    assert np.array_equal(a.lam, b.lam)
     assert np.array_equal(a.ap_positions, b.ap_positions)
 
 
@@ -133,12 +139,15 @@ def test_correlation_matrix_invariants(correlation, corr_r):
         L=10, K=4, N=3, seed=9, correlation=correlation, corr_r=corr_r
     )
     net = cfrs.build_network(cfg)
-    herm_dev = np.max(np.abs(net.R - np.conj(np.swapaxes(net.R, -1, -2))))
+    R = dense_R(net)
+    herm_dev = np.max(np.abs(R - np.conj(np.swapaxes(R, -1, -2))))
     assert herm_dev < 1e-12
-    eigs = np.linalg.eigvalsh(net.R)
+    eigs = np.linalg.eigvalsh(R)
     assert eigs.min() >= -1e-10
-    tr = np.einsum("klnn->kl", net.R).real
+    tr = np.einsum("klnn->kl", R).real
     assert np.allclose(tr / cfg.N, net.beta, rtol=1e-12)
+    # the stored eigenvalues are T's, and R[k, l]'s are beta[k, l] times them
+    assert np.allclose(eigs, net.beta[..., None] * net.lam, rtol=1e-12, atol=0)
 
 
 def test_theta_unit_modulus_and_reference_ap():
@@ -154,6 +163,29 @@ def test_network_model_is_immutable():
     net = cfrs.build_network(cfg)
     with pytest.raises(ValueError):
         net.beta[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("beta", lambda net: np.full_like(net.beta, np.nan), "beta must be finite and > 0"),
+    ("beta", lambda net: np.where(net.beta == net.beta.max(), np.inf, net.beta),
+     "beta must be finite and > 0"),
+    ("beta", lambda net: np.where(net.beta == net.beta.max(), 0.0, net.beta),
+     "beta must be finite and > 0"),
+    ("beta", lambda net: net.beta[:, :-1], r"beta has shape \(3, 1\)"),
+    ("theta", lambda net: net.theta.T, r"theta has shape \(2, 3\)"),
+    ("template", lambda net: np.array([[1.0, 0.5], [0.0, 1.0]]), "template must be Hermitian"),
+    ("template", lambda net: np.diag([3.0, -1.0]), "template must be positive semidefinite"),
+    ("template", lambda net: 2 * np.eye(2), "template must have trace N = 2"),
+    ("template", lambda net: np.full((2, 2), np.nan), "template must be a finite square"),
+    ("template", lambda net: np.eye(2)[:1], "template must be a finite square"),
+])
+def test_network_model_rejects_invalid_fields(field, bad, message):
+    # a nan gain used to pass and give a nan sum SE; every field is now
+    # checked when the model is built, and the message names it
+    cfg = cfrs.SystemConfig(L=2, K=3, N=2, tau_p=2, seed=0)
+    net = cfrs.build_network(cfg)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(net, **{field: bad(net)})
 
 
 def test_config_validation():

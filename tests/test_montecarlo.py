@@ -10,6 +10,8 @@ import cfrs
 from cfrs import closed_form as cf
 from cfrs import montecarlo as mc
 
+from conftest import dense_R, to_eigenbasis
+
 
 def small_setup(seed=1, L=2, K=2, N=2, tau_p=2, var=1e-3):
     cfg = cfrs.SystemConfig(L=L, K=K, N=N, tau_p=tau_p, tau_c=20, seed=seed)
@@ -28,7 +30,9 @@ def test_channel_sampler_covariance(desk, desk_batch):
         for l in range(cfg.L):
             emp = np.einsum("nr,mr->nm", batch.h[k, l],
                             np.conj(batch.h[k, l])) / batch.count
-            rel = np.linalg.norm(emp - net.R[k, l]) / np.linalg.norm(net.R[k, l])
+            # drawn in T's eigenbasis, where R[k, l] is diag(beta[k, l] * lam)
+            R = np.diag(net.beta[k, l] * net.lam)
+            rel = np.linalg.norm(emp - R) / np.linalg.norm(R)
             assert rel < 0.02
 
 
@@ -83,7 +87,8 @@ def test_batch_keeps_the_estimation_and_requested_instants(desk):
     assert batch.h.shape == batch.hhat.shape == (cfg.K, cfg.L, cfg.N, 5000)
     assert batch.ue_factor.shape == (cfg.K, M, 5000)
     assert batch.ap_factor.shape == (cfg.L, M, 5000)
-    chunks = list(mc._draw_chunks(net, pilots, stats, phases, cfg, 5000, 42, requested))
+    draw = mc._chunk_draw(net, pilots, stats, phases, cfg, 5000, 42, requested)
+    chunks = [draw(chunk) for chunk in range(-(-5000 // mc.RNG_CHUNK))]
     assert len(chunks) > 1
     h, hhat, ue, ap = (np.moveaxis(np.concatenate([c[i] for c in chunks]), 0, -1)
                        for i in range(4))
@@ -112,7 +117,9 @@ def test_oracle_uses_the_callers_estimation_statistics(desk, monkeypatch):
 
 def test_zero_phase_variance_gives_classic_mmse_estimates():
     cfg, net, pilots, phases, stats, _ = small_setup(var=0.0)
-    (_, hhat, _, _, z), = mc._draw_chunks(net, pilots, stats, phases, cfg, 500, 3, ())
+    _, hhat, _, _, z = mc._chunk_draw(net, pilots, stats, phases, cfg, 500, 3, ())(0)
+    assert len(z) == 500  # one chunk holds every realization
+    R = dense_R(net)
     p = cfg.pilot_powers()
     group_of = {k: g for g, grp in enumerate(pilots.groups) for k in grp}
     for k in range(cfg.K):
@@ -120,12 +127,13 @@ def test_zero_phase_variance_gives_classic_mmse_estimates():
         for l in range(cfg.L):
             cov = cfg.sigma2_ul * np.eye(cfg.N, dtype=complex)
             for i in members:
-                cov += p[i] * net.R[i, l]
+                cov += p[i] * R[i, l]
             classic = (
                 np.sqrt(p[k]) * np.conj(net.theta[k, l])
-                * net.R[k, l] @ np.linalg.inv(cov)
+                * R[k, l] @ np.linalg.inv(cov)
             )
-            expected = z[:, group_of[k], l] @ classic.T
+            # the pilot signal and the estimates are in T's eigenbasis
+            expected = z[:, group_of[k], l] @ to_eigenbasis(net, classic).T
             assert np.allclose(expected, hhat[:, k, l], rtol=1e-10)
 
 
@@ -147,7 +155,8 @@ def test_interference_self_term_single_link():
     batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 200_000, seed=9)
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
     uatf = cfrs.mc_sinr(batch, plan, cfg.estimation_instant).terms
-    expected = plan.mu[0, 0] * (terms.tr_QR[0, 0, 0] + terms.tr_Q[0, 0] ** 2)
+    tr_QR = terms.beta[0, 0] * terms.tr_QT[0, 0]
+    expected = plan.mu[0, 0] * (tr_QR + terms.tr_Q[0, 0] ** 2)
     assert abs(uatf.int_[0, 0] - expected) <= 3 * uatf.int_stderr[0, 0]
 
 
@@ -182,6 +191,34 @@ def test_power_extremes_zero_out_streams(desk, desk_batch):
     no_common = cf.make_plan(terms, "du_mr", "coherent", 0.0)
     res0 = cfrs.mc_sinr(batch, no_common, n)
     assert np.all(res0.common == 0.0)
+
+
+def test_correlated_oracle_matches_the_closed_form():
+    # a correlated template with distinct eigenvalues and a co-pilot set: the
+    # eigenbasis draw must give every family's closed-form SINR, at zero
+    # oscillator variance where the closed form is exact
+    cfg = cfrs.SystemConfig(L=3, K=3, N=3, tau_p=2, tau_c=20, seed=5,
+                            correlation="exponential", corr_r=0.7)
+    net = cfrs.build_network(cfg)
+    pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p)
+    phases = cfrs.PhaseStatistics(0.0, 0.0)
+    stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
+    terms = cf.TraceTerms.compute(net, stats, pilots)
+    n = cfg.estimation_instant + 3
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 40_000, seed=6, instants=[n])
+    for k in range(cfg.K):
+        # channel and estimate powers per eigen-direction: beta * lam and Q
+        for x, want in ((batch.h, net.beta[k][:, None] * net.lam), (batch.hhat, stats.Q[k])):
+            emp = np.sum(np.abs(x[k]) ** 2, axis=-1) / batch.count
+            assert np.allclose(emp, want, rtol=0.05, atol=0)
+    for scheme in cf.PRIVATE_SCHEMES:
+        for transmission in cf.TRANSMISSIONS:
+            plan = cf.make_plan(terms, scheme, transmission, 0.5)
+            res = cfrs.mc_sinr(batch, plan, n)
+            closed = cf.assemble(cf.plan_parts(terms, plan, phases, cfg, n), 0.5)
+            for est, stderr, want in ((res.private, res.private_stderr, closed[0]),
+                                          (res.common, res.common_stderr, closed[1])):
+                assert np.all(np.abs(est - want) <= 4 * stderr), (scheme, transmission)
 
 
 def test_confidence_intervals_cover_reference():
