@@ -23,6 +23,7 @@ from .closed_form import (
     private_normalization,
     private_sinr,
     se_from_sinr,
+    se_report,
     sum_se,
     sum_se_curve,
 )

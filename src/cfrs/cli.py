@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import closed_form, estimation, model, montecarlo, optimize
-from .closed_form import TraceTerms, evaluate_plan, make_plan
+from .closed_form import TraceTerms, make_plan
 from .estimation import assign_pilots, estimation_statistics
 from .model import PhaseStatistics, SystemConfig, build_network
 
@@ -437,16 +437,17 @@ def run_scheme(
     """
     net, pilots, stats, terms = topology
     extras: dict = {}
+    # the plan's rho-independent coefficients serve the rho search and the
+    # report; only robust weights, found at the searched rho, need new ones
+    plan = make_plan(terms, scheme.private_scheme, scheme.transmission, 0.0)
+    parts = closed_form.plan_parts(terms, plan, phases, cfg, cfg.data_instants())
 
     if not scheme.rs_enabled:
         rho = 0.0
     elif fixed_rho is not None:
         rho = fixed_rho
     else:
-        base_plan = make_plan(terms, scheme.private_scheme, scheme.transmission, 0.0)
-        rho, _ = optimize.optimal_rho(
-            closed_form.sum_se_curve(terms, base_plan, phases, cfg)
-        )
+        rho, _ = optimize.optimal_rho(closed_form.sum_se_curve(parts, cfg.tau_c))
         extras["optimized_rho"] = rho
 
     if scheme.rs_enabled and scheme.weights_mode == "robust" and rho > 0:
@@ -456,10 +457,11 @@ def run_scheme(
             terms, scheme.private_scheme, scheme.transmission, rho,
             weights=result.weights, unit_eta=True,
         )
+        parts = closed_form.plan_parts(terms, plan, phases, cfg, cfg.data_instants())
     else:
-        plan = make_plan(terms, scheme.private_scheme, scheme.transmission, rho)
+        plan = plan.replace_rho(rho)
 
-    report = evaluate_plan(terms, plan, phases, cfg)
+    report = closed_form.se_report(parts, rho, cfg.tau_c)
 
     if mc_realizations > 0:
         mid = cfg.mid_instant
@@ -467,8 +469,8 @@ def run_scheme(
             net, pilots, stats, phases, cfg, mc_realizations, cfg.seed, instants=[mid]
         )
         mc = montecarlo.mc_sinr(batch, plan, mid)
-        closed_p, closed_c = closed_form.assemble(
-            closed_form.plan_parts(terms, plan, phases, cfg, mid), plan.rho)
+        i = mid - cfg.estimation_instant  # the report's columns start at lambda
+        closed_p, closed_c = report.sinr_private[:, i], report.sinr_common[:, i]
         extras["mc_rel_err_private"] = float(
             np.max(np.abs(mc.private - closed_p) / np.maximum(closed_p, 1e-30))
         )
@@ -731,14 +733,21 @@ def validate_families(
     batch = montecarlo.sample_batch(
         net, pilots, stats, phases, cfg, count, cfg.seed, instants=instants
     )
+    # one plan and one set of coefficients per (transmission, scheme), shared
+    # by its private and common rows
+    plans = {}
+    for transmission in closed_form.TRANSMISSIONS:
+        for scheme in closed_form.PRIVATE_SCHEMES:
+            plan = make_plan(terms, scheme, transmission, rho)
+            sinrs = closed_form.assemble(
+                closed_form.plan_parts(terms, plan, phases, cfg, instants), plan.rho)
+            plans[transmission, scheme] = plan, dict(zip(("private", "common"), sinrs))
     rows = []
     term_rows = []
     for stream, transmission, scheme in FAMILIES:
-        plan = make_plan(terms, scheme, transmission, rho)
+        plan, closed_sinrs = plans[transmission, scheme]
         mc_list = montecarlo.mc_sinr(batch, plan, instants)
-        closed_p, closed_c = closed_form.assemble(
-            closed_form.plan_parts(terms, plan, phases, cfg, instants), plan.rho)
-        closed_all = closed_p if stream == "private" else closed_c  # (K, M)
+        closed_all = closed_sinrs[stream]  # (K, M)
         for n, mc, closed in zip(instants, mc_list, closed_all.T):
             est = mc.private if stream == "private" else mc.common
             stderr = mc.private_stderr if stream == "private" else mc.common_stderr
@@ -817,7 +826,8 @@ def cmd_rho_opt(args) -> int:
     phases = PhaseStatistics.from_config(cfg)
     terms = build_topology(cfg, phases).terms
     plan0 = make_plan(terms, args.scheme, args.transmission, 0.0)
-    sse_of = closed_form.sum_se_curve(terms, plan0, phases, cfg)
+    sse_of = closed_form.sum_se_curve(
+        closed_form.plan_parts(terms, plan0, phases, cfg, cfg.data_instants()), cfg.tau_c)
     rho, sse = optimize.optimal_rho(sse_of, tol=args.tol)
     print(f"rho* = {rho:.6f}, sum SE = {sse:.6f} bit/s/Hz "
           f"(non-RS {sse_of(0.0):.6f}, all-common {sse_of(1.0):.6f})")

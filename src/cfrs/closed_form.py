@@ -25,14 +25,21 @@ every trace is a sum over T's N eigenvalues and
 tr(Q[i,l] R[k,l]) = beta[k,l] tr(Q[i,l] T).
 
 Every SINR is rational in the power split rho with rho-independent
-coefficients.  ``plan_parts`` computes those coefficients once per plan
-(the trace contractions, including the common stream's pilot-contamination
-cross term, which sums the plan-weighted co-pilot blocks of ``Q_cross`` into
-one (L, N) eigenvalue array before contracting it with every UE's gains);
-``assemble`` turns them into both streams' SINRs at one rho with
-elementwise work only.  ``private_sinr``, ``common_sinr``,
-``evaluate_plan`` and the rho search (``sum_se_curve``) all go through
-this one path.
+coefficients.  ``plan_parts`` computes those coefficients once per plan, in
+one pass over the co-pilot sets: each set's (g, g, L) block of
+tr(Q_cross) is contracted with the set's rows of the plan's mu and weights
+(pilot-contamination, desired common and coherent private sums), and its
+(g, g, L) block of tr(Q_cross T) with the weights' pairs (the common
+stream's cross term), so no (K, K, L) array is built.  ``assemble``
+turns the coefficients into both streams' SINRs at one rho with elementwise
+work only, and ``se_report`` into the SE report.  ``private_sinr``,
+``common_sinr``, ``evaluate_plan`` and the rho search (``sum_se_curve``)
+all go through this one path, so a sweep job that searches rho and then
+reports at the optimum computes its plan's coefficients once.
+
+No matrix product appears in this module: a product dispatched to BLAS
+sums in an order that depends on the CPU kernel OpenBLAS selects, and the
+sweep's CSVs must not.
 """
 
 from __future__ import annotations
@@ -54,6 +61,20 @@ PRIVATE_SCHEMES = ("du_mr", "df_mr")
 TRANSMISSIONS = ("coherent", "noncoherent")
 
 
+def _eig_sum(x: np.ndarray, lam: np.ndarray | None = None) -> np.ndarray:
+    """``x`` summed over its last (eigenvalue) axis, each slice weighted by
+    ``lam`` if given, by explicit slice adds.
+
+    Adds in the order ``np.sum(x * lam, axis=-1)`` does for fewer than 8
+    eigenvalues, so the result is bitwise the same there, at a fraction of
+    the cost of a product and a reduction along a short last axis.
+    """
+    total = x[..., 0].copy() if lam is None else x[..., 0] * lam[0]
+    for n in range(1, x.shape[-1]):
+        total += x[..., n] if lam is None else x[..., n] * lam[n]
+    return total
+
+
 @dataclass(frozen=True)
 class TraceTerms:
     """Precomputed trace tensors feeding every closed-form expression.
@@ -61,28 +82,27 @@ class TraceTerms:
     tr_Q (K, L): tr(Q[k,l]).
     tr_QT (K, L): tr(Q[k,l] T) with T the correlation template, so that
         tr(Q[i,l] R[k,l]) = beta[k,l] * tr_QT[i,l].
-    tr_Qc (K, K, L): [k, i, l] = tr(Q_cross[k,i,l]), real, zero off pilot group.
+    tr_Qc, tr_QcT: tr(Q_cross) and tr(Q_cross T), each one real (g, g, L)
+        block per co-pilot set in ``groups`` order, like the ``Q_cross``
+        blocks: entry [a, b, l] pairs the set's a-th and b-th UE, and
+        tr(Q_cross[i,j,l] R[k,l]) is beta[k,l] times the pair's ``tr_QcT``
+        entry.  UEs on different pilots have no entry.
     groups: co-pilot sets as index arrays, in ``PilotAssignment.groups``
-        order, which is also the order of the ``Q_cross`` blocks.
-    Q_cross, beta, lam: the estimation statistics' co-pilot eigenvalue
-        blocks, the network's gains and T's eigenvalues, held by reference,
-        not copied.  The cross term contracts plan-weighted sums of the
-        blocks per plan (``_cross_term``), so no tr(Q_cross R) tensor is
-        built here.
+        order.
+    beta: the network's gains, held by reference, not copied.
     """
 
     tr_Q: np.ndarray
     tr_QT: np.ndarray
-    tr_Qc: np.ndarray
+    tr_Qc: tuple[np.ndarray, ...]
+    tr_QcT: tuple[np.ndarray, ...]
     theta: np.ndarray
     groups: tuple[np.ndarray, ...]
-    Q_cross: tuple[np.ndarray, ...]
     beta: np.ndarray
-    lam: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.tr_Q, self.tr_QT, self.tr_Qc, self.theta, *self.groups,
-                    *self.Q_cross, self.beta, self.lam):
+        for arr in (self.tr_Q, self.tr_QT, *self.tr_Qc, *self.tr_QcT, self.theta,
+                    *self.groups, self.beta):
             arr.setflags(write=False)
 
     @property
@@ -100,19 +120,14 @@ class TraceTerms:
         stats: EstimationStatistics,
         pilots: PilotAssignment,
     ) -> "TraceTerms":
-        groups = tuple(np.array(g) for g in pilots.groups)
-        tr_Qc = np.zeros((net.K, net.K, net.L))
-        for g, block in zip(groups, stats.Q_cross):
-            tr_Qc[np.ix_(g, g)] = block.sum(axis=-1)
         return cls(
-            tr_Q=stats.Q.sum(axis=-1),
-            tr_QT=np.sum(stats.Q * net.lam, axis=-1),
-            tr_Qc=tr_Qc,
+            tr_Q=_eig_sum(stats.Q),
+            tr_QT=_eig_sum(stats.Q, net.lam),
+            tr_Qc=tuple(_eig_sum(block) for block in stats.Q_cross),
+            tr_QcT=tuple(_eig_sum(block, net.lam) for block in stats.Q_cross),
             theta=net.theta.copy(),
-            groups=groups,
-            Q_cross=stats.Q_cross,
+            groups=tuple(np.array(g) for g in pilots.groups),
             beta=net.beta,
-            lam=net.lam,
         )
 
 
@@ -192,12 +207,16 @@ def private_normalization(terms: TraceTerms) -> np.ndarray:
 def common_normalization(terms: TraceTerms, weights: np.ndarray) -> np.ndarray:
     """(L,) common normalization 1 / sum_k sum_{i in P_k} a_kl a_il tr(Qc[k,i,l]).
 
-    With all-ones weights and orthogonal pilots this reduces to the private
-    normalization since Q_cross[k,k,l] == Q[k,l].
+    Summed one co-pilot set at a time.  With all-ones weights and orthogonal
+    pilots this reduces to the private normalization since
+    Q_cross[k,k,l] == Q[k,l].
     """
     if np.any(weights < 0):
         raise ValueError("common weights must be >= 0")
-    denom = np.einsum("kl,il,kil->l", weights, weights, terms.tr_Qc)
+    denom = np.zeros(terms.L)
+    for g, c in zip(terms.groups, terms.tr_Qc):
+        a = weights[g]
+        denom += np.einsum("kl,il,kil->l", a, a, c)
     if np.any(denom <= 0):
         raise ValueError("common precoder power is not positive at some AP")
     return 1.0 / denom
@@ -294,23 +313,6 @@ def decay_pair(phases: PhaseStatistics, config: SystemConfig, instants):
     return ea, eu
 
 
-def _cross_term(terms: TraceTerms, eta: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(K,) Re sum_l eta_l sum_{i,j} conj(w[i,l]) w[j,l] tr(Qc[i,j,l] R[k,l]).
-
-    Qc vanishes unless i and j share a pilot, and in T's eigenbasis
-    tr(Qc[i,j,l] R[k,l]) = beta[k,l] sum_n Qc[i,j,l,n] lam_n with real Qc, so
-    the plan-weighted co-pilot blocks are first summed into one (L, N) array,
-    S[l, n] = eta_l sum_{i,j} Re(conj(w[i,l]) w[j,l]) Qc[i,j,l,n]
-    (g^2 L N work for a set of size g), and every UE's term is then
-    beta @ (S @ lam).
-    """
-    S = np.zeros((terms.L, terms.lam.shape[0]))
-    for g, block in zip(terms.groups, terms.Q_cross):
-        pair = eta * (np.conj(w[g])[:, None] * w[g][None]).real  # (g, g, L)
-        S += np.sum(pair[..., None] * block, axis=(0, 1))
-    return terms.beta @ (S @ terms.lam)
-
-
 @dataclass(frozen=True)
 class PlanParts:
     """rho-independent coefficients of one plan's SINRs at M instants.
@@ -342,29 +344,55 @@ def plan_parts(
     Non-coherent private terms carry no delay phase (per-AP detection
     removes it, so DU and DF agree exactly); the non-coherent common stream
     keeps it, because the per-AP common precoders mix all UEs' phases.
+
+    Every sum over a co-pilot set is taken in one pass over the sets, each
+    contracting its (g, g, L) ``tr_Qc`` and ``tr_QcT`` blocks with its rows
+    of mu and of the complex weights w and sq, whose real and imaginary
+    parts are kept apart so that no real block is cast to complex.  The
+    common stream's pilot-contamination cross term,
+    Re sum_l eta_l sum_{i,j in P} conj(w[i,l]) w[j,l] tr(Qc[i,j,l] R[k,l]),
+    is sum_l beta[k,l] eta_l s[l] with
+    s[l] = sum_P sum_{i,j in P} Re(conj(w[i,l]) w[j,l]) tr(Qc[i,j,l] T).
     """
     check_plan_shapes(plan, terms.K, terms.L)
     ea, eu = decay_pair(phases, config, instants)
     theta_eff = _theta_eff(terms, plan.private_scheme)
-    mu = plan.mu
-    # sum_il mu[i,l] tr(Q[i,l] R[k,l]), with tr(Q[i,l] R[k,l]) = beta[k,l] tr(Q[i,l] T)
-    total = terms.beta @ np.sum(mu * terms.tr_QT, axis=0)
-    # sum_{i in P_k} sum_l mu[i,l] |tr(Qc[k,i,l])|^2
-    percontam = np.einsum("il,kil->k", mu, np.abs(terms.tr_Qc) ** 2)
+    mu, eta = plan.mu, plan.eta
+    coherent_tx = plan.transmission == "coherent"
     w = plan.weights * np.conj(theta_eff)  # (K, L)
-    per_ap = np.einsum("il,kil->kl", w, terms.tr_Qc)  # desired common sums per AP
-    gain_unc = np.einsum("l,kl->k", plan.eta, np.abs(per_ap) ** 2)
-    cross = _cross_term(terms, plan.eta, w)
-    if plan.transmission == "coherent":
+    w_ri = np.stack((w.real, w.imag))
+    if coherent_tx:
         sq = np.conj(theta_eff) * np.sqrt(mu)
-        # sum_{i in P_k} |sum_l theta*[i,l] sqrt(mu[i,l]) tr(Qc[k,i,l])|^2
-        coherent = np.sum(np.abs(np.einsum("il,kil->ki", sq, terms.tr_Qc)) ** 2, axis=1)
+        sq_ri = np.stack((sq.real, sq.imag))
+
+    # per_ap: the desired common sums per AP, sum_{i in P_k} w[i,l] tr(Qc[k,i,l]);
+    # percontam: sum_{i in P_k} sum_l mu[i,l] tr(Qc[k,i,l])^2;
+    # coherent: sum_{i in P_k} |sum_l sq[i,l] tr(Qc[k,i,l])|^2
+    per_ap = np.empty((2, terms.K, terms.L))
+    percontam = np.empty(terms.K)
+    coherent = np.empty(terms.K)
+    s = np.zeros(terms.L)
+    for g, c, cT in zip(terms.groups, terms.tr_Qc, terms.tr_QcT):
+        wg = w_ri[:, g]
+        per_ap[:, g] = np.einsum("ril,kil->rkl", wg, c)
+        percontam[g] = np.einsum("il,kil->k", mu[g], c * c)
+        s += np.einsum("ril,rjl,ijl->l", wg, wg, cT)
+        if coherent_tx:
+            a = np.einsum("ril,kil->rki", sq_ri[:, g], c)
+            coherent[g] = np.einsum("rki,rki->k", a, a)
+
+    # sum_il mu[i,l] tr(Q[i,l] R[k,l]), with tr(Q[i,l] R[k,l]) = beta[k,l] tr(Q[i,l] T)
+    total = np.einsum("kl,l->k", terms.beta, np.sum(mu * terms.tr_QT, axis=0))
+    gain_unc = np.einsum("l,rkl,rkl->k", eta, per_ap, per_ap)
+    cross = np.einsum("kl,l->k", terms.beta, eta * s)
+    if coherent_tx:
         xi = (total[None, :] + (1.0 - ea)[:, None] * percontam[None, :]
               + ea[:, None] * coherent[None, :])
-        sig_private = np.abs(np.einsum("kl,kl->k", sq, terms.tr_Q)) ** 2
-        # coherent |sum_l|^2; a complex-by-real matmul here would wake the
-        # threaded BLAS, whose start-up costs far more than the sum
-        sig_common = np.abs(np.einsum("kl,l->k", per_ap, np.sqrt(plan.eta))) ** 2
+        t = np.einsum("rkl,kl->rk", sq_ri, terms.tr_Q)
+        sig_private = np.einsum("rk,rk->k", t, t)
+        # coherent |sum_l sqrt(eta_l) per_ap[k,l]|^2
+        t = np.einsum("rkl,l->rk", per_ap, np.sqrt(eta))
+        sig_common = np.einsum("rk,rk->k", t, t)
         gamma = ((1.0 - ea)[:, None] * gain_unc[None, :] + cross[None, :]
                  + (ea * (1.0 - eu))[:, None] * sig_common[None, :])
     else:
@@ -437,17 +465,11 @@ def sum_se(se_private: np.ndarray, se_common_per_ue: np.ndarray):
     return se_common, se_common + float(np.sum(se_private))
 
 
-def evaluate_plan(
-    terms: TraceTerms,
-    plan: PrecodingPlan,
-    phases: PhaseStatistics,
-    config: SystemConfig,
-) -> SEReport:
-    """Full SE report for one plan over all data instants of the block."""
-    parts = plan_parts(terms, plan, phases, config, config.data_instants())
-    sinr_p, sinr_c = assemble(parts, plan.rho)
-    se_p = se_from_sinr(sinr_p, config.tau_c)
-    se_c_per_ue = se_from_sinr(sinr_c, config.tau_c)
+def se_report(parts: PlanParts, rho: float, tau_c: int) -> SEReport:
+    """The SE report of a plan's coefficients at power split rho."""
+    sinr_p, sinr_c = assemble(parts, rho)
+    se_p = se_from_sinr(sinr_p, tau_c)
+    se_c_per_ue = se_from_sinr(sinr_c, tau_c)
     se_c, sse = sum_se(se_p, se_c_per_ue)
     return SEReport(
         sinr_private=sinr_p,
@@ -456,20 +478,25 @@ def evaluate_plan(
         se_common_per_ue=se_c_per_ue,
         se_common=se_c,
         sum_se=sse,
-        rho=plan.rho,
+        rho=rho,
     )
 
 
-def sum_se_curve(terms, plan, phases, config):
-    """The plan's sum SE as a function of rho: parts once, assembly per call.
-
-    A call at ``plan.rho`` equals ``evaluate_plan(...).sum_se`` exactly.
-    """
+def evaluate_plan(
+    terms: TraceTerms,
+    plan: PrecodingPlan,
+    phases: PhaseStatistics,
+    config: SystemConfig,
+) -> SEReport:
+    """Full SE report for one plan over all data instants of the block."""
     parts = plan_parts(terms, plan, phases, config, config.data_instants())
+    return se_report(parts, plan.rho, config.tau_c)
 
-    def sum_se_at(rho: float) -> float:
-        sinr_p, sinr_c = assemble(parts, rho)
-        se_p = se_from_sinr(sinr_p, config.tau_c)
-        return sum_se(se_p, se_from_sinr(sinr_c, config.tau_c))[1]
 
-    return sum_se_at
+def sum_se_curve(parts: PlanParts, tau_c: int):
+    """The sum SE of a plan's coefficients (over all data instants) as a
+    function of rho, for the rho search.
+
+    A call at rho equals ``se_report(parts, rho, tau_c).sum_se`` exactly.
+    """
+    return lambda rho: se_report(parts, rho, tau_c).sum_se

@@ -137,7 +137,8 @@ def estimation_statistics(
     for group in pilots.groups:
         g = list(group)
         r = net.beta[g][:, :, None] * net.lam  # (g, L, N) eigenvalues of R[g]
-        cov = config.sigma2_ul + (p[g] @ net.beta[g])[:, None] * net.lam  # (L, N)
+        # einsum, not a matrix product: BLAS would sum in a kernel-dependent order
+        cov = config.sigma2_ul + np.einsum("i,il->l", p[g], net.beta[g])[:, None] * net.lam
         psi = 1.0 / cov
         # [k, i] = sqrt(p_k p_i) decay_k R[i] Psi R[k]
         coef = np.sqrt(np.outer(p[g], p[g])) * decay[g][:, None]

@@ -23,8 +23,7 @@ Two optimizers operate on the closed-form expressions:
   every original constraint, min SINR >= t included.  Cuts are kept across the
   bisection's targets.  The program's SINR is written once, in the cone
   terms (``_cone_terms``), which both the cuts and the min SINR >= t check
-  read; its decay factors come from ``closed_form.decay_pair`` and its
-  private interference from ``closed_form.plan_parts``.
+  read; its decay factors come from ``closed_form.decay_pair``.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_form import TraceTerms, decay_pair, make_plan, plan_parts
+from .closed_form import TraceTerms, decay_pair, private_normalization
 from .model import PhaseStatistics, SystemConfig
 
 log = logging.getLogger(__name__)
@@ -47,7 +46,8 @@ log = logging.getLogger(__name__)
 TOL_FEAS = 1e-8
 
 # the (private scheme, transmission) whose common SINR the max-min program
-# optimizes; robust weights are certified for this pair only
+# optimizes, with the per-AP private normalization; robust weights are
+# certified for this pair only
 MAXMIN_SCHEME = ("du_mr", "coherent")
 
 
@@ -182,10 +182,15 @@ def build_maxmin_problem(
 
     Zero entries follow the pilot structure exactly: b_k (and so H_k)
     vanishes off UE k's co-pilot set, and M_k is stored only inside the
-    co-pilot sets, as tr(Q_cross R) = beta * (Q_cross @ lam) per set, formed
-    here from the terms' eigenvalue blocks.  The private interference
-    constant uses delay-compensated MR precoding with the per-AP
-    normalization.
+    co-pilot sets, as tr(Q_cross R) = beta * tr(Q_cross T) per set, formed
+    here from the terms' ``tr_QcT`` blocks.  b and Theta are the terms'
+    per-set ``tr_Qc`` blocks scattered into dense arrays; nothing else reads
+    them densely.  The private interference constant is that of
+    delay-compensated MR precoding with the per-AP normalization: the
+    coherent xi of ``closed_form.plan_parts`` written on the dense b, with
+    tau[k,l,i] = tr(Qc[k,i,l]) and mu_l = 1 / sum_i tr(Q[i,l]),
+    xi_k = sum_l beta[k,l] mu_l sum_i tr(Q[i,l] T)
+           + (1-ea) sum_l mu_l |tau[k,l]|^2 + ea |sum_l sqrt(mu_l) tau[k,l]|^2.
     Default instant: ``config.mid_instant``.
     """
     if not 0 < rho <= 1:
@@ -195,18 +200,24 @@ def build_maxmin_problem(
         n = config.mid_instant
     ea, eu = decay_pair(phases, config, n)
 
+    tr_Qc = np.zeros((K, K, L))
+    for g, block in zip(terms.groups, terms.tr_Qc):
+        tr_Qc[np.ix_(g, g)] = block
     # b_k stacked AP-major: entry l*K + i = tr(Qc[k,i,l]) on k's pilot group
-    b = np.transpose(terms.tr_Qc, (0, 2, 1)).reshape(K, K * L)
-    Theta = np.transpose(terms.tr_Qc, (2, 0, 1)).copy()  # (L, K, K)
+    b = np.transpose(tr_Qc, (0, 2, 1)).reshape(K, K * L)
+    Theta = np.transpose(tr_Qc, (2, 0, 1)).copy()  # (L, K, K)
 
-    plan = make_plan(terms, *MAXMIN_SCHEME)
-    xi = plan_parts(terms, plan, phases, config, n).xi[0]
+    mu = private_normalization(terms)
+    tau = b.reshape(K, L, K)
+    coherent = np.einsum("kli,l->ki", tau, np.sqrt(mu))
+    xi = (np.einsum("kl,l->k", terms.beta, mu * terms.tr_QT.sum(axis=0))
+          + (1.0 - ea[0]) * np.einsum("kli,kli,l->k", tau, tau, mu)
+          + ea[0] * np.einsum("ki,ki->k", coherent, coherent))
 
     return MaxMinProblem(
         b=b,
         groups=terms.groups,
-        tr_QcR=tuple((block @ terms.lam)[:, :, None, :] * terms.beta
-                     for block in terms.Q_cross),
+        tr_QcR=tuple(cT[:, :, None, :] * terms.beta for cT in terms.tr_QcT),
         Theta=Theta,
         xi=xi,
         p_dc=rho * config.p_d,

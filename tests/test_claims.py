@@ -39,7 +39,9 @@ def mean_sum_se(T_s: float, phases: cfrs.PhaseStatistics) -> dict:
         stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
         terms = cfrs.TraceTerms.compute(net, stats, pilots)
         for scheme in SCHEMES:
-            curve = cf.sum_se_curve(terms, cf.make_plan(terms, *scheme), phases, cfg)
+            parts = cf.plan_parts(terms, cf.make_plan(terms, *scheme), phases, cfg,
+                                  cfg.data_instants())
+            curve = cf.sum_se_curve(parts, cfg.tau_c)
             _, rs = opt.optimal_rho(curve)
             totals[scheme] += (rs, curve(0.0))
     return {scheme: total / len(SEEDS) for scheme, total in totals.items()}

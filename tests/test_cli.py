@@ -633,10 +633,89 @@ def test_sweep_jobs_form_no_copilot_trace_block():
     held = [a for value in vars(topology.terms).values()
             for a in (value if isinstance(value, tuple) else (value,))]
     assert not any(np.shape(a) in block_shapes for a in held)
+    # nor a dense (K, K, L) tr(Q_cross): one (g, g, L) block per co-pilot set
+    assert not any(np.shape(a) == (cfg.K, cfg.K, cfg.L) for a in held)
     for scheme in spec.schemes:
         cli.run_scheme(cfg, phases, scheme, topology)
     problem = cli.optimize.build_maxmin_problem(topology.terms, phases, cfg, 0.5)
     assert [block.shape for block in problem.tr_QcR] == block_shapes
+
+
+@pytest.mark.parametrize("scheme, fixed_rho, mc, expected", [
+    ({"private": "du_mr", "transmission": "coherent", "rs": True}, None, 0, 1),
+    ({"private": "df_mr", "transmission": "noncoherent", "rs": True}, None, 100, 1),
+    ({"private": "du_mr", "transmission": "coherent", "rs": False}, None, 0, 1),
+    ({"private": "df_mr", "transmission": "coherent", "rs": True}, 0.5, 0, 1),
+    ({"private": "du_mr", "transmission": "coherent", "rs": True, "weights": "robust"},
+     0.5, 0, 2),
+    ({"private": "du_mr", "transmission": "coherent", "rs": True, "weights": "robust"},
+     0.5, 100, 2),
+])
+def test_each_job_computes_its_plan_coefficients_once(scheme, fixed_rho, mc, expected,
+                                                       monkeypatch):
+    # plan_parts does not depend on rho, so the rho search, the report at
+    # the optimum and the Monte Carlo check share one set; only robust
+    # weights, found at the searched rho, need a second
+    spec = cli.spec_from_dict(one_scheme_spec(
+        system={**desk_system(), "K": 5, "tau_p": 2}, schemes=[scheme]))
+    cfg = spec.base
+    phases = cli.PhaseStatistics.from_config(cfg)
+    topology = cli.build_topology(cfg, phases)
+    calls = []
+    original = cli.closed_form.plan_parts
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].rho)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli.closed_form, "plan_parts", counted)
+    # a by-name import into optimize would otherwise escape the count
+    monkeypatch.setattr(cli.optimize, "plan_parts", counted, raising=False)
+    report, extras = cli.run_scheme(cfg, phases, spec.schemes[0], topology, fixed_rho, mc)
+    assert len(calls) == expected
+    assert report.sum_se > 0 and (mc == 0) == ("mc_rel_err_private" not in extras)
+
+
+def _readme_spec() -> dict:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return json.loads(readme.split("```json", 1)[1].split("```", 1)[0])
+
+
+# one run_experiment per argv, in a child process whose environment picks
+# the BLAS kernel
+_RUN_IN_CHILD = """
+import json, sys
+from cfrs import cli
+cli.run_experiment(cli.spec_from_dict(json.loads(sys.argv[1])), out_dir=sys.argv[2])
+"""
+
+
+@pytest.mark.parametrize("workload", ["readme", "200/32/4/8"])
+def test_sweep_csvs_do_not_depend_on_the_blas_kernel(workload, tmp_path):
+    # a matrix product sums in the order of the CPU kernel OpenBLAS picks,
+    # so the sweep path uses none; OPENBLAS_CORETYPE forces older kernels
+    spec = {**_readme_spec(), "repetitions": 2}
+    if workload != "readme":
+        spec = {**spec, "repetitions": 1, "sweep": {"parameter": "none", "values": []},
+                "system": {**spec["system"], "L": 200, "K": 32, "N": 4, "tau_p": 8,
+                           "correlation": "exponential", "corr_r": 0.7},
+                "schemes": [
+                    {"private": "du_mr", "transmission": "coherent", "rs": True},
+                    {"private": "df_mr", "transmission": "noncoherent", "rs": True}]}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = {}
+    for kernel in ("", "Sandybridge", "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        if kernel:
+            env["OPENBLAS_CORETYPE"] = kernel
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / (kernel or "default")
+        subprocess.run([sys.executable, "-c", _RUN_IN_CHILD, json.dumps(spec), str(out)],
+                       env=env, check=True, timeout=120)
+        outputs[kernel] = [(out / name).read_bytes()
+                           for name in ("results.csv", "aggregate.csv")]
+    assert outputs["Sandybridge"] == outputs[""]
+    assert outputs["Prescott"] == outputs[""]
 
 
 def test_sweep_jobs_factor_no_matrix_but_the_template(monkeypatch):

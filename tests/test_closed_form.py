@@ -24,12 +24,11 @@ def tiny_terms(tr_q: float = 2.0):
     return cf.TraceTerms(
         tr_Q=tr_q * one,
         tr_QT=tr_q * one,
-        tr_Qc=tr_q * one[None],
+        tr_Qc=(tr_q * one[None],),
+        tr_QcT=(tr_q * one[None],),
         theta=np.ones((1, 1), dtype=complex),
         groups=(np.array([0]),),
-        Q_cross=(tr_q * np.ones((1, 1, 1, 1)),),
         beta=1.5 * one,  # R = 1.5 T, so tr(Q R) = tr(Qc R) = 1.5 tr_q
-        lam=np.ones(1),
     )
 
 
@@ -234,7 +233,7 @@ def test_assemble_equals_evaluate_plan_exactly():
         for transmission in cf.TRANSMISSIONS:
             plan = cf.make_plan(terms, scheme, transmission, 0.0)
             parts = cf.plan_parts(terms, plan, phases, cfg, ns)
-            curve = cf.sum_se_curve(terms, plan, phases, cfg)
+            curve = cf.sum_se_curve(parts, cfg.tau_c)
             for rho in (0.0, 1e-5, 0.25, 0.5, 0.731, 1.0):
                 report = cf.evaluate_plan(terms, plan.replace_rho(rho), phases, cfg)
                 sinr_p, sinr_c = cf.assemble(parts, rho)
@@ -276,10 +275,92 @@ def test_blocked_tr_qcr_matches_dense_einsum():
         got = dense_copilot(problem.tr_QcR, pilots.groups, cfg.K)
         assert np.max(np.abs(got - dense.real)) <= 1e-12 * np.max(np.abs(dense.real))
         tr_Qc = np.einsum("kilnn->kil", Q_cross)
-        assert np.max(np.abs(terms.tr_Qc - tr_Qc)) <= 1e-12 * np.max(np.abs(tr_Qc))
+        got = dense_copilot(terms.tr_Qc, pilots.groups, cfg.K)
+        assert np.max(np.abs(got - tr_Qc)) <= 1e-12 * np.max(np.abs(tr_Qc))
         cross_dense = np.einsum("l,il,jl,ijkl->k", eta, np.conj(w), w, dense).real
-        cross = cf._cross_term(terms, eta, w)
+        # without drift (ea = eu = 1) the DF non-coherent common interference
+        # is the cross term alone, with w = weights * conj(theta)
+        plan = cf.PrecodingPlan("df_mr", "noncoherent", 0.5, weights=np.abs(w),
+                                mu=np.ones((cfg.K, cfg.L)), eta=eta)
+        still = cfrs.PhaseStatistics(0.0, 0.0)
+        cross = cf.plan_parts(terms, plan, still, cfg, cfg.estimation_instant).gamma[0]
         assert np.max(np.abs(cross - cross_dense)) <= 1e-12 * np.max(np.abs(cross_dense))
+
+
+def dense_plan_parts(net, Q, Q_cross, plan, ea, eu):
+    """Reference: a plan's rho-independent coefficients from the dense
+    (K, L, N, N) Q and (K, K, L, N, N) Q_cross of ``per_link_statistics``,
+    summed over every UE pair, co-pilot or not."""
+    R = dense_R(net)
+    tr_Q = np.einsum("klnn->kl", Q).real
+    tr_QR = np.einsum("ilab,klba->ikl", Q, R).real
+    tr_Qc = np.einsum("kilnn->kil", Q_cross).real
+    tr_QcR = np.einsum("ijlab,klba->ijkl", Q_cross, R)
+    theta = np.ones_like(net.theta) if plan.private_scheme == "du_mr" else net.theta
+    mu, eta = plan.mu, plan.eta
+    total = np.einsum("il,ikl->k", mu, tr_QR)
+    percontam = np.einsum("il,kil->k", mu, tr_Qc**2)
+    w = plan.weights * np.conj(theta)
+    per_ap = np.einsum("il,kil->kl", w, tr_Qc)
+    gain_unc = np.einsum("l,kl->k", eta, np.abs(per_ap) ** 2)
+    cross = np.einsum("l,il,jl,ijkl->k", eta, np.conj(w), w, tr_QcR).real
+    if plan.transmission == "coherent":
+        sq = np.conj(theta) * np.sqrt(mu)
+        coherent = np.sum(np.abs(np.einsum("il,kil->ki", sq, tr_Qc)) ** 2, axis=1)
+        sig_common = np.abs(np.einsum("kl,l->k", per_ap, np.sqrt(eta))) ** 2
+        return {
+            "xi": total + (1 - ea)[:, None] * percontam + ea[:, None] * coherent,
+            "sig_private": np.abs(np.einsum("kl,kl->k", sq, tr_Q)) ** 2,
+            "sig_common": sig_common,
+            "gamma": ((1 - ea)[:, None] * gain_unc + cross
+                      + (ea * (1 - eu))[:, None] * sig_common),
+        }
+    return {
+        "xi": (total + percontam)[None],
+        "sig_private": np.einsum("kl,kl->k", mu, tr_Q**2),
+        "sig_common": gain_unc,
+        "gamma": cross + (1 - ea * eu)[:, None] * gain_unc,
+    }
+
+
+def test_copilot_blocks_match_dense_references_on_uneven_groups():
+    # K = 7 UEs on 3 pilots: sizes 3, 2, 2, and under the random policy
+    # groups whose instant order differs from their first members' order,
+    # so a block contracted with another set's rows lands on the wrong UEs
+    rng = np.random.default_rng(23)
+    cfg, net, _, phases, _, _ = random_instance(rng, L=4, K=7, N=3, tau_p=3)
+    net = dataclasses.replace(net, beta=10 ** rng.uniform(-10, -8, net.beta.shape),
+                              template=random_template(rng, cfg.N))
+    weights = rng.uniform(0.1, 1.0, (cfg.K, cfg.L))
+    ns = cfg.data_instants()
+    ea, eu = cf.decay_pair(phases, cfg, ns)
+
+    def close(got, ref):
+        return np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    for policy in ("round_robin", "random"):
+        pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p, policy, seed=1)
+        assert sorted(len(g) for g in pilots.groups) == [2, 2, 3]
+        stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
+        terms = cf.TraceTerms.compute(net, stats, pilots)
+        _, Q, Q_cross, _ = per_link_statistics(net, pilots, phases, cfg)
+        tr_Qc = np.einsum("kilnn->kil", Q_cross).real
+        eta = 1.0 / np.einsum("kl,il,kil->l", weights, weights, tr_Qc)
+        assert close(cf.common_normalization(terms, weights), eta)
+        for scheme in cf.PRIVATE_SCHEMES:
+            for transmission in cf.TRANSMISSIONS:
+                plan = cf.make_plan(terms, scheme, transmission, 0.3, weights=weights,
+                                    power_control_alpha=-1.0, net=net)
+                parts = cf.plan_parts(terms, plan, phases, cfg, ns)
+                ref = dense_plan_parts(net, Q, Q_cross, plan, ea, eu)
+                for name, value in ref.items():
+                    assert close(getattr(parts, name), value), (policy, scheme, name)
+        problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.5)
+        assert close(problem.b, np.transpose(tr_Qc, (0, 2, 1)).reshape(cfg.K, -1))
+        assert close(problem.Theta, np.transpose(tr_Qc, (2, 0, 1)))
+        plan = cf.make_plan(terms, *opt.MAXMIN_SCHEME)
+        n_ea, n_eu = cf.decay_pair(phases, cfg, problem.instant)
+        assert close(problem.xi, dense_plan_parts(net, Q, Q_cross, plan, n_ea, n_eu)["xi"][0])
 
 
 def test_plans_that_would_broadcast_are_rejected():
@@ -400,10 +481,16 @@ def test_report_recomposition_and_rho_zero(desk):
 def test_trace_terms_sparsity(desk):
     cfg, net, pilots, phases, stats, terms = desk
     copilot = pilots.t[:, None] == pilots.t[None, :]
-    assert np.all(terms.tr_Qc[~copilot] == 0)
-    # the terms hold the statistics' blocks, beta and lam themselves, not copies
-    assert terms.beta is net.beta and terms.lam is net.lam
-    assert all(a is b for a, b in zip(terms.Q_cross, stats.Q_cross, strict=True))
+    # tr(Q_cross) and tr(Q_cross T) are held as one (g, g, L) block per
+    # co-pilot set, covering exactly the co-pilot pairs, each once
+    for blocks in (terms.tr_Qc, terms.tr_QcT):
+        covered = np.zeros((net.K, net.K), dtype=int)
+        for g, block in zip(terms.groups, blocks, strict=True):
+            assert block.shape == (len(g), len(g), net.L)
+            covered[np.ix_(g, g)] += 1
+        assert np.array_equal(covered, copilot.astype(int))
+    # the terms hold the network's gains themselves, not a copy
+    assert terms.beta is net.beta
     # the max-min blocks of tr(Q_cross R) hold exactly the co-pilot pairs, each once
     problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.5)
     covered = np.zeros((net.K, net.K), dtype=int)

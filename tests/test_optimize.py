@@ -8,7 +8,7 @@ import cfrs
 from cfrs import closed_form as cf
 from cfrs import optimize as opt
 
-from conftest import dense_maxmin_matrices
+from conftest import dense_copilot, dense_maxmin_matrices
 
 
 def setup_instance(seed=1, L=4, K=2, N=2, tau_p=2, var=1e-3, rho=0.5, n=None):
@@ -93,7 +93,7 @@ def test_theta_gram_identity_against_common_power():
         K=4, tau_p=2, L=3
     )
     rng = np.random.default_rng(11)
-    tr_Qc = terms.tr_Qc.real
+    tr_Qc = dense_copilot(terms.tr_Qc, pilots.groups, cfg.K)
     for _ in range(100):
         a = rng.uniform(0, 2, size=cfg.K * cfg.L)
         w = problem.weights_matrix(a)  # (K, L)
