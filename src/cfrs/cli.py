@@ -414,10 +414,14 @@ class Topology(NamedTuple):
     terms: TraceTerms
 
 
-def build_topology(cfg: SystemConfig, phases: PhaseStatistics) -> Topology:
-    """Draw the network of ``cfg``; compute its estimation statistics and traces."""
-    net = build_network(cfg)
-    pilots = assign_pilots(cfg.K, cfg.tau_p)
+def build_topology(
+    cfg: SystemConfig,
+    phases: PhaseStatistics,
+    network: tuple[model.NetworkModel, estimation.PilotAssignment] | None = None,
+) -> Topology:
+    """Compute the estimation statistics and traces of ``network``, the
+    network and pilots drawn for ``cfg``, drawing them first if None."""
+    net, pilots = network or (build_network(cfg), assign_pilots(cfg.K, cfg.tau_p))
     stats = estimation_statistics(net, pilots, phases, cfg)
     return Topology(net, pilots, stats, TraceTerms.compute(net, stats, pilots))
 
@@ -458,12 +462,11 @@ def run_scheme(
             weights=result.weights, unit_eta=True,
         )
         parts = closed_form.plan_parts(terms, plan, phases, cfg, cfg.data_instants())
-    else:
-        plan = plan.replace_rho(rho)
 
     report = closed_form.se_report(parts, rho, cfg.tau_c)
 
     if mc_realizations > 0:
+        plan = plan.replace_rho(rho)
         mid = cfg.mid_instant
         batch = montecarlo.sample_batch(
             net, pilots, stats, phases, cfg, mc_realizations, cfg.seed, instants=[mid]
@@ -509,8 +512,13 @@ def _job_label(spec: ExperimentSpec, sweep_value: float | None, scheme: SchemeSp
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> Path:
     """Execute every (sweep point, scheme, repetition) job and write results.
 
-    Each job builds its own topology; the previous job's is dropped before
-    the next one is built.  Writes results.csv
+    A repetition draws its network and pilots once and shares them across
+    its jobs for as long as their system config is the same (oscillator and
+    rho sweeps; a power or antenna sweep point has its own config), keeping
+    one network alive at a time; a failed draw is recorded on every job
+    that needed it.  Each job computes its own estimation statistics and
+    traces; the previous job's are dropped before the next ones are built.
+    Writes results.csv
     (one row per job and UE), aggregate.csv, and a manifest.json from which
     the run can be replayed byte-identically.  Per-job failures are
     recorded in the rows' status column and do not abort the run.
@@ -521,14 +529,25 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> P
     sweep_points = spec.sweep_values or (None,)
     rows = []
     agg: dict[tuple, list[float]] = {}
-    for sweep_idx, sweep_value in enumerate(sweep_points):
-        for rep in range(spec.repetitions):
-            seed = _job_seed(spec.base.seed, rep)
+    topology = None
+    for rep in range(spec.repetitions):
+        seed = _job_seed(spec.base.seed, rep)
+        drawn_for = None
+        for sweep_idx, sweep_value in enumerate(sweep_points):
             cfg, phases, fixed_rho = _job_inputs(spec, sweep_value, seed)
+            if cfg != drawn_for:
+                # frees the previous network, and the last job's arrays, first
+                drawn_for, network, topology = cfg, None, None
+                try:
+                    network = (build_network(cfg), assign_pilots(cfg.K, cfg.tau_p))
+                except Exception as exc:  # recorded on each job below
+                    network = exc
             for scheme_idx, scheme in enumerate(spec.schemes):
                 topology = None  # frees the previous job's arrays first
                 try:
-                    topology = build_topology(cfg, phases)
+                    if isinstance(network, Exception):
+                        raise network
+                    topology = build_topology(cfg, phases, network)
                     report, extras = run_scheme(
                         cfg, phases, scheme, topology, fixed_rho, spec.mc_realizations
                     )
@@ -818,10 +837,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_rho_opt(args) -> int:
-    if not args.tol > 0:
-        raise ConfigError(f"--tol: must be > 0, got {args.tol}")
-    if args.grid < 0:
-        raise ConfigError(f"--grid: must be >= 0 (0 skips the grid check), got {args.grid}")
+    if not 0 < args.tol < 1:
+        raise ConfigError(f"--tol: must lie in (0, 1), got {args.tol}")
+    if args.grid < 0 or args.grid == 1:
+        raise ConfigError(f"--grid: must be 0 (no grid check) or >= 2, got {args.grid}")
     cfg, _ = _load_system(args)
     phases = PhaseStatistics.from_config(cfg)
     terms = build_topology(cfg, phases).terms
@@ -923,7 +942,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", default="du_mr", choices=closed_form.PRIVATE_SCHEMES)
     p.add_argument("--transmission", default="coherent", choices=closed_form.TRANSMISSIONS)
     p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--grid", type=int, default=0, help="cross-check with an N-point grid")
+    p.add_argument("--grid", type=int, default=0,
+                   help="cross-check with an N-point grid, N >= 2 (0: no check)")
     p.set_defaults(func=cmd_rho_opt)
 
     p = sub.add_parser("robust", help="max-min robust common precoding weights")

@@ -26,16 +26,17 @@ tr(Q[i,l] R[k,l]) = beta[k,l] tr(Q[i,l] T).
 
 Every SINR is rational in the power split rho with rho-independent
 coefficients.  ``plan_parts`` computes those coefficients once per plan, in
-one pass over the co-pilot sets: each set's (g, g, L) block of
-tr(Q_cross) is contracted with the set's rows of the plan's mu and weights
+one pass over the co-pilot set sizes: each size's (S, g, g, L) stack of
+tr(Q_cross) is contracted with its sets' rows of the plan's mu and weights
 (pilot-contamination, desired common and coherent private sums), and its
-(g, g, L) block of tr(Q_cross T) with the weights' pairs (the common
-stream's cross term), so no (K, K, L) array is built.  ``assemble``
-turns the coefficients into both streams' SINRs at one rho with elementwise
-work only, and ``se_report`` into the SE report.  ``private_sinr``,
-``common_sinr``, ``evaluate_plan`` and the rho search (``sum_se_curve``)
-all go through this one path, so a sweep job that searches rho and then
-reports at the optimum computes its plan's coefficients once.
+stack of tr(Q_cross T) with the weights' pairs (the common stream's cross
+term), so no (K, K, L) array is built.  ``assemble`` turns the coefficients
+into both streams' SINRs at one rho with elementwise work only, and
+``se_report`` into the SE report; ``private_sinr``, ``common_sinr`` and
+``evaluate_plan`` go through them.  The rho search's objective
+(``sum_se_curve``) evaluates the same expressions for the sum SE alone, so
+a sweep job that searches rho and then reports at the optimum computes its
+plan's coefficients once.
 
 No matrix product appears in this module: a product dispatched to BLAS
 sums in an order that depends on the CPU kernel OpenBLAS selects, and the
@@ -82,13 +83,13 @@ class TraceTerms:
     tr_Q (K, L): tr(Q[k,l]).
     tr_QT (K, L): tr(Q[k,l] T) with T the correlation template, so that
         tr(Q[i,l] R[k,l]) = beta[k,l] * tr_QT[i,l].
-    tr_Qc, tr_QcT: tr(Q_cross) and tr(Q_cross T), each one real (g, g, L)
-        block per co-pilot set in ``groups`` order, like the ``Q_cross``
-        blocks: entry [a, b, l] pairs the set's a-th and b-th UE, and
-        tr(Q_cross[i,j,l] R[k,l]) is beta[k,l] times the pair's ``tr_QcT``
-        entry.  UEs on different pilots have no entry.
-    groups: co-pilot sets as index arrays, in ``PilotAssignment.groups``
-        order.
+    tr_Qc, tr_QcT: tr(Q_cross) and tr(Q_cross T), each one real
+        (S_c, g_c, g_c, L) stack per co-pilot set size, like the ``Q_cross``
+        stacks: entry [s, a, b, l] pairs the a-th and b-th UE of the
+        stack's s-th set, and tr(Q_cross[i,j,l] R[k,l]) is beta[k,l] times
+        the pair's ``tr_QcT`` entry.  UEs on different pilots have no entry.
+    stacks: the (S_c, g_c) UE indices of each stack, the
+        ``PilotAssignment.stacks`` arrays.
     beta: the network's gains, held by reference, not copied.
     """
 
@@ -97,12 +98,12 @@ class TraceTerms:
     tr_Qc: tuple[np.ndarray, ...]
     tr_QcT: tuple[np.ndarray, ...]
     theta: np.ndarray
-    groups: tuple[np.ndarray, ...]
+    stacks: tuple[np.ndarray, ...]
     beta: np.ndarray
 
     def __post_init__(self):
         for arr in (self.tr_Q, self.tr_QT, *self.tr_Qc, *self.tr_QcT, self.theta,
-                    *self.groups, self.beta):
+                    *self.stacks, self.beta):
             arr.setflags(write=False)
 
     @property
@@ -126,7 +127,7 @@ class TraceTerms:
             tr_Qc=tuple(_eig_sum(block) for block in stats.Q_cross),
             tr_QcT=tuple(_eig_sum(block, net.lam) for block in stats.Q_cross),
             theta=net.theta.copy(),
-            groups=tuple(np.array(g) for g in pilots.groups),
+            stacks=pilots.stacks,
             beta=net.beta,
         )
 
@@ -170,13 +171,16 @@ class PrecodingPlan:
         return dataclasses.replace(self, rho=rho)
 
 
+def _check_shape(name: str, arr: np.ndarray, shape: tuple) -> None:
+    if arr.shape != shape:
+        raise ValueError(f"plan {name} has shape {arr.shape}, but the network needs {shape}")
+
+
 def check_plan_shapes(plan: PrecodingPlan, K: int, L: int) -> None:
     """Raise ValueError, naming the field, unless the plan's mu and weights
     are (K, L) and its eta is (L,): a plan is never broadcast to a network."""
     for name, shape in (("mu", (K, L)), ("weights", (K, L)), ("eta", (L,))):
-        got = getattr(plan, name).shape
-        if got != shape:
-            raise ValueError(f"plan {name} has shape {got}, but the network needs {shape}")
+        _check_shape(name, getattr(plan, name), shape)
 
 
 @dataclass(frozen=True)
@@ -207,16 +211,16 @@ def private_normalization(terms: TraceTerms) -> np.ndarray:
 def common_normalization(terms: TraceTerms, weights: np.ndarray) -> np.ndarray:
     """(L,) common normalization 1 / sum_k sum_{i in P_k} a_kl a_il tr(Qc[k,i,l]).
 
-    Summed one co-pilot set at a time.  With all-ones weights and orthogonal
-    pilots this reduces to the private normalization since
+    Summed one co-pilot set size at a time.  With all-ones weights and
+    orthogonal pilots this reduces to the private normalization since
     Q_cross[k,k,l] == Q[k,l].
     """
     if np.any(weights < 0):
         raise ValueError("common weights must be >= 0")
     denom = np.zeros(terms.L)
-    for g, c in zip(terms.groups, terms.tr_Qc):
-        a = weights[g]
-        denom += np.einsum("kl,il,kil->l", a, a, c)
+    for idx, c in zip(terms.stacks, terms.tr_Qc):
+        a = weights[idx]
+        denom += np.einsum("skl,sil,skil->l", a, a, c)
     if np.any(denom <= 0):
         raise ValueError("common precoder power is not positive at some AP")
     return 1.0 / denom
@@ -262,26 +266,23 @@ def make_plan(
     common power constraint (robust precoding output).  Weights of another
     shape than (K, L) raise ValueError before any normalization.
     """
-    if weights is None:
-        weights = np.ones((terms.K, terms.L))
+    weights = (np.ones((terms.K, terms.L)) if weights is None
+               else np.asarray(weights, dtype=float))
+    _check_shape("weights", weights, (terms.K, terms.L))
     if power_control_alpha is None:
         mu = uniform_mu(terms)
     else:
         if net is None:
             raise ValueError("power control needs the network model")
         mu = power_control_coefficients(terms, net, power_control_alpha)
-    plan = PrecodingPlan(
+    return PrecodingPlan(
         private_scheme=private_scheme,
         transmission=transmission,
         rho=rho,
-        weights=np.asarray(weights, dtype=float),
+        weights=weights,
         mu=mu,
-        eta=np.ones(terms.L),
+        eta=np.ones(terms.L) if unit_eta else common_normalization(terms, weights),
     )
-    check_plan_shapes(plan, terms.K, terms.L)
-    if unit_eta:
-        return plan
-    return dataclasses.replace(plan, eta=common_normalization(terms, plan.weights))
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +297,14 @@ def _theta_eff(terms: TraceTerms, scheme: str) -> np.ndarray:
 
 
 def check_instants(config: SystemConfig, instants) -> np.ndarray:
-    """The instants as a 1-d int array, after checking they lie in [lambda, tau_c]."""
-    n = np.atleast_1d(np.asarray(instants, dtype=int))
+    """The instants as a 1-d int array, after checking they are integers in
+    [lambda, tau_c]."""
+    given = np.atleast_1d(np.asarray(instants))
+    n = given.astype(int)
+    if (n != given).any():
+        raise ValueError(f"instants must be integers, got {given[n != given][0].item()!r}")
     lam = config.estimation_instant
-    if np.any(n < lam) or np.any(n > config.tau_c):
+    if (n < lam).any() or (n > config.tau_c).any():
         raise ValueError(f"instants must lie in [{lam}, {config.tau_c}]")
     return n
 
@@ -345,11 +350,11 @@ def plan_parts(
     removes it, so DU and DF agree exactly); the non-coherent common stream
     keeps it, because the per-AP common precoders mix all UEs' phases.
 
-    Every sum over a co-pilot set is taken in one pass over the sets, each
-    contracting its (g, g, L) ``tr_Qc`` and ``tr_QcT`` blocks with its rows
-    of mu and of the complex weights w and sq, whose real and imaginary
-    parts are kept apart so that no real block is cast to complex.  The
-    common stream's pilot-contamination cross term,
+    Every sum over a co-pilot set is taken in one pass over the set
+    sizes, each contracting its (S, g, g, L) ``tr_Qc`` and ``tr_QcT``
+    stacks with its sets' rows of mu and of the complex weights w and sq,
+    whose real and imaginary parts are kept apart so that no real block is
+    cast to complex.  The common stream's pilot-contamination cross term,
     Re sum_l eta_l sum_{i,j in P} conj(w[i,l]) w[j,l] tr(Qc[i,j,l] R[k,l]),
     is sum_l beta[k,l] eta_l s[l] with
     s[l] = sum_P sum_{i,j in P} Re(conj(w[i,l]) w[j,l]) tr(Qc[i,j,l] T).
@@ -372,14 +377,14 @@ def plan_parts(
     percontam = np.empty(terms.K)
     coherent = np.empty(terms.K)
     s = np.zeros(terms.L)
-    for g, c, cT in zip(terms.groups, terms.tr_Qc, terms.tr_QcT):
-        wg = w_ri[:, g]
-        per_ap[:, g] = np.einsum("ril,kil->rkl", wg, c)
-        percontam[g] = np.einsum("il,kil->k", mu[g], c * c)
-        s += np.einsum("ril,rjl,ijl->l", wg, wg, cT)
+    for idx, c, cT in zip(terms.stacks, terms.tr_Qc, terms.tr_QcT):
+        wg = w_ri[:, idx]  # (2, S, g, L)
+        per_ap[:, idx] = np.einsum("rsil,skil->rskl", wg, c)
+        percontam[idx] = np.einsum("sil,skil->sk", mu[idx], c * c)
+        s += np.einsum("rsil,rsjl,sijl->l", wg, wg, cT)
         if coherent_tx:
-            a = np.einsum("ril,kil->rki", sq_ri[:, g], c)
-            coherent[g] = np.einsum("rki,rki->k", a, a)
+            a = np.einsum("rsil,skil->rski", sq_ri[:, idx], c)
+            coherent[idx] = np.einsum("rski,rski->sk", a, a)
 
     # sum_il mu[i,l] tr(Q[i,l] R[k,l]), with tr(Q[i,l] R[k,l]) = beta[k,l] tr(Q[i,l] T)
     total = np.einsum("kl,l->k", terms.beta, np.sum(mu * terms.tr_QT, axis=0))
@@ -497,6 +502,43 @@ def sum_se_curve(parts: PlanParts, tau_c: int):
     """The sum SE of a plan's coefficients (over all data instants) as a
     function of rho, for the rho search.
 
-    A call at rho equals ``se_report(parts, rho, tau_c).sum_se`` exactly.
+    Each call evaluates ``assemble``'s expressions and ``se_report``'s sums
+    with the same operations on the same values, the private and common
+    streams stacked in (2, M, K) buffers allocated here once per plan, and
+    builds no report, so a call at rho equals
+    ``se_report(parts, rho, tau_c).sum_se`` exactly.  A negative SINR
+    raises ValueError, as in ``se_from_sinr``, and so does a nan one.
     """
-    return lambda rho: se_report(parts, rho, tau_c).sum_se
+    if parts.scalar:
+        raise ValueError("the sum SE curve needs a plan's parts over an array of instants")
+    M, K = parts.eaeu.shape[0], parts.sig_private.shape[0]
+    sig = np.stack((parts.sig_private, parts.sig_common))[:, None, :]  # (2, 1, K)
+    power, scale = np.empty((2, 1, 1)), np.empty((2, M, 1))
+    num, sinr = np.empty((2, M, K)), np.empty((2, M, K))
+    pxi = np.empty(parts.xi.shape)
+
+    def curve(rho: float) -> float:
+        if not 0.0 <= rho <= 1.0:
+            raise ValueError("rho must lie in [0, 1]")
+        p_dc = rho * parts.p_d
+        p_dp = (1.0 - rho) * parts.p_d
+        power[:, 0, 0] = p_dp, p_dc
+        np.multiply(parts.eaeu, power, out=scale)
+        np.multiply(scale, sig, out=num)
+        np.multiply(parts.xi, p_dp, out=pxi)
+        # private: p_dp xi - num + sigma2; common: p_dc gamma + p_dp xi + sigma2
+        np.subtract(pxi, num[0], out=sinr[0])
+        np.multiply(parts.gamma, p_dc, out=sinr[1])
+        np.add(sinr[1], pxi, out=sinr[1])
+        np.add(sinr, parts.sigma2, out=sinr)
+        np.divide(num, sinr, out=sinr)
+        if not sinr.min() >= 0:
+            raise ValueError("SINR values must be >= 0")
+        np.add(sinr, 1.0, out=sinr)
+        np.log2(sinr, out=sinr)
+        se = sinr.sum(axis=1) / tau_c  # (2, K)
+        # assemble's common SINR is exactly zero at rho == 0
+        se_common = float(se[1].min()) if p_dc != 0.0 else 0.0
+        return se_common + float(se[0].sum())
+
+    return curve

@@ -11,8 +11,10 @@ accumulated oscillator drift over lambda - t_k instants.  The Bayesian
 
 and the cross-covariance between the estimates of co-pilot UEs k and i is
 Q_cross[k,i,l] = sqrt(p_k p_i) * exp(...) * R[i,l] Psi[k,l] R[k,l].  It
-vanishes for UEs on different pilots, so it is stored as one block per
-co-pilot set.  NMSE = tr(R - Q)/tr(R) for MMSE; the LS NMSE
+vanishes for UEs on different pilots, so it is stored only inside the
+co-pilot sets, with the sets of one size stacked into one array: round
+robin gives at most two sizes, so every computation over the sets is a
+loop over at most two stacks.  NMSE = tr(R - Q)/tr(R) for MMSE; the LS NMSE
 is exp(+(lambda-t_k)(var_ap+var_ue)) * tr(Psi^-1) / (p_k tr R) - 1 and can
 exceed one because the LS estimate and its error are correlated.
 
@@ -34,15 +36,19 @@ from .model import NetworkModel, PhaseStatistics, SystemConfig, expected_phase_d
 
 @dataclass(frozen=True)
 class PilotAssignment:
-    """Pilot instants t (K,), values in 1..tau_p, plus the co-pilot groups.
+    """Pilot instants t (K,), values in 1..tau_p, plus the co-pilot sets.
 
     groups: the co-pilot sets, one tuple of UE indices per occupied pilot
         instant in increasing instant order, derived once from t.
+    stacks: the same sets stacked by size, one (S_c, g_c) int array per
+        distinct set size g_c in increasing size order, its rows the S_c
+        sets of that size in ``groups`` order.
     """
 
     t: np.ndarray
     tau_p: int
     groups: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    stacks: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.t.setflags(write=False)
@@ -50,7 +56,12 @@ class PilotAssignment:
             raise ValueError("pilot instants must lie in 1..tau_p")
         groups = tuple(tuple(int(k) for k in np.flatnonzero(self.t == inst))
                        for inst in sorted(set(self.t.tolist())))
+        stacks = tuple(np.array([g for g in groups if len(g) == size])
+                       for size in sorted({len(g) for g in groups}))
+        for idx in stacks:
+            idx.setflags(write=False)
         object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "stacks", stacks)
 
     @property
     def K(self) -> int:
@@ -86,10 +97,11 @@ class EstimationStatistics:
     N real eigenvalues on the last axis, in the order of ``NetworkModel.lam``:
     Psi (K, L, N): inverse of the group pilot covariance, > 0.
     Q (K, L, N): estimate covariance, 0 <= Q <= beta * lam.
-    Q_cross: estimate cross-covariances, one (g, g, L, N) block per
-        co-pilot set in ``PilotAssignment.groups`` order; entry [a, b] of a
-        group's block pairs its a-th and b-th UE, and the diagonal equals Q.
-        UEs on different pilots are uncorrelated and have no entry.
+    Q_cross: estimate cross-covariances, one (S_c, g_c, g_c, L, N) stack
+        per entry of ``PilotAssignment.stacks``; entry [s, a, b] pairs the
+        a-th and b-th UE of the stack's s-th set, and its diagonal in
+        (a, b) equals Q.  UEs on different pilots are uncorrelated and have
+        no entry.
     nmse_mmse / nmse_ls (K, L): normalized MSE of the two estimators.
     """
 
@@ -121,7 +133,8 @@ def estimation_statistics(
 
     Per co-pilot set P and AP l, the pilot covariance has the eigenvalues
     sigma2 + sum_{j in P} p_j beta[j,l] lam_n, and R[i,l] has beta[i,l] lam_n,
-    so every product of the formulas above is elementwise over n.
+    so every product of the formulas above is elementwise over n, and all
+    sets of one size are computed at once, one stack at a time.
     """
     K, L = net.K, net.L
     if pilots.K != K:
@@ -134,19 +147,21 @@ def estimation_statistics(
     Q_cross = []
     tr_cov = np.empty((K, L))
 
-    for group in pilots.groups:
-        g = list(group)
-        r = net.beta[g][:, :, None] * net.lam  # (g, L, N) eigenvalues of R[g]
+    for idx in pilots.stacks:
+        g = idx.shape[1]
+        r = net.beta[idx][..., None] * net.lam  # (S, g, L, N) eigenvalues of R
         # einsum, not a matrix product: BLAS would sum in a kernel-dependent order
-        cov = config.sigma2_ul + np.einsum("i,il->l", p[g], net.beta[g])[:, None] * net.lam
-        psi = 1.0 / cov
-        # [k, i] = sqrt(p_k p_i) decay_k R[i] Psi R[k]
-        coef = np.sqrt(np.outer(p[g], p[g])) * decay[g][:, None]
-        block = coef[:, :, None, None] * r[None] * (psi * r)[:, None]
+        cov = (config.sigma2_ul
+               + np.einsum("si,sil->sl", p[idx], net.beta[idx])[..., None] * net.lam)
+        psi = 1.0 / cov  # (S, L, N)
+        # [s, k, i] = sqrt(p_k p_i) decay_k R[i] Psi R[k] within set s
+        coef = np.sqrt(p[idx][:, :, None] * p[idx][:, None, :]) * decay[idx][:, :, None]
+        block = coef[..., None, None] * r[:, None]
+        block *= (psi[:, None] * r)[:, :, None]
         Q_cross.append(block)
-        Q[g] = block[np.arange(len(g)), np.arange(len(g))]
-        Psi[g] = psi
-        tr_cov[g] = cov.sum(axis=-1)
+        Q[idx] = block[:, np.arange(g), np.arange(g)]
+        Psi[idx] = psi[:, None]
+        tr_cov[idx] = cov.sum(axis=-1)[:, None]
 
     tr_R = net.beta * net.lam.sum()
     tr_Q = Q.sum(axis=-1)

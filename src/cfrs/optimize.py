@@ -5,7 +5,9 @@ Two optimizers operate on the closed-form expressions:
 * ``optimal_rho`` — derivative-sign binary search over the common/private
   power split rho in [0, 1], probing a small forward difference at each
   midpoint.  Globally optimal for unimodal sum SE, best-seen otherwise,
-  and never worse than the better endpoint.
+  and never worse than the better endpoint.  A sweep job searches
+  ``closed_form.sum_se_curve``, which evaluates the sum SE alone from its
+  plan's rho-independent coefficients, 22 evaluations at the default tol.
 
 * ``robust_common_precoding`` — maximizes the minimum per-UE common-stream
   SINR at one instant over non-negative combining weights a[k,l], subject
@@ -23,7 +25,9 @@ Two optimizers operate on the closed-form expressions:
   every original constraint, min SINR >= t included.  Cuts are kept across the
   bisection's targets.  The program's SINR is written once, in the cone
   terms (``_cone_terms``), which both the cuts and the min SINR >= t check
-  read; its decay factors come from ``closed_form.decay_pair``.
+  read; its decay factors come from ``closed_form.decay_pair``, and its
+  co-pilot quadratic forms from one tr(Q_cross R) stack per co-pilot set
+  size, like the trace terms' stacks.
 """
 
 from __future__ import annotations
@@ -64,10 +68,11 @@ def optimal_rho(evaluator, tol: float = 1e-3):
 
     At each midpoint the sign of a forward difference with step tol/100
     decides which half to keep; the best value ever evaluated is tracked
-    and returned.
+    and returned.  tol must lie in (0, 1): at tol >= 1 the search would
+    evaluate the endpoints only.
     """
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     delta = tol / 100.0
 
     rho_min, rho_max = 0.0, 1.0
@@ -107,15 +112,15 @@ class MaxMinProblem:
     them): the AP-l block of H_k is outer(tau, tau) with tau the AP-l slice
     of b_k, and entry (i, j) of the AP-l block of M_k is
     tr(Q_cross[i,j,l] R[k,l]), real and nonzero only for co-pilot i and j, so
-    it is read from the per-group blocks ``tr_QcR`` (in ``groups`` order).
-    Only this program reads every UE's trace against every co-pilot pair,
-    so ``build_maxmin_problem`` forms these blocks and the closed form
-    does not.
+    it is read from the stacks ``tr_QcR``, one per co-pilot set size, whose
+    UE indices are the matching ``stacks`` array.  Only this program reads
+    every UE's trace against every co-pilot pair, so ``build_maxmin_problem``
+    forms these stacks and the closed form does not.
     """
 
     b: np.ndarray          # (K, KL) real
-    groups: tuple[np.ndarray, ...]
-    tr_QcR: tuple[np.ndarray, ...]  # (g, g, K, L) real per co-pilot set
+    stacks: tuple[np.ndarray, ...]  # (S, g) UE indices per co-pilot set size
+    tr_QcR: tuple[np.ndarray, ...]  # (S, g, g, K, L) real per set size
     Theta: np.ndarray      # (L, K, K)
     xi: np.ndarray         # (K,) private interference at the chosen instant
     p_dc: float
@@ -126,7 +131,7 @@ class MaxMinProblem:
     instant: int
 
     def __post_init__(self):
-        for arr in (self.b, *self.groups, *self.tr_QcR, self.Theta, self.xi):
+        for arr in (self.b, *self.stacks, *self.tr_QcR, self.Theta, self.xi):
             arr.setflags(write=False)
 
     @property
@@ -145,14 +150,14 @@ class MaxMinProblem:
         return w.T.reshape(-1)
 
     def products(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(H_k a, M_k a) for every UE k, each (K, KL), from the blocks."""
+        """(H_k a, M_k a) for every UE k, each (K, KL), from the stacks."""
         K, L = self.K, self.L
         b = self.b.reshape(K, L, K)
         w = a.reshape(L, K)
         h = b * np.einsum("kli,li->kl", b, w)[:, :, None]
         m = np.zeros((K, L, K))
-        for g, block in zip(self.groups, self.tr_QcR):
-            m[:, :, g] = np.einsum("ijkl,lj->kli", block, w[:, g])
+        for idx, block in zip(self.stacks, self.tr_QcR):
+            m[:, :, idx] = np.einsum("sijkl,lsj->klsi", block, w[:, idx])
         return h.reshape(K, K * L), m.reshape(K, K * L)
 
     def sinr(self, a: np.ndarray) -> np.ndarray:
@@ -182,9 +187,9 @@ def build_maxmin_problem(
 
     Zero entries follow the pilot structure exactly: b_k (and so H_k)
     vanishes off UE k's co-pilot set, and M_k is stored only inside the
-    co-pilot sets, as tr(Q_cross R) = beta * tr(Q_cross T) per set, formed
-    here from the terms' ``tr_QcT`` blocks.  b and Theta are the terms'
-    per-set ``tr_Qc`` blocks scattered into dense arrays; nothing else reads
+    co-pilot sets, as tr(Q_cross R) = beta * tr(Q_cross T) per set size,
+    formed here from the terms' ``tr_QcT`` stacks.  b and Theta are the
+    terms' ``tr_Qc`` stacks scattered into dense arrays; nothing else reads
     them densely.  The private interference constant is that of
     delay-compensated MR precoding with the per-AP normalization: the
     coherent xi of ``closed_form.plan_parts`` written on the dense b, with
@@ -201,8 +206,8 @@ def build_maxmin_problem(
     ea, eu = decay_pair(phases, config, n)
 
     tr_Qc = np.zeros((K, K, L))
-    for g, block in zip(terms.groups, terms.tr_Qc):
-        tr_Qc[np.ix_(g, g)] = block
+    for idx, block in zip(terms.stacks, terms.tr_Qc):
+        tr_Qc[idx[:, :, None], idx[:, None, :]] = block
     # b_k stacked AP-major: entry l*K + i = tr(Qc[k,i,l]) on k's pilot group
     b = np.transpose(tr_Qc, (0, 2, 1)).reshape(K, K * L)
     Theta = np.transpose(tr_Qc, (2, 0, 1)).copy()  # (L, K, K)
@@ -216,8 +221,8 @@ def build_maxmin_problem(
 
     return MaxMinProblem(
         b=b,
-        groups=terms.groups,
-        tr_QcR=tuple(cT[:, :, None, :] * terms.beta for cT in terms.tr_QcT),
+        stacks=terms.stacks,
+        tr_QcR=tuple(cT[:, :, :, None, :] * terms.beta for cT in terms.tr_QcT),
         Theta=Theta,
         xi=xi,
         p_dc=rho * config.p_d,

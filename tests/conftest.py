@@ -80,11 +80,12 @@ def from_eigenbasis(net, eig):
     return (U * eig[..., None, :]) @ np.conj(U.T)
 
 
-def dense_copilot(blocks, groups, K):
-    """Scatter per-co-pilot-set (g, g, ...) blocks into a dense (K, K, ...) array."""
-    out = np.zeros((K, K) + blocks[0].shape[2:], dtype=blocks[0].dtype)
-    for g, block in zip(groups, blocks):
-        out[np.ix_(g, g)] = block
+def dense_copilot(stacks, indices, K):
+    """Scatter per-set-size (S, g, g, ...) stacks into a dense (K, K, ...)
+    array, ``indices`` holding each stack's (S, g) UE indices."""
+    out = np.zeros((K, K) + stacks[0].shape[3:], dtype=stacks[0].dtype)
+    for idx, stack in zip(indices, stacks, strict=True):
+        out[idx[:, :, None], idx[:, None, :]] = stack
     return out
 
 

@@ -321,6 +321,75 @@ def test_each_job_estimates_on_its_sweep_point(tmp_path, monkeypatch):
     assert {r["status"] for r in rows} == {"ok"}
 
 
+def _network_spy(monkeypatch, fail=False):
+    """Record the seed of every ``cli.build_network`` call; raise if ``fail``."""
+    seeds = []
+    original = cli.build_network
+
+    def spy(cfg):
+        seeds.append(cfg.seed)
+        if fail:
+            raise RuntimeError("no network")
+        return original(cfg)
+
+    monkeypatch.setattr(cli, "build_network", spy)
+    return seeds
+
+
+def _two_by_two_spec(sweep):
+    return cli.spec_from_dict({
+        "system": desk_system(),
+        "sweep": sweep,
+        "schemes": [
+            {"private": "du_mr", "transmission": "coherent", "rs": True},
+            {"private": "df_mr", "transmission": "noncoherent", "rs": False},
+        ],
+        "repetitions": 2,
+    })
+
+
+def test_each_repetition_draws_its_network_once(tmp_path, monkeypatch):
+    # an oscillator sweep leaves the system config unchanged, so a
+    # repetition's jobs (2 sweep points x 2 schemes) share one network draw
+    seeds = _network_spy(monkeypatch)
+    spec = _two_by_two_spec({"parameter": "oscillator_variance", "values": [1e-5, 1e-3]})
+    out = cli.run_experiment(spec, out_dir=tmp_path / "shared")
+    assert seeds == [cli._job_seed(spec.base.seed, rep) for rep in range(2)]
+    rows, _ = read_csv(out / "results.csv")
+    assert len(rows) == 2 * 2 * 2 * spec.base.K
+    assert {r["status"] for r in rows} == {"ok"}
+    # each job reports the sum SE of a job on its own network draw
+    monkeypatch.setattr(cli, "build_network", cfrs.build_network)
+    for rep in range(2):
+        for sweep_value in spec.sweep_values:
+            cfg, phases, _ = cli._job_inputs(spec, sweep_value,
+                                             cli._job_seed(spec.base.seed, rep))
+            for scheme in spec.schemes:
+                report, _ = cli.run_scheme(cfg, phases, scheme, cli.build_topology(cfg, phases))
+                sse = {r["sum_se"] for r in rows
+                       if r["repetition"] == str(rep)
+                       and r["sweep_value"] == repr(sweep_value)
+                       and r["private_scheme"] == scheme.private_scheme}
+                assert sse == {repr(report.sum_se)}
+    # a power sweep changes the config, so each sweep point draws its own
+    seeds = _network_spy(monkeypatch)
+    cli.run_experiment(_two_by_two_spec({"parameter": "transmit_power",
+                                         "values": [0.1, 0.2]}), out_dir=tmp_path / "power")
+    assert seeds == [cli._job_seed(spec.base.seed, rep) for rep in (0, 0, 1, 1)]
+
+
+def test_a_failed_network_draw_fails_every_job_that_needed_it(tmp_path, monkeypatch):
+    seeds = _network_spy(monkeypatch, fail=True)
+    spec = _two_by_two_spec({"parameter": "oscillator_variance", "values": [1e-5, 1e-3]})
+    out = cli.run_experiment(spec, out_dir=tmp_path / "out")
+    assert len(seeds) == 2  # one failed draw per repetition, not retried per job
+    rows, _ = read_csv(out / "results.csv")
+    assert len(rows) == 2 * 2 * 2 * spec.base.K
+    assert {r["status"] for r in rows} == {"error:RuntimeError"}
+    agg, _ = read_csv(out / "aggregate.csv")
+    assert agg == []
+
+
 def test_spec_roundtrip(tmp_path):
     system = {
         **desk_system(),
@@ -617,8 +686,9 @@ def test_robust_job_checks_the_instant_its_weights_were_optimized_for(monkeypatc
 
 def test_sweep_jobs_form_no_copilot_trace_block():
     # the closed form contracts the cross term per plan, so the topology's
-    # trace terms hold no (g, g, K, L) tr(Q_cross R) block; only the max-min
-    # program forms those blocks, one per co-pilot set
+    # trace terms hold no (S, g, g, K, L) tr(Q_cross R) stack; only the
+    # max-min program forms those stacks, one per co-pilot set size.  K = 5
+    # UEs on 2 pilots gives sets of sizes 3 and 2, so two stacks.
     spec = cli.spec_from_dict(one_scheme_spec(
         system={**desk_system(), "K": 5, "tau_p": 2},
         schemes=[{"private": private, "transmission": transmission, "rs": True,
@@ -628,17 +698,18 @@ def test_sweep_jobs_form_no_copilot_trace_block():
     cfg = spec.base
     phases = cli.PhaseStatistics.from_config(cfg)
     topology = cli.build_topology(cfg, phases)
-    assert max(len(g) for g in topology.pilots.groups) > 1
-    block_shapes = [(len(g), len(g), cfg.K, cfg.L) for g in topology.pilots.groups]
+    assert [idx.shape for idx in topology.pilots.stacks] == [(1, 2), (1, 3)]
+    stack_shapes = [(S, g, g, cfg.K, cfg.L) for S, g in
+                    (idx.shape for idx in topology.pilots.stacks)]
     held = [a for value in vars(topology.terms).values()
             for a in (value if isinstance(value, tuple) else (value,))]
-    assert not any(np.shape(a) in block_shapes for a in held)
-    # nor a dense (K, K, L) tr(Q_cross): one (g, g, L) block per co-pilot set
+    assert not any(np.shape(a) in stack_shapes for a in held)
+    # nor a dense (K, K, L) tr(Q_cross): one (S, g, g, L) stack per set size
     assert not any(np.shape(a) == (cfg.K, cfg.K, cfg.L) for a in held)
     for scheme in spec.schemes:
         cli.run_scheme(cfg, phases, scheme, topology)
     problem = cli.optimize.build_maxmin_problem(topology.terms, phases, cfg, 0.5)
-    assert [block.shape for block in problem.tr_QcR] == block_shapes
+    assert [stack.shape for stack in problem.tr_QcR] == stack_shapes
 
 
 @pytest.mark.parametrize("scheme, fixed_rho, mc, expected", [
@@ -777,6 +848,9 @@ def test_sweep_requires_config():
     ["robust", "--eps", "-1"],
     ["rho-opt", "--tol", "0"],
     ["rho-opt", "--grid", "-3"],
+    ["rho-opt", "--grid", "1"],
+    ["rho-opt", "--tol", "1"],
+    ["rho-opt", "--tol", "2"],
     ["validate", "--mc", "50"],
     ["validate", "--mc", "0"],
     ["se", "--seed", "-1"],

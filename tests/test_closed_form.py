@@ -24,10 +24,10 @@ def tiny_terms(tr_q: float = 2.0):
     return cf.TraceTerms(
         tr_Q=tr_q * one,
         tr_QT=tr_q * one,
-        tr_Qc=(tr_q * one[None],),
-        tr_QcT=(tr_q * one[None],),
+        tr_Qc=(tr_q * one[None, None],),
+        tr_QcT=(tr_q * one[None, None],),
         theta=np.ones((1, 1), dtype=complex),
-        groups=(np.array([0]),),
+        stacks=(np.array([[0]]),),
         beta=1.5 * one,  # R = 1.5 T, so tr(Q R) = tr(Qc R) = 1.5 tr_q
     )
 
@@ -227,19 +227,42 @@ def test_joint_power_noise_scaling_leaves_sinr_unchanged(desk):
 
 def test_assemble_equals_evaluate_plan_exactly():
     rng = np.random.default_rng(5)
-    cfg, net, pilots, phases, stats, terms = random_instance(rng, L=5, K=4, tau_p=2)
-    ns = cfg.data_instants()
-    for scheme in cf.PRIVATE_SCHEMES:
-        for transmission in cf.TRANSMISSIONS:
-            plan = cf.make_plan(terms, scheme, transmission, 0.0)
-            parts = cf.plan_parts(terms, plan, phases, cfg, ns)
-            curve = cf.sum_se_curve(parts, cfg.tau_c)
-            for rho in (0.0, 1e-5, 0.25, 0.5, 0.731, 1.0):
-                report = cf.evaluate_plan(terms, plan.replace_rho(rho), phases, cfg)
-                sinr_p, sinr_c = cf.assemble(parts, rho)
-                assert np.array_equal(sinr_p, report.sinr_private)
-                assert np.array_equal(sinr_c, report.sinr_common)
-                assert curve(rho) == report.sum_se
+    # even co-pilot sets (4 UEs on 2 pilots) and uneven ones (7 UEs on 3
+    # pilots: sizes 3, 2, 2, so two stacks)
+    for shape in ({"L": 5, "K": 4, "tau_p": 2}, {"L": 4, "K": 7, "tau_p": 3}):
+        cfg, net, pilots, phases, stats, terms = random_instance(rng, **shape)
+        ns = cfg.data_instants()
+        for scheme in cf.PRIVATE_SCHEMES:
+            for transmission in cf.TRANSMISSIONS:
+                plan = cf.make_plan(terms, scheme, transmission, 0.0)
+                parts = cf.plan_parts(terms, plan, phases, cfg, ns)
+                curve = cf.sum_se_curve(parts, cfg.tau_c)
+                for rho in (0.0, 1e-5, 0.25, 0.5, 0.731, 1.0):
+                    report = cf.evaluate_plan(terms, plan.replace_rho(rho), phases, cfg)
+                    sinr_p, sinr_c = cf.assemble(parts, rho)
+                    assert np.array_equal(sinr_p, report.sinr_private)
+                    assert np.array_equal(sinr_c, report.sinr_common)
+                    assert curve(rho) == report.sum_se
+
+
+def test_sum_se_curve_checks_its_inputs(desk):
+    cfg, _, _, phases, _, terms = desk
+    plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
+    parts = cf.plan_parts(terms, plan, phases, cfg, cfg.data_instants())
+    curve = cf.sum_se_curve(parts, cfg.tau_c)
+    for rho in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="rho"):
+            curve(rho)
+    # coefficients that make a SINR negative are rejected, as by se_from_sinr
+    bad = cf.sum_se_curve(dataclasses.replace(parts, sig_common=-parts.sig_common),
+                          cfg.tau_c)
+    assert bad(0.0) == curve(0.0)  # no common stream at rho = 0
+    with pytest.raises(ValueError, match="SINR"):
+        bad(0.5)
+    # the curve sums over the block's instants, which one scalar instant is not
+    scalar = cf.plan_parts(terms, plan, phases, cfg, cfg.mid_instant)
+    with pytest.raises(ValueError, match="instants"):
+        cf.sum_se_curve(scalar, cfg.tau_c)
 
 
 def test_blocked_tr_qcr_matches_dense_einsum():
@@ -272,10 +295,10 @@ def test_blocked_tr_qcr_matches_dense_einsum():
         assert np.max(np.abs(got - tr_QR)) <= 1e-12 * np.max(np.abs(tr_QR))
         dense = np.einsum("ijlab,klba->ijkl", Q_cross, R)
         problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.5)
-        got = dense_copilot(problem.tr_QcR, pilots.groups, cfg.K)
+        got = dense_copilot(problem.tr_QcR, pilots.stacks, cfg.K)
         assert np.max(np.abs(got - dense.real)) <= 1e-12 * np.max(np.abs(dense.real))
         tr_Qc = np.einsum("kilnn->kil", Q_cross)
-        got = dense_copilot(terms.tr_Qc, pilots.groups, cfg.K)
+        got = dense_copilot(terms.tr_Qc, pilots.stacks, cfg.K)
         assert np.max(np.abs(got - tr_Qc)) <= 1e-12 * np.max(np.abs(tr_Qc))
         cross_dense = np.einsum("l,il,jl,ijkl->k", eta, np.conj(w), w, dense).real
         # without drift (ea = eu = 1) the DF non-coherent common interference
@@ -427,6 +450,20 @@ def test_out_of_range_instant_rejected(desk):
         cf.private_sinr(terms, plan, phases, cfg, cfg.tau_c + 1)
 
 
+@pytest.mark.parametrize("instants, bad", [([5.7, 8], "5.7"), (6.5, "6.5"),
+                                           ([8, 9.25], "9.25")])
+def test_non_integral_instants_rejected(desk, instants, bad):
+    # a fractional instant was once truncated: [5.7, 8] evaluated [5, 8]
+    cfg, _, _, phases, _, terms = desk
+    with pytest.raises(ValueError, match=f"integers, got {re.escape(bad)}"):
+        cf.check_instants(cfg, instants)
+    plan = cf.make_plan(terms, "du_mr", "coherent", 0.5)
+    with pytest.raises(ValueError, match="integers"):
+        cf.plan_parts(terms, plan, phases, cfg, instants)
+    # integral values given as floats are the instants they name
+    assert np.array_equal(cf.check_instants(cfg, [5.0, 8.0]), [5, 8])
+
+
 # ---------------------------------------------------------------------------
 # SE assembly
 # ---------------------------------------------------------------------------
@@ -479,25 +516,37 @@ def test_report_recomposition_and_rho_zero(desk):
 
 
 def test_trace_terms_sparsity(desk):
-    cfg, net, pilots, phases, stats, terms = desk
-    copilot = pilots.t[:, None] == pilots.t[None, :]
-    # tr(Q_cross) and tr(Q_cross T) are held as one (g, g, L) block per
-    # co-pilot set, covering exactly the co-pilot pairs, each once
-    for blocks in (terms.tr_Qc, terms.tr_QcT):
+    # even sets (the desk's two single-UE sets) and uneven ones (K = 7 on 3
+    # pilots: sizes 3, 2, 2)
+    uneven = random_instance(np.random.default_rng(4), L=3, K=7, N=2, tau_p=3)
+    for cfg, net, pilots, phases, stats, terms in (desk, uneven):
+        copilot = pilots.t[:, None] == pilots.t[None, :]
+        # one stack per distinct set size, in increasing size order, with no
+        # padding: the stacks' rows are the co-pilot sets, each once
+        sizes = sorted({len(g) for g in pilots.groups})
+        assert [idx.shape[1] for idx in terms.stacks] == sizes
+        assert terms.stacks is pilots.stacks
+        assert sorted(tuple(row) for idx in terms.stacks for row in idx.tolist()) \
+            == sorted(pilots.groups)
+        # tr(Q_cross) and tr(Q_cross T) are held as one (S, g, g, L) stack per
+        # set size, covering exactly the co-pilot pairs, each once
+        for stacks in (terms.tr_Qc, terms.tr_QcT):
+            covered = np.zeros((net.K, net.K), dtype=int)
+            for idx, stack in zip(terms.stacks, stacks, strict=True):
+                S, g = idx.shape
+                assert stack.shape == (S, g, g, net.L)
+                np.add.at(covered, (idx[:, :, None], idx[:, None, :]), 1)
+            assert np.array_equal(covered, copilot.astype(int))
+        # the terms hold the network's gains themselves, not a copy
+        assert terms.beta is net.beta
+        # the max-min stacks of tr(Q_cross R) hold exactly the co-pilot pairs, each once
+        problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.5)
         covered = np.zeros((net.K, net.K), dtype=int)
-        for g, block in zip(terms.groups, blocks, strict=True):
-            assert block.shape == (len(g), len(g), net.L)
-            covered[np.ix_(g, g)] += 1
+        for idx, stack in zip(problem.stacks, problem.tr_QcR, strict=True):
+            S, g = idx.shape
+            assert stack.shape == (S, g, g, net.K, net.L)
+            np.add.at(covered, (idx[:, :, None], idx[:, None, :]), 1)
         assert np.array_equal(covered, copilot.astype(int))
-    # the terms hold the network's gains themselves, not a copy
-    assert terms.beta is net.beta
-    # the max-min blocks of tr(Q_cross R) hold exactly the co-pilot pairs, each once
-    problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.5)
-    covered = np.zeros((net.K, net.K), dtype=int)
-    for g, block in zip(problem.groups, problem.tr_QcR, strict=True):
-        assert block.shape == (len(g), len(g), net.K, net.L)
-        covered[np.ix_(g, g)] += 1
-    assert np.array_equal(covered, copilot.astype(int))
 
 
 def test_more_aps_shrink_ap_drift_penalty():

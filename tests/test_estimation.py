@@ -156,14 +156,15 @@ def test_statistics_invariants_random_instances(desk):
         # 0 <= Q <= R, with R's eigenvalues beta * lam
         assert stats.Q.min() >= -1e-10
         assert (net.beta[..., None] * net.lam - stats.Q).min() >= -1e-10
-        for g, block in zip(pilots.groups, stats.Q_cross):
+        for idx, stack in zip(pilots.stacks, stats.Q_cross, strict=True):
             # Q_cross collapses to Q on the diagonal
-            for a, k in enumerate(g):
-                assert np.allclose(block[a, a], stats.Q[k], rtol=1e-12)
+            g = idx.shape[1]
+            assert np.allclose(stack[:, np.arange(g), np.arange(g)], stats.Q[idx],
+                               rtol=1e-12)
             # trace symmetry within pilot groups (real, equal traces)
-            tr = block.sum(axis=-1)
+            tr = stack.sum(axis=-1)
             assert np.isrealobj(tr)
-            assert np.allclose(tr, np.swapaxes(tr, 0, 1), rtol=1e-9)
+            assert np.allclose(tr, np.swapaxes(tr, 1, 2), rtol=1e-9)
 
 
 def test_batched_statistics_match_per_link_loop():
@@ -182,10 +183,39 @@ def test_batched_statistics_match_per_link_loop():
                                   template=random_template(rng, cfg.N))
         stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
         ref = per_link_statistics(net, pilots, phases, cfg)
-        Q_cross = dense_copilot(stats.Q_cross, pilots.groups, cfg.K)
+        Q_cross = dense_copilot(stats.Q_cross, pilots.stacks, cfg.K)
         got = [from_eigenbasis(net, x) for x in (stats.Psi, stats.Q, Q_cross)]
         for got, want in zip(got + [stats.nmse_ls], ref):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("policy", ["round_robin", "random"])
+def test_stacked_statistics_match_per_link_loop_on_uneven_sets(policy):
+    # K = 7 UEs on 3 pilots: sizes 3, 2, 2, so two stacks; under the random
+    # policy the sets' instant order differs from their first members' order
+    rng = np.random.default_rng(31)
+    cfg, net, _, phases, _, _ = random_instance(rng, L=4, K=7, N=3, tau_p=3)
+    cfg = dataclasses.replace(cfg, p_pilot=tuple(rng.uniform(0.05, 0.2, cfg.K)))
+    net = dataclasses.replace(net, beta=10 ** rng.uniform(-10, -8, net.beta.shape),
+                              template=random_template(rng, cfg.N))
+    pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p, policy, seed=1)
+    assert sorted(len(g) for g in pilots.groups) == [2, 2, 3]
+    if policy == "random":
+        firsts = [g[0] for g in pilots.groups]
+        assert firsts != sorted(firsts)
+    # one (S, g) index stack per set size, in increasing size order, its rows
+    # the sets of that size in pilot-instant order, with no padding
+    sizes_2 = [list(g) for g in pilots.groups if len(g) == 2]
+    sizes_3 = [list(g) for g in pilots.groups if len(g) == 3]
+    assert [idx.tolist() for idx in pilots.stacks] == [sizes_2, sizes_3]
+    stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
+    assert [q.shape for q in stats.Q_cross] == [(2, 2, 2, cfg.L, cfg.N),
+                                                (1, 3, 3, cfg.L, cfg.N)]
+    ref = per_link_statistics(net, pilots, phases, cfg)
+    Q_cross = dense_copilot(stats.Q_cross, pilots.stacks, cfg.K)
+    got = [from_eigenbasis(net, x) for x in (stats.Psi, stats.Q, Q_cross)]
+    for got, want in zip(got + [stats.nmse_ls], ref):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_indefinite_pilot_covariance_raises():

@@ -50,6 +50,18 @@ def test_optimal_rho_never_below_endpoints():
 def test_optimal_rho_validates_tolerances():
     with pytest.raises(ValueError):
         opt.optimal_rho(lambda r: r, tol=0.0)
+    # at tol >= 1 the search would stop after the two endpoints and miss an
+    # interior optimum
+    calls = []
+
+    def peaked(r):
+        calls.append(r)
+        return -((r - 0.5) ** 2)
+
+    for tol in (1.0, 2.0):
+        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+            opt.optimal_rho(peaked, tol=tol)
+    assert calls == []
 
 
 def test_optimal_rho_matches_grid_on_closed_form():
@@ -93,7 +105,7 @@ def test_theta_gram_identity_against_common_power():
         K=4, tau_p=2, L=3
     )
     rng = np.random.default_rng(11)
-    tr_Qc = dense_copilot(terms.tr_Qc, pilots.groups, cfg.K)
+    tr_Qc = dense_copilot(terms.tr_Qc, pilots.stacks, cfg.K)
     for _ in range(100):
         a = rng.uniform(0, 2, size=cfg.K * cfg.L)
         w = problem.weights_matrix(a)  # (K, L)
@@ -157,8 +169,8 @@ def test_problem_matrix_invariants():
         tau = problem.b.reshape(problem.K, problem.L, problem.K)
         h_blocks = tau[..., :, None] * tau[..., None, :]  # (K, L, K, K)
         assert np.linalg.eigvalsh(h_blocks).min() >= -1e-10
-        for block in problem.tr_QcR:
-            m_blocks = np.moveaxis(block, (0, 1), (-2, -1))  # (K, L, g, g)
+        for stack in problem.tr_QcR:
+            m_blocks = np.moveaxis(stack, (1, 2), (-2, -1))  # (S, K, L, g, g)
             assert np.linalg.eigvalsh(m_blocks).min() >= -1e-10
 
 
