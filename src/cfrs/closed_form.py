@@ -22,21 +22,25 @@ slightly, and more so as the increment variances grow.
 The estimation statistics are eigenvalues in the eigenbasis of the
 correlation template T shared by all links (``R[k,l] = beta[k,l] T``), so
 every trace is a sum over T's N eigenvalues and
-tr(Q[i,l] R[k,l]) = beta[k,l] tr(Q[i,l] T).
+tr(Q[i,l] R[k,l]) = beta[k,l] tr(Q[i,l] T).  Every co-pilot block is
+rank 1 (``estimation``), so its traces factor as
+
+    tr(Q_cross[k,i,l]) = x[k,l] x[i,l] s2[k,l],
+    tr(Q_cross[k,i,l] T) = x[k,l] x[i,l] s3[k,l],
+
+with s_m[k,l] = sum_n lam_n^m Psi[k,l,n], equal within a co-pilot set.
 
 Every SINR is rational in the power split rho with rho-independent
 coefficients.  ``plan_parts`` computes those coefficients once per plan, in
-one pass over the co-pilot set sizes: each size's (S, g, g, L) stack of
-tr(Q_cross) is contracted with its sets' rows of the plan's mu and weights
-(pilot-contamination, desired common and coherent private sums), and its
-stack of tr(Q_cross T) with the weights' pairs (the common stream's cross
-term), so no (K, K, L) array is built.  ``assemble`` turns the coefficients
-into both streams' SINRs at one rho with elementwise work only, and
-``se_report`` into the SE report; ``private_sinr``, ``common_sinr`` and
-``evaluate_plan`` go through them.  The rho search's objective
-(``sum_se_curve``) evaluates the same expressions for the sum SE alone, so
-a sweep job that searches rho and then reports at the optimum computes its
-plan's coefficients once.
+one pass over the co-pilot set sizes: every sum over a co-pilot pair
+becomes a per-set sum Omega[P,l] = sum_{i in P} w[i,l] x[i,l] of the
+plan's weights (or mu) against x, times the set's s2 or s3, so no pair
+array is stored.  ``assemble`` turns the coefficients into both streams'
+SINRs at one rho with elementwise work only, and ``se_report`` into the SE
+report; ``private_sinr``, ``common_sinr`` and ``evaluate_plan`` go through
+them.  The rho search's objective (``sum_se_curve``) evaluates the same
+expressions for the sum SE alone, so a sweep job that searches rho and
+then reports at the optimum computes its plan's coefficients once.
 
 No matrix product appears in this module: a product dispatched to BLAS
 sums in an order that depends on the CPU kernel OpenBLAS selects, and the
@@ -51,12 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import EstimationStatistics, PilotAssignment
-from .model import (
-    NetworkModel,
-    PhaseStatistics,
-    SystemConfig,
-    expected_phase_decay,
-)
+from .model import NetworkModel, PhaseStatistics, SystemConfig
 
 PRIVATE_SCHEMES = ("du_mr", "df_mr")
 TRANSMISSIONS = ("coherent", "noncoherent")
@@ -80,29 +79,31 @@ def _eig_sum(x: np.ndarray, lam: np.ndarray | None = None) -> np.ndarray:
 class TraceTerms:
     """Precomputed trace tensors feeding every closed-form expression.
 
-    tr_Q (K, L): tr(Q[k,l]).
-    tr_QT (K, L): tr(Q[k,l] T) with T the correlation template, so that
-        tr(Q[i,l] R[k,l]) = beta[k,l] * tr_QT[i,l].
-    tr_Qc, tr_QcT: tr(Q_cross) and tr(Q_cross T), each one real
-        (S_c, g_c, g_c, L) stack per co-pilot set size, like the ``Q_cross``
-        stacks: entry [s, a, b, l] pairs the a-th and b-th UE of the
-        stack's s-th set, and tr(Q_cross[i,j,l] R[k,l]) is beta[k,l] times
-        the pair's ``tr_QcT`` entry.  UEs on different pilots have no entry.
-    stacks: the (S_c, g_c) UE indices of each stack, the
-        ``PilotAssignment.stacks`` arrays.
+    x (K, L): the co-pilot factor of ``EstimationStatistics``.
+    s2, s3 (K, L): sum_n lam_n^m Psi[k,l,n] for m = 2, 3, equal within a
+        co-pilot set, so that for co-pilot k and i
+        tr(Q_cross[k,i,l]) = x[k,l] x[i,l] s2[k,l] and
+        tr(Q_cross[k,i,l] R[j,l]) = beta[j,l] x[k,l] x[i,l] s3[k,l].
+        UEs on different pilots have no cross term.
+    tr_Q (K, L): tr(Q[k,l]) = x^2 s2.
+    tr_QT (K, L): tr(Q[k,l] T) = x^2 s3 with T the correlation template, so
+        that tr(Q[i,l] R[k,l]) = beta[k,l] * tr_QT[i,l].
+    stacks: the (S_c, g_c) UE indices of the co-pilot sets, one array per
+        set size, the ``PilotAssignment.stacks`` arrays.
     beta: the network's gains, held by reference, not copied.
     """
 
+    x: np.ndarray
+    s2: np.ndarray
+    s3: np.ndarray
     tr_Q: np.ndarray
     tr_QT: np.ndarray
-    tr_Qc: tuple[np.ndarray, ...]
-    tr_QcT: tuple[np.ndarray, ...]
     theta: np.ndarray
     stacks: tuple[np.ndarray, ...]
     beta: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.tr_Q, self.tr_QT, *self.tr_Qc, *self.tr_QcT, self.theta,
+        for arr in (self.x, self.s2, self.s3, self.tr_Q, self.tr_QT, self.theta,
                     *self.stacks, self.beta):
             arr.setflags(write=False)
 
@@ -121,11 +122,15 @@ class TraceTerms:
         stats: EstimationStatistics,
         pilots: PilotAssignment,
     ) -> "TraceTerms":
+        s2 = _eig_sum(stats.Psi, net.lam**2)
+        s3 = _eig_sum(stats.Psi, net.lam**3)
+        x2 = stats.x * stats.x
         return cls(
-            tr_Q=_eig_sum(stats.Q),
-            tr_QT=_eig_sum(stats.Q, net.lam),
-            tr_Qc=tuple(_eig_sum(block) for block in stats.Q_cross),
-            tr_QcT=tuple(_eig_sum(block, net.lam) for block in stats.Q_cross),
+            x=stats.x,
+            s2=s2,
+            s3=s3,
+            tr_Q=x2 * s2,
+            tr_QT=x2 * s3,
             theta=net.theta.copy(),
             stacks=pilots.stacks,
             beta=net.beta,
@@ -162,10 +167,13 @@ class PrecodingPlan:
             raise ValueError(f"transmission must be one of {TRANSMISSIONS}")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [0, 1]")
-        if np.any(self.weights < 0):
-            raise ValueError("common weights must be >= 0")
-        if np.any(self.mu <= 0) or np.any(self.eta <= 0):
-            raise ValueError("normalization factors must be > 0")
+        # written as "not inside" so that nan fails too
+        if not np.all((self.weights >= 0.0) & (self.weights < np.inf)):
+            raise ValueError("plan weights must lie in [0, inf)")
+        for name in ("mu", "eta"):
+            arr = getattr(self, name)
+            if not np.all((arr > 0.0) & (arr < np.inf)):
+                raise ValueError(f"plan {name} must lie in (0, inf)")
 
     def replace_rho(self, rho: float) -> "PrecodingPlan":
         return dataclasses.replace(self, rho=rho)
@@ -208,22 +216,29 @@ def private_normalization(terms: TraceTerms) -> np.ndarray:
     return 1.0 / denom
 
 
-def common_normalization(terms: TraceTerms, weights: np.ndarray) -> np.ndarray:
-    """(L,) common normalization 1 / sum_k sum_{i in P_k} a_kl a_il tr(Qc[k,i,l]).
+def common_power(terms: TraceTerms, weights: np.ndarray) -> np.ndarray:
+    """(L,) common precoder power sum_k sum_{i in P_k} a_kl a_il tr(Qc[k,i,l])
+    of weights a (K, L), that is sum_P s2[P,l] (sum_{i in P} a_il x_il)^2.
 
     Summed one co-pilot set size at a time.  With all-ones weights and
-    orthogonal pilots this reduces to the private normalization since
-    Q_cross[k,k,l] == Q[k,l].
+    orthogonal pilots it is the private normalization's sum_k tr(Q[k,l]).
     """
-    if np.any(weights < 0):
-        raise ValueError("common weights must be >= 0")
-    denom = np.zeros(terms.L)
-    for idx, c in zip(terms.stacks, terms.tr_Qc):
-        a = weights[idx]
-        denom += np.einsum("skl,sil,skil->l", a, a, c)
-    if np.any(denom <= 0):
-        raise ValueError("common precoder power is not positive at some AP")
-    return 1.0 / denom
+    power = np.zeros(terms.L)
+    for idx in terms.stacks:
+        omega = np.einsum("sil,sil->sl", weights[idx], terms.x[idx])
+        power += np.einsum("sl,sl,sl->l", terms.s2[idx[:, 0]], omega, omega)
+    return power
+
+
+def common_normalization(terms: TraceTerms, weights: np.ndarray) -> np.ndarray:
+    """(L,) common normalization 1 / ``common_power``, after checking that
+    the weights lie in [0, inf) and the power in (0, inf)."""
+    if not np.all((weights >= 0.0) & (weights < np.inf)):
+        raise ValueError("common weights must lie in [0, inf)")
+    power = common_power(terms, weights)
+    if not np.all((power > 0.0) & (power < np.inf)):
+        raise ValueError("common precoder power must lie in (0, inf) at every AP")
+    return 1.0 / power
 
 
 def power_control_coefficients(
@@ -312,10 +327,8 @@ def check_instants(config: SystemConfig, instants) -> np.ndarray:
 def decay_pair(phases: PhaseStatistics, config: SystemConfig, instants):
     """(ea, eu) per-side phase decays at the instants, after a range check."""
     gap = check_instants(config, instants) - config.estimation_instant
-    # per-side decay exp(-gap*var) is the rotation mean at twice the variance
-    ea = np.atleast_1d(expected_phase_decay(gap, 2.0 * phases.var_ap))
-    eu = np.atleast_1d(expected_phase_decay(gap, 2.0 * phases.var_ue))
-    return ea, eu
+    # per-side decay exp(-gap*var), the rotation mean at twice the variance
+    return np.exp(-gap * phases.var_ap), np.exp(-gap * phases.var_ue)
 
 
 @dataclass(frozen=True)
@@ -351,13 +364,20 @@ def plan_parts(
     keeps it, because the per-AP common precoders mix all UEs' phases.
 
     Every sum over a co-pilot set is taken in one pass over the set
-    sizes, each contracting its (S, g, g, L) ``tr_Qc`` and ``tr_QcT``
-    stacks with its sets' rows of mu and of the complex weights w and sq,
-    whose real and imaginary parts are kept apart so that no real block is
-    cast to complex.  The common stream's pilot-contamination cross term,
+    sizes, from the factors x, s2 and s3 and the sets' rows of mu and of
+    the complex weights w and sq, whose real and imaginary parts are kept
+    apart so that no real factor is cast to complex.  With the per-set sum
+    Omega[P,l] = sum_{i in P} w[i,l] x[i,l]:
+    the desired common sums per AP, sum_{i in P_k} w[i,l] tr(Qc[k,i,l]),
+    are (x s2)[k,l] Omega[P_k,l]; the pilot contamination
+    sum_{i in P_k} sum_l mu[i,l] tr(Qc[k,i,l])^2 is
+    sum_l (x s2)[k,l]^2 sum_{i in P_k} mu[i,l] x[i,l]^2; and the common
+    stream's cross term,
     Re sum_l eta_l sum_{i,j in P} conj(w[i,l]) w[j,l] tr(Qc[i,j,l] R[k,l]),
-    is sum_l beta[k,l] eta_l s[l] with
-    s[l] = sum_P sum_{i,j in P} Re(conj(w[i,l]) w[j,l]) tr(Qc[i,j,l] T).
+    is sum_l beta[k,l] eta_l s[l] with s[l] = sum_P s3[P,l] |Omega[P,l]|^2.
+    Only the coherent private sum
+    sum_{i in P_k} |sum_l (x s2)[k,l] (sq x)[i,l]|^2 pairs UEs, in an
+    (S, g, g) array per stack that is not kept.
     """
     check_plan_shapes(plan, terms.K, terms.L)
     ea, eu = decay_pair(phases, config, instants)
@@ -369,21 +389,22 @@ def plan_parts(
     if coherent_tx:
         sq = np.conj(theta_eff) * np.sqrt(mu)
         sq_ri = np.stack((sq.real, sq.imag))
+        sqx_ri = sq_ri * terms.x
+    x, xs2 = terms.x, terms.x * terms.s2
+    mux2 = mu * x * x
 
-    # per_ap: the desired common sums per AP, sum_{i in P_k} w[i,l] tr(Qc[k,i,l]);
-    # percontam: sum_{i in P_k} sum_l mu[i,l] tr(Qc[k,i,l])^2;
-    # coherent: sum_{i in P_k} |sum_l sq[i,l] tr(Qc[k,i,l])|^2
     per_ap = np.empty((2, terms.K, terms.L))
     percontam = np.empty(terms.K)
     coherent = np.empty(terms.K)
     s = np.zeros(terms.L)
-    for idx, c, cT in zip(terms.stacks, terms.tr_Qc, terms.tr_QcT):
-        wg = w_ri[:, idx]  # (2, S, g, L)
-        per_ap[:, idx] = np.einsum("rsil,skil->rskl", wg, c)
-        percontam[idx] = np.einsum("sil,skil->sk", mu[idx], c * c)
-        s += np.einsum("rsil,rsjl,sijl->l", wg, wg, cT)
+    for idx in terms.stacks:
+        xs2_g = xs2[idx]  # (S, g, L)
+        omega = np.einsum("rsil,sil->rsl", w_ri[:, idx], x[idx])  # (2, S, L)
+        per_ap[:, idx] = xs2_g * omega[:, :, None]
+        percontam[idx] = np.einsum("skl,sl->sk", xs2_g * xs2_g, mux2[idx].sum(axis=1))
+        s += np.einsum("sl,rsl,rsl->l", terms.s3[idx[:, 0]], omega, omega)
         if coherent_tx:
-            a = np.einsum("rsil,skil->rski", sq_ri[:, idx], c)
+            a = np.einsum("skl,rsil->rski", xs2_g, sqx_ri[:, idx])
             coherent[idx] = np.einsum("rski,rski->sk", a, a)
 
     # sum_il mu[i,l] tr(Q[i,l] R[k,l]), with tr(Q[i,l] R[k,l]) = beta[k,l] tr(Q[i,l] T)

@@ -10,19 +10,24 @@ accumulated oscillator drift over lambda - t_k instants.  The Bayesian
     Psi[k,l] = (sum_{i in P_k} p_i R[i,l] + sigma2 * I)^(-1),
 
 and the cross-covariance between the estimates of co-pilot UEs k and i is
-Q_cross[k,i,l] = sqrt(p_k p_i) * exp(...) * R[i,l] Psi[k,l] R[k,l].  It
-vanishes for UEs on different pilots, so it is stored only inside the
-co-pilot sets, with the sets of one size stacked into one array: round
-robin gives at most two sizes, so every computation over the sets is a
-loop over at most two stacks.  NMSE = tr(R - Q)/tr(R) for MMSE; the LS NMSE
-is exp(+(lambda-t_k)(var_ap+var_ue)) * tr(Psi^-1) / (p_k tr R) - 1 and can
-exceed one because the LS estimate and its error are correlated.
+Q_cross[k,i,l] = sqrt(p_k p_i) * exp(...) * R[i,l] Psi[k,l] R[k,l]; it
+vanishes for UEs on different pilots.  NMSE = tr(R - Q)/tr(R) for MMSE; the
+LS NMSE is exp(+(lambda-t_k)(var_ap+var_ue)) * tr(Psi^-1) / (p_k tr R) - 1
+and can exceed one because the LS estimate and its error are correlated.
 
 Every R[k,l] is beta[k,l] times the network's one correlation template T,
 so all of these matrices share T's eigenvectors and are stored as their N
 real eigenvalues: each formula above is elementwise in T's eigenbasis.  The
 pilot covariance's eigenvalues are at least sigma2 > 0, so it is always
-invertible.
+invertible.  Co-pilots share a pilot instant, so a drift decay and a Psi,
+and their estimates are scaled copies of one processed observation
+(Marzetta, IEEE TWC 2010): with x[k,l] = sqrt(p_k exp(...)) beta[k,l],
+
+    Q_cross[k,i,l] = x[k,l] x[i,l] lam^2 Psi[k,l],
+    Q[k,l] = x[k,l]^2 lam^2 Psi[k,l],
+
+so no co-pilot pair is stored: the (K, L) factor x and the per-UE Psi
+give every block.
 """
 
 from __future__ import annotations
@@ -95,24 +100,23 @@ class EstimationStatistics:
     Every matrix here is diagonal in the eigenbasis of the network's
     correlation template T (see ``NetworkModel``), so each is stored as its
     N real eigenvalues on the last axis, in the order of ``NetworkModel.lam``:
-    Psi (K, L, N): inverse of the group pilot covariance, > 0.
+    Psi (K, L, N): inverse of the group pilot covariance, > 0, equal within
+        a co-pilot set.
     Q (K, L, N): estimate covariance, 0 <= Q <= beta * lam.
-    Q_cross: estimate cross-covariances, one (S_c, g_c, g_c, L, N) stack
-        per entry of ``PilotAssignment.stacks``; entry [s, a, b] pairs the
-        a-th and b-th UE of the stack's s-th set, and its diagonal in
-        (a, b) equals Q.  UEs on different pilots are uncorrelated and have
-        no entry.
+    x (K, L): the rank-1 factor sqrt(p_k decay_k) beta[k,l] of every
+        co-pilot block, Q_cross[k,i,l] = x[k,l] x[i,l] lam^2 Psi[k,l] for
+        co-pilot k and i; UEs on different pilots are uncorrelated.
     nmse_mmse / nmse_ls (K, L): normalized MSE of the two estimators.
     """
 
     Psi: np.ndarray
     Q: np.ndarray
-    Q_cross: tuple[np.ndarray, ...]
+    x: np.ndarray
     nmse_mmse: np.ndarray
     nmse_ls: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.Psi, self.Q, *self.Q_cross, self.nmse_mmse, self.nmse_ls):
+        for arr in (self.Psi, self.Q, self.x, self.nmse_mmse, self.nmse_ls):
             arr.setflags(write=False)
 
 
@@ -129,64 +133,43 @@ def estimation_statistics(
     phases: PhaseStatistics,
     config: SystemConfig,
 ) -> EstimationStatistics:
-    """Compute Psi, Q, Q_cross and both NMSE matrices for every link.
+    """Compute Psi, Q, the co-pilot factor x and both NMSE matrices.
 
     Per co-pilot set P and AP l, the pilot covariance has the eigenvalues
-    sigma2 + sum_{j in P} p_j beta[j,l] lam_n, and R[i,l] has beta[i,l] lam_n,
-    so every product of the formulas above is elementwise over n, and all
-    sets of one size are computed at once, one stack at a time.
+    sigma2 + sum_{j in P} p_j beta[j,l] lam_n, computed for all sets of one
+    size at once, one stack at a time; the rest is elementwise per UE.
     """
-    K, L = net.K, net.L
-    if pilots.K != K:
+    if pilots.K != net.K:
         raise ValueError("pilot assignment size does not match network")
     p = config.pilot_powers()
     decay = decay_factors(pilots, phases)
 
-    Psi = np.empty((K, L, net.N))
-    Q = np.empty_like(Psi)
-    Q_cross = []
-    tr_cov = np.empty((K, L))
-
+    Psi = np.empty((net.K, net.L, net.N))
+    tr_cov = np.empty((net.K, net.L))
     for idx in pilots.stacks:
-        g = idx.shape[1]
-        r = net.beta[idx][..., None] * net.lam  # (S, g, L, N) eigenvalues of R
         # einsum, not a matrix product: BLAS would sum in a kernel-dependent order
         cov = (config.sigma2_ul
                + np.einsum("si,sil->sl", p[idx], net.beta[idx])[..., None] * net.lam)
-        psi = 1.0 / cov  # (S, L, N)
-        # [s, k, i] = sqrt(p_k p_i) decay_k R[i] Psi R[k] within set s
-        coef = np.sqrt(p[idx][:, :, None] * p[idx][:, None, :]) * decay[idx][:, :, None]
-        block = coef[..., None, None] * r[:, None]
-        block *= (psi[:, None] * r)[:, :, None]
-        Q_cross.append(block)
-        Q[idx] = block[:, np.arange(g), np.arange(g)]
-        Psi[idx] = psi[:, None]
+        Psi[idx] = 1.0 / cov[:, None]
         tr_cov[idx] = cov.sum(axis=-1)[:, None]
 
+    x = np.sqrt(p * decay)[:, None] * net.beta
+    xl = x[..., None] * net.lam
+    Q = xl * xl * Psi
     tr_R = net.beta * net.lam.sum()
     tr_Q = Q.sum(axis=-1)
     nmse_mmse = (tr_R - tr_Q) / tr_R
     nmse_ls = tr_cov / ((decay * p)[:, None] * tr_R) - 1.0
 
-    return EstimationStatistics(
-        Psi=Psi, Q=Q, Q_cross=tuple(Q_cross), nmse_mmse=nmse_mmse, nmse_ls=nmse_ls
-    )
+    return EstimationStatistics(Psi=Psi, Q=Q, x=x, nmse_mmse=nmse_mmse, nmse_ls=nmse_ls)
 
 
-def mmse_filters(
-    net: NetworkModel,
-    pilots: PilotAssignment,
-    stats: EstimationStatistics,
-    phases: PhaseStatistics,
-    config: SystemConfig,
-) -> np.ndarray:
+def mmse_filters(net: NetworkModel, stats: EstimationStatistics) -> np.ndarray:
     """(K, L, N) linear MMSE filters B, as eigenvalues, with hhat = theta* . B z
     for a pilot observation z in T's eigenbasis.
 
-    B[k,l] = sqrt(p_k) * exp(-(lambda-t_k)(var_ap+var_ue)/2) * R Psi, with
-    Psi from ``stats``; the remaining conj(theta[k,l]) factor is applied by
-    the caller.
+    B[k,l] = sqrt(p_k) * exp(-(lambda-t_k)(var_ap+var_ue)/2) * R Psi
+    = x[k,l] lam Psi[k,l]; the remaining conj(theta[k,l]) factor is applied
+    by the caller.
     """
-    p = config.pilot_powers()
-    amp = np.sqrt(p * decay_factors(pilots, phases))
-    return amp[:, None, None] * net.beta[:, :, None] * net.lam * stats.Psi
+    return stats.x[..., None] * net.lam * stats.Psi

@@ -211,7 +211,7 @@ def _chunk_draw(
     sd_ue = np.sqrt(phases.var_ue * gaps)
     sd_ap = np.sqrt(phases.var_ap * gaps)
     sd = np.sqrt(net.beta[:, :, None] * net.lam)[..., None]  # (K, L, N, 1)
-    filters = mmse_filters(net, pilots, stats, phases, config)[..., None]
+    filters = mmse_filters(net, stats)[..., None]
     p = config.pilot_powers()
 
     def draw(chunk: int):

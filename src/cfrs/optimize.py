@@ -25,9 +25,9 @@ Two optimizers operate on the closed-form expressions:
   every original constraint, min SINR >= t included.  Cuts are kept across the
   bisection's targets.  The program's SINR is written once, in the cone
   terms (``_cone_terms``), which both the cuts and the min SINR >= t check
-  read; its decay factors come from ``closed_form.decay_pair``, and its
-  co-pilot quadratic forms from one tr(Q_cross R) stack per co-pilot set
-  size, like the trace terms' stacks.
+  read; its decay factors come from ``closed_form.decay_pair``, its private
+  interference from ``closed_form.plan_parts``, and its co-pilot quadratic
+  forms from the trace terms' rank-1 factors x, s2 and s3.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_form import TraceTerms, decay_pair, private_normalization
+from .closed_form import TraceTerms, common_power, decay_pair, make_plan, plan_parts
 from .model import PhaseStatistics, SystemConfig
 
 log = logging.getLogger(__name__)
@@ -109,18 +109,14 @@ class MaxMinProblem:
 
     subject to ||Theta_l^{1/2} a_l|| <= 1 per AP and a >= 0.  H_k and M_k
     are block-diagonal per AP and are never formed (``products`` applies
-    them): the AP-l block of H_k is outer(tau, tau) with tau the AP-l slice
-    of b_k, and entry (i, j) of the AP-l block of M_k is
-    tr(Q_cross[i,j,l] R[k,l]), real and nonzero only for co-pilot i and j, so
-    it is read from the stacks ``tr_QcR``, one per co-pilot set size, whose
-    UE indices are the matching ``stacks`` array.  Only this program reads
-    every UE's trace against every co-pilot pair, so ``build_maxmin_problem``
-    forms these stacks and the closed form does not.
+    them from the rank-1 factors of ``terms``): the AP-l block of H_k is
+    outer(tau, tau) with tau the AP-l slice of b_k, and entry (i, j) of the
+    AP-l block of M_k is tr(Q_cross[i,j,l] R[k,l]) =
+    beta[k,l] x[i,l] x[j,l] s3[i,l], nonzero only for co-pilot i and j.
     """
 
     b: np.ndarray          # (K, KL) real
-    stacks: tuple[np.ndarray, ...]  # (S, g) UE indices per co-pilot set size
-    tr_QcR: tuple[np.ndarray, ...]  # (S, g, g, K, L) real per set size
+    terms: TraceTerms      # the factors x, s2, s3, beta and the co-pilot stacks
     Theta: np.ndarray      # (L, K, K)
     xi: np.ndarray         # (K,) private interference at the chosen instant
     p_dc: float
@@ -131,7 +127,7 @@ class MaxMinProblem:
     instant: int
 
     def __post_init__(self):
-        for arr in (self.b, *self.stacks, *self.tr_QcR, self.Theta, self.xi):
+        for arr in (self.b, self.Theta, self.xi):
             arr.setflags(write=False)
 
     @property
@@ -150,14 +146,19 @@ class MaxMinProblem:
         return w.T.reshape(-1)
 
     def products(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(H_k a, M_k a) for every UE k, each (K, KL), from the stacks."""
-        K, L = self.K, self.L
-        b = self.b.reshape(K, L, K)
-        w = a.reshape(L, K)
-        h = b * np.einsum("kli,li->kl", b, w)[:, :, None]
-        m = np.zeros((K, L, K))
-        for idx, block in zip(self.stacks, self.tr_QcR):
-            m[:, :, idx] = np.einsum("sijkl,lsj->klsi", block, w[:, idx])
+        """(H_k a, M_k a) for every UE k, each (K, KL), elementwise.
+
+        With Omega[k,l] = sum_{j in P_k} a[j,l] x[j,l], the AP-l part of
+        H_k a is b_kl (x s2 Omega)[k,l], and entry (l, i) of M_k a is
+        beta[k,l] (x s3 Omega)[i,l].
+        """
+        K, L, terms = self.K, self.L, self.terms
+        w = self.weights_matrix(a)
+        omega = np.empty((K, L))
+        for idx in terms.stacks:
+            omega[idx] = np.einsum("sil,sil->sl", w[idx], terms.x[idx])[:, None]
+        h = self.b.reshape(K, L, K) * (terms.x * terms.s2 * omega)[:, :, None]
+        m = terms.beta[:, :, None] * (terms.x * terms.s3 * omega).T
         return h.reshape(K, K * L), m.reshape(K, K * L)
 
     def sinr(self, a: np.ndarray) -> np.ndarray:
@@ -169,11 +170,9 @@ class MaxMinProblem:
         return (e @ a) ** 2 / norm**2
 
     def power_norms(self, a: np.ndarray) -> np.ndarray:
-        """(L,) values of ||Theta_l^{1/2} a_l||."""
-        w = a.reshape(self.L, self.K)
-        return np.sqrt(
-            np.maximum(np.einsum("lk,lki,li->l", w, self.Theta, w).real, 0.0)
-        )
+        """(L,) values of ||Theta_l^{1/2} a_l||, the square roots of
+        ``closed_form.common_power``."""
+        return np.sqrt(common_power(self.terms, self.weights_matrix(a)))
 
 
 def build_maxmin_problem(
@@ -183,19 +182,13 @@ def build_maxmin_problem(
     rho: float,
     n: int | None = None,
 ) -> MaxMinProblem:
-    """Assemble b_k, the M_k blocks, Theta_l and the constants at instant n.
+    """Assemble b_k, Theta_l and the constants at instant n.
 
-    Zero entries follow the pilot structure exactly: b_k (and so H_k)
-    vanishes off UE k's co-pilot set, and M_k is stored only inside the
-    co-pilot sets, as tr(Q_cross R) = beta * tr(Q_cross T) per set size,
-    formed here from the terms' ``tr_QcT`` stacks.  b and Theta are the
-    terms' ``tr_Qc`` stacks scattered into dense arrays; nothing else reads
-    them densely.  The private interference constant is that of
-    delay-compensated MR precoding with the per-AP normalization: the
-    coherent xi of ``closed_form.plan_parts`` written on the dense b, with
-    tau[k,l,i] = tr(Qc[k,i,l]) and mu_l = 1 / sum_i tr(Q[i,l]),
-    xi_k = sum_l beta[k,l] mu_l sum_i tr(Q[i,l] T)
-           + (1-ea) sum_l mu_l |tau[k,l]|^2 + ea |sum_l sqrt(mu_l) tau[k,l]|^2.
+    b and Theta are the LP's dense data: tr(Qc[k,i,l]) = x[k,l] x[i,l] s2[k,l]
+    scattered from the terms' factors, zero off the co-pilot sets, so b_k
+    (and so H_k) vanishes off UE k's co-pilot set.  The private
+    interference xi is that of ``closed_form.plan_parts`` for
+    ``MAXMIN_SCHEME`` with the per-AP private normalization.
     Default instant: ``config.mid_instant``.
     """
     if not 0 < rho <= 1:
@@ -206,25 +199,20 @@ def build_maxmin_problem(
     ea, eu = decay_pair(phases, config, n)
 
     tr_Qc = np.zeros((K, K, L))
-    for idx, block in zip(terms.stacks, terms.tr_Qc):
-        tr_Qc[idx[:, :, None], idx[:, None, :]] = block
+    xs2 = terms.x * terms.s2
+    for idx in terms.stacks:
+        pair = xs2[idx][:, :, None] * terms.x[idx][:, None]  # (S, g, g, L)
+        tr_Qc[idx[:, :, None], idx[:, None, :]] = pair
     # b_k stacked AP-major: entry l*K + i = tr(Qc[k,i,l]) on k's pilot group
     b = np.transpose(tr_Qc, (0, 2, 1)).reshape(K, K * L)
     Theta = np.transpose(tr_Qc, (2, 0, 1)).copy()  # (L, K, K)
-
-    mu = private_normalization(terms)
-    tau = b.reshape(K, L, K)
-    coherent = np.einsum("kli,l->ki", tau, np.sqrt(mu))
-    xi = (np.einsum("kl,l->k", terms.beta, mu * terms.tr_QT.sum(axis=0))
-          + (1.0 - ea[0]) * np.einsum("kli,kli,l->k", tau, tau, mu)
-          + ea[0] * np.einsum("ki,ki->k", coherent, coherent))
+    plan = make_plan(terms, *MAXMIN_SCHEME, unit_eta=True)
 
     return MaxMinProblem(
         b=b,
-        stacks=terms.stacks,
-        tr_QcR=tuple(cT[:, :, :, None, :] * terms.beta for cT in terms.tr_QcT),
+        terms=terms,
         Theta=Theta,
-        xi=xi,
+        xi=plan_parts(terms, plan, phases, config, n).xi[0],
         p_dc=rho * config.p_d,
         p_dp=(1.0 - rho) * config.p_d,
         eta_ap=float(ea[0]),

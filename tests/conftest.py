@@ -80,13 +80,13 @@ def from_eigenbasis(net, eig):
     return (U * eig[..., None, :]) @ np.conj(U.T)
 
 
-def dense_copilot(stacks, indices, K):
-    """Scatter per-set-size (S, g, g, ...) stacks into a dense (K, K, ...)
-    array, ``indices`` holding each stack's (S, g) UE indices."""
-    out = np.zeros((K, K) + stacks[0].shape[3:], dtype=stacks[0].dtype)
-    for idx, stack in zip(indices, stacks, strict=True):
-        out[idx[:, :, None], idx[:, None, :]] = stack
-    return out
+def rank1_q_cross(net, pilots, stats):
+    """(K, K, L, N) eigenvalues of every Q_cross block from the statistics'
+    rank-1 factor: x[k,l] x[i,l] lam^2 Psi[k,l] for co-pilot k and i, else 0."""
+    copilot = pilots.t[:, None] == pilots.t[None, :]
+    x = stats.x
+    return (copilot[:, :, None, None] * (x[:, None] * x[None, :])[..., None]
+            * net.lam**2 * stats.Psi[:, None])
 
 
 def per_link_statistics(net, pilots, phases, cfg):

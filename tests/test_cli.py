@@ -685,10 +685,10 @@ def test_robust_job_checks_the_instant_its_weights_were_optimized_for(monkeypatc
 
 
 def test_sweep_jobs_form_no_copilot_trace_block():
-    # the closed form contracts the cross term per plan, so the topology's
-    # trace terms hold no (S, g, g, K, L) tr(Q_cross R) stack; only the
-    # max-min program forms those stacks, one per co-pilot set size.  K = 5
-    # UEs on 2 pilots gives sets of sizes 3 and 2, so two stacks.
+    # every co-pilot block is rank 1, so neither the topology's statistics
+    # and trace terms nor the max-min program hold a co-pilot pair array:
+    # no (S, g, g, ...) stack and no dense (K, K, L) trace.  K = 5 UEs on 2
+    # pilots gives sets of sizes 3 and 2.
     spec = cli.spec_from_dict(one_scheme_spec(
         system={**desk_system(), "K": 5, "tau_p": 2},
         schemes=[{"private": private, "transmission": transmission, "rs": True,
@@ -699,17 +699,19 @@ def test_sweep_jobs_form_no_copilot_trace_block():
     phases = cli.PhaseStatistics.from_config(cfg)
     topology = cli.build_topology(cfg, phases)
     assert [idx.shape for idx in topology.pilots.stacks] == [(1, 2), (1, 3)]
-    stack_shapes = [(S, g, g, cfg.K, cfg.L) for S, g in
-                    (idx.shape for idx in topology.pilots.stacks)]
-    held = [a for value in vars(topology.terms).values()
-            for a in (value if isinstance(value, tuple) else (value,))]
-    assert not any(np.shape(a) in stack_shapes for a in held)
-    # nor a dense (K, K, L) tr(Q_cross): one (S, g, g, L) stack per set size
-    assert not any(np.shape(a) == (cfg.K, cfg.K, cfg.L) for a in held)
+    pair_shapes = [(S, g, g) for S, g in (idx.shape for idx in topology.pilots.stacks)]
+
+    def held(*owners):
+        return [a for owner in owners for value in vars(owner).values()
+                for a in (value if isinstance(value, tuple) else (value,))
+                if isinstance(a, np.ndarray)]
+
     for scheme in spec.schemes:
         cli.run_scheme(cfg, phases, scheme, topology)
     problem = cli.optimize.build_maxmin_problem(topology.terms, phases, cfg, 0.5)
-    assert [stack.shape for stack in problem.tr_QcR] == stack_shapes
+    for a in held(topology.stats, topology.terms, problem):
+        assert np.shape(a)[:3] not in pair_shapes
+        assert np.shape(a) != (cfg.K, cfg.K, cfg.L)
 
 
 @pytest.mark.parametrize("scheme, fixed_rho, mc, expected", [
@@ -718,15 +720,16 @@ def test_sweep_jobs_form_no_copilot_trace_block():
     ({"private": "du_mr", "transmission": "coherent", "rs": False}, None, 0, 1),
     ({"private": "df_mr", "transmission": "coherent", "rs": True}, 0.5, 0, 1),
     ({"private": "du_mr", "transmission": "coherent", "rs": True, "weights": "robust"},
-     0.5, 0, 2),
+     0.5, 0, 3),
     ({"private": "du_mr", "transmission": "coherent", "rs": True, "weights": "robust"},
-     0.5, 100, 2),
+     0.5, 100, 3),
 ])
 def test_each_job_computes_its_plan_coefficients_once(scheme, fixed_rho, mc, expected,
                                                        monkeypatch):
     # plan_parts does not depend on rho, so the rho search, the report at
     # the optimum and the Monte Carlo check share one set; only robust
-    # weights, found at the searched rho, need a second
+    # weights, found at the searched rho, need a second, and the max-min
+    # program takes its private interference from a third, its own plan's
     spec = cli.spec_from_dict(one_scheme_spec(
         system={**desk_system(), "K": 5, "tau_p": 2}, schemes=[scheme]))
     cfg = spec.base

@@ -10,7 +10,6 @@ from cfrs import closed_form as cf
 from cfrs import optimize as opt
 
 from conftest import (
-    dense_copilot,
     dense_R,
     per_link_statistics,
     random_instance,
@@ -22,13 +21,15 @@ def tiny_terms(tr_q: float = 2.0):
     """Hand-built single-link, single-antenna trace terms for scalar identities."""
     one = np.ones((1, 1))
     return cf.TraceTerms(
+        x=one,
+        s2=tr_q * one,
+        s3=tr_q * one,
         tr_Q=tr_q * one,
         tr_QT=tr_q * one,
-        tr_Qc=(tr_q * one[None, None],),
-        tr_QcT=(tr_q * one[None, None],),
         theta=np.ones((1, 1), dtype=complex),
         stacks=(np.array([[0]]),),
         beta=1.5 * one,  # R = 1.5 T, so tr(Q R) = tr(Qc R) = 1.5 tr_q
+        # x = 1, so tr(Q) = tr(Qc) = s2 and tr(Q T) = tr(Qc T) = s3
     )
 
 
@@ -294,12 +295,21 @@ def test_blocked_tr_qcr_matches_dense_einsum():
         got = terms.beta[None] * terms.tr_QT[:, None]
         assert np.max(np.abs(got - tr_QR)) <= 1e-12 * np.max(np.abs(tr_QR))
         dense = np.einsum("ijlab,klba->ijkl", Q_cross, R)
-        problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.5)
-        got = dense_copilot(problem.tr_QcR, pilots.stacks, cfg.K)
+        # tr(Q_cross[i,j,l] R[k,l]) = beta[k,l] x[i,l] x[j,l] s3[i,l] on co-pilot pairs
+        copilot = (pilots.t[:, None] == pilots.t[None, :])[:, :, None, None]
+        x = terms.x
+        got = (copilot * (x * terms.s3)[:, None, None] * x[None, :, None]
+               * terms.beta[None, None])
         assert np.max(np.abs(got - dense.real)) <= 1e-12 * np.max(np.abs(dense.real))
         tr_Qc = np.einsum("kilnn->kil", Q_cross)
-        got = dense_copilot(terms.tr_Qc, pilots.stacks, cfg.K)
+        got = copilot[..., 0] * (x * terms.s2)[:, None] * x[None]
         assert np.max(np.abs(got - tr_Qc)) <= 1e-12 * np.max(np.abs(tr_Qc))
+        # the max-min program's M_k a, from the factors, against the dense blocks
+        problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.5)
+        a = rng.uniform(0, 1, cfg.K * cfg.L)
+        m_dense = np.einsum("ijkl,lj->kli", dense.real, problem.weights_matrix(a).T)
+        m = problem.products(a)[1].reshape(cfg.K, cfg.L, cfg.K)
+        assert np.max(np.abs(m - m_dense)) <= 1e-12 * np.max(np.abs(m_dense))
         cross_dense = np.einsum("l,il,jl,ijkl->k", eta, np.conj(w), w, dense).real
         # without drift (ea = eu = 1) the DF non-coherent common interference
         # is the cross term alone, with w = weights * conj(theta)
@@ -308,6 +318,35 @@ def test_blocked_tr_qcr_matches_dense_einsum():
         still = cfrs.PhaseStatistics(0.0, 0.0)
         cross = cf.plan_parts(terms, plan, still, cfg, cfg.estimation_instant).gamma[0]
         assert np.max(np.abs(cross - cross_dense)) <= 1e-12 * np.max(np.abs(cross_dense))
+
+
+@pytest.mark.parametrize("policy", ["round_robin", "random"])
+def test_copilot_traces_are_rank_one_in_the_factors(policy):
+    # for co-pilot k and i, tr(Q_cross[k,i,l]) = x[k,l] x[i,l] s2[k,l] and
+    # tr(Q_cross[k,i,l] T) = x[k,l] x[i,l] s3[k,l], against the per-link
+    # dense reference, with per-UE pilot powers, drift, uneven sets (3, 2, 2)
+    # and a generic complex template with distinct eigenvalues
+    rng = np.random.default_rng(41)
+    cfg, net, _, phases, _, _ = random_instance(rng, L=4, K=7, N=3, tau_p=3)
+    cfg = dataclasses.replace(cfg, p_pilot=tuple(rng.uniform(0.05, 0.2, cfg.K)))
+    net = dataclasses.replace(net, beta=10 ** rng.uniform(-10, -8, net.beta.shape),
+                              template=random_template(rng, cfg.N))
+    pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p, policy, seed=1)
+    assert sorted(len(g) for g in pilots.groups) == [2, 2, 3]
+    assert phases.var_sum > 0
+    stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
+    terms = cf.TraceTerms.compute(net, stats, pilots)
+    _, Q, Q_cross, _ = per_link_statistics(net, pilots, phases, cfg)
+    copilot = (pilots.t[:, None] == pilots.t[None, :])[:, :, None]
+    pair = terms.x[:, None] * terms.x[None]  # (K, K, L)
+    for ref, s in ((np.einsum("kilnn->kil", Q_cross), terms.s2),
+                   (np.einsum("kilab,ba->kil", Q_cross, net.template), terms.s3)):
+        got = copilot * pair * s[:, None]
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # the diagonal gives the private traces
+    for got, ref in ((terms.tr_Q, np.einsum("klnn->kl", Q)),
+                     (terms.tr_QT, np.einsum("klab,ba->kl", Q, net.template))):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def dense_plan_parts(net, Q, Q_cross, plan, ea, eu):
@@ -441,6 +480,32 @@ def test_plan_freezes_a_copy_of_the_callers_arrays(desk):
                 arr[...] = 1.0
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("weights", np.nan), ("weights", np.inf), ("weights", -1.0),
+    ("mu", np.nan), ("mu", np.inf), ("mu", 0.0), ("eta", np.nan), ("eta", np.inf),
+])
+def test_non_finite_plans_are_rejected(desk, field, bad):
+    # nan and inf used to pass every check and give a nan sum SE
+    _, _, _, _, _, terms = desk
+    plan = cf.make_plan(terms, "du_mr", "coherent", 0.5)
+    arr = getattr(plan, field).copy()
+    arr[0] = bad
+    with pytest.raises(ValueError, match=f"plan {field} must lie in"):
+        dataclasses.replace(plan, **{field: arr})
+    if field == "weights":
+        with pytest.raises(ValueError, match=r"common weights must lie in \[0, inf\)"):
+            cf.common_normalization(terms, arr)
+        with pytest.raises(ValueError, match=f"plan {field} must lie in"):
+            cf.make_plan(terms, "du_mr", "coherent", 0.5, weights=arr, unit_eta=True)
+
+
+def test_common_normalization_rejects_a_non_finite_power(desk):
+    _, _, _, _, _, terms = desk
+    huge = np.full((terms.K, terms.L), 1e200)
+    with pytest.raises(ValueError, match=r"power must lie in \(0, inf\)"):
+        cf.common_normalization(terms, huge)
+
+
 def test_out_of_range_instant_rejected(desk):
     cfg, _, _, phases, _, terms = desk
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
@@ -520,7 +585,6 @@ def test_trace_terms_sparsity(desk):
     # pilots: sizes 3, 2, 2)
     uneven = random_instance(np.random.default_rng(4), L=3, K=7, N=2, tau_p=3)
     for cfg, net, pilots, phases, stats, terms in (desk, uneven):
-        copilot = pilots.t[:, None] == pilots.t[None, :]
         # one stack per distinct set size, in increasing size order, with no
         # padding: the stacks' rows are the co-pilot sets, each once
         sizes = sorted({len(g) for g in pilots.groups})
@@ -528,25 +592,35 @@ def test_trace_terms_sparsity(desk):
         assert terms.stacks is pilots.stacks
         assert sorted(tuple(row) for idx in terms.stacks for row in idx.tolist()) \
             == sorted(pilots.groups)
-        # tr(Q_cross) and tr(Q_cross T) are held as one (S, g, g, L) stack per
-        # set size, covering exactly the co-pilot pairs, each once
-        for stacks in (terms.tr_Qc, terms.tr_QcT):
-            covered = np.zeros((net.K, net.K), dtype=int)
-            for idx, stack in zip(terms.stacks, stacks, strict=True):
-                S, g = idx.shape
-                assert stack.shape == (S, g, g, net.L)
-                np.add.at(covered, (idx[:, :, None], idx[:, None, :]), 1)
-            assert np.array_equal(covered, copilot.astype(int))
+        # no co-pilot pair is stored: every co-pilot block is rank 1 in the
+        # (K, L) factor x, and s2 and s3 are equal within each set
+        K, L = net.K, net.L
+        assert [terms.x.shape, terms.s2.shape, terms.s3.shape] == [(K, L)] * 3
+        assert terms.x is stats.x
+        for s in (terms.s2, terms.s3):
+            for idx in terms.stacks:
+                assert np.array_equal(s[idx], np.broadcast_to(s[idx[:, :1]], s[idx].shape))
         # the terms hold the network's gains themselves, not a copy
         assert terms.beta is net.beta
-        # the max-min stacks of tr(Q_cross R) hold exactly the co-pilot pairs, each once
+        # neither the statistics, the terms nor the max-min program hold an
+        # array with two co-pilot axes; the LP's dense b (K, KL) and Theta
+        # (L, K, K) are the only arrays with two UE axes
         problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.5)
-        covered = np.zeros((net.K, net.K), dtype=int)
-        for idx, stack in zip(problem.stacks, problem.tr_QcR, strict=True):
-            S, g = idx.shape
-            assert stack.shape == (S, g, g, net.K, net.L)
-            np.add.at(covered, (idx[:, :, None], idx[:, None, :]), 1)
-        assert np.array_equal(covered, copilot.astype(int))
+        assert problem.terms is terms
+        held = {}
+        for owner in (stats, terms, problem):
+            for name, value in vars(owner).items():
+                for a in (value if isinstance(value, tuple) else (value,)):
+                    if isinstance(a, np.ndarray):
+                        held.setdefault(name, []).append(a.shape)
+        pair_shapes = [(S, g, g) for S, g in (idx.shape for idx in pilots.stacks)]
+        for name, shapes in held.items():
+            for shape in shapes:
+                assert not any(shape[i:i + 3] in pair_shapes
+                               for i in range(len(shape))), (name, shape)
+                if name not in ("b", "Theta") and K not in (L, net.N):
+                    assert shape.count(K) <= 1, (name, shape)
+        assert held["b"] == [(K, K * L)] and held["Theta"] == [(L, K, K)]
 
 
 def test_more_aps_shrink_ap_drift_penalty():

@@ -10,11 +10,11 @@ from cfrs.model import NetworkModel
 
 from conftest import (
     dense_R,
-    dense_copilot,
     from_eigenbasis,
     per_link_statistics,
     random_instance,
     random_template,
+    rank1_q_cross,
     to_eigenbasis,
 )
 
@@ -156,15 +156,17 @@ def test_statistics_invariants_random_instances(desk):
         # 0 <= Q <= R, with R's eigenvalues beta * lam
         assert stats.Q.min() >= -1e-10
         assert (net.beta[..., None] * net.lam - stats.Q).min() >= -1e-10
-        for idx, stack in zip(pilots.stacks, stats.Q_cross, strict=True):
-            # Q_cross collapses to Q on the diagonal
-            g = idx.shape[1]
-            assert np.allclose(stack[:, np.arange(g), np.arange(g)], stats.Q[idx],
-                               rtol=1e-12)
-            # trace symmetry within pilot groups (real, equal traces)
-            tr = stack.sum(axis=-1)
-            assert np.isrealobj(tr)
-            assert np.allclose(tr, np.swapaxes(tr, 1, 2), rtol=1e-9)
+        blocks = rank1_q_cross(net, pilots, stats)
+        # Q_cross collapses to Q on the diagonal
+        assert np.allclose(np.einsum("kkln->kln", blocks), stats.Q, rtol=1e-12)
+        # trace symmetry within pilot groups (real, equal traces): Psi is
+        # the same for every member of a set
+        for idx in pilots.stacks:
+            assert np.array_equal(stats.Psi[idx], np.broadcast_to(
+                stats.Psi[idx[:, :1]], stats.Psi[idx].shape))
+        tr = blocks.sum(axis=-1)
+        assert np.isrealobj(tr)
+        assert np.allclose(tr, np.swapaxes(tr, 0, 1), rtol=1e-9)
 
 
 def test_batched_statistics_match_per_link_loop():
@@ -183,7 +185,7 @@ def test_batched_statistics_match_per_link_loop():
                                   template=random_template(rng, cfg.N))
         stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
         ref = per_link_statistics(net, pilots, phases, cfg)
-        Q_cross = dense_copilot(stats.Q_cross, pilots.stacks, cfg.K)
+        Q_cross = rank1_q_cross(net, pilots, stats)
         got = [from_eigenbasis(net, x) for x in (stats.Psi, stats.Q, Q_cross)]
         for got, want in zip(got + [stats.nmse_ls], ref):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -209,10 +211,10 @@ def test_stacked_statistics_match_per_link_loop_on_uneven_sets(policy):
     sizes_3 = [list(g) for g in pilots.groups if len(g) == 3]
     assert [idx.tolist() for idx in pilots.stacks] == [sizes_2, sizes_3]
     stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
-    assert [q.shape for q in stats.Q_cross] == [(2, 2, 2, cfg.L, cfg.N),
-                                                (1, 3, 3, cfg.L, cfg.N)]
+    # no co-pilot pair is stored: the blocks are rank 1 in the (K, L) factor x
+    assert stats.x.shape == (cfg.K, cfg.L)
     ref = per_link_statistics(net, pilots, phases, cfg)
-    Q_cross = dense_copilot(stats.Q_cross, pilots.stacks, cfg.K)
+    Q_cross = rank1_q_cross(net, pilots, stats)
     got = [from_eigenbasis(net, x) for x in (stats.Psi, stats.Q, Q_cross)]
     for got, want in zip(got + [stats.nmse_ls], ref):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -247,7 +249,7 @@ def test_batch_estimates_match_single_realization_path(desk, desk_batch):
     # the pilot signal of the batch's first two chunks, redrawn with its seed
     draw = mc._chunk_draw(net, pilots, stats, phases, cfg, batch.count, 7, instants)
     z = np.concatenate([draw(chunk)[4] for chunk in range(2)])
-    filters = mmse_filters(net, pilots, stats, phases, cfg)
+    filters = mmse_filters(net, stats)
     for r in (0, 123, 4567):
         for k in range(cfg.K):
             for l in range(cfg.L):
@@ -296,7 +298,7 @@ def test_filter_matrices_reduce_to_classic_mmse_without_phase_noise():
     pilots = cfrs.assign_pilots(1, 1)
     phases = cfrs.PhaseStatistics(0.0, 0.0)
     stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
-    filt = mmse_filters(net, pilots, stats, phases, cfg)
+    filt = mmse_filters(net, stats)
     p = cfg.pilot_powers()[0]
     R = dense_R(net)[0, 0]
     classic = np.sqrt(p) * R @ np.linalg.inv(p * R + cfg.sigma2_ul * np.eye(2))

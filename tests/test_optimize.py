@@ -8,7 +8,7 @@ import cfrs
 from cfrs import closed_form as cf
 from cfrs import optimize as opt
 
-from conftest import dense_copilot, dense_maxmin_matrices
+from conftest import dense_maxmin_matrices, per_link_statistics
 
 
 def setup_instance(seed=1, L=4, K=2, N=2, tau_p=2, var=1e-3, rho=0.5, n=None):
@@ -105,7 +105,7 @@ def test_theta_gram_identity_against_common_power():
         K=4, tau_p=2, L=3
     )
     rng = np.random.default_rng(11)
-    tr_Qc = dense_copilot(terms.tr_Qc, pilots.stacks, cfg.K)
+    tr_Qc = np.einsum("kilnn->kil", per_link_statistics(net, pilots, phases, cfg)[2]).real
     for _ in range(100):
         a = rng.uniform(0, 2, size=cfg.K * cfg.L)
         w = problem.weights_matrix(a)  # (K, L)
@@ -121,6 +121,8 @@ def test_theta_gram_identity_against_common_power():
             for l in range(cfg.L)
         )
         assert quad == pytest.approx(direct, rel=1e-10)
+        assert np.sum(cf.common_power(terms, w)) == pytest.approx(direct, rel=1e-10)
+        assert np.sum(problem.power_norms(a) ** 2) == pytest.approx(direct, rel=1e-10)
 
 
 def test_problem_sinr_matches_closed_form_with_unit_eta():
@@ -169,9 +171,15 @@ def test_problem_matrix_invariants():
         tau = problem.b.reshape(problem.K, problem.L, problem.K)
         h_blocks = tau[..., :, None] * tau[..., None, :]  # (K, L, K, K)
         assert np.linalg.eigvalsh(h_blocks).min() >= -1e-10
-        for stack in problem.tr_QcR:
-            m_blocks = np.moveaxis(stack, (1, 2), (-2, -1))  # (S, K, L, g, g)
-            assert np.linalg.eigvalsh(m_blocks).min() >= -1e-10
+        # M_k's AP-l block, column j the AP-l part of M_k e_j, applied from
+        # the rank-1 factors
+        KL = problem.K * problem.L
+        cols = np.stack([problem.products(e)[1] for e in np.eye(KL)], axis=-1)
+        m_blocks = np.stack([cols[:, l * problem.K:(l + 1) * problem.K,
+                                  l * problem.K:(l + 1) * problem.K]
+                             for l in range(problem.L)], axis=1)  # (K, L, K, K)
+        assert np.allclose(m_blocks, np.swapaxes(m_blocks, -1, -2), rtol=1e-12, atol=0)
+        assert np.linalg.eigvalsh(m_blocks).min() >= -1e-10
 
 
 def dense_cone_terms(problem, H, M, a):
