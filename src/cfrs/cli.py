@@ -527,7 +527,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> P
     out.mkdir(parents=True, exist_ok=True)
 
     sweep_points = spec.sweep_values or (None,)
-    rows = []
+    rows = {}  # (sweep_idx, scheme_idx, rep) -> the job's rows, one per UE
     agg: dict[tuple, list[float]] = {}
     topology = None
     for rep in range(spec.repetitions):
@@ -571,12 +571,13 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> P
                         for k in range(cfg.K)
                     ]
                 label = _job_label(spec, sweep_value, scheme)
-                rows += [{**label, "repetition": rep, "k": k, "seed": seed, **v}
-                         for k, v in enumerate(values)]
+                rows[sweep_idx, scheme_idx, rep] = [
+                    {**label, "repetition": rep, "k": k, "seed": seed, **v}
+                    for k, v in enumerate(values)]
 
-    order = LABEL_COLUMNS + ["repetition", "k"]
-    rows.sort(key=lambda r: [r[c] for c in order])
-    _write_csv(out / "results.csv", RESULTS_SCHEMA, RESULT_COLUMNS, rows)
+    # both CSVs list jobs in spec order: sweep point, scheme, then repetition
+    _write_csv(out / "results.csv", RESULTS_SCHEMA, RESULT_COLUMNS,
+               [row for job in sorted(rows) for row in rows[job]])
 
     agg_rows = [
         {

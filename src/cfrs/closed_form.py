@@ -35,16 +35,18 @@ coefficients.  ``plan_parts`` computes those coefficients once per plan, in
 one pass over the co-pilot set sizes: every sum over a co-pilot pair
 becomes a per-set sum Omega[P,l] = sum_{i in P} w[i,l] x[i,l] of the
 plan's weights (or mu) against x, times the set's s2 or s3, so no pair
-array is stored.  ``assemble`` turns the coefficients into both streams'
-SINRs at one rho with elementwise work only, and ``se_report`` into the SE
-report; ``private_sinr``, ``common_sinr`` and ``evaluate_plan`` go through
-them.  The rho search's objective (``sum_se_curve``) evaluates the same
-expressions for the sum SE alone, so a sweep job that searches rho and
-then reports at the optimum computes its plan's coefficients once.
+array is stored.  One function writes both streams' SINRs at one rho
+from those coefficients, with elementwise work only: ``assemble`` returns
+them, ``se_report`` turns them into the SE report, and the rho search's
+objective (``sum_se_curve``) into the sum SE alone.  ``private_sinr``,
+``common_sinr`` and ``evaluate_plan`` go through them, so a sweep job that
+searches rho and then reports at the optimum computes its plan's
+coefficients once.
 
-No matrix product appears in this module: a product dispatched to BLAS
-sums in an order that depends on the CPU kernel OpenBLAS selects, and the
-sweep's CSVs must not.
+No matrix product appears in this module: no ``@``, ``matmul``, ``dot``,
+``vdot``, ``inner`` or ``tensordot``, and no ``einsum(..., optimize=...)``.
+A product dispatched to BLAS sums in an order that depends on the CPU
+kernel OpenBLAS selects, and the sweep's CSVs must not.
 """
 
 from __future__ import annotations
@@ -59,6 +61,11 @@ from .model import NetworkModel, PhaseStatistics, SystemConfig
 
 PRIVATE_SCHEMES = ("du_mr", "df_mr")
 TRANSMISSIONS = ("coherent", "noncoherent")
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 of a complex array, without the square root of ``np.abs``."""
+    return z.real**2 + z.imag**2
 
 
 def _eig_sum(x: np.ndarray, lam: np.ndarray | None = None) -> np.ndarray:
@@ -90,7 +97,8 @@ class TraceTerms:
         that tr(Q[i,l] R[k,l]) = beta[k,l] * tr_QT[i,l].
     stacks: the (S_c, g_c) UE indices of the co-pilot sets, one array per
         set size, the ``PilotAssignment.stacks`` arrays.
-    beta: the network's gains, held by reference, not copied.
+    theta, beta: the network's delay phases and gains, held by reference,
+        not copied.
     """
 
     x: np.ndarray
@@ -131,7 +139,7 @@ class TraceTerms:
             s3=s3,
             tr_Q=x2 * s2,
             tr_QT=x2 * s3,
-            theta=net.theta.copy(),
+            theta=net.theta,
             stacks=pilots.stacks,
             beta=net.beta,
         )
@@ -241,9 +249,7 @@ def common_normalization(terms: TraceTerms, weights: np.ndarray) -> np.ndarray:
     return 1.0 / power
 
 
-def power_control_coefficients(
-    terms: TraceTerms, net: NetworkModel, alpha: float = -1.0
-) -> np.ndarray:
+def power_control_coefficients(terms: TraceTerms, alpha: float = -1.0) -> np.ndarray:
     """(K, L) statistical channel-cooperation power-control coefficients.
 
     mu[k,l] = beta_bar_k^alpha / sum_i tr(Q[i,l]) beta_bar_i^alpha with
@@ -251,7 +257,7 @@ def power_control_coefficients(
     the channel to lift the weakest UEs.  Satisfies
     sum_k mu[k,l] tr(Q[k,l]) == 1 at every AP.
     """
-    beta_bar = net.beta.mean(axis=1)
+    beta_bar = terms.beta.mean(axis=1)
     if np.any(beta_bar <= 0):
         raise ValueError("every UE needs a positive average channel gain")
     weight = beta_bar**alpha
@@ -272,7 +278,6 @@ def make_plan(
     rho: float = 0.0,
     weights: np.ndarray | None = None,
     power_control_alpha: float | None = None,
-    net: NetworkModel | None = None,
     unit_eta: bool = False,
 ) -> PrecodingPlan:
     """Assemble a plan with consistent normalizations.
@@ -287,9 +292,7 @@ def make_plan(
     if power_control_alpha is None:
         mu = uniform_mu(terms)
     else:
-        if net is None:
-            raise ValueError("power control needs the network model")
-        mu = power_control_coefficients(terms, net, power_control_alpha)
+        mu = power_control_coefficients(terms, power_control_alpha)
     return PrecodingPlan(
         private_scheme=private_scheme,
         transmission=transmission,
@@ -365,8 +368,7 @@ def plan_parts(
 
     Every sum over a co-pilot set is taken in one pass over the set
     sizes, from the factors x, s2 and s3 and the sets' rows of mu and of
-    the complex weights w and sq, whose real and imaginary parts are kept
-    apart so that no real factor is cast to complex.  With the per-set sum
+    the complex weights w and sq.  With the complex per-set sum
     Omega[P,l] = sum_{i in P} w[i,l] x[i,l]:
     the desired common sums per AP, sum_{i in P_k} w[i,l] tr(Qc[k,i,l]),
     are (x s2)[k,l] Omega[P_k,l]; the pilot contamination
@@ -385,40 +387,36 @@ def plan_parts(
     mu, eta = plan.mu, plan.eta
     coherent_tx = plan.transmission == "coherent"
     w = plan.weights * np.conj(theta_eff)  # (K, L)
-    w_ri = np.stack((w.real, w.imag))
     if coherent_tx:
         sq = np.conj(theta_eff) * np.sqrt(mu)
-        sq_ri = np.stack((sq.real, sq.imag))
-        sqx_ri = sq_ri * terms.x
+        sqx = sq * terms.x
     x, xs2 = terms.x, terms.x * terms.s2
     mux2 = mu * x * x
 
-    per_ap = np.empty((2, terms.K, terms.L))
+    per_ap = np.empty((terms.K, terms.L), dtype=complex)
     percontam = np.empty(terms.K)
     coherent = np.empty(terms.K)
     s = np.zeros(terms.L)
     for idx in terms.stacks:
         xs2_g = xs2[idx]  # (S, g, L)
-        omega = np.einsum("rsil,sil->rsl", w_ri[:, idx], x[idx])  # (2, S, L)
-        per_ap[:, idx] = xs2_g * omega[:, :, None]
+        omega = np.einsum("sil,sil->sl", w[idx], x[idx])  # (S, L)
+        per_ap[idx] = xs2_g * omega[:, None]
         percontam[idx] = np.einsum("skl,sl->sk", xs2_g * xs2_g, mux2[idx].sum(axis=1))
-        s += np.einsum("sl,rsl,rsl->l", terms.s3[idx[:, 0]], omega, omega)
+        s += np.einsum("sl,sl->l", terms.s3[idx[:, 0]], _abs2(omega))
         if coherent_tx:
-            a = np.einsum("skl,rsil->rski", xs2_g, sqx_ri[:, idx])
-            coherent[idx] = np.einsum("rski,rski->sk", a, a)
+            a = np.einsum("skl,sil->ski", xs2_g, sqx[idx])
+            coherent[idx] = _abs2(a).sum(axis=-1)
 
     # sum_il mu[i,l] tr(Q[i,l] R[k,l]), with tr(Q[i,l] R[k,l]) = beta[k,l] tr(Q[i,l] T)
     total = np.einsum("kl,l->k", terms.beta, np.sum(mu * terms.tr_QT, axis=0))
-    gain_unc = np.einsum("l,rkl,rkl->k", eta, per_ap, per_ap)
+    gain_unc = np.einsum("l,kl->k", eta, _abs2(per_ap))
     cross = np.einsum("kl,l->k", terms.beta, eta * s)
     if coherent_tx:
         xi = (total[None, :] + (1.0 - ea)[:, None] * percontam[None, :]
               + ea[:, None] * coherent[None, :])
-        t = np.einsum("rkl,kl->rk", sq_ri, terms.tr_Q)
-        sig_private = np.einsum("rk,rk->k", t, t)
+        sig_private = _abs2(np.einsum("kl,kl->k", sq, terms.tr_Q))
         # coherent |sum_l sqrt(eta_l) per_ap[k,l]|^2
-        t = np.einsum("rkl,l->rk", per_ap, np.sqrt(eta))
-        sig_common = np.einsum("rk,rk->k", t, t)
+        sig_common = _abs2(np.einsum("kl,l->k", per_ap, np.sqrt(eta)))
         gamma = ((1.0 - ea)[:, None] * gain_unc[None, :] + cross[None, :]
                  + (ea * (1.0 - eu))[:, None] * sig_common[None, :])
     else:
@@ -430,26 +428,36 @@ def plan_parts(
                      config.p_d, config.sigma2_dl, bool(np.isscalar(instants)))
 
 
-def assemble(parts: PlanParts, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """(private, common) SINRs at power split rho, elementwise work only.
+def _write_sinrs(parts: PlanParts, rho: float, out: np.ndarray, num: np.ndarray) -> None:
+    """Write the private and common SINRs at power split rho into out, with
+    num as work buffer, both (2, M, K); elementwise work only.
 
     With p_dp = (1 - rho) p_d and p_dc = rho p_d:
         private = eaeu p_dp s_p / (p_dp xi - eaeu p_dp s_p + sigma2)
         common  = eaeu p_dc s_c / (p_dc gamma + p_dp xi + sigma2),
-    exactly zero at rho == 0.  Each is (K,) for a scalar instant, else (K, M).
+    so the common SINR is zero at rho == 0.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
     p_dc = rho * parts.p_d
     p_dp = (1.0 - rho) * parts.p_d
-    sig = parts.eaeu * p_dp * parts.sig_private[None, :]
-    private = (sig / (p_dp * parts.xi - sig + parts.sigma2)).T
-    if p_dc == 0.0:
-        common = np.zeros(private.shape)
-    else:
-        num = parts.eaeu * p_dc * parts.sig_common[None, :]
-        den = p_dc * parts.gamma + p_dp * parts.xi + parts.sigma2
-        common = (num / den).T
+    (num_p, num_c), (den_p, den_c) = num, out
+    np.multiply(parts.eaeu * p_dp, parts.sig_private, out=num_p)
+    np.multiply(parts.eaeu * p_dc, parts.sig_common, out=num_c)
+    np.multiply(parts.xi, p_dp, out=den_p)
+    np.multiply(parts.gamma, p_dc, out=den_c)
+    den_c += den_p
+    den_p -= num_p
+    out += parts.sigma2
+    np.divide(num, out, out=out)
+
+
+def assemble(parts: PlanParts, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """(private, common) SINRs at power split rho: (K,) each for a scalar
+    instant, else (K, M) transposed views of one fresh (2, M, K) array."""
+    sinr = np.empty((2, len(parts.eaeu), len(parts.sig_private)))
+    _write_sinrs(parts, rho, sinr, np.empty_like(sinr))
+    private, common = sinr.transpose(0, 2, 1)
     if parts.scalar:
         return private[:, 0], common[:, 0]
     return private, common
@@ -476,7 +484,8 @@ def se_from_sinr(sinr: np.ndarray, tau_c: int) -> np.ndarray:
     the 1/tau_c prelog charges the pilot overhead.
     """
     sinr = np.asarray(sinr, dtype=float)
-    if np.any(sinr < 0):
+    # written as "not inside" so that nan fails too
+    if not np.all(sinr >= 0):
         raise ValueError("SINR values must be >= 0")
     return np.log2(1.0 + sinr).sum(axis=-1) / tau_c
 
@@ -523,43 +532,24 @@ def sum_se_curve(parts: PlanParts, tau_c: int):
     """The sum SE of a plan's coefficients (over all data instants) as a
     function of rho, for the rho search.
 
-    Each call evaluates ``assemble``'s expressions and ``se_report``'s sums
-    with the same operations on the same values, the private and common
-    streams stacked in (2, M, K) buffers allocated here once per plan, and
-    builds no report, so a call at rho equals
-    ``se_report(parts, rho, tau_c).sum_se`` exactly.  A negative SINR
-    raises ValueError, as in ``se_from_sinr``, and so does a nan one.
+    Each call writes the SINRs with ``assemble``'s function into (2, M, K)
+    buffers allocated here once per plan and sums them as ``se_from_sinr``
+    and ``sum_se`` do, building no report, so a call at rho equals
+    ``se_report(parts, rho, tau_c).sum_se`` exactly.  A negative or nan
+    SINR raises ValueError, as in ``se_from_sinr``.
     """
     if parts.scalar:
         raise ValueError("the sum SE curve needs a plan's parts over an array of instants")
-    M, K = parts.eaeu.shape[0], parts.sig_private.shape[0]
-    sig = np.stack((parts.sig_private, parts.sig_common))[:, None, :]  # (2, 1, K)
-    power, scale = np.empty((2, 1, 1)), np.empty((2, M, 1))
-    num, sinr = np.empty((2, M, K)), np.empty((2, M, K))
-    pxi = np.empty(parts.xi.shape)
+    sinr = np.empty((2, len(parts.eaeu), len(parts.sig_private)))
+    num = np.empty_like(sinr)
 
     def curve(rho: float) -> float:
-        if not 0.0 <= rho <= 1.0:
-            raise ValueError("rho must lie in [0, 1]")
-        p_dc = rho * parts.p_d
-        p_dp = (1.0 - rho) * parts.p_d
-        power[:, 0, 0] = p_dp, p_dc
-        np.multiply(parts.eaeu, power, out=scale)
-        np.multiply(scale, sig, out=num)
-        np.multiply(parts.xi, p_dp, out=pxi)
-        # private: p_dp xi - num + sigma2; common: p_dc gamma + p_dp xi + sigma2
-        np.subtract(pxi, num[0], out=sinr[0])
-        np.multiply(parts.gamma, p_dc, out=sinr[1])
-        np.add(sinr[1], pxi, out=sinr[1])
-        np.add(sinr, parts.sigma2, out=sinr)
-        np.divide(num, sinr, out=sinr)
+        _write_sinrs(parts, rho, sinr, num)
         if not sinr.min() >= 0:
             raise ValueError("SINR values must be >= 0")
         np.add(sinr, 1.0, out=sinr)
         np.log2(sinr, out=sinr)
         se = sinr.sum(axis=1) / tau_c  # (2, K)
-        # assemble's common SINR is exactly zero at rho == 0
-        se_common = float(se[1].min()) if p_dc != 0.0 else 0.0
-        return se_common + float(se[0].sum())
+        return float(se[1].min()) + float(se[0].sum())
 
     return curve

@@ -339,7 +339,7 @@ def test_criterion_7_power_constraint(desk, desk_batch):
         "du_mr/noncoherent/split": cf.make_plan(terms, "du_mr", "noncoherent", 0.5),
         "df_mr/noncoherent/no-split": cf.make_plan(terms, "df_mr", "noncoherent", 0.0),
         "du_mr/power-control": cf.make_plan(
-            terms, "du_mr", "coherent", 0.0, power_control_alpha=-1.0, net=net
+            terms, "du_mr", "coherent", 0.0, power_control_alpha=-1.0
         ),
         "du_mr/robust-common": cf.make_plan(
             terms, "du_mr", "coherent", 0.5, weights=robust.weights, unit_eta=True

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import json
@@ -388,6 +389,20 @@ def test_a_failed_network_draw_fails_every_job_that_needed_it(tmp_path, monkeypa
     assert {r["status"] for r in rows} == {"error:RuntimeError"}
     agg, _ = read_csv(out / "aggregate.csv")
     assert agg == []
+
+
+def test_both_csvs_list_jobs_in_spec_order(tmp_path):
+    # as text "10.0" sorts before "2.0", and df_mr before du_mr
+    spec = _two_by_two_spec({"parameter": "transmit_power", "values": [2.0, 10.0]})
+    out = cli.run_experiment(spec, out_dir=tmp_path / "out")
+    jobs = [(repr(value), scheme.private_scheme)
+            for value in spec.sweep_values for scheme in spec.schemes]
+    agg, _ = read_csv(out / "aggregate.csv")
+    assert [(r["sweep_value"], r["private_scheme"]) for r in agg] == jobs
+    rows, _ = read_csv(out / "results.csv")
+    assert [(r["sweep_value"], r["private_scheme"], r["repetition"], r["k"])
+            for r in rows] == [(*job, str(rep), str(k)) for job in jobs
+                               for rep in range(2) for k in range(spec.base.K)]
 
 
 def test_spec_roundtrip(tmp_path):
@@ -790,6 +805,43 @@ def test_sweep_csvs_do_not_depend_on_the_blas_kernel(workload, tmp_path):
                            for name in ("results.csv", "aggregate.csv")]
     assert outputs["Sandybridge"] == outputs[""]
     assert outputs["Prescott"] == outputs[""]
+
+
+MATRIX_PRODUCTS = {"matmul", "dot", "vdot", "inner", "tensordot"}
+
+
+def _matrix_products(source: str) -> list[str]:
+    """The lines of ``source`` that form a matrix product: ``@``, a call named
+    in MATRIX_PRODUCTS, or an ``einsum`` given ``optimize``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in MATRIX_PRODUCTS or (
+                    name == "einsum" and any(kw.arg == "optimize" for kw in node.keywords)):
+                found.append((node.lineno, name))
+    return [f"line {n}: {name}" for n, name in sorted(found)]
+
+
+def test_matrix_product_lint_flags_every_form():
+    source = "\n".join([
+        "a @ b", "a @= b", "np.matmul(a, b)", "a.dot(b)", "np.vdot(a, b)",
+        "inner(a, b)", "np.tensordot(a, b)", "np.einsum('ij,jk', a, b, optimize=True)",
+        "np.einsum('ij,jk', a, b)", "a * b",
+    ])
+    assert [line.split(": ")[0] for line in _matrix_products(source)] == [
+        f"line {n}" for n in range(1, 9)]
+
+
+@pytest.mark.parametrize("module", ["closed_form", "estimation"])
+def test_sweep_modules_form_no_matrix_product(module):
+    # the kernel test above catches a product only where this host's OpenBLAS
+    # kernels round it differently, so the sources are checked as well
+    source = (Path(cli.__file__).parent / f"{module}.py").read_text()
+    assert _matrix_products(source) == []
 
 
 def test_sweep_jobs_factor_no_matrix_but_the_template(monkeypatch):

@@ -88,24 +88,22 @@ def test_common_normalization_monte_carlo(desk, desk_batch):
 
 
 def test_power_control_uniform_when_betas_equal():
-    terms = tiny_terms(2.0)
-    net = cfrs.build_network(cfrs.SystemConfig(L=5, K=3, N=2, seed=2))
-    equal = dataclasses.replace(net, beta=np.full((3, 5), 1e-9))
-    stats_terms = dataclasses.replace(tiny_terms(), tr_Q=np.full((3, 5), 2.0))
-    mu = cf.power_control_coefficients(stats_terms, equal, alpha=-1.0)
+    stats_terms = dataclasses.replace(tiny_terms(), tr_Q=np.full((3, 5), 2.0),
+                                      beta=np.full((3, 5), 1e-9))
+    mu = cf.power_control_coefficients(stats_terms, alpha=-1.0)
     assert np.allclose(mu, mu[0:1, :])  # identical for every UE
     assert np.allclose(mu[0], 1.0 / (3 * 2.0))
 
 
 def test_power_control_alpha_zero_is_uniform(desk):
     cfg, net, _, _, _, terms = desk
-    mu = cf.power_control_coefficients(terms, net, alpha=0.0)
+    mu = cf.power_control_coefficients(terms, alpha=0.0)
     assert np.allclose(mu, mu[0:1, :])
 
 
 def test_power_control_unit_power_identity(desk):
     cfg, net, _, _, _, terms = desk
-    mu = cf.power_control_coefficients(terms, net, alpha=-1.0)
+    mu = cf.power_control_coefficients(terms, alpha=-1.0)
     assert np.allclose(np.einsum("kl,kl->l", mu, terms.tr_Q), 1.0, rtol=1e-12)
 
 
@@ -266,6 +264,18 @@ def test_sum_se_curve_checks_its_inputs(desk):
         cf.sum_se_curve(scalar, cfg.tau_c)
 
 
+def test_se_report_and_curve_both_reject_a_nan_sinr(desk):
+    cfg, _, _, phases, _, terms = desk
+    plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
+    parts = cf.plan_parts(terms, plan, phases, cfg, cfg.data_instants())
+    for name in ("sig_private", "sig_common", "xi", "gamma"):
+        bad = dataclasses.replace(parts, **{name: np.full_like(getattr(parts, name), np.nan)})
+        with pytest.raises(ValueError, match="SINR"):
+            cf.se_report(bad, 0.5, cfg.tau_c)
+        with pytest.raises(ValueError, match="SINR"):
+            cf.sum_se_curve(bad, cfg.tau_c)(0.5)
+
+
 def test_blocked_tr_qcr_matches_dense_einsum():
     # uneven co-pilot groups: K = 7 UEs on 3 pilots gives sizes 3, 2, 2
     rng = np.random.default_rng(8)
@@ -412,7 +422,7 @@ def test_copilot_blocks_match_dense_references_on_uneven_groups():
         for scheme in cf.PRIVATE_SCHEMES:
             for transmission in cf.TRANSMISSIONS:
                 plan = cf.make_plan(terms, scheme, transmission, 0.3, weights=weights,
-                                    power_control_alpha=-1.0, net=net)
+                                    power_control_alpha=-1.0)
                 parts = cf.plan_parts(terms, plan, phases, cfg, ns)
                 ref = dense_plan_parts(net, Q, Q_cross, plan, ea, eu)
                 for name, value in ref.items():

@@ -415,8 +415,8 @@ def test_mc_matches_closed_form_under_pilot_contamination():
 def test_mc_matches_closed_form_with_power_control(desk, desk_batch):
     cfg, net, pilots, phases, stats, terms = desk
     batch, instants = desk_batch
-    mu = cf.power_control_coefficients(terms, net, alpha=-1.0)
-    plan = cf.make_plan(terms, "du_mr", "coherent", 0.0, power_control_alpha=-1.0, net=net)
+    mu = cf.power_control_coefficients(terms, alpha=-1.0)
+    plan = cf.make_plan(terms, "du_mr", "coherent", 0.0, power_control_alpha=-1.0)
     res = cfrs.mc_sinr(batch, plan, instants[1])
     closed = cf.private_sinr(terms, plan, phases, cfg, instants[1])
     assert np.all(np.abs(res.private - closed) / closed < 0.03)
@@ -431,7 +431,7 @@ def test_per_ap_power_within_limit(desk, desk_batch):
         cf.make_plan(terms, "df_mr", "coherent", 0.9),
         cf.make_plan(terms, "du_mr", "noncoherent", 0.5),
         cf.make_plan(terms, "df_mr", "noncoherent", 0.0),
-        cf.make_plan(terms, "du_mr", "coherent", 0.3, power_control_alpha=-1.0, net=net),
+        cf.make_plan(terms, "du_mr", "coherent", 0.3, power_control_alpha=-1.0),
     ]
     for plan in plans:
         mean, se = cfrs.transmit_power_stats(batch, plan)
