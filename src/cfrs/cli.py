@@ -469,7 +469,8 @@ def run_scheme(
         plan = plan.replace_rho(rho)
         mid = cfg.mid_instant
         batch = montecarlo.sample_batch(
-            net, pilots, stats, phases, cfg, mc_realizations, cfg.seed, instants=[mid]
+            net, pilots, stats, phases, cfg, mc_realizations, cfg.seed, instants=[mid],
+            plans=[plan],
         )
         mc = montecarlo.mc_sinr(batch, plan, mid)
         i = mid - cfg.estimation_instant  # the report's columns start at lambda
@@ -750,9 +751,6 @@ def validate_families(
     net, pilots, stats, terms = build_topology(cfg, phases)
     lam = cfg.estimation_instant
     instants = sorted({lam, min(lam + 5, cfg.tau_c), cfg.tau_c})
-    batch = montecarlo.sample_batch(
-        net, pilots, stats, phases, cfg, count, cfg.seed, instants=instants
-    )
     # one plan and one set of coefficients per (transmission, scheme), shared
     # by its private and common rows
     plans = {}
@@ -762,6 +760,11 @@ def validate_families(
             sinrs = closed_form.assemble(
                 closed_form.plan_parts(terms, plan, phases, cfg, instants), plan.rho)
             plans[transmission, scheme] = plan, dict(zip(("private", "common"), sinrs))
+    # every plan is declared, so one streamed pass accumulates them all
+    batch = montecarlo.sample_batch(
+        net, pilots, stats, phases, cfg, count, cfg.seed, instants=instants,
+        plans=[plan for plan, _ in plans.values()],
+    )
     rows = []
     term_rows = []
     for stream, transmission, scheme in FAMILIES:

@@ -2,10 +2,8 @@
 
 Draws i.i.d. realizations of channels, Wiener oscillator trajectories, and
 pilot noise; runs the actual estimator, built from the caller's estimation
-statistics, on each pilot observation, and keeps only what the estimators
-read (no pilot signal, no pilot-instant phases); forms the per-realization
-MR precoders (DU or DF); and empirically estimates the hardening-bound
-terms
+statistics, on each pilot observation; forms the per-realization MR
+precoders (DU or DF); and empirically estimates the hardening-bound terms
 
     DS[k,l]  = E{ g[k,l,n]^H sqrt(mu) v[k,l] }          (desired signal)
     INT[k,i] = E{ |sum_l g^H sqrt(mu) v[i,l]|^2 }       (coherent)
@@ -31,40 +29,44 @@ pilot noise stays white, and the MMSE filters are elementwise.  The
 hardening-bound terms are inner products over the antennas, which the
 common unitary change of basis leaves unchanged.
 
-A batch keeps its realizations on the last axis, the layout the
-accumulation contracts, and carries the network and config it was drawn
-from, which the estimators read.  The work is split by how often it runs.
-Once per batch, ``sample_batch`` draws, scales the channels and runs the
-elementwise estimation filters, and turns every kept phase into its
-unit-modulus factor exp(-i phase) with one cos/sin evaluation; each RNG
-chunk is drawn on a worker thread and written into its own slice of the
-batch.  Once per ``mc_sinr`` or ``transmit_power_stats`` call, the
-estimators form the plan's precoders and terms slice by slice, with
-(K, K, L, r) work arrays
-of about ``_WORK_ELEMENTS`` entries that fit in cache and slices that
-never straddle a jackknife group, and read the stored factors with no
-trigonometry; each jackknife group is summed on a worker thread.  Both
-run on ``_map``, at most one thread per CPU available to the process;
-numpy's RNG fills and ufunc loops release the GIL, so the threads run in
-parallel.
+Nothing with a realization axis outlives the RNG chunk it was drawn in.
+A batch (``RealizationBatch``) records how to draw its realizations (the
+network, pilots, estimation statistics, phase statistics, config, count,
+seed and instants) and, for every plan declared to ``sample_batch``, that
+plan's per-group sums of every term.  One streamed pass (``_stream``) runs
+draw -> precode -> accumulate inside each RNG chunk: the chunk is drawn,
+the estimation filters run elementwise, and every kept phase becomes its
+unit-modulus factor exp(-i phase) with one cos/sin evaluation; then the
+chunk, cut at the jackknife group edges and into slices of (K, K, L, r)
+work arrays of about ``_WORK_ELEMENTS`` entries that fit in cache, forms
+each private scheme's precoders and link-precoder products once per slice
+and adds every plan's terms and per-AP transmit powers into the chunk's
+own per-group partial sums.  Chunks run on ``_map``'s worker threads, at
+most one per CPU available to the process; numpy's RNG fills and ufunc
+loops release the GIL, so the threads run in parallel.  ``mc_sinr`` and
+``transmit_power_stats`` read a declared plan's sums; for any other plan
+they run one streamed pass of their own over the same draws.
 
 Reproducibility: realizations are generated in fixed-size chunks, chunk i
 seeded by SeedSequence(seed, spawn_key=(i,)) feeding a counter-based
-Philox generator, so a batch is bitwise reproducible and independent of
-how the chunks are scheduled over the threads.  The slice plan does not
-depend on the worker count either, and each group's worker adds its slices
-in order into that group's row of the sums, so every output is bitwise the
-same at any worker count.  Standard errors come from a delete-one
-block jackknife over ``JACKKNIFE_GROUPS`` contiguous realization blocks (95%
-intervals: Student t quantile); one helper gives the delete-one-block
-means, so one accumulation yields both the term estimates (``MCSinr.terms``)
-and the bias-corrected SINRs with their standard errors.
+Philox generator, so a pass redraws the same realizations however often
+it runs and however the chunks are scheduled over the threads.  The slice
+plan does not depend on the worker count either, and the caller's thread
+folds each chunk's partial sums into the group rows in chunk order, so
+every output is bitwise the same at any worker count, and a declared plan
+gives the same bits as the same plan passed undeclared.  No step forms a
+matrix product, whose summation order would depend on the BLAS kernel.
+Standard errors come from a delete-one block jackknife over
+``JACKKNIFE_GROUPS`` contiguous realization blocks (95% intervals: Student
+t quantile); one helper gives the delete-one-block means, so one set of
+sums yields both the term estimates (``MCSinr.terms``) and the
+bias-corrected SINRs with their standard errors.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,44 +85,61 @@ MIN_REALIZATIONS = 100  # fewest realizations for meaningful standard errors
 JACKKNIFE_GROUPS = 10  # delete-one groups of every jackknife
 _T95 = 2.2621571627982  # two-sided 95% t quantile, JACKKNIFE_GROUPS - 1 = 9 dof
 # (K, K, L, r) work-array elements per accumulated slice.  Each worker holds
-# one slice at a time, so two workers together stay within the 2**17 that one
-# held before the groups were summed in parallel; the plan does not depend on
-# the worker count, which keeps every sum's order fixed.
+# one slice's work arrays at a time, beside its chunk's draws; the slice plan
+# does not depend on the worker count, which keeps every sum's order fixed.
 _WORK_ELEMENTS = 2**16
 # CPUs this process may run on: the most workers ``_map`` starts
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+@dataclass
+class _BlockSums:
+    """One plan's per-group sums of every term at M instants, and of its
+    per-AP transmit power; B rows, one per jackknife group."""
+
+    counts: np.ndarray       # (B,) realizations per jackknife group
+    ds_p: np.ndarray         # (B, M, K, L) complex
+    int_p: np.ndarray        # (B, M, K, K) coherent or per-AP-summed
+    ds_c: np.ndarray         # (B, M, K, L) complex
+    int_c: np.ndarray        # (B, M, K)
+    power: np.ndarray        # (B, L) transmit power, both streams
+    coherent: bool
+
+    @classmethod
+    def zeros(cls, B: int, M: int, K: int, L: int, coherent: bool) -> _BlockSums:
+        return cls(counts=np.zeros(B, dtype=int),
+                   ds_p=np.zeros((B, M, K, L), dtype=complex), int_p=np.zeros((B, M, K, K)),
+                   ds_c=np.zeros((B, M, K, L), dtype=complex), int_c=np.zeros((B, M, K)),
+                   power=np.zeros((B, L)), coherent=coherent)
+
+    def rows(self) -> tuple[np.ndarray, ...]:
+        """The summed arrays, each with the group on its first axis."""
+        return self.ds_p, self.int_p, self.ds_c, self.int_c, self.power
+
+
 @dataclass(frozen=True)
 class RealizationBatch:
-    """One reproducible batch of channel and oscillator-phase realizations,
-    with the network and config it was drawn from.
+    """One reproducible batch of channel and oscillator-phase realizations:
+    how to draw them, and the sums of every plan declared when it was drawn.
 
-    h (K, L, N, count): base channels at the estimation instant, in the
-        eigenbasis of the network's correlation template.
-    hhat (K, L, N, count): MMSE estimates from the simulated pilots, in the
-        same basis.
-    ue_factor (K, M, count) / ap_factor (L, M, count): the unit-modulus
-        phase factors exp(-i phase) of the UE and AP oscillators at the
-        instants listed in ``instants``: the estimation instant and every
-        requested evaluation instant.  They are formed once, when the batch
-        is drawn, so no accumulation evaluates a trigonometric function.  The
-        pilot signal and the phases at the pilot instants are drawn (see
-        ``_chunk_draw``) but not kept.
+    It holds no array with a realization axis.  ``count`` realizations are
+    drawn from ``seed`` with the network, pilots, estimation statistics,
+    phase statistics and config given here; ``instants`` lists the
+    estimation instant and every requested evaluation instant, at which the
+    phases enter the terms.  ``declared`` pairs each plan declared to
+    ``sample_batch`` with its per-group sums at every one of ``instants``;
+    ``mc_sinr`` and ``transmit_power_stats`` find a plan there by identity.
     """
 
     count: int
     instants: tuple[int, ...]
-    h: np.ndarray
-    hhat: np.ndarray
-    ue_factor: np.ndarray
-    ap_factor: np.ndarray
     net: NetworkModel
     config: SystemConfig
-
-    def __post_init__(self):
-        for arr in (self.h, self.hhat, self.ue_factor, self.ap_factor):
-            arr.setflags(write=False)
+    pilots: PilotAssignment
+    stats: EstimationStatistics
+    phases: PhaseStatistics
+    seed: int
+    declared: tuple[tuple[PrecodingPlan, _BlockSums], ...] = ()
 
     def instant_index(self, n: int) -> int:
         try:
@@ -129,26 +148,42 @@ class RealizationBatch:
             raise ValueError(f"instant {n} is not among the batch's instants") from None
 
 
-def _map(fn, items) -> list:
-    """[fn(item) for item in items], on min(len(items), ``_CPUS``) threads.
+def _map(fn, items, fold) -> None:
+    """fold(fn(item)) for every item, in item order: ``fn`` on
+    min(len(items), ``_CPUS``) threads, ``fold`` on the caller's thread.
 
     numpy's RNG fills and ufunc loops release the GIL, so the threads run in
-    parallel.  Results come back in item order.  A call that raises cancels
-    the items not yet started, and its exception reaches the caller once
-    every started call has ended; no thread outlives the call.  With one
-    worker the items run inline.  ``fn`` must call nothing that
+    parallel.  At most two items per worker are in flight (running, or done
+    and waiting to be folded), so the memory their results hold does not
+    grow with the number of items.  A call that
+    raises cancels the items not yet started, and its exception reaches the
+    caller once every started call has ended; no thread outlives the call.
+    With one worker the items run inline.  ``fn`` must call nothing that
     ``perfbench/spans.py`` wraps (``sample_batch``, ``mc_sinr``, ...): its
     spans assume that the calls of one thread never overlap.
     """
     items = list(items)
     workers = min(len(items), _CPUS)
     if workers <= 1:
-        return [fn(item) for item in items]
+        for item in items:
+            fold(fn(item))
+        return
     # imported on first use, not with the package: every CLI start-up would pay for it
+    from collections import deque
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        pending = deque()
+        try:
+            for item in items:
+                if len(pending) == 2 * workers:
+                    fold(pending.popleft().result())
+                pending.append(pool.submit(fn, item))
+            while pending:
+                fold(pending.popleft().result())
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -250,39 +285,33 @@ def sample_batch(
     count: int,
     seed: int,
     instants=(),
+    plans=(),
 ) -> RealizationBatch:
-    """Draw ``count`` realizations and keep what the estimators read.
+    """A batch of ``count`` realizations, with every plan of ``plans``
+    accumulated in one streamed pass.
 
     ``instants`` lists the data instants at which SINRs will later be
-    evaluated; the phase factors there and at the estimation instant are
-    kept.  The estimates use the filters of ``stats``.  Identical (seed,
-    inputs) give identical batches, whatever the worker count: the chunks
-    are drawn on ``_map``'s workers, each into its own slice of the batch.
+    evaluated; the terms are summed there and at the estimation instant.
+    The estimates use the filters of ``stats``.  Each declared plan's sums
+    are kept on the batch; no realization is.  Identical (seed, inputs)
+    give identical draws and sums, whatever the worker count.  With no
+    plans nothing is drawn here: each ``mc_sinr`` or
+    ``transmit_power_stats`` call then runs its own pass.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     instants = check_instants(config, instants)
     kept = sorted({config.estimation_instant} | {int(n) for n in instants})
-    columns = [_phase_instants(pilots, config, instants).index(n) for n in kept]
-
-    h = np.empty((net.K, net.L, net.N, count), dtype=complex)
-    hhat = np.empty_like(h)
-    ue_factor = np.empty((net.K, len(kept), count), dtype=complex)
-    ap_factor = np.empty((net.L, len(kept), count), dtype=complex)
-    draw = _chunk_draw(net, pilots, stats, phases, config, count, seed, instants)
-
-    def fill(chunk: int) -> None:
-        h_c, hhat_c, ue_c, ap_c, _ = draw(chunk)
-        sl = slice(chunk * RNG_CHUNK, chunk * RNG_CHUNK + len(h_c))
-        h[..., sl] = np.moveaxis(h_c, 0, -1)
-        hhat[..., sl] = np.moveaxis(hhat_c, 0, -1)
-        ue_factor[..., sl] = np.moveaxis(_phasor(-ue_c[:, :, columns]), 0, -1)
-        ap_factor[..., sl] = np.moveaxis(_phasor(-ap_c[:, :, columns]), 0, -1)
-
-    _map(fill, range(-(-count // RNG_CHUNK)))
-    return RealizationBatch(count=count, instants=tuple(kept), h=h, hhat=hhat,
-                            ue_factor=ue_factor, ap_factor=ap_factor,
-                            net=net, config=config)
+    batch = RealizationBatch(count=count, instants=tuple(kept), net=net, config=config,
+                             pilots=pilots, stats=stats, phases=phases, seed=seed)
+    plans = list(plans)
+    if not plans:
+        return batch
+    sums = _stream(batch, plans, kept)
+    for s in sums:
+        for arr in s.rows():
+            arr.setflags(write=False)
+    return replace(batch, declared=tuple(zip(plans, sums)))
 
 
 # ---------------------------------------------------------------------------
@@ -300,52 +329,35 @@ def private_precoders(hhat: np.ndarray, net: NetworkModel, scheme: str) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# term accumulation
+# the streamed pass
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _BlockSums:
-    counts: np.ndarray       # (B,) realizations per jackknife group
-    ds_p: np.ndarray         # (B, M, K, L) complex
-    int_p: np.ndarray        # (B, M, K, K) coherent or per-AP-summed
-    ds_c: np.ndarray         # (B, M, K, L) complex
-    int_c: np.ndarray        # (B, M, K)
-    coherent: bool
+def _chunk_slices(count: int, K: int, L: int) -> tuple[np.ndarray, list[list[tuple[int, slice]]]]:
+    """Realization counts of the ``JACKKNIFE_GROUPS`` contiguous groups, and
+    per RNG chunk the (group, slice) pairs that cover it, in order, with
+    slices indexing the chunk's own realizations.
 
-
-def _batch_blocks(batch: RealizationBatch) -> tuple[np.ndarray, list[tuple[int, slice]]]:
-    """Realization counts of the batch's ``JACKKNIFE_GROUPS`` contiguous
-    groups, and the (group, slice) pairs that cover them.  Each group is cut
-    into slices of at most ``cap`` realizations (the last one may be
-    shorter), so no slice straddles two groups; a slice of at least 64
-    realizations bounds the (K, K, L, r) work arrays to about
-    ``_WORK_ELEMENTS`` entries, a size that stays in cache.
+    Each chunk is cut at the group edges, and each piece into slices of at
+    most ``cap`` realizations (the last one may be shorter), so no slice
+    straddles two groups or two chunks; a slice of at least 64 realizations
+    bounds the (K, K, L, r) work arrays to about ``_WORK_ELEMENTS`` entries,
+    a size that stays in cache.
     """
-    if batch.count < MIN_REALIZATIONS:
+    if count < MIN_REALIZATIONS:
         raise ValueError(
             f"need at least {MIN_REALIZATIONS} realizations for meaningful errors")
-    K, L = batch.net.K, batch.net.L
     cap = max(64, _WORK_ELEMENTS // (K * K * L))
-    edges = np.linspace(0, batch.count, JACKKNIFE_GROUPS + 1).astype(int)
-    slices = [(b, slice(s, min(s + cap, end)))
-              for b, (start, end) in enumerate(zip(edges[:-1], edges[1:]))
-              for s in range(start, end, cap)]
-    return np.diff(edges), slices
-
-
-def _each_group(slices: list[tuple[int, slice]], add) -> None:
-    """add(b, sl) for every (group, slice) pair of ``_batch_blocks``: one
-    group per ``_map`` worker, its slices in order.  ``add`` writes only row
-    b of its sums, so the workers write disjoint rows and every sum adds its
-    terms in the same order at any worker count.
-    """
-    groups = [[sl for g, sl in slices if g == b] for b in range(JACKKNIFE_GROUPS)]
-
-    def run(b: int) -> None:
-        for sl in groups[b]:
-            add(b, sl)
-
-    _map(run, range(len(groups)))
+    edges = np.linspace(0, count, JACKKNIFE_GROUPS + 1).astype(int)
+    chunks = []
+    for start in range(0, count, RNG_CHUNK):
+        stop = min(start + RNG_CHUNK, count)
+        pieces = []
+        for b in range(JACKKNIFE_GROUPS):
+            lo, hi = max(start, edges[b]), min(stop, edges[b + 1])
+            pieces += [(b, slice(s - start, min(s + cap, hi) - start))
+                       for s in range(lo, hi, cap)]
+        chunks.append(pieces)
+    return np.diff(edges), chunks
 
 
 def _sum(terms) -> np.ndarray:
@@ -367,8 +379,76 @@ def _sumsq(a: np.ndarray) -> np.ndarray:
     return np.square(a.view(float)).sum(axis=-1)
 
 
-def _accumulate(batch: RealizationBatch, plan: PrecodingPlan, eval_instants) -> _BlockSums:
-    """Per-group sums of every term at the instants; the estimators' entry.
+def _stream(batch: RealizationBatch, plans, instants) -> list[_BlockSums]:
+    """Per-group sums of every term of every plan at the instants, and of
+    its per-AP transmit power, from one pass over the batch's draws.
+
+    Each RNG chunk runs on a worker of ``_map``: it draws its realizations,
+    turns the phases at the instants into their factors, and cuts itself
+    into the slices of ``_chunk_slices``.  Per slice, each private scheme of
+    the plans forms its precoders v and, when terms are asked for, the
+    link-precoder products P (see ``_accumulate``) once, and every plan of
+    that scheme adds its terms and powers into the chunk's partial sums,
+    one row per group the chunk touches.  The caller's thread folds the
+    partials into the group rows in chunk order.
+    """
+    net, config = batch.net, batch.config
+    K, L, N = net.K, net.L, net.N
+    for plan in plans:
+        check_plan_shapes(plan, K, L)
+    counts, chunks = _chunk_slices(batch.count, K, L)
+    drawn = _phase_instants(batch.pilots, config, batch.instants)
+    columns = [drawn.index(int(n)) for n in instants]
+    draw = _chunk_draw(net, batch.pilots, batch.stats, batch.phases, config, batch.count,
+                       batch.seed, batch.instants)
+    schemes = sorted({plan.private_scheme for plan in plans})
+    conj_theta = np.conj(net.theta)[:, :, None, None]
+
+    def zeros(rows: int) -> list[_BlockSums]:
+        return [_BlockSums.zeros(rows, len(columns), K, L, plan.transmission == "coherent")
+                for plan in plans]
+
+    def run(chunk: int) -> tuple[int, list[_BlockSums]]:
+        h_c, hhat_c, ue_c, ap_c, _ = draw(chunk)
+        h, hhat = np.moveaxis(h_c, 0, -1), np.moveaxis(hhat_c, 0, -1)  # (K, L, N, c)
+        x = np.ascontiguousarray(np.moveaxis(_phasor(-ue_c[:, :, columns]), 0, -1))  # (K, M, c)
+        y = np.ascontiguousarray(np.moveaxis(_phasor(-ap_c[:, :, columns]), 0, -1))  # (L, M, c)
+        slices = chunks[chunk]
+        first = slices[0][0]
+        partial = zeros(slices[-1][0] - first + 1)
+        for b, sl in slices:
+            gh = conj_theta * np.conj(h[..., sl]) if columns else None
+            precoded = {}
+            for scheme in schemes:
+                v = private_precoders(hhat[..., sl], net, scheme)
+                # explicit sum over antennas: a batched matmul of the tiny
+                # per-realization matrices is several times slower
+                P = (None if gh is None else
+                     _sum(gh[:, None, :, n] * v[None, :, :, n] for n in range(N)))  # (K, K, L, r)
+                precoded[scheme] = v, P
+            for plan, sums in zip(plans, partial):
+                _accumulate(sums, b - first, plan, config, *precoded[plan.private_scheme],
+                            x[..., sl], y[..., sl])
+        return first, partial
+
+    totals = zeros(JACKKNIFE_GROUPS)
+    for sums in totals:
+        sums.counts[:] = counts
+
+    def fold(result: tuple[int, list[_BlockSums]]) -> None:
+        first, partial = result
+        for total, part in zip(totals, partial):
+            for row, add in zip(total.rows(), part.rows()):
+                row[first:first + len(add)] += add
+
+    _map(run, range(len(chunks)), fold)
+    return totals
+
+
+def _accumulate(sums: _BlockSums, b: int, plan: PrecodingPlan, config: SystemConfig,
+                v: np.ndarray, P: np.ndarray | None, x: np.ndarray, y: np.ndarray) -> None:
+    """Add one slice's terms at the instants, and its per-AP transmit power,
+    into row b of ``sums``.
 
     The effective channel is g[k,l] = theta[k,l] exp(i(ue[k] + ap[l])) h[k,l],
     so each link-precoder product factors as
@@ -376,71 +456,47 @@ def _accumulate(batch: RealizationBatch, plan: PrecodingPlan, eval_instants) -> 
         conj(g[k,l]) v[i,l] = x[k] y[l] P[k,i,l],
         P[k,i,l] = sum_n conj(theta[k,l] h[k,l,n]) v[i,l,n],
 
-    with the unit-modulus phase factors x = exp(-i ue) (per UE) and
-    y = exp(-i ap) (per AP), which the batch stores.  Per call, P is formed
-    once per slice, together with the plan's private precoders, and each
-    instant only reads its own x and y.  |x| = 1 drops the per-UE factor from
-    every interference term, and the non-coherent interference (|P|^2 summed
-    over APs) has no phase at all, so it is the same at every instant and is
-    summed once per slice.  The sums over antennas, UEs and APs are explicit
-    loops over the short axes, and sum |.|^2 over realizations is a real dot
-    product.
-
-    Each jackknife group is summed on one worker of ``_map`` (see
-    ``_each_group``), which adds the group's slices in order and writes only
-    the group's row of the sums.
+    with the unit-modulus phase factors x = exp(-i ue) (K, M, r) per UE and
+    y = exp(-i ap) (L, M, r) per AP.  P and the private precoders v are
+    formed once per slice and scheme by ``_stream`` (P is None when no
+    instant is asked for), and each instant only reads its own x and y.
+    |x| = 1 drops the per-UE factor from every interference term, and the
+    non-coherent interference (|P|^2 summed over APs) has no phase at all,
+    so it is the same at every instant and is summed once per slice.  The
+    sums over antennas, UEs, APs and realizations are elementwise products
+    and ``sum``, never a matrix product.
     """
-    check_plan_shapes(plan, batch.net.K, batch.net.L)
-    net = batch.net
-    counts, slices = _batch_blocks(batch)
-    K, L = net.K, net.L
-    columns = [batch.instant_index(int(n)) for n in eval_instants]
-    M = len(columns)
-    coherent = plan.transmission == "coherent"
+    K, L = v.shape[:2]
+    coherent = sums.coherent
     sq_mu = np.sqrt(plan.mu)
     sq_eta = np.sqrt(plan.eta)
-    B = len(counts)
-
-    sums = _BlockSums(
-        counts=counts,
-        ds_p=np.zeros((B, M, K, L), dtype=complex),
-        int_p=np.zeros((B, M, K, K)),
-        ds_c=np.zeros((B, M, K, L), dtype=complex),
-        int_c=np.zeros((B, M, K)),
-        coherent=coherent,
-    )
-
-    conj_theta = np.conj(net.theta)[:, :, None, None]
-
-    def add(b: int, sl: slice) -> None:
-        v = private_precoders(batch.hhat[..., sl], net, plan.private_scheme)
-        gh = conj_theta * np.conj(batch.h[..., sl])
-        # explicit sum over antennas: a batched matmul of the tiny per-realization
-        # matrices is several times slower
-        P = _sum(gh[:, None, :, n] * v[None, :, :, n] for n in range(net.N))  # (K, K, L, r)
-        diag = np.moveaxis(np.diagonal(P), -1, 0)  # (K, L, r) view of P[k, k]
+    sums.power[b] += (1.0 - plan.rho) * config.p_d * np.sum(
+        plan.mu * _sumsq(v).sum(axis=-1), axis=0)
+    if plan.rho > 0:
+        v_c = _sum(plan.weights[i, :, None, None] * v[i] for i in range(K))  # (L, N, r)
+        sums.power[b] += plan.rho * config.p_d * plan.eta * _sumsq(v_c).sum(axis=-1)
+    if P is None:
+        return
+    diag = np.moveaxis(np.diagonal(P), -1, 0)  # (K, L, r) view of P[k, k]
+    if not coherent:
+        sums.int_p[b] += np.sum(plan.mu * _sumsq(P), axis=-1)
+    if plan.rho > 0:
+        E = _sum(plan.weights[i, :, None] * P[:, i] for i in range(K))  # (K, L, r)
         if not coherent:
-            sums.int_p[b] += np.sum(plan.mu * _sumsq(P), axis=-1)
+            sums.int_c[b] += np.sum(_sumsq(E) * plan.eta, axis=-1)
+    for m in range(x.shape[1]):
+        xm = x[:, m, None]  # (K, 1, r)
+        ym = y[:, m]  # (L, r)
+        sums.ds_p[b, m] += sq_mu * np.sum(ym * diag * xm, axis=-1)
+        if coherent:
+            w = sq_mu[:, :, None] * ym  # (K, L, r)
+            c = _sum(P[:, :, l] * w[:, l] for l in range(L))  # (K, K, r)
+            sums.int_p[b, m] += _sumsq(c)
         if plan.rho > 0:
-            E = _sum(plan.weights[i, :, None] * P[:, i] for i in range(K))  # (K, L, r)
-            if not coherent:
-                sums.int_c[b] += _sumsq(E) @ plan.eta
-        for m, col in enumerate(columns):
-            x = batch.ue_factor[:, col, sl, None]  # (K, r, 1)
-            y = batch.ap_factor[:, col, sl]  # (L, r)
-            sums.ds_p[b, m] += sq_mu * np.matmul(y * diag, x)[..., 0]
+            sums.ds_c[b, m] += sq_eta * np.sum(ym * E * xm, axis=-1)
             if coherent:
-                w = sq_mu[:, :, None] * y  # (K, L, r)
-                c = _sum(P[:, :, l] * w[:, l] for l in range(L))  # (K, K, r)
-                sums.int_p[b, m] += _sumsq(c)
-            if plan.rho > 0:
-                sums.ds_c[b, m] += sq_eta * np.matmul(y * E, x)[..., 0]
-                if coherent:
-                    ec = _sum(E[:, l] * (sq_eta[l] * y[l]) for l in range(L))  # (K, r)
-                    sums.int_c[b, m] += _sumsq(ec)
-
-    _each_group(slices, add)
-    return sums
+                ec = _sum(E[:, l] * (sq_eta[l] * ym[l]) for l in range(L))  # (K, r)
+                sums.int_c[b, m] += _sumsq(ec)
 
 
 def _sinr(means, coherent: bool, plan, config):
@@ -545,38 +601,39 @@ class MCSinr:
                          self.common + _T95 * self.common_stderr], axis=1)
 
 
+def _plan_sums(batch: RealizationBatch, plan: PrecodingPlan, instants) -> tuple[_BlockSums, list[int]]:
+    """The plan's sums and the row of each instant in them: a declared plan's
+    (matched by identity), or else those of one streamed pass of its own
+    over the same draws, at the instants only."""
+    rows = [batch.instant_index(int(n)) for n in instants]
+    for declared, sums in batch.declared:
+        if declared is plan:
+            return sums, rows
+    return _stream(batch, [plan], instants)[0], list(range(len(rows)))
+
+
 def mc_sinr(batch: RealizationBatch, plan: PrecodingPlan, n) -> MCSinr | list[MCSinr]:
     """Use-and-then-forget SINRs at instant(s) n from one batch.
 
     Coherent plans use the joint-transmission assembly; non-coherent plans
     sum per-AP desired/interference contributions, matching successive
     per-AP decoding in AP-index order (the rate is order-invariant).  Each
-    result also carries the term means behind it in ``terms``.
+    result also carries the term means behind it in ``terms``.  A plan
+    declared to ``sample_batch`` is read off its sums, so the call is the
+    jackknife only; any other plan costs one streamed pass, with the same
+    bits as if it had been declared.
     """
     instants = [int(x) for x in np.atleast_1d(n)]
-    sums = _accumulate(batch, plan, instants)
+    sums, rows = _plan_sums(batch, plan, instants)
     out = [MCSinr(inst, *_jackknife(sums, plan, batch.config, m), count=batch.count)
-           for m, inst in enumerate(instants)]
+           for inst, m in zip(instants, rows)]
     return out[0] if np.isscalar(n) else out
 
 
 def transmit_power_stats(
     batch: RealizationBatch, plan: PrecodingPlan
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-AP mean transmit power and its standard error over the batch."""
-    check_plan_shapes(plan, batch.net.K, batch.net.L)
-    net, config = batch.net, batch.config
-    counts, slices = _batch_blocks(batch)
-    p_dc = plan.rho * config.p_d
-    p_dp = (1.0 - plan.rho) * config.p_d
-    power = np.zeros((len(counts), net.L))
-
-    def add(b: int, sl: slice) -> None:
-        vb = private_precoders(batch.hhat[..., sl], net, plan.private_scheme)
-        power[b] += p_dp * np.sum(plan.mu * _sumsq(vb).sum(axis=-1), axis=0)
-        if plan.rho > 0:
-            v_c = _sum(plan.weights[i, :, None, None] * vb[i] for i in range(net.K))
-            power[b] += p_dc * plan.eta * _sumsq(v_c).sum(axis=-1)
-
-    _each_group(slices, add)
-    return _mean_and_stderr(power, counts)
+    """Per-AP mean transmit power and its standard error over the batch,
+    from a declared plan's sums or one streamed pass that forms no terms."""
+    sums, _ = _plan_sums(batch, plan, ())
+    return _mean_and_stderr(sums.power, sums.counts)

@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 import cfrs
+from cfrs import montecarlo as mc
 from cfrs.estimation import decay_factors
 
 
@@ -26,6 +29,29 @@ def desk_batch(desk):
     instants = [lam, lam + 5, cfg.tau_c]
     batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 100_000, seed=7, instants=instants)
     return batch, instants
+
+
+@pytest.fixture(scope="session")
+def desk_arrays(desk_batch):
+    """The realizations ``desk_batch`` is drawn from (see ``batch_arrays``)."""
+    return batch_arrays(desk_batch[0])
+
+
+def batch_arrays(batch):
+    """The realizations a batch's passes draw, chunk by chunk concatenated,
+    with the realizations last: channels h and estimates hhat (K, L, N,
+    count) in T's eigenbasis, and the phase factors exp(-i phase)
+    ``ue_factor`` (K, M, count) and ``ap_factor`` (L, M, count) at the
+    batch's instants, as the streamed pass forms them."""
+    draw = mc._chunk_draw(batch.net, batch.pilots, batch.stats, batch.phases, batch.config,
+                          batch.count, batch.seed, batch.instants)
+    chunks = [draw(chunk) for chunk in range(-(-batch.count // mc.RNG_CHUNK))]
+    h, hhat, ue, ap = (np.moveaxis(np.concatenate([c[i] for c in chunks]), 0, -1)
+                       for i in range(4))
+    drawn = mc._phase_instants(batch.pilots, batch.config, batch.instants)
+    columns = [drawn.index(n) for n in batch.instants]
+    return SimpleNamespace(h=h, hhat=hhat, ue_factor=mc._phasor(-ue[:, columns]),
+                           ap_factor=mc._phasor(-ap[:, columns]))
 
 
 def random_instance(rng, L=None, K=None, N=None, tau_p=None, correlation=None):

@@ -807,6 +807,24 @@ def test_sweep_csvs_do_not_depend_on_the_blas_kernel(workload, tmp_path):
     assert outputs["Prescott"] == outputs[""]
 
 
+def test_validate_csv_does_not_depend_on_the_blas_kernel(tmp_path):
+    # the Monte Carlo oracle forms no matrix product either
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = {}
+    for kernel in ("", "Sandybridge", "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        if kernel:
+            env["OPENBLAS_CORETYPE"] = kernel
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"{kernel or 'default'}.csv"
+        subprocess.run([sys.executable, "-m", "cfrs.cli", "validate", "--mc", "2000",
+                        "--out", str(out)], env=env, check=True, timeout=120,
+                       capture_output=True)
+        outputs[kernel] = out.read_bytes()
+    assert outputs["Sandybridge"] == outputs[""]
+    assert outputs["Prescott"] == outputs[""]
+
+
 MATRIX_PRODUCTS = {"matmul", "dot", "vdot", "inner", "tensordot"}
 
 
@@ -836,7 +854,7 @@ def test_matrix_product_lint_flags_every_form():
         f"line {n}" for n in range(1, 9)]
 
 
-@pytest.mark.parametrize("module", ["closed_form", "estimation"])
+@pytest.mark.parametrize("module", ["closed_form", "estimation", "montecarlo"])
 def test_sweep_modules_form_no_matrix_product(module):
     # the kernel test above catches a product only where this host's OpenBLAS
     # kernels round it differently, so the sources are checked as well

@@ -48,11 +48,10 @@ def test_private_normalization_homogeneity():
     assert scaled == pytest.approx(base / 3.0)
 
 
-def test_private_normalization_monte_carlo(desk, desk_batch):
+def test_private_normalization_monte_carlo(desk, desk_arrays):
     cfg, net, _, _, _, terms = desk
-    batch, _ = desk_batch
     mu = cf.private_normalization(terms)
-    v = net.theta[:, :, None, None] * batch.hhat
+    v = net.theta[:, :, None, None] * desk_arrays.hhat
     total = np.mean(np.sum(np.abs(v) ** 2, axis=(0, 2)), axis=-1)  # (L,)
     assert np.allclose(mu * total, 1.0, rtol=0.01)
 
@@ -76,12 +75,11 @@ def test_common_normalization_orthogonal_equals_private(desk):
     assert np.allclose(eta, cf.private_normalization(terms), rtol=1e-12)
 
 
-def test_common_normalization_monte_carlo(desk, desk_batch):
+def test_common_normalization_monte_carlo(desk, desk_arrays):
     cfg, net, _, _, _, terms = desk
-    batch, _ = desk_batch
     a = np.full((cfg.K, cfg.L), 1.0)
     eta = cf.common_normalization(terms, a)
-    v = net.theta[:, :, None, None] * batch.hhat
+    v = net.theta[:, :, None, None] * desk_arrays.hhat
     v_c = np.einsum("il,ilnr->lnr", a, v)
     total = np.mean(np.sum(np.abs(v_c) ** 2, axis=1), axis=-1)
     assert np.allclose(eta * total, 1.0, rtol=0.01)

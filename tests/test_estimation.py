@@ -242,7 +242,7 @@ def test_rejects_non_hermitian_correlation():
 # estimate realizations
 # ---------------------------------------------------------------------------
 
-def test_batch_estimates_match_single_realization_path(desk, desk_batch):
+def test_batch_estimates_match_single_realization_path(desk, desk_batch, desk_arrays):
     cfg, net, pilots, phases, stats, _ = desk
     batch, instants = desk_batch
     group_of = {k: g for g, grp in enumerate(pilots.groups) for k in grp}
@@ -255,33 +255,35 @@ def test_batch_estimates_match_single_realization_path(desk, desk_batch):
             for l in range(cfg.L):
                 # one realization's estimate: the filter applied to its pilot signal
                 direct = np.conj(net.theta[k, l]) * filters[k, l] * z[r, group_of[k], l]
-                assert np.allclose(direct, batch.hhat[k, l, :, r], rtol=1e-12)
+                assert np.allclose(direct, desk_arrays.hhat[k, l, :, r], rtol=1e-12)
 
 
-def test_estimate_covariance_matches_q(desk, desk_batch):
+def test_estimate_covariance_matches_q(desk, desk_batch, desk_arrays):
     cfg, net, _, _, stats, _ = desk
     batch, _ = desk_batch
+    hhat = desk_arrays.hhat
     for k in range(cfg.K):
         for l in range(cfg.L):
-            emp = np.einsum("nr,mr->nm", batch.hhat[k, l],
-                            np.conj(batch.hhat[k, l])) / batch.count
+            emp = np.einsum("nr,mr->nm", hhat[k, l],
+                            np.conj(hhat[k, l])) / batch.count
             # the batch is drawn in T's eigenbasis, where Q is diagonal
             Q = np.diag(stats.Q[k, l])
             rel = np.linalg.norm(emp - Q) / np.linalg.norm(Q)
             assert rel < 0.02
 
 
-def test_estimate_error_orthogonality(desk, desk_batch):
+def test_estimate_error_orthogonality(desk, desk_batch, desk_arrays):
     cfg, net, _, phases, stats, _ = desk
     batch, _ = desk_batch
+    arrays = desk_arrays
     lam_idx = batch.instant_index(cfg.estimation_instant)
     for k in range(cfg.K):
         for l in range(cfg.L):
-            # exp(i(ue + ap)) from the stored factors exp(-i ue) and exp(-i ap)
-            rot = np.conj(batch.ue_factor[k, lam_idx] * batch.ap_factor[l, lam_idx])
-            h_lam = rot * batch.h[k, l]  # oscillator-rotated channel at lam
-            err = h_lam - batch.hhat[k, l]
-            prods = np.einsum("nr,mr->nmr", batch.hhat[k, l], np.conj(err))
+            # exp(i(ue + ap)) from the factors exp(-i ue) and exp(-i ap)
+            rot = np.conj(arrays.ue_factor[k, lam_idx] * arrays.ap_factor[l, lam_idx])
+            h_lam = rot * arrays.h[k, l]  # oscillator-rotated channel at lam
+            err = h_lam - arrays.hhat[k, l]
+            prods = np.einsum("nr,mr->nmr", arrays.hhat[k, l], np.conj(err))
             mean = prods.mean(axis=-1)
             stderr = np.sqrt(
                 (np.var(prods.real, axis=-1) + np.var(prods.imag, axis=-1)) / batch.count

@@ -1,7 +1,7 @@
 import dataclasses
 import sys
 import threading
-from types import SimpleNamespace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ import cfrs
 from cfrs import closed_form as cf
 from cfrs import montecarlo as mc
 
-from conftest import dense_R, to_eigenbasis
+from conftest import batch_arrays, dense_R, to_eigenbasis
 
 
 def small_setup(seed=1, L=2, K=2, N=2, tau_p=2, var=1e-3):
@@ -23,13 +23,14 @@ def small_setup(seed=1, L=2, K=2, N=2, tau_p=2, var=1e-3):
     return cfg, net, pilots, phases, stats, terms
 
 
-def test_channel_sampler_covariance(desk, desk_batch):
+def test_channel_sampler_covariance(desk, desk_batch, desk_arrays):
     cfg, net, _, _, _, _ = desk
     batch, _ = desk_batch
+    h = desk_arrays.h
     for k in range(cfg.K):
         for l in range(cfg.L):
-            emp = np.einsum("nr,mr->nm", batch.h[k, l],
-                            np.conj(batch.h[k, l])) / batch.count
+            emp = np.einsum("nr,mr->nm", h[k, l],
+                            np.conj(h[k, l])) / batch.count
             # drawn in T's eigenbasis, where R[k, l] is diag(beta[k, l] * lam)
             R = np.diag(net.beta[k, l] * net.lam)
             rel = np.linalg.norm(emp - R) / np.linalg.norm(R)
@@ -38,13 +39,14 @@ def test_channel_sampler_covariance(desk, desk_batch):
 
 def test_batches_identical_for_same_seed(desk):
     cfg, net, pilots, phases, stats, _ = desk
-    a = cfrs.sample_batch(net, pilots, stats, phases, cfg, 5000, seed=42, instants=[10])
-    b = cfrs.sample_batch(net, pilots, stats, phases, cfg, 5000, seed=42, instants=[10])
+    a, b = (batch_arrays(cfrs.sample_batch(net, pilots, stats, phases, cfg, 5000, seed=42,
+                                           instants=[10])) for _ in range(2))
     assert np.array_equal(a.h, b.h)
     assert np.array_equal(a.hhat, b.hhat)
     assert np.array_equal(a.ue_factor, b.ue_factor)
     assert np.array_equal(a.ap_factor, b.ap_factor)
-    c = cfrs.sample_batch(net, pilots, stats, phases, cfg, 5000, seed=43, instants=[10])
+    c = batch_arrays(cfrs.sample_batch(net, pilots, stats, phases, cfg, 5000, seed=43,
+                                       instants=[10]))
     assert not np.array_equal(a.h, c.h)
 
 
@@ -82,22 +84,23 @@ def test_batch_keeps_the_estimation_and_requested_instants(desk):
     drawn = mc._phase_instants(pilots, cfg, requested)
     assert drawn[0] < lam  # the pilot instants are drawn, not kept
     columns = [drawn.index(n) for n in batch.instants]
-    # realizations last, and bitwise the drawn chunks with that axis moved
-    M = len(batch.instants)
-    assert batch.h.shape == batch.hhat.shape == (cfg.K, cfg.L, cfg.N, 5000)
-    assert batch.ue_factor.shape == (cfg.K, M, 5000)
-    assert batch.ap_factor.shape == (cfg.L, M, 5000)
+    # the batch redraws what the requested instants draw, chunk by chunk
     draw = mc._chunk_draw(net, pilots, stats, phases, cfg, 5000, 42, requested)
     chunks = [draw(chunk) for chunk in range(-(-5000 // mc.RNG_CHUNK))]
     assert len(chunks) > 1
     h, hhat, ue, ap = (np.moveaxis(np.concatenate([c[i] for c in chunks]), 0, -1)
                        for i in range(4))
-    assert np.array_equal(batch.h, h)
-    assert np.array_equal(batch.hhat, hhat)
-    # the stored phase factors are exp(-i phase) of the drawn phases
-    assert np.array_equal(batch.ue_factor, mc._phasor(-ue[:, columns]))
-    assert np.array_equal(batch.ap_factor, mc._phasor(-ap[:, columns]))
-    for factor in (batch.ue_factor, batch.ap_factor):
+    arrays = batch_arrays(batch)
+    M = len(batch.instants)
+    assert arrays.h.shape == arrays.hhat.shape == (cfg.K, cfg.L, cfg.N, 5000)
+    assert arrays.ue_factor.shape == (cfg.K, M, 5000)
+    assert arrays.ap_factor.shape == (cfg.L, M, 5000)
+    assert np.array_equal(arrays.h, h)
+    assert np.array_equal(arrays.hhat, hhat)
+    # the phase factors are exp(-i phase) of the drawn phases
+    assert np.array_equal(arrays.ue_factor, mc._phasor(-ue[:, columns]))
+    assert np.array_equal(arrays.ap_factor, mc._phasor(-ap[:, columns]))
+    for factor in (arrays.ue_factor, arrays.ap_factor):
         assert np.all(np.abs(np.abs(factor) - 1.0) <= 1e-15)
 
 
@@ -206,9 +209,10 @@ def test_correlated_oracle_matches_the_closed_form():
     terms = cf.TraceTerms.compute(net, stats, pilots)
     n = cfg.estimation_instant + 3
     batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 40_000, seed=6, instants=[n])
+    arrays = batch_arrays(batch)
     for k in range(cfg.K):
         # channel and estimate powers per eigen-direction: beta * lam and Q
-        for x, want in ((batch.h, net.beta[k][:, None] * net.lam), (batch.hhat, stats.Q[k])):
+        for x, want in ((arrays.h, net.beta[k][:, None] * net.lam), (arrays.hhat, stats.Q[k])):
             emp = np.sum(np.abs(x[k]) ** 2, axis=-1) / batch.count
             assert np.allclose(emp, want, rtol=0.05, atol=0)
     for scheme in cf.PRIVATE_SCHEMES:
@@ -265,19 +269,27 @@ def test_intervals_at_the_realization_floor_cover_reference():
     assert covered >= 366, f"coverage {covered}/400"
 
 
+def global_slices(chunks):
+    """The (group, slice) pairs of ``_chunk_slices`` in batch-wide indices."""
+    return [(b, slice(i * mc.RNG_CHUNK + sl.start, i * mc.RNG_CHUNK + sl.stop))
+            for i, pieces in enumerate(chunks) for b, sl in pieces]
+
+
 def test_jackknife_groups_are_fixed_and_memory_capped():
     for count, K, L in ((100, 2, 4), (127, 2, 4), (640, 2, 4), (100_000, 2, 4),
                         (100_000, 8, 40), (1000, 32, 200)):
-        batch = SimpleNamespace(count=count, net=SimpleNamespace(K=K, L=L))
-        counts, slices = mc._batch_blocks(batch)
+        counts, chunks = mc._chunk_slices(count, K, L)
+        assert len(chunks) == -(-count // mc.RNG_CHUNK)
+        slices = global_slices(chunks)
         edges = np.linspace(0, count, mc.JACKKNIFE_GROUPS + 1).astype(int)
         assert np.array_equal(counts, np.diff(edges))
         cap = max(64, mc._WORK_ELEMENTS // (K * K * L))
-        # the slices tile the realizations in order, each inside its group
+        # the slices tile the realizations in order, each inside its group and chunk
         assert [sl.start for _, sl in slices[1:]] == [sl.stop for _, sl in slices[:-1]]
         assert slices[0][1].start == 0 and slices[-1][1].stop == count
         for b, sl in slices:
             assert edges[b] <= sl.start < sl.stop <= edges[b + 1]
+            assert sl.start // mc.RNG_CHUNK == (sl.stop - 1) // mc.RNG_CHUNK
             assert sl.stop - sl.start <= cap
 
 
@@ -290,7 +302,8 @@ def test_memory_capped_slices_add_up_to_their_group(desk, monkeypatch):
     whole = [(cfrs.mc_sinr(batch, plan, instants), cfrs.transmit_power_stats(batch, plan))
              for plan in plans]
     monkeypatch.setattr(mc, "_WORK_ELEMENTS", 1)  # 64-realization slices
-    assert len(mc._batch_blocks(batch)[1]) == 2 * mc.JACKKNIFE_GROUPS
+    chunks = mc._chunk_slices(batch.count, net.K, net.L)[1]
+    assert len(global_slices(chunks)) == 2 * mc.JACKKNIFE_GROUPS
     for plan, (results, power) in zip(plans, whole):
         for res, ref in zip(cfrs.mc_sinr(batch, plan, instants), results):
             for field in ("private", "private_stderr", "common", "common_stderr"):
@@ -300,24 +313,34 @@ def test_memory_capped_slices_add_up_to_their_group(desk, monkeypatch):
 
 
 def worker_count_outputs(monkeypatch, workers):
-    """Every array sample_batch, mc_sinr and transmit_power_stats return on
-    3 RNG chunks plus a short one, cut into 64-realization slices."""
+    """Every array mc_sinr and transmit_power_stats return on 24 512-realization
+    RNG chunks plus a short one, cut into 64-realization slices, for plans
+    declared to sample_batch and for the same plans undeclared."""
     monkeypatch.setattr(mc, "_CPUS", workers)
     monkeypatch.setattr(mc, "_WORK_ELEMENTS", 1)
+    monkeypatch.setattr(mc, "RNG_CHUNK", 512)
     cfg, net, pilots, phases, stats, terms = small_setup(seed=5, L=3, K=3, tau_p=2)
     instants = [cfg.estimation_instant, cfg.tau_c]
-    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 3 * mc.RNG_CHUNK + 17, seed=6,
-                              instants=instants)
-    assert len(mc._batch_blocks(batch)[1]) > 10 * mc.JACKKNIFE_GROUPS
-    out = [batch.h, batch.hhat, batch.ue_factor, batch.ap_factor]
-    for scheme in cf.PRIVATE_SCHEMES:
-        for transmission in cf.TRANSMISSIONS:
-            for rho in (0.0, 0.5):
-                plan = cf.make_plan(terms, scheme, transmission, rho)
-                for res in cfrs.mc_sinr(batch, plan, instants):
-                    out += [res.private, res.private_stderr, res.common, res.common_stderr,
-                            *dataclasses.astuple(res.terms)]
-                out += cfrs.transmit_power_stats(batch, plan)
+    count = 24 * mc.RNG_CHUNK + 17
+    chunks = mc._chunk_slices(count, net.K, net.L)[1]
+    assert len(global_slices(chunks)) > 10 * mc.JACKKNIFE_GROUPS
+    # a chunk that straddles a group edge adds into two group rows, and a
+    # group that three chunks add into sums in the order they are folded
+    assert any(pieces[0][0] != pieces[-1][0] for pieces in chunks)
+    touching = [sum(any(b == g for b, _ in pieces) for pieces in chunks)
+                for g in range(mc.JACKKNIFE_GROUPS)]
+    assert max(touching) >= 3
+    plans = [cf.make_plan(terms, scheme, transmission, rho) for scheme in cf.PRIVATE_SCHEMES
+             for transmission in cf.TRANSMISSIONS for rho in (0.0, 0.5)]
+    declared = cfrs.sample_batch(net, pilots, stats, phases, cfg, count, seed=6,
+                                 instants=instants, plans=plans)
+    out = []
+    for plan in plans:
+        for p in (plan, dataclasses.replace(plan)):  # the copy is not declared
+            for res in cfrs.mc_sinr(declared, p, instants):
+                out += [res.private, res.private_stderr, res.common, res.common_stderr,
+                        *dataclasses.astuple(res.terms)]
+            out += cfrs.transmit_power_stats(declared, p)
     return out
 
 
@@ -341,9 +364,17 @@ class WorkerFailure(Exception):
 
 
 def test_worker_failures_reach_the_caller(desk, monkeypatch):
+    # a failure inside the streamed pass, in a chunk's draw or in one slice's
+    # accumulation, reaches whichever call runs the pass
     cfg, net, pilots, phases, stats, terms = desk
     monkeypatch.setattr(mc, "_CPUS", 3)
     count = 3 * mc.RNG_CHUNK + 17
+    plan = cf.make_plan(terms, "du_mr", "coherent", 0.5)
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, count, seed=1)
+    calls = (lambda: cfrs.sample_batch(net, pilots, stats, phases, cfg, count, seed=1,
+                                       plans=[plan]),
+             lambda: cfrs.mc_sinr(batch, plan, cfg.estimation_instant),
+             lambda: cfrs.transmit_power_stats(batch, plan))
     complex_normal = mc._complex_normal
 
     def fails_on_the_last_chunk(rng, shape):
@@ -351,29 +382,121 @@ def test_worker_failures_reach_the_caller(desk, monkeypatch):
             raise WorkerFailure
         return complex_normal(rng, shape)
 
-    threads = threading.active_count()
-    with monkeypatch.context() as patched:
-        patched.setattr(mc, "_complex_normal", fails_on_the_last_chunk)
-        with pytest.raises(WorkerFailure):
-            cfrs.sample_batch(net, pilots, stats, phases, cfg, count, seed=1)
-    assert threading.active_count() == threads
-
-    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, count, seed=1)
-    marker = batch.hhat[0, 0, 0, count // 2]  # a realization of group 5
+    marker = batch_arrays(batch).hhat[0, 0, 0, count // 2]  # a realization of chunk 1
     precoders = mc.private_precoders
 
-    def fails_on_one_group(hhat, net, scheme):
+    def fails_on_one_slice(hhat, net, scheme):
         if np.any(hhat[0, 0, 0] == marker):
             raise WorkerFailure
         return precoders(hhat, net, scheme)
 
-    monkeypatch.setattr(mc, "private_precoders", fails_on_one_group)
+    threads = threading.active_count()
+    for name, failing in (("_complex_normal", fails_on_the_last_chunk),
+                          ("private_precoders", fails_on_one_slice)):
+        with monkeypatch.context() as patched:
+            patched.setattr(mc, name, failing)
+            for call in calls:
+                with pytest.raises(WorkerFailure):
+                    call()
+                assert threading.active_count() == threads
+    for call in calls:  # unpatched, the same calls succeed
+        call()
+
+
+def all_arrays(obj):
+    """Every numpy array that ``obj`` holds, through dataclass fields and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from all_arrays(item)
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from all_arrays(getattr(obj, field.name))
+
+
+def test_batches_hold_no_realization_arrays(desk):
+    cfg, net, pilots, phases, stats, terms = desk
+    instants = [cfg.estimation_instant, cfg.tau_c]
+    plans = [cf.make_plan(terms, scheme, "coherent", 0.5) for scheme in cf.PRIVATE_SCHEMES]
+    nbytes = []
+    for count in (1000, 3 * mc.RNG_CHUNK + 17):
+        batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, count, seed=2,
+                                  instants=instants, plans=plans)
+        assert len(batch.declared) == len(plans)
+        nbytes.append(sum(a.nbytes for a in all_arrays(batch)))
+    assert nbytes[0] == nbytes[1]
+
+
+def test_oracle_memory_does_not_grow_with_the_realization_count(desk, monkeypatch):
+    cfg, net, pilots, phases, stats, terms = desk
+    # a batch that held every realization would peak 4x higher at 16 chunks.
+    # One worker, because how far the workers' chunks overlap in time varies
+    # from run to run, and with it the peak; 1024-realization slices at both
+    # counts (groups of 1638 and 6553), because a slice's work arrays grow
+    # with it up to the cap
+    monkeypatch.setattr(mc, "_CPUS", 1)
+    monkeypatch.setattr(mc, "_WORK_ELEMENTS", 1024 * cfg.K * cfg.K * cfg.L)
+    n = cfg.tau_c
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.5)
-    for call in (lambda: cfrs.mc_sinr(batch, plan, cfg.estimation_instant),
-                 lambda: cfrs.transmit_power_stats(batch, plan)):
-        with pytest.raises(WorkerFailure):
-            call()
-        assert threading.active_count() == threads
+    peaks = []
+    for chunks in (4, 16):
+        tracemalloc.start()
+        try:
+            batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, chunks * mc.RNG_CHUNK,
+                                      seed=3, instants=[n])
+            cfrs.mc_sinr(batch, plan, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_map_folds_in_order_with_few_items_in_flight(monkeypatch):
+    # results wait to be folded only up to two per worker, whatever the item count
+    monkeypatch.setattr(mc, "_CPUS", 2)
+    lock = threading.Lock()
+    in_flight = [0, 0]  # now, most
+
+    def fn(item):
+        with lock:
+            in_flight[0] += 1
+            in_flight[1] = max(in_flight)
+        return item
+
+    folded = []
+
+    def fold(item):
+        with lock:
+            in_flight[0] -= 1
+        folded.append(item)
+
+    mc._map(fn, range(50), fold)
+    assert folded == list(range(50))
+    assert in_flight[1] <= 2 * 2
+
+
+def test_declared_and_undeclared_plans_give_the_same_bits(desk):
+    cfg, net, pilots, phases, stats, terms = desk
+    instants = [cfg.estimation_instant, cfg.estimation_instant + 5, cfg.tau_c]
+    plans = [cf.make_plan(terms, scheme, transmission, rho) for scheme in cf.PRIVATE_SCHEMES
+             for transmission in cf.TRANSMISSIONS for rho in (0.0, 0.5)]
+    declared = cfrs.sample_batch(net, pilots, stats, phases, cfg, 5000, seed=4,
+                                 instants=instants, plans=plans)
+    bare = cfrs.sample_batch(net, pilots, stats, phases, cfg, 5000, seed=4, instants=instants)
+    for plan in plans:
+        # all instants, and one instant on its own
+        for n in (instants, instants[1]):
+            a, b = (np.atleast_1d(cfrs.mc_sinr(batch, plan, n)) for batch in (declared, bare))
+            for x, y in zip(a, b):
+                assert x.instant == y.instant
+                for field in ("private", "private_stderr", "common", "common_stderr"):
+                    assert np.array_equal(getattr(x, field), getattr(y, field))
+                for s, t in zip(dataclasses.astuple(x.terms), dataclasses.astuple(y.terms)):
+                    assert np.array_equal(s, t)
+        for s, t in zip(cfrs.transmit_power_stats(declared, plan),
+                        cfrs.transmit_power_stats(bare, plan)):
+            assert np.array_equal(s, t)
 
 
 def test_confidence_interval_clt_scaling(desk):
@@ -443,19 +566,19 @@ def test_per_ap_power_within_limit(desk, desk_batch):
 # factored accumulation
 # ---------------------------------------------------------------------------
 
-def direct_terms(batch, plan, n):
+def direct_terms(batch, arrays, plan, n):
     """Per-realization DS/INT terms at instant n from the rotated channel,
-    realizations on the last axis.
+    realizations on the last axis; ``arrays`` is ``batch_arrays(batch)``.
 
     The plain formula: g = theta exp(i(ue + ap)) h, d[k,i,l] = g[k,l]^H v[i,l],
     then the private and common desired-signal and interference terms.
     """
     net = batch.net
     col = batch.instant_index(n)
-    v = mc.private_precoders(batch.hhat, net, plan.private_scheme)
-    # exp(i(ue + ap)) from the stored factors exp(-i ue) and exp(-i ap)
-    rotation = np.conj(batch.ue_factor[:, None, col] * batch.ap_factor[None, :, col])
-    g = net.theta[:, :, None, None] * rotation[:, :, None] * batch.h
+    v = mc.private_precoders(arrays.hhat, net, plan.private_scheme)
+    # exp(i(ue + ap)) from the factors exp(-i ue) and exp(-i ap)
+    rotation = np.conj(arrays.ue_factor[:, None, col] * arrays.ap_factor[None, :, col])
+    g = net.theta[:, :, None, None] * rotation[:, :, None] * arrays.h
     d = np.einsum("klnr,ilnr->kilr", np.conj(g), v)
     sq_mu, sq_eta = np.sqrt(plan.mu), np.sqrt(plan.eta)
     ds = sq_mu[..., None] * np.einsum("kklr->klr", d)
@@ -473,7 +596,7 @@ def direct_terms(batch, plan, n):
 
 def jackknife_groups(batch):
     """The batch's jackknife groups as whole slices, and their realization counts."""
-    counts, _ = mc._batch_blocks(batch)
+    counts, _ = mc._chunk_slices(batch.count, batch.net.K, batch.net.L)
     edges = np.concatenate([[0], np.cumsum(counts)])
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])], counts
 
@@ -485,12 +608,13 @@ def assert_close(actual, expected):
 
 
 def assert_groups_span_partial_slices(batch):
-    """Every jackknife group is cut into at least two slices, the last one short."""
-    counts, slices = mc._batch_blocks(batch)
+    """Every jackknife group is cut into at least two slices, one of them short."""
+    counts, chunks = mc._chunk_slices(batch.count, batch.net.K, batch.net.L)
+    slices = global_slices(chunks)
     cap = max(64, mc._WORK_ELEMENTS // (batch.net.K ** 2 * batch.net.L))
     for b in range(len(counts)):
         sizes = [sl.stop - sl.start for group, sl in slices if group == b]
-        assert len(sizes) >= 2 and 0 < sizes[-1] < cap, sizes
+        assert len(sizes) >= 2 and 0 < min(sizes) < cap, sizes
 
 
 def check_factored_accumulation():
@@ -509,17 +633,19 @@ def check_factored_accumulation():
     terms = cf.TraceTerms.compute(net, stats, pilots)
     instants = [cfg.estimation_instant, cfg.estimation_instant + 6, cfg.tau_c]
     batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 1000, seed=4, instants=instants)
+    arrays = batch_arrays(batch)
     groups, counts = jackknife_groups(batch)
     assert len(groups) == mc.JACKKNIFE_GROUPS
     for scheme in cf.PRIVATE_SCHEMES:
         for transmission in cf.TRANSMISSIONS:
             for rho in (0.0, 0.5):
                 plan = cf.make_plan(terms, scheme, transmission, rho)
-                per_instant = [direct_terms(batch, plan, n) for n in instants]
+                per_instant = [direct_terms(batch, arrays, plan, n) for n in instants]
                 # (B, M, ...) block sums of each term, as the jackknife reads them
                 blocks = [np.stack([np.stack([t[i][..., sl].sum(axis=-1) for sl in groups])
                                     for t in per_instant], axis=1) for i in range(4)]
-                sums = mc._BlockSums(counts, *blocks, coherent=transmission == "coherent")
+                sums = mc._BlockSums(counts, *blocks, power=np.zeros((len(counts), cfg.L)),
+                                     coherent=transmission == "coherent")
                 for m, res in enumerate(cfrs.mc_sinr(batch, plan, instants)):
                     expected = mc._jackknife(sums, plan, cfg, m)
                     for actual, ref in zip((res.private, res.private_stderr,
@@ -560,14 +686,15 @@ def test_noncoherent_interference_does_not_depend_on_the_instant(desk, desk_batc
     assert not np.array_equal(first.int_, last.int_)
 
 
-def check_transmit_power(desk, batch):
-    """Check transmit_power_stats against per-realization power sums."""
+def check_transmit_power(desk, batch, arrays):
+    """Check transmit_power_stats against per-realization power sums;
+    ``arrays`` is ``batch_arrays(batch)``."""
     cfg, net, pilots, phases, stats, terms = desk
     groups, _ = jackknife_groups(batch)
     for plan in (cf.make_plan(terms, "du_mr", "coherent", 0.5),
                  cf.make_plan(terms, "df_mr", "noncoherent", 0.0)):
         p_dp, p_dc = (1.0 - plan.rho) * cfg.p_d, plan.rho * cfg.p_d
-        v = mc.private_precoders(batch.hhat, net, plan.private_scheme)
+        v = mc.private_precoders(arrays.hhat, net, plan.private_scheme)
         v_c = np.einsum("il,ilnr->lnr", plan.weights, v)
         power = (p_dp * np.einsum("il,ilr->lr", plan.mu, np.sum(np.abs(v) ** 2, axis=2))
                  + p_dc * plan.eta[:, None] * np.sum(np.abs(v_c) ** 2, axis=1))  # (L, count)
@@ -581,14 +708,14 @@ def check_transmit_power(desk, batch):
         assert np.all(np.abs(se - stderr) <= 1e-12 * stderr)
 
 
-def test_transmit_power_matches_per_realization_sums(desk, desk_batch):
-    check_transmit_power(desk, desk_batch[0])
+def test_transmit_power_matches_per_realization_sums(desk, desk_batch, desk_arrays):
+    check_transmit_power(desk, desk_batch[0], desk_arrays)
 
 
-def test_transmit_power_over_partial_slices(desk, desk_batch, monkeypatch):
+def test_transmit_power_over_partial_slices(desk, desk_batch, desk_arrays, monkeypatch):
     monkeypatch.setattr(mc, "_WORK_ELEMENTS", 1)  # 64-realization slices
     assert_groups_span_partial_slices(desk_batch[0])
-    check_transmit_power(desk, desk_batch[0])
+    check_transmit_power(desk, desk_batch[0], desk_arrays)
 
 
 def test_plans_of_another_network_are_rejected(desk, desk_batch):
