@@ -643,7 +643,22 @@ def _load_system(args, default: SystemConfig | None = None) -> tuple[SystemConfi
     return cfg, spec
 
 
+def _output_file(value: str | None, flag: str, default: str | None = None) -> Path | None:
+    """The file ``flag`` names, or ``default`` when it names none (None if
+    neither), checked before any work: a directory or a missing parent
+    directory raises ConfigError naming the flag."""
+    if not (value or default):
+        return None
+    path = Path(value or default)
+    if path.is_dir():
+        raise ConfigError(f"{flag}: {path} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"{flag}: directory {path.parent} does not exist")
+    return path
+
+
 def cmd_nmse(args) -> int:
+    out = _output_file(args.out, "--out", "nmse.csv")
     cfg, _ = _load_system(args)
     variances = (
         [_sweep_value("oscillator_variance", v, "--variances")
@@ -672,13 +687,14 @@ def cmd_nmse(args) -> int:
                         "nmse_ls": repr(float(stats.nmse_ls[k, l])),
                     }
                 )
-    out = Path(args.out or "nmse.csv")
     _write_csv(out, NMSE_SCHEMA, ["variance", "k", "l", "nmse_mmse", "nmse_ls"], rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
 def cmd_se(args) -> int:
+    out = _output_file(args.out, "--out", "se.csv")
+    net_path = _output_file(args.dump_network, "--dump-network")
     cfg, spec = _load_system(args)
     phases = PhaseStatistics.from_config(cfg)
     schemes = (
@@ -690,7 +706,7 @@ def cmd_se(args) -> int:
         )
     )
     topology = build_topology(cfg, phases)
-    if args.dump_network:
+    if net_path is not None:
         net = topology.net
         rows = []
         for l in range(cfg.L):
@@ -709,7 +725,6 @@ def cmd_se(args) -> int:
                              "beta": repr(float(net.beta[k, l])),
                              "theta_re": repr(float(net.theta[k, l].real)),
                              "theta_im": repr(float(net.theta[k, l].imag))})
-        net_path = Path(args.dump_network)
         _write_csv(net_path, NETWORK_SCHEMA,
                    ["kind", "k", "l", "x", "y", "beta", "theta_re", "theta_im"], rows)
         print(f"wrote network to {net_path}")
@@ -727,7 +742,6 @@ def cmd_se(args) -> int:
             f"{scheme.label()}: sum SE = {report.sum_se:.4f} bit/s/Hz"
             + (f" (rho* = {extras['optimized_rho']:.4f})" if "optimized_rho" in extras else "")
         )
-    out = Path(args.out or "se.csv")
     _write_csv(out, "cfrs.se.v1",
                ["scheme", "transmission", "rho", "k", "se_private",
                 "se_common_per_ue", "sum_se", "seed"], rows)
@@ -824,13 +838,11 @@ def cmd_validate(args) -> int:
     if args.mc < montecarlo.MIN_REALIZATIONS:
         raise ConfigError(
             f"--mc: need at least {montecarlo.MIN_REALIZATIONS} realizations, got {args.mc}")
+    out = _output_file(args.out, "--out", "validate.csv")
+    terms_out = _output_file(args.terms_out, "--terms-out")
     cfg, _ = _load_system(args, default=_desk_config())
     phases = PhaseStatistics.from_config(cfg)
-    rows = validate_families(
-        cfg, phases, args.mc,
-        terms_out=Path(args.terms_out) if args.terms_out else None,
-    )
-    out = Path(args.out or "validate.csv")
+    rows = validate_families(cfg, phases, args.mc, terms_out=terms_out)
     _write_csv(out, VALIDATE_SCHEMA,
                ["stream", "transmission", "scheme", "n", "k", "closed_sinr",
                 "mc_sinr", "mc_stderr", "rel_err", "ci_lo", "ci_hi", "covered"],
@@ -863,6 +875,7 @@ def cmd_rho_opt(args) -> int:
 
 
 def cmd_robust(args) -> int:
+    out = _output_file(args.out, "--out", "weights.csv")
     cfg, _ = _load_system(args)
     if not 0 < args.rho <= 1:
         raise ConfigError(f"--rho: {args.rho} is outside (0, 1]")
@@ -881,7 +894,6 @@ def cmd_robust(args) -> int:
         for k in range(cfg.K)
         for l in range(cfg.L)
     ]
-    out = Path(args.out or "weights.csv")
     _write_csv(out, WEIGHTS_SCHEMA, ["k", "l", "weight"], rows)
     print(
         f"achieved min common SINR t = {result.achieved_t:.6g} "

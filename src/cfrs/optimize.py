@@ -12,22 +12,26 @@ Two optimizers operate on the closed-form expressions:
 * ``robust_common_precoding`` — maximizes the minimum per-UE common-stream
   SINR at one instant over non-negative combining weights a[k,l], subject
   to per-AP power E{||v_c,l||^2} <= 1 (the common normalization is
-  absorbed, so the returned weights are used with unit eta).  The problem
-  is quasi-concave; a bisection over the target t, warm-started at the
-  min SINR of the all-ones weights scaled to the power budget, solves a
-  second-order cone feasibility program per step.  Feasibility is decided
-  through a max-slack reformulation: the slack optimum is the largest
-  margin by which the row-normalized SINR cones can be met.  A Kelley
-  cutting-plane loop (Kelley, "The cutting-plane method for solving convex
-  programs", 1960) solves it as a sequence of LPs (scipy's HiGHS) over a
-  polyhedral outer approximation of the cones, so a negative LP optimum
-  certifies infeasibility, while a feasible verdict needs a point meeting
-  every original constraint, min SINR >= t included.  Cuts are kept across the
-  bisection's targets.  The program's SINR is written once, in the cone
-  terms (``_cone_terms``), which both the cuts and the min SINR >= t check
-  read; its decay factors come from ``closed_form.decay_pair``, its private
-  interference from ``closed_form.plan_parts``, and its co-pilot quadratic
-  forms from the trace terms' rank-1 factors x, s2 and s3.
+  absorbed, so the returned weights are used with unit eta).  The SINRs and
+  the power see a only through one sum per (co-pilot set, AP), so the
+  program is solved over those sums, y (S, L), in which the power is a
+  ball per AP and every quadratic form is diagonal (``MaxMinProblem``).
+  The problem is quasi-concave; a bisection over the target t, warm-started
+  at the min SINR of the all-ones weights scaled to the power budget,
+  solves a second-order cone feasibility program per step.  Feasibility is
+  decided through a max-slack reformulation: the slack optimum is the
+  largest margin by which the row-normalized SINR cones can be met.  A
+  Kelley cutting-plane loop (Kelley, "The cutting-plane method for solving
+  convex programs", 1960) solves it as a sequence of LPs (scipy's HiGHS)
+  over a polyhedral outer approximation of the cones, so a negative LP
+  optimum certifies infeasibility, while a feasible verdict needs a point
+  meeting every original constraint, min SINR >= t included.  Cuts are
+  kept across the bisection's targets.  The program's SINR is written
+  once, in the cone terms (``_cone_terms``), which both the cuts and the
+  min SINR >= t check read; its decay factors come from
+  ``closed_form.decay_pair`` and its private interference from
+  ``closed_form.plan_parts``.  No matrix product is formed, so the weights
+  do not depend on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_form import TraceTerms, common_power, decay_pair, make_plan, plan_parts
+from .closed_form import TraceTerms, decay_pair, make_plan, plan_parts
 from .model import PhaseStatistics, SystemConfig
 
 log = logging.getLogger(__name__)
@@ -99,25 +103,31 @@ def optimal_rho(evaluator, tol: float = 1e-3):
 class MaxMinProblem:
     """Data of the max-min common-SINR program at one instant.
 
-    The stacked weight vector a lives in R^{KL} ordered AP-major
-    (index l*K + i).  For each UE k, the SINR at target decay factors
-    (ea, eu) reads
+    The program sees the common weights a (K, L) only through the per-set
+    sums Omega[P,l] = sum_{i in P} a[i,l] x[i,l], so its variables are
+    y[P,l] = sqrt(s2[P,l]) Omega[P,l] >= 0, an (S, L) array with one row
+    per co-pilot set.  With c = x sqrt(s2), y[P,l] = sum_{i in P} c[i,l]
+    a[i,l].  For UE k, in set P_k = ``sets[k]``, the SINR at target decay
+    factors (ea, eu) reads
 
-        p_dc*ea*eu*(a.b_k)^2 /
-        (p_dc*(1-ea)*a'H_k a + p_dc*a'M_k a + p_dc*ea*(1-eu)*(a.b_k)^2
+        p_dc*ea*eu*g_k^2 /
+        (p_dc*(1-ea)*h_k + p_dc*m_k + p_dc*ea*(1-eu)*g_k^2
          + p_dp*xi_k + sigma2)
 
-    subject to ||Theta_l^{1/2} a_l|| <= 1 per AP and a >= 0.  H_k and M_k
-    are block-diagonal per AP and are never formed (``products`` applies
-    them from the rank-1 factors of ``terms``): the AP-l block of H_k is
-    outer(tau, tau) with tau the AP-l slice of b_k, and entry (i, j) of the
-    AP-l block of M_k is tr(Q_cross[i,j,l] R[k,l]) =
-    beta[k,l] x[i,l] x[j,l] s3[i,l], nonzero only for co-pilot i and j.
+    with the desired signal g_k = sum_l c[k,l] y[P_k,l] (b_k.a in the
+    weights), h_k = sum_l (c[k,l] y[P_k,l])^2 (a'H_k a) and
+    m_k = sum_l beta[k,l] sum_P ratio[P,l] y[P,l]^2 (a'M_k a), where
+    ratio = s3/s2, subject to ||y[:, l]|| <= 1 per AP (its square is
+    ``closed_form.common_power``) and y >= 0.  Every quadratic form is
+    diagonal in y.  y_ones is the y of the all-ones weights,
+    sum_{i in P} c[i,l].
     """
 
-    b: np.ndarray          # (K, KL) real
     terms: TraceTerms      # the factors x, s2, s3, beta and the co-pilot stacks
-    Theta: np.ndarray      # (L, K, K)
+    c: np.ndarray          # (K, L) x sqrt(s2)
+    sets: np.ndarray       # (K,) each UE's co-pilot set, its row of y
+    ratio: np.ndarray      # (S, L) s3/s2 of each set
+    y_ones: np.ndarray     # (S, L) y of the all-ones weights
     xi: np.ndarray         # (K,) private interference at the chosen instant
     p_dc: float
     p_dp: float
@@ -127,52 +137,34 @@ class MaxMinProblem:
     instant: int
 
     def __post_init__(self):
-        for arr in (self.b, self.Theta, self.xi):
+        for arr in (self.c, self.sets, self.ratio, self.y_ones, self.xi):
             arr.setflags(write=False)
 
     @property
     def K(self) -> int:
-        return self.b.shape[0]
+        return self.c.shape[0]
 
-    @property
-    def L(self) -> int:
-        return self.Theta.shape[0]
+    def weights(self, y: np.ndarray) -> np.ndarray:
+        """(K, L) weights of y, split equally within each co-pilot set:
+        a[i,l] = y[P,l] / y_ones[P,l] for every member i of P.
 
-    def weights_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Reshape a stacked KL vector back to (K, L) weights."""
-        return a.reshape(self.L, self.K).T
-
-    def stack_weights(self, w: np.ndarray) -> np.ndarray:
-        return w.T.reshape(-1)
-
-    def products(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(H_k a, M_k a) for every UE k, each (K, KL), elementwise.
-
-        With Omega[k,l] = sum_{j in P_k} a[j,l] x[j,l], the AP-l part of
-        H_k a is b_kl (x s2 Omega)[k,l], and entry (l, i) of M_k a is
-        beta[k,l] (x s3 Omega)[i,l].
+        Any split with the same per-set sums has the same SINRs and per-AP
+        power, so the weights are not unique; this one is canonical.
         """
-        K, L, terms = self.K, self.L, self.terms
-        w = self.weights_matrix(a)
-        omega = np.empty((K, L))
-        for idx in terms.stacks:
-            omega[idx] = np.einsum("sil,sil->sl", w[idx], terms.x[idx])[:, None]
-        h = self.b.reshape(K, L, K) * (terms.x * terms.s2 * omega)[:, :, None]
-        m = terms.beta[:, :, None] * (terms.x * terms.s3 * omega).T
-        return h.reshape(K, K * L), m.reshape(K, K * L)
+        return (y / self.y_ones)[self.sets]
 
-    def sinr(self, a: np.ndarray) -> np.ndarray:
-        """(K,) common-stream SINRs at the problem's instant for weights a.
+    def sinr(self, y: np.ndarray) -> np.ndarray:
+        """(K,) common-stream SINRs at the problem's instant for variables y.
 
-        The SINR is (e_k.a / norm_k)^2 in the cone terms' units.
+        The SINR is (e_k.y / norm_k)^2 in the cone terms' units.
         """
-        e, norm, _ = _cone_terms(self, a)
-        return (e @ a) ** 2 / norm**2
+        _, ey, norm, _ = _cone_terms(self, y)
+        return ey**2 / norm**2
 
-    def power_norms(self, a: np.ndarray) -> np.ndarray:
-        """(L,) values of ||Theta_l^{1/2} a_l||, the square roots of
-        ``closed_form.common_power``."""
-        return np.sqrt(common_power(self.terms, self.weights_matrix(a)))
+    def power_norms(self, y: np.ndarray) -> np.ndarray:
+        """(L,) values of ||y[:, l]||, the square roots of
+        ``closed_form.common_power`` of the weights."""
+        return np.sqrt(np.sum(y * y, axis=0))
 
 
 def build_maxmin_problem(
@@ -182,43 +174,37 @@ def build_maxmin_problem(
     rho: float,
     n: int | None = None,
 ) -> MaxMinProblem:
-    """Assemble b_k, Theta_l and the constants at instant n.
+    """Assemble the per-set constants and the scalars at instant n.
 
-    b and Theta are the LP's dense data: tr(Qc[k,i,l]) = x[k,l] x[i,l] s2[k,l]
-    scattered from the terms' factors, zero off the co-pilot sets, so b_k
-    (and so H_k) vanishes off UE k's co-pilot set.  The private
-    interference xi is that of ``closed_form.plan_parts`` for
+    The sets are numbered in the order of the terms' co-pilot stacks.  The
+    private interference xi is that of ``closed_form.plan_parts`` for
     ``MAXMIN_SCHEME`` with the per-AP private normalization.
     Default instant: ``config.mid_instant``.
     """
     if not 0 < rho <= 1:
         raise ValueError(f"rho must lie in (0, 1] for a common stream, got {rho}")
-    K, L = terms.K, terms.L
     if n is None:
         n = config.mid_instant
     ea, eu = decay_pair(phases, config, n)
 
-    tr_Qc = np.zeros((K, K, L))
-    xs2 = terms.x * terms.s2
+    sets = np.empty(terms.K, dtype=int)
+    count = 0
     for idx in terms.stacks:
-        pair = xs2[idx][:, :, None] * terms.x[idx][:, None]  # (S, g, g, L)
-        tr_Qc[idx[:, :, None], idx[:, None, :]] = pair
-    # b_k stacked AP-major: entry l*K + i = tr(Qc[k,i,l]) on k's pilot group
-    b = np.transpose(tr_Qc, (0, 2, 1)).reshape(K, K * L)
-    Theta = np.transpose(tr_Qc, (2, 0, 1)).copy()  # (L, K, K)
+        sets[idx] = count + np.arange(len(idx))[:, None]
+        count += len(idx)
+    c = terms.x * np.sqrt(terms.s2)
+    ratio = np.empty((count, terms.L))
+    ratio[sets] = terms.s3 / terms.s2  # equal within a set
+    y_ones = np.zeros((count, terms.L))
+    np.add.at(y_ones, sets, c)
     plan = make_plan(terms, *MAXMIN_SCHEME, unit_eta=True)
 
     return MaxMinProblem(
-        b=b,
-        terms=terms,
-        Theta=Theta,
+        terms=terms, c=c, sets=sets, ratio=ratio, y_ones=y_ones,
         xi=plan_parts(terms, plan, phases, config, n).xi[0],
-        p_dc=rho * config.p_d,
-        p_dp=(1.0 - rho) * config.p_d,
-        eta_ap=float(ea[0]),
-        eta_ue=float(eu[0]),
-        sigma2=config.sigma2_dl,
-        instant=int(n),
+        p_dc=rho * config.p_d, p_dp=(1.0 - rho) * config.p_d,
+        eta_ap=float(ea[0]), eta_ue=float(eu[0]),
+        sigma2=config.sigma2_dl, instant=int(n),
     )
 
 
@@ -230,7 +216,8 @@ def build_maxmin_problem(
 class FeasibilityVerdict:
     """Outcome of one feasibility test at target t.
 
-    ``point`` is the certified weight vector (None when infeasible);
+    ``point`` is the certified (S, L) variable array y (None when
+    infeasible), mapped to weights by ``MaxMinProblem.weights``;
     ``max_violation`` is the point's ``_verify_point`` value when feasible,
     otherwise the certified margin -slack or the best LP point's violation;
     ``iterations`` counts LP solves; ``slack`` is the last LP optimum, the
@@ -244,93 +231,98 @@ class FeasibilityVerdict:
     slack: float
 
 
-def _cone_terms(problem: MaxMinProblem, a: np.ndarray):
-    """Row-normalized SINR cones at a.
+def _cone_terms(problem: MaxMinProblem, y: np.ndarray):
+    """Row-normalized SINR cones at y, elementwise.
 
-    Cone k reads sqrt(t) * norm_k(a) <= e_k.a, with e_k = r_k*sig*b_k and
-    norm_k = r_k*||u_k(a)|| = sqrt(r_k^2 * q_k(a) + 1), where
-    r_k = 1/sqrt(p_dp*xi_k + sigma2) and q_k the quadratic interference.
-    Returns (e, norm, grad) with grad[k] the gradient of norm_k in a;
-    only H_k a, M_k a and b_k.a are formed.
+    Cone k reads sqrt(t) * norm_k(y) <= e_k.y, with e_k = r_k*sig*c[k] on
+    row P_k and zero elsewhere, so that e_k.y = r_k*sig*g_k, and
+    norm_k = sqrt(r_k^2 * q_k(y) + 1), where r_k = 1/sqrt(p_dp*xi_k + sigma2)
+    and q_k = (1-ea)*p_dc*h_k + p_dc*m_k + ea*(1-eu)*p_dc*g_k^2 the
+    quadratic interference.  Returns (e, e.y, norm, grad), with e and grad
+    (K, S, L) and grad[k] the gradient of norm_k in y.
     """
     sig = math.sqrt(problem.p_dc * problem.eta_ap * problem.eta_ue)
     c_h2 = problem.p_dc * (1.0 - problem.eta_ap)
     c_b2 = problem.p_dc * problem.eta_ap * (1.0 - problem.eta_ue)
     row = 1.0 / np.sqrt(problem.p_dp * problem.xi + problem.sigma2)
-    ab = problem.b @ a
-    h, m = problem.products(a)
-    half_grad = c_h2 * h + problem.p_dc * m + c_b2 * ab[:, None] * problem.b
-    norm = np.sqrt(row**2 * np.maximum(half_grad @ a, 0.0) + 1.0)
-    grad = (row**2 / norm)[:, None] * half_grad
-    return (row * sig)[:, None] * problem.b, norm, grad
+    own = (np.arange(problem.K), problem.sets)
+    c, beta = problem.c, problem.terms.beta
+    cy = c * y[problem.sets]  # (K, L)
+    g = cy.sum(axis=1)
+    ry = problem.ratio * y
+    m = np.einsum("kl,l->k", beta, (ry * y).sum(axis=0))
+    q = c_h2 * (cy * cy).sum(axis=1) + problem.p_dc * m + c_b2 * g * g
+    norm = np.sqrt(row**2 * q + 1.0)
+    # half the gradient of q: M_k y on every row, H_k y and the g_k^2 part on P_k's
+    half = problem.p_dc * beta[:, None, :] * ry
+    half[own] += (c_h2 * cy + c_b2 * g[:, None]) * c
+    e = np.zeros_like(half)
+    e[own] = (row * sig)[:, None] * c
+    return e, row * sig * g, norm, (row**2 / norm)[:, None, None] * half
 
 
-def _verify_point(problem: MaxMinProblem, a: np.ndarray, t: float) -> float:
-    """Largest violation of the original cone program at (a, t).
+def _verify_point(problem: MaxMinProblem, y: np.ndarray, t: float) -> float:
+    """Largest violation of the original cone program at (y, t).
 
     Sign and power violations are absolute; SINR-cone violations are in
     the row-normalized units of ``_cone_terms``, so the value does not
     depend on the scale of the channel statistics.
     """
-    e, norm, _ = _cone_terms(problem, a)
-    viol = float(np.max(-a, initial=0.0))
-    viol = max(viol, float(np.max(problem.power_norms(a) - 1.0)))
-    return max(viol, float(np.max(math.sqrt(t) * norm - e @ a)))
+    _, ey, norm, _ = _cone_terms(problem, y)
+    viol = float(np.max(-y, initial=0.0))
+    viol = max(viol, float(np.max(problem.power_norms(y) - 1.0)))
+    return max(viol, float(np.max(math.sqrt(t) * norm - ey)))
 
 
 class _OuterApproximation:
     """Polyhedral outer approximation of the max-slack program (Kelley).
 
-    LP variables are (x, s) with x = scale*a, scale = sqrt(max diag Theta),
-    which brings the power constraint to O(1).  With ``_cone_terms``'s e_k
-    and norm_k, a cone cut (k, w, c) reads s + sqrt(t)*(c + w.x) <= e_k.a:
-    c + w.x is a tangent of the convex norm_k, so the cut holds at every t
-    and the cuts are reused across targets.  A power cut reads g.x_l <= 1.
-    The seed cut (w, c) = (0, 1) per UE uses norm_k >= 1.
+    LP variables are (y, s), with y flattened and boxed in [0, 1]: y >= 0
+    and ||y[:, l]|| <= 1 imply y <= 1, so the box cuts off no feasible
+    point and keeps the LP bounded.  With ``_cone_terms``'s e_k and norm_k,
+    a cone cut (k, w, c) reads s + sqrt(t)*(c + w.y) <= e_k.y: c + w.y is a
+    tangent of the convex norm_k, so the cut holds at every t and the cuts
+    are reused across targets.  A power cut reads g.y[:, l] <= 1 with g the
+    unit vector of an LP point's y[:, l] outside the ball.  The seed cut
+    (w, c) = (0, 1) per UE uses norm_k >= 1.
     """
 
     MAX_ROUNDS = 400
 
     def __init__(self, problem: MaxMinProblem):
         self.problem = problem
-        K, L = problem.K, problem.L
-        diag = np.einsum("lkk->lk", problem.Theta).real
-        self.scale = math.sqrt(max(float(np.max(diag)), 1e-300))
-        # exact coordinate caps: entrywise-nonnegative Theta and a >= 0 imply
-        # a_il^2 Theta[ii] <= a' Theta a <= 1; they keep the LP bounded
-        self.caps = self.scale / np.sqrt(diag.reshape(-1))
-        e, _, _ = _cone_terms(problem, np.zeros(K * L))
-        self.e = e / self.scale
+        K = problem.K
+        e, *_ = _cone_terms(problem, np.zeros(problem.y_ones.shape))
+        self.e = e.reshape(K, -1)
         self.cone_k = list(range(K))
-        self.cone_w = [np.zeros(K * L) for _ in range(K)]
+        self.cone_w = [np.zeros(self.e.shape[1])] * K
         self.cone_c = [1.0] * K
         self.power_rows: list[np.ndarray] = []
 
-    def _refine(self, a: np.ndarray, s: float, sqrt_t: float) -> None:
-        """Add tangent cuts at a for every cone the LP point (a, s) violates."""
-        problem, K = self.problem, self.problem.K
-        e, norm, grad = _cone_terms(problem, a)
-        for k in np.flatnonzero(e @ a - sqrt_t * norm < s):
+    def _refine(self, y: np.ndarray, s: float, sqrt_t: float) -> None:
+        """Add tangent cuts at y for every cone the LP point (y, s) violates."""
+        _, ey, norm, grad = _cone_terms(self.problem, y)
+        for k in np.flatnonzero(ey - sqrt_t * norm < s):
             self.cone_k.append(int(k))
-            self.cone_w.append(grad[k] / self.scale)
+            self.cone_w.append(grad[k].reshape(-1))
             self.cone_c.append(1.0 / norm[k])
-        norms = problem.power_norms(a)
-        w = a.reshape(problem.L, K)
+        norms = self.problem.power_norms(y)
         for l in np.flatnonzero(norms > 1.0):
-            g = np.zeros(K * problem.L)
-            g[l * K:(l + 1) * K] = problem.Theta[l].real @ w[l] / (norms[l] * self.scale)
-            self.power_rows.append(g)
+            g = np.zeros_like(y)
+            g[:, l] = y[:, l] / norms[l]
+            self.power_rows.append(g.reshape(-1))
 
     def check(self, t: float) -> FeasibilityVerdict:
         from scipy.optimize import linprog
 
         if t < 0:
             raise ValueError("t must be >= 0")
-        problem, dim = self.problem, self.problem.K * self.problem.L
+        problem, shape = self.problem, self.problem.y_ones.shape
+        dim = self.e.shape[1]
         sqrt_t = math.sqrt(t)
         cost = np.zeros(dim + 1)
         cost[-1] = -1.0
-        bounds = [(0.0, cap) for cap in self.caps] + [(None, None)]
+        bounds = [(0.0, 1.0)] * dim + [(None, None)]
         for rounds in range(1, self.MAX_ROUNDS + 1):
             cone = sqrt_t * np.asarray(self.cone_w) - self.e[self.cone_k]
             a_ub = np.vstack([
@@ -353,13 +345,9 @@ class _OuterApproximation:
                     feasible=False, point=None, max_violation=-slack,
                     iterations=rounds, slack=slack,
                 )
-            a = np.clip(lp.x[:-1], 0.0, None) / self.scale
-            point = a.copy()
-            norms = problem.power_norms(point)
-            over = norms > 1.0
-            if np.any(over):  # exact repair of the outer set's power overshoot
-                w = point.reshape(problem.L, problem.K)
-                w[over] /= norms[over, None]
+            y = np.clip(lp.x[:-1], 0.0, None).reshape(shape)
+            # exact repair of the outer set's power overshoot
+            point = y / np.maximum(problem.power_norms(y), 1.0)
             violation = _verify_point(problem, point, t)
             if violation <= TOL_FEAS and float(np.min(problem.sinr(point))) >= t:
                 return FeasibilityVerdict(
@@ -371,7 +359,7 @@ class _OuterApproximation:
                     feasible=False, point=None, max_violation=violation,
                     iterations=rounds, slack=slack,
                 )
-            self._refine(a, slack, sqrt_t)
+            self._refine(y, slack, sqrt_t)
         raise SolverIndeterminate(
             f"cutting planes did not settle t={t} after {rounds} LP solves "
             f"(LP status {lp.status}, slack {slack:.3e}, point violation "
@@ -387,7 +375,7 @@ def check_feasibility(problem: MaxMinProblem, t: float) -> FeasibilityVerdict:
     loop of LPs over a polyhedral outer approximation of the cones.  An LP
     optimum s* < 0 certifies infeasibility, because the outer set contains
     the feasible set.  Feasible means an LP point that, after the per-AP
-    power repair, has a >= 0, per-AP power <= 1 and min SINR >= t.  An LP
+    power repair, has y >= 0, per-AP power <= 1 and min SINR >= t.  An LP
     optimum below TOL_FEAS without such a point counts as infeasible;
     otherwise tangent cuts of the violated cones are added and the LP is
     solved again.  Raises SolverIndeterminate on a non-optimal LP status
@@ -406,16 +394,12 @@ class RobustPrecodingResult:
 
 
 def scaled_simple_weights(problem: MaxMinProblem) -> np.ndarray:
-    """All-ones weights rescaled per AP to the power boundary (stacked KL).
+    """The y of the all-ones weights rescaled per AP to the power boundary.
 
     Equivalent to running the all-ones weights through the statistical
     common normalization.
     """
-    a = np.ones(problem.K * problem.L)
-    norms = problem.power_norms(a)
-    w = a.reshape(problem.L, problem.K)
-    w /= np.maximum(norms, 1e-300)[:, None]
-    return w.reshape(-1)
+    return problem.y_ones / np.maximum(problem.power_norms(problem.y_ones), 1e-300)
 
 
 def robust_common_precoding(
@@ -424,13 +408,14 @@ def robust_common_precoding(
 ) -> RobustPrecodingResult:
     """Bisection on the max-min common SINR target.
 
-    The bracket starts at t_min = 0 (always feasible via a = 0), raised to
+    The bracket starts at t_min = 0 (always feasible via y = 0), raised to
     the min SINR of the scaled all-ones weights (``scaled_simple_weights``)
     as a warm start, and t_max doubled from max(1, 2 t_min) until
-    infeasible.  Returns the weights from the last feasible target;
-    plugging them into the coherent common SINR with unit eta achieves
-    min-UE SINR within the final bracket at the problem's instant.  Each
-    step is also logged at INFO level as one JSON line.
+    infeasible.  Returns the weights (``MaxMinProblem.weights``) of the
+    last feasible point; plugging them into the coherent common SINR with
+    unit eta achieves min-UE SINR within the final bracket at the
+    problem's instant.  Each step is also logged at INFO level as one JSON
+    line.
     """
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
@@ -443,7 +428,7 @@ def robust_common_precoding(
         trace.append(entry)
         log.info(json.dumps(entry))
 
-    t_min, best_point = 0.0, np.zeros(problem.K * problem.L)
+    t_min, best_point = 0.0, np.zeros(problem.y_ones.shape)
     start = scaled_simple_weights(problem)
     cand = float(np.min(problem.sinr(start)))
     if cand > t_min and _verify_point(problem, start, cand) <= TOL_FEAS:
@@ -481,7 +466,7 @@ def robust_common_precoding(
             t_max = t
 
     return RobustPrecodingResult(
-        weights=problem.weights_matrix(best_point),
+        weights=problem.weights(best_point),
         achieved_t=float(t_min),
         bracket=(float(t_min), float(t_max)),
         iterations=total_iters,

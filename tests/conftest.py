@@ -141,12 +141,14 @@ def per_link_statistics(net, pilots, phases, cfg):
 
 
 def dense_maxmin_matrices(net, pilots, phases, cfg):
-    """Reference: the dense (K, KL, KL) H_k and M_k of the max-min program.
+    """Reference: the max-min program over the stacked weights a in R^{KL},
+    AP-major (index l*K + i), as the dense (K, KL) b, (L, K, K) Theta and
+    (K, KL, KL) H and M.
 
-    Built from ``per_link_statistics``' dense Q_cross and ``dense_R``,
-    with AP-major stacking: the AP-l block of H_k is outer(tau, tau) with
-    tau[i] = tr(Q_cross[k,i,l]), and entry (i, j) of that of M_k is
-    Re tr(Q_cross[i,j,l] R[k,l]).
+    Built from ``per_link_statistics``' dense Q_cross and ``dense_R``:
+    b_k[l*K + i] = tr(Q_cross[k,i,l]), Theta[l] = tr(Q_cross[:, :, l]), the
+    AP-l block of H_k is outer(tau, tau) with tau the AP-l slice of b_k, and
+    entry (i, j) of that of M_k is Re tr(Q_cross[i,j,l] R[k,l]).
     """
     K, L = net.K, net.L
     Q_cross = per_link_statistics(net, pilots, phases, cfg)[2]
@@ -159,4 +161,13 @@ def dense_maxmin_matrices(net, pilots, phases, cfg):
             sl = slice(l * K, (l + 1) * K)
             H[k][sl, sl] = np.outer(tr_Qc[k, :, l], tr_Qc[k, :, l])
             M[k][sl, sl] = tr_QcR[:, :, k, l]
-    return H, M
+    b = np.transpose(tr_Qc, (0, 2, 1)).reshape(K, K * L)
+    return b, np.transpose(tr_Qc, (2, 0, 1)), H, M
+
+
+def per_set_y(problem, w):
+    """The max-min program's (S, L) variables of (K, L) weights w:
+    y[P,l] = sum_{i in P} c[i,l] w[i,l], so dy[P,l]/dw[i,l] = c[i,l]."""
+    y = np.zeros(problem.y_ones.shape)
+    np.add.at(y, problem.sets, problem.c * w)
+    return y

@@ -17,7 +17,7 @@ import cfrs.cli as cli
 from cfrs import closed_form as cf
 from cfrs import optimize as opt
 
-from conftest import dense_maxmin_matrices, random_instance
+from conftest import dense_maxmin_matrices, per_set_y, random_instance
 
 
 def report(num, ok, detail):
@@ -262,9 +262,9 @@ def test_criterion_6_robust_precoding():
         terms = cf.TraceTerms.compute(net, stats, pilots)
         problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.5)
         res = opt.robust_common_precoding(problem)
-        a = problem.stack_weights(res.weights)
-        worst_violation = max(worst_violation, opt._verify_point(problem, a, res.achieved_t))
-        achieved = float(np.min(problem.sinr(a)))
+        y = per_set_y(problem, res.weights)
+        worst_violation = max(worst_violation, opt._verify_point(problem, y, res.achieved_t))
+        achieved = float(np.min(problem.sinr(y)))
         bracket_ok &= res.bracket[0] - 1e-9 <= achieved <= res.bracket[1] + 1e-9
         # min-UE common SE comparison over the whole block, robust vs scaled simple
         plan_rob = cf.make_plan(terms, "du_mr", "coherent", 0.5,
@@ -285,9 +285,9 @@ def test_criterion_6_robust_precoding():
     terms = cf.TraceTerms.compute(net, stats, pilots)
     problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.5)
     res = opt.robust_common_precoding(problem, eps=1e-6)
-    H, M = dense_maxmin_matrices(net, pilots, phases, cfg)
+    b, Theta, H, M = dense_maxmin_matrices(net, pilots, phases, cfg)
 
-    inv_sq = 1.0 / np.sqrt(np.einsum("lkk->lk", problem.Theta).real)  # (L, K)
+    inv_sq = 1.0 / np.sqrt(np.einsum("lkk->lk", Theta))  # (L, K)
 
     def grid_best(lo, hi, points=27):
         axes = [np.linspace(lo[j], hi[j], points) for j in range(4)]
@@ -296,7 +296,7 @@ def test_criterion_6_robust_precoding():
         a1 = r * np.cos(phi) * inv_sq[None, :, 0]
         a2 = r * np.sin(phi) * inv_sq[None, :, 1]
         A = np.stack([a1, a2], axis=-1).reshape(-1, 4)
-        ab = A @ problem.b.T
+        ab = A @ b.T
         qh = np.einsum("ri,kij,rj->rk", A, H, A)
         qm = np.einsum("ri,kij,rj->rk", A, M, A)
         num = problem.p_dc * problem.eta_ap * problem.eta_ue * ab**2

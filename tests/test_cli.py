@@ -770,6 +770,20 @@ def _readme_spec() -> dict:
     return json.loads(readme.split("```json", 1)[1].split("```", 1)[0])
 
 
+BLAS_KERNELS = ("", "Sandybridge", "Prescott")
+
+
+def _kernel_env(kernel):
+    """This environment with OPENBLAS_CORETYPE set to ``kernel`` (unset for
+    "", the library's own pick) and the package's source on PYTHONPATH."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    if kernel:
+        env["OPENBLAS_CORETYPE"] = kernel
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 # one run_experiment per argv, in a child process whose environment picks
 # the BLAS kernel
 _RUN_IN_CHILD = """
@@ -791,16 +805,11 @@ def test_sweep_csvs_do_not_depend_on_the_blas_kernel(workload, tmp_path):
                 "schemes": [
                     {"private": "du_mr", "transmission": "coherent", "rs": True},
                     {"private": "df_mr", "transmission": "noncoherent", "rs": True}]}
-    src = str(Path(cli.__file__).resolve().parents[1])
     outputs = {}
-    for kernel in ("", "Sandybridge", "Prescott"):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-        if kernel:
-            env["OPENBLAS_CORETYPE"] = kernel
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for kernel in BLAS_KERNELS:
         out = tmp_path / (kernel or "default")
         subprocess.run([sys.executable, "-c", _RUN_IN_CHILD, json.dumps(spec), str(out)],
-                       env=env, check=True, timeout=120)
+                       env=_kernel_env(kernel), check=True, timeout=120)
         outputs[kernel] = [(out / name).read_bytes()
                            for name in ("results.csv", "aggregate.csv")]
     assert outputs["Sandybridge"] == outputs[""]
@@ -809,17 +818,27 @@ def test_sweep_csvs_do_not_depend_on_the_blas_kernel(workload, tmp_path):
 
 def test_validate_csv_does_not_depend_on_the_blas_kernel(tmp_path):
     # the Monte Carlo oracle forms no matrix product either
-    src = str(Path(cli.__file__).resolve().parents[1])
     outputs = {}
-    for kernel in ("", "Sandybridge", "Prescott"):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-        if kernel:
-            env["OPENBLAS_CORETYPE"] = kernel
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for kernel in BLAS_KERNELS:
         out = tmp_path / f"{kernel or 'default'}.csv"
         subprocess.run([sys.executable, "-m", "cfrs.cli", "validate", "--mc", "2000",
-                        "--out", str(out)], env=env, check=True, timeout=120,
-                       capture_output=True)
+                        "--out", str(out)], env=_kernel_env(kernel), check=True,
+                       timeout=120, capture_output=True)
+        outputs[kernel] = out.read_bytes()
+    assert outputs["Sandybridge"] == outputs[""]
+    assert outputs["Prescott"] == outputs[""]
+
+
+def test_robust_weights_do_not_depend_on_the_blas_kernel(tmp_path):
+    # nor does the max-min program; K > tau_p, so the split is exercised too
+    path = write_spec(tmp_path, one_scheme_spec(
+        system={**desk_system(), "L": 10, "K": 6, "tau_p": 3}))
+    outputs = {}
+    for kernel in BLAS_KERNELS:
+        out = tmp_path / f"{kernel or 'default'}.csv"
+        subprocess.run([sys.executable, "-m", "cfrs.cli", "robust", "--config", str(path),
+                        "--out", str(out)], env=_kernel_env(kernel), check=True,
+                       timeout=120, capture_output=True)
         outputs[kernel] = out.read_bytes()
     assert outputs["Sandybridge"] == outputs[""]
     assert outputs["Prescott"] == outputs[""]
@@ -854,7 +873,7 @@ def test_matrix_product_lint_flags_every_form():
         f"line {n}" for n in range(1, 9)]
 
 
-@pytest.mark.parametrize("module", ["closed_form", "estimation", "montecarlo"])
+@pytest.mark.parametrize("module", ["closed_form", "estimation", "montecarlo", "optimize"])
 def test_sweep_modules_form_no_matrix_product(module):
     # the kernel test above catches a product only where this host's OpenBLAS
     # kernels round it differently, so the sources are checked as well
@@ -941,6 +960,22 @@ def test_bad_flags_fail_at_the_boundary(argv, tmp_path, monkeypatch, capsys):
     assert cli.main(argv + ["--out", str(out)]) == 2
     assert f"error: {argv[1]}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+@pytest.mark.parametrize("argv", [
+    ["nmse", "--out"], ["se", "--out"], ["se", "--dump-network"], ["validate", "--out"],
+    ["validate", "--terms-out"], ["robust", "--out"],
+], ids=" ".join)
+def test_bad_output_paths_fail_before_any_work(argv, target, tmp_path, monkeypatch, capsys):
+    def no_topology(*args):
+        raise AssertionError("a bad output path must fail before anything is computed")
+
+    monkeypatch.setattr(cli, "build_topology", no_topology)
+    monkeypatch.setattr(cli, "build_network", no_topology)
+    path = tmp_path if target == "directory" else tmp_path / "missing" / "out.csv"
+    assert cli.main(argv + [str(path)]) == 2
+    assert f"error: {argv[1]}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("count", ["50", "-3"])

@@ -12,6 +12,7 @@ from cfrs import optimize as opt
 from conftest import (
     dense_R,
     per_link_statistics,
+    per_set_y,
     random_instance,
     random_template,
 )
@@ -312,11 +313,13 @@ def test_blocked_tr_qcr_matches_dense_einsum():
         tr_Qc = np.einsum("kilnn->kil", Q_cross)
         got = copilot[..., 0] * (x * terms.s2)[:, None] * x[None]
         assert np.max(np.abs(got - tr_Qc)) <= 1e-12 * np.max(np.abs(tr_Qc))
-        # the max-min program's M_k a, from the factors, against the dense blocks
+        # the max-min program's a'M_k a, sum_l beta[k,l] sum_P (s3/s2)[P,l] y[P,l]^2
+        # in its per-set variables, against the dense blocks
         problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.5)
-        a = rng.uniform(0, 1, cfg.K * cfg.L)
-        m_dense = np.einsum("ijkl,lj->kli", dense.real, problem.weights_matrix(a).T)
-        m = problem.products(a)[1].reshape(cfg.K, cfg.L, cfg.K)
+        a = rng.uniform(0, 1, (cfg.K, cfg.L))
+        m_dense = np.einsum("ijkl,il,jl->k", dense.real, a, a)
+        y = per_set_y(problem, a)
+        m = np.sum(terms.beta * np.sum(problem.ratio * y * y, axis=0), axis=1)
         assert np.max(np.abs(m - m_dense)) <= 1e-12 * np.max(np.abs(m_dense))
         cross_dense = np.einsum("l,il,jl,ijkl->k", eta, np.conj(w), w, dense).real
         # without drift (ea = eu = 1) the DF non-coherent common interference
@@ -425,9 +428,11 @@ def test_copilot_blocks_match_dense_references_on_uneven_groups():
                 ref = dense_plan_parts(net, Q, Q_cross, plan, ea, eu)
                 for name, value in ref.items():
                     assert close(getattr(parts, name), value), (policy, scheme, name)
+        # tr(Q_cross[k,i,l]) = c[k,l] c[i,l] on co-pilot pairs, in the
+        # program's factor c and set index
         problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.5)
-        assert close(problem.b, np.transpose(tr_Qc, (0, 2, 1)).reshape(cfg.K, -1))
-        assert close(problem.Theta, np.transpose(tr_Qc, (2, 0, 1)))
+        copilot = problem.sets[:, None] == problem.sets[None, :]
+        assert close(copilot[..., None] * problem.c[:, None] * problem.c[None], tr_Qc)
         plan = cf.make_plan(terms, *opt.MAXMIN_SCHEME)
         n_ea, n_eu = cf.decay_pair(phases, cfg, problem.instant)
         assert close(problem.xi, dense_plan_parts(net, Q, Q_cross, plan, n_ea, n_eu)["xi"][0])
@@ -611,8 +616,7 @@ def test_trace_terms_sparsity(desk):
         # the terms hold the network's gains themselves, not a copy
         assert terms.beta is net.beta
         # neither the statistics, the terms nor the max-min program hold an
-        # array with two co-pilot axes; the LP's dense b (K, KL) and Theta
-        # (L, K, K) are the only arrays with two UE axes
+        # array with two co-pilot axes or two UE axes
         problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.5)
         assert problem.terms is terms
         held = {}
@@ -626,9 +630,10 @@ def test_trace_terms_sparsity(desk):
             for shape in shapes:
                 assert not any(shape[i:i + 3] in pair_shapes
                                for i in range(len(shape))), (name, shape)
-                if name not in ("b", "Theta") and K not in (L, net.N):
+                if K not in (L, net.N):
                     assert shape.count(K) <= 1, (name, shape)
-        assert held["b"] == [(K, K * L)] and held["Theta"] == [(L, K, K)]
+                assert shape not in ((K, K * L), (L, K, K)), (name, shape)
+        assert held["c"] == [(K, L)] and held["y_ones"] == [(len(pilots.groups), L)]
 
 
 def test_more_aps_shrink_ap_drift_penalty():

@@ -8,7 +8,7 @@ import cfrs
 from cfrs import closed_form as cf
 from cfrs import optimize as opt
 
-from conftest import dense_maxmin_matrices, per_link_statistics
+from conftest import dense_maxmin_matrices, per_link_statistics, per_set_y
 
 
 def setup_instance(seed=1, L=4, K=2, N=2, tau_p=2, var=1e-3, rho=0.5, n=None):
@@ -82,19 +82,24 @@ def test_optimal_rho_matches_grid_on_closed_form():
 # ---------------------------------------------------------------------------
 
 def test_single_ue_theta_is_trq():
+    # one UE: its set's power is a^2 tr(Q), so y_ones^2 = tr(Q)
     cfg, net, pilots, phases, stats, terms, problem = setup_instance(K=1, tau_p=1)
-    assert problem.Theta.shape == (cfg.L, 1, 1)
-    assert np.allclose(problem.Theta[:, 0, 0], terms.tr_Q[0], rtol=1e-12)
+    assert problem.y_ones.shape == (1, cfg.L)
+    assert np.allclose(problem.y_ones[0] ** 2, terms.tr_Q[0], rtol=1e-12)
+    a = np.random.default_rng(3).uniform(0, 2, size=(1, cfg.L))
+    assert np.allclose(problem.power_norms(per_set_y(problem, a)) ** 2,
+                       a[0] ** 2 * terms.tr_Q[0], rtol=1e-12)
 
 
 def test_orthogonal_pilots_make_blocks_diagonal():
     cfg, net, pilots, phases, stats, terms, problem = setup_instance(
         K=2, tau_p=2, L=3
     )
+    # one singleton set per UE: y is a reordering of the weights times c
+    assert sorted(problem.sets.tolist()) == list(range(cfg.K))
+    b, Theta, H, M = dense_maxmin_matrices(net, pilots, phases, cfg)
     for l in range(cfg.L):
-        off = problem.Theta[l] - np.diag(np.diag(problem.Theta[l]))
-        assert np.all(off == 0)
-    H, M = dense_maxmin_matrices(net, pilots, phases, cfg)
+        assert np.all(Theta[l] - np.diag(np.diag(Theta[l])) == 0)
     for k in range(cfg.K):
         for mat in (H[k], M[k]):
             assert np.all(mat - np.diag(np.diag(mat)) == 0)
@@ -107,22 +112,15 @@ def test_theta_gram_identity_against_common_power():
     rng = np.random.default_rng(11)
     tr_Qc = np.einsum("kilnn->kil", per_link_statistics(net, pilots, phases, cfg)[2]).real
     for _ in range(100):
-        a = rng.uniform(0, 2, size=cfg.K * cfg.L)
-        w = problem.weights_matrix(a)  # (K, L)
+        w = rng.uniform(0, 2, size=(cfg.K, cfg.L))
         direct = 0.0
         for l in range(cfg.L):
             for k in range(cfg.K):
                 for i in range(cfg.K):
                     direct += w[k, l] * w[i, l] * tr_Qc[k, i, l]
-        quad = sum(
-            a[l * cfg.K:(l + 1) * cfg.K]
-            @ problem.Theta[l].real
-            @ a[l * cfg.K:(l + 1) * cfg.K]
-            for l in range(cfg.L)
-        )
-        assert quad == pytest.approx(direct, rel=1e-10)
         assert np.sum(cf.common_power(terms, w)) == pytest.approx(direct, rel=1e-10)
-        assert np.sum(problem.power_norms(a) ** 2) == pytest.approx(direct, rel=1e-10)
+        y = per_set_y(problem, w)
+        assert np.sum(problem.power_norms(y) ** 2) == pytest.approx(direct, rel=1e-10)
 
 
 def test_problem_sinr_matches_closed_form_with_unit_eta():
@@ -134,7 +132,7 @@ def test_problem_sinr_matches_closed_form_with_unit_eta():
         w = rng.uniform(0, 1e4, size=(cfg.K, cfg.L))
         plan = cf.make_plan(terms, "du_mr", "coherent", 0.35, weights=w, unit_eta=True)
         via_closed = cf.common_sinr(terms, plan, phases, cfg, problem.instant)
-        via_problem = problem.sinr(problem.stack_weights(w))
+        via_problem = problem.sinr(per_set_y(problem, w))
         assert np.allclose(via_closed, via_problem, rtol=1e-10)
 
 
@@ -159,45 +157,74 @@ def test_rho_zero_problem_rejected():
 
 
 def test_problem_matrix_invariants():
-    # Theta/H PSD, M PSD, b real non-negative, on contaminated instances;
-    # H_k and M_k are block-diagonal, so their blocks carry every eigenvalue
+    # the dense Theta, H and M are PSD on contaminated instances (H_k and M_k
+    # are block-diagonal, so their blocks carry every eigenvalue), and the
+    # program's forms in y are diagonal with non-negative entries
     for seed in (1, 5, 9):
         cfg, net, pilots, phases, stats, terms, problem = setup_instance(
             seed=seed, K=4, tau_p=2, L=3
         )
-        assert np.all(problem.b >= 0)
-        for l in range(problem.L):
-            assert np.linalg.eigvalsh(problem.Theta[l]).min() >= -1e-10
-        tau = problem.b.reshape(problem.K, problem.L, problem.K)
-        h_blocks = tau[..., :, None] * tau[..., None, :]  # (K, L, K, K)
-        assert np.linalg.eigvalsh(h_blocks).min() >= -1e-10
-        # M_k's AP-l block, column j the AP-l part of M_k e_j, applied from
-        # the rank-1 factors
-        KL = problem.K * problem.L
-        cols = np.stack([problem.products(e)[1] for e in np.eye(KL)], axis=-1)
-        m_blocks = np.stack([cols[:, l * problem.K:(l + 1) * problem.K,
-                                  l * problem.K:(l + 1) * problem.K]
-                             for l in range(problem.L)], axis=1)  # (K, L, K, K)
-        assert np.allclose(m_blocks, np.swapaxes(m_blocks, -1, -2), rtol=1e-12, atol=0)
-        assert np.linalg.eigvalsh(m_blocks).min() >= -1e-10
+        assert np.all(problem.c > 0) and np.all(problem.ratio > 0)
+        assert np.all(problem.y_ones > 0)
+        b, Theta, H, M = dense_maxmin_matrices(net, pilots, phases, cfg)
+        assert np.all(b >= 0)
+        assert np.linalg.eigvalsh(Theta).min() >= -1e-10
+        for mat in (H, M):
+            blocks = np.stack([mat[:, l * cfg.K:(l + 1) * cfg.K, l * cfg.K:(l + 1) * cfg.K]
+                               for l in range(cfg.L)], axis=1)  # (K, L, K, K)
+            assert np.allclose(blocks, np.swapaxes(blocks, -1, -2), rtol=1e-12, atol=0)
+            assert np.linalg.eigvalsh(blocks).min() >= -1e-10
 
 
-def dense_cone_terms(problem, H, M, a):
-    """Reference for ``_cone_terms`` on the dense H_k and M_k."""
+def test_split_is_canonical():
+    # K > tau_p: sets of 3, 2 and 2 UEs
+    cfg, net, pilots, phases, stats, terms, problem = setup_instance(
+        seed=4, K=7, tau_p=3, L=5
+    )
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        w = rng.uniform(0, 2, size=(cfg.K, cfg.L))
+        # re-split within each set at fixed Omega[P,l] = sum_{i in P} w x
+        r = w * rng.uniform(0.1, 10, size=w.shape)
+        omega_w, omega_r = (np.zeros(problem.y_ones.shape) for _ in range(2))
+        np.add.at(omega_w, problem.sets, w * terms.x)
+        np.add.at(omega_r, problem.sets, r * terms.x)
+        r = r * (omega_w / omega_r)[problem.sets]
+        same = []
+        for v in (w, r):
+            plan = cf.make_plan(terms, *opt.MAXMIN_SCHEME, 0.5, weights=v, unit_eta=True)
+            same.append((cf.common_sinr(terms, plan, phases, cfg, problem.instant),
+                         cf.common_power(terms, v), problem.sinr(per_set_y(problem, v))))
+        for got, want in zip(*same):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    res = opt.robust_common_precoding(problem)
+    for idx in terms.stacks:
+        members = res.weights[idx]  # (S, g, L)
+        assert np.array_equal(members, np.broadcast_to(members[:, :1], members.shape))
+    plan = cf.make_plan(terms, *opt.MAXMIN_SCHEME, 0.5, weights=res.weights, unit_eta=True)
+    applied = cf.common_sinr(terms, plan, phases, cfg, problem.instant)
+    assert np.min(applied) >= res.bracket[0] * (1 - 1e-9)
+    assert np.max(cf.common_power(terms, res.weights)) <= 1 + 1e-12
+
+
+def dense_cone_terms(problem, b, H, M, a):
+    """Reference for ``_cone_terms`` on the dense b_k, H_k and M_k, in the
+    stacked weights a: (e, e.a, norm, grad)."""
     sig = math.sqrt(problem.p_dc * problem.eta_ap * problem.eta_ue)
     c_h2 = problem.p_dc * (1.0 - problem.eta_ap)
     c_b2 = problem.p_dc * problem.eta_ap * (1.0 - problem.eta_ue)
     row = 1.0 / np.sqrt(problem.p_dp * problem.xi + problem.sigma2)
-    ab = problem.b @ a
-    half_grad = c_h2 * (H @ a) + problem.p_dc * (M @ a) + c_b2 * ab[:, None] * problem.b
+    ab = b @ a
+    half_grad = c_h2 * (H @ a) + problem.p_dc * (M @ a) + c_b2 * ab[:, None] * b
     norm = np.sqrt(row**2 * np.maximum(half_grad @ a, 0.0) + 1.0)
     grad = (row**2 / norm)[:, None] * half_grad
-    return (row * sig)[:, None] * problem.b, norm, grad
+    e = (row * sig)[:, None] * b
+    return e, e @ a, norm, grad
 
 
-def dense_sinr(problem, H, M, a):
-    """Reference for ``MaxMinProblem.sinr`` on the dense H_k and M_k."""
-    ab = problem.b @ a
+def dense_sinr(problem, b, H, M, a):
+    """Reference for ``MaxMinProblem.sinr`` on the dense b_k, H_k and M_k."""
+    ab = b @ a
     num = problem.p_dc * problem.eta_ap * problem.eta_ue * ab**2
     den = (problem.p_dc * (1.0 - problem.eta_ap) * np.einsum("i,kij,j->k", a, H, a)
            + problem.p_dc * np.einsum("i,kij,j->k", a, M, a)
@@ -217,13 +244,18 @@ def test_block_products_match_dense_reference():
     stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
     terms = cf.TraceTerms.compute(net, stats, pilots)
     problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.4)
-    H, M = dense_maxmin_matrices(net, pilots, phases, cfg)
+    b, _, H, M = dense_maxmin_matrices(net, pilots, phases, cfg)
     rng = np.random.default_rng(13)
     for _ in range(10):
-        a = rng.uniform(0, 1e4, cfg.K * cfg.L)
-        want = dense_sinr(problem, H, M, a)
-        assert np.max(np.abs(problem.sinr(a) - want)) <= 1e-12 * np.max(want)
-        for got, ref in zip(opt._cone_terms(problem, a), dense_cone_terms(problem, H, M, a)):
+        w = rng.uniform(0, 1e4, (cfg.K, cfg.L))
+        a, y = w.T.reshape(-1), per_set_y(problem, w)  # a stacked AP-major
+        want = dense_sinr(problem, b, H, M, a)
+        assert np.max(np.abs(problem.sinr(y) - want)) <= 1e-12 * np.max(want)
+        e, ey, norm, grad = opt._cone_terms(problem, y)
+        # e and the gradient in a by the chain rule dy[P,l]/da[i,l] = c[i,l]
+        e, grad = ((v[:, problem.sets] * problem.c).transpose(0, 2, 1).reshape(cfg.K, -1)
+                   for v in (e, grad))
+        for got, ref in zip((e, ey, norm, grad), dense_cone_terms(problem, b, H, M, a)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -240,13 +272,14 @@ def test_zero_target_is_feasible():
 
 def test_above_norm_bound_is_infeasible():
     # orthogonal pilots: Theta is diagonal PD, so the weight box is bounded
-    *_, problem = setup_instance(seed=4, K=2, tau_p=2, L=2)
-    lam_min = min(np.linalg.eigvalsh(problem.Theta[l]).min() for l in range(problem.L))
-    b_norm = max(np.linalg.norm(problem.b[k]) for k in range(problem.K))
+    cfg, net, pilots, phases, *_, problem = setup_instance(seed=4, K=2, tau_p=2, L=2)
+    b, Theta, _, _ = dense_maxmin_matrices(net, pilots, phases, cfg)
+    lam_min = np.linalg.eigvalsh(Theta).min()
+    b_norm = np.linalg.norm(b, axis=1).max()
     noise_floor = float(np.min(problem.p_dp * problem.xi) + problem.sigma2)
     bound = (
         problem.p_dc * problem.eta_ap * problem.eta_ue
-        * (problem.K * problem.L / lam_min) * b_norm**2 / noise_floor
+        * (cfg.K * cfg.L / lam_min) * b_norm**2 / noise_floor
     )
     verdict = opt.check_feasibility(problem, 2.0 * bound)
     assert not verdict.feasible
@@ -279,12 +312,12 @@ def test_verification_is_scale_free():
         problem, p_dc=problem.p_dc * 1e6, p_dp=problem.p_dp * 1e6,
         sigma2=problem.sigma2 * 1e6,
     )
-    a = opt.scaled_simple_weights(problem)
-    t = 1.001 * float(np.min(problem.sinr(a)))
-    assert np.allclose(scaled.sinr(a), problem.sinr(a), rtol=1e-12)
-    viol = opt._verify_point(problem, a, t)
+    y = opt.scaled_simple_weights(problem)
+    t = 1.001 * float(np.min(problem.sinr(y)))
+    assert np.allclose(scaled.sinr(y), problem.sinr(y), rtol=1e-12)
+    viol = opt._verify_point(problem, y, t)
     assert viol > 0
-    assert opt._verify_point(scaled, a, t) == pytest.approx(viol, rel=1e-9)
+    assert opt._verify_point(scaled, y, t) == pytest.approx(viol, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +333,9 @@ def test_robust_beats_simple_baseline_and_stays_feasible():
         t_simple = float(np.min(problem.sinr(simple)))
         res = opt.robust_common_precoding(problem)
         assert res.achieved_t >= t_simple - 1e-12
-        a = problem.stack_weights(res.weights)
-        assert opt._verify_point(problem, a, res.achieved_t) <= 1e-8
-        achieved = float(np.min(problem.sinr(a)))
+        y = per_set_y(problem, res.weights)
+        assert opt._verify_point(problem, y, res.achieved_t) <= 1e-8
+        achieved = float(np.min(problem.sinr(y)))
         assert res.bracket[0] - 1e-9 <= achieved <= res.bracket[1] + 1e-9
 
 
@@ -312,18 +345,20 @@ def test_robust_single_ue_hits_numeric_optimum():
     )
     res = opt.robust_common_precoding(problem, eps=1e-6)
     # brute numeric maximization over the 2-d box (Theta is diagonal here)
-    amax = 1.0 / np.sqrt(problem.Theta[:, 0, 0].real)
+    theta = dense_maxmin_matrices(net, pilots, phases, cfg)[1][:, 0, 0]
+    amax = 1.0 / np.sqrt(theta)
     grid = np.stack(
         np.meshgrid(np.linspace(0, amax[0], 200), np.linspace(0, amax[1], 200),
                     indexing="ij"),
         axis=-1,
     ).reshape(-1, 2)
-    norms = grid**2 * problem.Theta[:, 0, 0].real[None, :]
+    norms = grid**2 * theta[None, :]
     feasible = grid[(norms <= 1.0).all(axis=1)]
-    best = max(float(np.min(problem.sinr(a))) for a in feasible)
+    # one UE, one set: y = c * a
+    best = max(float(np.min(problem.sinr(problem.c * a))) for a in feasible)
     assert res.achieved_t == pytest.approx(best, rel=5e-3)
     # optimum saturates the per-AP power at both APs for a single UE
-    assert np.allclose(problem.power_norms(problem.stack_weights(res.weights)),
+    assert np.allclose(problem.power_norms(per_set_y(problem, res.weights)),
                        1.0, atol=1e-4)
 
 
@@ -334,7 +369,7 @@ def test_bottleneck_user_cannot_be_lifted_further():
         seed=12, K=3, tau_p=1, L=5
     )
     res = opt.robust_common_precoding(problem, eps=1e-6)
-    sinrs = problem.sinr(problem.stack_weights(res.weights))
+    sinrs = problem.sinr(per_set_y(problem, res.weights))
     assert np.all(sinrs >= res.achieved_t - 1e-9)
     beyond = opt.check_feasibility(problem, res.achieved_t * 1.01)
     assert not beyond.feasible
