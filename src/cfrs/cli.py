@@ -904,6 +904,8 @@ def cmd_robust(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.replay and args.config:
+        raise ConfigError("--replay and --config: give one, the manifest holds its spec")
     if args.replay:
         manifest = _read_json(Path(args.replay))
         if not (isinstance(manifest, dict) and manifest.get("schema") == MANIFEST_SCHEMA
@@ -919,7 +921,13 @@ def cmd_sweep(args) -> int:
             spec = dataclasses.replace(spec, mc_realizations=args.mc)
         except ConfigError as exc:
             raise ConfigError(f"--mc: {exc}") from exc
-    out = run_experiment(spec, out_dir=args.out)
+    # checked before any job: mkdir fails on a path that is, or lies under, a file
+    out = Path(args.out or spec.output_path)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        flag = "--out" if args.out else f"{args.replay or args.config}.output"
+        raise ConfigError(f"{flag}: {existing} is not a directory")
+    run_experiment(spec, out_dir=out)
     print(f"experiment written to {out}")
     return 0
 
@@ -931,10 +939,12 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, seed=True, out="output file"):
         p.add_argument("--config", help="experiment spec (JSON)")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--out", help="output file or directory")
+        if seed:
+            p.add_argument("--seed", type=int, help="override the config seed")
+        if out:
+            p.add_argument("--out", help=out)
         p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("nmse", help="MMSE/LS estimation quality per link")
@@ -954,7 +964,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("rho-opt", help="binary search for the optimal power split")
-    add_common(p)
+    add_common(p, out=None)
     p.add_argument("--scheme", default="du_mr", choices=closed_form.PRIVATE_SCHEMES)
     p.add_argument("--transmission", default="coherent", choices=closed_form.TRANSMISSIONS)
     p.add_argument("--tol", type=float, default=1e-3)
@@ -971,7 +981,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_robust)
 
     p = sub.add_parser("sweep", help="full experiment with replayable manifest")
-    add_common(p)
+    add_common(p, seed=False, out="output directory (default: the spec's output)")
     p.add_argument("--mc", type=int, help="override mc_realizations")
     p.add_argument("--replay", help="re-run byte-identically from a manifest.json")
     p.set_defaults(func=cmd_sweep)

@@ -30,22 +30,22 @@ hardening-bound terms are inner products over the antennas, which the
 common unitary change of basis leaves unchanged.
 
 Nothing with a realization axis outlives the RNG chunk it was drawn in.
-A batch (``RealizationBatch``) records how to draw its realizations (the
-network, pilots, estimation statistics, phase statistics, config, count,
-seed and instants) and, for every plan declared to ``sample_batch``, that
-plan's per-group sums of every term.  One streamed pass (``_stream``) runs
-draw -> precode -> accumulate inside each RNG chunk: the chunk is drawn,
-the estimation filters run elementwise, and every kept phase becomes its
-unit-modulus factor exp(-i phase) with one cos/sin evaluation; then the
-chunk, cut at the jackknife group edges and into slices of (K, K, L, r)
-work arrays of about ``_WORK_ELEMENTS`` entries that fit in cache, forms
-each private scheme's precoders and link-precoder products once per slice
-and adds every plan's terms and per-AP transmit powers into the chunk's
-own per-group partial sums.  Chunks run on ``_map``'s worker threads, at
-most one per CPU available to the process; numpy's RNG fills and ufunc
-loops release the GIL, so the threads run in parallel.  ``mc_sinr`` and
-``transmit_power_stats`` read a declared plan's sums; for any other plan
-they run one streamed pass of their own over the same draws.
+``sample_batch`` takes every plan the caller will read, and the batch it
+returns (``RealizationBatch``) holds only the count, the instants, the
+config and, for each of those plans, its per-group sums of every term.
+One streamed pass (``_stream``) runs draw -> precode -> accumulate inside
+each RNG chunk: the chunk is drawn, the estimation filters run
+elementwise, and every kept phase becomes its unit-modulus factor
+exp(-i phase) with one cos/sin evaluation; then the chunk, cut at the
+jackknife group edges and into slices of (K, K, L, r) work arrays of about
+``_WORK_ELEMENTS`` entries that fit in cache, forms each private scheme's
+precoders, their power and the link-precoder products once per slice and
+adds every plan's terms and per-AP transmit powers into the chunk's own
+per-group partial sums.  Chunks run on ``_map``'s worker threads, at most
+one per CPU available to the process; numpy's RNG fills and ufunc loops
+release the GIL, so the threads run in parallel.  ``mc_sinr`` and
+``transmit_power_stats`` read a declared plan's sums and draw nothing; a
+plan that was not declared is an error.
 
 Reproducibility: realizations are generated in fixed-size chunks, chunk i
 seeded by SeedSequence(seed, spawn_key=(i,)) feeding a counter-based
@@ -53,8 +53,7 @@ Philox generator, so a pass redraws the same realizations however often
 it runs and however the chunks are scheduled over the threads.  The slice
 plan does not depend on the worker count either, and the caller's thread
 folds each chunk's partial sums into the group rows in chunk order, so
-every output is bitwise the same at any worker count, and a declared plan
-gives the same bits as the same plan passed undeclared.  No step forms a
+every output is bitwise the same at any worker count.  No step forms a
 matrix product, whose summation order would depend on the BLAS kernel.
 Standard errors come from a delete-one block jackknife over
 ``JACKKNIFE_GROUPS`` contiguous realization blocks (95% intervals: Student
@@ -66,7 +65,7 @@ bias-corrected SINRs with their standard errors.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,27 +118,21 @@ class _BlockSums:
 
 @dataclass(frozen=True)
 class RealizationBatch:
-    """One reproducible batch of channel and oscillator-phase realizations:
-    how to draw them, and the sums of every plan declared when it was drawn.
+    """The sums of one reproducible batch of channel and oscillator-phase
+    realizations, for every plan declared to ``sample_batch``.
 
-    It holds no array with a realization axis.  ``count`` realizations are
-    drawn from ``seed`` with the network, pilots, estimation statistics,
-    phase statistics and config given here; ``instants`` lists the
-    estimation instant and every requested evaluation instant, at which the
-    phases enter the terms.  ``declared`` pairs each plan declared to
-    ``sample_batch`` with its per-group sums at every one of ``instants``;
-    ``mc_sinr`` and ``transmit_power_stats`` find a plan there by identity.
+    It holds no array with a realization axis.  ``count`` realizations were
+    drawn; ``instants`` lists the estimation instant and every requested
+    evaluation instant, at which the terms were summed.  ``declared`` pairs
+    each declared plan with its per-group sums at every one of
+    ``instants``; ``mc_sinr`` and ``transmit_power_stats`` find a plan
+    there by identity.
     """
 
     count: int
     instants: tuple[int, ...]
-    net: NetworkModel
     config: SystemConfig
-    pilots: PilotAssignment
-    stats: EstimationStatistics
-    phases: PhaseStatistics
-    seed: int
-    declared: tuple[tuple[PrecodingPlan, _BlockSums], ...] = ()
+    declared: tuple[tuple[PrecodingPlan, _BlockSums], ...]
 
     def instant_index(self, n: int) -> int:
         try:
@@ -285,33 +278,32 @@ def sample_batch(
     count: int,
     seed: int,
     instants=(),
-    plans=(),
+    *,
+    plans,
 ) -> RealizationBatch:
-    """A batch of ``count`` realizations, with every plan of ``plans``
+    """The sums of ``count`` realizations for every plan of ``plans``,
     accumulated in one streamed pass.
 
     ``instants`` lists the data instants at which SINRs will later be
     evaluated; the terms are summed there and at the estimation instant.
-    The estimates use the filters of ``stats``.  Each declared plan's sums
-    are kept on the batch; no realization is.  Identical (seed, inputs)
-    give identical draws and sums, whatever the worker count.  With no
-    plans nothing is drawn here: each ``mc_sinr`` or
-    ``transmit_power_stats`` call then runs its own pass.
+    The estimates use the filters of ``stats``.  Only the plans declared
+    here can be read from the batch, so ``plans`` must list every plan the
+    caller will pass to ``mc_sinr`` or ``transmit_power_stats``.  Identical
+    (seed, inputs) give identical draws and sums, whatever the worker count.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    instants = check_instants(config, instants)
-    kept = sorted({config.estimation_instant} | {int(n) for n in instants})
-    batch = RealizationBatch(count=count, instants=tuple(kept), net=net, config=config,
-                             pilots=pilots, stats=stats, phases=phases, seed=seed)
     plans = list(plans)
     if not plans:
-        return batch
-    sums = _stream(batch, plans, kept)
+        raise ValueError("plans is empty: declare every plan the batch will be read for")
+    instants = check_instants(config, instants)
+    kept = tuple(sorted({config.estimation_instant} | {int(n) for n in instants}))
+    sums = _stream(net, pilots, stats, phases, config, count, seed, kept, plans)
     for s in sums:
         for arr in s.rows():
             arr.setflags(write=False)
-    return replace(batch, declared=tuple(zip(plans, sums)))
+    return RealizationBatch(count=count, instants=kept, config=config,
+                            declared=tuple(zip(plans, sums)))
 
 
 # ---------------------------------------------------------------------------
@@ -379,28 +371,27 @@ def _sumsq(a: np.ndarray) -> np.ndarray:
     return np.square(a.view(float)).sum(axis=-1)
 
 
-def _stream(batch: RealizationBatch, plans, instants) -> list[_BlockSums]:
+def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) -> list[_BlockSums]:
     """Per-group sums of every term of every plan at the instants, and of
-    its per-AP transmit power, from one pass over the batch's draws.
+    its per-AP transmit power, from one pass over ``count`` realizations
+    drawn from ``seed`` (see ``_chunk_draw``).
 
     Each RNG chunk runs on a worker of ``_map``: it draws its realizations,
     turns the phases at the instants into their factors, and cuts itself
     into the slices of ``_chunk_slices``.  Per slice, each private scheme of
-    the plans forms its precoders v and, when terms are asked for, the
-    link-precoder products P (see ``_accumulate``) once, and every plan of
-    that scheme adds its terms and powers into the chunk's partial sums,
-    one row per group the chunk touches.  The caller's thread folds the
-    partials into the group rows in chunk order.
+    the plans forms its precoders v, their power and the link-precoder
+    products P (see ``_accumulate``) once, and every plan of that scheme
+    adds its terms and powers into the chunk's partial sums, one row per
+    group the chunk touches.  The caller's thread folds the partials into
+    the group rows in chunk order.
     """
-    net, config = batch.net, batch.config
     K, L, N = net.K, net.L, net.N
     for plan in plans:
         check_plan_shapes(plan, K, L)
-    counts, chunks = _chunk_slices(batch.count, K, L)
-    drawn = _phase_instants(batch.pilots, config, batch.instants)
-    columns = [drawn.index(int(n)) for n in instants]
-    draw = _chunk_draw(net, batch.pilots, batch.stats, batch.phases, config, batch.count,
-                       batch.seed, batch.instants)
+    counts, chunks = _chunk_slices(count, K, L)
+    drawn = _phase_instants(pilots, config, instants)
+    columns = [drawn.index(n) for n in instants]
+    draw = _chunk_draw(net, pilots, stats, phases, config, count, seed, instants)
     schemes = sorted({plan.private_scheme for plan in plans})
     conj_theta = np.conj(net.theta)[:, :, None, None]
 
@@ -417,15 +408,14 @@ def _stream(batch: RealizationBatch, plans, instants) -> list[_BlockSums]:
         first = slices[0][0]
         partial = zeros(slices[-1][0] - first + 1)
         for b, sl in slices:
-            gh = conj_theta * np.conj(h[..., sl]) if columns else None
+            gh = conj_theta * np.conj(h[..., sl])
             precoded = {}
             for scheme in schemes:
                 v = private_precoders(hhat[..., sl], net, scheme)
                 # explicit sum over antennas: a batched matmul of the tiny
                 # per-realization matrices is several times slower
-                P = (None if gh is None else
-                     _sum(gh[:, None, :, n] * v[None, :, :, n] for n in range(N)))  # (K, K, L, r)
-                precoded[scheme] = v, P
+                P = _sum(gh[:, None, :, n] * v[None, :, :, n] for n in range(N))  # (K, K, L, r)
+                precoded[scheme] = v, P, _sumsq(v).sum(axis=-1)  # (K, L) power of v
             for plan, sums in zip(plans, partial):
                 _accumulate(sums, b - first, plan, config, *precoded[plan.private_scheme],
                             x[..., sl], y[..., sl])
@@ -446,7 +436,8 @@ def _stream(batch: RealizationBatch, plans, instants) -> list[_BlockSums]:
 
 
 def _accumulate(sums: _BlockSums, b: int, plan: PrecodingPlan, config: SystemConfig,
-                v: np.ndarray, P: np.ndarray | None, x: np.ndarray, y: np.ndarray) -> None:
+                v: np.ndarray, P: np.ndarray, v_power: np.ndarray, x: np.ndarray,
+                y: np.ndarray) -> None:
     """Add one slice's terms at the instants, and its per-AP transmit power,
     into row b of ``sums``.
 
@@ -457,9 +448,10 @@ def _accumulate(sums: _BlockSums, b: int, plan: PrecodingPlan, config: SystemCon
         P[k,i,l] = sum_n conj(theta[k,l] h[k,l,n]) v[i,l,n],
 
     with the unit-modulus phase factors x = exp(-i ue) (K, M, r) per UE and
-    y = exp(-i ap) (L, M, r) per AP.  P and the private precoders v are
-    formed once per slice and scheme by ``_stream`` (P is None when no
-    instant is asked for), and each instant only reads its own x and y.
+    y = exp(-i ap) (L, M, r) per AP.  P, the private precoders v and their
+    power ``v_power`` (K, L), |v|^2 summed over antennas and realizations,
+    are formed once per slice and scheme by ``_stream``, and each instant
+    only reads its own x and y.
     |x| = 1 drops the per-UE factor from every interference term, and the
     non-coherent interference (|P|^2 summed over APs) has no phase at all,
     so it is the same at every instant and is summed once per slice.  The
@@ -470,13 +462,10 @@ def _accumulate(sums: _BlockSums, b: int, plan: PrecodingPlan, config: SystemCon
     coherent = sums.coherent
     sq_mu = np.sqrt(plan.mu)
     sq_eta = np.sqrt(plan.eta)
-    sums.power[b] += (1.0 - plan.rho) * config.p_d * np.sum(
-        plan.mu * _sumsq(v).sum(axis=-1), axis=0)
+    sums.power[b] += (1.0 - plan.rho) * config.p_d * np.sum(plan.mu * v_power, axis=0)
     if plan.rho > 0:
         v_c = _sum(plan.weights[i, :, None, None] * v[i] for i in range(K))  # (L, N, r)
         sums.power[b] += plan.rho * config.p_d * plan.eta * _sumsq(v_c).sum(axis=-1)
-    if P is None:
-        return
     diag = np.moveaxis(np.diagonal(P), -1, 0)  # (K, L, r) view of P[k, k]
     if not coherent:
         sums.int_p[b] += np.sum(plan.mu * _sumsq(P), axis=-1)
@@ -601,30 +590,28 @@ class MCSinr:
                          self.common + _T95 * self.common_stderr], axis=1)
 
 
-def _plan_sums(batch: RealizationBatch, plan: PrecodingPlan, instants) -> tuple[_BlockSums, list[int]]:
-    """The plan's sums and the row of each instant in them: a declared plan's
-    (matched by identity), or else those of one streamed pass of its own
-    over the same draws, at the instants only."""
-    rows = [batch.instant_index(int(n)) for n in instants]
+def _declared_sums(batch: RealizationBatch, plan: PrecodingPlan) -> _BlockSums:
+    """The sums of ``plan``, found among the batch's declared plans by identity."""
     for declared, sums in batch.declared:
         if declared is plan:
-            return sums, rows
-    return _stream(batch, [plan], instants)[0], list(range(len(rows)))
+            return sums
+    raise ValueError("the plan was not declared to sample_batch: "
+                     "pass it in the plans of the batch it is read from")
 
 
 def mc_sinr(batch: RealizationBatch, plan: PrecodingPlan, n) -> MCSinr | list[MCSinr]:
-    """Use-and-then-forget SINRs at instant(s) n from one batch.
+    """Use-and-then-forget SINRs at instant(s) n from a plan declared to the
+    batch's ``sample_batch`` call.
 
     Coherent plans use the joint-transmission assembly; non-coherent plans
     sum per-AP desired/interference contributions, matching successive
     per-AP decoding in AP-index order (the rate is order-invariant).  Each
-    result also carries the term means behind it in ``terms``.  A plan
-    declared to ``sample_batch`` is read off its sums, so the call is the
-    jackknife only; any other plan costs one streamed pass, with the same
-    bits as if it had been declared.
+    result also carries the term means behind it in ``terms``.  The plan's
+    sums are read off the batch, so the call is the jackknife only.
     """
     instants = [int(x) for x in np.atleast_1d(n)]
-    sums, rows = _plan_sums(batch, plan, instants)
+    rows = [batch.instant_index(inst) for inst in instants]
+    sums = _declared_sums(batch, plan)
     out = [MCSinr(inst, *_jackknife(sums, plan, batch.config, m), count=batch.count)
            for inst, m in zip(instants, rows)]
     return out[0] if np.isscalar(n) else out
@@ -634,6 +621,6 @@ def transmit_power_stats(
     batch: RealizationBatch, plan: PrecodingPlan
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-AP mean transmit power and its standard error over the batch,
-    from a declared plan's sums or one streamed pass that forms no terms."""
-    sums, _ = _plan_sums(batch, plan, ())
+    from the sums of a plan declared to its ``sample_batch`` call."""
+    sums = _declared_sums(batch, plan)
     return _mean_and_stderr(sums.power, sums.counts)

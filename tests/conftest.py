@@ -21,37 +21,55 @@ def desk():
     return cfg, net, pilots, phases, stats, terms
 
 
+DESK_DRAW = dict(count=100_000, seed=7)  # the desk batch's realizations
+
+
 @pytest.fixture(scope="session")
-def desk_batch(desk):
-    """100k-realization batch on the desk instance, phases at lam, lam+5, tau_c."""
-    cfg, net, pilots, phases, stats, terms = desk
+def desk_instants(desk):
+    """The desk batch's instants: lam, lam+5 and tau_c."""
+    cfg = desk[0]
     lam = cfg.estimation_instant
-    instants = [lam, lam + 5, cfg.tau_c]
-    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 100_000, seed=7, instants=instants)
-    return batch, instants
+    return [lam, lam + 5, cfg.tau_c]
 
 
 @pytest.fixture(scope="session")
-def desk_arrays(desk_batch):
-    """The realizations ``desk_batch`` is drawn from (see ``batch_arrays``)."""
-    return batch_arrays(desk_batch[0])
+def desk_batch(desk, desk_instants):
+    """desk_batch(plans): the 100k-realization desk batch (seed 7, phases at
+    ``desk_instants``) with every plan of ``plans`` declared; each call
+    runs one streamed pass over the same draws."""
+    cfg, net, pilots, phases, stats, _ = desk
+
+    def sample(plans):
+        return cfrs.sample_batch(net, pilots, stats, phases, cfg, **DESK_DRAW,
+                                 instants=desk_instants, plans=plans)
+
+    return sample
 
 
-def batch_arrays(batch):
-    """The realizations a batch's passes draw, chunk by chunk concatenated,
-    with the realizations last: channels h and estimates hhat (K, L, N,
-    count) in T's eigenbasis, and the phase factors exp(-i phase)
+@pytest.fixture(scope="session")
+def desk_arrays(desk, desk_instants):
+    """The realizations the desk batch is drawn from (see ``batch_arrays``)."""
+    cfg, net, pilots, phases, stats, _ = desk
+    return batch_arrays(net, pilots, stats, phases, cfg, DESK_DRAW["count"],
+                        DESK_DRAW["seed"], desk_instants)
+
+
+def batch_arrays(net, pilots, stats, phases, config, count, seed, instants):
+    """The ``count`` realizations a batch with these draw inputs sums, chunk
+    by chunk concatenated, with the realizations last: channels h and estimates hhat
+    (K, L, N, count) in T's eigenbasis, and the phase factors exp(-i phase)
     ``ue_factor`` (K, M, count) and ``ap_factor`` (L, M, count) at the
-    batch's instants, as the streamed pass forms them."""
-    draw = mc._chunk_draw(batch.net, batch.pilots, batch.stats, batch.phases, batch.config,
-                          batch.count, batch.seed, batch.instants)
-    chunks = [draw(chunk) for chunk in range(-(-batch.count // mc.RNG_CHUNK))]
+    batch's kept ``instants`` (the estimation instant and the requested
+    ones, sorted), as the streamed pass forms them."""
+    kept = sorted({config.estimation_instant} | {int(n) for n in instants})
+    draw = mc._chunk_draw(net, pilots, stats, phases, config, count, seed, kept)
+    chunks = [draw(chunk) for chunk in range(-(-count // mc.RNG_CHUNK))]
     h, hhat, ue, ap = (np.moveaxis(np.concatenate([c[i] for c in chunks]), 0, -1)
                        for i in range(4))
-    drawn = mc._phase_instants(batch.pilots, batch.config, batch.instants)
-    columns = [drawn.index(n) for n in batch.instants]
+    drawn = mc._phase_instants(pilots, config, kept)
+    columns = [drawn.index(n) for n in kept]
     return SimpleNamespace(h=h, hhat=hhat, ue_factor=mc._phasor(-ue[:, columns]),
-                           ap_factor=mc._phasor(-ap[:, columns]))
+                           ap_factor=mc._phasor(-ap[:, columns]), instants=kept, count=count)
 
 
 def random_instance(rng, L=None, K=None, N=None, tau_p=None, correlation=None):

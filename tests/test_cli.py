@@ -957,7 +957,8 @@ def test_bad_flags_fail_at_the_boundary(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_topology", no_topology)
     monkeypatch.setattr(cli, "build_network", no_topology)
     out = tmp_path / "out.csv"
-    assert cli.main(argv + ["--out", str(out)]) == 2
+    # rho-opt writes no file, so it has no --out
+    assert cli.main(argv + ([] if argv[0] == "rho-opt" else ["--out", str(out)])) == 2
     assert f"error: {argv[1]}: " in capsys.readouterr().err
     assert not out.exists()
 
@@ -990,6 +991,54 @@ def test_bad_sweep_mc_override_fails_naming_the_flag(count, tmp_path, monkeypatc
     assert cli.main(["sweep", "--config", str(path), "--mc", count, "--out", str(out)]) == 2
     assert "error: --mc: " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("named_by", ["--out", "output"])
+def test_sweep_output_that_is_a_file_fails_before_any_job(named_by, tmp_path, monkeypatch,
+                                                          capsys):
+    def no_network(*args):
+        raise AssertionError("a bad output path must fail before any job runs")
+
+    monkeypatch.setattr(cli, "build_network", no_network)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    if named_by == "--out":
+        path = write_spec(tmp_path, one_scheme_spec())
+        argv, flag = ["--out", str(taken / "sub")], "--out"
+    else:
+        path = write_spec(tmp_path, one_scheme_spec(output=str(taken)))
+        argv, flag = [], f"{path}.output"
+    assert cli.main(["sweep", "--config", str(path), *argv]) == 2
+    assert capsys.readouterr().err == f"error: {flag}: {taken} is not a directory\n"
+    assert taken.read_text() == "not a directory"
+
+
+def _exit_code(argv) -> int:
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse rejects an unknown flag
+        return exc.code
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["rho-opt", "--out", "{tmp}/rho.txt"], "unrecognized arguments: --out"),
+    (["sweep", "--config", "{spec}", "--seed", "5"], "unrecognized arguments: --seed"),
+    (["sweep", "--replay", "{manifest}", "--config", "{spec}"], "error: --replay and --config"),
+], ids=["rho-opt-out", "sweep-seed", "sweep-replay-config"])
+def test_flags_a_subcommand_would_ignore_exit_2(extra, message, tmp_path, monkeypatch, capsys):
+    def no_network(*args):
+        raise AssertionError("an ignored flag must fail before anything is computed")
+
+    monkeypatch.setattr(cli, "build_network", no_network)
+    monkeypatch.setattr(cli, "build_topology", no_network)
+    data = one_scheme_spec(output=str(tmp_path / "out"))
+    spec = write_spec(tmp_path, data)
+    manifest = write_spec(tmp_path, {"schema": cli.MANIFEST_SCHEMA, "spec": data},
+                          name="manifest.json")
+    argv = [a.format(tmp=tmp_path, spec=spec, manifest=manifest) for a in extra]
+    assert _exit_code(argv) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json", "manifest.json"]
 
 
 def test_rho_opt_prints_the_split_and_the_grid_check(tmp_path, capsys):

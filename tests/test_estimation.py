@@ -9,6 +9,7 @@ from cfrs.estimation import decay_factors, mmse_filters
 from cfrs.model import NetworkModel
 
 from conftest import (
+    DESK_DRAW,
     dense_R,
     from_eigenbasis,
     per_link_statistics,
@@ -242,12 +243,12 @@ def test_rejects_non_hermitian_correlation():
 # estimate realizations
 # ---------------------------------------------------------------------------
 
-def test_batch_estimates_match_single_realization_path(desk, desk_batch, desk_arrays):
+def test_batch_estimates_match_single_realization_path(desk, desk_instants, desk_arrays):
     cfg, net, pilots, phases, stats, _ = desk
-    batch, instants = desk_batch
     group_of = {k: g for g, grp in enumerate(pilots.groups) for k in grp}
     # the pilot signal of the batch's first two chunks, redrawn with its seed
-    draw = mc._chunk_draw(net, pilots, stats, phases, cfg, batch.count, 7, instants)
+    draw = mc._chunk_draw(net, pilots, stats, phases, cfg, DESK_DRAW["count"],
+                          DESK_DRAW["seed"], desk_instants)
     z = np.concatenate([draw(chunk)[4] for chunk in range(2)])
     filters = mmse_filters(net, stats)
     for r in (0, 123, 4567):
@@ -258,25 +259,23 @@ def test_batch_estimates_match_single_realization_path(desk, desk_batch, desk_ar
                 assert np.allclose(direct, desk_arrays.hhat[k, l, :, r], rtol=1e-12)
 
 
-def test_estimate_covariance_matches_q(desk, desk_batch, desk_arrays):
+def test_estimate_covariance_matches_q(desk, desk_arrays):
     cfg, net, _, _, stats, _ = desk
-    batch, _ = desk_batch
     hhat = desk_arrays.hhat
     for k in range(cfg.K):
         for l in range(cfg.L):
             emp = np.einsum("nr,mr->nm", hhat[k, l],
-                            np.conj(hhat[k, l])) / batch.count
+                            np.conj(hhat[k, l])) / desk_arrays.count
             # the batch is drawn in T's eigenbasis, where Q is diagonal
             Q = np.diag(stats.Q[k, l])
             rel = np.linalg.norm(emp - Q) / np.linalg.norm(Q)
             assert rel < 0.02
 
 
-def test_estimate_error_orthogonality(desk, desk_batch, desk_arrays):
+def test_estimate_error_orthogonality(desk, desk_arrays):
     cfg, net, _, phases, stats, _ = desk
-    batch, _ = desk_batch
     arrays = desk_arrays
-    lam_idx = batch.instant_index(cfg.estimation_instant)
+    lam_idx = arrays.instants.index(cfg.estimation_instant)
     for k in range(cfg.K):
         for l in range(cfg.L):
             # exp(i(ue + ap)) from the factors exp(-i ue) and exp(-i ap)
@@ -286,7 +285,7 @@ def test_estimate_error_orthogonality(desk, desk_batch, desk_arrays):
             prods = np.einsum("nr,mr->nmr", arrays.hhat[k, l], np.conj(err))
             mean = prods.mean(axis=-1)
             stderr = np.sqrt(
-                (np.var(prods.real, axis=-1) + np.var(prods.imag, axis=-1)) / batch.count
+                (np.var(prods.real, axis=-1) + np.var(prods.imag, axis=-1)) / arrays.count
             )
             assert np.all(np.abs(mean) <= 3 * stderr + 1e-15)
 

@@ -23,14 +23,13 @@ def small_setup(seed=1, L=2, K=2, N=2, tau_p=2, var=1e-3):
     return cfg, net, pilots, phases, stats, terms
 
 
-def test_channel_sampler_covariance(desk, desk_batch, desk_arrays):
+def test_channel_sampler_covariance(desk, desk_arrays):
     cfg, net, _, _, _, _ = desk
-    batch, _ = desk_batch
     h = desk_arrays.h
     for k in range(cfg.K):
         for l in range(cfg.L):
             emp = np.einsum("nr,mr->nm", h[k, l],
-                            np.conj(h[k, l])) / batch.count
+                            np.conj(h[k, l])) / desk_arrays.count
             # drawn in T's eigenbasis, where R[k, l] is diag(beta[k, l] * lam)
             R = np.diag(net.beta[k, l] * net.lam)
             rel = np.linalg.norm(emp - R) / np.linalg.norm(R)
@@ -39,14 +38,12 @@ def test_channel_sampler_covariance(desk, desk_batch, desk_arrays):
 
 def test_batches_identical_for_same_seed(desk):
     cfg, net, pilots, phases, stats, _ = desk
-    a, b = (batch_arrays(cfrs.sample_batch(net, pilots, stats, phases, cfg, 5000, seed=42,
-                                           instants=[10])) for _ in range(2))
+    a, b = (batch_arrays(net, pilots, stats, phases, cfg, 5000, 42, [10]) for _ in range(2))
     assert np.array_equal(a.h, b.h)
     assert np.array_equal(a.hhat, b.hhat)
     assert np.array_equal(a.ue_factor, b.ue_factor)
     assert np.array_equal(a.ap_factor, b.ap_factor)
-    c = batch_arrays(cfrs.sample_batch(net, pilots, stats, phases, cfg, 5000, seed=43,
-                                       instants=[10]))
+    c = batch_arrays(net, pilots, stats, phases, cfg, 5000, 43, [10])
     assert not np.array_equal(a.h, c.h)
 
 
@@ -56,41 +53,48 @@ def test_mc_sinr_outputs_bitwise_deterministic():
     n = cfg.estimation_instant + 3
     outs = []
     for _ in range(2):
-        batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 3000, seed=8, instants=[n])
+        batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 3000, seed=8, instants=[n],
+                                  plans=[plan])
         outs.append(cfrs.mc_sinr(batch, plan, n))
     assert np.array_equal(outs[0].private, outs[1].private)
     assert np.array_equal(outs[0].common, outs[1].common)
     assert np.array_equal(outs[0].private_stderr, outs[1].private_stderr)
 
 
-def test_instants_outside_data_segment_rejected(desk, desk_batch):
+def test_instants_outside_data_segment_rejected(desk):
     cfg, net, pilots, phases, stats, terms = desk
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
-    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 500, seed=1, instants=[5])
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 500, seed=1, instants=[5],
+                              plans=[plan])
     with pytest.raises(ValueError, match="instants"):
         cfrs.mc_sinr(batch, plan, cfg.tau_p)  # pilot region
     for bad in ([-1], [cfg.tau_c + 480]):  # before the first instant, past the block
         with pytest.raises(ValueError, match="instants"):
-            cfrs.sample_batch(net, pilots, stats, phases, cfg, 500, seed=1, instants=bad)
+            cfrs.sample_batch(net, pilots, stats, phases, cfg, 500, seed=1, instants=bad,
+                              plans=[plan])
 
 
 def test_batch_keeps_the_estimation_and_requested_instants(desk):
-    cfg, net, pilots, phases, stats, _ = desk
+    cfg, net, pilots, phases, stats, terms = desk
     lam = cfg.estimation_instant
     requested = [12, lam + 5, 12]
+    plan = cf.make_plan(terms, "du_mr", "coherent", 0.5)
     batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 5000, seed=42,
-                              instants=requested)
+                              instants=requested, plans=[plan])
     assert list(batch.instants) == sorted({lam, *requested})
+    assert [res.instant for res in cfrs.mc_sinr(batch, plan, batch.instants)] == list(
+        batch.instants)
     drawn = mc._phase_instants(pilots, cfg, requested)
     assert drawn[0] < lam  # the pilot instants are drawn, not kept
     columns = [drawn.index(n) for n in batch.instants]
-    # the batch redraws what the requested instants draw, chunk by chunk
+    # the kept instants redraw what the requested instants draw, chunk by chunk
     draw = mc._chunk_draw(net, pilots, stats, phases, cfg, 5000, 42, requested)
     chunks = [draw(chunk) for chunk in range(-(-5000 // mc.RNG_CHUNK))]
     assert len(chunks) > 1
     h, hhat, ue, ap = (np.moveaxis(np.concatenate([c[i] for c in chunks]), 0, -1)
                        for i in range(4))
-    arrays = batch_arrays(batch)
+    arrays = batch_arrays(net, pilots, stats, phases, cfg, 5000, 42, batch.instants)
+    assert arrays.instants == list(batch.instants)
     M = len(batch.instants)
     assert arrays.h.shape == arrays.hhat.shape == (cfg.K, cfg.L, cfg.N, 5000)
     assert arrays.ue_factor.shape == (cfg.K, M, 5000)
@@ -112,8 +116,9 @@ def test_oracle_uses_the_callers_estimation_statistics(desk, monkeypatch):
 
     monkeypatch.setattr(cfrs.estimation, "estimation_statistics", recomputed)
     n = cfg.estimation_instant + 2
-    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 500, seed=2, instants=[n])
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 500, seed=2, instants=[n],
+                              plans=[plan])
     res = cfrs.mc_sinr(batch, plan, n)
     assert np.all(np.isfinite(res.private)) and np.all(res.private > 0)
 
@@ -140,12 +145,11 @@ def test_zero_phase_variance_gives_classic_mmse_estimates():
             assert np.allclose(expected, hhat[:, k, l], rtol=1e-10)
 
 
-def test_ds_term_matches_statistical_value(desk, desk_batch):
+def test_ds_term_matches_statistical_value(desk, desk_batch, desk_instants):
     cfg, net, pilots, phases, stats, terms = desk
-    batch, instants = desk_batch
-    n = instants[1]
+    n = desk_instants[1]
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
-    uatf = cfrs.mc_sinr(batch, plan, n).terms
+    uatf = cfrs.mc_sinr(desk_batch([plan]), plan, n).terms
     lam = cfg.estimation_instant
     decay = np.exp(-(n - lam) * phases.var_sum / 2.0)
     expected = decay * np.sqrt(plan.mu) * terms.tr_Q
@@ -155,19 +159,18 @@ def test_ds_term_matches_statistical_value(desk, desk_batch):
 def test_interference_self_term_single_link():
     # one AP, one UE, no phases: E|h^H v|^2 = mu (tr(QR) + tr(Q)^2)
     cfg, net, pilots, phases, stats, terms = small_setup(L=1, K=1, tau_p=1, var=0.0)
-    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 200_000, seed=9)
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 200_000, seed=9, plans=[plan])
     uatf = cfrs.mc_sinr(batch, plan, cfg.estimation_instant).terms
     tr_QR = terms.beta[0, 0] * terms.tr_QT[0, 0]
     expected = plan.mu[0, 0] * (tr_QR + terms.tr_Q[0, 0] ** 2)
     assert abs(uatf.int_[0, 0] - expected) <= 3 * uatf.int_stderr[0, 0]
 
 
-def test_uatf_variance_nonnegativity(desk, desk_batch):
+def test_uatf_variance_nonnegativity(desk, desk_batch, desk_instants):
     cfg, net, pilots, phases, stats, terms = desk
-    batch, instants = desk_batch
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.5)
-    uatf = cfrs.mc_sinr(batch, plan, instants[0]).terms
+    uatf = cfrs.mc_sinr(desk_batch([plan]), plan, desk_instants[0]).terms
     for k in range(cfg.K):
         ds_power = np.abs(uatf.ds[k].sum()) ** 2
         tol = 6 * uatf.int_stderr[k, k] + 6 * np.sum(uatf.ds_stderr[k])
@@ -176,22 +179,19 @@ def test_uatf_variance_nonnegativity(desk, desk_batch):
 
 def test_small_batches_rejected(desk):
     cfg, net, pilots, phases, stats, terms = desk
-    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 50, seed=1)
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
-    with pytest.raises(ValueError):
-        cfrs.mc_sinr(batch, plan, cfg.estimation_instant)
-    with pytest.raises(ValueError):
-        cfrs.transmit_power_stats(batch, plan)
+    with pytest.raises(ValueError, match="at least 100 realizations"):
+        cfrs.sample_batch(net, pilots, stats, phases, cfg, 50, seed=1, plans=[plan])
 
 
-def test_power_extremes_zero_out_streams(desk, desk_batch):
+def test_power_extremes_zero_out_streams(desk, desk_batch, desk_instants):
     cfg, net, pilots, phases, stats, terms = desk
-    batch, instants = desk_batch
-    n = instants[0]
+    n = desk_instants[0]
     all_common = cf.make_plan(terms, "du_mr", "coherent", 1.0)
+    no_common = cf.make_plan(terms, "du_mr", "coherent", 0.0)
+    batch = desk_batch([all_common, no_common])
     res = cfrs.mc_sinr(batch, all_common, n)
     assert np.all(res.private == 0.0)
-    no_common = cf.make_plan(terms, "du_mr", "coherent", 0.0)
     res0 = cfrs.mc_sinr(batch, no_common, n)
     assert np.all(res0.common == 0.0)
 
@@ -208,21 +208,22 @@ def test_correlated_oracle_matches_the_closed_form():
     stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
     terms = cf.TraceTerms.compute(net, stats, pilots)
     n = cfg.estimation_instant + 3
-    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 40_000, seed=6, instants=[n])
-    arrays = batch_arrays(batch)
+    arrays = batch_arrays(net, pilots, stats, phases, cfg, 40_000, 6, [n])
     for k in range(cfg.K):
         # channel and estimate powers per eigen-direction: beta * lam and Q
         for x, want in ((arrays.h, net.beta[k][:, None] * net.lam), (arrays.hhat, stats.Q[k])):
-            emp = np.sum(np.abs(x[k]) ** 2, axis=-1) / batch.count
+            emp = np.sum(np.abs(x[k]) ** 2, axis=-1) / arrays.count
             assert np.allclose(emp, want, rtol=0.05, atol=0)
-    for scheme in cf.PRIVATE_SCHEMES:
-        for transmission in cf.TRANSMISSIONS:
-            plan = cf.make_plan(terms, scheme, transmission, 0.5)
-            res = cfrs.mc_sinr(batch, plan, n)
-            closed = cf.assemble(cf.plan_parts(terms, plan, phases, cfg, n), 0.5)
-            for est, stderr, want in ((res.private, res.private_stderr, closed[0]),
-                                          (res.common, res.common_stderr, closed[1])):
-                assert np.all(np.abs(est - want) <= 4 * stderr), (scheme, transmission)
+    plans = {(scheme, transmission): cf.make_plan(terms, scheme, transmission, 0.5)
+             for scheme in cf.PRIVATE_SCHEMES for transmission in cf.TRANSMISSIONS}
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 40_000, seed=6, instants=[n],
+                              plans=list(plans.values()))
+    for (scheme, transmission), plan in plans.items():
+        res = cfrs.mc_sinr(batch, plan, n)
+        closed = cf.assemble(cf.plan_parts(terms, plan, phases, cfg, n), 0.5)
+        for est, stderr, want in ((res.private, res.private_stderr, closed[0]),
+                                  (res.common, res.common_stderr, closed[1])):
+            assert np.all(np.abs(est - want) <= 4 * stderr), (scheme, transmission)
 
 
 def test_confidence_intervals_cover_reference():
@@ -232,13 +233,13 @@ def test_confidence_intervals_cover_reference():
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.5)
     n = cfg.estimation_instant + 5
     ref_batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 2_000_000, seed=999,
-                                  instants=[n])
+                                  instants=[n], plans=[plan])
     ref = cfrs.mc_sinr(ref_batch, plan, n)
     covered = 0
     trials = 0
     for seed in range(30):
         batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 20_000, seed=seed,
-                                  instants=[n])
+                                  instants=[n], plans=[plan])
         res = cfrs.mc_sinr(batch, plan, n)
         for k in range(cfg.K):
             trials += 2
@@ -255,13 +256,13 @@ def test_intervals_at_the_realization_floor_cover_reference():
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.5)
     n = cfg.estimation_instant + 5
     ref_batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 1_000_000, seed=999,
-                                  instants=[n])
+                                  instants=[n], plans=[plan])
     ref = cfrs.mc_sinr(ref_batch, plan, n)
     del ref_batch
     covered = 0
     for seed in range(100):
         batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, mc.MIN_REALIZATIONS,
-                                  seed=seed, instants=[n])
+                                  seed=seed, instants=[n], plans=[plan])
         res = cfrs.mc_sinr(batch, plan, n)
         for ci, value in ((res.private_ci, ref.private), (res.common_ci, ref.common)):
             covered += int(np.sum((ci[:, 0] <= value) & (value <= ci[:, 1])))
@@ -296,14 +297,20 @@ def test_jackknife_groups_are_fixed_and_memory_capped():
 def test_memory_capped_slices_add_up_to_their_group(desk, monkeypatch):
     cfg, net, pilots, phases, stats, terms = desk
     instants = [cfg.estimation_instant, cfg.tau_c]
-    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 1000, seed=3, instants=instants)
     plans = [cf.make_plan(terms, scheme, transmission, 0.5)
              for scheme in cf.PRIVATE_SCHEMES for transmission in cf.TRANSMISSIONS]
+
+    def sample():
+        return cfrs.sample_batch(net, pilots, stats, phases, cfg, 1000, seed=3,
+                                 instants=instants, plans=plans)
+
+    batch = sample()
     whole = [(cfrs.mc_sinr(batch, plan, instants), cfrs.transmit_power_stats(batch, plan))
              for plan in plans]
     monkeypatch.setattr(mc, "_WORK_ELEMENTS", 1)  # 64-realization slices
     chunks = mc._chunk_slices(batch.count, net.K, net.L)[1]
     assert len(global_slices(chunks)) == 2 * mc.JACKKNIFE_GROUPS
+    batch = sample()
     for plan, (results, power) in zip(plans, whole):
         for res, ref in zip(cfrs.mc_sinr(batch, plan, instants), results):
             for field in ("private", "private_stderr", "common", "common_stderr"):
@@ -314,8 +321,8 @@ def test_memory_capped_slices_add_up_to_their_group(desk, monkeypatch):
 
 def worker_count_outputs(monkeypatch, workers):
     """Every array mc_sinr and transmit_power_stats return on 24 512-realization
-    RNG chunks plus a short one, cut into 64-realization slices, for plans
-    declared to sample_batch and for the same plans undeclared."""
+    RNG chunks plus a short one, cut into 64-realization slices, for eight
+    plans declared to one sample_batch call."""
     monkeypatch.setattr(mc, "_CPUS", workers)
     monkeypatch.setattr(mc, "_WORK_ELEMENTS", 1)
     monkeypatch.setattr(mc, "RNG_CHUNK", 512)
@@ -336,11 +343,10 @@ def worker_count_outputs(monkeypatch, workers):
                                  instants=instants, plans=plans)
     out = []
     for plan in plans:
-        for p in (plan, dataclasses.replace(plan)):  # the copy is not declared
-            for res in cfrs.mc_sinr(declared, p, instants):
-                out += [res.private, res.private_stderr, res.common, res.common_stderr,
-                        *dataclasses.astuple(res.terms)]
-            out += cfrs.transmit_power_stats(declared, p)
+        for res in cfrs.mc_sinr(declared, plan, instants):
+            out += [res.private, res.private_stderr, res.common, res.common_stderr,
+                    *dataclasses.astuple(res.terms)]
+        out += cfrs.transmit_power_stats(declared, plan)
     return out
 
 
@@ -365,16 +371,15 @@ class WorkerFailure(Exception):
 
 def test_worker_failures_reach_the_caller(desk, monkeypatch):
     # a failure inside the streamed pass, in a chunk's draw or in one slice's
-    # accumulation, reaches whichever call runs the pass
+    # accumulation, reaches the sample_batch call that runs the pass
     cfg, net, pilots, phases, stats, terms = desk
     monkeypatch.setattr(mc, "_CPUS", 3)
     count = 3 * mc.RNG_CHUNK + 17
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.5)
-    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, count, seed=1)
-    calls = (lambda: cfrs.sample_batch(net, pilots, stats, phases, cfg, count, seed=1,
-                                       plans=[plan]),
-             lambda: cfrs.mc_sinr(batch, plan, cfg.estimation_instant),
-             lambda: cfrs.transmit_power_stats(batch, plan))
+
+    def call():
+        return cfrs.sample_batch(net, pilots, stats, phases, cfg, count, seed=1, plans=[plan])
+
     complex_normal = mc._complex_normal
 
     def fails_on_the_last_chunk(rng, shape):
@@ -382,7 +387,8 @@ def test_worker_failures_reach_the_caller(desk, monkeypatch):
             raise WorkerFailure
         return complex_normal(rng, shape)
 
-    marker = batch_arrays(batch).hhat[0, 0, 0, count // 2]  # a realization of chunk 1
+    # a realization of chunk 1
+    marker = batch_arrays(net, pilots, stats, phases, cfg, count, 1, ()).hhat[0, 0, 0, count // 2]
     precoders = mc.private_precoders
 
     def fails_on_one_slice(hhat, net, scheme):
@@ -395,12 +401,12 @@ def test_worker_failures_reach_the_caller(desk, monkeypatch):
                           ("private_precoders", fails_on_one_slice)):
         with monkeypatch.context() as patched:
             patched.setattr(mc, name, failing)
-            for call in calls:
-                with pytest.raises(WorkerFailure):
-                    call()
-                assert threading.active_count() == threads
-    for call in calls:  # unpatched, the same calls succeed
-        call()
+            with pytest.raises(WorkerFailure):
+                call()
+            assert threading.active_count() == threads
+    batch = call()  # unpatched, the same call succeeds
+    cfrs.mc_sinr(batch, plan, cfg.estimation_instant)
+    cfrs.transmit_power_stats(batch, plan)
 
 
 def all_arrays(obj):
@@ -444,7 +450,7 @@ def test_oracle_memory_does_not_grow_with_the_realization_count(desk, monkeypatc
         tracemalloc.start()
         try:
             batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, chunks * mc.RNG_CHUNK,
-                                      seed=3, instants=[n])
+                                      seed=3, instants=[n], plans=[plan])
             cfrs.mc_sinr(batch, plan, n)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
@@ -476,27 +482,38 @@ def test_map_folds_in_order_with_few_items_in_flight(monkeypatch):
     assert in_flight[1] <= 2 * 2
 
 
-def test_declared_and_undeclared_plans_give_the_same_bits(desk):
+def test_a_scalar_instant_gives_the_bits_of_that_instant_in_a_list(desk):
     cfg, net, pilots, phases, stats, terms = desk
     instants = [cfg.estimation_instant, cfg.estimation_instant + 5, cfg.tau_c]
     plans = [cf.make_plan(terms, scheme, transmission, rho) for scheme in cf.PRIVATE_SCHEMES
              for transmission in cf.TRANSMISSIONS for rho in (0.0, 0.5)]
-    declared = cfrs.sample_batch(net, pilots, stats, phases, cfg, 5000, seed=4,
-                                 instants=instants, plans=plans)
-    bare = cfrs.sample_batch(net, pilots, stats, phases, cfg, 5000, seed=4, instants=instants)
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 5000, seed=4,
+                              instants=instants, plans=plans)
     for plan in plans:
-        # all instants, and one instant on its own
-        for n in (instants, instants[1]):
-            a, b = (np.atleast_1d(cfrs.mc_sinr(batch, plan, n)) for batch in (declared, bare))
-            for x, y in zip(a, b):
-                assert x.instant == y.instant
-                for field in ("private", "private_stderr", "common", "common_stderr"):
-                    assert np.array_equal(getattr(x, field), getattr(y, field))
-                for s, t in zip(dataclasses.astuple(x.terms), dataclasses.astuple(y.terms)):
-                    assert np.array_equal(s, t)
-        for s, t in zip(cfrs.transmit_power_stats(declared, plan),
-                        cfrs.transmit_power_stats(bare, plan)):
+        x, y = cfrs.mc_sinr(batch, plan, instants[1]), cfrs.mc_sinr(batch, plan, instants)[1]
+        assert x.instant == y.instant == instants[1]
+        for field in ("private", "private_stderr", "common", "common_stderr"):
+            assert np.array_equal(getattr(x, field), getattr(y, field))
+        for s, t in zip(dataclasses.astuple(x.terms), dataclasses.astuple(y.terms)):
             assert np.array_equal(s, t)
+
+
+def test_only_declared_plans_can_be_read(desk):
+    cfg, net, pilots, phases, stats, terms = desk
+    plan = cf.make_plan(terms, "du_mr", "coherent", 0.5)
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 500, seed=4, plans=[plan])
+    copy = dataclasses.replace(plan)  # equal arrays, but not the declared plan
+    with pytest.raises(ValueError, match="not declared to sample_batch"):
+        cfrs.mc_sinr(batch, copy, cfg.estimation_instant)
+    with pytest.raises(ValueError, match="not declared to sample_batch"):
+        cfrs.transmit_power_stats(batch, copy)
+    with pytest.raises(ValueError, match="plans is empty"):
+        cfrs.sample_batch(net, pilots, stats, phases, cfg, 500, seed=4, plans=[])
+
+
+def test_a_batch_holds_only_its_count_instants_config_and_sums():
+    fields = [field.name for field in dataclasses.fields(cfrs.RealizationBatch)]
+    assert fields == ["count", "instants", "config", "declared"]
 
 
 def test_confidence_interval_clt_scaling(desk):
@@ -507,7 +524,8 @@ def test_confidence_interval_clt_scaling(desk):
     for count in (1000, 10_000, 100_000):
         per_seed = []
         for seed in (11, 12, 13, 14):
-            batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, count, seed, instants=[n])
+            batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, count, seed, instants=[n],
+                                      plans=[plan])
             res = cfrs.mc_sinr(batch, plan, n)
             per_seed.append(np.mean(res.private_ci[:, 1] - res.private_ci[:, 0]))
         widths.append(np.mean(per_seed))
@@ -522,32 +540,30 @@ def test_mc_matches_closed_form_under_pilot_contamination():
     )
     assert any(len(g) > 1 for g in pilots.groups)
     n = cfg.estimation_instant + 4
-    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 60_000, seed=17, instants=[n])
-    for transmission in cf.TRANSMISSIONS:
-        for scheme in cf.PRIVATE_SCHEMES:
-            plan = cf.make_plan(terms, scheme, transmission, 0.5)
-            res = cfrs.mc_sinr(batch, plan, n)
-            closed_p = cf.private_sinr(terms, plan, phases, cfg, n)
-            closed_c = cf.common_sinr(terms, plan, phases, cfg, n)
-            assert np.all(np.abs(res.private - closed_p) / closed_p < 0.04), (
-                transmission, scheme)
-            assert np.all(np.abs(res.common - closed_c) / closed_c < 0.04), (
-                transmission, scheme)
+    plans = {(transmission, scheme): cf.make_plan(terms, scheme, transmission, 0.5)
+             for transmission in cf.TRANSMISSIONS for scheme in cf.PRIVATE_SCHEMES}
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 60_000, seed=17, instants=[n],
+                              plans=list(plans.values()))
+    for tag, plan in plans.items():
+        res = cfrs.mc_sinr(batch, plan, n)
+        closed_p = cf.private_sinr(terms, plan, phases, cfg, n)
+        closed_c = cf.common_sinr(terms, plan, phases, cfg, n)
+        assert np.all(np.abs(res.private - closed_p) / closed_p < 0.04), tag
+        assert np.all(np.abs(res.common - closed_c) / closed_c < 0.04), tag
 
 
-def test_mc_matches_closed_form_with_power_control(desk, desk_batch):
+def test_mc_matches_closed_form_with_power_control(desk, desk_batch, desk_instants):
     cfg, net, pilots, phases, stats, terms = desk
-    batch, instants = desk_batch
+    n = desk_instants[1]
     mu = cf.power_control_coefficients(terms, alpha=-1.0)
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0, power_control_alpha=-1.0)
-    res = cfrs.mc_sinr(batch, plan, instants[1])
-    closed = cf.private_sinr(terms, plan, phases, cfg, instants[1])
+    res = cfrs.mc_sinr(desk_batch([plan]), plan, n)
+    closed = cf.private_sinr(terms, plan, phases, cfg, n)
     assert np.all(np.abs(res.private - closed) / closed < 0.03)
 
 
 def test_per_ap_power_within_limit(desk, desk_batch):
     cfg, net, pilots, phases, stats, terms = desk
-    batch, _ = desk_batch
     plans = [
         cf.make_plan(terms, "du_mr", "coherent", 0.0),
         cf.make_plan(terms, "du_mr", "coherent", 0.5),
@@ -556,6 +572,7 @@ def test_per_ap_power_within_limit(desk, desk_batch):
         cf.make_plan(terms, "df_mr", "noncoherent", 0.0),
         cf.make_plan(terms, "du_mr", "coherent", 0.3, power_control_alpha=-1.0),
     ]
+    batch = desk_batch(plans)
     for plan in plans:
         mean, se = cfrs.transmit_power_stats(batch, plan)
         assert np.all(mean - 3 * se <= cfg.p_d), (
@@ -566,15 +583,14 @@ def test_per_ap_power_within_limit(desk, desk_batch):
 # factored accumulation
 # ---------------------------------------------------------------------------
 
-def direct_terms(batch, arrays, plan, n):
+def direct_terms(net, arrays, plan, n):
     """Per-realization DS/INT terms at instant n from the rotated channel,
-    realizations on the last axis; ``arrays`` is ``batch_arrays(batch)``.
+    realizations on the last axis; ``arrays`` is a ``batch_arrays`` result.
 
     The plain formula: g = theta exp(i(ue + ap)) h, d[k,i,l] = g[k,l]^H v[i,l],
     then the private and common desired-signal and interference terms.
     """
-    net = batch.net
-    col = batch.instant_index(n)
+    col = arrays.instants.index(n)
     v = mc.private_precoders(arrays.hhat, net, plan.private_scheme)
     # exp(i(ue + ap)) from the factors exp(-i ue) and exp(-i ap)
     rotation = np.conj(arrays.ue_factor[:, None, col] * arrays.ap_factor[None, :, col])
@@ -594,9 +610,10 @@ def direct_terms(batch, arrays, plan, n):
     return ds, int_, common * ds_c, common * int_c
 
 
-def jackknife_groups(batch):
-    """The batch's jackknife groups as whole slices, and their realization counts."""
-    counts, _ = mc._chunk_slices(batch.count, batch.net.K, batch.net.L)
+def jackknife_groups(count, K, L):
+    """The jackknife groups of ``count`` realizations as whole slices, and
+    their realization counts."""
+    counts, _ = mc._chunk_slices(count, K, L)
     edges = np.concatenate([[0], np.cumsum(counts)])
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])], counts
 
@@ -607,11 +624,12 @@ def assert_close(actual, expected):
     assert np.all(np.abs(actual - expected) <= 1e-12 * scale), np.max(np.abs(actual - expected))
 
 
-def assert_groups_span_partial_slices(batch):
-    """Every jackknife group is cut into at least two slices, one of them short."""
-    counts, chunks = mc._chunk_slices(batch.count, batch.net.K, batch.net.L)
+def assert_groups_span_partial_slices(count, K, L):
+    """Every jackknife group of ``count`` realizations is cut into at least
+    two slices, one of them short."""
+    counts, chunks = mc._chunk_slices(count, K, L)
     slices = global_slices(chunks)
-    cap = max(64, mc._WORK_ELEMENTS // (batch.net.K ** 2 * batch.net.L))
+    cap = max(64, mc._WORK_ELEMENTS // (K ** 2 * L))
     for b in range(len(counts)):
         sizes = [sl.stop - sl.start for group, sl in slices if group == b]
         assert len(sizes) >= 2 and 0 < min(sizes) < cap, sizes
@@ -619,7 +637,7 @@ def assert_groups_span_partial_slices(batch):
 
 def check_factored_accumulation():
     """Check every estimator output against the plain per-realization formula;
-    returns the batch it checked."""
+    returns the (count, K, L) of the batch it checked."""
     # co-pilot groups (K > tau_p), three antennas, delay phases spread over the
     # whole circle and ten times the default oscillator variance
     cfg = cfrs.SystemConfig(L=3, K=3, N=3, tau_p=2, tau_c=20, seed=5)
@@ -632,33 +650,33 @@ def check_factored_accumulation():
     stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
     terms = cf.TraceTerms.compute(net, stats, pilots)
     instants = [cfg.estimation_instant, cfg.estimation_instant + 6, cfg.tau_c]
-    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 1000, seed=4, instants=instants)
-    arrays = batch_arrays(batch)
-    groups, counts = jackknife_groups(batch)
+    plans = [cf.make_plan(terms, scheme, transmission, rho) for scheme in cf.PRIVATE_SCHEMES
+             for transmission in cf.TRANSMISSIONS for rho in (0.0, 0.5)]
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 1000, seed=4, instants=instants,
+                              plans=plans)
+    arrays = batch_arrays(net, pilots, stats, phases, cfg, 1000, 4, instants)
+    groups, counts = jackknife_groups(1000, cfg.K, cfg.L)
     assert len(groups) == mc.JACKKNIFE_GROUPS
-    for scheme in cf.PRIVATE_SCHEMES:
-        for transmission in cf.TRANSMISSIONS:
-            for rho in (0.0, 0.5):
-                plan = cf.make_plan(terms, scheme, transmission, rho)
-                per_instant = [direct_terms(batch, arrays, plan, n) for n in instants]
-                # (B, M, ...) block sums of each term, as the jackknife reads them
-                blocks = [np.stack([np.stack([t[i][..., sl].sum(axis=-1) for sl in groups])
-                                    for t in per_instant], axis=1) for i in range(4)]
-                sums = mc._BlockSums(counts, *blocks, power=np.zeros((len(counts), cfg.L)),
-                                     coherent=transmission == "coherent")
-                for m, res in enumerate(cfrs.mc_sinr(batch, plan, instants)):
-                    expected = mc._jackknife(sums, plan, cfg, m)
-                    for actual, ref in zip((res.private, res.private_stderr,
-                                            res.common, res.common_stderr), expected):
-                        assert_close(actual, ref)
-                    uatf = res.terms
-                    for i, (mean, se) in enumerate([
-                            (uatf.ds, uatf.ds_stderr), (uatf.int_, uatf.int_stderr),
-                            (uatf.ds_common, uatf.ds_common_stderr),
-                            (uatf.int_common, uatf.int_common_stderr)]):
-                        assert_close(mean, per_instant[m][i].mean(axis=-1))
-                        assert_close(se, mc._mean_and_stderr(blocks[i][:, m], counts)[1])
-    return batch
+    for plan in plans:
+        per_instant = [direct_terms(net, arrays, plan, n) for n in instants]
+        # (B, M, ...) block sums of each term, as the jackknife reads them
+        blocks = [np.stack([np.stack([t[i][..., sl].sum(axis=-1) for sl in groups])
+                            for t in per_instant], axis=1) for i in range(4)]
+        sums = mc._BlockSums(counts, *blocks, power=np.zeros((len(counts), cfg.L)),
+                             coherent=plan.transmission == "coherent")
+        for m, res in enumerate(cfrs.mc_sinr(batch, plan, instants)):
+            expected = mc._jackknife(sums, plan, cfg, m)
+            for actual, ref in zip((res.private, res.private_stderr,
+                                    res.common, res.common_stderr), expected):
+                assert_close(actual, ref)
+            uatf = res.terms
+            for i, (mean, se) in enumerate([
+                    (uatf.ds, uatf.ds_stderr), (uatf.int_, uatf.int_stderr),
+                    (uatf.ds_common, uatf.ds_common_stderr),
+                    (uatf.int_common, uatf.int_common_stderr)]):
+                assert_close(mean, per_instant[m][i].mean(axis=-1))
+                assert_close(se, mc._mean_and_stderr(blocks[i][:, m], counts)[1])
+    return batch.count, cfg.K, cfg.L
 
 
 def test_factored_accumulation_matches_direct_formula():
@@ -667,32 +685,34 @@ def test_factored_accumulation_matches_direct_formula():
 
 def test_factored_accumulation_over_partial_slices(monkeypatch):
     monkeypatch.setattr(mc, "_WORK_ELEMENTS", 1)  # 64-realization slices
-    assert_groups_span_partial_slices(check_factored_accumulation())
+    assert_groups_span_partial_slices(*check_factored_accumulation())
 
 
 def test_noncoherent_interference_does_not_depend_on_the_instant(desk, desk_batch):
     # the phase factors have unit modulus, so per-AP interference powers carry no phase
     cfg, net, pilots, phases, stats, terms = desk
-    batch, _ = desk_batch
     lam, end = cfg.estimation_instant, cfg.tau_c
     assert phases.var_ap > 0 and phases.var_ue > 0
     plan = cf.make_plan(terms, "du_mr", "noncoherent", 0.5)
+    coherent = cf.make_plan(terms, "du_mr", "coherent", 0.5)
+    batch = desk_batch([plan, coherent])
     first, last = (cfrs.mc_sinr(batch, plan, n).terms for n in (lam, end))
     assert np.array_equal(first.int_, last.int_)
     assert np.array_equal(first.int_common, last.int_common)
     assert not np.array_equal(first.ds, last.ds)
-    coherent = cf.make_plan(terms, "du_mr", "coherent", 0.5)
     first, last = (cfrs.mc_sinr(batch, coherent, n).terms for n in (lam, end))
     assert not np.array_equal(first.int_, last.int_)
 
 
-def check_transmit_power(desk, batch, arrays):
-    """Check transmit_power_stats against per-realization power sums;
-    ``arrays`` is ``batch_arrays(batch)``."""
+def check_transmit_power(desk, desk_batch, arrays):
+    """Check transmit_power_stats on the desk batch against per-realization
+    power sums; ``arrays`` is ``desk_arrays``."""
     cfg, net, pilots, phases, stats, terms = desk
-    groups, _ = jackknife_groups(batch)
-    for plan in (cf.make_plan(terms, "du_mr", "coherent", 0.5),
-                 cf.make_plan(terms, "df_mr", "noncoherent", 0.0)):
+    plans = (cf.make_plan(terms, "du_mr", "coherent", 0.5),
+             cf.make_plan(terms, "df_mr", "noncoherent", 0.0))
+    batch = desk_batch(plans)
+    groups, _ = jackknife_groups(batch.count, cfg.K, cfg.L)
+    for plan in plans:
         p_dp, p_dc = (1.0 - plan.rho) * cfg.p_d, plan.rho * cfg.p_d
         v = mc.private_precoders(arrays.hhat, net, plan.private_scheme)
         v_c = np.einsum("il,ilnr->lnr", plan.weights, v)
@@ -709,20 +729,20 @@ def check_transmit_power(desk, batch, arrays):
 
 
 def test_transmit_power_matches_per_realization_sums(desk, desk_batch, desk_arrays):
-    check_transmit_power(desk, desk_batch[0], desk_arrays)
+    check_transmit_power(desk, desk_batch, desk_arrays)
 
 
 def test_transmit_power_over_partial_slices(desk, desk_batch, desk_arrays, monkeypatch):
     monkeypatch.setattr(mc, "_WORK_ELEMENTS", 1)  # 64-realization slices
-    assert_groups_span_partial_slices(desk_batch[0])
-    check_transmit_power(desk, desk_batch[0], desk_arrays)
+    cfg = desk[0]
+    assert_groups_span_partial_slices(desk_arrays.count, cfg.K, cfg.L)
+    check_transmit_power(desk, desk_batch, desk_arrays)
 
 
 def test_plans_of_another_network_are_rejected(desk, desk_batch):
     # a mismatch names both shapes instead of failing inside, or being
     # truncated by, the sums over UEs and APs
     cfg, net, pilots, phases, stats, terms = desk
-    batch, instants = desk_batch
     three_ues = small_setup(L=cfg.L, K=3, tau_p=2)[-1]
     wide = cf.make_plan(three_ues, "du_mr", "coherent", 0.5)
     plan = cf.make_plan(terms, "du_mr", "noncoherent", 0.5)
@@ -730,6 +750,4 @@ def test_plans_of_another_network_are_rejected(desk, desk_batch):
     for bad, message in ((wide, r"mu has shape \(3, 4\).*needs \(2, 4\)"),
                          (long_eta, r"eta has shape \(5,\).*needs \(4,\)")):
         with pytest.raises(ValueError, match=message):
-            cfrs.mc_sinr(batch, bad, instants[0])
-        with pytest.raises(ValueError, match=message):
-            cfrs.transmit_power_stats(batch, bad)
+            desk_batch([plan, bad])
