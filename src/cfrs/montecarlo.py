@@ -36,14 +36,28 @@ config and, for each of those plans, its per-group sums of every term.
 One streamed pass (``_stream``) runs draw -> precode -> accumulate inside
 each RNG chunk: the chunk is drawn, the estimation filters run
 elementwise, and every kept phase becomes its unit-modulus factor
-exp(-i phase) with one cos/sin evaluation; then the chunk, cut at the
+exp(-i phase) with one cos/sin evaluation; then the chunk is cut at the
 jackknife group edges and into slices of (K, K, L, r) work arrays of about
-``_WORK_ELEMENTS`` entries that fit in cache, forms each private scheme's
-precoders, their power and the link-precoder products once per slice and
-adds every plan's terms and per-AP transmit powers into the chunk's own
-per-group partial sums.  Chunks run on ``_map``'s worker threads, at most
-one per CPU available to the process; numpy's RNG fills and ufunc loops
-release the GIL, so the threads run in parallel.  ``mc_sinr`` and
+``_WORK_ELEMENTS`` entries that fit in cache.  A slice's work is shared at
+three levels (see ``_accumulate``):
+
+* once per slice, whatever the plans: the DU precoders v_du, their power,
+  the link-precoder products P_du and, at each instant, the phase products
+  and the private desired-signal moment.  The DF precoders are
+  v_df = conj(theta) v_du, so P_df[k,i,l] = conj(theta[i,l]) P_du[k,i,l]
+  and, as |theta| = 1, both schemes have the same private power: a DF plan
+  folds the rotation into its own factors and forms no products of its own;
+* once per distinct precoder (private scheme, rho, mu, weights and eta,
+  compared by value): the common precoder's power and products and both
+  desired-signal sums;
+* once per plan: its transmission's interference terms.
+
+A plan's sums are bitwise the same whichever plans are declared with it.
+P is indexed by UE; indexing it by co-pilot set would cut the slice work
+by K/S, since co-pilots' estimates are scaled copies of one observation.
+Chunks run on ``_map``'s worker threads, at most one per CPU available to
+the process; numpy's RNG fills and ufunc loops release the GIL, so the
+threads run in parallel.  ``mc_sinr`` and
 ``transmit_power_stats`` read a declared plan's sums and draw nothing; a
 plan that was not declared is an error.
 
@@ -371,6 +385,37 @@ def _sumsq(a: np.ndarray) -> np.ndarray:
     return np.square(a.view(float)).sum(axis=-1)
 
 
+@dataclass
+class _Precoder:
+    """A precoder that declared plans share: their private scheme, rho, mu,
+    weights and eta are equal.  Its factors act on the DU precoders, since
+    v_df = conj(theta) v_du: they carry rot, which is conj(theta) for DF
+    and 1 for DU.  ``plans`` indexes the declared plans that use it."""
+
+    rho: float
+    mu: np.ndarray           # (K, L)
+    eta: np.ndarray          # (L,)
+    sq_eta: np.ndarray       # (L,) sqrt(eta)
+    sq_mu_rot: np.ndarray    # (K, L) sqrt(mu) rot
+    weights_rot: np.ndarray  # (K, L) common weights a times rot
+    plans: list[int]
+
+
+def _share(plans, theta: np.ndarray) -> list[_Precoder]:
+    """The distinct precoders of ``plans``, which are compared by value."""
+    precoders = {}
+    for i, plan in enumerate(plans):
+        key = (plan.private_scheme, plan.rho,
+               *(arr.tobytes() for arr in (plan.mu, plan.weights, plan.eta)))
+        if key not in precoders:
+            rot = np.conj(theta) if plan.private_scheme == "df_mr" else 1.0
+            precoders[key] = _Precoder(
+                rho=plan.rho, mu=plan.mu, eta=plan.eta, sq_eta=np.sqrt(plan.eta),
+                sq_mu_rot=np.sqrt(plan.mu) * rot, weights_rot=plan.weights * rot, plans=[])
+        precoders[key].plans.append(i)
+    return list(precoders.values())
+
+
 def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) -> list[_BlockSums]:
     """Per-group sums of every term of every plan at the instants, and of
     its per-AP transmit power, from one pass over ``count`` realizations
@@ -378,21 +423,24 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
 
     Each RNG chunk runs on a worker of ``_map``: it draws its realizations,
     turns the phases at the instants into their factors, and cuts itself
-    into the slices of ``_chunk_slices``.  Per slice, each private scheme of
-    the plans forms its precoders v, their power and the link-precoder
-    products P (see ``_accumulate``) once, and every plan of that scheme
-    adds its terms and powers into the chunk's partial sums, one row per
-    group the chunk touches.  The caller's thread folds the partials into
-    the group rows in chunk order.
+    into the slices of ``_chunk_slices``.  The work of a slice is shared at
+    three levels (see ``_accumulate``): the DU precoders, the link-precoder
+    products and their plan-free moments once per slice; the power and
+    common-precoder products once per distinct precoder (``_share``); and
+    only its transmission's interference terms once per plan.  A plan's
+    sums do not depend on which other plans were declared with it.  Each
+    slice adds into the chunk's partial sums, one row per group the chunk
+    touches, and the caller's thread folds the partials into the group rows
+    in chunk order.
     """
-    K, L, N = net.K, net.L, net.N
+    K, L = net.K, net.L
     for plan in plans:
         check_plan_shapes(plan, K, L)
     counts, chunks = _chunk_slices(count, K, L)
     drawn = _phase_instants(pilots, config, instants)
     columns = [drawn.index(n) for n in instants]
     draw = _chunk_draw(net, pilots, stats, phases, config, count, seed, instants)
-    schemes = sorted({plan.private_scheme for plan in plans})
+    precoders = _share(plans, net.theta)
     conj_theta = np.conj(net.theta)[:, :, None, None]
 
     def zeros(rows: int) -> list[_BlockSums]:
@@ -408,17 +456,9 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
         first = slices[0][0]
         partial = zeros(slices[-1][0] - first + 1)
         for b, sl in slices:
-            gh = conj_theta * np.conj(h[..., sl])
-            precoded = {}
-            for scheme in schemes:
-                v = private_precoders(hhat[..., sl], net, scheme)
-                # explicit sum over antennas: a batched matmul of the tiny
-                # per-realization matrices is several times slower
-                P = _sum(gh[:, None, :, n] * v[None, :, :, n] for n in range(N))  # (K, K, L, r)
-                precoded[scheme] = v, P, _sumsq(v).sum(axis=-1)  # (K, L) power of v
-            for plan, sums in zip(plans, partial):
-                _accumulate(sums, b - first, plan, config, *precoded[plan.private_scheme],
-                            x[..., sl], y[..., sl])
+            v = private_precoders(hhat[..., sl], net, "du_mr")
+            _accumulate(partial, b - first, precoders, config, conj_theta * np.conj(h[..., sl]),
+                        v, x[..., sl], y[..., sl])
         return first, partial
 
     totals = zeros(JACKKNIFE_GROUPS)
@@ -435,57 +475,82 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
     return totals
 
 
-def _accumulate(sums: _BlockSums, b: int, plan: PrecodingPlan, config: SystemConfig,
-                v: np.ndarray, P: np.ndarray, v_power: np.ndarray, x: np.ndarray,
+def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
+                config: SystemConfig, gh: np.ndarray, v: np.ndarray, x: np.ndarray,
                 y: np.ndarray) -> None:
-    """Add one slice's terms at the instants, and its per-AP transmit power,
-    into row b of ``sums``.
+    """Add one slice's terms at the instants, and its per-AP transmit powers,
+    into row b of every plan's sums.
 
     The effective channel is g[k,l] = theta[k,l] exp(i(ue[k] + ap[l])) h[k,l],
     so each link-precoder product factors as
 
         conj(g[k,l]) v[i,l] = x[k] y[l] P[k,i,l],
-        P[k,i,l] = sum_n conj(theta[k,l] h[k,l,n]) v[i,l,n],
+        P[k,i,l] = sum_n gh[k,l,n] v[i,l,n],  gh = conj(theta h),
 
     with the unit-modulus phase factors x = exp(-i ue) (K, M, r) per UE and
-    y = exp(-i ap) (L, M, r) per AP.  P, the private precoders v and their
-    power ``v_power`` (K, L), |v|^2 summed over antennas and realizations,
-    are formed once per slice and scheme by ``_stream``, and each instant
-    only reads its own x and y.
-    |x| = 1 drops the per-UE factor from every interference term, and the
-    non-coherent interference (|P|^2 summed over APs) has no phase at all,
-    so it is the same at every instant and is summed once per slice.  The
-    sums over antennas, UEs, APs and realizations are elementwise products
-    and ``sum``, never a matrix product.
+    y = exp(-i ap) (L, M, r) per AP.  v holds the DU precoders; the DF
+    precoders are v_df = conj(theta) v_du, so P_df[k,i,l] =
+    conj(theta[i,l]) P_du[k,i,l] and every DF term is a DU product with the
+    rotation folded into the plan's factors (``_Precoder``).  The work is
+    done at three levels:
+
+    * once per slice, plan-free: P, the precoder power |v|^2 (the same for
+      both schemes, since |theta| = 1), and at each instant the phase
+      products x[k] y[l] and the private desired-signal moment
+      D[k,l] = sum_r x[k] y[l] P[k,k,l];
+    * once per precoder: its power, the common-precoder products
+      E[k,l] = sum_i a[i,l] rot[i,l] P[k,i,l], the private desired signal
+      sqrt(mu) rot D and the common one, sqrt(eta) sum_r x y E;
+    * once per plan: its transmission's interference.  |x| = 1 drops the
+      per-UE factor from every interference term, and the non-coherent
+      interference (|P|^2 summed over APs) has no phase at all, so it is
+      the same at every instant and is summed once per slice.
+
+    P is (K, K, L, r); indexing it by co-pilot set instead of by UE would
+    shrink it K/S-fold, since co-pilots' estimates are scaled copies of one
+    observation.  The sums over antennas, UEs, APs and realizations are
+    elementwise products and ``sum``, never a matrix product.
     """
-    K, L = v.shape[:2]
-    coherent = sums.coherent
-    sq_mu = np.sqrt(plan.mu)
-    sq_eta = np.sqrt(plan.eta)
-    sums.power[b] += (1.0 - plan.rho) * config.p_d * np.sum(plan.mu * v_power, axis=0)
-    if plan.rho > 0:
-        v_c = _sum(plan.weights[i, :, None, None] * v[i] for i in range(K))  # (L, N, r)
-        sums.power[b] += plan.rho * config.p_d * plan.eta * _sumsq(v_c).sum(axis=-1)
+    K, L, N = v.shape[:3]
+    P = _sum(gh[:, None, :, n] * v[None, :, :, n] for n in range(N))  # (K, K, L, r)
+    v_power = _sumsq(v).sum(axis=-1)  # (K, L)
     diag = np.moveaxis(np.diagonal(P), -1, 0)  # (K, L, r) view of P[k, k]
-    if not coherent:
-        sums.int_p[b] += np.sum(plan.mu * _sumsq(P), axis=-1)
-    if plan.rho > 0:
-        E = _sum(plan.weights[i, :, None] * P[:, i] for i in range(K))  # (K, L, r)
-        if not coherent:
-            sums.int_c[b] += np.sum(_sumsq(E) * plan.eta, axis=-1)
+    P_power = _sumsq(P) if any(not s.coherent for s in sums) else None  # (K, K, L)
+    E = []
+    for pre in precoders:
+        power = (1.0 - pre.rho) * config.p_d * np.sum(pre.mu * v_power, axis=0)
+        e = None
+        if pre.rho > 0:
+            v_c = _sum(pre.weights_rot[i, :, None, None] * v[i] for i in range(K))  # (L, N, r)
+            power += pre.rho * config.p_d * pre.eta * _sumsq(v_c).sum(axis=-1)
+            e = _sum(pre.weights_rot[i, :, None] * P[:, i] for i in range(K))  # (K, L, r)
+        E.append(e)
+        for j in pre.plans:
+            out = sums[j]
+            out.power[b] += power
+            if not out.coherent:
+                out.int_p[b] += np.sum(pre.mu * P_power, axis=-1)
+                if e is not None:
+                    out.int_c[b] += np.sum(_sumsq(e) * pre.eta, axis=-1)
     for m in range(x.shape[1]):
-        xm = x[:, m, None]  # (K, 1, r)
         ym = y[:, m]  # (L, r)
-        sums.ds_p[b, m] += sq_mu * np.sum(ym * diag * xm, axis=-1)
-        if coherent:
-            w = sq_mu[:, :, None] * ym  # (K, L, r)
-            c = _sum(P[:, :, l] * w[:, l] for l in range(L))  # (K, K, r)
-            sums.int_p[b, m] += _sumsq(c)
-        if plan.rho > 0:
-            sums.ds_c[b, m] += sq_eta * np.sum(ym * E * xm, axis=-1)
-            if coherent:
-                ec = _sum(E[:, l] * (sq_eta[l] * ym[l]) for l in range(L))  # (K, r)
-                sums.int_c[b, m] += _sumsq(ec)
+        xy = x[:, m, None] * ym  # (K, L, r)
+        D = np.sum(xy * diag, axis=-1)
+        for pre, e in zip(precoders, E):
+            ds_p = pre.sq_mu_rot * D
+            ds_c = None if e is None else pre.sq_eta * np.sum(xy * e, axis=-1)
+            for j in pre.plans:
+                out = sums[j]
+                out.ds_p[b, m] += ds_p
+                if e is not None:
+                    out.ds_c[b, m] += ds_c
+                if out.coherent:
+                    w = pre.sq_mu_rot[:, :, None] * ym  # (K, L, r)
+                    c = _sum(P[:, :, l] * w[:, l] for l in range(L))  # (K, K, r)
+                    out.int_p[b, m] += _sumsq(c)
+                    if e is not None:
+                        ec = _sum(e[:, l] * (pre.sq_eta[l] * ym[l]) for l in range(L))  # (K, r)
+                        out.int_c[b, m] += _sumsq(ec)
 
 
 def _sinr(means, coherent: bool, plan, config):

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_form import TraceTerms, decay_pair, make_plan, plan_parts
+from .closed_form import TraceTerms, common_power, decay_pair, make_plan, plan_parts
 from .model import PhaseStatistics, SystemConfig
 
 log = logging.getLogger(__name__)
@@ -149,9 +149,21 @@ class MaxMinProblem:
         a[i,l] = y[P,l] / y_ones[P,l] for every member i of P.
 
         Any split with the same per-set sums has the same SINRs and per-AP
-        power, so the weights are not unique; this one is canonical.
+        power, so the weights are not unique; this one is canonical.  The
+        division rounds: at an AP where ``closed_form.common_power`` of the
+        split exceeds the budget 1, the AP's weights are scaled down until
+        it does not, so the weights meet the per-AP power constraint
+        exactly.  For y in the ball ||y[:, l]|| <= 1 this only undoes the
+        rounding.
         """
-        return (y / self.y_ones)[self.sets]
+        a = (y / self.y_ones)[self.sets]
+        power = common_power(self.terms, a)
+        while np.any(power > 1.0):
+            over = power > 1.0
+            # strictly below the exact ratio, so each pass lowers the power
+            a[:, over] *= np.nextafter(1.0 / np.sqrt(power[over]), 0.0)
+            power = common_power(self.terms, a)
+        return a
 
     def sinr(self, y: np.ndarray) -> np.ndarray:
         """(K,) common-stream SINRs at the problem's instant for variables y.

@@ -409,6 +409,62 @@ def test_worker_failures_reach_the_caller(desk, monkeypatch):
     cfrs.transmit_power_stats(batch, plan)
 
 
+def declared_outputs(batch, plan, instants):
+    """Every array mc_sinr and transmit_power_stats return for ``plan``."""
+    out = []
+    for res in cfrs.mc_sinr(batch, plan, instants):
+        out += [res.private, res.private_stderr, res.common, res.common_stderr,
+                *dataclasses.astuple(res.terms)]
+    return out + list(cfrs.transmit_power_stats(batch, plan))
+
+
+def test_a_plans_sums_do_not_depend_on_what_is_declared_with_it():
+    # plans that share a precoder, or all of their work, with the plan read
+    # leave its bits alone
+    cfg, net, pilots, phases, stats, terms = small_setup(seed=5, L=3, K=3, tau_p=2)
+    instants = [cfg.estimation_instant, cfg.tau_c]
+
+    def outputs(plans, plan):
+        batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 1500, seed=6,
+                                  instants=instants, plans=plans)
+        return declared_outputs(batch, plan, instants)
+
+    for scheme, other in (("du_mr", "df_mr"), ("df_mr", "du_mr")):
+        for transmission, twin in (("coherent", "noncoherent"), ("noncoherent", "coherent")):
+            plan = cf.make_plan(terms, scheme, transmission, 0.5)
+            company = [cf.make_plan(terms, scheme, twin, 0.5),
+                       cf.make_plan(terms, other, transmission, 0.5),
+                       dataclasses.replace(plan)]  # equal by value
+            alone = outputs([plan], plan)
+            together = outputs(company + [plan], plan)
+            assert len(alone) == len(together)
+            for a, b in zip(alone, together):
+                assert np.array_equal(a, b)
+
+
+def test_every_slice_forms_the_precoders_once(monkeypatch):
+    # validate's four plans (two schemes, two transmissions) share one
+    # private_precoders call per slice: the DF precoders are rotated DU ones
+    cfg, net, pilots, phases, stats, terms = small_setup(seed=5, L=3, K=3, tau_p=2)
+    monkeypatch.setattr(mc, "_WORK_ELEMENTS", 1)  # 64-realization slices
+    count = mc.RNG_CHUNK + 700
+    plans = [cf.make_plan(terms, scheme, transmission, 0.5)
+             for transmission in cf.TRANSMISSIONS for scheme in cf.PRIVATE_SCHEMES]
+    calls = []
+    precoders = mc.private_precoders
+
+    def counted(hhat, net, scheme):
+        calls.append(hhat.shape[-1])
+        return precoders(hhat, net, scheme)
+
+    monkeypatch.setattr(mc, "private_precoders", counted)
+    cfrs.sample_batch(net, pilots, stats, phases, cfg, count, seed=2,
+                      instants=[cfg.tau_c], plans=plans)
+    slices = global_slices(mc._chunk_slices(count, net.K, net.L)[1])
+    assert len(slices) > mc.JACKKNIFE_GROUPS
+    assert sorted(calls) == sorted(sl.stop - sl.start for _, sl in slices)
+
+
 def all_arrays(obj):
     """Every numpy array that ``obj`` holds, through dataclass fields and tuples."""
     if isinstance(obj, np.ndarray):

@@ -207,6 +207,21 @@ def test_split_is_canonical():
     assert np.max(cf.common_power(terms, res.weights)) <= 1 + 1e-12
 
 
+def test_weights_on_the_power_boundary_meet_the_budget_exactly():
+    # K > tau_p: three sets of two UEs; the division y / y_ones alone rounds
+    # the power above 1 at about a third of these APs
+    cfg, net, pilots, phases, stats, terms, problem = setup_instance(L=8, K=6, tau_p=2)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        y = rng.random(problem.y_ones.shape)
+        y /= np.sqrt(np.sum(y * y, axis=0))  # ||y[:, l]|| = 1 at every AP
+        weights = problem.weights(y)
+        assert np.all(cf.common_power(terms, weights) <= 1.0)
+        # only rounding is undone: the split stays the division's
+        divided = (y / problem.y_ones)[problem.sets]
+        assert np.max(np.abs(weights - divided) / divided) <= 4 * np.finfo(float).eps
+
+
 def dense_cone_terms(problem, b, H, M, a):
     """Reference for ``_cone_terms`` on the dense b_k, H_k and M_k, in the
     stacked weights a: (e, e.a, norm, grad)."""
