@@ -340,7 +340,8 @@ class PlanParts:
 
     eaeu (M, 1) is ea*eu; xi (M, K) or (1, K) the private received power,
     gamma (M, K) the common interference, both per transmitted watt;
-    sig_private and sig_common (K,) the desired-signal coefficients.
+    sig_private and sig_common (K,) the desired-signal coefficients, or
+    (M, K) where they differ per row.
     """
 
     eaeu: np.ndarray
@@ -455,7 +456,7 @@ def _write_sinrs(parts: PlanParts, rho: float, out: np.ndarray, num: np.ndarray)
 def assemble(parts: PlanParts, rho: float) -> tuple[np.ndarray, np.ndarray]:
     """(private, common) SINRs at power split rho: (K,) each for a scalar
     instant, else (K, M) transposed views of one fresh (2, M, K) array."""
-    sinr = np.empty((2, len(parts.eaeu), len(parts.sig_private)))
+    sinr = np.empty((2, len(parts.eaeu), parts.sig_private.shape[-1]))
     _write_sinrs(parts, rho, sinr, np.empty_like(sinr))
     private, common = sinr.transpose(0, 2, 1)
     if parts.scalar:
@@ -540,7 +541,7 @@ def sum_se_curve(parts: PlanParts, tau_c: int):
     """
     if parts.scalar:
         raise ValueError("the sum SE curve needs a plan's parts over an array of instants")
-    sinr = np.empty((2, len(parts.eaeu), len(parts.sig_private)))
+    sinr = np.empty((2, len(parts.eaeu), parts.sig_private.shape[-1]))
     num = np.empty_like(sinr)
 
     def curve(rho: float) -> float:

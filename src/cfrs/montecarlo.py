@@ -29,17 +29,23 @@ pilot noise stays white, and the MMSE filters are elementwise.  The
 hardening-bound terms are inner products over the antennas, which the
 common unitary change of basis leaves unchanged.
 
-Nothing with a realization axis outlives the RNG chunk it was drawn in.
 ``sample_batch`` takes every plan the caller will read, and the batch it
 returns (``RealizationBatch``) holds only the count, the instants, the
 config and, for each of those plans, its per-group sums of every term.
 One streamed pass (``_stream``) runs draw -> precode -> accumulate inside
-each RNG chunk: the chunk is drawn, the estimation filters run
-elementwise, and every kept phase becomes its unit-modulus factor
-exp(-i phase) with one cos/sin evaluation; then the chunk is cut at the
-jackknife group edges and into slices of (K, K, L, r) work arrays of about
-``_WORK_ELEMENTS`` entries that fit in cache.  A slice's work is shared at
-three levels (see ``_accumulate``):
+each RNG chunk, and each worker runs its chunks in one workspace
+(``_Workspace``) that it holds for the whole pass: chunk-sized arrays for
+the draw, slice-sized ones for the accumulation and one scratch buffer
+that the transient products share.  Every array with a realization axis
+is a view into it, filled through ``out=``, so a pass allocates no such
+array per chunk or per slice and its memory does not grow with the
+realization count.  The chunk is drawn (``_ChunkDraw``) and every kept
+phase becomes its unit-modulus factor exp(-i phase) with one cos/sin
+evaluation; then the chunk is cut at the jackknife group edges and into
+slices of (K, K, L, r) work arrays of about ``_WORK_ELEMENTS`` entries.
+Each slice runs the estimation filters elementwise on its slice of the
+pilot signal, and its work is shared at three levels (see
+``_accumulate``):
 
 * once per slice, whatever the plans: the DU precoders v_du, their power,
   the link-precoder products P_du and, at each instant, the phase products
@@ -73,7 +79,9 @@ Standard errors come from a delete-one block jackknife over
 ``JACKKNIFE_GROUPS`` contiguous realization blocks (95% intervals: Student
 t quantile); one helper gives the delete-one-block means, so one set of
 sums yields both the term estimates (``MCSinr.terms``) and the
-bias-corrected SINRs with their standard errors.
+bias-corrected SINRs with their standard errors, and one ``assemble``
+call per (plan, instant) forms the SINRs of the full and of every
+delete-one mean.
 """
 
 from __future__ import annotations
@@ -97,9 +105,10 @@ RNG_CHUNK = 4096  # realizations per RNG stream; fixed for reproducibility
 MIN_REALIZATIONS = 100  # fewest realizations for meaningful standard errors
 JACKKNIFE_GROUPS = 10  # delete-one groups of every jackknife
 _T95 = 2.2621571627982  # two-sided 95% t quantile, JACKKNIFE_GROUPS - 1 = 9 dof
-# (K, K, L, r) work-array elements per accumulated slice.  Each worker holds
-# one slice's work arrays at a time, beside its chunk's draws; the slice plan
-# does not depend on the worker count, which keeps every sum's order fixed.
+# (K, K, L, r) work-array elements per accumulated slice: 1 MiB of complex
+# entries, which bounds each of a worker's slice-sized workspace arrays, not
+# a cache size.  The slice plan does not depend on the worker count, which
+# keeps every sum's order fixed.
 _WORK_ELEMENTS = 2**16
 # CPUs this process may run on: the most workers ``_map`` starts
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -193,25 +202,64 @@ def _map(fn, items, fold) -> None:
                 future.cancel()
 
 
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """(re + i im) / sqrt(2), re drawn before im, both in the C order of
-    ``shape``; returned with its first (realization) axis moved last."""
-    out = np.empty(shape[1:] + shape[:1], dtype=complex)
+class _Workspace:
+    """Flat buffers that one worker fills again for every chunk and slice of
+    one pass, so the pass allocates no array with a realization axis.
+
+    ``sizes`` maps each buffer's name to its size in bytes.  ``get`` views a
+    buffer's leading bytes as C-contiguous arrays laid one after the other,
+    each at a 64-byte boundary; ``nbytes`` is the size such a layout needs.
+    A shorter chunk or slice takes a shorter prefix, so every view has the
+    layout a fresh array of its shape would have.
+    """
+
+    def __init__(self, sizes: dict[str, int]):
+        self._flat = {name: np.empty(n, dtype=np.uint8) for name, n in sizes.items()}
+
+    @staticmethod
+    def _extent(shape, dtype) -> int:
+        n = np.dtype(dtype).itemsize
+        for d in shape:
+            n *= d
+        return n
+
+    @staticmethod
+    def nbytes(*layout) -> int:
+        """Bytes that the (shape, dtype) views of ``layout`` take in a row."""
+        return sum(-(-_Workspace._extent(*view) // 64) * 64 for view in layout)
+
+    def get(self, name: str, *layout):
+        """Views of buffer ``name``, one per (shape, dtype) of ``layout``, in
+        a row: the view itself for one pair, else a list."""
+        flat, views = self._flat[name], []
+        for shape, dtype in layout:
+            start = self.nbytes(*layout[:len(views)])
+            views.append(flat[start:start + self._extent(shape, dtype)]
+                         .view(dtype).reshape(shape))
+        return views[0] if len(views) == 1 else views
+
+
+def _complex_normal(rng: np.random.Generator, out: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with (re + i im) / sqrt(2), re drawn before im, both in
+    the C order of ``part``'s shape, which is ``out``'s with its last
+    (realization) axis moved first; ``part`` is a real work array."""
     drawn = np.moveaxis(out, -1, 0)
-    part = rng.standard_normal(shape)
+    rng.standard_normal(out=part)
     part *= 1.0 / np.sqrt(2.0)
     drawn.real = part
-    rng.standard_normal(shape, out=part)
+    rng.standard_normal(out=part)
     part *= 1.0 / np.sqrt(2.0)
     drawn.imag = part
     return out
 
 
-def _phasor(angle: np.ndarray) -> np.ndarray:
-    """exp(i angle) from cos and sin, cheaper than the complex exponential."""
-    out = np.empty(angle.shape, dtype=complex)
-    out.real = np.cos(angle)
-    out.imag = np.sin(angle)
+def _phasor(angle: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(i angle) from cos and sin, cheaper than the complex exponential;
+    written into ``out`` if given."""
+    if out is None:
+        out = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
     return out
 
 
@@ -222,65 +270,103 @@ def _phase_instants(pilots: PilotAssignment, config: SystemConfig, instants) -> 
                   | {int(n) for n in instants})
 
 
-def _chunk_draw(
-    net: NetworkModel,
-    pilots: PilotAssignment,
-    stats: EstimationStatistics,
-    phases: PhaseStatistics,
-    config: SystemConfig,
-    count: int,
-    seed: int,
-    instants,
-):
-    """Set up the draw of ``count`` realizations once and return its per-chunk
-    function ``draw(chunk)``, which several threads may call at once.
+class _ChunkDraw:
+    """The draw of ``count`` realizations from ``seed``, set up once; a call
+    ``draw(chunk, ws)`` draws RNG chunk ``chunk`` from its own stream into
+    the workspace ``ws``, and several threads may call it at once, each
+    with its own workspace.
 
     The setup computes the channel standard deviations sqrt(beta lam), the
-    estimation filters of ``stats`` and the phase instants; ``draw(chunk)``
-    draws RNG chunk ``chunk`` from its own stream and returns
-    (h, hhat, ue, ap, z) for its c realizations: channels and estimates
-    (c, K, L, N) in T's eigenbasis, the UE (c, K, M) and AP (c, L, M) phases
-    at ``_phase_instants(pilots, config, instants)``, and the received pilot
-    signal z (c, G, L, N) per co-pilot group, which the filters turn into
-    hhat.  The draws are made in that order and layout; the channels,
-    estimates and pilot signal are computed with the realizations last and
-    returned as views with that axis moved first.
+    estimation filters of ``stats`` and the phase instants.  A call returns
+    (h, z, ue, ap) for the chunk's c realizations: the channels h
+    (K, L, N, c) in T's eigenbasis, the received pilot signal z
+    (G, L, N, c) per co-pilot group, and the UE (c, K, M) and AP (c, L, M)
+    phases at ``_phase_instants(pilots, config, instants)``.  The draws are
+    made in the order h, ue, ap, z, and h and z in the C order of their
+    shape with the realization axis moved first.  ``sizes`` holds the
+    workspace buffers a call needs at the largest chunk; a later call
+    overwrites what an earlier one wrote into the same workspace.
+
+    The estimates are not formed here: ``estimates`` turns any slice of z
+    into its slice of hhat, so the pass forms them one slice at a time.
     """
-    K, L, N = net.K, net.L, net.N
-    needed = _phase_instants(pilots, config, instants)
-    gaps = np.diff([0] + needed)
-    M = len(needed)
-    sd_ue = np.sqrt(phases.var_ue * gaps)
-    sd_ap = np.sqrt(phases.var_ap * gaps)
-    sd = np.sqrt(net.beta[:, :, None] * net.lam)[..., None]  # (K, L, N, 1)
-    filters = mmse_filters(net, stats)[..., None]
-    p = config.pilot_powers()
 
-    def draw(chunk: int):
-        c = min(RNG_CHUNK, count - chunk * RNG_CHUNK)
+    def __init__(self, net: NetworkModel, pilots: PilotAssignment,
+                 stats: EstimationStatistics, phases: PhaseStatistics,
+                 config: SystemConfig, count: int, seed: int, instants):
+        K, L, N = net.K, net.L, net.N
+        self.count, self.seed = count, seed
+        self.shape = K, L, N, len(pilots.groups)
+        self.groups = pilots.groups
+        self.needed = _phase_instants(pilots, config, instants)
+        gaps = np.diff([0] + self.needed)
+        self.sd_ue = np.sqrt(phases.var_ue * gaps)
+        self.sd_ap = np.sqrt(phases.var_ap * gaps)
+        self.sd = np.sqrt(net.beta[:, :, None] * net.lam)[..., None]  # (K, L, N, 1)
+        self.sq_sigma2 = np.sqrt(config.sigma2_ul)
+        p = config.pilot_powers()
+        # sqrt(p_i) theta_i: the pilot amplitude and delay phase of UE i
+        self.amp = [np.sqrt(p[i]) * net.theta[i][:, None, None] for i in range(K)]
+        self.pilot_columns = [self.needed.index(int(pilots.t[group[0]]))
+                              for group in pilots.groups]
+        self.filters = mmse_filters(net, stats)[..., None]  # (K, L, N, 1)
+        self.conj_theta = [np.conj(net.theta[k])[:, None, None] for k in range(K)]
+        G, M, c = len(pilots.groups), len(self.needed), min(RNG_CHUNK, count)
+        self.sizes = {
+            "h": _Workspace.nbytes(((K, L, N, c), complex)),
+            "z": _Workspace.nbytes(((G, L, N, c), complex)),
+            "ue": _Workspace.nbytes(((c, K, M), float)),
+            "ap": _Workspace.nbytes(((c, L, M), float)),
+            "scratch": max(_Workspace.nbytes(((c, max(K, G) * L * N), float)),
+                           _Workspace.nbytes(((c, max(K, L) * M), float)),
+                           _Workspace.nbytes(*self._pilot_layout(c))),
+        }
+
+    def _pilot_layout(self, c: int):
+        """The scratch views of the pilot signal: the angle and the factor
+        exp(i angle) (L, c) of one UE's phases, and its transmission (L, N, c)."""
+        _, L, N, _ = self.shape
+        return ((L, c), float), ((L, c), complex), ((L, N, c), complex)
+
+    def __call__(self, chunk: int, ws: _Workspace):
+        K, L, N, G = self.shape
+        M = len(self.needed)
+        c = min(RNG_CHUNK, self.count - chunk * RNG_CHUNK)
         rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(chunk,)))
+            np.random.Philox(np.random.SeedSequence(self.seed, spawn_key=(chunk,)))
         )
-        h = _complex_normal(rng, (c, K, L, N))  # (K, L, N, c)
-        h *= sd
-        ue = np.cumsum(rng.standard_normal((c, K, M)) * sd_ue, axis=2)
-        ap = np.cumsum(rng.standard_normal((c, L, M)) * sd_ap, axis=2)
-        z = _complex_normal(rng, (c, len(pilots.groups), L, N))  # (G, L, N, c)
-        z *= np.sqrt(config.sigma2_ul)
-
-        hhat = np.empty_like(h)
-        for g, group in enumerate(pilots.groups):
+        h = _complex_normal(rng, ws.get("h", ((K, L, N, c), complex)),
+                            ws.get("scratch", ((c, K, L, N), float)))
+        h *= self.sd
+        phases = []
+        for name, rows, sd in (("ue", K, self.sd_ue), ("ap", L, self.sd_ap)):
+            part = rng.standard_normal(out=ws.get("scratch", ((c, rows, M), float)))
+            part *= sd
+            phases.append(np.cumsum(part, axis=2, out=ws.get(name, ((c, rows, M), float))))
+        ue, ap = phases
+        z = _complex_normal(rng, ws.get("z", ((G, L, N, c), complex)),
+                            ws.get("scratch", ((c, G, L, N), float)))
+        z *= self.sq_sigma2
+        angle, rot, sent = ws.get("scratch", *self._pilot_layout(c))
+        for g, group in enumerate(self.groups):
             # the group's transmissions accumulate on top of the noise
-            m = needed.index(int(pilots.t[group[0]]))
+            m = self.pilot_columns[g]
             for i in group:
-                rot = _phasor(ue[:, i, m] + ap[:, :, m].T)  # (L, c)
-                z[g] += np.sqrt(p[i]) * net.theta[i][:, None, None] * rot[:, None] * h[i]
-            for k in group:
-                hhat[k] = np.conj(net.theta[k])[:, None, None] * (filters[k] * z[g])
-        return (np.moveaxis(h, -1, 0), np.moveaxis(hhat, -1, 0), ue, ap,
-                np.moveaxis(z, -1, 0))
+                _phasor(np.add(ue[:, i, m], ap[:, :, m].T, out=angle), out=rot)
+                np.multiply(self.amp[i], rot[:, None], out=rot[:, None])
+                z[g] += np.multiply(rot[:, None], h[i], out=sent)
+        return h, z, ue, ap
 
-    return draw
+    def estimates(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The estimates hhat (K, L, N, r) of the pilot signal z (G, L, N, r),
+        any r realizations of a draw, written into ``out``:
+        hhat[k] = conj(theta[k]) (B[k] z[g]) with the MMSE filters B and g
+        the co-pilot group of UE k."""
+        for g, group in enumerate(self.groups):
+            for k in group:
+                np.multiply(self.filters[k], z[g], out=out[k])
+                np.multiply(self.conj_theta[k], out[k], out=out[k])
+        return out
 
 
 def sample_batch(
@@ -304,9 +390,17 @@ def sample_batch(
     here can be read from the batch, so ``plans`` must list every plan the
     caller will pass to ``mc_sinr`` or ``transmit_power_stats``.  Identical
     (seed, inputs) give identical draws and sums, whatever the worker count.
+    ``count`` must be an integer of at least ``MIN_REALIZATIONS`` and
+    ``seed`` a non-negative integer.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    def integer(x) -> bool:
+        return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+    if not (integer(count) and count >= MIN_REALIZATIONS):
+        raise ValueError(f"count must be an integer of at least {MIN_REALIZATIONS} "
+                         f"realizations, for meaningful errors; got {count!r}")
+    if not (integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     plans = list(plans)
     if not plans:
         raise ValueError("plans is empty: declare every plan the batch will be read for")
@@ -324,13 +418,18 @@ def sample_batch(
 # precoders
 # ---------------------------------------------------------------------------
 
-def private_precoders(hhat: np.ndarray, net: NetworkModel, scheme: str) -> np.ndarray:
+def private_precoders(hhat: np.ndarray, net: NetworkModel, scheme: str,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """(K, L, N, count) MR private precoders of one scheme tag for the estimates
-    ``hhat``: DU compensates the delay phase theta, DF forgets it."""
+    ``hhat``, written into ``out`` if given (which may be ``hhat``): DU
+    compensates the delay phase theta, DF forgets it."""
     if scheme == "du_mr":
-        return hhat * net.theta[:, :, None, None]
+        return np.multiply(hhat, net.theta[:, :, None, None], out=out)
     if scheme == "df_mr":
-        return hhat
+        if out is None:
+            return hhat
+        out[...] = hhat
+        return out
     raise ValueError(f"unknown private precoding scheme {scheme!r}")
 
 
@@ -346,12 +445,8 @@ def _chunk_slices(count: int, K: int, L: int) -> tuple[np.ndarray, list[list[tup
     Each chunk is cut at the group edges, and each piece into slices of at
     most ``cap`` realizations (the last one may be shorter), so no slice
     straddles two groups or two chunks; a slice of at least 64 realizations
-    bounds the (K, K, L, r) work arrays to about ``_WORK_ELEMENTS`` entries,
-    a size that stays in cache.
+    bounds the (K, K, L, r) work arrays to about ``_WORK_ELEMENTS`` entries.
     """
-    if count < MIN_REALIZATIONS:
-        raise ValueError(
-            f"need at least {MIN_REALIZATIONS} realizations for meaningful errors")
     cap = max(64, _WORK_ELEMENTS // (K * K * L))
     edges = np.linspace(0, count, JACKKNIFE_GROUPS + 1).astype(int)
     chunks = []
@@ -366,23 +461,38 @@ def _chunk_slices(count: int, K: int, L: int) -> tuple[np.ndarray, list[list[tup
     return np.diff(edges), chunks
 
 
-def _sum(terms) -> np.ndarray:
-    """Sum of arrays, added in place into the first, which has the full shape."""
-    terms = iter(terms)
-    total = next(terms)
-    for term in terms:
-        total += term
-    return total
+def _sum_products(pairs, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """sum_j a_j b_j over the (a_j, b_j) of ``pairs``, added in order: the
+    first product is written into ``out``, each later one into ``work`` and
+    added into ``out``."""
+    pairs = iter(pairs)
+    np.multiply(*next(pairs), out=out)
+    for a, b in pairs:
+        out += np.multiply(a, b, out=work)
+    return out
 
 
-def _sumsq(a: np.ndarray) -> np.ndarray:
-    """sum of |a|^2 over the last axis: the float view dotted with itself.
+def _sumsq(a: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """sum of |a|^2 over the last axis: the float view of the C-contiguous
+    ``a`` squared into the workspace's scratch, then summed.
 
     Formed elementwise rather than by ``matmul``: a threaded BLAS splits long
     real dot products over its thread pool, whose wake-up can cost more than
     the dot.
     """
-    return np.square(a.view(float)).sum(axis=-1)
+    parts = a.view(float)
+    return np.square(parts, out=ws.get("scratch", (parts.shape, float))).sum(axis=-1)
+
+
+def _phase_factors(phase: np.ndarray, columns: list[int], out: np.ndarray,
+                   angle: np.ndarray) -> np.ndarray:
+    """The factors exp(-i phase) (rows, M, c) of the phases (c, rows, M') at
+    the instants ``columns``, written into ``out``; ``angle`` is a
+    (c, rows, M) work array."""
+    for j, col in enumerate(columns):
+        np.negative(phase[:, :, col], out=angle[:, :, j])
+    _phasor(angle, out=np.moveaxis(out, -1, 0))
+    return out
 
 
 @dataclass
@@ -416,50 +526,86 @@ def _share(plans, theta: np.ndarray) -> list[_Precoder]:
     return list(precoders.values())
 
 
+def _slice_sizes(K: int, L: int, N: int, precoders: int, r: int) -> dict[str, int]:
+    """The workspace buffers of ``_accumulate`` at slices of up to r
+    realizations, and (as "scratch") the largest of its work arrays, a
+    (K, K, L, r) or (K, L, N, r) complex one."""
+    sizes = {name: _Workspace.nbytes((shape + (r,), complex)) for name, shape in (
+        ("v", (K, L, N)), ("P", (K, K, L)), ("E", (precoders, K, L)), ("vc", (L, N)),
+        ("xy", (K, L)), ("w", (K, L)), ("c", (K, K)), ("ec", (K,)), ("t", ()))}
+    sizes["scratch"] = _Workspace.nbytes(((K, L, max(K, N), r), complex))
+    return sizes
+
+
 def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) -> list[_BlockSums]:
     """Per-group sums of every term of every plan at the instants, and of
     its per-AP transmit power, from one pass over ``count`` realizations
-    drawn from ``seed`` (see ``_chunk_draw``).
+    drawn from ``seed`` (see ``_ChunkDraw``).
 
-    Each RNG chunk runs on a worker of ``_map``: it draws its realizations,
-    turns the phases at the instants into their factors, and cuts itself
-    into the slices of ``_chunk_slices``.  The work of a slice is shared at
-    three levels (see ``_accumulate``): the DU precoders, the link-precoder
-    products and their plan-free moments once per slice; the power and
-    common-precoder products once per distinct precoder (``_share``); and
-    only its transmission's interference terms once per plan.  A plan's
-    sums do not depend on which other plans were declared with it.  Each
-    slice adds into the chunk's partial sums, one row per group the chunk
-    touches, and the caller's thread folds the partials into the group rows
-    in chunk order.
+    Each RNG chunk runs on a worker of ``_map``, inside a workspace that
+    the worker keeps for the whole pass: at most one is built per worker,
+    its chunk-level arrays sized for the largest chunk and its slice-level
+    arrays for the largest slice.  A chunk draws its realizations into the
+    workspace, turns the phases at the instants into their factors and the
+    channels h into gh = conj(theta h) in place, and cuts itself into the
+    slices of ``_chunk_slices``.  Each slice forms its estimates from its
+    slice of the pilot signal, and from them the DU precoders, in one
+    workspace array; then ``_accumulate`` shares its work at three levels:
+    the link-precoder products and their plan-free moments once per slice;
+    the power and common-precoder products once per distinct precoder
+    (``_share``); and only its transmission's interference terms once per
+    plan.  A plan's sums do not depend on which other plans were declared
+    with it.  Each slice adds into the chunk's partial sums, one row per
+    group the chunk touches, and the caller's thread folds the partials
+    into the group rows in chunk order.
     """
-    K, L = net.K, net.L
+    K, L, N = net.K, net.L, net.N
     for plan in plans:
         check_plan_shapes(plan, K, L)
     counts, chunks = _chunk_slices(count, K, L)
-    drawn = _phase_instants(pilots, config, instants)
-    columns = [drawn.index(n) for n in instants]
-    draw = _chunk_draw(net, pilots, stats, phases, config, count, seed, instants)
+    draw = _ChunkDraw(net, pilots, stats, phases, config, count, seed, instants)
+    columns = [draw.needed.index(n) for n in instants]
+    M = len(columns)
     precoders = _share(plans, net.theta)
     conj_theta = np.conj(net.theta)[:, :, None, None]
+    c_max = min(RNG_CHUNK, count)
+    r_max = max(sl.stop - sl.start for pieces in chunks for _, sl in pieces)
+    slice_sizes = _slice_sizes(K, L, N, len(precoders), r_max)
+    # the draw's scratch also holds the angles of the phase factors
+    sizes = {**draw.sizes, **slice_sizes,
+             "x": _Workspace.nbytes(((K, M, c_max), complex)),
+             "y": _Workspace.nbytes(((L, M, c_max), complex)),
+             "scratch": max(draw.sizes["scratch"], slice_sizes["scratch"])}
+    idle = []  # workspaces no chunk is running in
 
     def zeros(rows: int) -> list[_BlockSums]:
-        return [_BlockSums.zeros(rows, len(columns), K, L, plan.transmission == "coherent")
+        return [_BlockSums.zeros(rows, M, K, L, plan.transmission == "coherent")
                 for plan in plans]
 
     def run(chunk: int) -> tuple[int, list[_BlockSums]]:
-        h_c, hhat_c, ue_c, ap_c, _ = draw(chunk)
-        h, hhat = np.moveaxis(h_c, 0, -1), np.moveaxis(hhat_c, 0, -1)  # (K, L, N, c)
-        x = np.ascontiguousarray(np.moveaxis(_phasor(-ue_c[:, :, columns]), 0, -1))  # (K, M, c)
-        y = np.ascontiguousarray(np.moveaxis(_phasor(-ap_c[:, :, columns]), 0, -1))  # (L, M, c)
-        slices = chunks[chunk]
-        first = slices[0][0]
-        partial = zeros(slices[-1][0] - first + 1)
-        for b, sl in slices:
-            v = private_precoders(hhat[..., sl], net, "du_mr")
-            _accumulate(partial, b - first, precoders, config, conj_theta * np.conj(h[..., sl]),
-                        v, x[..., sl], y[..., sl])
-        return first, partial
+        try:
+            ws = idle.pop()
+        except IndexError:  # at most one per worker, as at most one chunk runs on each
+            ws = _Workspace(sizes)
+        try:
+            h, z, ue, ap = draw(chunk, ws)
+            c = h.shape[-1]
+            x = _phase_factors(ue, columns, ws.get("x", ((K, M, c), complex)),
+                               ws.get("scratch", ((c, K, M), float)))
+            y = _phase_factors(ap, columns, ws.get("y", ((L, M, c), complex)),
+                               ws.get("scratch", ((c, L, M), float)))
+            gh = np.multiply(conj_theta, np.conjugate(h, out=h), out=h)
+            slices = chunks[chunk]
+            first = slices[0][0]
+            partial = zeros(slices[-1][0] - first + 1)
+            for b, sl in slices:
+                v = ws.get("v", ((K, L, N, sl.stop - sl.start), complex))
+                v = private_precoders(draw.estimates(z[..., sl], v), net, "du_mr", out=v)
+                _accumulate(partial, b - first, precoders, config, gh[..., sl], v,
+                            x[..., sl], y[..., sl], ws)
+            return first, partial
+        finally:
+            idle.append(ws)
 
     totals = zeros(JACKKNIFE_GROUPS)
     for sums in totals:
@@ -477,9 +623,10 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
 
 def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
                 config: SystemConfig, gh: np.ndarray, v: np.ndarray, x: np.ndarray,
-                y: np.ndarray) -> None:
+                y: np.ndarray, ws: _Workspace) -> None:
     """Add one slice's terms at the instants, and its per-AP transmit powers,
-    into row b of every plan's sums.
+    into row b of every plan's sums; every array with a realization axis is
+    a view into the workspace ``ws`` (see ``_slice_sizes``).
 
     The effective channel is g[k,l] = theta[k,l] exp(i(ue[k] + ap[l])) h[k,l],
     so each link-precoder product factors as
@@ -506,24 +653,33 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
       interference (|P|^2 summed over APs) has no phase at all, so it is
       the same at every instant and is summed once per slice.
 
-    P is (K, K, L, r); indexing it by co-pilot set instead of by UE would
-    shrink it K/S-fold, since co-pilots' estimates are scaled copies of one
-    observation.  The sums over antennas, UEs, APs and realizations are
-    elementwise products and ``sum``, never a matrix product.
+    Every product is written into a workspace array and every sum of
+    products added into one, in the order a sum of fresh arrays would take;
+    P, |v|^2, |P|^2 and the other transient products share the workspace's
+    scratch buffer.  P is (K, K, L, r); indexing it by co-pilot set instead
+    of by UE would shrink it K/S-fold, since co-pilots' estimates are scaled
+    copies of one observation.  The sums over antennas, UEs, APs and
+    realizations are elementwise products and ``sum``, never a matrix
+    product.
     """
-    K, L, N = v.shape[:3]
-    P = _sum(gh[:, None, :, n] * v[None, :, :, n] for n in range(N))  # (K, K, L, r)
-    v_power = _sumsq(v).sum(axis=-1)  # (K, L)
+    K, L, N, r = v.shape
+    P = _sum_products(((gh[:, None, :, n], v[None, :, :, n]) for n in range(N)),
+                      ws.get("P", ((K, K, L, r), complex)),
+                      ws.get("scratch", ((K, K, L, r), complex)))
+    v_power = _sumsq(v, ws).sum(axis=-1)  # (K, L)
     diag = np.moveaxis(np.diagonal(P), -1, 0)  # (K, L, r) view of P[k, k]
-    P_power = _sumsq(P) if any(not s.coherent for s in sums) else None  # (K, K, L)
+    P_power = _sumsq(P, ws) if any(not s.coherent for s in sums) else None  # (K, K, L)
     E = []
-    for pre in precoders:
+    for pre, slot in zip(precoders, ws.get("E", ((len(precoders), K, L, r), complex))):
         power = (1.0 - pre.rho) * config.p_d * np.sum(pre.mu * v_power, axis=0)
         e = None
         if pre.rho > 0:
-            v_c = _sum(pre.weights_rot[i, :, None, None] * v[i] for i in range(K))  # (L, N, r)
-            power += pre.rho * config.p_d * pre.eta * _sumsq(v_c).sum(axis=-1)
-            e = _sum(pre.weights_rot[i, :, None] * P[:, i] for i in range(K))  # (K, L, r)
+            v_c = _sum_products(((pre.weights_rot[i, :, None, None], v[i]) for i in range(K)),
+                                ws.get("vc", ((L, N, r), complex)),
+                                ws.get("scratch", ((L, N, r), complex)))
+            power += pre.rho * config.p_d * pre.eta * _sumsq(v_c, ws).sum(axis=-1)
+            e = _sum_products(((pre.weights_rot[i, :, None], P[:, i]) for i in range(K)), slot,
+                              ws.get("scratch", ((K, L, r), complex)))  # (K, L, r)
         E.append(e)
         for j in pre.plans:
             out = sums[j]
@@ -531,44 +687,53 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
             if not out.coherent:
                 out.int_p[b] += np.sum(pre.mu * P_power, axis=-1)
                 if e is not None:
-                    out.int_c[b] += np.sum(_sumsq(e) * pre.eta, axis=-1)
+                    out.int_c[b] += np.sum(_sumsq(e, ws) * pre.eta, axis=-1)
+    xy_, w_, c_, ec_, t_ = (ws.get(name, (shape, complex)) for name, shape in (
+        ("xy", (K, L, r)), ("w", (K, L, r)), ("c", (K, K, r)), ("ec", (K, r)), ("t", (r,))))
+    work, work_kk, work_k = (ws.get("scratch", (shape, complex))
+                             for shape in ((K, L, r), (K, K, r), (K, r)))
     for m in range(x.shape[1]):
         ym = y[:, m]  # (L, r)
-        xy = x[:, m, None] * ym  # (K, L, r)
-        D = np.sum(xy * diag, axis=-1)
+        xy = np.multiply(x[:, m, None], ym, out=xy_)  # (K, L, r)
+        D = np.sum(np.multiply(xy, diag, out=work), axis=-1)
         for pre, e in zip(precoders, E):
             ds_p = pre.sq_mu_rot * D
-            ds_c = None if e is None else pre.sq_eta * np.sum(xy * e, axis=-1)
+            ds_c = None if e is None else pre.sq_eta * np.sum(np.multiply(xy, e, out=work),
+                                                              axis=-1)
             for j in pre.plans:
                 out = sums[j]
                 out.ds_p[b, m] += ds_p
                 if e is not None:
                     out.ds_c[b, m] += ds_c
                 if out.coherent:
-                    w = pre.sq_mu_rot[:, :, None] * ym  # (K, L, r)
-                    c = _sum(P[:, :, l] * w[:, l] for l in range(L))  # (K, K, r)
-                    out.int_p[b, m] += _sumsq(c)
+                    w = np.multiply(pre.sq_mu_rot[:, :, None], ym, out=w_)  # (K, L, r)
+                    c = _sum_products(((P[:, :, l], w[:, l]) for l in range(L)), c_, work_kk)
+                    out.int_p[b, m] += _sumsq(c, ws)
                     if e is not None:
-                        ec = _sum(e[:, l] * (pre.sq_eta[l] * ym[l]) for l in range(L))  # (K, r)
-                        out.int_c[b, m] += _sumsq(ec)
+                        ec = _sum_products(((e[:, l], np.multiply(pre.sq_eta[l], ym[l], out=t_))
+                                            for l in range(L)), ec_, work_k)  # (K, r)
+                        out.int_c[b, m] += _sumsq(ec, ws)
 
 
 def _sinr(means, coherent: bool, plan, config):
-    """(private, common) SINRs from the term means through ``assemble``.
+    """(private, common) SINRs (K, R) from R rows of term means through one
+    ``assemble`` call.
 
-    ``means`` is (ds_p, int_p, ds_c, int_c) at one instant.  The measured
-    terms already carry the phase decay, so eaeu is one; the desired-signal
-    coefficient is |sum_l ds|^2 (coherent) or sum_l |ds|^2 (non-coherent),
-    and the common interference excludes its own desired part.
+    ``means`` is (ds_p, int_p, ds_c, int_c) at one instant, each with the
+    R rows on its first axis.  The measured terms already carry the phase
+    decay, so eaeu is one; the desired-signal coefficient is
+    |sum_l ds|^2 (coherent) or sum_l |ds|^2 (non-coherent), and the common
+    interference excludes its own desired part.  ``assemble`` works
+    elementwise, so each row's SINRs are those of that row alone.
     """
     ds_p, int_p, ds_c, int_c = means
     if coherent:
-        sig_p, sig_c = (np.abs(ds.sum(axis=1)) ** 2 for ds in (ds_p, ds_c))
+        sig_p, sig_c = (np.abs(ds.sum(axis=-1)) ** 2 for ds in (ds_p, ds_c))
     else:
-        sig_p, sig_c = (np.sum(np.abs(ds) ** 2, axis=1) for ds in (ds_p, ds_c))
-    parts = PlanParts(eaeu=np.ones((1, 1)), xi=int_p.sum(axis=1)[None], sig_private=sig_p,
-                      sig_common=sig_c, gamma=(int_c - sig_c)[None], p_d=config.p_d,
-                      sigma2=config.sigma2_dl, scalar=True)
+        sig_p, sig_c = (np.sum(np.abs(ds) ** 2, axis=-1) for ds in (ds_p, ds_c))
+    parts = PlanParts(eaeu=np.ones((len(ds_p), 1)), xi=int_p.sum(axis=-1), sig_private=sig_p,
+                      sig_common=sig_c, gamma=int_c - sig_c, p_d=config.p_d,
+                      sigma2=config.sigma2_dl, scalar=False)
     return assemble(parts, plan.rho)
 
 
@@ -605,11 +770,12 @@ def _jackknife(sums: _BlockSums, plan, config, m: int):
     """
     terms = [_delete_one_means(x[:, m], sums.counts)
              for x in (sums.ds_p, sums.int_p, sums.ds_c, sums.int_c)]
-    full = _sinr([mean for mean, _ in terms], sums.coherent, plan, config)
+    # row 0: the full means; rows 1..B: the delete-one means
+    sinrs = np.stack(_sinr([np.concatenate([mean[None], drop]) for mean, drop in terms],
+                           sums.coherent, plan, config))  # (2, K, B + 1)
     B = len(sums.counts)
-    loo = np.array([_sinr([drop[b] for _, drop in terms], sums.coherent, plan, config)
-                    for b in range(B)])  # (B, 2, K)
-    est = B * np.array(full) - (B - 1) * loo.mean(axis=0)
+    loo = np.ascontiguousarray(sinrs[:, :, 1:].transpose(2, 0, 1))  # (B, 2, K)
+    est = B * sinrs[:, :, 0] - (B - 1) * loo.mean(axis=0)
     # the corrected estimate must stay in the physical range
     est = np.maximum(est, 0.0)
     se = _spread(loo)

@@ -62,14 +62,25 @@ def batch_arrays(net, pilots, stats, phases, config, count, seed, instants):
     batch's kept ``instants`` (the estimation instant and the requested
     ones, sorted), as the streamed pass forms them."""
     kept = sorted({config.estimation_instant} | {int(n) for n in instants})
-    draw = mc._chunk_draw(net, pilots, stats, phases, config, count, seed, kept)
-    chunks = [draw(chunk) for chunk in range(-(-count // mc.RNG_CHUNK))]
-    h, hhat, ue, ap = (np.moveaxis(np.concatenate([c[i] for c in chunks]), 0, -1)
-                       for i in range(4))
+    chunks = drawn_chunks(mc._ChunkDraw(net, pilots, stats, phases, config, count, seed, kept))
+    h, hhat = (np.concatenate([c[i] for c in chunks], axis=-1) for i in (0, 1))
+    ue, ap = (np.moveaxis(np.concatenate([c[i] for c in chunks]), 0, -1) for i in (3, 4))
     drawn = mc._phase_instants(pilots, config, kept)
     columns = [drawn.index(n) for n in kept]
     return SimpleNamespace(h=h, hhat=hhat, ue_factor=mc._phasor(-ue[:, columns]),
                            ap_factor=mc._phasor(-ap[:, columns]), instants=kept, count=count)
+
+
+def drawn_chunks(draw):
+    """(h, hhat, z, ue, ap) of every chunk of ``draw``, a
+    ``montecarlo._ChunkDraw``, each chunk drawn into a workspace of its own
+    (a reused one would overwrite the earlier chunks), with the estimates
+    hhat from the estimator the streamed pass runs on every slice."""
+    chunks = []
+    for chunk in range(-(-draw.count // mc.RNG_CHUNK)):
+        h, z, ue, ap = draw(chunk, mc._Workspace(draw.sizes))
+        chunks.append((h, draw.estimates(z, np.empty_like(h)), z, ue, ap))
+    return chunks
 
 
 def random_instance(rng, L=None, K=None, N=None, tau_p=None, correlation=None):

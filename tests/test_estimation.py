@@ -246,16 +246,18 @@ def test_rejects_non_hermitian_correlation():
 def test_batch_estimates_match_single_realization_path(desk, desk_instants, desk_arrays):
     cfg, net, pilots, phases, stats, _ = desk
     group_of = {k: g for g, grp in enumerate(pilots.groups) for k in grp}
-    # the pilot signal of the batch's first two chunks, redrawn with its seed
-    draw = mc._chunk_draw(net, pilots, stats, phases, cfg, DESK_DRAW["count"],
-                          DESK_DRAW["seed"], desk_instants)
-    z = np.concatenate([draw(chunk)[4] for chunk in range(2)])
+    # the pilot signal of the batch's first two chunks, redrawn with its
+    # seed, each chunk into a workspace of its own
+    draw = mc._ChunkDraw(net, pilots, stats, phases, cfg, DESK_DRAW["count"],
+                         DESK_DRAW["seed"], desk_instants)
+    z = np.concatenate([draw(chunk, mc._Workspace(draw.sizes))[1] for chunk in range(2)],
+                       axis=-1)
     filters = mmse_filters(net, stats)
     for r in (0, 123, 4567):
         for k in range(cfg.K):
             for l in range(cfg.L):
                 # one realization's estimate: the filter applied to its pilot signal
-                direct = np.conj(net.theta[k, l]) * filters[k, l] * z[r, group_of[k], l]
+                direct = np.conj(net.theta[k, l]) * filters[k, l] * z[group_of[k], l, :, r]
                 assert np.allclose(direct, desk_arrays.hhat[k, l, :, r], rtol=1e-12)
 
 

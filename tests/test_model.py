@@ -7,7 +7,7 @@ import cfrs
 from cfrs import montecarlo as mc
 from cfrs.model import delay_phases, three_slope_gain_db
 
-from conftest import dense_R
+from conftest import dense_R, drawn_chunks
 
 
 def test_phase_increment_variance_zero_constant():
@@ -65,9 +65,8 @@ def _link_phases(var_ap, var_ue, count, instants, seed):
     net, pilots = cfrs.build_network(cfg), cfrs.assign_pilots(1, 1)
     phases = cfrs.PhaseStatistics(var_ap=var_ap, var_ue=var_ue)
     stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
-    draw = mc._chunk_draw(net, pilots, stats, phases, cfg, count, seed, instants)
-    chunks = [draw(chunk) for chunk in range(-(-count // mc.RNG_CHUNK))]
-    ue, ap = (np.concatenate([chunk[i][:, 0] for chunk in chunks]) for i in (2, 3))
+    chunks = drawn_chunks(mc._ChunkDraw(net, pilots, stats, phases, cfg, count, seed, instants))
+    ue, ap = (np.concatenate([chunk[i][:, 0] for chunk in chunks]) for i in (3, 4))
     return mc._phase_instants(pilots, cfg, instants), ue, ap
 
 

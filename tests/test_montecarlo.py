@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import threading
 import tracemalloc
@@ -10,7 +11,7 @@ import cfrs
 from cfrs import closed_form as cf
 from cfrs import montecarlo as mc
 
-from conftest import batch_arrays, dense_R, to_eigenbasis
+from conftest import batch_arrays, dense_R, drawn_chunks, to_eigenbasis
 
 
 def small_setup(seed=1, L=2, K=2, N=2, tau_p=2, var=1e-3):
@@ -88,11 +89,10 @@ def test_batch_keeps_the_estimation_and_requested_instants(desk):
     assert drawn[0] < lam  # the pilot instants are drawn, not kept
     columns = [drawn.index(n) for n in batch.instants]
     # the kept instants redraw what the requested instants draw, chunk by chunk
-    draw = mc._chunk_draw(net, pilots, stats, phases, cfg, 5000, 42, requested)
-    chunks = [draw(chunk) for chunk in range(-(-5000 // mc.RNG_CHUNK))]
+    chunks = drawn_chunks(mc._ChunkDraw(net, pilots, stats, phases, cfg, 5000, 42, requested))
     assert len(chunks) > 1
-    h, hhat, ue, ap = (np.moveaxis(np.concatenate([c[i] for c in chunks]), 0, -1)
-                       for i in range(4))
+    h, hhat = (np.concatenate([c[i] for c in chunks], axis=-1) for i in (0, 1))
+    ue, ap = (np.moveaxis(np.concatenate([c[i] for c in chunks]), 0, -1) for i in (3, 4))
     arrays = batch_arrays(net, pilots, stats, phases, cfg, 5000, 42, batch.instants)
     assert arrays.instants == list(batch.instants)
     M = len(batch.instants)
@@ -125,8 +125,8 @@ def test_oracle_uses_the_callers_estimation_statistics(desk, monkeypatch):
 
 def test_zero_phase_variance_gives_classic_mmse_estimates():
     cfg, net, pilots, phases, stats, _ = small_setup(var=0.0)
-    _, hhat, _, _, z = mc._chunk_draw(net, pilots, stats, phases, cfg, 500, 3, ())(0)
-    assert len(z) == 500  # one chunk holds every realization
+    (_, hhat, z, _, _), = drawn_chunks(mc._ChunkDraw(net, pilots, stats, phases, cfg, 500, 3, ()))
+    assert z.shape[-1] == 500  # one chunk holds every realization
     R = dense_R(net)
     p = cfg.pilot_powers()
     group_of = {k: g for g, grp in enumerate(pilots.groups) for k in grp}
@@ -141,8 +141,8 @@ def test_zero_phase_variance_gives_classic_mmse_estimates():
                 * R[k, l] @ np.linalg.inv(cov)
             )
             # the pilot signal and the estimates are in T's eigenbasis
-            expected = z[:, group_of[k], l] @ to_eigenbasis(net, classic).T
-            assert np.allclose(expected, hhat[:, k, l], rtol=1e-10)
+            expected = to_eigenbasis(net, classic) @ z[group_of[k], l]
+            assert np.allclose(expected, hhat[k, l], rtol=1e-10)
 
 
 def test_ds_term_matches_statistical_value(desk, desk_batch, desk_instants):
@@ -182,6 +182,33 @@ def test_small_batches_rejected(desk):
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
     with pytest.raises(ValueError, match="at least 100 realizations"):
         cfrs.sample_batch(net, pilots, stats, phases, cfg, 50, seed=1, plans=[plan])
+
+
+@pytest.mark.parametrize("count", [1000.0, np.float64(1000), True, "1000", None, 0, 50, 99])
+def test_sample_batch_rejects_a_count_that_is_no_integer_of_at_least_100(desk, count):
+    cfg, net, pilots, phases, stats, terms = desk
+    plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
+    with pytest.raises(ValueError, match=r"^count must be an integer of at least 100 "
+                                         r"realizations, .*; got " + re.escape(repr(count))):
+        cfrs.sample_batch(net, pilots, stats, phases, cfg, count, seed=1, plans=[plan])
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, True, "1", None])
+def test_sample_batch_rejects_a_seed_that_is_no_non_negative_integer(desk, seed):
+    cfg, net, pilots, phases, stats, terms = desk
+    plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got "
+                                         + re.escape(repr(seed))):
+        cfrs.sample_batch(net, pilots, stats, phases, cfg, 500, seed=seed, plans=[plan])
+
+
+def test_sample_batch_takes_numpy_integers(desk):
+    cfg, net, pilots, phases, stats, terms = desk
+    plan = cf.make_plan(terms, "du_mr", "coherent", 0.5)
+    a, b = (cfrs.sample_batch(net, pilots, stats, phases, cfg, count, seed=seed, plans=[plan])
+            for count, seed in ((500, 4), (np.int64(500), np.uint32(4))))
+    for x, y in zip(a.declared[0][1].rows(), b.declared[0][1].rows()):
+        assert np.array_equal(x, y)
 
 
 def test_power_extremes_zero_out_streams(desk, desk_batch, desk_instants):
@@ -382,19 +409,19 @@ def test_worker_failures_reach_the_caller(desk, monkeypatch):
 
     complex_normal = mc._complex_normal
 
-    def fails_on_the_last_chunk(rng, shape):
-        if shape[0] == 17:
+    def fails_on_the_last_chunk(rng, out, part):
+        if len(part) == 17:
             raise WorkerFailure
-        return complex_normal(rng, shape)
+        return complex_normal(rng, out, part)
 
     # a realization of chunk 1
     marker = batch_arrays(net, pilots, stats, phases, cfg, count, 1, ()).hhat[0, 0, 0, count // 2]
     precoders = mc.private_precoders
 
-    def fails_on_one_slice(hhat, net, scheme):
+    def fails_on_one_slice(hhat, net, scheme, out=None):
         if np.any(hhat[0, 0, 0] == marker):
             raise WorkerFailure
-        return precoders(hhat, net, scheme)
+        return precoders(hhat, net, scheme, out)
 
     threads = threading.active_count()
     for name, failing in (("_complex_normal", fails_on_the_last_chunk),
@@ -453,9 +480,9 @@ def test_every_slice_forms_the_precoders_once(monkeypatch):
     calls = []
     precoders = mc.private_precoders
 
-    def counted(hhat, net, scheme):
+    def counted(hhat, net, scheme, out=None):
         calls.append(hhat.shape[-1])
-        return precoders(hhat, net, scheme)
+        return precoders(hhat, net, scheme, out)
 
     monkeypatch.setattr(mc, "private_precoders", counted)
     cfrs.sample_batch(net, pilots, stats, phases, cfg, count, seed=2,
@@ -490,14 +517,13 @@ def test_batches_hold_no_realization_arrays(desk):
     assert nbytes[0] == nbytes[1]
 
 
-def test_oracle_memory_does_not_grow_with_the_realization_count(desk, monkeypatch):
+def oracle_memory_peaks(desk, monkeypatch, workers):
+    """tracemalloc peaks of a pass and its mc_sinr at 4 and at 16 RNG chunks
+    on ``workers`` workers."""
     cfg, net, pilots, phases, stats, terms = desk
-    # a batch that held every realization would peak 4x higher at 16 chunks.
-    # One worker, because how far the workers' chunks overlap in time varies
-    # from run to run, and with it the peak; 1024-realization slices at both
-    # counts (groups of 1638 and 6553), because a slice's work arrays grow
-    # with it up to the cap
-    monkeypatch.setattr(mc, "_CPUS", 1)
+    # 1024-realization slices at both counts (groups of 1638 and 6553),
+    # because a slice's work arrays grow with it up to the cap
+    monkeypatch.setattr(mc, "_CPUS", workers)
     monkeypatch.setattr(mc, "_WORK_ELEMENTS", 1024 * cfg.K * cfg.K * cfg.L)
     n = cfg.tau_c
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.5)
@@ -511,7 +537,96 @@ def test_oracle_memory_does_not_grow_with_the_realization_count(desk, monkeypatc
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    return peaks
+
+
+def test_oracle_memory_does_not_grow_with_the_realization_count(desk, monkeypatch):
+    # a batch that held every realization would peak 4x higher at 16 chunks
+    peaks = oracle_memory_peaks(desk, monkeypatch, 1)
     assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_oracle_memory_does_not_grow_with_the_realization_count_on_two_workers(
+        desk, monkeypatch):
+    # each worker keeps one workspace for the whole pass, so however far the
+    # workers' chunks overlap in time, the peak holds two workspaces
+    peaks = oracle_memory_peaks(desk, monkeypatch, 2)
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def desk_pass_sums(setup, count=2 * mc.RNG_CHUNK + 300):
+    """Every per-group sum of a pass over ``count`` realizations (seed 2)
+    that declares the four plans of ``cfrs validate``."""
+    cfg, net, pilots, phases, stats, terms = setup
+    plans = [cf.make_plan(terms, scheme, transmission, 0.5)
+             for transmission in cf.TRANSMISSIONS for scheme in cf.PRIVATE_SCHEMES]
+    batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, count, seed=2,
+                              instants=[cfg.estimation_instant + 3, cfg.tau_c], plans=plans)
+    return [row for _, sums in batch.declared for row in sums.rows()]
+
+
+def test_a_pass_leaves_nothing_behind_for_the_next(desk):
+    # a larger system's pass in between leaves the desk sums' bits alone
+    first = desk_pass_sums(desk)
+    desk_pass_sums(small_setup(seed=3, L=10, K=5, N=2, tau_p=3))
+    again = desk_pass_sums(desk)
+    assert len(first) == len(again)
+    for a, b in zip(first, again):
+        assert np.array_equal(a, b)
+
+
+def test_every_workspace_view_is_written_before_it_is_read(desk, monkeypatch):
+    # views filled with nan whenever they are handed out: a view read before
+    # it is written, or after an overlapping view was handed out, would carry
+    # stale or nan entries into the sums.  Short last chunk, partial slices
+    # and one worker, so the chunks and slices of different lengths take
+    # their turns in one workspace.
+    monkeypatch.setattr(mc, "_CPUS", 1)
+    monkeypatch.setattr(mc, "_WORK_ELEMENTS", 1)  # 64-realization slices
+    clean = desk_pass_sums(desk)
+
+    class Poisoned(mc._Workspace):
+        def get(self, name, *layout):
+            views = super().get(name, *layout)
+            for view in views if isinstance(views, list) else [views]:
+                view[...] = np.nan
+            return views
+
+    monkeypatch.setattr(mc, "_Workspace", Poisoned)
+    for a, b in zip(clean, desk_pass_sums(desk)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_pass_builds_one_workspace_per_worker(desk, monkeypatch, workers):
+    monkeypatch.setattr(mc, "_CPUS", workers)
+    built = []
+
+    class Counted(mc._Workspace):
+        def __init__(self, sizes):
+            built.append(sizes)
+            super().__init__(sizes)
+
+    monkeypatch.setattr(mc, "_Workspace", Counted)
+    count = 5 * mc.RNG_CHUNK + 17
+    assert len(mc._chunk_slices(count, desk[1].K, desk[1].L)[1]) == 6
+    desk_pass_sums(desk, count)
+    assert 1 <= len(built) <= workers
+
+
+def test_a_short_pass_sizes_its_workspace_for_its_own_chunk(desk, monkeypatch):
+    # chunk-level arrays are sized for the pass's largest chunk and
+    # slice-level ones for its largest slice, not for RNG_CHUNK
+    monkeypatch.setattr(mc, "_CPUS", 1)
+    peaks = []
+    for count in (200, mc.RNG_CHUNK):
+        tracemalloc.start()
+        try:
+            desk_pass_sums(desk, count)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1] / 4, peaks
 
 
 def test_map_folds_in_order_with_few_items_in_flight(monkeypatch):
@@ -733,6 +848,41 @@ def check_factored_accumulation():
                 assert_close(mean, per_instant[m][i].mean(axis=-1))
                 assert_close(se, mc._mean_and_stderr(blocks[i][:, m], counts)[1])
     return batch.count, cfg.K, cfg.L
+
+
+def test_jackknife_assembles_every_mean_as_its_own_call_would(desk, desk_batch, desk_instants):
+    # one assemble call over the full and the B delete-one means gives the
+    # bits of one call per mean, each on its scalar PlanParts
+    cfg, net, pilots, phases, stats, terms = desk
+    plans = [cf.make_plan(terms, scheme, transmission, rho) for scheme in cf.PRIVATE_SCHEMES
+             for transmission in cf.TRANSMISSIONS for rho in (0.0, 0.5, 1.0)]
+    batch = desk_batch(plans)
+
+    def one_call(means, coherent, rho):
+        ds_p, int_p, ds_c, int_c = means
+        if coherent:
+            sig_p, sig_c = (np.abs(ds.sum(axis=1)) ** 2 for ds in (ds_p, ds_c))
+        else:
+            sig_p, sig_c = (np.sum(np.abs(ds) ** 2, axis=1) for ds in (ds_p, ds_c))
+        parts = cf.PlanParts(eaeu=np.ones((1, 1)), xi=int_p.sum(axis=1)[None],
+                             sig_private=sig_p, sig_common=sig_c, gamma=(int_c - sig_c)[None],
+                             p_d=cfg.p_d, sigma2=cfg.sigma2_dl, scalar=True)
+        return cf.assemble(parts, rho)
+
+    for plan in plans:
+        sums = mc._declared_sums(batch, plan)
+        for m in range(len(desk_instants)):
+            terms = [mc._delete_one_means(x[:, m], sums.counts)
+                     for x in (sums.ds_p, sums.int_p, sums.ds_c, sums.int_c)]
+            full = one_call([mean for mean, _ in terms], sums.coherent, plan.rho)
+            B = len(sums.counts)
+            loo = np.array([one_call([drop[b] for _, drop in terms], sums.coherent, plan.rho)
+                            for b in range(B)])
+            est = np.maximum(B * np.array(full) - (B - 1) * loo.mean(axis=0), 0.0)
+            se = mc._spread(loo)
+            got = mc._jackknife(sums, plan, cfg, m)
+            for actual, expected in zip(got[:4], (est[0], se[0], est[1], se[1])):
+                assert np.array_equal(actual, expected)
 
 
 def test_factored_accumulation_matches_direct_formula():
