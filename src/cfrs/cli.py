@@ -514,12 +514,12 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> P
     """Execute every (sweep point, scheme, repetition) job and write results.
 
     A repetition draws its network and pilots once and shares them across
-    its jobs for as long as their system config is the same (oscillator and
-    rho sweeps; a power or antenna sweep point has its own config), keeping
-    one network alive at a time; a failed draw is recorded on every job
-    that needed it.  Each job computes its own estimation statistics and
-    traces; the previous job's are dropped before the next ones are built.
-    Writes results.csv
+    its jobs for as long as their system config, the downlink power set
+    aside, is the same (oscillator, rho and transmit-power sweeps; an
+    antenna sweep point has its own network), keeping one network alive at
+    a time; a failed draw is recorded on every job that needed it.  Each
+    job computes its own estimation statistics and traces; the previous
+    job's are dropped before the next ones are built.  Writes results.csv
     (one row per job and UE), aggregate.csv, and a manifest.json from which
     the run can be replayed byte-identically.  Per-job failures are
     recorded in the rows' status column and do not abort the run.
@@ -536,9 +536,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> P
         drawn_for = None
         for sweep_idx, sweep_value in enumerate(sweep_points):
             cfg, phases, fixed_rho = _job_inputs(spec, sweep_value, seed)
-            if cfg != drawn_for:
+            # build_network does not read the downlink power p_d
+            draw_cfg = dataclasses.replace(cfg, p_d=spec.base.p_d)
+            if draw_cfg != drawn_for:
                 # frees the previous network, and the last job's arrays, first
-                drawn_for, network, topology = cfg, None, None
+                drawn_for, network, topology = draw_cfg, None, None
                 try:
                     network = (build_network(cfg), assign_pilots(cfg.K, cfg.tau_p))
                 except Exception as exc:  # recorded on each job below

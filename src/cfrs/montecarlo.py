@@ -34,15 +34,17 @@ returns (``RealizationBatch``) holds only the count, the instants, the
 config and, for each of those plans, its per-group sums of every term.
 One streamed pass (``_stream``) runs draw -> precode -> accumulate inside
 each RNG chunk, and each worker runs its chunks in one workspace
-(``_Workspace``) that it holds for the whole pass: chunk-sized arrays for
-the draw, slice-sized ones for the accumulation and one scratch buffer
-that the transient products share.  Every array with a realization axis
-is a view into it, filled through ``out=``, so a pass allocates no such
-array per chunk or per slice and its memory does not grow with the
-realization count.  The chunk is drawn (``_ChunkDraw``) and every kept
-phase becomes its unit-modulus factor exp(-i phase) with one cos/sin
-evaluation; then the chunk is cut at the jackknife group edges and into
-slices of (K, K, L, r) work arrays of about ``_WORK_ELEMENTS`` entries.
+(``_Workspace``) that it holds for the whole pass: named buffers, each
+allocated on first use and grown to the largest layout asked of it, and
+one scratch buffer that the transient products share.  Every array with
+a realization axis is a view into it, filled through ``out=``, and has
+its realization axis last, so a pass allocates no such array per chunk
+or per slice and its memory does not grow with the realization count.
+The chunk is drawn (``_ChunkDraw``) and every kept phase becomes its
+unit-modulus factor exp(-i phase) with one cos/sin evaluation; then the
+chunk is cut at the jackknife group edges and into slices of (K, K, L, r)
+work arrays of about ``_WORK_ELEMENTS`` entries (at least 64
+realizations, see ``_chunk_slices``).
 Each slice runs the estimation filters elementwise on its slice of the
 pilot signal, and its work is shared at three levels (see
 ``_accumulate``):
@@ -106,8 +108,9 @@ MIN_REALIZATIONS = 100  # fewest realizations for meaningful standard errors
 JACKKNIFE_GROUPS = 10  # delete-one groups of every jackknife
 _T95 = 2.2621571627982  # two-sided 95% t quantile, JACKKNIFE_GROUPS - 1 = 9 dof
 # (K, K, L, r) work-array elements per accumulated slice: 1 MiB of complex
-# entries, which bounds each of a worker's slice-sized workspace arrays, not
-# a cache size.  The slice plan does not depend on the worker count, which
+# entries, the size each of a worker's slice-sized workspace arrays aims at
+# (a slice keeps at least 64 realizations, see ``_chunk_slices``), not a
+# cache size.  The slice plan does not depend on the worker count, which
 # keeps every sum's order fixed.
 _WORK_ELEMENTS = 2**16
 # CPUs this process may run on: the most workers ``_map`` starts
@@ -204,17 +207,19 @@ def _map(fn, items, fold) -> None:
 
 class _Workspace:
     """Flat buffers that one worker fills again for every chunk and slice of
-    one pass, so the pass allocates no array with a realization axis.
+    one pass, so the pass allocates no array with a realization axis per
+    chunk or per slice.
 
-    ``sizes`` maps each buffer's name to its size in bytes.  ``get`` views a
-    buffer's leading bytes as C-contiguous arrays laid one after the other,
-    each at a 64-byte boundary; ``nbytes`` is the size such a layout needs.
-    A shorter chunk or slice takes a shorter prefix, so every view has the
-    layout a fresh array of its shape would have.
+    ``get`` views a buffer's leading bytes as C-contiguous arrays laid one
+    after the other, each at a 64-byte boundary.  A buffer is allocated on
+    its first use and grown when a later layout needs more bytes, so each
+    ends at the size of the largest layout asked of it.  A shorter chunk or
+    slice takes a shorter prefix, so every view has the layout a fresh
+    array of its shape would have.
     """
 
-    def __init__(self, sizes: dict[str, int]):
-        self._flat = {name: np.empty(n, dtype=np.uint8) for name, n in sizes.items()}
+    def __init__(self):
+        self._flat = {}
 
     @staticmethod
     def _extent(shape, dtype) -> int:
@@ -231,7 +236,11 @@ class _Workspace:
     def get(self, name: str, *layout):
         """Views of buffer ``name``, one per (shape, dtype) of ``layout``, in
         a row: the view itself for one pair, else a list."""
-        flat, views = self._flat[name], []
+        need = self.nbytes(*layout)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < need:
+            flat = self._flat[name] = np.empty(need, dtype=np.uint8)
+        views = []
         for shape, dtype in layout:
             start = self.nbytes(*layout[:len(views)])
             views.append(flat[start:start + self._extent(shape, dtype)]
@@ -278,14 +287,15 @@ class _ChunkDraw:
 
     The setup computes the channel standard deviations sqrt(beta lam), the
     estimation filters of ``stats`` and the phase instants.  A call returns
-    (h, z, ue, ap) for the chunk's c realizations: the channels h
-    (K, L, N, c) in T's eigenbasis, the received pilot signal z
-    (G, L, N, c) per co-pilot group, and the UE (c, K, M) and AP (c, L, M)
-    phases at ``_phase_instants(pilots, config, instants)``.  The draws are
-    made in the order h, ue, ap, z, and h and z in the C order of their
-    shape with the realization axis moved first.  ``sizes`` holds the
-    workspace buffers a call needs at the largest chunk; a later call
-    overwrites what an earlier one wrote into the same workspace.
+    (h, z, ue, ap) for the chunk's c realizations, each with the realization
+    axis last: the channels h (K, L, N, c) in T's eigenbasis, the received
+    pilot signal z (G, L, N, c) per co-pilot group, and the UE (K, M', c)
+    and AP (L, M', c) phase paths at the M' instants
+    ``_phase_instants(pilots, config, instants)``.  The draws are made in
+    the order h, ue, ap, z, each in the C order of its shape with the
+    realization axis moved first; a path is the cumulative sum of its
+    sd-scaled increments over the instants.  A later call overwrites what
+    an earlier one wrote into the same workspace.
 
     The estimates are not formed here: ``estimates`` turns any slice of z
     into its slice of hhat, so the pass forms them one slice at a time.
@@ -311,22 +321,6 @@ class _ChunkDraw:
                               for group in pilots.groups]
         self.filters = mmse_filters(net, stats)[..., None]  # (K, L, N, 1)
         self.conj_theta = [np.conj(net.theta[k])[:, None, None] for k in range(K)]
-        G, M, c = len(pilots.groups), len(self.needed), min(RNG_CHUNK, count)
-        self.sizes = {
-            "h": _Workspace.nbytes(((K, L, N, c), complex)),
-            "z": _Workspace.nbytes(((G, L, N, c), complex)),
-            "ue": _Workspace.nbytes(((c, K, M), float)),
-            "ap": _Workspace.nbytes(((c, L, M), float)),
-            "scratch": max(_Workspace.nbytes(((c, max(K, G) * L * N), float)),
-                           _Workspace.nbytes(((c, max(K, L) * M), float)),
-                           _Workspace.nbytes(*self._pilot_layout(c))),
-        }
-
-    def _pilot_layout(self, c: int):
-        """The scratch views of the pilot signal: the angle and the factor
-        exp(i angle) (L, c) of one UE's phases, and its transmission (L, N, c)."""
-        _, L, N, _ = self.shape
-        return ((L, c), float), ((L, c), complex), ((L, N, c), complex)
 
     def __call__(self, chunk: int, ws: _Workspace):
         K, L, N, G = self.shape
@@ -338,21 +332,28 @@ class _ChunkDraw:
         h = _complex_normal(rng, ws.get("h", ((K, L, N, c), complex)),
                             ws.get("scratch", ((c, K, L, N), float)))
         h *= self.sd
-        phases = []
+        paths = []
         for name, rows, sd in (("ue", K, self.sd_ue), ("ap", L, self.sd_ap)):
-            part = rng.standard_normal(out=ws.get("scratch", ((c, rows, M), float)))
-            part *= sd
-            phases.append(np.cumsum(part, axis=2, out=ws.get(name, ((c, rows, M), float))))
-        ue, ap = phases
+            steps = rng.standard_normal(out=ws.get("scratch", ((c, rows, M), float)))
+            path = ws.get(name, ((rows, M, c), float))
+            for j in range(M):
+                np.multiply(steps[:, :, j].T, sd[j], out=path[:, j])
+                if j:
+                    path[:, j] += path[:, j - 1]
+            paths.append(path)
+        ue, ap = paths
         z = _complex_normal(rng, ws.get("z", ((G, L, N, c), complex)),
                             ws.get("scratch", ((c, G, L, N), float)))
         z *= self.sq_sigma2
-        angle, rot, sent = ws.get("scratch", *self._pilot_layout(c))
+        # the angle and the factor exp(i angle) (L, c) of one UE's phases,
+        # and its transmission (L, N, c)
+        angle, rot, sent = ws.get("scratch", ((L, c), float), ((L, c), complex),
+                                  ((L, N, c), complex))
         for g, group in enumerate(self.groups):
             # the group's transmissions accumulate on top of the noise
             m = self.pilot_columns[g]
             for i in group:
-                _phasor(np.add(ue[:, i, m], ap[:, :, m].T, out=angle), out=rot)
+                _phasor(np.add(ue[i, m], ap[:, m], out=angle), out=rot)
                 np.multiply(self.amp[i], rot[:, None], out=rot[:, None])
                 z[g] += np.multiply(rot[:, None], h[i], out=sent)
         return h, z, ue, ap
@@ -444,8 +445,12 @@ def _chunk_slices(count: int, K: int, L: int) -> tuple[np.ndarray, list[list[tup
 
     Each chunk is cut at the group edges, and each piece into slices of at
     most ``cap`` realizations (the last one may be shorter), so no slice
-    straddles two groups or two chunks; a slice of at least 64 realizations
-    bounds the (K, K, L, r) work arrays to about ``_WORK_ELEMENTS`` entries.
+    straddles two groups or two chunks.  The cap keeps the (K, K, L, r) work
+    arrays near ``_WORK_ELEMENTS`` entries, but a slice has at least 64
+    realizations, so where K^2 L > 1024 a work array holds 64 K^2 L entries:
+    2.5 times the target at 40/8/2/4 (L/K/N/tau_p) and 200 times it
+    (200 MiB) at 200/32/4/8.  The chunk arrays are larger still (see
+    ``_stream``).
     """
     cap = max(64, _WORK_ELEMENTS // (K * K * L))
     edges = np.linspace(0, count, JACKKNIFE_GROUPS + 1).astype(int)
@@ -484,17 +489,6 @@ def _sumsq(a: np.ndarray, ws: _Workspace) -> np.ndarray:
     return np.square(parts, out=ws.get("scratch", (parts.shape, float))).sum(axis=-1)
 
 
-def _phase_factors(phase: np.ndarray, columns: list[int], out: np.ndarray,
-                   angle: np.ndarray) -> np.ndarray:
-    """The factors exp(-i phase) (rows, M, c) of the phases (c, rows, M') at
-    the instants ``columns``, written into ``out``; ``angle`` is a
-    (c, rows, M) work array."""
-    for j, col in enumerate(columns):
-        np.negative(phase[:, :, col], out=angle[:, :, j])
-    _phasor(angle, out=np.moveaxis(out, -1, 0))
-    return out
-
-
 @dataclass
 class _Precoder:
     """A precoder that declared plans share: their private scheme, rho, mu,
@@ -526,17 +520,6 @@ def _share(plans, theta: np.ndarray) -> list[_Precoder]:
     return list(precoders.values())
 
 
-def _slice_sizes(K: int, L: int, N: int, precoders: int, r: int) -> dict[str, int]:
-    """The workspace buffers of ``_accumulate`` at slices of up to r
-    realizations, and (as "scratch") the largest of its work arrays, a
-    (K, K, L, r) or (K, L, N, r) complex one."""
-    sizes = {name: _Workspace.nbytes((shape + (r,), complex)) for name, shape in (
-        ("v", (K, L, N)), ("P", (K, K, L)), ("E", (precoders, K, L)), ("vc", (L, N)),
-        ("xy", (K, L)), ("w", (K, L)), ("c", (K, K)), ("ec", (K,)), ("t", ()))}
-    sizes["scratch"] = _Workspace.nbytes(((K, L, max(K, N), r), complex))
-    return sizes
-
-
 def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) -> list[_BlockSums]:
     """Per-group sums of every term of every plan at the instants, and of
     its per-AP transmit power, from one pass over ``count`` realizations
@@ -544,11 +527,12 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
 
     Each RNG chunk runs on a worker of ``_map``, inside a workspace that
     the worker keeps for the whole pass: at most one is built per worker,
-    its chunk-level arrays sized for the largest chunk and its slice-level
-    arrays for the largest slice.  A chunk draws its realizations into the
-    workspace, turns the phases at the instants into their factors and the
-    channels h into gh = conj(theta h) in place, and cuts itself into the
-    slices of ``_chunk_slices``.  Each slice forms its estimates from its
+    and each of its buffers grows to the largest chunk or slice layout
+    asked of it.  Every array of the pass has its realization axis last.
+    A chunk draws its realizations into the workspace, turns the phases at
+    the instants into their factors and the channels h into
+    gh = conj(theta h) in place, and cuts itself into the slices of
+    ``_chunk_slices``.  Each slice forms its estimates from its
     slice of the pilot signal, and from them the DU precoders, in one
     workspace array; then ``_accumulate`` shares its work at three levels:
     the link-precoder products and their plan-free moments once per slice;
@@ -558,24 +542,25 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
     with it.  Each slice adds into the chunk's partial sums, one row per
     group the chunk touches, and the caller's thread folds the partials
     into the group rows in chunk order.
+
+    Memory: beyond the desk scale a worker's workspace is dominated by the
+    chunk arrays h and z and the draw's scratch, which hold up to
+    K L N min(``RNG_CHUNK``, count) entries each.  At 2e4 realizations with
+    two distinct precoders it reaches 7 MiB on the 4/2/2/2 desk, 104 MiB
+    at 40/8/2/4, 900 MiB at 100/16/4/8 and 3.1 GiB at 200/32/4/8, per
+    worker.
     """
     K, L, N = net.K, net.L, net.N
     for plan in plans:
         check_plan_shapes(plan, K, L)
     counts, chunks = _chunk_slices(count, K, L)
     draw = _ChunkDraw(net, pilots, stats, phases, config, count, seed, instants)
-    columns = [draw.needed.index(n) for n in instants]
-    M = len(columns)
+    M = len(instants)
+    # every pilot instant lies before the estimation instant, so the kept
+    # instants are the last M the draw samples phases at
+    assert draw.needed[-M:] == list(instants)
     precoders = _share(plans, net.theta)
     conj_theta = np.conj(net.theta)[:, :, None, None]
-    c_max = min(RNG_CHUNK, count)
-    r_max = max(sl.stop - sl.start for pieces in chunks for _, sl in pieces)
-    slice_sizes = _slice_sizes(K, L, N, len(precoders), r_max)
-    # the draw's scratch also holds the angles of the phase factors
-    sizes = {**draw.sizes, **slice_sizes,
-             "x": _Workspace.nbytes(((K, M, c_max), complex)),
-             "y": _Workspace.nbytes(((L, M, c_max), complex)),
-             "scratch": max(draw.sizes["scratch"], slice_sizes["scratch"])}
     idle = []  # workspaces no chunk is running in
 
     def zeros(rows: int) -> list[_BlockSums]:
@@ -586,14 +571,15 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
         try:
             ws = idle.pop()
         except IndexError:  # at most one per worker, as at most one chunk runs on each
-            ws = _Workspace(sizes)
+            ws = _Workspace()
         try:
             h, z, ue, ap = draw(chunk, ws)
             c = h.shape[-1]
-            x = _phase_factors(ue, columns, ws.get("x", ((K, M, c), complex)),
-                               ws.get("scratch", ((c, K, M), float)))
-            y = _phase_factors(ap, columns, ws.get("y", ((L, M, c), complex)),
-                               ws.get("scratch", ((c, L, M), float)))
+            # the phase factors exp(-i phase) (K, M, c) and (L, M, c) at the instants
+            x = _phasor(np.negative(ue[:, -M:], out=ws.get("scratch", ((K, M, c), float))),
+                        out=ws.get("x", ((K, M, c), complex)))
+            y = _phasor(np.negative(ap[:, -M:], out=ws.get("scratch", ((L, M, c), float))),
+                        out=ws.get("y", ((L, M, c), complex)))
             gh = np.multiply(conj_theta, np.conjugate(h, out=h), out=h)
             slices = chunks[chunk]
             first = slices[0][0]
@@ -626,7 +612,8 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
                 y: np.ndarray, ws: _Workspace) -> None:
     """Add one slice's terms at the instants, and its per-AP transmit powers,
     into row b of every plan's sums; every array with a realization axis is
-    a view into the workspace ``ws`` (see ``_slice_sizes``).
+    a view into the workspace ``ws``, with the r realizations on its last
+    axis.
 
     The effective channel is g[k,l] = theta[k,l] exp(i(ue[k] + ap[l])) h[k,l],
     so each link-precoder product factors as

@@ -63,8 +63,7 @@ def batch_arrays(net, pilots, stats, phases, config, count, seed, instants):
     ones, sorted), as the streamed pass forms them."""
     kept = sorted({config.estimation_instant} | {int(n) for n in instants})
     chunks = drawn_chunks(mc._ChunkDraw(net, pilots, stats, phases, config, count, seed, kept))
-    h, hhat = (np.concatenate([c[i] for c in chunks], axis=-1) for i in (0, 1))
-    ue, ap = (np.moveaxis(np.concatenate([c[i] for c in chunks]), 0, -1) for i in (3, 4))
+    h, hhat, ue, ap = (np.concatenate([c[i] for c in chunks], axis=-1) for i in (0, 1, 3, 4))
     drawn = mc._phase_instants(pilots, config, kept)
     columns = [drawn.index(n) for n in kept]
     return SimpleNamespace(h=h, hhat=hhat, ue_factor=mc._phasor(-ue[:, columns]),
@@ -78,7 +77,7 @@ def drawn_chunks(draw):
     hhat from the estimator the streamed pass runs on every slice."""
     chunks = []
     for chunk in range(-(-draw.count // mc.RNG_CHUNK)):
-        h, z, ue, ap = draw(chunk, mc._Workspace(draw.sizes))
+        h, z, ue, ap = draw(chunk, mc._Workspace())
         chunks.append((h, draw.estimates(z, np.empty_like(h)), z, ue, ap))
     return chunks
 

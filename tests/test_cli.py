@@ -349,19 +349,10 @@ def _two_by_two_spec(sweep):
     })
 
 
-def test_each_repetition_draws_its_network_once(tmp_path, monkeypatch):
-    # an oscillator sweep leaves the system config unchanged, so a
-    # repetition's jobs (2 sweep points x 2 schemes) share one network draw
-    seeds = _network_spy(monkeypatch)
-    spec = _two_by_two_spec({"parameter": "oscillator_variance", "values": [1e-5, 1e-3]})
-    out = cli.run_experiment(spec, out_dir=tmp_path / "shared")
-    assert seeds == [cli._job_seed(spec.base.seed, rep) for rep in range(2)]
-    rows, _ = read_csv(out / "results.csv")
-    assert len(rows) == 2 * 2 * 2 * spec.base.K
-    assert {r["status"] for r in rows} == {"ok"}
-    # each job reports the sum SE of a job on its own network draw
+def _assert_every_job_matches_its_own_draw(spec, rows, monkeypatch):
+    """Each job of ``spec`` reports the sum SE of a job on its own network draw."""
     monkeypatch.setattr(cli, "build_network", cfrs.build_network)
-    for rep in range(2):
+    for rep in range(spec.repetitions):
         for sweep_value in spec.sweep_values:
             cfg, phases, _ = cli._job_inputs(spec, sweep_value,
                                              cli._job_seed(spec.base.seed, rep))
@@ -372,11 +363,37 @@ def test_each_repetition_draws_its_network_once(tmp_path, monkeypatch):
                        and r["sweep_value"] == repr(sweep_value)
                        and r["private_scheme"] == scheme.private_scheme}
                 assert sse == {repr(report.sum_se)}
-    # a power sweep changes the config, so each sweep point draws its own
+
+
+def test_each_repetition_draws_its_network_once(tmp_path, monkeypatch):
+    # an oscillator sweep leaves the system config unchanged, so a
+    # repetition's jobs (2 sweep points x 2 schemes) share one network draw
     seeds = _network_spy(monkeypatch)
-    cli.run_experiment(_two_by_two_spec({"parameter": "transmit_power",
-                                         "values": [0.1, 0.2]}), out_dir=tmp_path / "power")
+    spec = _two_by_two_spec({"parameter": "oscillator_variance", "values": [1e-5, 1e-3]})
+    out = cli.run_experiment(spec, out_dir=tmp_path / "shared")
+    assert seeds == [cli._job_seed(spec.base.seed, rep) for rep in range(2)]
+    rows, _ = read_csv(out / "results.csv")
+    assert len(rows) == 2 * 2 * 2 * spec.base.K
+    assert {r["status"] for r in rows} == {"ok"}
+    _assert_every_job_matches_its_own_draw(spec, rows, monkeypatch)
+    # an antenna sweep changes the network, so each sweep point draws its own
+    seeds = _network_spy(monkeypatch)
+    cli.run_experiment(_two_by_two_spec({"parameter": "antenna_count", "values": [1, 2]}),
+                       out_dir=tmp_path / "antennas")
     assert seeds == [cli._job_seed(spec.base.seed, rep) for rep in (0, 0, 1, 1)]
+
+
+def test_a_power_sweep_draws_each_repetitions_network_once(tmp_path, monkeypatch):
+    # build_network does not read the downlink power, so the points of a
+    # transmit-power sweep share their repetition's network draw
+    seeds = _network_spy(monkeypatch)
+    spec = _two_by_two_spec({"parameter": "transmit_power", "values": [0.1, 0.2, 0.4]})
+    out = cli.run_experiment(spec, out_dir=tmp_path / "power")
+    assert seeds == [cli._job_seed(spec.base.seed, rep) for rep in range(2)]
+    rows, _ = read_csv(out / "results.csv")
+    assert len(rows) == 3 * 2 * 2 * spec.base.K
+    assert {r["status"] for r in rows} == {"ok"}
+    _assert_every_job_matches_its_own_draw(spec, rows, monkeypatch)
 
 
 def test_a_failed_network_draw_fails_every_job_that_needed_it(tmp_path, monkeypatch):

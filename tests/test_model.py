@@ -66,7 +66,7 @@ def _link_phases(var_ap, var_ue, count, instants, seed):
     phases = cfrs.PhaseStatistics(var_ap=var_ap, var_ue=var_ue)
     stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
     chunks = drawn_chunks(mc._ChunkDraw(net, pilots, stats, phases, cfg, count, seed, instants))
-    ue, ap = (np.concatenate([chunk[i][:, 0] for chunk in chunks]) for i in (3, 4))
+    ue, ap = (np.concatenate([chunk[i][0].T for chunk in chunks]) for i in (3, 4))
     return mc._phase_instants(pilots, cfg, instants), ue, ap
 
 

@@ -11,7 +11,7 @@ import cfrs
 from cfrs import closed_form as cf
 from cfrs import montecarlo as mc
 
-from conftest import batch_arrays, dense_R, drawn_chunks, to_eigenbasis
+from conftest import DESK_DRAW, batch_arrays, dense_R, drawn_chunks, to_eigenbasis
 
 
 def small_setup(seed=1, L=2, K=2, N=2, tau_p=2, var=1e-3):
@@ -91,8 +91,7 @@ def test_batch_keeps_the_estimation_and_requested_instants(desk):
     # the kept instants redraw what the requested instants draw, chunk by chunk
     chunks = drawn_chunks(mc._ChunkDraw(net, pilots, stats, phases, cfg, 5000, 42, requested))
     assert len(chunks) > 1
-    h, hhat = (np.concatenate([c[i] for c in chunks], axis=-1) for i in (0, 1))
-    ue, ap = (np.moveaxis(np.concatenate([c[i] for c in chunks]), 0, -1) for i in (3, 4))
+    h, hhat, ue, ap = (np.concatenate([c[i] for c in chunks], axis=-1) for i in (0, 1, 3, 4))
     arrays = batch_arrays(net, pilots, stats, phases, cfg, 5000, 42, batch.instants)
     assert arrays.instants == list(batch.instants)
     M = len(batch.instants)
@@ -106,6 +105,45 @@ def test_batch_keeps_the_estimation_and_requested_instants(desk):
     assert np.array_equal(arrays.ap_factor, mc._phasor(-ap[:, columns]))
     for factor in (arrays.ue_factor, arrays.ap_factor):
         assert np.all(np.abs(np.abs(factor) - 1.0) <= 1e-15)
+
+
+def test_a_chunk_is_drawn_in_a_fixed_order_into_realization_last_arrays(desk, desk_instants):
+    # chunk 0 of the desk draw, redrawn by hand from its own Philox stream in
+    # the order h real, h imaginary, ue, ap, z, each in the C order of its
+    # shape with the realizations first
+    cfg, net, pilots, phases, stats, _ = desk
+    seed = DESK_DRAW["seed"]
+    draw = mc._ChunkDraw(net, pilots, stats, phases, cfg, DESK_DRAW["count"], seed,
+                         desk_instants)
+    h, z, ue, ap = draw(0, mc._Workspace())
+    K, L, N, G = draw.shape
+    M, c = len(draw.needed), mc.RNG_CHUNK
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,))))
+
+    def complex_normal(shape):
+        drawn = np.empty((c, *shape), dtype=complex)
+        drawn.real = rng.standard_normal(drawn.shape) * (1.0 / np.sqrt(2.0))
+        drawn.imag = rng.standard_normal(drawn.shape) * (1.0 / np.sqrt(2.0))
+        return np.moveaxis(drawn, 0, -1)
+
+    sd = np.sqrt(net.beta[:, :, None] * net.lam)[..., None]  # (K, L, N, 1)
+    assert h.shape == (K, L, N, c)
+    assert np.array_equal(h, complex_normal((K, L, N)) * sd)
+    gaps = np.diff([0] + draw.needed)
+    for path, rows, var in ((ue, K, phases.var_ue), (ap, L, phases.var_ap)):
+        steps = rng.standard_normal((c, rows, M)) * np.sqrt(var * gaps)
+        # the paths are the cumulative sums of the scaled steps, realizations last
+        assert path.shape == (rows, M, c)
+        assert np.array_equal(path, np.moveaxis(np.cumsum(steps, axis=2), 0, -1))
+    expected = complex_normal((G, L, N)) * np.sqrt(cfg.sigma2_ul)
+    p = cfg.pilot_powers()
+    for g, group in enumerate(pilots.groups):
+        for i in group:
+            m = draw.needed.index(int(pilots.t[i]))
+            rot = np.sqrt(p[i]) * net.theta[i][:, None] * np.exp(1j * (ue[i, m] + ap[:, m]))
+            expected[g] += rot[:, None] * h[i]
+    assert z.shape == (G, L, N, c)
+    assert np.allclose(z, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
 def test_oracle_uses_the_callers_estimation_statistics(desk, monkeypatch):
@@ -603,15 +641,45 @@ def test_a_pass_builds_one_workspace_per_worker(desk, monkeypatch, workers):
     built = []
 
     class Counted(mc._Workspace):
-        def __init__(self, sizes):
-            built.append(sizes)
-            super().__init__(sizes)
+        def __init__(self):
+            built.append(self)
+            super().__init__()
 
     monkeypatch.setattr(mc, "_Workspace", Counted)
     count = 5 * mc.RNG_CHUNK + 17
     assert len(mc._chunk_slices(count, desk[1].K, desk[1].L)[1]) == 6
     desk_pass_sums(desk, count)
     assert 1 <= len(built) <= workers
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_workspace_holds_only_the_largest_layout_of_each_buffer(desk, monkeypatch, workers):
+    # a buffer is allocated on first use and grown only when a layout needs
+    # more bytes, so it ends at the largest layout asked under its name
+    monkeypatch.setattr(mc, "_CPUS", workers)
+    built = []
+
+    class Spied(mc._Workspace):
+        def __init__(self):
+            super().__init__()
+            self.largest, self.allocations = {}, 0
+            built.append(self)
+
+        def get(self, name, *layout):
+            before = self._flat.get(name)
+            views = super().get(name, *layout)
+            self.largest[name] = max(self.largest.get(name, 0), self.nbytes(*layout))
+            self.allocations += self._flat[name] is not before
+            return views
+
+    monkeypatch.setattr(mc, "_Workspace", Spied)
+    for setup in (desk, small_setup(seed=3, L=10, K=5, N=2, tau_p=3)):
+        built.clear()
+        desk_pass_sums(setup)
+        assert 1 <= len(built) <= workers
+        for ws in built:
+            assert {name: flat.size for name, flat in ws._flat.items()} == ws.largest
+            assert ws.allocations <= 2 * len(ws._flat)
 
 
 def test_a_short_pass_sizes_its_workspace_for_its_own_chunk(desk, monkeypatch):
