@@ -18,7 +18,7 @@ oracle draws the increments itself; this module gives their statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -68,6 +68,14 @@ class SystemConfig:
     shadow_std_db: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if any(isinstance(v, (bool, np.bool_))
+                   for v in (value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"{f.name} must be a number, not a bool: got {value!r}")
+        for name in ("L", "K", "N", "tau_p", "tau_c", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.L < 1 or self.K < 1 or self.N < 1:
             raise ValueError("L, K, N must all be >= 1")
         if not (1 <= self.tau_p < self.tau_c):

@@ -1,9 +1,11 @@
 """Monte Carlo oracle for the closed-form SINR expressions.
 
 Draws i.i.d. realizations of channels, Wiener oscillator trajectories, and
-pilot noise; runs the actual estimator, built from the caller's estimation
-statistics, on each pilot observation; forms the per-realization MR
-precoders (DU or DF); and empirically estimates the hardening-bound terms
+pilot noise; filters each co-pilot set's pilot observation with the MMSE
+filter of the caller's estimation statistics, which gives the
+per-realization MR precoders (DU or DF) of the set's UEs as scaled copies
+of one filtered observation; and empirically estimates the hardening-bound
+terms
 
     DS[k,l]  = E{ g[k,l,n]^H sqrt(mu) v[k,l] }          (desired signal)
     INT[k,i] = E{ |sum_l g^H sqrt(mu) v[i,l]|^2 }       (coherent)
@@ -25,7 +27,11 @@ channels, phases, and noise only, which removes a variance source.
 Every link's correlation is R[k,l] = beta[k,l] T with one template T, so
 the oracle works in T's eigenbasis: there R is diagonal, a channel is
 sqrt(beta lam) times i.i.d. complex normals (lam: T's eigenvalues), white
-pilot noise stays white, and the MMSE filters are elementwise.  The
+pilot noise stays white, and the MMSE filters are elementwise.  Co-pilots
+share a pilot instant, so a drift decay and a Psi: UE i's DU precoder is
+v[i,l] = x[i,l] u[P_i,l], with the co-pilot factor x of the statistics
+and one filtered observation u[P] = lam Psi_P z[P] per co-pilot set P
+(Marzetta, IEEE TWC 2010), so the pass forms no per-UE estimate.  The
 hardening-bound terms are inner products over the antennas, which the
 common unitary change of basis leaves unchanged.
 
@@ -42,30 +48,31 @@ its realization axis last, so a pass allocates no such array per chunk
 or per slice and its memory does not grow with the realization count.
 The chunk is drawn (``_ChunkDraw``) and every kept phase becomes its
 unit-modulus factor exp(-i phase) with one cos/sin evaluation; then the
-chunk is cut at the jackknife group edges and into slices of (K, K, L, r)
-work arrays of about ``_WORK_ELEMENTS`` entries (at least 64
-realizations, see ``_chunk_slices``).
-Each slice runs the estimation filters elementwise on its slice of the
-pilot signal, and its work is shared at three levels (see
-``_accumulate``):
+chunk is cut at the jackknife group edges and into slices of at most
+about ``_WORK_ELEMENTS`` / (K^2 L) realizations (at least 64, see
+``_chunk_slices``).  Each slice filters its slice of the pilot signal
+into the S co-pilot sets' observations u (``_CopilotSets``), and its work
+is shared at three levels (see ``_accumulate``):
 
-* once per slice, whatever the plans: the DU precoders v_du, their power,
-  the link-precoder products P_du and, at each instant, the phase products
-  and the private desired-signal moment.  The DF precoders are
-  v_df = conj(theta) v_du, so P_df[k,i,l] = conj(theta[i,l]) P_du[k,i,l]
-  and, as |theta| = 1, both schemes have the same private power: a DF plan
-  folds the rotation into its own factors and forms no products of its own;
+* once per slice, whatever the plans: the (K, S, L, r) link products
+  Y[k,P,l] = sum_n conj(theta h)[k,l,n] u[P,l,n], through which every
+  link-precoder product is x[i,l] Y[k,P_i,l], the observations' power
+  and, at each instant, the phase products and the private
+  desired-signal moment.  The DF precoders are v_df = conj(theta) v_du,
+  and as |theta| = 1 both schemes have the same private power: a DF plan
+  folds the rotation into its own factors and forms no products of its
+  own;
 * once per distinct precoder (private scheme, rho, mu, weights and eta,
   compared by value): the common precoder's power and products and both
   desired-signal sums;
 * once per plan: its transmission's interference terms.
 
 A plan's sums are bitwise the same whichever plans are declared with it.
-P is indexed by UE; indexing it by co-pilot set would cut the slice work
-by K/S, since co-pilots' estimates are scaled copies of one observation.
-Chunks run on ``_map``'s worker threads, at most one per CPU available to
-the process; numpy's RNG fills and ufunc loops release the GIL, so the
-threads run in parallel.  ``mc_sinr`` and
+No array of the pass has two UE axes and an AP axis, and forming Y and
+the common products costs K/S times less than a product per UE pair
+would.  Chunks run on ``_map``'s worker threads, at most one per CPU
+available to the process; numpy's RNG fills and ufunc loops release the
+GIL, so the threads run in parallel.  ``mc_sinr`` and
 ``transmit_power_stats`` read a declared plan's sums and draw nothing; a
 plan that was not declared is an error.
 
@@ -100,16 +107,16 @@ from .closed_form import (
     check_instants,
     check_plan_shapes,
 )
-from .estimation import EstimationStatistics, PilotAssignment, mmse_filters
+from .estimation import EstimationStatistics, PilotAssignment
 from .model import NetworkModel, PhaseStatistics, SystemConfig
 
 RNG_CHUNK = 4096  # realizations per RNG stream; fixed for reproducibility
 MIN_REALIZATIONS = 100  # fewest realizations for meaningful standard errors
 JACKKNIFE_GROUPS = 10  # delete-one groups of every jackknife
 _T95 = 2.2621571627982  # two-sided 95% t quantile, JACKKNIFE_GROUPS - 1 = 9 dof
-# (K, K, L, r) work-array elements per accumulated slice: 1 MiB of complex
-# entries, the size each of a worker's slice-sized workspace arrays aims at
-# (a slice keeps at least 64 realizations, see ``_chunk_slices``), not a
+# K^2 L r entries per accumulated slice: 1 MiB of complex entries, which
+# bounds each of a worker's (K, S, L, r) slice-sized workspace arrays (a
+# slice keeps at least 64 realizations, see ``_chunk_slices``), not a
 # cache size.  The slice plan does not depend on the worker count, which
 # keeps every sum's order fixed.
 _WORK_ELEMENTS = 2**16
@@ -285,24 +292,19 @@ class _ChunkDraw:
     the workspace ``ws``, and several threads may call it at once, each
     with its own workspace.
 
-    The setup computes the channel standard deviations sqrt(beta lam), the
-    estimation filters of ``stats`` and the phase instants.  A call returns
-    (h, z, ue, ap) for the chunk's c realizations, each with the realization
-    axis last: the channels h (K, L, N, c) in T's eigenbasis, the received
-    pilot signal z (G, L, N, c) per co-pilot group, and the UE (K, M', c)
-    and AP (L, M', c) phase paths at the M' instants
-    ``_phase_instants(pilots, config, instants)``.  The draws are made in
-    the order h, ue, ap, z, each in the C order of its shape with the
-    realization axis moved first; a path is the cumulative sum of its
-    sd-scaled increments over the instants.  A later call overwrites what
-    an earlier one wrote into the same workspace.
-
-    The estimates are not formed here: ``estimates`` turns any slice of z
-    into its slice of hhat, so the pass forms them one slice at a time.
+    The setup computes the channel standard deviations sqrt(beta lam) and
+    the phase instants.  A call returns (h, z, ue, ap) for the chunk's c
+    realizations, each with the realization axis last: the channels h
+    (K, L, N, c) in T's eigenbasis, the received pilot signal z (G, L, N, c)
+    per co-pilot group, and the UE (K, M', c) and AP (L, M', c) phase paths
+    at the M' instants ``_phase_instants(pilots, config, instants)``.  The
+    draws are made in the order h, ue, ap, z, each in the C order of its
+    shape with the realization axis moved first; a path is the cumulative
+    sum of its sd-scaled increments over the instants.  A later call
+    overwrites what an earlier one wrote into the same workspace.
     """
 
-    def __init__(self, net: NetworkModel, pilots: PilotAssignment,
-                 stats: EstimationStatistics, phases: PhaseStatistics,
+    def __init__(self, net: NetworkModel, pilots: PilotAssignment, phases: PhaseStatistics,
                  config: SystemConfig, count: int, seed: int, instants):
         K, L, N = net.K, net.L, net.N
         self.count, self.seed = count, seed
@@ -319,8 +321,6 @@ class _ChunkDraw:
         self.amp = [np.sqrt(p[i]) * net.theta[i][:, None, None] for i in range(K)]
         self.pilot_columns = [self.needed.index(int(pilots.t[group[0]]))
                               for group in pilots.groups]
-        self.filters = mmse_filters(net, stats)[..., None]  # (K, L, N, 1)
-        self.conj_theta = [np.conj(net.theta[k])[:, None, None] for k in range(K)]
 
     def __call__(self, chunk: int, ws: _Workspace):
         K, L, N, G = self.shape
@@ -357,17 +357,6 @@ class _ChunkDraw:
                 np.multiply(self.amp[i], rot[:, None], out=rot[:, None])
                 z[g] += np.multiply(rot[:, None], h[i], out=sent)
         return h, z, ue, ap
-
-    def estimates(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The estimates hhat (K, L, N, r) of the pilot signal z (G, L, N, r),
-        any r realizations of a draw, written into ``out``:
-        hhat[k] = conj(theta[k]) (B[k] z[g]) with the MMSE filters B and g
-        the co-pilot group of UE k."""
-        for g, group in enumerate(self.groups):
-            for k in group:
-                np.multiply(self.filters[k], z[g], out=out[k])
-                np.multiply(self.conj_theta[k], out[k], out=out[k])
-        return out
 
 
 def sample_batch(
@@ -416,22 +405,46 @@ def sample_batch(
 
 
 # ---------------------------------------------------------------------------
-# precoders
+# the co-pilot sets
 # ---------------------------------------------------------------------------
 
-def private_precoders(hhat: np.ndarray, net: NetworkModel, scheme: str,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """(K, L, N, count) MR private precoders of one scheme tag for the estimates
-    ``hhat``, written into ``out`` if given (which may be ``hhat``): DU
-    compensates the delay phase theta, DF forgets it."""
-    if scheme == "du_mr":
-        return np.multiply(hhat, net.theta[:, :, None, None], out=out)
-    if scheme == "df_mr":
-        if out is None:
-            return hhat
-        out[...] = hhat
+class _CopilotSets:
+    """The co-pilot sets in stack order (``PilotAssignment.stacks``: by set
+    size, then by pilot instant), the order of every per-set axis of the
+    pass, so that each stack's sets are one contiguous range; ``filter``
+    forms their observations u[P] = lam Psi_P z[P], of which the DU
+    precoders are the copies v[i,l] = x[i,l] u[P_i,l] scaled by the
+    co-pilot factor ``x``.  ``of`` (K,) holds each UE's set, ``order`` (K,)
+    the UEs set by set and ``rank`` (K,) each UE's place in ``order``;
+    ``stacks`` holds per stack its (S_c, g_c) UE indices, the range of its
+    sets and the range of its UEs in ``order``.
+    """
+
+    def __init__(self, pilots: PilotAssignment, stats: EstimationStatistics, lam: np.ndarray):
+        members = [row for idx in pilots.stacks for row in idx]
+        self.x = stats.x
+        # the row of z that holds each set's pilot signal
+        self.rows = [pilots.groups.index(tuple(row.tolist())) for row in members]
+        self.filters = (lam * stats.Psi[[row[0] for row in members]])[..., None]  # (S, L, N, 1)
+        self.order = np.concatenate([idx.ravel() for idx in pilots.stacks])
+        self.rank = np.argsort(self.order)
+        self.of = np.repeat(np.arange(len(members)), [len(row) for row in members])[self.rank]
+        self.stacks = []
+        s = o = 0
+        for idx in pilots.stacks:
+            self.stacks.append((idx, slice(s, s + len(idx)), slice(o, o + idx.size)))
+            s, o = s + len(idx), o + idx.size
+
+    def filter(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The filtered observations u (S, L, N, r) of the pilot signal z
+        (G, L, N, r), any r realizations of a draw, written into ``out``."""
+        for s, g in enumerate(self.rows):
+            np.multiply(self.filters[s], z[g], out=out[s])
         return out
-    raise ValueError(f"unknown private precoding scheme {scheme!r}")
+
+    def sums(self, a: np.ndarray) -> np.ndarray:
+        """(S, L) sums of the (K, L) ``a`` over each set's UEs."""
+        return np.concatenate([a[idx].sum(axis=1) for idx, _, _ in self.stacks])
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +458,12 @@ def _chunk_slices(count: int, K: int, L: int) -> tuple[np.ndarray, list[list[tup
 
     Each chunk is cut at the group edges, and each piece into slices of at
     most ``cap`` realizations (the last one may be shorter), so no slice
-    straddles two groups or two chunks.  The cap keeps the (K, K, L, r) work
-    arrays near ``_WORK_ELEMENTS`` entries, but a slice has at least 64
-    realizations, so where K^2 L > 1024 a work array holds 64 K^2 L entries:
-    2.5 times the target at 40/8/2/4 (L/K/N/tau_p) and 200 times it
-    (200 MiB) at 200/32/4/8.  The chunk arrays are larger still (see
-    ``_stream``).
+    straddles two groups or two chunks.  The cap keeps K^2 L r near
+    ``_WORK_ELEMENTS``, which bounds the (K, S, L, r) work arrays (S <= K
+    co-pilot sets), but a slice has at least 64 realizations, so where
+    K^2 L > 1024 a work array holds 64 K S L entries: 1.25 times the target
+    at 40/8/2/4 (L/K/N/tau_p) and 50 times it (50 MiB) at 200/32/4/8.  The
+    chunk arrays are larger still (see ``_stream``).
     """
     cap = max(64, _WORK_ELEMENTS // (K * K * L))
     edges = np.linspace(0, count, JACKKNIFE_GROUPS + 1).astype(int)
@@ -464,6 +477,20 @@ def _chunk_slices(count: int, K: int, L: int) -> tuple[np.ndarray, list[list[tup
                        for s in range(lo, hi, cap)]
         chunks.append(pieces)
     return np.diff(edges), chunks
+
+
+def _largest_scratch(draw: _ChunkDraw, S: int, c: int, r: int) -> list[tuple]:
+    """The largest scratch layout a pass asks for, with chunks of at most c
+    and slices of at most r realizations: the draw's channel fill, its
+    phase steps or its pilot transmissions, or a slice's link products,
+    squared observations or squared coherent interference.  Every other
+    scratch request takes no more bytes than one of these."""
+    K, L, N, _ = draw.shape
+    M = len(draw.needed)
+    return max(([((c, K, L, N), float)], [((c, max(K, L), M), float)],
+                [((L, c), float), ((L, c), complex), ((L, N, c), complex)],
+                [((K, S, L, r), complex)], [((S, L, N, r), complex)], [((K, K, r), complex)]),
+               key=lambda layout: _Workspace.nbytes(*layout))
 
 
 def _sum_products(pairs, out: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -492,30 +519,33 @@ def _sumsq(a: np.ndarray, ws: _Workspace) -> np.ndarray:
 @dataclass
 class _Precoder:
     """A precoder that declared plans share: their private scheme, rho, mu,
-    weights and eta are equal.  Its factors act on the DU precoders, since
-    v_df = conj(theta) v_du: they carry rot, which is conj(theta) for DF
-    and 1 for DU.  ``plans`` indexes the declared plans that use it."""
+    weights and eta are equal.  Its factors act on the filtered
+    observations u and their link products Y (see ``_accumulate``), so they
+    carry the co-pilot factor x and rot, which is conj(theta) for DF and 1
+    for DU, since v_df = conj(theta) v_du.  ``plans`` indexes the declared
+    plans that use it."""
 
     rho: float
-    mu: np.ndarray           # (K, L)
-    eta: np.ndarray          # (L,)
-    sq_eta: np.ndarray       # (L,) sqrt(eta)
-    sq_mu_rot: np.ndarray    # (K, L) sqrt(mu) rot
-    weights_rot: np.ndarray  # (K, L) common weights a times rot
+    eta: np.ndarray      # (L,)
+    sq_eta: np.ndarray   # (L,) sqrt(eta)
+    mu_x2: np.ndarray    # (K, L) mu x^2
+    gain: np.ndarray     # (K, L) sqrt(mu) rot x
+    omega: np.ndarray    # (S, L) sum over the set's UEs of a rot x, a the common weights
     plans: list[int]
 
 
-def _share(plans, theta: np.ndarray) -> list[_Precoder]:
+def _share(plans, theta: np.ndarray, sets: _CopilotSets) -> list[_Precoder]:
     """The distinct precoders of ``plans``, which are compared by value."""
     precoders = {}
     for i, plan in enumerate(plans):
         key = (plan.private_scheme, plan.rho,
                *(arr.tobytes() for arr in (plan.mu, plan.weights, plan.eta)))
         if key not in precoders:
-            rot = np.conj(theta) if plan.private_scheme == "df_mr" else 1.0
+            rot_x = (np.conj(theta) if plan.private_scheme == "df_mr" else 1.0) * sets.x
             precoders[key] = _Precoder(
-                rho=plan.rho, mu=plan.mu, eta=plan.eta, sq_eta=np.sqrt(plan.eta),
-                sq_mu_rot=np.sqrt(plan.mu) * rot, weights_rot=plan.weights * rot, plans=[])
+                rho=plan.rho, eta=plan.eta, sq_eta=np.sqrt(plan.eta),
+                mu_x2=plan.mu * sets.x**2, gain=np.sqrt(plan.mu) * rot_x,
+                omega=sets.sums(plan.weights * rot_x), plans=[])
         precoders[key].plans.append(i)
     return list(precoders.values())
 
@@ -528,38 +558,43 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
     Each RNG chunk runs on a worker of ``_map``, inside a workspace that
     the worker keeps for the whole pass: at most one is built per worker,
     and each of its buffers grows to the largest chunk or slice layout
-    asked of it.  Every array of the pass has its realization axis last.
-    A chunk draws its realizations into the workspace, turns the phases at
-    the instants into their factors and the channels h into
-    gh = conj(theta h) in place, and cuts itself into the slices of
-    ``_chunk_slices``.  Each slice forms its estimates from its
-    slice of the pilot signal, and from them the DU precoders, in one
-    workspace array; then ``_accumulate`` shares its work at three levels:
-    the link-precoder products and their plan-free moments once per slice;
-    the power and common-precoder products once per distinct precoder
-    (``_share``); and only its transmission's interference terms once per
-    plan.  A plan's sums do not depend on which other plans were declared
-    with it.  Each slice adds into the chunk's partial sums, one row per
-    group the chunk touches, and the caller's thread folds the partials
-    into the group rows in chunk order.
+    asked of it; the scratch buffer is asked for at its largest first
+    (``_largest_scratch``), so it is allocated once.  Every array of the
+    pass has its realization axis last.  A chunk draws its realizations
+    into the workspace, turns the phases at the instants into their
+    factors and the channels h into gh = conj(theta h) in place, and cuts
+    itself into the slices of ``_chunk_slices``.  Each slice filters its
+    slice of the pilot signal into one observation per co-pilot set
+    (``_CopilotSets.filter``); then ``_accumulate`` shares its work at
+    three levels: the link products and their plan-free moments once per
+    slice; the power and common-precoder products once per distinct
+    precoder (``_share``); and only its transmission's interference terms
+    once per plan.  A plan's sums do not depend on which other plans were
+    declared with it.  Each slice adds into the chunk's partial sums, one
+    row per group the chunk touches, and the caller's thread folds the
+    partials into the group rows in chunk order.
 
     Memory: beyond the desk scale a worker's workspace is dominated by the
     chunk arrays h and z and the draw's scratch, which hold up to
     K L N min(``RNG_CHUNK``, count) entries each.  At 2e4 realizations with
-    two distinct precoders it reaches 7 MiB on the 4/2/2/2 desk, 104 MiB
-    at 40/8/2/4, 900 MiB at 100/16/4/8 and 3.1 GiB at 200/32/4/8, per
+    two distinct precoders it reaches 7.3 MiB on the 4/2/2/2 desk, 102 MiB
+    at 40/8/2/4, 884 MiB at 100/16/4/8 and 2.9 GiB at 200/32/4/8, per
     worker.
     """
     K, L, N = net.K, net.L, net.N
     for plan in plans:
         check_plan_shapes(plan, K, L)
     counts, chunks = _chunk_slices(count, K, L)
-    draw = _ChunkDraw(net, pilots, stats, phases, config, count, seed, instants)
+    draw = _ChunkDraw(net, pilots, phases, config, count, seed, instants)
     M = len(instants)
     # every pilot instant lies before the estimation instant, so the kept
     # instants are the last M the draw samples phases at
     assert draw.needed[-M:] == list(instants)
-    precoders = _share(plans, net.theta)
+    sets = _CopilotSets(pilots, stats, net.lam)
+    S = len(sets.rows)
+    precoders = _share(plans, net.theta, sets)
+    scratch = _largest_scratch(draw, S, min(count, RNG_CHUNK),
+                               max(sl.stop - sl.start for pieces in chunks for _, sl in pieces))
     conj_theta = np.conj(net.theta)[:, :, None, None]
     idle = []  # workspaces no chunk is running in
 
@@ -573,22 +608,22 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
         except IndexError:  # at most one per worker, as at most one chunk runs on each
             ws = _Workspace()
         try:
+            ws.get("scratch", *scratch)
             h, z, ue, ap = draw(chunk, ws)
             c = h.shape[-1]
             # the phase factors exp(-i phase) (K, M, c) and (L, M, c) at the instants
-            x = _phasor(np.negative(ue[:, -M:], out=ws.get("scratch", ((K, M, c), float))),
-                        out=ws.get("x", ((K, M, c), complex)))
-            y = _phasor(np.negative(ap[:, -M:], out=ws.get("scratch", ((L, M, c), float))),
-                        out=ws.get("y", ((L, M, c), complex)))
+            eu = _phasor(np.negative(ue[:, -M:], out=ws.get("scratch", ((K, M, c), float))),
+                         out=ws.get("eu", ((K, M, c), complex)))
+            ea = _phasor(np.negative(ap[:, -M:], out=ws.get("scratch", ((L, M, c), float))),
+                         out=ws.get("ea", ((L, M, c), complex)))
             gh = np.multiply(conj_theta, np.conjugate(h, out=h), out=h)
             slices = chunks[chunk]
             first = slices[0][0]
             partial = zeros(slices[-1][0] - first + 1)
             for b, sl in slices:
-                v = ws.get("v", ((K, L, N, sl.stop - sl.start), complex))
-                v = private_precoders(draw.estimates(z[..., sl], v), net, "du_mr", out=v)
-                _accumulate(partial, b - first, precoders, config, gh[..., sl], v,
-                            x[..., sl], y[..., sl], ws)
+                u = sets.filter(z[..., sl], ws.get("u", ((S, L, N, sl.stop - sl.start), complex)))
+                _accumulate(partial, b - first, precoders, sets, config, gh[..., sl], u,
+                            eu[..., sl], ea[..., sl], ws)
             return first, partial
         finally:
             idle.append(ws)
@@ -608,84 +643,93 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
 
 
 def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
-                config: SystemConfig, gh: np.ndarray, v: np.ndarray, x: np.ndarray,
-                y: np.ndarray, ws: _Workspace) -> None:
+                sets: _CopilotSets, config: SystemConfig, gh: np.ndarray, u: np.ndarray,
+                eu: np.ndarray, ea: np.ndarray, ws: _Workspace) -> None:
     """Add one slice's terms at the instants, and its per-AP transmit powers,
     into row b of every plan's sums; every array with a realization axis is
     a view into the workspace ``ws``, with the r realizations on its last
     axis.
 
-    The effective channel is g[k,l] = theta[k,l] exp(i(ue[k] + ap[l])) h[k,l],
-    so each link-precoder product factors as
+    The effective channel is g[k,l] = theta[k,l] exp(i(ue[k] + ap[l])) h[k,l]
+    and the DU precoder is v[i,l] = x[i,l] u[P_i,l] (``_CopilotSets``), so
+    each link-precoder product factors as
 
-        conj(g[k,l]) v[i,l] = x[k] y[l] P[k,i,l],
-        P[k,i,l] = sum_n gh[k,l,n] v[i,l,n],  gh = conj(theta h),
+        conj(g[k,l]) v[i,l] = eu[k] ea[l] x[i,l] Y[k,P_i,l],
+        Y[k,P,l] = sum_n gh[k,l,n] u[P,l,n],  gh = conj(theta h),
 
-    with the unit-modulus phase factors x = exp(-i ue) (K, M, r) per UE and
-    y = exp(-i ap) (L, M, r) per AP.  v holds the DU precoders; the DF
-    precoders are v_df = conj(theta) v_du, so P_df[k,i,l] =
-    conj(theta[i,l]) P_du[k,i,l] and every DF term is a DU product with the
-    rotation folded into the plan's factors (``_Precoder``).  The work is
-    done at three levels:
+    with the unit-modulus phase factors eu = exp(-i ue) (K, M, r) per UE and
+    ea = exp(-i ap) (L, M, r) per AP.  The DF precoders are v_df =
+    conj(theta) v_du, so every DF term is a DU product with the rotation
+    folded into the plan's factors (``_Precoder``).  Y has one column per
+    co-pilot set, not per UE, and every term reads it through x:
 
-    * once per slice, plan-free: P, the precoder power |v|^2 (the same for
-      both schemes, since |theta| = 1), and at each instant the phase
-      products x[k] y[l] and the private desired-signal moment
-      D[k,l] = sum_r x[k] y[l] P[k,k,l];
-    * once per precoder: its power, the common-precoder products
-      E[k,l] = sum_i a[i,l] rot[i,l] P[k,i,l], the private desired signal
-      sqrt(mu) rot D and the common one, sqrt(eta) sum_r x y E;
-    * once per plan: its transmission's interference.  |x| = 1 drops the
-      per-UE factor from every interference term, and the non-coherent
-      interference (|P|^2 summed over APs) has no phase at all, so it is
-      the same at every instant and is summed once per slice.
+    * once per slice, plan-free: Y, the observation power sum |u|^2, and at
+      each instant the phase products eu[k] ea[l] and the private
+      desired-signal moment D[k,l] = sum_r eu[k] ea[l] Y[k,P_k,l];
+    * once per precoder: its power (mu x^2 |u|^2 per private precoder and
+      |v_c|^2 with the common precoder v_c[l] = sum_P Omega[P,l] u[P,l]),
+      the common-precoder products E[k,l] = sum_P Omega[P,l] Y[k,P,l], the
+      private desired signal sqrt(mu) rot x D and the common one,
+      sqrt(eta) sum_r eu ea E;
+    * once per plan: its transmission's interference.  |eu| = 1 drops the
+      per-UE factor from every interference term.  The non-coherent one is
+      mu x^2 |Y|^2 summed over APs and has no phase at all, so it is the
+      same at every instant and is summed once per slice; the coherent one,
+      c[k,i] = sum_l Y[k,P_i,l] (sqrt(mu) rot x)[i,l] ea[l], is formed one
+      co-pilot stack at a time from views of Y, with its UEs set by set.
 
     Every product is written into a workspace array and every sum of
     products added into one, in the order a sum of fresh arrays would take;
-    P, |v|^2, |P|^2 and the other transient products share the workspace's
-    scratch buffer.  P is (K, K, L, r); indexing it by co-pilot set instead
-    of by UE would shrink it K/S-fold, since co-pilots' estimates are scaled
-    copies of one observation.  The sums over antennas, UEs, APs and
-    realizations are elementwise products and ``sum``, never a matrix
+    the transient products share the workspace's scratch buffer.  No array
+    has two UE axes and an AP axis.  The sums over antennas, sets, UEs, APs
+    and realizations are elementwise products and ``sum``, never a matrix
     product.
     """
-    K, L, N, r = v.shape
-    P = _sum_products(((gh[:, None, :, n], v[None, :, :, n]) for n in range(N)),
-                      ws.get("P", ((K, K, L, r), complex)),
-                      ws.get("scratch", ((K, K, L, r), complex)))
-    v_power = _sumsq(v, ws).sum(axis=-1)  # (K, L)
-    diag = np.moveaxis(np.diagonal(P), -1, 0)  # (K, L, r) view of P[k, k]
-    P_power = _sumsq(P, ws) if any(not s.coherent for s in sums) else None  # (K, K, L)
+    K, L, N, r = gh.shape
+    S = len(u)
+    Y = _sum_products(((gh[:, None, :, n], u[None, :, :, n]) for n in range(N)),
+                      ws.get("Y", ((K, S, L, r), complex)),
+                      ws.get("scratch", ((K, S, L, r), complex)))
+    u_power = _sumsq(u, ws).sum(axis=-1)[sets.of]  # (K, L): sum |u[P_i]|^2
+    # (K, K, L): sum_r |Y[k,P_i,l]|^2
+    Y_power = _sumsq(Y, ws)[:, sets.of] if any(not s.coherent for s in sums) else None
     E = []
     for pre, slot in zip(precoders, ws.get("E", ((len(precoders), K, L, r), complex))):
-        power = (1.0 - pre.rho) * config.p_d * np.sum(pre.mu * v_power, axis=0)
+        power = (1.0 - pre.rho) * config.p_d * np.sum(pre.mu_x2 * u_power, axis=0)
         e = None
         if pre.rho > 0:
-            v_c = _sum_products(((pre.weights_rot[i, :, None, None], v[i]) for i in range(K)),
+            v_c = _sum_products(((pre.omega[s, :, None, None], u[s]) for s in range(S)),
                                 ws.get("vc", ((L, N, r), complex)),
                                 ws.get("scratch", ((L, N, r), complex)))
             power += pre.rho * config.p_d * pre.eta * _sumsq(v_c, ws).sum(axis=-1)
-            e = _sum_products(((pre.weights_rot[i, :, None], P[:, i]) for i in range(K)), slot,
+            e = _sum_products(((pre.omega[s, :, None], Y[:, s]) for s in range(S)), slot,
                               ws.get("scratch", ((K, L, r), complex)))  # (K, L, r)
         E.append(e)
         for j in pre.plans:
             out = sums[j]
             out.power[b] += power
             if not out.coherent:
-                out.int_p[b] += np.sum(pre.mu * P_power, axis=-1)
+                out.int_p[b] += np.sum(pre.mu_x2 * Y_power, axis=-1)
                 if e is not None:
                     out.int_c[b] += np.sum(_sumsq(e, ws) * pre.eta, axis=-1)
-    xy_, w_, c_, ec_, t_ = (ws.get(name, (shape, complex)) for name, shape in (
-        ("xy", (K, L, r)), ("w", (K, L, r)), ("c", (K, K, r)), ("ec", (K, r)), ("t", (r,))))
-    work, work_kk, work_k = (ws.get("scratch", (shape, complex))
-                             for shape in ((K, L, r), (K, K, r), (K, r)))
-    for m in range(x.shape[1]):
-        ym = y[:, m]  # (L, r)
-        xy = np.multiply(x[:, m, None], ym, out=xy_)  # (K, L, r)
-        D = np.sum(np.multiply(xy, diag, out=work), axis=-1)
+    phase_, w_, c_, ec_, t_ = (ws.get(name, (shape, complex)) for name, shape in (
+        ("phase", (K, L, r)), ("w", (K, L, r)), ("c", (K, K, r)), ("ec", (K, r)), ("t", (r,))))
+    work, work_k = (ws.get("scratch", (shape, complex)) for shape in ((K, L, r), (K, r)))
+    # w and c list their UEs i set by set, c[i,k] = sum_l Y[k,P_i,l] w[i,l]: per
+    # stack, Y's (S_c, 1, K, L, r) view and w's, c's and the scratch's by set and UE
+    stacks = [(np.moveaxis(Y[:, set_range], 1, 0)[:, None],
+               w_[ue_range].reshape(*idx.shape, 1, L, r), c_[ue_range].reshape(*idx.shape, K, r),
+               ws.get("scratch", ((*idx.shape, K, r), complex)))
+              for idx, set_range, ue_range in sets.stacks]
+    for m in range(eu.shape[1]):
+        ea_m = ea[:, m]  # (L, r)
+        phase = np.multiply(eu[:, m, None], ea_m, out=phase_)  # (K, L, r)
+        for k, s in enumerate(sets.of):  # eu[k] ea Y[k,P_k]
+            np.multiply(phase[k], Y[k, s], out=work[k])
+        D = np.sum(work, axis=-1)
         for pre, e in zip(precoders, E):
-            ds_p = pre.sq_mu_rot * D
-            ds_c = None if e is None else pre.sq_eta * np.sum(np.multiply(xy, e, out=work),
+            ds_p = pre.gain * D
+            ds_c = None if e is None else pre.sq_eta * np.sum(np.multiply(phase, e, out=work),
                                                               axis=-1)
             for j in pre.plans:
                 out = sums[j]
@@ -693,11 +737,12 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
                 if e is not None:
                     out.ds_c[b, m] += ds_c
                 if out.coherent:
-                    w = np.multiply(pre.sq_mu_rot[:, :, None], ym, out=w_)  # (K, L, r)
-                    c = _sum_products(((P[:, :, l], w[:, l]) for l in range(L)), c_, work_kk)
-                    out.int_p[b, m] += _sumsq(c, ws)
+                    np.multiply(pre.gain[sets.order, :, None], ea_m, out=w_)
+                    for Ys, w, c, work_c in stacks:
+                        _sum_products(((Ys[..., l, :], w[..., l, :]) for l in range(L)), c, work_c)
+                    out.int_p[b, m] += _sumsq(c_, ws)[sets.rank].T
                     if e is not None:
-                        ec = _sum_products(((e[:, l], np.multiply(pre.sq_eta[l], ym[l], out=t_))
+                        ec = _sum_products(((e[:, l], np.multiply(pre.sq_eta[l], ea_m[l], out=t_))
                                             for l in range(L)), ec_, work_k)  # (K, r)
                         out.int_c[b, m] += _sumsq(ec, ws)
 

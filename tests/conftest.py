@@ -6,7 +6,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 import cfrs
 from cfrs import montecarlo as mc
-from cfrs.estimation import decay_factors
+from cfrs.estimation import decay_factors, mmse_filters
 
 
 @pytest.fixture(scope="session")
@@ -62,7 +62,7 @@ def batch_arrays(net, pilots, stats, phases, config, count, seed, instants):
     batch's kept ``instants`` (the estimation instant and the requested
     ones, sorted), as the streamed pass forms them."""
     kept = sorted({config.estimation_instant} | {int(n) for n in instants})
-    chunks = drawn_chunks(mc._ChunkDraw(net, pilots, stats, phases, config, count, seed, kept))
+    chunks = drawn_chunks(net, pilots, stats, phases, config, count, seed, kept)
     h, hhat, ue, ap = (np.concatenate([c[i] for c in chunks], axis=-1) for i in (0, 1, 3, 4))
     drawn = mc._phase_instants(pilots, config, kept)
     columns = [drawn.index(n) for n in kept]
@@ -70,16 +70,39 @@ def batch_arrays(net, pilots, stats, phases, config, count, seed, instants):
                            ap_factor=mc._phasor(-ap[:, columns]), instants=kept, count=count)
 
 
-def drawn_chunks(draw):
-    """(h, hhat, z, ue, ap) of every chunk of ``draw``, a
-    ``montecarlo._ChunkDraw``, each chunk drawn into a workspace of its own
+def drawn_chunks(net, pilots, stats, phases, config, count, seed, instants):
+    """(h, hhat, z, ue, ap) of every RNG chunk that ``montecarlo._ChunkDraw``
+    draws from these inputs, each chunk drawn into a workspace of its own
     (a reused one would overwrite the earlier chunks), with the estimates
-    hhat from the estimator the streamed pass runs on every slice."""
+    hhat of the reference estimator ``estimates``."""
+    draw = mc._ChunkDraw(net, pilots, phases, config, count, seed, instants)
     chunks = []
-    for chunk in range(-(-draw.count // mc.RNG_CHUNK)):
+    for chunk in range(-(-count // mc.RNG_CHUNK)):
         h, z, ue, ap = draw(chunk, mc._Workspace())
-        chunks.append((h, draw.estimates(z, np.empty_like(h)), z, ue, ap))
+        chunks.append((h, estimates(net, pilots, stats, z), z, ue, ap))
     return chunks
+
+
+def estimates(net, pilots, stats, z):
+    """Reference MMSE estimates hhat (K, L, N, r) of the pilot signal z
+    (G, L, N, r) of any r realizations of a draw, in T's eigenbasis:
+    hhat[k] = conj(theta[k]) (B[k] z[g]), with the MMSE filters B and g the
+    co-pilot group of UE k.  The Monte Carlo pass forms no estimates: it
+    filters one observation per co-pilot set."""
+    group = np.empty(net.K, dtype=int)
+    for g, members in enumerate(pilots.groups):
+        group[list(members)] = g
+    return np.conj(net.theta)[..., None, None] * (mmse_filters(net, stats)[..., None] * z[group])
+
+
+def private_precoders(hhat, net, scheme):
+    """Reference (K, L, N, r) MR private precoders of one scheme tag for the
+    estimates ``hhat``: DU compensates the delay phase theta, DF forgets it."""
+    if scheme == "du_mr":
+        return hhat * net.theta[:, :, None, None]
+    if scheme == "df_mr":
+        return hhat
+    raise ValueError(f"unknown private precoding scheme {scheme!r}")
 
 
 def random_instance(rng, L=None, K=None, N=None, tau_p=None, correlation=None):

@@ -890,7 +890,8 @@ def test_matrix_product_lint_flags_every_form():
         f"line {n}" for n in range(1, 9)]
 
 
-@pytest.mark.parametrize("module", ["closed_form", "estimation", "montecarlo", "optimize"])
+@pytest.mark.parametrize("module", ["cli", "closed_form", "estimation", "model", "montecarlo",
+                                    "optimize"])
 def test_sweep_modules_form_no_matrix_product(module):
     # the kernel test above catches a product only where this host's OpenBLAS
     # kernels round it differently, so the sources are checked as well

@@ -248,7 +248,7 @@ def test_batch_estimates_match_single_realization_path(desk, desk_instants, desk
     group_of = {k: g for g, grp in enumerate(pilots.groups) for k in grp}
     # the pilot signal of the batch's first two chunks, redrawn with its
     # seed, each chunk into a workspace of its own
-    draw = mc._ChunkDraw(net, pilots, stats, phases, cfg, DESK_DRAW["count"],
+    draw = mc._ChunkDraw(net, pilots, phases, cfg, DESK_DRAW["count"],
                          DESK_DRAW["seed"], desk_instants)
     z = np.concatenate([draw(chunk, mc._Workspace())[1] for chunk in range(2)],
                        axis=-1)

@@ -65,7 +65,7 @@ def _link_phases(var_ap, var_ue, count, instants, seed):
     net, pilots = cfrs.build_network(cfg), cfrs.assign_pilots(1, 1)
     phases = cfrs.PhaseStatistics(var_ap=var_ap, var_ue=var_ue)
     stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
-    chunks = drawn_chunks(mc._ChunkDraw(net, pilots, stats, phases, cfg, count, seed, instants))
+    chunks = drawn_chunks(net, pilots, stats, phases, cfg, count, seed, instants)
     ue, ap = (np.concatenate([chunk[i][0].T for chunk in chunks]) for i in (3, 4))
     return mc._phase_instants(pilots, cfg, instants), ue, ap
 
@@ -212,6 +212,24 @@ def test_config_validation():
 def test_config_rejects_non_finite_values(field, value):
     with pytest.raises(ValueError, match=field):
         cfrs.SystemConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("L", 40.0), ("K", 4.0), ("N", 2.5), ("tau_p", 2.0), ("tau_c", 20.0), ("seed", 1.5),
+    ("seed", True), ("K", np.float64(4.0)), ("p_d", True), ("sigma2_ul", np.True_),
+    ("area_side", True), ("p_pilot", True), ("p_pilot", (0.1, True, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1)),
+])
+def test_config_rejects_non_integer_counts_and_bools(field, value):
+    # a count or seed must be an integer, and no numeric field a bool, before
+    # the network is drawn from it
+    with pytest.raises(ValueError, match=field):
+        cfrs.SystemConfig(**{field: value})
+
+
+def test_config_takes_numpy_integer_counts():
+    cfg = cfrs.SystemConfig(L=np.int64(4), K=np.int32(2), N=np.int64(2), tau_p=np.int64(2),
+                            tau_c=np.int64(20), seed=np.uint32(7))
+    assert cfrs.build_network(cfg).beta.shape == (2, 4)
 
 
 def test_mid_instant_is_the_rounded_up_block_midpoint():

@@ -11,7 +11,8 @@ import cfrs
 from cfrs import closed_form as cf
 from cfrs import montecarlo as mc
 
-from conftest import DESK_DRAW, batch_arrays, dense_R, drawn_chunks, to_eigenbasis
+from conftest import (DESK_DRAW, batch_arrays, dense_R, drawn_chunks, private_precoders,
+                      to_eigenbasis)
 
 
 def small_setup(seed=1, L=2, K=2, N=2, tau_p=2, var=1e-3):
@@ -89,7 +90,7 @@ def test_batch_keeps_the_estimation_and_requested_instants(desk):
     assert drawn[0] < lam  # the pilot instants are drawn, not kept
     columns = [drawn.index(n) for n in batch.instants]
     # the kept instants redraw what the requested instants draw, chunk by chunk
-    chunks = drawn_chunks(mc._ChunkDraw(net, pilots, stats, phases, cfg, 5000, 42, requested))
+    chunks = drawn_chunks(net, pilots, stats, phases, cfg, 5000, 42, requested)
     assert len(chunks) > 1
     h, hhat, ue, ap = (np.concatenate([c[i] for c in chunks], axis=-1) for i in (0, 1, 3, 4))
     arrays = batch_arrays(net, pilots, stats, phases, cfg, 5000, 42, batch.instants)
@@ -113,8 +114,7 @@ def test_a_chunk_is_drawn_in_a_fixed_order_into_realization_last_arrays(desk, de
     # shape with the realizations first
     cfg, net, pilots, phases, stats, _ = desk
     seed = DESK_DRAW["seed"]
-    draw = mc._ChunkDraw(net, pilots, stats, phases, cfg, DESK_DRAW["count"], seed,
-                         desk_instants)
+    draw = mc._ChunkDraw(net, pilots, phases, cfg, DESK_DRAW["count"], seed, desk_instants)
     h, z, ue, ap = draw(0, mc._Workspace())
     K, L, N, G = draw.shape
     M, c = len(draw.needed), mc.RNG_CHUNK
@@ -163,7 +163,7 @@ def test_oracle_uses_the_callers_estimation_statistics(desk, monkeypatch):
 
 def test_zero_phase_variance_gives_classic_mmse_estimates():
     cfg, net, pilots, phases, stats, _ = small_setup(var=0.0)
-    (_, hhat, z, _, _), = drawn_chunks(mc._ChunkDraw(net, pilots, stats, phases, cfg, 500, 3, ()))
+    (_, hhat, z, _, _), = drawn_chunks(net, pilots, stats, phases, cfg, 500, 3, ())
     assert z.shape[-1] == 500  # one chunk holds every realization
     R = dense_R(net)
     p = cfg.pilot_powers()
@@ -452,20 +452,21 @@ def test_worker_failures_reach_the_caller(desk, monkeypatch):
             raise WorkerFailure
         return complex_normal(rng, out, part)
 
-    # a realization of chunk 1
-    marker = batch_arrays(net, pilots, stats, phases, cfg, count, 1, ()).hhat[0, 0, 0, count // 2]
-    precoders = mc.private_precoders
+    # the pilot signal of a realization of chunk 1
+    marker = drawn_chunks(net, pilots, stats, phases, cfg, count, 1, ())[1][2][
+        0, 0, 0, count // 2 - mc.RNG_CHUNK]
+    filter_sets = mc._CopilotSets.filter
 
-    def fails_on_one_slice(hhat, net, scheme, out=None):
-        if np.any(hhat[0, 0, 0] == marker):
+    def fails_on_one_slice(sets, z, out):
+        if np.any(z[0, 0, 0] == marker):
             raise WorkerFailure
-        return precoders(hhat, net, scheme, out)
+        return filter_sets(sets, z, out)
 
     threads = threading.active_count()
-    for name, failing in (("_complex_normal", fails_on_the_last_chunk),
-                          ("private_precoders", fails_on_one_slice)):
+    for owner, name, failing in ((mc, "_complex_normal", fails_on_the_last_chunk),
+                                 (mc._CopilotSets, "filter", fails_on_one_slice)):
         with monkeypatch.context() as patched:
-            patched.setattr(mc, name, failing)
+            patched.setattr(owner, name, failing)
             with pytest.raises(WorkerFailure):
                 call()
             assert threading.active_count() == threads
@@ -509,20 +510,21 @@ def test_a_plans_sums_do_not_depend_on_what_is_declared_with_it():
 
 def test_every_slice_forms_the_precoders_once(monkeypatch):
     # validate's four plans (two schemes, two transmissions) share one
-    # private_precoders call per slice: the DF precoders are rotated DU ones
+    # filtering of the co-pilot sets' observations per slice: the DF
+    # precoders are rotated DU ones
     cfg, net, pilots, phases, stats, terms = small_setup(seed=5, L=3, K=3, tau_p=2)
     monkeypatch.setattr(mc, "_WORK_ELEMENTS", 1)  # 64-realization slices
     count = mc.RNG_CHUNK + 700
     plans = [cf.make_plan(terms, scheme, transmission, 0.5)
              for transmission in cf.TRANSMISSIONS for scheme in cf.PRIVATE_SCHEMES]
     calls = []
-    precoders = mc.private_precoders
+    filter_sets = mc._CopilotSets.filter
 
-    def counted(hhat, net, scheme, out=None):
-        calls.append(hhat.shape[-1])
-        return precoders(hhat, net, scheme, out)
+    def counted(sets, z, out):
+        calls.append(z.shape[-1])
+        return filter_sets(sets, z, out)
 
-    monkeypatch.setattr(mc, "private_precoders", counted)
+    monkeypatch.setattr(mc._CopilotSets, "filter", counted)
     cfrs.sample_batch(net, pilots, stats, phases, cfg, count, seed=2,
                       instants=[cfg.tau_c], plans=plans)
     slices = global_slices(mc._chunk_slices(count, net.K, net.L)[1])
@@ -652,34 +654,79 @@ def test_a_pass_builds_one_workspace_per_worker(desk, monkeypatch, workers):
     assert 1 <= len(built) <= workers
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_a_workspace_holds_only_the_largest_layout_of_each_buffer(desk, monkeypatch, workers):
-    # a buffer is allocated on first use and grown only when a layout needs
-    # more bytes, so it ends at the largest layout asked under its name
-    monkeypatch.setattr(mc, "_CPUS", workers)
+def spied_workspaces(monkeypatch):
+    """The workspaces that passes build from now on, each recording per
+    buffer name its largest requested layout in bytes, its allocations and
+    every requested shape."""
     built = []
 
     class Spied(mc._Workspace):
         def __init__(self):
             super().__init__()
-            self.largest, self.allocations = {}, 0
+            self.largest, self.allocations, self.shapes = {}, {}, []
             built.append(self)
 
         def get(self, name, *layout):
             before = self._flat.get(name)
             views = super().get(name, *layout)
             self.largest[name] = max(self.largest.get(name, 0), self.nbytes(*layout))
-            self.allocations += self._flat[name] is not before
+            self.allocations[name] = (self.allocations.get(name, 0)
+                                      + (self._flat[name] is not before))
+            self.shapes += [shape for shape, _ in layout]
             return views
 
     monkeypatch.setattr(mc, "_Workspace", Spied)
+    return built
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_workspace_holds_only_the_largest_layout_of_each_buffer(desk, monkeypatch, workers):
+    # a buffer is allocated on first use and grown only when a layout needs
+    # more bytes, so it ends at the largest layout asked under its name
+    monkeypatch.setattr(mc, "_CPUS", workers)
+    built = spied_workspaces(monkeypatch)
     for setup in (desk, small_setup(seed=3, L=10, K=5, N=2, tau_p=3)):
         built.clear()
         desk_pass_sums(setup)
         assert 1 <= len(built) <= workers
         for ws in built:
             assert {name: flat.size for name, flat in ws._flat.items()} == ws.largest
-            assert ws.allocations <= 2 * len(ws._flat)
+            assert sum(ws.allocations.values()) <= 2 * len(ws._flat)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_workspace_allocates_its_scratch_once(desk, monkeypatch, workers):
+    # a chunk asks for its largest scratch layout first: a scratch buffer
+    # grown in steps frees blocks that the allocator then trims and faults
+    # back in at every pass.  Uneven co-pilot sets and a short last chunk.
+    monkeypatch.setattr(mc, "_CPUS", workers)
+    built = spied_workspaces(monkeypatch)
+    for setup in (desk, small_setup(seed=3, L=10, K=5, N=3, tau_p=3)):
+        built.clear()
+        desk_pass_sums(setup)
+        assert 1 <= len(built) <= workers
+        for ws in built:
+            assert ws.allocations["scratch"] == 1
+
+
+def test_no_workspace_array_has_two_ue_axes_and_an_ap_axis(monkeypatch):
+    # co-pilots' precoders are scaled copies of one filtered observation, so
+    # the link products have one column per co-pilot set: no (K, K, L, r)
+    cfg, net, pilots, phases, stats, terms = small_setup(seed=3, L=10, K=5, N=3, tau_p=3)
+    assert max(len(group) for group in pilots.groups) > 1
+    count = 1000
+    lengths = {mc.RNG_CHUNK, count} | {sl.stop - sl.start for pieces in
+                                       mc._chunk_slices(count, net.K, net.L)[1]
+                                       for _, sl in pieces}
+    assert not lengths & {net.K, net.L}  # no realization axis passes for a UE or AP axis
+    built = spied_workspaces(monkeypatch)
+    plans = [cf.make_plan(terms, scheme, transmission, 0.5)
+             for transmission in cf.TRANSMISSIONS for scheme in cf.PRIVATE_SCHEMES]
+    cfrs.sample_batch(net, pilots, stats, phases, cfg, count, seed=2,
+                      instants=[cfg.tau_c], plans=plans)
+    shapes = {shape for ws in built for shape in ws.shapes}
+    assert not [shape for shape in shapes if shape.count(net.K) >= 2 and net.L in shape]
+    assert (net.K, len(pilots.groups), net.L, 100) in shapes  # the link products Y
 
 
 def test_a_short_pass_sizes_its_workspace_for_its_own_chunk(desk, monkeypatch):
@@ -830,7 +877,7 @@ def direct_terms(net, arrays, plan, n):
     then the private and common desired-signal and interference terms.
     """
     col = arrays.instants.index(n)
-    v = mc.private_precoders(arrays.hhat, net, plan.private_scheme)
+    v = private_precoders(arrays.hhat, net, plan.private_scheme)
     # exp(i(ue + ap)) from the factors exp(-i ue) and exp(-i ap)
     rotation = np.conj(arrays.ue_factor[:, None, col] * arrays.ap_factor[None, :, col])
     g = net.theta[:, :, None, None] * rotation[:, :, None] * arrays.h
@@ -953,6 +1000,27 @@ def test_jackknife_assembles_every_mean_as_its_own_call_would(desk, desk_batch, 
                 assert np.array_equal(actual, expected)
 
 
+def test_copilot_precoders_are_scaled_copies_of_one_filtered_observation():
+    # v_du[i] = x[i] u[P_i]: the pass's one filtered observation per co-pilot
+    # set gives the reference estimator's DU precoders, on uneven sets
+    cfg = cfrs.SystemConfig(L=10, K=5, N=3, tau_p=3, tau_c=20, seed=2,
+                            correlation="exponential", corr_r=0.6)
+    net = cfrs.build_network(cfg)
+    pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p)
+    assert sorted(len(group) for group in pilots.groups) == [1, 2, 2]
+    phases = cfrs.PhaseStatistics.from_config(cfg)
+    stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
+    (_, hhat, z, _, _), = drawn_chunks(net, pilots, stats, phases, cfg, 500, 3, ())
+    sets = mc._CopilotSets(pilots, stats, net.lam)
+    for k in range(cfg.K):
+        assert k in pilots.groups[sets.rows[sets.of[k]]]
+        assert sets.order[sets.rank[k]] == k
+    u = sets.filter(z, np.empty((len(pilots.groups), *z.shape[1:]), dtype=complex))
+    v = private_precoders(hhat, net, "du_mr")
+    scaled = stats.x[..., None, None] * u[sets.of]
+    assert np.max(np.abs(v - scaled)) <= 1e-14 * np.max(np.abs(v))
+
+
 def test_factored_accumulation_matches_direct_formula():
     check_factored_accumulation()
 
@@ -988,7 +1056,7 @@ def check_transmit_power(desk, desk_batch, arrays):
     groups, _ = jackknife_groups(batch.count, cfg.K, cfg.L)
     for plan in plans:
         p_dp, p_dc = (1.0 - plan.rho) * cfg.p_d, plan.rho * cfg.p_d
-        v = mc.private_precoders(arrays.hhat, net, plan.private_scheme)
+        v = private_precoders(arrays.hhat, net, plan.private_scheme)
         v_c = np.einsum("il,ilnr->lnr", plan.weights, v)
         power = (p_dp * np.einsum("il,ilr->lr", plan.mu, np.sum(np.abs(v) ** 2, axis=2))
                  + p_dc * plan.eta[:, None] * np.sum(np.abs(v_c) ** 2, axis=1))  # (L, count)
