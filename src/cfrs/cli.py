@@ -213,6 +213,20 @@ class ExperimentSpec:
                 f">= {montecarlo.MIN_REALIZATIONS}, got {self.mc_realizations}")
         if not self.schemes:
             raise ConfigError("at least one scheme is required")
+        # every job's pilots must survive its drift to the estimation
+        # instant.  An oscillator sweep replaces the base's variances, and
+        # its largest value decays the most.
+        if self.sweep_parameter == "oscillator_variance":
+            i = int(np.argmax(self.sweep_values))
+            where = f"sweep.values[{i}]"
+            phases = PhaseStatistics(self.sweep_values[i], self.sweep_values[i])
+        else:
+            where = "system.osc_constant_ap/osc_constant_ue"
+            phases = PhaseStatistics.from_config(self.base)
+        try:
+            estimation.decay_factors(assign_pilots(self.base.K, self.base.tau_p), phases)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
 
 
 # Each section of the spec is a table of JSON key -> (field, parser(value,

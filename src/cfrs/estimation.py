@@ -121,10 +121,23 @@ class EstimationStatistics:
 
 
 def decay_factors(pilots: PilotAssignment, phases: PhaseStatistics) -> np.ndarray:
-    """(K,) amplitude decay exp(-(lambda - t_k)(var_ap + var_ue)) per UE."""
+    """(K,) amplitude decay exp(-(lambda - t_k)(var_ap + var_ue)) per UE.
+
+    A decay that underflows to 0 raises ValueError naming the variances:
+    the drift then leaves that UE's pilot no trace of its channel, so no
+    estimate whose power a precoder could be normalized by.
+    """
     gaps = pilots.tau_p + 1 - pilots.t
     # the amplitude decay is the rotation mean at twice the variance
-    return expected_phase_decay(gaps, 2.0 * phases.var_sum)
+    decay = expected_phase_decay(gaps, 2.0 * phases.var_sum)
+    if not np.all(decay > 0):
+        k = int(np.argmin(decay))
+        raise ValueError(
+            f"phase increment variances var_ap + var_ue = {phases.var_sum:.4g} rad^2 per "
+            f"symbol decorrelate UE {k}'s pilot over the {gaps[k]} symbol(s) to the "
+            f"estimation instant (its decay underflows to 0), leaving no channel estimate; "
+            f"lower the oscillator constants c_ap/c_ue or the oscillator_variance sweep value")
+    return decay
 
 
 def estimation_statistics(
@@ -162,14 +175,3 @@ def estimation_statistics(
     nmse_ls = tr_cov / ((decay * p)[:, None] * tr_R) - 1.0
 
     return EstimationStatistics(Psi=Psi, Q=Q, x=x, nmse_mmse=nmse_mmse, nmse_ls=nmse_ls)
-
-
-def mmse_filters(net: NetworkModel, stats: EstimationStatistics) -> np.ndarray:
-    """(K, L, N) linear MMSE filters B, as eigenvalues, with hhat = theta* . B z
-    for a pilot observation z in T's eigenbasis.
-
-    B[k,l] = sqrt(p_k) * exp(-(lambda-t_k)(var_ap+var_ue)/2) * R Psi
-    = x[k,l] lam Psi[k,l]; the remaining conj(theta[k,l]) factor is applied
-    by the caller.
-    """
-    return stats.x[..., None] * net.lam * stats.Psi

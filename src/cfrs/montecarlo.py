@@ -77,8 +77,8 @@ GIL, so the threads run in parallel.  ``mc_sinr`` and
 plan that was not declared is an error.
 
 Reproducibility: realizations are generated in fixed-size chunks, chunk i
-seeded by SeedSequence(seed, spawn_key=(i,)) feeding a counter-based
-Philox generator, so a pass redraws the same realizations however often
+seeded by SeedSequence(seed, spawn_key=(i,)) feeding an SFC64
+generator, so a pass redraws the same realizations however often
 it runs and however the chunks are scheduled over the threads.  The slice
 plan does not depend on the worker count either, and the caller's thread
 folds each chunk's partial sums into the group rows in chunk order, so
@@ -222,11 +222,14 @@ class _Workspace:
     its first use and grown when a later layout needs more bytes, so each
     ends at the size of the largest layout asked of it.  A shorter chunk or
     slice takes a shorter prefix, so every view has the layout a fresh
-    array of its shape would have.
+    array of its shape would have.  The views of each (name, layout) are
+    built once and handed out again until that buffer is grown, which
+    drops every view of the buffer it replaces.
     """
 
     def __init__(self):
         self._flat = {}
+        self._views = {}
 
     @staticmethod
     def _extent(shape, dtype) -> int:
@@ -243,16 +246,22 @@ class _Workspace:
     def get(self, name: str, *layout):
         """Views of buffer ``name``, one per (shape, dtype) of ``layout``, in
         a row: the view itself for one pair, else a list."""
+        key = name, layout
+        views = self._views.get(key)
+        if views is not None:
+            return views
         need = self.nbytes(*layout)
         flat = self._flat.get(name)
         if flat is None or flat.size < need:
             flat = self._flat[name] = np.empty(need, dtype=np.uint8)
-        views = []
+            self._views = {k: v for k, v in self._views.items() if k[0] != name}
+        views, start = [], 0
         for shape, dtype in layout:
-            start = self.nbytes(*layout[:len(views)])
             views.append(flat[start:start + self._extent(shape, dtype)]
                          .view(dtype).reshape(shape))
-        return views[0] if len(views) == 1 else views
+            start += self.nbytes((shape, dtype))
+        views = self._views[key] = views[0] if len(views) == 1 else views
+        return views
 
 
 def _complex_normal(rng: np.random.Generator, out: np.ndarray, part: np.ndarray) -> np.ndarray:
@@ -327,7 +336,7 @@ class _ChunkDraw:
         M = len(self.needed)
         c = min(RNG_CHUNK, self.count - chunk * RNG_CHUNK)
         rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(self.seed, spawn_key=(chunk,)))
+            np.random.SFC64(np.random.SeedSequence(self.seed, spawn_key=(chunk,)))
         )
         h = _complex_normal(rng, ws.get("h", ((K, L, N, c), complex)),
                             ws.get("scratch", ((c, K, L, N), float)))
@@ -483,13 +492,13 @@ def _largest_scratch(draw: _ChunkDraw, S: int, c: int, r: int) -> list[tuple]:
     """The largest scratch layout a pass asks for, with chunks of at most c
     and slices of at most r realizations: the draw's channel fill, its
     phase steps or its pilot transmissions, or a slice's link products,
-    squared observations or squared coherent interference.  Every other
-    scratch request takes no more bytes than one of these."""
+    common precoder or coherent interference.  Every other scratch request
+    takes no more bytes than one of these."""
     K, L, N, _ = draw.shape
     M = len(draw.needed)
     return max(([((c, K, L, N), float)], [((c, max(K, L), M), float)],
                 [((L, c), float), ((L, c), complex), ((L, N, c), complex)],
-                [((K, S, L, r), complex)], [((S, L, N, r), complex)], [((K, K, r), complex)]),
+                [((K, S, L, r), complex)], [((L, N, r), complex)], [((K, K, r), complex)]),
                key=lambda layout: _Workspace.nbytes(*layout))
 
 
@@ -504,16 +513,16 @@ def _sum_products(pairs, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sumsq(a: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """sum of |a|^2 over the last axis: the float view of the C-contiguous
-    ``a`` squared into the workspace's scratch, then summed.
+def _sumsq(a: np.ndarray) -> np.ndarray:
+    """sum of |a|^2 over the last axis, from one einsum over the float view
+    of the C-contiguous ``a``, with no squared array in between.
 
-    Formed elementwise rather than by ``matmul``: a threaded BLAS splits long
-    real dot products over its thread pool, whose wake-up can cost more than
-    the dot.
+    A plain einsum (no ``optimize``) rather than ``matmul``: a threaded BLAS
+    splits long real dot products over its thread pool, whose wake-up can
+    cost more than the dot, and its summation order depends on the kernel.
     """
     parts = a.view(float)
-    return np.square(parts, out=ws.get("scratch", (parts.shape, float))).sum(axis=-1)
+    return np.einsum("...r,...r->...", parts, parts)
 
 
 @dataclass
@@ -526,11 +535,9 @@ class _Precoder:
     plans that use it."""
 
     rho: float
-    eta: np.ndarray      # (L,)
-    sq_eta: np.ndarray   # (L,) sqrt(eta)
     mu_x2: np.ndarray    # (K, L) mu x^2
     gain: np.ndarray     # (K, L) sqrt(mu) rot x
-    omega: np.ndarray    # (S, L) sum over the set's UEs of a rot x, a the common weights
+    eta_omega: np.ndarray  # (S, L) sqrt(eta) sum over the set's UEs of a rot x (a: weights)
     plans: list[int]
 
 
@@ -543,9 +550,9 @@ def _share(plans, theta: np.ndarray, sets: _CopilotSets) -> list[_Precoder]:
         if key not in precoders:
             rot_x = (np.conj(theta) if plan.private_scheme == "df_mr" else 1.0) * sets.x
             precoders[key] = _Precoder(
-                rho=plan.rho, eta=plan.eta, sq_eta=np.sqrt(plan.eta),
-                mu_x2=plan.mu * sets.x**2, gain=np.sqrt(plan.mu) * rot_x,
-                omega=sets.sums(plan.weights * rot_x), plans=[])
+                rho=plan.rho, mu_x2=plan.mu * sets.x**2,
+                gain=np.sqrt(plan.mu) * rot_x,
+                eta_omega=np.sqrt(plan.eta) * sets.sums(plan.weights * rot_x), plans=[])
         precoders[key].plans.append(i)
     return list(precoders.values())
 
@@ -667,10 +674,11 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
       each instant the phase products eu[k] ea[l] and the private
       desired-signal moment D[k,l] = sum_r eu[k] ea[l] Y[k,P_k,l];
     * once per precoder: its power (mu x^2 |u|^2 per private precoder and
-      |v_c|^2 with the common precoder v_c[l] = sum_P Omega[P,l] u[P,l]),
-      the common-precoder products E[k,l] = sum_P Omega[P,l] Y[k,P,l], the
-      private desired signal sqrt(mu) rot x D and the common one,
-      sqrt(eta) sum_r eu ea E;
+      |v_c|^2 with the common precoder v_c[l] = sqrt(eta[l]) sum_P
+      Omega[P,l] u[P,l], its power normalization folded in), the
+      common-precoder products E[k,l] = sqrt(eta[l]) sum_P Omega[P,l]
+      Y[k,P,l], the private desired signal sqrt(mu) rot x D and the common
+      one, sum_r eu ea E;
     * once per plan: its transmission's interference.  |eu| = 1 drops the
       per-UE factor from every interference term.  The non-coherent one is
       mu x^2 |Y|^2 summed over APs and has no phase at all, so it is the
@@ -680,29 +688,31 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
 
     Every product is written into a workspace array and every sum of
     products added into one, in the order a sum of fresh arrays would take;
-    the transient products share the workspace's scratch buffer.  No array
-    has two UE axes and an AP axis.  The sums over antennas, sets, UEs, APs
-    and realizations are elementwise products and ``sum``, never a matrix
-    product.
+    the transient products share the workspace's scratch buffer.  Each sum
+    of squares over the realizations is one ``einsum`` over the float view
+    (``_sumsq``), which forms no squared array.  The desired-signal sums
+    stay a complex product and ``sum``: numpy's complex ``einsum`` holds
+    the GIL, which would serialize ``_map``'s workers.  No array has two UE
+    axes and an AP axis, and no sum is a matrix product.
     """
     K, L, N, r = gh.shape
     S = len(u)
     Y = _sum_products(((gh[:, None, :, n], u[None, :, :, n]) for n in range(N)),
                       ws.get("Y", ((K, S, L, r), complex)),
                       ws.get("scratch", ((K, S, L, r), complex)))
-    u_power = _sumsq(u, ws).sum(axis=-1)[sets.of]  # (K, L): sum |u[P_i]|^2
+    u_power = _sumsq(u).sum(axis=-1)[sets.of]  # (K, L): sum |u[P_i]|^2
     # (K, K, L): sum_r |Y[k,P_i,l]|^2
-    Y_power = _sumsq(Y, ws)[:, sets.of] if any(not s.coherent for s in sums) else None
+    Y_power = _sumsq(Y)[:, sets.of] if any(not s.coherent for s in sums) else None
     E = []
     for pre, slot in zip(precoders, ws.get("E", ((len(precoders), K, L, r), complex))):
         power = (1.0 - pre.rho) * config.p_d * np.sum(pre.mu_x2 * u_power, axis=0)
         e = None
         if pre.rho > 0:
-            v_c = _sum_products(((pre.omega[s, :, None, None], u[s]) for s in range(S)),
+            v_c = _sum_products(((pre.eta_omega[s, :, None, None], u[s]) for s in range(S)),
                                 ws.get("vc", ((L, N, r), complex)),
                                 ws.get("scratch", ((L, N, r), complex)))
-            power += pre.rho * config.p_d * pre.eta * _sumsq(v_c, ws).sum(axis=-1)
-            e = _sum_products(((pre.omega[s, :, None], Y[:, s]) for s in range(S)), slot,
+            power += pre.rho * config.p_d * _sumsq(v_c).sum(axis=-1)
+            e = _sum_products(((pre.eta_omega[s, :, None], Y[:, s]) for s in range(S)), slot,
                               ws.get("scratch", ((K, L, r), complex)))  # (K, L, r)
         E.append(e)
         for j in pre.plans:
@@ -711,9 +721,9 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
             if not out.coherent:
                 out.int_p[b] += np.sum(pre.mu_x2 * Y_power, axis=-1)
                 if e is not None:
-                    out.int_c[b] += np.sum(_sumsq(e, ws) * pre.eta, axis=-1)
-    phase_, w_, c_, ec_, t_ = (ws.get(name, (shape, complex)) for name, shape in (
-        ("phase", (K, L, r)), ("w", (K, L, r)), ("c", (K, K, r)), ("ec", (K, r)), ("t", (r,))))
+                    out.int_c[b] += np.sum(_sumsq(e), axis=-1)
+    phase_, w_, c_, ec_ = (ws.get(name, (shape, complex)) for name, shape in (
+        ("phase", (K, L, r)), ("w", (K, L, r)), ("c", (K, K, r)), ("ec", (K, r))))
     work, work_k = (ws.get("scratch", (shape, complex)) for shape in ((K, L, r), (K, r)))
     # w and c list their UEs i set by set, c[i,k] = sum_l Y[k,P_i,l] w[i,l]: per
     # stack, Y's (S_c, 1, K, L, r) view and w's, c's and the scratch's by set and UE
@@ -729,8 +739,7 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
         D = np.sum(work, axis=-1)
         for pre, e in zip(precoders, E):
             ds_p = pre.gain * D
-            ds_c = None if e is None else pre.sq_eta * np.sum(np.multiply(phase, e, out=work),
-                                                              axis=-1)
+            ds_c = None if e is None else np.sum(np.multiply(phase, e, out=work), axis=-1)
             for j in pre.plans:
                 out = sums[j]
                 out.ds_p[b, m] += ds_p
@@ -740,11 +749,11 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
                     np.multiply(pre.gain[sets.order, :, None], ea_m, out=w_)
                     for Ys, w, c, work_c in stacks:
                         _sum_products(((Ys[..., l, :], w[..., l, :]) for l in range(L)), c, work_c)
-                    out.int_p[b, m] += _sumsq(c_, ws)[sets.rank].T
+                    out.int_p[b, m] += _sumsq(c_)[sets.rank].T
                     if e is not None:
-                        ec = _sum_products(((e[:, l], np.multiply(pre.sq_eta[l], ea_m[l], out=t_))
-                                            for l in range(L)), ec_, work_k)  # (K, r)
-                        out.int_c[b, m] += _sumsq(ec, ws)
+                        ec = _sum_products(((e[:, l], ea_m[l]) for l in range(L)),
+                                           ec_, work_k)  # (K, r)
+                        out.int_c[b, m] += _sumsq(ec)
 
 
 def _sinr(means, coherent: bool, plan, config):

@@ -6,7 +6,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 import cfrs
 from cfrs import montecarlo as mc
-from cfrs.estimation import decay_factors, mmse_filters
+from cfrs.estimation import decay_factors
 
 
 @pytest.fixture(scope="session")
@@ -81,6 +81,17 @@ def drawn_chunks(net, pilots, stats, phases, config, count, seed, instants):
         h, z, ue, ap = draw(chunk, mc._Workspace())
         chunks.append((h, estimates(net, pilots, stats, z), z, ue, ap))
     return chunks
+
+
+def mmse_filters(net, stats):
+    """(K, L, N) linear MMSE filters B, as eigenvalues, with hhat = theta* . B z
+    for a pilot observation z in T's eigenbasis.
+
+    B[k,l] = sqrt(p_k) * exp(-(lambda-t_k)(var_ap+var_ue)/2) * R Psi
+    = x[k,l] lam Psi[k,l]; the remaining conj(theta[k,l]) factor is applied
+    by the caller.
+    """
+    return stats.x[..., None] * net.lam * stats.Psi
 
 
 def estimates(net, pilots, stats, z):

@@ -175,6 +175,25 @@ def test_sweep_values_checked_at_parse_time(parameter, bad):
         cli.spec_from_dict(data)
 
 
+def test_oscillators_that_leave_no_estimate_rejected(tmp_path, capsys):
+    # 1.6e3 rad^2 per symbol on each side: no pilot survives the drift to
+    # the estimation instant (estimation.decay_factors)
+    data = one_scheme_spec()
+    data["system"].update(L=3, K=3, tau_p=2, osc_constant_ap=1e-12, osc_constant_ue=1e-12)
+    with pytest.raises(cli.ConfigError, match=r"^config: system\.osc_constant_ap/osc_constant_ue: "
+                                              r".*c_ap/c_ue"):
+        cli.spec_from_dict(data)
+    path = write_spec(tmp_path, data)
+    assert cli.main(["se", "--config", str(path), "--out", str(tmp_path / "se.csv")]) == 2
+    assert "osc_constant_ap/osc_constant_ue" in capsys.readouterr().err
+    # an oscillator sweep replaces the base's variances: its values are checked instead
+    data["sweep"] = {"parameter": "oscillator_variance", "values": [1e-4, 1.6e3]}
+    with pytest.raises(cli.ConfigError, match=r"^config: sweep\.values\[1\]: "):
+        cli.spec_from_dict(data)
+    data["sweep"]["values"] = [1e-4, 100.0]
+    assert cli.spec_from_dict(data).sweep_values == (1e-4, 100.0)
+
+
 @pytest.mark.parametrize("key, value", [("pl_fixed_db", float("nan")), ("seed", -1)])
 def test_bad_system_values_in_a_config_file_rejected(key, value, tmp_path):
     # Python's json reads NaN, so the parser must reject it by value

@@ -5,13 +5,14 @@ import pytest
 
 import cfrs
 from cfrs import montecarlo as mc
-from cfrs.estimation import decay_factors, mmse_filters
+from cfrs.estimation import decay_factors
 from cfrs.model import NetworkModel
 
 from conftest import (
     DESK_DRAW,
     dense_R,
     from_eigenbasis,
+    mmse_filters,
     per_link_statistics,
     random_instance,
     random_template,
@@ -102,6 +103,23 @@ def test_ls_nmse_vanishes_at_high_snr():
     ]
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 1e-5
+
+
+def test_a_drift_that_leaves_no_estimate_is_named():
+    # 1.6e3 rad^2 per symbol on each side: the decay of a pilot sent two
+    # symbols before the estimation instant underflows to 0, and every
+    # estimate's power with it
+    cfg = cfrs.SystemConfig(L=3, K=3, N=2, tau_p=2, tau_c=20, c_ap=1e-12, c_ue=1e-12)
+    net = cfrs.build_network(cfg)
+    pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p)
+    phases = cfrs.PhaseStatistics.from_config(cfg)
+    with pytest.raises(ValueError, match=r"UE 0's pilot over the 2 symbol.*c_ap/c_ue"):
+        cfrs.estimation_statistics(net, pilots, phases, cfg)
+    # a drift below the underflow still gives finite statistics
+    phases = cfrs.PhaseStatistics(100.0, 100.0)
+    assert decay_factors(pilots, phases).min() > 0
+    stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
+    assert np.all(np.isfinite(stats.nmse_ls)) and np.all(stats.Q.sum(axis=(0, 2)) > 0)
 
 
 def test_ls_never_beats_mmse_on_random_instances():

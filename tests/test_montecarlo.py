@@ -109,7 +109,7 @@ def test_batch_keeps_the_estimation_and_requested_instants(desk):
 
 
 def test_a_chunk_is_drawn_in_a_fixed_order_into_realization_last_arrays(desk, desk_instants):
-    # chunk 0 of the desk draw, redrawn by hand from its own Philox stream in
+    # chunk 0 of the desk draw, redrawn by hand from its own SFC64 stream in
     # the order h real, h imaginary, ue, ap, z, each in the C order of its
     # shape with the realizations first
     cfg, net, pilots, phases, stats, _ = desk
@@ -118,7 +118,7 @@ def test_a_chunk_is_drawn_in_a_fixed_order_into_realization_last_arrays(desk, de
     h, z, ue, ap = draw(0, mc._Workspace())
     K, L, N, G = draw.shape
     M, c = len(draw.needed), mc.RNG_CHUNK
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,))))
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0,))))
 
     def complex_normal(shape):
         drawn = np.empty((c, *shape), dtype=complex)
@@ -635,6 +635,27 @@ def test_every_workspace_view_is_written_before_it_is_read(desk, monkeypatch):
     monkeypatch.setattr(mc, "_Workspace", Poisoned)
     for a, b in zip(clean, desk_pass_sums(desk)):
         assert np.array_equal(a, b)
+
+
+def test_a_cached_view_is_rebuilt_when_its_buffer_grows():
+    ws = mc._Workspace()
+    small = (((3, 5), complex), ((7,), float))
+    first = ws.get("a", *small)
+    other = ws.get("b", ((4,), float))
+    # a (name, layout) asked again gets the views built the first time
+    assert ws.get("a", *small) is first
+    replaced = ws._flat["a"]
+    ws.get("a", ((100, 5), complex))  # a larger layout grows the buffer
+    assert ws._flat["a"] is not replaced
+    again = ws.get("a", *small)
+    assert [view.shape for view in again] == [(3, 5), (7,)]
+    for view in again:
+        # views of the grown buffer, none of the one it replaced
+        assert np.shares_memory(view, ws._flat["a"])
+        assert not np.shares_memory(view, replaced)
+    again[0][...] = 1.0
+    assert np.all(ws.get("a", ((3, 5), complex)) == 1.0)
+    assert ws.get("b", ((4,), float)) is other  # another buffer's views stay
 
 
 @pytest.mark.parametrize("workers", [1, 2])
