@@ -25,17 +25,18 @@ every trace is a sum over T's N eigenvalues and
 tr(Q[i,l] R[k,l]) = beta[k,l] tr(Q[i,l] T).  Every co-pilot block is
 rank 1 (``estimation``), so its traces factor as
 
-    tr(Q_cross[k,i,l]) = x[k,l] x[i,l] s2[k,l],
-    tr(Q_cross[k,i,l] T) = x[k,l] x[i,l] s3[k,l],
+    tr(Q_cross[k,i,l]) = x[k,l] x[i,l] s2[P_k,l],
+    tr(Q_cross[k,i,l] T) = x[k,l] x[i,l] s3[P_k,l],
 
-with s_m[k,l] = sum_n lam_n^m Psi[k,l,n], equal within a co-pilot set.
+with s_m[P,l] = sum_n lam_n^m Psi[P,l,n] stored once per co-pilot set P,
+(S, L) in the set order of ``PilotAssignment``.
 
 Every SINR is rational in the power split rho with rho-independent
-coefficients.  ``plan_parts`` computes those coefficients once per plan, in
-one pass over the co-pilot set sizes: every sum over a co-pilot pair
-becomes a per-set sum Omega[P,l] = sum_{i in P} w[i,l] x[i,l] of the
-plan's weights (or mu) against x, times the set's s2 or s3, so no pair
-array is stored.  One function writes both streams' SINRs at one rho
+coefficients.  ``plan_parts`` computes those coefficients once per plan:
+every sum over a co-pilot pair becomes a per-set sum
+Omega[P,l] = sum_{i in P} w[i,l] x[i,l] of the plan's weights (or mu)
+against x (``PilotAssignment.set_sums``), times the set's s2 or s3, so no
+pair array is stored.  One function writes both streams' SINRs at one rho
 from those coefficients, with elementwise work only: ``assemble`` returns
 them, ``se_report`` turns them into the SE report, and the rho search's
 objective (``sum_se_curve``) into the sum SE alone.  ``private_sinr``,
@@ -87,16 +88,16 @@ class TraceTerms:
     """Precomputed trace tensors feeding every closed-form expression.
 
     x (K, L): the co-pilot factor of ``EstimationStatistics``.
-    s2, s3 (K, L): sum_n lam_n^m Psi[k,l,n] for m = 2, 3, equal within a
-        co-pilot set, so that for co-pilot k and i
-        tr(Q_cross[k,i,l]) = x[k,l] x[i,l] s2[k,l] and
-        tr(Q_cross[k,i,l] R[j,l]) = beta[j,l] x[k,l] x[i,l] s3[k,l].
+    s2, s3 (S, L): sum_n lam_n^m Psi[P,l,n] for m = 2, 3, one row per
+        co-pilot set P in the order of ``pilots``, so that for co-pilot k
+        and i in P
+        tr(Q_cross[k,i,l]) = x[k,l] x[i,l] s2[P,l] and
+        tr(Q_cross[k,i,l] R[j,l]) = beta[j,l] x[k,l] x[i,l] s3[P,l].
         UEs on different pilots have no cross term.
-    tr_Q (K, L): tr(Q[k,l]) = x^2 s2.
-    tr_QT (K, L): tr(Q[k,l] T) = x^2 s3 with T the correlation template, so
-        that tr(Q[i,l] R[k,l]) = beta[k,l] * tr_QT[i,l].
-    stacks: the (S_c, g_c) UE indices of the co-pilot sets, one array per
-        set size, the ``PilotAssignment.stacks`` arrays.
+    tr_Q (K, L): tr(Q[k,l]) = x^2 s2[P_k].
+    tr_QT (K, L): tr(Q[k,l] T) = x^2 s3[P_k] with T the correlation
+        template, so that tr(Q[i,l] R[k,l]) = beta[k,l] * tr_QT[i,l].
+    pilots: the ``PilotAssignment`` that numbers the sets.
     theta, beta: the network's delay phases and gains, held by reference,
         not copied.
     """
@@ -107,12 +108,11 @@ class TraceTerms:
     tr_Q: np.ndarray
     tr_QT: np.ndarray
     theta: np.ndarray
-    stacks: tuple[np.ndarray, ...]
+    pilots: PilotAssignment
     beta: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.x, self.s2, self.s3, self.tr_Q, self.tr_QT, self.theta,
-                    *self.stacks, self.beta):
+        for arr in (self.x, self.s2, self.s3, self.tr_Q, self.tr_QT, self.theta, self.beta):
             arr.setflags(write=False)
 
     @property
@@ -137,10 +137,10 @@ class TraceTerms:
             x=stats.x,
             s2=s2,
             s3=s3,
-            tr_Q=x2 * s2,
-            tr_QT=x2 * s3,
+            tr_Q=x2 * s2[pilots.set_of],
+            tr_QT=x2 * s3[pilots.set_of],
             theta=net.theta,
-            stacks=pilots.stacks,
+            pilots=pilots,
             beta=net.beta,
         )
 
@@ -226,16 +226,14 @@ def private_normalization(terms: TraceTerms) -> np.ndarray:
 
 def common_power(terms: TraceTerms, weights: np.ndarray) -> np.ndarray:
     """(L,) common precoder power sum_k sum_{i in P_k} a_kl a_il tr(Qc[k,i,l])
-    of weights a (K, L), that is sum_P s2[P,l] (sum_{i in P} a_il x_il)^2.
+    of weights a (K, L), that is sum_P s2[P,l] (sum_{i in P} a_il x_il)^2,
+    summed over the sets in their order.
 
-    Summed one co-pilot set size at a time.  With all-ones weights and
-    orthogonal pilots it is the private normalization's sum_k tr(Q[k,l]).
+    With all-ones weights and orthogonal pilots it is the private
+    normalization's sum_k tr(Q[k,l]).
     """
-    power = np.zeros(terms.L)
-    for idx in terms.stacks:
-        omega = np.einsum("sil,sil->sl", weights[idx], terms.x[idx])
-        power += np.einsum("sl,sl,sl->l", terms.s2[idx[:, 0]], omega, omega)
-    return power
+    omega = terms.pilots.set_sums(weights * terms.x)
+    return np.einsum("sl,sl,sl->l", terms.s2, omega, omega)
 
 
 def common_normalization(terms: TraceTerms, weights: np.ndarray) -> np.ndarray:
@@ -367,20 +365,19 @@ def plan_parts(
     removes it, so DU and DF agree exactly); the non-coherent common stream
     keeps it, because the per-AP common precoders mix all UEs' phases.
 
-    Every sum over a co-pilot set is taken in one pass over the set
-    sizes, from the factors x, s2 and s3 and the sets' rows of mu and of
-    the complex weights w and sq.  With the complex per-set sum
-    Omega[P,l] = sum_{i in P} w[i,l] x[i,l]:
+    Every sum over a co-pilot set is a per-set row (``set_sums``), read
+    with the factors x, s2 and s3 and the complex weights w and sq.  With
+    the complex per-set sum Omega[P,l] = sum_{i in P} w[i,l] x[i,l]:
     the desired common sums per AP, sum_{i in P_k} w[i,l] tr(Qc[k,i,l]),
-    are (x s2)[k,l] Omega[P_k,l]; the pilot contamination
-    sum_{i in P_k} sum_l mu[i,l] tr(Qc[k,i,l])^2 is
+    are (x s2)[k,l] Omega[P_k,l], with (x s2)[k,l] = x[k,l] s2[P_k,l]; the
+    pilot contamination sum_{i in P_k} sum_l mu[i,l] tr(Qc[k,i,l])^2 is
     sum_l (x s2)[k,l]^2 sum_{i in P_k} mu[i,l] x[i,l]^2; and the common
     stream's cross term,
     Re sum_l eta_l sum_{i,j in P} conj(w[i,l]) w[j,l] tr(Qc[i,j,l] R[k,l]),
     is sum_l beta[k,l] eta_l s[l] with s[l] = sum_P s3[P,l] |Omega[P,l]|^2.
     Only the coherent private sum
     sum_{i in P_k} |sum_l (x s2)[k,l] (sq x)[i,l]|^2 pairs UEs, in an
-    (S, g, g) array per stack that is not kept.
+    (S_c, g_c, g_c) array per stack of equal-size sets that is not kept.
     """
     check_plan_shapes(plan, terms.K, terms.L)
     ea, eu = decay_pair(phases, config, instants)
@@ -391,21 +388,18 @@ def plan_parts(
     if coherent_tx:
         sq = np.conj(theta_eff) * np.sqrt(mu)
         sqx = sq * terms.x
-    x, xs2 = terms.x, terms.x * terms.s2
-    mux2 = mu * x * x
+    pilots, x = terms.pilots, terms.x
+    of = pilots.set_of
+    xs2 = x * terms.s2[of]
 
-    per_ap = np.empty((terms.K, terms.L), dtype=complex)
-    percontam = np.empty(terms.K)
-    coherent = np.empty(terms.K)
-    s = np.zeros(terms.L)
-    for idx in terms.stacks:
-        xs2_g = xs2[idx]  # (S, g, L)
-        omega = np.einsum("sil,sil->sl", w[idx], x[idx])  # (S, L)
-        per_ap[idx] = xs2_g * omega[:, None]
-        percontam[idx] = np.einsum("skl,sl->sk", xs2_g * xs2_g, mux2[idx].sum(axis=1))
-        s += np.einsum("sl,sl->l", terms.s3[idx[:, 0]], _abs2(omega))
-        if coherent_tx:
-            a = np.einsum("skl,sil->ski", xs2_g, sqx[idx])
+    omega = pilots.set_sums(w * x)  # (S, L)
+    per_ap = xs2 * omega[of]
+    percontam = np.einsum("kl,kl->k", xs2 * xs2, pilots.set_sums(mu * x * x)[of])
+    s = np.einsum("sl,sl->l", terms.s3, _abs2(omega))
+    if coherent_tx:
+        coherent = np.empty(terms.K)
+        for idx in pilots.stacks:
+            a = np.einsum("skl,sil->ski", xs2[idx], sqx[idx])
             coherent[idx] = _abs2(a).sum(axis=-1)
 
     # sum_il mu[i,l] tr(Q[i,l] R[k,l]), with tr(Q[i,l] R[k,l]) = beta[k,l] tr(Q[i,l] T)

@@ -4,13 +4,13 @@ Pilots are time-multiplexed: UE k transmits only at instant t_k in
 {1..tau_p} and shares it with the co-pilot set P_k.  Channels are estimated
 at the first data instant lambda = tau_p + 1, so each estimate carries the
 accumulated oscillator drift over lambda - t_k instants.  The Bayesian
-(MMSE) estimate of h[k,l] from the group's pilot observation has covariance
+(MMSE) estimate of h[k,l] from the set's pilot observation has covariance
 
     Q[k,l] = p_k * exp(-(lambda - t_k)*(var_ap + var_ue)) * R Psi R,
-    Psi[k,l] = (sum_{i in P_k} p_i R[i,l] + sigma2 * I)^(-1),
+    Psi[P,l] = (sum_{i in P} p_i R[i,l] + sigma2 * I)^(-1),  P = P_k,
 
 and the cross-covariance between the estimates of co-pilot UEs k and i is
-Q_cross[k,i,l] = sqrt(p_k p_i) * exp(...) * R[i,l] Psi[k,l] R[k,l]; it
+Q_cross[k,i,l] = sqrt(p_k p_i) * exp(...) * R[i,l] Psi[P_k,l] R[k,l]; it
 vanishes for UEs on different pilots.  NMSE = tr(R - Q)/tr(R) for MMSE; the
 LS NMSE is exp(+(lambda-t_k)(var_ap+var_ue)) * tr(Psi^-1) / (p_k tr R) - 1
 and can exceed one because the LS estimate and its error are correlated.
@@ -23,11 +23,13 @@ invertible.  Co-pilots share a pilot instant, so a drift decay and a Psi,
 and their estimates are scaled copies of one processed observation
 (Marzetta, IEEE TWC 2010): with x[k,l] = sqrt(p_k exp(...)) beta[k,l],
 
-    Q_cross[k,i,l] = x[k,l] x[i,l] lam^2 Psi[k,l],
-    Q[k,l] = x[k,l]^2 lam^2 Psi[k,l],
+    Q_cross[k,i,l] = x[k,l] x[i,l] lam^2 Psi[P_k,l],
+    Q[k,l] = x[k,l]^2 lam^2 Psi[P_k,l],
 
-so no co-pilot pair is stored: the (K, L) factor x and the per-UE Psi
-give every block.
+so no co-pilot pair is stored: the (K, L) factor x and the per-set Psi
+give every block.  ``PilotAssignment`` numbers the S co-pilot sets once, by
+size and then by pilot instant, and every per-set axis of the package
+follows that order.
 """
 
 from __future__ import annotations
@@ -43,34 +45,44 @@ from .model import NetworkModel, PhaseStatistics, SystemConfig, expected_phase_d
 class PilotAssignment:
     """Pilot instants t (K,), values in 1..tau_p, plus the co-pilot sets.
 
-    groups: the co-pilot sets, one tuple of UE indices per occupied pilot
-        instant in increasing instant order, derived once from t.
-    stacks: the same sets stacked by size, one (S_c, g_c) int array per
-        distinct set size g_c in increasing size order, its rows the S_c
-        sets of that size in ``groups`` order.
+    The S sets are numbered here, once, by size and then by pilot instant;
+    every per-set axis of the package follows this order.
+    stacks: one (S_c, g_c) int array per distinct set size g_c, in
+        increasing size order, its rows the UE indices of the S_c sets of
+        that size, so that stack after stack the rows are sets 0..S-1.
+    set_of (K,): each UE's set.
     """
 
     t: np.ndarray
     tau_p: int
-    groups: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     stacks: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    set_of: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.t.setflags(write=False)
         if np.any(self.t < 1) or np.any(self.t > self.tau_p):
             raise ValueError("pilot instants must lie in 1..tau_p")
-        groups = tuple(tuple(int(k) for k in np.flatnonzero(self.t == inst))
-                       for inst in sorted(set(self.t.tolist())))
-        stacks = tuple(np.array([g for g in groups if len(g) == size])
-                       for size in sorted({len(g) for g in groups}))
-        for idx in stacks:
-            idx.setflags(write=False)
-        object.__setattr__(self, "groups", groups)
+        # the sets by size, then by pilot instant: sorted() is stable
+        sets = sorted((np.flatnonzero(self.t == inst) for inst in sorted(set(self.t.tolist()))),
+                      key=len)
+        set_of = np.empty(self.K, dtype=int)
+        for s, members in enumerate(sets):
+            set_of[members] = s
+        stacks = tuple(np.array([m for m in sets if len(m) == size])
+                       for size in sorted({len(m) for m in sets}))
+        for arr in (*stacks, set_of):
+            arr.setflags(write=False)
         object.__setattr__(self, "stacks", stacks)
+        object.__setattr__(self, "set_of", set_of)
 
     @property
     def K(self) -> int:
         return self.t.shape[0]
+
+    def set_sums(self, a: np.ndarray) -> np.ndarray:
+        """(S, ...) sums of the (K, ...) ``a`` over each set's UEs, in set
+        order, each added in increasing UE order."""
+        return np.concatenate([a[idx].sum(axis=1) for idx in self.stacks])
 
 
 def assign_pilots(
@@ -100,11 +112,11 @@ class EstimationStatistics:
     Every matrix here is diagonal in the eigenbasis of the network's
     correlation template T (see ``NetworkModel``), so each is stored as its
     N real eigenvalues on the last axis, in the order of ``NetworkModel.lam``:
-    Psi (K, L, N): inverse of the group pilot covariance, > 0, equal within
-        a co-pilot set.
+    Psi (S, L, N): inverse of each co-pilot set's pilot covariance, > 0,
+        one row per set in the order of ``PilotAssignment``.
     Q (K, L, N): estimate covariance, 0 <= Q <= beta * lam.
     x (K, L): the rank-1 factor sqrt(p_k decay_k) beta[k,l] of every
-        co-pilot block, Q_cross[k,i,l] = x[k,l] x[i,l] lam^2 Psi[k,l] for
+        co-pilot block, Q_cross[k,i,l] = x[k,l] x[i,l] lam^2 Psi[P_k,l] for
         co-pilot k and i; UEs on different pilots are uncorrelated.
     nmse_mmse / nmse_ls (K, L): normalized MSE of the two estimators.
     """
@@ -118,6 +130,16 @@ class EstimationStatistics:
     def __post_init__(self):
         for arr in (self.Psi, self.Q, self.x, self.nmse_mmse, self.nmse_ls):
             arr.setflags(write=False)
+
+
+def check_pilots(pilots: PilotAssignment, K: int, config: SystemConfig) -> None:
+    """Raise ValueError unless ``pilots`` assigns K UEs to the config's
+    tau_p instants: the statistics and the Monte Carlo draw count the drift
+    to the estimation instant config.tau_p + 1."""
+    if pilots.K != K or pilots.tau_p != config.tau_p:
+        raise ValueError(
+            f"the pilot assignment (K = {pilots.K}, pilots.tau_p = {pilots.tau_p}) does not "
+            f"match the network's K = {K} and config.tau_p = {config.tau_p}")
 
 
 def decay_factors(pilots: PilotAssignment, phases: PhaseStatistics) -> np.ndarray:
@@ -149,29 +171,22 @@ def estimation_statistics(
     """Compute Psi, Q, the co-pilot factor x and both NMSE matrices.
 
     Per co-pilot set P and AP l, the pilot covariance has the eigenvalues
-    sigma2 + sum_{j in P} p_j beta[j,l] lam_n, computed for all sets of one
-    size at once, one stack at a time; the rest is elementwise per UE.
+    sigma2 + sum_{j in P} p_j beta[j,l] lam_n, one row per set; the rest is
+    elementwise per UE.
     """
-    if pilots.K != net.K:
-        raise ValueError("pilot assignment size does not match network")
+    check_pilots(pilots, net.K, config)
     p = config.pilot_powers()
     decay = decay_factors(pilots, phases)
 
-    Psi = np.empty((net.K, net.L, net.N))
-    tr_cov = np.empty((net.K, net.L))
-    for idx in pilots.stacks:
-        # einsum, not a matrix product: BLAS would sum in a kernel-dependent order
-        cov = (config.sigma2_ul
-               + np.einsum("si,sil->sl", p[idx], net.beta[idx])[..., None] * net.lam)
-        Psi[idx] = 1.0 / cov[:, None]
-        tr_cov[idx] = cov.sum(axis=-1)[:, None]
+    cov = config.sigma2_ul + pilots.set_sums(p[:, None] * net.beta)[..., None] * net.lam
+    Psi = 1.0 / cov  # (S, L, N)
 
     x = np.sqrt(p * decay)[:, None] * net.beta
     xl = x[..., None] * net.lam
-    Q = xl * xl * Psi
+    Q = xl * xl * Psi[pilots.set_of]
     tr_R = net.beta * net.lam.sum()
     tr_Q = Q.sum(axis=-1)
     nmse_mmse = (tr_R - tr_Q) / tr_R
-    nmse_ls = tr_cov / ((decay * p)[:, None] * tr_R) - 1.0
+    nmse_ls = cov.sum(axis=-1)[pilots.set_of] / ((decay * p)[:, None] * tr_R) - 1.0
 
     return EstimationStatistics(Psi=Psi, Q=Q, x=x, nmse_mmse=nmse_mmse, nmse_ls=nmse_ls)

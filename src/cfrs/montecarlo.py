@@ -30,8 +30,10 @@ sqrt(beta lam) times i.i.d. complex normals (lam: T's eigenvalues), white
 pilot noise stays white, and the MMSE filters are elementwise.  Co-pilots
 share a pilot instant, so a drift decay and a Psi: UE i's DU precoder is
 v[i,l] = x[i,l] u[P_i,l], with the co-pilot factor x of the statistics
-and one filtered observation u[P] = lam Psi_P z[P] per co-pilot set P
-(Marzetta, IEEE TWC 2010), so the pass forms no per-UE estimate.  The
+and one filtered observation u[P] = lam Psi[P] z[P] per co-pilot set P
+(Marzetta, IEEE TWC 2010), so the pass forms no per-UE estimate.  Every
+per-set axis of the pass, the pilot signal z's included, follows the set
+order of ``PilotAssignment`` (by size, then by pilot instant).  The
 hardening-bound terms are inner products over the antennas, which the
 common unitary change of basis leaves unchanged.
 
@@ -51,7 +53,7 @@ unit-modulus factor exp(-i phase) with one cos/sin evaluation; then the
 chunk is cut at the jackknife group edges and into slices of at most
 about ``_WORK_ELEMENTS`` / (K^2 L) realizations (at least 64, see
 ``_chunk_slices``).  Each slice filters its slice of the pilot signal
-into the S co-pilot sets' observations u (``_CopilotSets``), and its work
+into the S co-pilot sets' observations u with one product, and its work
 is shared at three levels (see ``_accumulate``):
 
 * once per slice, whatever the plans: the (K, S, L, r) link products
@@ -107,7 +109,7 @@ from .closed_form import (
     check_instants,
     check_plan_shapes,
 )
-from .estimation import EstimationStatistics, PilotAssignment
+from .estimation import EstimationStatistics, PilotAssignment, check_pilots
 from .model import NetworkModel, PhaseStatistics, SystemConfig
 
 RNG_CHUNK = 4096  # realizations per RNG stream; fixed for reproducibility
@@ -304,8 +306,9 @@ class _ChunkDraw:
     The setup computes the channel standard deviations sqrt(beta lam) and
     the phase instants.  A call returns (h, z, ue, ap) for the chunk's c
     realizations, each with the realization axis last: the channels h
-    (K, L, N, c) in T's eigenbasis, the received pilot signal z (G, L, N, c)
-    per co-pilot group, and the UE (K, M', c) and AP (L, M', c) phase paths
+    (K, L, N, c) in T's eigenbasis, the received pilot signal z (S, L, N, c)
+    per co-pilot set in set order, and the UE (K, M', c) and AP (L, M', c)
+    phase paths
     at the M' instants ``_phase_instants(pilots, config, instants)``.  The
     draws are made in the order h, ue, ap, z, each in the C order of its
     shape with the realization axis moved first; a path is the cumulative
@@ -317,8 +320,8 @@ class _ChunkDraw:
                  config: SystemConfig, count: int, seed: int, instants):
         K, L, N = net.K, net.L, net.N
         self.count, self.seed = count, seed
-        self.shape = K, L, N, len(pilots.groups)
-        self.groups = pilots.groups
+        self.shape = K, L, N, sum(len(idx) for idx in pilots.stacks)
+        self.set_of = pilots.set_of
         self.needed = _phase_instants(pilots, config, instants)
         gaps = np.diff([0] + self.needed)
         self.sd_ue = np.sqrt(phases.var_ue * gaps)
@@ -328,11 +331,11 @@ class _ChunkDraw:
         p = config.pilot_powers()
         # sqrt(p_i) theta_i: the pilot amplitude and delay phase of UE i
         self.amp = [np.sqrt(p[i]) * net.theta[i][:, None, None] for i in range(K)]
-        self.pilot_columns = [self.needed.index(int(pilots.t[group[0]]))
-                              for group in pilots.groups]
+        # the phase column of each UE's pilot instant
+        self.pilot_columns = [self.needed.index(t) for t in pilots.t.tolist()]
 
     def __call__(self, chunk: int, ws: _Workspace):
-        K, L, N, G = self.shape
+        K, L, N, S = self.shape
         M = len(self.needed)
         c = min(RNG_CHUNK, self.count - chunk * RNG_CHUNK)
         rng = np.random.Generator(
@@ -351,20 +354,18 @@ class _ChunkDraw:
                     path[:, j] += path[:, j - 1]
             paths.append(path)
         ue, ap = paths
-        z = _complex_normal(rng, ws.get("z", ((G, L, N, c), complex)),
-                            ws.get("scratch", ((c, G, L, N), float)))
+        z = _complex_normal(rng, ws.get("z", ((S, L, N, c), complex)),
+                            ws.get("scratch", ((c, S, L, N), float)))
         z *= self.sq_sigma2
         # the angle and the factor exp(i angle) (L, c) of one UE's phases,
         # and its transmission (L, N, c)
         angle, rot, sent = ws.get("scratch", ((L, c), float), ((L, c), complex),
                                   ((L, N, c), complex))
-        for g, group in enumerate(self.groups):
-            # the group's transmissions accumulate on top of the noise
-            m = self.pilot_columns[g]
-            for i in group:
-                _phasor(np.add(ue[i, m], ap[:, m], out=angle), out=rot)
-                np.multiply(self.amp[i], rot[:, None], out=rot[:, None])
-                z[g] += np.multiply(rot[:, None], h[i], out=sent)
+        for i, m in enumerate(self.pilot_columns):
+            # each set's transmissions accumulate on top of its noise, in UE order
+            _phasor(np.add(ue[i, m], ap[:, m], out=angle), out=rot)
+            np.multiply(self.amp[i], rot[:, None], out=rot[:, None])
+            z[self.set_of[i]] += np.multiply(rot[:, None], h[i], out=sent)
         return h, z, ue, ap
 
 
@@ -400,6 +401,7 @@ def sample_batch(
                          f"realizations, for meaningful errors; got {count!r}")
     if not (integer(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    check_pilots(pilots, net.K, config)
     plans = list(plans)
     if not plans:
         raise ValueError("plans is empty: declare every plan the batch will be read for")
@@ -418,26 +420,22 @@ def sample_batch(
 # ---------------------------------------------------------------------------
 
 class _CopilotSets:
-    """The co-pilot sets in stack order (``PilotAssignment.stacks``: by set
-    size, then by pilot instant), the order of every per-set axis of the
-    pass, so that each stack's sets are one contiguous range; ``filter``
-    forms their observations u[P] = lam Psi_P z[P], of which the DU
+    """The pass's view of the co-pilot sets of ``pilots``, whose set order
+    (by size, then by pilot instant) every per-set axis of the pass
+    follows, so that each stack's sets are one contiguous range.  ``filter``
+    forms their observations u[P] = lam Psi[P] z[P], of which the DU
     precoders are the copies v[i,l] = x[i,l] u[P_i,l] scaled by the
-    co-pilot factor ``x``.  ``of`` (K,) holds each UE's set, ``order`` (K,)
-    the UEs set by set and ``rank`` (K,) each UE's place in ``order``;
-    ``stacks`` holds per stack its (S_c, g_c) UE indices, the range of its
-    sets and the range of its UEs in ``order``.
+    co-pilot factor x.  ``order`` (K,) holds the UEs set by set and
+    ``rank`` (K,) each UE's place in ``order``; ``stacks`` holds per stack
+    its (S_c, g_c) UE indices, the range of its sets and the range of its
+    UEs in ``order``.
     """
 
     def __init__(self, pilots: PilotAssignment, stats: EstimationStatistics, lam: np.ndarray):
-        members = [row for idx in pilots.stacks for row in idx]
-        self.x = stats.x
-        # the row of z that holds each set's pilot signal
-        self.rows = [pilots.groups.index(tuple(row.tolist())) for row in members]
-        self.filters = (lam * stats.Psi[[row[0] for row in members]])[..., None]  # (S, L, N, 1)
+        self.pilots = pilots
+        self.filters = (lam * stats.Psi)[..., None]  # (S, L, N, 1)
         self.order = np.concatenate([idx.ravel() for idx in pilots.stacks])
         self.rank = np.argsort(self.order)
-        self.of = np.repeat(np.arange(len(members)), [len(row) for row in members])[self.rank]
         self.stacks = []
         s = o = 0
         for idx in pilots.stacks:
@@ -446,14 +444,8 @@ class _CopilotSets:
 
     def filter(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The filtered observations u (S, L, N, r) of the pilot signal z
-        (G, L, N, r), any r realizations of a draw, written into ``out``."""
-        for s, g in enumerate(self.rows):
-            np.multiply(self.filters[s], z[g], out=out[s])
-        return out
-
-    def sums(self, a: np.ndarray) -> np.ndarray:
-        """(S, L) sums of the (K, L) ``a`` over each set's UEs."""
-        return np.concatenate([a[idx].sum(axis=1) for idx, _, _ in self.stacks])
+        (S, L, N, r), any r realizations of a draw, written into ``out``."""
+        return np.multiply(self.filters, z, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -541,18 +533,19 @@ class _Precoder:
     plans: list[int]
 
 
-def _share(plans, theta: np.ndarray, sets: _CopilotSets) -> list[_Precoder]:
-    """The distinct precoders of ``plans``, which are compared by value."""
+def _share(plans, theta: np.ndarray, x: np.ndarray, pilots: PilotAssignment) -> list[_Precoder]:
+    """The distinct precoders of ``plans``, which are compared by value;
+    x is the co-pilot factor of the statistics."""
     precoders = {}
     for i, plan in enumerate(plans):
         key = (plan.private_scheme, plan.rho,
                *(arr.tobytes() for arr in (plan.mu, plan.weights, plan.eta)))
         if key not in precoders:
-            rot_x = (np.conj(theta) if plan.private_scheme == "df_mr" else 1.0) * sets.x
+            rot_x = (np.conj(theta) if plan.private_scheme == "df_mr" else 1.0) * x
             precoders[key] = _Precoder(
-                rho=plan.rho, mu_x2=plan.mu * sets.x**2,
+                rho=plan.rho, mu_x2=plan.mu * x**2,
                 gain=np.sqrt(plan.mu) * rot_x,
-                eta_omega=np.sqrt(plan.eta) * sets.sums(plan.weights * rot_x), plans=[])
+                eta_omega=np.sqrt(plan.eta) * pilots.set_sums(plan.weights * rot_x), plans=[])
         precoders[key].plans.append(i)
     return list(precoders.values())
 
@@ -571,8 +564,8 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
     into the workspace, turns the phases at the instants into their
     factors and the channels h into gh = conj(theta h) in place, and cuts
     itself into the slices of ``_chunk_slices``.  Each slice filters its
-    slice of the pilot signal into one observation per co-pilot set
-    (``_CopilotSets.filter``); then ``_accumulate`` shares its work at
+    slice of the pilot signal, drawn in set order, into one observation per
+    co-pilot set (``_CopilotSets.filter``); then ``_accumulate`` shares its work at
     three levels: the link products and their plan-free moments once per
     slice; the power and common-precoder products once per distinct
     precoder (``_share``); and only its transmission's interference terms
@@ -598,8 +591,8 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
     # instants are the last M the draw samples phases at
     assert draw.needed[-M:] == list(instants)
     sets = _CopilotSets(pilots, stats, net.lam)
-    S = len(sets.rows)
-    precoders = _share(plans, net.theta, sets)
+    S = draw.shape[-1]
+    precoders = _share(plans, net.theta, stats.x, pilots)
     scratch = _largest_scratch(draw, S, min(count, RNG_CHUNK),
                                max(sl.stop - sl.start for pieces in chunks for _, sl in pieces))
     conj_theta = np.conj(net.theta)[:, :, None, None]
@@ -700,9 +693,10 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
     Y = _sum_products(((gh[:, None, :, n], u[None, :, :, n]) for n in range(N)),
                       ws.get("Y", ((K, S, L, r), complex)),
                       ws.get("scratch", ((K, S, L, r), complex)))
-    u_power = _sumsq(u).sum(axis=-1)[sets.of]  # (K, L): sum |u[P_i]|^2
+    of = sets.pilots.set_of
+    u_power = _sumsq(u).sum(axis=-1)[of]  # (K, L): sum |u[P_i]|^2
     # (K, K, L): sum_r |Y[k,P_i,l]|^2
-    Y_power = _sumsq(Y)[:, sets.of] if any(not s.coherent for s in sums) else None
+    Y_power = _sumsq(Y)[:, of] if any(not s.coherent for s in sums) else None
     E = []
     for pre, slot in zip(precoders, ws.get("E", ((len(precoders), K, L, r), complex))):
         power = (1.0 - pre.rho) * config.p_d * np.sum(pre.mu_x2 * u_power, axis=0)
@@ -734,7 +728,7 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
     for m in range(eu.shape[1]):
         ea_m = ea[:, m]  # (L, r)
         phase = np.multiply(eu[:, m, None], ea_m, out=phase_)  # (K, L, r)
-        for k, s in enumerate(sets.of):  # eu[k] ea Y[k,P_k]
+        for k, s in enumerate(of):  # eu[k] ea Y[k,P_k]
             np.multiply(phase[k], Y[k, s], out=work[k])
         D = np.sum(work, axis=-1)
         for pre, e in zip(precoders, E):

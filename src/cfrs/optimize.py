@@ -106,9 +106,10 @@ class MaxMinProblem:
     The program sees the common weights a (K, L) only through the per-set
     sums Omega[P,l] = sum_{i in P} a[i,l] x[i,l], so its variables are
     y[P,l] = sqrt(s2[P,l]) Omega[P,l] >= 0, an (S, L) array with one row
-    per co-pilot set.  With c = x sqrt(s2), y[P,l] = sum_{i in P} c[i,l]
-    a[i,l].  For UE k, in set P_k = ``sets[k]``, the SINR at target decay
-    factors (ea, eu) reads
+    per co-pilot set, in the set order of ``PilotAssignment``.  With
+    c[i,l] = x[i,l] sqrt(s2[P_i,l]), y[P,l] = sum_{i in P} c[i,l] a[i,l].
+    For UE k, in set P_k = ``terms.pilots.set_of[k]``, the SINR at target
+    decay factors (ea, eu) reads
 
         p_dc*ea*eu*g_k^2 /
         (p_dc*(1-ea)*h_k + p_dc*m_k + p_dc*ea*(1-eu)*g_k^2
@@ -123,9 +124,8 @@ class MaxMinProblem:
     sum_{i in P} c[i,l].
     """
 
-    terms: TraceTerms      # the factors x, s2, s3, beta and the co-pilot stacks
-    c: np.ndarray          # (K, L) x sqrt(s2)
-    sets: np.ndarray       # (K,) each UE's co-pilot set, its row of y
+    terms: TraceTerms      # the factors x, s2, s3, beta and the co-pilot sets
+    c: np.ndarray          # (K, L) x sqrt(s2) of the UE's set
     ratio: np.ndarray      # (S, L) s3/s2 of each set
     y_ones: np.ndarray     # (S, L) y of the all-ones weights
     xi: np.ndarray         # (K,) private interference at the chosen instant
@@ -137,7 +137,7 @@ class MaxMinProblem:
     instant: int
 
     def __post_init__(self):
-        for arr in (self.c, self.sets, self.ratio, self.y_ones, self.xi):
+        for arr in (self.c, self.ratio, self.y_ones, self.xi):
             arr.setflags(write=False)
 
     @property
@@ -156,7 +156,7 @@ class MaxMinProblem:
         exactly.  For y in the ball ||y[:, l]|| <= 1 this only undoes the
         rounding.
         """
-        a = (y / self.y_ones)[self.sets]
+        a = (y / self.y_ones)[self.terms.pilots.set_of]
         power = common_power(self.terms, a)
         while np.any(power > 1.0):
             over = power > 1.0
@@ -188,8 +188,8 @@ def build_maxmin_problem(
 ) -> MaxMinProblem:
     """Assemble the per-set constants and the scalars at instant n.
 
-    The sets are numbered in the order of the terms' co-pilot stacks.  The
-    private interference xi is that of ``closed_form.plan_parts`` for
+    The sets are the rows of ``terms.pilots``' set order.  The private
+    interference xi is that of ``closed_form.plan_parts`` for
     ``MAXMIN_SCHEME`` with the per-AP private normalization.
     Default instant: ``config.mid_instant``.
     """
@@ -199,20 +199,11 @@ def build_maxmin_problem(
         n = config.mid_instant
     ea, eu = decay_pair(phases, config, n)
 
-    sets = np.empty(terms.K, dtype=int)
-    count = 0
-    for idx in terms.stacks:
-        sets[idx] = count + np.arange(len(idx))[:, None]
-        count += len(idx)
-    c = terms.x * np.sqrt(terms.s2)
-    ratio = np.empty((count, terms.L))
-    ratio[sets] = terms.s3 / terms.s2  # equal within a set
-    y_ones = np.zeros((count, terms.L))
-    np.add.at(y_ones, sets, c)
+    c = terms.x * np.sqrt(terms.s2)[terms.pilots.set_of]
     plan = make_plan(terms, *MAXMIN_SCHEME, unit_eta=True)
 
     return MaxMinProblem(
-        terms=terms, c=c, sets=sets, ratio=ratio, y_ones=y_ones,
+        terms=terms, c=c, ratio=terms.s3 / terms.s2, y_ones=terms.pilots.set_sums(c),
         xi=plan_parts(terms, plan, phases, config, n).xi[0],
         p_dc=rho * config.p_d, p_dp=(1.0 - rho) * config.p_d,
         eta_ap=float(ea[0]), eta_ue=float(eu[0]),
@@ -257,9 +248,10 @@ def _cone_terms(problem: MaxMinProblem, y: np.ndarray):
     c_h2 = problem.p_dc * (1.0 - problem.eta_ap)
     c_b2 = problem.p_dc * problem.eta_ap * (1.0 - problem.eta_ue)
     row = 1.0 / np.sqrt(problem.p_dp * problem.xi + problem.sigma2)
-    own = (np.arange(problem.K), problem.sets)
+    of = problem.terms.pilots.set_of
+    own = (np.arange(problem.K), of)
     c, beta = problem.c, problem.terms.beta
-    cy = c * y[problem.sets]  # (K, L)
+    cy = c * y[of]  # (K, L)
     g = cy.sum(axis=1)
     ry = problem.ratio * y
     m = np.einsum("kl,l->k", beta, (ry * y).sum(axis=0))

@@ -83,27 +83,25 @@ def drawn_chunks(net, pilots, stats, phases, config, count, seed, instants):
     return chunks
 
 
-def mmse_filters(net, stats):
+def mmse_filters(net, pilots, stats):
     """(K, L, N) linear MMSE filters B, as eigenvalues, with hhat = theta* . B z
     for a pilot observation z in T's eigenbasis.
 
     B[k,l] = sqrt(p_k) * exp(-(lambda-t_k)(var_ap+var_ue)/2) * R Psi
-    = x[k,l] lam Psi[k,l]; the remaining conj(theta[k,l]) factor is applied
-    by the caller.
+    = x[k,l] lam Psi[P_k,l]; the remaining conj(theta[k,l]) factor is
+    applied by the caller.
     """
-    return stats.x[..., None] * net.lam * stats.Psi
+    return stats.x[..., None] * net.lam * stats.Psi[pilots.set_of]
 
 
 def estimates(net, pilots, stats, z):
     """Reference MMSE estimates hhat (K, L, N, r) of the pilot signal z
-    (G, L, N, r) of any r realizations of a draw, in T's eigenbasis:
-    hhat[k] = conj(theta[k]) (B[k] z[g]), with the MMSE filters B and g the
-    co-pilot group of UE k.  The Monte Carlo pass forms no estimates: it
+    (S, L, N, r) of any r realizations of a draw, in T's eigenbasis:
+    hhat[k] = conj(theta[k]) (B[k] z[P_k]), with the MMSE filters B and P_k
+    the co-pilot set of UE k.  The Monte Carlo pass forms no estimates: it
     filters one observation per co-pilot set."""
-    group = np.empty(net.K, dtype=int)
-    for g, members in enumerate(pilots.groups):
-        group[list(members)] = g
-    return np.conj(net.theta)[..., None, None] * (mmse_filters(net, stats)[..., None] * z[group])
+    filters = mmse_filters(net, pilots, stats)[..., None]
+    return np.conj(net.theta)[..., None, None] * (filters * z[pilots.set_of])
 
 
 def private_precoders(hhat, net, scheme):
@@ -170,11 +168,11 @@ def from_eigenbasis(net, eig):
 
 def rank1_q_cross(net, pilots, stats):
     """(K, K, L, N) eigenvalues of every Q_cross block from the statistics'
-    rank-1 factor: x[k,l] x[i,l] lam^2 Psi[k,l] for co-pilot k and i, else 0."""
+    rank-1 factor: x[k,l] x[i,l] lam^2 Psi[P_k,l] for co-pilot k and i, else 0."""
     copilot = pilots.t[:, None] == pilots.t[None, :]
     x = stats.x
     return (copilot[:, :, None, None] * (x[:, None] * x[None, :])[..., None]
-            * net.lam**2 * stats.Psi[:, None])
+            * net.lam**2 * stats.Psi[pilots.set_of][:, None])
 
 
 def per_link_statistics(net, pilots, phases, cfg):
@@ -231,5 +229,5 @@ def per_set_y(problem, w):
     """The max-min program's (S, L) variables of (K, L) weights w:
     y[P,l] = sum_{i in P} c[i,l] w[i,l], so dy[P,l]/dw[i,l] = c[i,l]."""
     y = np.zeros(problem.y_ones.shape)
-    np.add.at(y, problem.sets, problem.c * w)
+    np.add.at(y, problem.terms.pilots.set_of, problem.c * w)
     return y

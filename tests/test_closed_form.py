@@ -28,7 +28,7 @@ def tiny_terms(tr_q: float = 2.0):
         tr_Q=tr_q * one,
         tr_QT=tr_q * one,
         theta=np.ones((1, 1), dtype=complex),
-        stacks=(np.array([[0]]),),
+        pilots=cfrs.assign_pilots(1, 1),
         beta=1.5 * one,  # R = 1.5 T, so tr(Q R) = tr(Qc R) = 1.5 tr_q
         # x = 1, so tr(Q) = tr(Qc) = s2 and tr(Q T) = tr(Qc T) = s3
     )
@@ -288,11 +288,11 @@ def test_blocked_tr_qcr_matches_dense_einsum():
     eta = rng.uniform(0.5, 2, cfg.L)
     for policy in ("round_robin", "random"):
         pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p, policy, seed=1)
-        assert sorted(len(g) for g in pilots.groups) == [2, 2, 3]
+        assert np.bincount(pilots.set_of).tolist() == [2, 2, 3]
         if policy == "random":
             # instant order differs from first-member order, so a block
             # paired with a re-derived group order lands on the wrong UEs
-            firsts = [g[0] for g in pilots.groups]
+            firsts = [np.flatnonzero(pilots.t == inst)[0] for inst in np.unique(pilots.t)]
             assert firsts != sorted(firsts)
         stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
         terms = cf.TraceTerms.compute(net, stats, pilots)
@@ -304,14 +304,14 @@ def test_blocked_tr_qcr_matches_dense_einsum():
         got = terms.beta[None] * terms.tr_QT[:, None]
         assert np.max(np.abs(got - tr_QR)) <= 1e-12 * np.max(np.abs(tr_QR))
         dense = np.einsum("ijlab,klba->ijkl", Q_cross, R)
-        # tr(Q_cross[i,j,l] R[k,l]) = beta[k,l] x[i,l] x[j,l] s3[i,l] on co-pilot pairs
+        # tr(Q_cross[i,j,l] R[k,l]) = beta[k,l] x[i,l] x[j,l] s3[P_i,l] on co-pilot pairs
         copilot = (pilots.t[:, None] == pilots.t[None, :])[:, :, None, None]
-        x = terms.x
-        got = (copilot * (x * terms.s3)[:, None, None] * x[None, :, None]
+        x, of = terms.x, pilots.set_of
+        got = (copilot * (x * terms.s3[of])[:, None, None] * x[None, :, None]
                * terms.beta[None, None])
         assert np.max(np.abs(got - dense.real)) <= 1e-12 * np.max(np.abs(dense.real))
         tr_Qc = np.einsum("kilnn->kil", Q_cross)
-        got = copilot[..., 0] * (x * terms.s2)[:, None] * x[None]
+        got = copilot[..., 0] * (x * terms.s2[of])[:, None] * x[None]
         assert np.max(np.abs(got - tr_Qc)) <= 1e-12 * np.max(np.abs(tr_Qc))
         # the max-min program's a'M_k a, sum_l beta[k,l] sum_P (s3/s2)[P,l] y[P,l]^2
         # in its per-set variables, against the dense blocks
@@ -333,8 +333,8 @@ def test_blocked_tr_qcr_matches_dense_einsum():
 
 @pytest.mark.parametrize("policy", ["round_robin", "random"])
 def test_copilot_traces_are_rank_one_in_the_factors(policy):
-    # for co-pilot k and i, tr(Q_cross[k,i,l]) = x[k,l] x[i,l] s2[k,l] and
-    # tr(Q_cross[k,i,l] T) = x[k,l] x[i,l] s3[k,l], against the per-link
+    # for co-pilot k and i, tr(Q_cross[k,i,l]) = x[k,l] x[i,l] s2[P_k,l] and
+    # tr(Q_cross[k,i,l] T) = x[k,l] x[i,l] s3[P_k,l], against the per-link
     # dense reference, with per-UE pilot powers, drift, uneven sets (3, 2, 2)
     # and a generic complex template with distinct eigenvalues
     rng = np.random.default_rng(41)
@@ -343,7 +343,7 @@ def test_copilot_traces_are_rank_one_in_the_factors(policy):
     net = dataclasses.replace(net, beta=10 ** rng.uniform(-10, -8, net.beta.shape),
                               template=random_template(rng, cfg.N))
     pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p, policy, seed=1)
-    assert sorted(len(g) for g in pilots.groups) == [2, 2, 3]
+    assert np.bincount(pilots.set_of).tolist() == [2, 2, 3]
     assert phases.var_sum > 0
     stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
     terms = cf.TraceTerms.compute(net, stats, pilots)
@@ -352,7 +352,7 @@ def test_copilot_traces_are_rank_one_in_the_factors(policy):
     pair = terms.x[:, None] * terms.x[None]  # (K, K, L)
     for ref, s in ((np.einsum("kilnn->kil", Q_cross), terms.s2),
                    (np.einsum("kilab,ba->kil", Q_cross, net.template), terms.s3)):
-        got = copilot * pair * s[:, None]
+        got = copilot * pair * s[pilots.set_of][:, None]
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     # the diagonal gives the private traces
     for got, ref in ((terms.tr_Q, np.einsum("klnn->kl", Q)),
@@ -413,7 +413,7 @@ def test_copilot_blocks_match_dense_references_on_uneven_groups():
 
     for policy in ("round_robin", "random"):
         pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p, policy, seed=1)
-        assert sorted(len(g) for g in pilots.groups) == [2, 2, 3]
+        assert np.bincount(pilots.set_of).tolist() == [2, 2, 3]
         stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
         terms = cf.TraceTerms.compute(net, stats, pilots)
         _, Q, Q_cross, _ = per_link_statistics(net, pilots, phases, cfg)
@@ -431,7 +431,7 @@ def test_copilot_blocks_match_dense_references_on_uneven_groups():
         # tr(Q_cross[k,i,l]) = c[k,l] c[i,l] on co-pilot pairs, in the
         # program's factor c and set index
         problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.5)
-        copilot = problem.sets[:, None] == problem.sets[None, :]
+        copilot = pilots.set_of[:, None] == pilots.set_of[None, :]
         assert close(copilot[..., None] * problem.c[:, None] * problem.c[None], tr_Qc)
         plan = cf.make_plan(terms, *opt.MAXMIN_SCHEME)
         n_ea, n_eu = cf.decay_pair(phases, cfg, problem.instant)
@@ -598,26 +598,24 @@ def test_trace_terms_sparsity(desk):
     # pilots: sizes 3, 2, 2)
     uneven = random_instance(np.random.default_rng(4), L=3, K=7, N=2, tau_p=3)
     for cfg, net, pilots, phases, stats, terms in (desk, uneven):
-        # one stack per distinct set size, in increasing size order, with no
-        # padding: the stacks' rows are the co-pilot sets, each once
-        sizes = sorted({len(g) for g in pilots.groups})
-        assert [idx.shape[1] for idx in terms.stacks] == sizes
-        assert terms.stacks is pilots.stacks
-        assert sorted(tuple(row) for idx in terms.stacks for row in idx.tolist()) \
-            == sorted(pilots.groups)
+        # the terms number the sets by the pilot assignment itself
+        assert terms.pilots is pilots
         # no co-pilot pair is stored: every co-pilot block is rank 1 in the
-        # (K, L) factor x, and s2 and s3 are equal within each set
-        K, L = net.K, net.L
-        assert [terms.x.shape, terms.s2.shape, terms.s3.shape] == [(K, L)] * 3
+        # (K, L) factor x, and every per-set array has one row per set
+        K, L, N = net.K, net.L, net.N
+        S = len(np.unique(pilots.t))
+        problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.5)
+        assert stats.Psi.shape == (S, L, N)
+        for per_set in (terms.s2, terms.s3, problem.ratio, problem.y_ones):
+            assert per_set.shape == (S, L)
+        for per_ue in (stats.x, stats.nmse_mmse, stats.nmse_ls, terms.x, terms.tr_Q,
+                       terms.tr_QT, problem.c):
+            assert per_ue.shape == (K, L)
         assert terms.x is stats.x
-        for s in (terms.s2, terms.s3):
-            for idx in terms.stacks:
-                assert np.array_equal(s[idx], np.broadcast_to(s[idx[:, :1]], s[idx].shape))
         # the terms hold the network's gains themselves, not a copy
         assert terms.beta is net.beta
         # neither the statistics, the terms nor the max-min program hold an
         # array with two co-pilot axes or two UE axes
-        problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.5)
         assert problem.terms is terms
         held = {}
         for owner in (stats, terms, problem):
@@ -625,7 +623,7 @@ def test_trace_terms_sparsity(desk):
                 for a in (value if isinstance(value, tuple) else (value,)):
                     if isinstance(a, np.ndarray):
                         held.setdefault(name, []).append(a.shape)
-        pair_shapes = [(S, g, g) for S, g in (idx.shape for idx in pilots.stacks)]
+        pair_shapes = [(n, g, g) for n, g in (idx.shape for idx in pilots.stacks)]
         for name, shapes in held.items():
             for shape in shapes:
                 assert not any(shape[i:i + 3] in pair_shapes
@@ -633,7 +631,7 @@ def test_trace_terms_sparsity(desk):
                 if K not in (L, net.N):
                     assert shape.count(K) <= 1, (name, shape)
                 assert shape not in ((K, K * L), (L, K, K)), (name, shape)
-        assert held["c"] == [(K, L)] and held["y_ones"] == [(len(pilots.groups), L)]
+        assert held["c"] == [(K, L)] and held["y_ones"] == [(S, L)]
 
 
 def test_more_aps_shrink_ap_drift_penalty():

@@ -37,28 +37,52 @@ def single_link_network(beta: float, N: int = 1) -> NetworkModel:
 
 def test_round_robin_orthogonal_when_enough_pilots():
     pa = cfrs.assign_pilots(4, 4)
-    assert all(len(g) == 1 for g in pa.groups)
+    assert [idx.shape for idx in pa.stacks] == [(4, 1)]
+    assert pa.set_of.tolist() == [0, 1, 2, 3]
 
 
 def test_round_robin_contamination_groups():
     pa = cfrs.assign_pilots(8, 4)
-    assert (0, 4) in pa.groups  # UE 1 and UE 5 share the first instant
+    assert [0, 4] in pa.stacks[0].tolist()  # UE 1 and UE 5 share the first instant
     assert pa.t[0] == pa.t[4] and pa.t[0] != pa.t[1]
+    assert pa.set_of[0] == pa.set_of[4] != pa.set_of[1]
 
 
-def test_groups_partition_exhaustive():
-    for K in range(1, 33):
-        for tau_p in range(1, K + 1):
-            pa = cfrs.assign_pilots(K, tau_p)
-            members = sorted(k for g in pa.groups for k in g)
-            assert members == list(range(K))
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        K = int(rng.integers(1, 33))
-        tau_p = int(rng.integers(1, K + 1))
-        pa = cfrs.assign_pilots(K, tau_p, policy="random", seed=int(rng.integers(1e9)))
-        members = sorted(k for g in pa.groups for k in g)
-        assert members == list(range(K))
+def check_set_numbering(pa):
+    """Every UE is in exactly one set, ``set_of`` and ``stacks`` agree, the
+    sets are numbered by size and then by pilot instant, and ``set_sums``
+    adds each set's UEs."""
+    K = pa.K
+    rows = [row for idx in pa.stacks for row in idx.tolist()]
+    assert sorted(k for row in rows for k in row) == list(range(K))
+    for s, row in enumerate(rows):
+        assert row == sorted(row)
+        assert [pa.set_of[k] for k in row] == [s] * len(row)
+        # a set is the UEs of one pilot instant, all of them
+        assert row == np.flatnonzero(pa.t == pa.t[row[0]]).tolist()
+    assert [(len(row), pa.t[row[0]]) for row in rows] == sorted(
+        (len(row), pa.t[row[0]]) for row in rows)
+    # one stack per set size, in increasing size order
+    sizes = [idx.shape[1] for idx in pa.stacks]
+    assert sizes == sorted(set(sizes))
+    a = np.random.default_rng(K).random((K, 3))
+    want = np.zeros((len(rows), 3))
+    for k in range(K):
+        want[pa.set_of[k]] += a[k]
+    assert np.allclose(pa.set_sums(a), want, rtol=1e-15, atol=0)
+
+
+def test_set_numbering_partitions_and_orders_the_sets():
+    for policy in ("round_robin", "random"):
+        for K in range(1, 33):
+            for tau_p in range(1, K + 1):
+                check_set_numbering(cfrs.assign_pilots(K, tau_p, policy, seed=K * 100 + tau_p))
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            K = int(rng.integers(1, 65))
+            tau_p = int(rng.integers(1, K + 9))
+            check_set_numbering(
+                cfrs.assign_pilots(K, tau_p, policy, seed=int(rng.integers(1e9))))
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +146,16 @@ def test_a_drift_that_leaves_no_estimate_is_named():
     assert np.all(np.isfinite(stats.nmse_ls)) and np.all(stats.Q.sum(axis=(0, 2)) > 0)
 
 
+@pytest.mark.parametrize("K, tau_p", [(2, 1), (2, 6), (3, 2)])
+def test_statistics_reject_pilots_of_another_system(desk, K, tau_p):
+    # the desk has K = 2 and tau_p = 2: pilots for another tau_p would count
+    # the drift to their own tau_p + 1, not to the config's estimation instant
+    cfg, net, _, phases, _, _ = desk
+    with pytest.raises(ValueError, match=rf"K = {K}, pilots.tau_p = {tau_p}\).*"
+                                         rf"K = 2 and config.tau_p = 2"):
+        cfrs.estimation_statistics(net, cfrs.assign_pilots(K, tau_p), phases, cfg)
+
+
 def test_ls_never_beats_mmse_on_random_instances():
     rng = np.random.default_rng(42)
     for _ in range(100):
@@ -178,11 +212,9 @@ def test_statistics_invariants_random_instances(desk):
         blocks = rank1_q_cross(net, pilots, stats)
         # Q_cross collapses to Q on the diagonal
         assert np.allclose(np.einsum("kkln->kln", blocks), stats.Q, rtol=1e-12)
-        # trace symmetry within pilot groups (real, equal traces): Psi is
-        # the same for every member of a set
-        for idx in pilots.stacks:
-            assert np.array_equal(stats.Psi[idx], np.broadcast_to(
-                stats.Psi[idx[:, :1]], stats.Psi[idx].shape))
+        # one Psi per co-pilot set
+        assert stats.Psi.shape == (len(np.unique(pilots.t)), net.L, net.N)
+        # trace symmetry within pilot groups (real, equal traces)
         tr = blocks.sum(axis=-1)
         assert np.isrealobj(tr)
         assert np.allclose(tr, np.swapaxes(tr, 0, 1), rtol=1e-9)
@@ -195,7 +227,7 @@ def test_batched_statistics_match_per_link_loop():
         K = int(rng.integers(3, 6))
         cfg, net, pilots, phases, stats, _ = random_instance(
             rng, K=K, tau_p=int(rng.integers(1, K)))
-        assert max(len(g) for g in pilots.groups) > 1
+        assert np.bincount(pilots.set_of).max() > 1
         cfg = dataclasses.replace(cfg, p_pilot=tuple(rng.uniform(0.05, 0.2, cfg.K)))
         # distinct gains (the path loss is flat near an AP), and a generic
         # complex template with distinct eigenvalues, so that the eigenbasis
@@ -205,7 +237,8 @@ def test_batched_statistics_match_per_link_loop():
         stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
         ref = per_link_statistics(net, pilots, phases, cfg)
         Q_cross = rank1_q_cross(net, pilots, stats)
-        got = [from_eigenbasis(net, x) for x in (stats.Psi, stats.Q, Q_cross)]
+        got = [from_eigenbasis(net, x)
+               for x in (stats.Psi[pilots.set_of], stats.Q, Q_cross)]
         for got, want in zip(got + [stats.nmse_ls], ref):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -220,21 +253,25 @@ def test_stacked_statistics_match_per_link_loop_on_uneven_sets(policy):
     net = dataclasses.replace(net, beta=10 ** rng.uniform(-10, -8, net.beta.shape),
                               template=random_template(rng, cfg.N))
     pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p, policy, seed=1)
-    assert sorted(len(g) for g in pilots.groups) == [2, 2, 3]
+    # the sets in pilot-instant order
+    groups = [np.flatnonzero(pilots.t == inst).tolist() for inst in np.unique(pilots.t)]
+    assert sorted(len(g) for g in groups) == [2, 2, 3]
     if policy == "random":
-        firsts = [g[0] for g in pilots.groups]
+        firsts = [g[0] for g in groups]
         assert firsts != sorted(firsts)
     # one (S, g) index stack per set size, in increasing size order, its rows
     # the sets of that size in pilot-instant order, with no padding
-    sizes_2 = [list(g) for g in pilots.groups if len(g) == 2]
-    sizes_3 = [list(g) for g in pilots.groups if len(g) == 3]
+    sizes_2 = [g for g in groups if len(g) == 2]
+    sizes_3 = [g for g in groups if len(g) == 3]
     assert [idx.tolist() for idx in pilots.stacks] == [sizes_2, sizes_3]
     stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
     # no co-pilot pair is stored: the blocks are rank 1 in the (K, L) factor x
     assert stats.x.shape == (cfg.K, cfg.L)
     ref = per_link_statistics(net, pilots, phases, cfg)
     Q_cross = rank1_q_cross(net, pilots, stats)
-    got = [from_eigenbasis(net, x) for x in (stats.Psi, stats.Q, Q_cross)]
+    # one Psi per set, in set order
+    assert stats.Psi.shape == (3, cfg.L, cfg.N)
+    got = [from_eigenbasis(net, x) for x in (stats.Psi[pilots.set_of], stats.Q, Q_cross)]
     for got, want in zip(got + [stats.nmse_ls], ref):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -263,19 +300,19 @@ def test_rejects_non_hermitian_correlation():
 
 def test_batch_estimates_match_single_realization_path(desk, desk_instants, desk_arrays):
     cfg, net, pilots, phases, stats, _ = desk
-    group_of = {k: g for g, grp in enumerate(pilots.groups) for k in grp}
     # the pilot signal of the batch's first two chunks, redrawn with its
     # seed, each chunk into a workspace of its own
     draw = mc._ChunkDraw(net, pilots, phases, cfg, DESK_DRAW["count"],
                          DESK_DRAW["seed"], desk_instants)
     z = np.concatenate([draw(chunk, mc._Workspace())[1] for chunk in range(2)],
                        axis=-1)
-    filters = mmse_filters(net, stats)
+    filters = mmse_filters(net, pilots, stats)
     for r in (0, 123, 4567):
         for k in range(cfg.K):
             for l in range(cfg.L):
-                # one realization's estimate: the filter applied to its pilot signal
-                direct = np.conj(net.theta[k, l]) * filters[k, l] * z[group_of[k], l, :, r]
+                # one realization's estimate: the filter applied to its set's pilot signal
+                direct = (np.conj(net.theta[k, l]) * filters[k, l]
+                          * z[pilots.set_of[k], l, :, r])
                 assert np.allclose(direct, desk_arrays.hhat[k, l, :, r], rtol=1e-12)
 
 
@@ -319,7 +356,7 @@ def test_filter_matrices_reduce_to_classic_mmse_without_phase_noise():
     pilots = cfrs.assign_pilots(1, 1)
     phases = cfrs.PhaseStatistics(0.0, 0.0)
     stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
-    filt = mmse_filters(net, stats)
+    filt = mmse_filters(net, pilots, stats)
     p = cfg.pilot_powers()[0]
     R = dense_R(net)[0, 0]
     classic = np.sqrt(p) * R @ np.linalg.inv(p * R + cfg.sigma2_ul * np.eye(2))

@@ -108,16 +108,30 @@ def test_batch_keeps_the_estimation_and_requested_instants(desk):
         assert np.all(np.abs(np.abs(factor) - 1.0) <= 1e-15)
 
 
-def test_a_chunk_is_drawn_in_a_fixed_order_into_realization_last_arrays(desk, desk_instants):
-    # chunk 0 of the desk draw, redrawn by hand from its own SFC64 stream in
-    # the order h real, h imaginary, ue, ap, z, each in the C order of its
-    # shape with the realizations first
-    cfg, net, pilots, phases, stats, _ = desk
+def uneven_setup():
+    """10/5/3/3 (L/K/N/tau_p), exponential correlation: round-robin pilots
+    give co-pilot sets of sizes 2, 2 and 1 at instants 1, 2 and 3, so the
+    set order (by size, then by instant) differs from the instant order."""
+    cfg = cfrs.SystemConfig(L=10, K=5, N=3, tau_p=3, tau_c=20, seed=2,
+                            correlation="exponential", corr_r=0.6)
+    net = cfrs.build_network(cfg)
+    pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p)
+    phases = cfrs.PhaseStatistics.from_config(cfg)
+    stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
+    return cfg, net, pilots, phases, stats
+
+
+def check_chunk_draw(cfg, net, pilots, phases, instants, count, sets):
+    """Redraw chunk 0 by hand from its own SFC64 stream in the order h real,
+    h imaginary, ue, ap, z, each in the C order of its shape with the
+    realizations first, and check the draw against it; ``sets`` lists the
+    UEs of z's rows in order."""
     seed = DESK_DRAW["seed"]
-    draw = mc._ChunkDraw(net, pilots, phases, cfg, DESK_DRAW["count"], seed, desk_instants)
+    draw = mc._ChunkDraw(net, pilots, phases, cfg, count, seed, instants)
     h, z, ue, ap = draw(0, mc._Workspace())
-    K, L, N, G = draw.shape
-    M, c = len(draw.needed), mc.RNG_CHUNK
+    K, L, N, S = draw.shape
+    assert S == len(sets)
+    M, c = len(draw.needed), min(count, mc.RNG_CHUNK)
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0,))))
 
     def complex_normal(shape):
@@ -135,15 +149,26 @@ def test_a_chunk_is_drawn_in_a_fixed_order_into_realization_last_arrays(desk, de
         # the paths are the cumulative sums of the scaled steps, realizations last
         assert path.shape == (rows, M, c)
         assert np.array_equal(path, np.moveaxis(np.cumsum(steps, axis=2), 0, -1))
-    expected = complex_normal((G, L, N)) * np.sqrt(cfg.sigma2_ul)
+    expected = complex_normal((S, L, N)) * np.sqrt(cfg.sigma2_ul)
     p = cfg.pilot_powers()
-    for g, group in enumerate(pilots.groups):
-        for i in group:
+    for s, members in enumerate(sets):
+        for i in members:
             m = draw.needed.index(int(pilots.t[i]))
             rot = np.sqrt(p[i]) * net.theta[i][:, None] * np.exp(1j * (ue[i, m] + ap[:, m]))
-            expected[g] += rot[:, None] * h[i]
-    assert z.shape == (G, L, N, c)
+            expected[s] += rot[:, None] * h[i]
+    assert z.shape == (S, L, N, c)
     assert np.allclose(z, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+def test_a_chunk_is_drawn_in_a_fixed_order_into_realization_last_arrays(desk, desk_instants):
+    # z's rows are the co-pilot sets by size, then by pilot instant: on the
+    # desk one UE per instant, on the uneven system UE 2 alone at instant 3
+    # before UEs 0, 3 at instant 1 and UEs 1, 4 at instant 2
+    cfg, net, pilots, phases, _, _ = desk
+    check_chunk_draw(cfg, net, pilots, phases, desk_instants, DESK_DRAW["count"], [[0], [1]])
+    cfg, net, pilots, phases, _ = uneven_setup()
+    check_chunk_draw(cfg, net, pilots, phases, (cfg.estimation_instant, cfg.tau_c), 500,
+                     [[2], [0, 3], [1, 4]])
 
 
 def test_oracle_uses_the_callers_estimation_statistics(desk, monkeypatch):
@@ -161,13 +186,23 @@ def test_oracle_uses_the_callers_estimation_statistics(desk, monkeypatch):
     assert np.all(np.isfinite(res.private)) and np.all(res.private > 0)
 
 
+@pytest.mark.parametrize("K, tau_p", [(2, 1), (2, 6), (3, 2)])
+def test_sample_batch_rejects_pilots_of_another_system(desk, K, tau_p):
+    # the oracle draws the pilots up to the config's estimation instant
+    cfg, net, _, phases, stats, terms = desk
+    plan = cf.make_plan(terms, "du_mr", "coherent", 0.5)
+    with pytest.raises(ValueError, match=rf"K = {K}, pilots.tau_p = {tau_p}\).*"
+                                         rf"K = 2 and config.tau_p = 2"):
+        cfrs.sample_batch(net, cfrs.assign_pilots(K, tau_p), stats, phases, cfg, 200, seed=1,
+                          plans=[plan])
+
+
 def test_zero_phase_variance_gives_classic_mmse_estimates():
     cfg, net, pilots, phases, stats, _ = small_setup(var=0.0)
     (_, hhat, z, _, _), = drawn_chunks(net, pilots, stats, phases, cfg, 500, 3, ())
     assert z.shape[-1] == 500  # one chunk holds every realization
     R = dense_R(net)
     p = cfg.pilot_powers()
-    group_of = {k: g for g, grp in enumerate(pilots.groups) for k in grp}
     for k in range(cfg.K):
         members = [i for i in range(cfg.K) if pilots.t[i] == pilots.t[k]]
         for l in range(cfg.L):
@@ -179,7 +214,7 @@ def test_zero_phase_variance_gives_classic_mmse_estimates():
                 * R[k, l] @ np.linalg.inv(cov)
             )
             # the pilot signal and the estimates are in T's eigenbasis
-            expected = to_eigenbasis(net, classic) @ z[group_of[k], l]
+            expected = to_eigenbasis(net, classic) @ z[pilots.set_of[k], l]
             assert np.allclose(expected, hhat[k, l], rtol=1e-10)
 
 
@@ -734,7 +769,7 @@ def test_no_workspace_array_has_two_ue_axes_and_an_ap_axis(monkeypatch):
     # co-pilots' precoders are scaled copies of one filtered observation, so
     # the link products have one column per co-pilot set: no (K, K, L, r)
     cfg, net, pilots, phases, stats, terms = small_setup(seed=3, L=10, K=5, N=3, tau_p=3)
-    assert max(len(group) for group in pilots.groups) > 1
+    assert np.bincount(pilots.set_of).max() > 1
     count = 1000
     lengths = {mc.RNG_CHUNK, count} | {sl.stop - sl.start for pieces in
                                        mc._chunk_slices(count, net.K, net.L)[1]
@@ -747,7 +782,7 @@ def test_no_workspace_array_has_two_ue_axes_and_an_ap_axis(monkeypatch):
                       instants=[cfg.tau_c], plans=plans)
     shapes = {shape for ws in built for shape in ws.shapes}
     assert not [shape for shape in shapes if shape.count(net.K) >= 2 and net.L in shape]
-    assert (net.K, len(pilots.groups), net.L, 100) in shapes  # the link products Y
+    assert (net.K, len(stats.Psi), net.L, 100) in shapes  # the link products Y
 
 
 def test_a_short_pass_sizes_its_workspace_for_its_own_chunk(desk, monkeypatch):
@@ -845,7 +880,7 @@ def test_mc_matches_closed_form_under_pilot_contamination():
     cfg, net, pilots, phases, stats, terms = small_setup(
         seed=6, L=3, K=4, tau_p=2, var=1.2e-3
     )
-    assert any(len(g) > 1 for g in pilots.groups)
+    assert np.bincount(pilots.set_of).max() > 1
     n = cfg.estimation_instant + 4
     plans = {(transmission, scheme): cf.make_plan(terms, scheme, transmission, 0.5)
              for transmission in cf.TRANSMISSIONS for scheme in cf.PRIVATE_SCHEMES}
@@ -953,7 +988,7 @@ def check_factored_accumulation():
     theta = np.exp(2j * np.pi * np.random.default_rng(0).random((cfg.K, cfg.L)))
     net = dataclasses.replace(cfrs.build_network(cfg), theta=theta)
     pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p)
-    assert any(len(g) > 1 for g in pilots.groups)
+    assert np.bincount(pilots.set_of).max() > 1
     stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
     terms = cf.TraceTerms.compute(net, stats, pilots)
     instants = [cfg.estimation_instant, cfg.estimation_instant + 6, cfg.tau_c]
@@ -1024,21 +1059,15 @@ def test_jackknife_assembles_every_mean_as_its_own_call_would(desk, desk_batch, 
 def test_copilot_precoders_are_scaled_copies_of_one_filtered_observation():
     # v_du[i] = x[i] u[P_i]: the pass's one filtered observation per co-pilot
     # set gives the reference estimator's DU precoders, on uneven sets
-    cfg = cfrs.SystemConfig(L=10, K=5, N=3, tau_p=3, tau_c=20, seed=2,
-                            correlation="exponential", corr_r=0.6)
-    net = cfrs.build_network(cfg)
-    pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p)
-    assert sorted(len(group) for group in pilots.groups) == [1, 2, 2]
-    phases = cfrs.PhaseStatistics.from_config(cfg)
-    stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
+    cfg, net, pilots, phases, stats = uneven_setup()
+    assert np.bincount(pilots.set_of).tolist() == [1, 2, 2]
     (_, hhat, z, _, _), = drawn_chunks(net, pilots, stats, phases, cfg, 500, 3, ())
     sets = mc._CopilotSets(pilots, stats, net.lam)
     for k in range(cfg.K):
-        assert k in pilots.groups[sets.rows[sets.of[k]]]
         assert sets.order[sets.rank[k]] == k
-    u = sets.filter(z, np.empty((len(pilots.groups), *z.shape[1:]), dtype=complex))
+    u = sets.filter(z, np.empty(z.shape, dtype=complex))
     v = private_precoders(hhat, net, "du_mr")
-    scaled = stats.x[..., None, None] * u[sets.of]
+    scaled = stats.x[..., None, None] * u[pilots.set_of]
     assert np.max(np.abs(v - scaled)) <= 1e-14 * np.max(np.abs(v))
 
 

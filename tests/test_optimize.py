@@ -96,7 +96,7 @@ def test_orthogonal_pilots_make_blocks_diagonal():
         K=2, tau_p=2, L=3
     )
     # one singleton set per UE: y is a reordering of the weights times c
-    assert sorted(problem.sets.tolist()) == list(range(cfg.K))
+    assert sorted(pilots.set_of.tolist()) == list(range(cfg.K))
     b, Theta, H, M = dense_maxmin_matrices(net, pilots, phases, cfg)
     for l in range(cfg.L):
         assert np.all(Theta[l] - np.diag(np.diag(Theta[l])) == 0)
@@ -187,9 +187,9 @@ def test_split_is_canonical():
         # re-split within each set at fixed Omega[P,l] = sum_{i in P} w x
         r = w * rng.uniform(0.1, 10, size=w.shape)
         omega_w, omega_r = (np.zeros(problem.y_ones.shape) for _ in range(2))
-        np.add.at(omega_w, problem.sets, w * terms.x)
-        np.add.at(omega_r, problem.sets, r * terms.x)
-        r = r * (omega_w / omega_r)[problem.sets]
+        np.add.at(omega_w, pilots.set_of, w * terms.x)
+        np.add.at(omega_r, pilots.set_of, r * terms.x)
+        r = r * (omega_w / omega_r)[pilots.set_of]
         same = []
         for v in (w, r):
             plan = cf.make_plan(terms, *opt.MAXMIN_SCHEME, 0.5, weights=v, unit_eta=True)
@@ -198,7 +198,7 @@ def test_split_is_canonical():
         for got, want in zip(*same):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     res = opt.robust_common_precoding(problem)
-    for idx in terms.stacks:
+    for idx in pilots.stacks:
         members = res.weights[idx]  # (S, g, L)
         assert np.array_equal(members, np.broadcast_to(members[:, :1], members.shape))
     plan = cf.make_plan(terms, *opt.MAXMIN_SCHEME, 0.5, weights=res.weights, unit_eta=True)
@@ -218,7 +218,7 @@ def test_weights_on_the_power_boundary_meet_the_budget_exactly():
         weights = problem.weights(y)
         assert np.all(cf.common_power(terms, weights) <= 1.0)
         # only rounding is undone: the split stays the division's
-        divided = (y / problem.y_ones)[problem.sets]
+        divided = (y / problem.y_ones)[pilots.set_of]
         assert np.max(np.abs(weights - divided) / divided) <= 4 * np.finfo(float).eps
 
 
@@ -254,7 +254,7 @@ def test_block_products_match_dense_reference():
                             correlation="exponential", corr_r=0.6)
     net = cfrs.build_network(cfg)
     pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p)
-    assert sorted(len(g) for g in pilots.groups) == [2, 2, 3]
+    assert np.bincount(pilots.set_of).tolist() == [2, 2, 3]
     phases = cfrs.PhaseStatistics(1e-3, 2e-3)
     stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
     terms = cf.TraceTerms.compute(net, stats, pilots)
@@ -268,7 +268,7 @@ def test_block_products_match_dense_reference():
         assert np.max(np.abs(problem.sinr(y) - want)) <= 1e-12 * np.max(want)
         e, ey, norm, grad = opt._cone_terms(problem, y)
         # e and the gradient in a by the chain rule dy[P,l]/da[i,l] = c[i,l]
-        e, grad = ((v[:, problem.sets] * problem.c).transpose(0, 2, 1).reshape(cfg.K, -1)
+        e, grad = ((v[:, pilots.set_of] * problem.c).transpose(0, 2, 1).reshape(cfg.K, -1)
                    for v in (e, grad))
         for got, ref in zip((e, ey, norm, grad), dense_cone_terms(problem, b, H, M, a)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
