@@ -488,14 +488,17 @@ def run_scheme(
         )
         mc = montecarlo.mc_sinr(batch, plan, mid)
         i = mid - cfg.estimation_instant  # the report's columns start at lambda
-        closed_p, closed_c = report.sinr_private[:, i], report.sinr_common[:, i]
-        extras["mc_rel_err_private"] = float(
-            np.max(np.abs(mc.private - closed_p) / np.maximum(closed_p, 1e-30))
-        )
+        streams = [("private", mc.private, report.sinr_private[:, i])]
         if plan.rho > 0:
-            extras["mc_rel_err_common"] = float(
-                np.max(np.abs(mc.common - closed_c) / np.maximum(closed_c, 1e-30))
-            )
+            streams.append(("common", mc.common, report.sinr_common[:, i]))
+        for stream, est, closed in streams:
+            # a relative error against a closed-form SINR at or below the
+            # 1e-30 floor says nothing, so those UEs are left out, and the
+            # column stays blank when every UE is
+            above = closed > 1e-30
+            if above.any():
+                extras[f"mc_rel_err_{stream}"] = float(
+                    np.max(np.abs(est[above] - closed[above]) / closed[above]))
     return report, extras
 
 

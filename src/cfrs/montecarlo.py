@@ -42,19 +42,23 @@ returns (``RealizationBatch``) holds only the count, the instants, the
 config and, for each of those plans, its per-group sums of every term.
 One streamed pass (``_stream``) runs draw -> precode -> accumulate inside
 each RNG chunk, and each worker runs its chunks in one workspace
-(``_Workspace``) that it holds for the whole pass: named buffers, each
-allocated on first use and grown to the largest layout asked of it, and
-one scratch buffer that the transient products share.  Every array with
-a realization axis is a view into it, filled through ``out=``, and has
-its realization axis last, so a pass allocates no such array per chunk
-or per slice and its memory does not grow with the realization count.
-The chunk is drawn (``_ChunkDraw``) and every kept phase becomes its
-unit-modulus factor exp(-i phase) with one cos/sin evaluation; then the
-chunk is cut at the jackknife group edges and into slices of at most
-about ``_WORK_ELEMENTS`` / (K^2 L) realizations (at least 64, see
+(``_Workspace``) that it holds for the whole pass.  The workspace names
+only the arrays that outlive a step: the chunk's channels h and pilot
+signal z, its UE and AP phase factors eu and ea, and a slice's link
+products Y and common products E, each allocated on first use and grown
+to the largest layout asked of it.  Every other array is a view of the
+one scratch buffer, in the layout its step takes (``_scratch_layouts``).
+Every array with a realization axis is a view into the workspace, filled
+through ``out=``, and has its realization axis last, so a pass allocates
+no such array per chunk or per slice and its memory does not grow with
+the realization count.  The chunk is drawn (``_ChunkDraw``) and every
+kept phase becomes its unit-modulus factor exp(-i phase) with one cos/sin
+evaluation, over the phase path it is formed from; then the chunk is cut
+at the jackknife group edges and into slices of at most about
+``_WORK_ELEMENTS`` / (K^2 L) realizations (at least 64, see
 ``_chunk_slices``).  Each slice filters its slice of the pilot signal
-into the S co-pilot sets' observations u with one product, and its work
-is shared at three levels (see ``_accumulate``):
+into the S co-pilot sets' observations u with one product, in place, and
+its work is shared at three levels (see ``_accumulate``):
 
 * once per slice, whatever the plans: the (K, S, L, r) link products
   Y[k,P,l] = sum_n conj(theta h)[k,l,n] u[P,l,n], through which every
@@ -309,11 +313,14 @@ class _ChunkDraw:
     (K, L, N, c) in T's eigenbasis, the received pilot signal z (S, L, N, c)
     per co-pilot set in set order, and the UE (K, M', c) and AP (L, M', c)
     phase paths
-    at the M' instants ``_phase_instants(pilots, config, instants)``.  The
-    draws are made in the order h, ue, ap, z, each in the C order of its
+    at the M' instants ``_phase_instants(pilots, config, instants)``, of
+    which the last ``kept`` are the estimation instant and those after it.
+    The draws are made in the order h, ue, ap, z, each in the C order of its
     shape with the realization axis moved first; a path is the cumulative
-    sum of its sd-scaled increments over the instants.  A later call
-    overwrites what an earlier one wrote into the same workspace.
+    sum of its sd-scaled increments over the instants, written into the
+    float view of the buffer ("eu" or "ea") that the pass turns into its
+    phase factors (see ``_stream``).  A later call overwrites what an
+    earlier one wrote into the same workspace.
     """
 
     def __init__(self, net: NetworkModel, pilots: PilotAssignment, phases: PhaseStatistics,
@@ -323,6 +330,7 @@ class _ChunkDraw:
         self.shape = K, L, N, sum(len(idx) for idx in pilots.stacks)
         self.set_of = pilots.set_of
         self.needed = _phase_instants(pilots, config, instants)
+        self.kept = len(self.needed) - self.needed.index(config.estimation_instant)
         gaps = np.diff([0] + self.needed)
         self.sd_ue = np.sqrt(phases.var_ue * gaps)
         self.sd_ap = np.sqrt(phases.var_ap * gaps)
@@ -338,16 +346,18 @@ class _ChunkDraw:
         K, L, N, S = self.shape
         M = len(self.needed)
         c = min(RNG_CHUNK, self.count - chunk * RNG_CHUNK)
+        scratch = _scratch_layouts(self, c)
         rng = np.random.Generator(
             np.random.SFC64(np.random.SeedSequence(self.seed, spawn_key=(chunk,)))
         )
         h = _complex_normal(rng, ws.get("h", ((K, L, N, c), complex)),
-                            ws.get("scratch", ((c, K, L, N), float)))
+                            ws.get("scratch", *scratch["h"]))
         h *= self.sd
         paths = []
-        for name, rows, sd in (("ue", K, self.sd_ue), ("ap", L, self.sd_ap)):
-            steps = rng.standard_normal(out=ws.get("scratch", ((c, rows, M), float)))
-            path = ws.get(name, ((rows, M, c), float))
+        for steps_of, factor, rows, sd in (("ue steps", "eu", K, self.sd_ue),
+                                           ("ap steps", "ea", L, self.sd_ap)):
+            steps = rng.standard_normal(out=ws.get("scratch", *scratch[steps_of]))
+            path = ws.get(factor, ((rows, M, c), float))
             for j in range(M):
                 np.multiply(steps[:, :, j].T, sd[j], out=path[:, j])
                 if j:
@@ -355,12 +365,9 @@ class _ChunkDraw:
             paths.append(path)
         ue, ap = paths
         z = _complex_normal(rng, ws.get("z", ((S, L, N, c), complex)),
-                            ws.get("scratch", ((c, S, L, N), float)))
+                            ws.get("scratch", *scratch["z"]))
         z *= self.sq_sigma2
-        # the angle and the factor exp(i angle) (L, c) of one UE's phases,
-        # and its transmission (L, N, c)
-        angle, rot, sent = ws.get("scratch", ((L, c), float), ((L, c), complex),
-                                  ((L, N, c), complex))
+        angle, rot, sent = ws.get("scratch", *scratch["pilot"])
         for i, m in enumerate(self.pilot_columns):
             # each set's transmissions accumulate on top of its noise, in UE order
             _phasor(np.add(ue[i, m], ap[:, m], out=angle), out=rot)
@@ -444,7 +451,8 @@ class _CopilotSets:
 
     def filter(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The filtered observations u (S, L, N, r) of the pilot signal z
-        (S, L, N, r), any r realizations of a draw, written into ``out``."""
+        (S, L, N, r), any r realizations of a draw, written into ``out``,
+        which may be z itself."""
         return np.multiply(self.filters, z, out=out)
 
 
@@ -480,18 +488,44 @@ def _chunk_slices(count: int, K: int, L: int) -> tuple[np.ndarray, list[list[tup
     return np.diff(edges), chunks
 
 
-def _largest_scratch(draw: _ChunkDraw, S: int, c: int, r: int) -> list[tuple]:
-    """The largest scratch layout a pass asks for, with chunks of at most c
-    and slices of at most r realizations: the draw's channel fill, its
-    phase steps or its pilot transmissions, or a slice's link products,
-    common precoder or coherent interference.  Every other scratch request
-    takes no more bytes than one of these."""
-    K, L, N, _ = draw.shape
-    M = len(draw.needed)
-    return max(([((c, K, L, N), float)], [((c, max(K, L), M), float)],
-                [((L, c), float), ((L, c), complex), ((L, N, c), complex)],
-                [((K, S, L, r), complex)], [((L, N, r), complex)], [((K, K, r), complex)]),
-               key=lambda layout: _Workspace.nbytes(*layout))
+def _scratch_layouts(draw: _ChunkDraw, c: int, r: int = 0) -> dict[str, tuple]:
+    """Every layout a pass asks of a workspace's scratch buffer, by step,
+    for chunks of c and slices of r realizations (the draw's steps do not
+    read r).
+
+    A step asks for its layout when it starts and reads nothing that an
+    earlier step left in the buffer.  The views of one layout are in use at
+    the same time, so each has its own region, except where noted.
+    ``_stream`` sizes the buffer for the largest layout of its longest
+    chunk and slice, and asks for that first.
+    """
+    K, L, N, S = draw.shape
+    drawn, M = len(draw.needed), draw.kept
+    return {
+        # the draw: the real parts of the channels and of the pilot noise,
+        # the phase steps, and one UE's pilot angle, its factor exp(i angle)
+        # and its transmission
+        "h": (((c, K, L, N), float),),
+        "ue steps": (((c, K, drawn), float),),
+        "ap steps": (((c, L, drawn), float),),
+        "z": (((c, S, L, N), float),),
+        "pilot": (((L, c), float), ((L, c), complex), ((L, N, c), complex)),
+        # the negated phases at the kept instants, from which a chunk forms
+        # its phase factors
+        "-ue": (((K, M, c), float),),
+        "-ap": (((L, M, c), float),),
+        # a slice (``_accumulate``): the link products' work; the common
+        # precoder v_c and its work; the common products' work; and at each
+        # instant the phase products, the coherent precoders w (whose
+        # region first holds the desired-signal products, which are summed
+        # before w is formed), the coherent interference c and its work, and
+        # the common one ec and its work
+        "Y": (((K, S, L, r), complex),),
+        "v_c": (((L, N, r), complex), ((L, N, r), complex)),
+        "e": (((K, L, r), complex),),
+        "instants": (((K, L, r), complex), ((K, L, r), complex), ((K, K, r), complex),
+                     ((K, K, r), complex), ((K, r), complex), ((K, r), complex)),
+    }
 
 
 def _sum_products(pairs, out: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -507,7 +541,8 @@ def _sum_products(pairs, out: np.ndarray, work: np.ndarray) -> np.ndarray:
 
 def _sumsq(a: np.ndarray) -> np.ndarray:
     """sum of |a|^2 over the last axis, from one einsum over the float view
-    of the C-contiguous ``a``, with no squared array in between.
+    of ``a``, whose last axis is contiguous, with no squared array in
+    between.
 
     A plain einsum (no ``optimize``) rather than ``matmul``: a threaded BLAS
     splits long real dot products over its thread pool, whose wake-up can
@@ -558,14 +593,17 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
     Each RNG chunk runs on a worker of ``_map``, inside a workspace that
     the worker keeps for the whole pass: at most one is built per worker,
     and each of its buffers grows to the largest chunk or slice layout
-    asked of it; the scratch buffer is asked for at its largest first
-    (``_largest_scratch``), so it is allocated once.  Every array of the
-    pass has its realization axis last.  A chunk draws its realizations
-    into the workspace, turns the phases at the instants into their
-    factors and the channels h into gh = conj(theta h) in place, and cuts
-    itself into the slices of ``_chunk_slices``.  Each slice filters its
-    slice of the pilot signal, drawn in set order, into one observation per
-    co-pilot set (``_CopilotSets.filter``); then ``_accumulate`` shares its work at
+    asked of it; the scratch buffer is asked for at the largest of
+    ``_scratch_layouts`` first, so it is allocated once.  Every array of
+    the pass has its realization axis last.  A chunk draws its
+    realizations into the workspace, the phase paths into the buffers of
+    their factors eu and ea; turns the paths' kept columns into those
+    factors, each once its columns are negated into the scratch; turns the
+    channels h into gh = conj(theta h) in place; and cuts itself into the
+    slices of ``_chunk_slices``.  Each slice filters its slice of the pilot
+    signal, drawn in set order, into one observation per co-pilot set
+    (``_CopilotSets.filter``), written over that slice of z; then
+    ``_accumulate`` shares its work at
     three levels: the link products and their plan-free moments once per
     slice; the power and common-precoder products once per distinct
     precoder (``_share``); and only its transmission's interference terms
@@ -574,27 +612,28 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
     row per group the chunk touches, and the caller's thread folds the
     partials into the group rows in chunk order.
 
-    Memory: beyond the desk scale a worker's workspace is dominated by the
-    chunk arrays h and z and the draw's scratch, which hold up to
-    K L N min(``RNG_CHUNK``, count) entries each.  At 2e4 realizations with
-    two distinct precoders it reaches 7.3 MiB on the 4/2/2/2 desk, 102 MiB
-    at 40/8/2/4, 884 MiB at 100/16/4/8 and 2.9 GiB at 200/32/4/8, per
-    worker.
+    Memory: a worker's workspace holds seven buffers, h, z, eu, ea, Y, E
+    and the scratch.  Beyond the desk scale it is dominated by the chunk
+    arrays h and z and the draw's scratch, which hold up to
+    K L N min(``RNG_CHUNK``, count) entries each.  With ``cfrs validate``'s
+    three instants and two distinct precoders, the layouts at 2e4
+    realizations sum to 5.0 MiB on the 4/2/2/2 desk, 92 MiB at 40/8/2/4,
+    856 MiB at 100/16/4/8 and 2.9 GiB at 200/32/4/8, per worker.
     """
     K, L, N = net.K, net.L, net.N
     for plan in plans:
         check_plan_shapes(plan, K, L)
     counts, chunks = _chunk_slices(count, K, L)
     draw = _ChunkDraw(net, pilots, phases, config, count, seed, instants)
-    M = len(instants)
+    M = draw.kept
     # every pilot instant lies before the estimation instant, so the kept
     # instants are the last M the draw samples phases at
     assert draw.needed[-M:] == list(instants)
     sets = _CopilotSets(pilots, stats, net.lam)
-    S = draw.shape[-1]
     precoders = _share(plans, net.theta, stats.x, pilots)
-    scratch = _largest_scratch(draw, S, min(count, RNG_CHUNK),
-                               max(sl.stop - sl.start for pieces in chunks for _, sl in pieces))
+    largest = max(_scratch_layouts(draw, min(count, RNG_CHUNK),
+                                   max(sl.stop - sl.start for pieces in chunks for _, sl in pieces))
+                  .values(), key=lambda layout: _Workspace.nbytes(*layout))
     conj_theta = np.conj(net.theta)[:, :, None, None]
     idle = []  # workspaces no chunk is running in
 
@@ -608,22 +647,28 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
         except IndexError:  # at most one per worker, as at most one chunk runs on each
             ws = _Workspace()
         try:
-            ws.get("scratch", *scratch)
+            ws.get("scratch", *largest)
             h, z, ue, ap = draw(chunk, ws)
             c = h.shape[-1]
-            # the phase factors exp(-i phase) (K, M, c) and (L, M, c) at the instants
-            eu = _phasor(np.negative(ue[:, -M:], out=ws.get("scratch", ((K, M, c), float))),
-                         out=ws.get("eu", ((K, M, c), complex)))
-            ea = _phasor(np.negative(ap[:, -M:], out=ws.get("scratch", ((L, M, c), float))),
-                         out=ws.get("ea", ((L, M, c), complex)))
+            scratch = _scratch_layouts(draw, c)
+            # the phase factors exp(-i phase) (K, M, c) and (L, M, c) at the
+            # instants, each written over its path once the path's kept
+            # columns are negated into the scratch
+            factors = []
+            for name, path, negated in (("eu", ue, "-ue"), ("ea", ap, "-ap")):
+                angle = np.negative(path[:, -M:], out=ws.get("scratch", *scratch[negated]))
+                factors.append(_phasor(angle, out=ws.get(name, (angle.shape, complex))))
+            eu, ea = factors
             gh = np.multiply(conj_theta, np.conjugate(h, out=h), out=h)
             slices = chunks[chunk]
             first = slices[0][0]
             partial = zeros(slices[-1][0] - first + 1)
             for b, sl in slices:
-                u = sets.filter(z[..., sl], ws.get("u", ((S, L, N, sl.stop - sl.start), complex)))
+                # the observations overwrite their slice of the pilot signal
+                u = sets.filter(z[..., sl], z[..., sl])
                 _accumulate(partial, b - first, precoders, sets, config, gh[..., sl], u,
-                            eu[..., sl], ea[..., sl], ws)
+                            eu[..., sl], ea[..., sl], ws,
+                            _scratch_layouts(draw, c, sl.stop - sl.start))
             return first, partial
         finally:
             idle.append(ws)
@@ -644,11 +689,12 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
 
 def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
                 sets: _CopilotSets, config: SystemConfig, gh: np.ndarray, u: np.ndarray,
-                eu: np.ndarray, ea: np.ndarray, ws: _Workspace) -> None:
+                eu: np.ndarray, ea: np.ndarray, ws: _Workspace, scratch: dict) -> None:
     """Add one slice's terms at the instants, and its per-AP transmit powers,
     into row b of every plan's sums; every array with a realization axis is
     a view into the workspace ``ws``, with the r realizations on its last
-    axis.
+    axis, and ``scratch`` holds the slice's scratch layouts
+    (``_scratch_layouts``).
 
     The effective channel is g[k,l] = theta[k,l] exp(i(ue[k] + ap[l])) h[k,l]
     and the DU precoder is v[i,l] = x[i,l] u[P_i,l] (``_CopilotSets``), so
@@ -680,8 +726,10 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
       co-pilot stack at a time from views of Y, with its UEs set by set.
 
     Every product is written into a workspace array and every sum of
-    products added into one, in the order a sum of fresh arrays would take;
-    the transient products share the workspace's scratch buffer.  Each sum
+    products added into one, in the order a sum of fresh arrays would take.
+    Only Y and the common products E have buffers of their own, and u is
+    the slice of the pilot signal it was filtered over; every other array
+    of a slice is a view of the scratch layout of its step.  Each sum
     of squares over the realizations is one ``einsum`` over the float view
     (``_sumsq``), which forms no squared array.  The desired-signal sums
     stay a complex product and ``sum``: numpy's complex ``einsum`` holds
@@ -691,8 +739,7 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
     K, L, N, r = gh.shape
     S = len(u)
     Y = _sum_products(((gh[:, None, :, n], u[None, :, :, n]) for n in range(N)),
-                      ws.get("Y", ((K, S, L, r), complex)),
-                      ws.get("scratch", ((K, S, L, r), complex)))
+                      ws.get("Y", ((K, S, L, r), complex)), ws.get("scratch", *scratch["Y"]))
     of = sets.pilots.set_of
     u_power = _sumsq(u).sum(axis=-1)[of]  # (K, L): sum |u[P_i]|^2
     # (K, K, L): sum_r |Y[k,P_i,l]|^2
@@ -703,11 +750,10 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
         e = None
         if pre.rho > 0:
             v_c = _sum_products(((pre.eta_omega[s, :, None, None], u[s]) for s in range(S)),
-                                ws.get("vc", ((L, N, r), complex)),
-                                ws.get("scratch", ((L, N, r), complex)))
+                                *ws.get("scratch", *scratch["v_c"]))
             power += pre.rho * config.p_d * _sumsq(v_c).sum(axis=-1)
             e = _sum_products(((pre.eta_omega[s, :, None], Y[:, s]) for s in range(S)), slot,
-                              ws.get("scratch", ((K, L, r), complex)))  # (K, L, r)
+                              ws.get("scratch", *scratch["e"]))  # (K, L, r)
         E.append(e)
         for j in pre.plans:
             out = sums[j]
@@ -716,14 +762,13 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
                 out.int_p[b] += np.sum(pre.mu_x2 * Y_power, axis=-1)
                 if e is not None:
                     out.int_c[b] += np.sum(_sumsq(e), axis=-1)
-    phase_, w_, c_, ec_ = (ws.get(name, (shape, complex)) for name, shape in (
-        ("phase", (K, L, r)), ("w", (K, L, r)), ("c", (K, K, r)), ("ec", (K, r))))
-    work, work_k = (ws.get("scratch", (shape, complex)) for shape in ((K, L, r), (K, r)))
+    phase_, w_, c_, c_work, ec_, ec_work = ws.get("scratch", *scratch["instants"])
+    work = w_  # D's and ds_c's products, summed before w is formed
     # w and c list their UEs i set by set, c[i,k] = sum_l Y[k,P_i,l] w[i,l]: per
-    # stack, Y's (S_c, 1, K, L, r) view and w's, c's and the scratch's by set and UE
+    # stack, Y's (S_c, 1, K, L, r) view and w's, c's and c's work's by set and UE
     stacks = [(np.moveaxis(Y[:, set_range], 1, 0)[:, None],
                w_[ue_range].reshape(*idx.shape, 1, L, r), c_[ue_range].reshape(*idx.shape, K, r),
-               ws.get("scratch", ((*idx.shape, K, r), complex)))
+               c_work[ue_range].reshape(*idx.shape, K, r))
               for idx, set_range, ue_range in sets.stacks]
     for m in range(eu.shape[1]):
         ea_m = ea[:, m]  # (L, r)
@@ -746,7 +791,7 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
                     out.int_p[b, m] += _sumsq(c_)[sets.rank].T
                     if e is not None:
                         ec = _sum_products(((e[:, l], ea_m[l]) for l in range(L)),
-                                           ec_, work_k)  # (K, r)
+                                           ec_, ec_work)  # (K, r)
                         out.int_c[b, m] += _sumsq(ec)
 
 

@@ -801,6 +801,34 @@ def test_each_job_computes_its_plan_coefficients_once(scheme, fixed_rho, mc, exp
     assert report.sum_se > 0 and (mc == 0) == ("mc_rel_err_private" not in extras)
 
 
+def test_mc_rel_err_is_blank_where_every_closed_form_sinr_underflows(tmp_path):
+    # at 25 rad^2 of oscillator variance every closed-form SINR of the
+    # 3/3/2/2 system is below the 1e-30 floor (sum SE 0.0), and the error
+    # relative to the floor read 1.6e28; the 1e-3 point's rows keep a number
+    spec = cli.spec_from_dict({
+        "system": {**desk_system(seed=1), "L": 3, "K": 3},
+        "sweep": {"parameter": "oscillator_variance", "values": [25.0, 1e-3]},
+        "schemes": [{"private": "du_mr", "transmission": "coherent", "rs": True,
+                     "weights": "simple"}],
+        "mc_realizations": 200,
+    })
+    cfg = spec.base
+    phases = cli.PhaseStatistics(25.0, 25.0)
+    report, extras = cli.run_scheme(cfg, phases, spec.schemes[0], cli.build_topology(cfg, phases),
+                                    mc_realizations=200)
+    i = cfg.mid_instant - cfg.estimation_instant
+    assert report.sum_se == 0.0
+    assert np.all(report.sinr_private[:, i] <= 1e-30)
+    assert "mc_rel_err_private" not in extras and "mc_rel_err_common" not in extras
+    rows, _ = read_csv(cli.run_experiment(spec, out_dir=tmp_path / "out") / "results.csv")
+    assert {r["status"] for r in rows} == {"ok"}
+    for row in rows:
+        underflow = float(row["sweep_value"]) == 25.0
+        assert (float(row["sum_se"]) == 0.0) == underflow
+        assert (row["mc_rel_err_private"] == "") == underflow
+        assert underflow or float(row["mc_rel_err_private"]) < 1.0
+
+
 def _readme_spec() -> dict:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     return json.loads(readme.split("```json", 1)[1].split("```", 1)[0])

@@ -655,10 +655,15 @@ def test_every_workspace_view_is_written_before_it_is_read(desk, monkeypatch):
     # it is written, or after an overlapping view was handed out, would carry
     # stale or nan entries into the sums.  Short last chunk, partial slices
     # and one worker, so the chunks and slices of different lengths take
-    # their turns in one workspace.
+    # their turns in one workspace.  The second system has two co-pilot sets
+    # of two UEs (K > tau_p), so the coherent interference runs over a stack
+    # of several sets.
     monkeypatch.setattr(mc, "_CPUS", 1)
     monkeypatch.setattr(mc, "_WORK_ELEMENTS", 1)  # 64-realization slices
     clean = desk_pass_sums(desk)
+    contaminated = small_setup(seed=6, L=3, K=4, tau_p=2, var=1.2e-3)
+    assert np.bincount(contaminated[2].set_of).tolist() == [2, 2]
+    clean_contaminated = desk_pass_sums(contaminated)
 
     class Poisoned(mc._Workspace):
         def get(self, name, *layout):
@@ -669,6 +674,8 @@ def test_every_workspace_view_is_written_before_it_is_read(desk, monkeypatch):
 
     monkeypatch.setattr(mc, "_Workspace", Poisoned)
     for a, b in zip(clean, desk_pass_sums(desk)):
+        assert np.array_equal(a, b)
+    for a, b in zip(clean_contaminated, desk_pass_sums(contaminated)):
         assert np.array_equal(a, b)
 
 
@@ -712,14 +719,14 @@ def test_a_pass_builds_one_workspace_per_worker(desk, monkeypatch, workers):
 
 def spied_workspaces(monkeypatch):
     """The workspaces that passes build from now on, each recording per
-    buffer name its largest requested layout in bytes, its allocations and
-    every requested shape."""
+    buffer name its largest requested layout in bytes, its allocations,
+    every requested shape and every requested scratch layout."""
     built = []
 
     class Spied(mc._Workspace):
         def __init__(self):
             super().__init__()
-            self.largest, self.allocations, self.shapes = {}, {}, []
+            self.largest, self.allocations, self.shapes, self.scratch = {}, {}, [], []
             built.append(self)
 
         def get(self, name, *layout):
@@ -729,6 +736,8 @@ def spied_workspaces(monkeypatch):
             self.allocations[name] = (self.allocations.get(name, 0)
                                       + (self._flat[name] is not before))
             self.shapes += [shape for shape, _ in layout]
+            if name == "scratch":
+                self.scratch.append(layout)
             return views
 
     monkeypatch.setattr(mc, "_Workspace", Spied)
@@ -763,6 +772,31 @@ def test_a_workspace_allocates_its_scratch_once(desk, monkeypatch, workers):
         assert 1 <= len(built) <= workers
         for ws in built:
             assert ws.allocations["scratch"] == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_desk_workspace_holds_only_what_outlives_a_step(desk, monkeypatch, workers):
+    # after a 1e5-realization desk pass a workspace names only the chunk
+    # arrays, the phase factors, the link and common products and one
+    # scratch, and every scratch request is a layout of _scratch_layouts
+    # for one of the pass's chunk and slice lengths
+    cfg, net, pilots, phases, _, _ = desk
+    monkeypatch.setattr(mc, "_CPUS", workers)
+    count = DESK_DRAW["count"]
+    built = spied_workspaces(monkeypatch)
+    desk_pass_sums(desk, count)
+    assert 1 <= len(built) <= workers
+    for ws in built:
+        assert set(ws._flat) == {"h", "z", "eu", "ea", "Y", "E", "scratch"}
+        assert sum(flat.size for flat in ws._flat.values()) <= 7.5 * 2**20
+    kept = (cfg.estimation_instant, cfg.estimation_instant + 3, cfg.tau_c)
+    draw = mc._ChunkDraw(net, pilots, phases, cfg, count, 2, kept)
+    chunks = mc._chunk_slices(count, net.K, net.L)[1]
+    lengths = {(min(mc.RNG_CHUNK, count - i * mc.RNG_CHUNK), sl.stop - sl.start)
+               for i, pieces in enumerate(chunks) for _, sl in pieces}
+    layouts = {layout for c, r in lengths for layout in mc._scratch_layouts(draw, c, r).values()}
+    requests = {layout for ws in built for layout in ws.scratch}
+    assert requests and requests <= layouts
 
 
 def test_no_workspace_array_has_two_ue_axes_and_an_ap_axis(monkeypatch):
