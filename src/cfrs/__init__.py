@@ -15,13 +15,10 @@ from .closed_form import (
     TraceTerms,
     assemble,
     common_normalization,
-    common_sinr,
-    evaluate_plan,
     make_plan,
     plan_parts,
     power_control_coefficients,
     private_normalization,
-    private_sinr,
     se_from_sinr,
     se_report,
     sum_se,
@@ -38,7 +35,7 @@ from .model import (
     PhaseStatistics,
     SystemConfig,
     build_network,
-    expected_phase_decay,
+    phase_decay,
     phase_increment_variance,
 )
 from .montecarlo import (

@@ -130,7 +130,7 @@ def _with_unit(value, key: str, units, what: str, hint: str) -> float:
     raise ConfigError(f"{key}: cannot parse {what} value {value!r} ({hint})")
 
 
-_POWER_UNITS = (("dbm", lambda x: 10.0 ** (x / 10.0) / 1000.0), ("w", float), ("", float))
+_POWER_UNITS = (("dbm", model.dbm_to_watt), ("w", float), ("", float))
 _VARIANCE_UNITS = (("db", lambda x: 10.0 ** (x / 10.0)), ("", float))
 
 
@@ -492,14 +492,21 @@ def run_scheme(
         if plan.rho > 0:
             streams.append(("common", mc.common, report.sinr_common[:, i]))
         for stream, est, closed in streams:
-            # a relative error against a closed-form SINR at or below the
-            # 1e-30 floor says nothing, so those UEs are left out, and the
-            # column stays blank when every UE is
-            above = closed > 1e-30
-            if above.any():
-                extras[f"mc_rel_err_{stream}"] = float(
-                    np.max(np.abs(est[above] - closed[above]) / closed[above]))
+            # the column stays blank when every UE is left out
+            rel = _relative_errors(est, closed)
+            if not np.isnan(rel).all():
+                extras[f"mc_rel_err_{stream}"] = float(np.nanmax(rel))
     return report, extras
+
+
+def _relative_errors(est: np.ndarray, closed: np.ndarray) -> np.ndarray:
+    """|est - closed| / closed per UE of a Monte Carlo estimate against the
+    closed-form SINRs, nan where the closed form is at or below the 1e-30
+    floor: a relative error against it says nothing, so that UE is left out."""
+    rel = np.full(closed.shape, np.nan)
+    above = closed > 1e-30
+    rel[above] = np.abs(est[above] - closed[above]) / closed[above]
+    return rel
 
 
 LABEL_COLUMNS = [
@@ -780,7 +787,9 @@ def validate_families(
     rho: float = 0.5,
     terms_out: Path | None = None,
 ):
-    """Closed form vs Monte Carlo for all eight SINR families."""
+    """Closed form vs Monte Carlo for all eight SINR families; a row's
+    rel_err is blank where its closed-form SINR is at or below the 1e-30
+    floor (``_relative_errors``)."""
     net, pilots, stats, terms = build_topology(cfg, phases)
     lam = cfg.estimation_instant
     instants = sorted({lam, min(lam + 5, cfg.tau_c), cfg.tau_c})
@@ -808,8 +817,8 @@ def validate_families(
             est = mc.private if stream == "private" else mc.common
             stderr = mc.private_stderr if stream == "private" else mc.common_stderr
             ci = mc.private_ci if stream == "private" else mc.common_ci
+            rel = _relative_errors(est, closed)
             for k in range(cfg.K):
-                rel = abs(est[k] - closed[k]) / max(closed[k], 1e-30)
                 rows.append(
                     {
                         "stream": stream,
@@ -820,7 +829,7 @@ def validate_families(
                         "closed_sinr": repr(float(closed[k])),
                         "mc_sinr": repr(float(est[k])),
                         "mc_stderr": repr(float(stderr[k])),
-                        "rel_err": repr(float(rel)),
+                        "rel_err": "" if np.isnan(rel[k]) else repr(float(rel[k])),
                         "ci_lo": repr(float(ci[k, 0])),
                         "ci_hi": repr(float(ci[k, 1])),
                         "covered": int(ci[k, 0] <= closed[k] <= ci[k, 1]),
@@ -866,8 +875,9 @@ def cmd_validate(args) -> int:
                ["stream", "transmission", "scheme", "n", "k", "closed_sinr",
                 "mc_sinr", "mc_stderr", "rel_err", "ci_lo", "ci_hi", "covered"],
                rows)
-    worst = max(float(r["rel_err"]) for r in rows)
-    print(f"wrote {len(rows)} rows to {out}; worst relative error {worst:.4%}")
+    worst = max((float(r["rel_err"]) for r in rows if r["rel_err"]), default=None)
+    print(f"wrote {len(rows)} rows to {out}; worst relative error "
+          + ("blank: no closed-form SINR above 1e-30" if worst is None else f"{worst:.4%}"))
     return 0
 
 

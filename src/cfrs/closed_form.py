@@ -11,13 +11,14 @@ phases in the desired-signal and pilot-coherent terms.  Both flavors are
 computed by one code path with an effective theta that is identically one
 for DU, which makes the DU/DF equalities bitwise when delays vanish.
 
-Per-instant phase-decay factors are ea = exp(-(n-lambda)*var_ap) and
-eu = exp(-(n-lambda)*var_ue); SINR terms split into n-independent trace
-sums weighted by ea/eu, so all data instants are evaluated at once.  The
-drift between UE k's pilot instant t_k and lambda enters only the mean,
-through Q; the gain-uncertainty (fourth-moment) terms omit it, so under
-oscillator drift the bound is an approximation that overstates SINR
-slightly, and more so as the increment variances grow.
+Per-instant phase-decay factors are the per-side power decays
+ea = exp(-(n-lambda)*var_ap) and eu = exp(-(n-lambda)*var_ue) of
+``model.phase_decay``; SINR terms split into n-independent trace sums
+weighted by ea/eu, so all data instants are evaluated at once.  The drift
+between UE k's pilot instant t_k and lambda enters only the mean, through
+Q; the gain-uncertainty (fourth-moment) terms omit it, so under oscillator
+drift the bound is an approximation that overstates SINR slightly, and
+more so as the increment variances grow.
 
 The estimation statistics are eigenvalues in the eigenbasis of the
 correlation template T shared by all links (``R[k,l] = beta[k,l] T``), so
@@ -32,16 +33,16 @@ with s_m[P,l] = sum_n lam_n^m Psi[P,l,n] stored once per co-pilot set P,
 (S, L) in the set order of ``PilotAssignment``.
 
 Every SINR is rational in the power split rho with rho-independent
-coefficients.  ``plan_parts`` computes those coefficients once per plan:
-every sum over a co-pilot pair becomes a per-set sum
+coefficients.  ``plan_parts`` is the one way into the closed form: it
+computes those coefficients once per plan at M instants (one instant is
+M = 1): every sum over a co-pilot pair becomes a per-set sum
 Omega[P,l] = sum_{i in P} w[i,l] x[i,l] of the plan's weights (or mu)
 against x (``PilotAssignment.set_sums``), times the set's s2 or s3, so no
 pair array is stored.  One function writes both streams' SINRs at one rho
 from those coefficients, with elementwise work only: ``assemble`` returns
-them, ``se_report`` turns them into the SE report, and the rho search's
-objective (``sum_se_curve``) into the sum SE alone.  ``private_sinr``,
-``common_sinr`` and ``evaluate_plan`` go through them, so a sweep job that
-searches rho and then reports at the optimum computes its plan's
+them, (K, M) each, ``se_report`` turns them into the SE report, and the
+rho search's objective (``sum_se_curve``) into the sum SE alone, so a sweep
+job that searches rho and then reports at the optimum computes its plan's
 coefficients once.
 
 No matrix product appears in this module: no ``@``, ``matmul``, ``dot``,
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import EstimationStatistics, PilotAssignment
-from .model import NetworkModel, PhaseStatistics, SystemConfig
+from .model import NetworkModel, PhaseStatistics, SystemConfig, phase_decay
 
 PRIVATE_SCHEMES = ("du_mr", "df_mr")
 TRANSMISSIONS = ("coherent", "noncoherent")
@@ -328,8 +329,7 @@ def check_instants(config: SystemConfig, instants) -> np.ndarray:
 def decay_pair(phases: PhaseStatistics, config: SystemConfig, instants):
     """(ea, eu) per-side phase decays at the instants, after a range check."""
     gap = check_instants(config, instants) - config.estimation_instant
-    # per-side decay exp(-gap*var), the rotation mean at twice the variance
-    return np.exp(-gap * phases.var_ap), np.exp(-gap * phases.var_ue)
+    return phase_decay(gap, phases.var_ap), phase_decay(gap, phases.var_ue)
 
 
 @dataclass(frozen=True)
@@ -349,7 +349,6 @@ class PlanParts:
     gamma: np.ndarray
     p_d: float
     sigma2: float
-    scalar: bool
 
 
 def plan_parts(
@@ -420,7 +419,7 @@ def plan_parts(
         sig_common = gain_unc
         gamma = cross[None, :] + (1.0 - ea * eu)[:, None] * gain_unc[None, :]
     return PlanParts((ea * eu)[:, None], xi, sig_private, sig_common, gamma,
-                     config.p_d, config.sigma2_dl, bool(np.isscalar(instants)))
+                     config.p_d, config.sigma2_dl)
 
 
 def _write_sinrs(parts: PlanParts, rho: float, out: np.ndarray, num: np.ndarray) -> None:
@@ -448,24 +447,11 @@ def _write_sinrs(parts: PlanParts, rho: float, out: np.ndarray, num: np.ndarray)
 
 
 def assemble(parts: PlanParts, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """(private, common) SINRs at power split rho: (K,) each for a scalar
-    instant, else (K, M) transposed views of one fresh (2, M, K) array."""
+    """(private, common) SINRs at power split rho, (K, M) each: transposed
+    views of one fresh (2, M, K) array."""
     sinr = np.empty((2, len(parts.eaeu), parts.sig_private.shape[-1]))
     _write_sinrs(parts, rho, sinr, np.empty_like(sinr))
-    private, common = sinr.transpose(0, 2, 1)
-    if parts.scalar:
-        return private[:, 0], common[:, 0]
-    return private, common
-
-
-def private_sinr(terms, plan, phases, config, instants) -> np.ndarray:
-    """Private-stream SINRs: (K,) for a scalar instant, else (K, M)."""
-    return assemble(plan_parts(terms, plan, phases, config, instants), plan.rho)[0]
-
-
-def common_sinr(terms, plan, phases, config, instants) -> np.ndarray:
-    """Common-stream SINRs: (K,) for a scalar instant, else (K, M)."""
-    return assemble(plan_parts(terms, plan, phases, config, instants), plan.rho)[1]
+    return tuple(sinr.transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +498,6 @@ def se_report(parts: PlanParts, rho: float, tau_c: int) -> SEReport:
     )
 
 
-def evaluate_plan(
-    terms: TraceTerms,
-    plan: PrecodingPlan,
-    phases: PhaseStatistics,
-    config: SystemConfig,
-) -> SEReport:
-    """Full SE report for one plan over all data instants of the block."""
-    parts = plan_parts(terms, plan, phases, config, config.data_instants())
-    return se_report(parts, plan.rho, config.tau_c)
-
-
 def sum_se_curve(parts: PlanParts, tau_c: int):
     """The sum SE of a plan's coefficients (over all data instants) as a
     function of rho, for the rho search.
@@ -533,8 +508,6 @@ def sum_se_curve(parts: PlanParts, tau_c: int):
     ``se_report(parts, rho, tau_c).sum_se`` exactly.  A negative or nan
     SINR raises ValueError, as in ``se_from_sinr``.
     """
-    if parts.scalar:
-        raise ValueError("the sum SE curve needs a plan's parts over an array of instants")
     sinr = np.empty((2, len(parts.eaeu), parts.sig_private.shape[-1]))
     num = np.empty_like(sinr)
 

@@ -3,17 +3,19 @@
 Pilots are time-multiplexed: UE k transmits only at instant t_k in
 {1..tau_p} and shares it with the co-pilot set P_k.  Channels are estimated
 at the first data instant lambda = tau_p + 1, so each estimate carries the
-accumulated oscillator drift over lambda - t_k instants.  The Bayesian
-(MMSE) estimate of h[k,l] from the set's pilot observation has covariance
+accumulated oscillator drift over lambda - t_k instants, whose power decay
+is decay_k = exp(-(lambda - t_k)*(var_ap + var_ue)) (``model.phase_decay``).
+The Bayesian (MMSE) estimate of h[k,l] from the set's pilot observation has
+covariance
 
-    Q[k,l] = p_k * exp(-(lambda - t_k)*(var_ap + var_ue)) * R Psi R,
+    Q[k,l] = p_k * decay_k * R Psi R,
     Psi[P,l] = (sum_{i in P} p_i R[i,l] + sigma2 * I)^(-1),  P = P_k,
 
 and the cross-covariance between the estimates of co-pilot UEs k and i is
-Q_cross[k,i,l] = sqrt(p_k p_i) * exp(...) * R[i,l] Psi[P_k,l] R[k,l]; it
+Q_cross[k,i,l] = sqrt(p_k p_i) * decay_k * R[i,l] Psi[P_k,l] R[k,l]; it
 vanishes for UEs on different pilots.  NMSE = tr(R - Q)/tr(R) for MMSE; the
-LS NMSE is exp(+(lambda-t_k)(var_ap+var_ue)) * tr(Psi^-1) / (p_k tr R) - 1
-and can exceed one because the LS estimate and its error are correlated.
+LS NMSE is tr(Psi^-1) / (decay_k p_k tr R) - 1 and can exceed one because
+the LS estimate and its error are correlated.
 
 Every R[k,l] is beta[k,l] times the network's one correlation template T,
 so all of these matrices share T's eigenvectors and are stored as their N
@@ -21,7 +23,7 @@ real eigenvalues: each formula above is elementwise in T's eigenbasis.  The
 pilot covariance's eigenvalues are at least sigma2 > 0, so it is always
 invertible.  Co-pilots share a pilot instant, so a drift decay and a Psi,
 and their estimates are scaled copies of one processed observation
-(Marzetta, IEEE TWC 2010): with x[k,l] = sqrt(p_k exp(...)) beta[k,l],
+(Marzetta, IEEE TWC 2010): with x[k,l] = sqrt(p_k decay_k) beta[k,l],
 
     Q_cross[k,i,l] = x[k,l] x[i,l] lam^2 Psi[P_k,l],
     Q[k,l] = x[k,l]^2 lam^2 Psi[P_k,l],
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import NetworkModel, PhaseStatistics, SystemConfig, expected_phase_decay
+from .model import NetworkModel, PhaseStatistics, SystemConfig, phase_decay
 
 
 @dataclass(frozen=True)
@@ -143,15 +145,15 @@ def check_pilots(pilots: PilotAssignment, K: int, config: SystemConfig) -> None:
 
 
 def decay_factors(pilots: PilotAssignment, phases: PhaseStatistics) -> np.ndarray:
-    """(K,) amplitude decay exp(-(lambda - t_k)(var_ap + var_ue)) per UE.
+    """(K,) decay exp(-(lambda - t_k)(var_ap + var_ue)) per UE, the
+    ``phase_decay`` of the drift from its pilot instant to lambda.
 
     A decay that underflows to 0 raises ValueError naming the variances:
     the drift then leaves that UE's pilot no trace of its channel, so no
     estimate whose power a precoder could be normalized by.
     """
     gaps = pilots.tau_p + 1 - pilots.t
-    # the amplitude decay is the rotation mean at twice the variance
-    decay = expected_phase_decay(gaps, 2.0 * phases.var_sum)
+    decay = phase_decay(gaps, phases.var_sum)
     if not np.all(decay > 0):
         k = int(np.argmin(decay))
         raise ValueError(

@@ -13,7 +13,10 @@ AP-UE link carries
 
 and every AP/UE oscillator drifts as a discrete-time Wiener process whose
 per-instant increment variance is 4*pi^2*f_c^2*c*T_s.  The Monte Carlo
-oracle draws the increments itself; this module gives their statistics.
+oracle draws the increments itself; this module gives their statistics and
+``phase_decay``, the power decay exp(-gap*var) their drift causes over a gap
+of instants, which is the one place the estimation statistics and the
+closed form get every drift decay from.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 CORRELATION_MODELS = ("uncorrelated", "exponential")
 
 
-def _dbm_to_watt(dbm: float) -> float:
+def dbm_to_watt(dbm: float) -> float:
+    """Power in watts of ``dbm`` dBm."""
     return 10.0 ** (dbm / 10.0) / 1000.0
 
 
@@ -47,10 +51,10 @@ class SystemConfig:
     N: int = 2
     tau_p: int = 4
     tau_c: int = 200
-    p_pilot: float | tuple[float, ...] = _dbm_to_watt(20.0)
-    p_d: float = _dbm_to_watt(23.0)
-    sigma2_ul: float = _dbm_to_watt(-96.0)
-    sigma2_dl: float = _dbm_to_watt(-96.0)
+    p_pilot: float | tuple[float, ...] = dbm_to_watt(20.0)
+    p_d: float = dbm_to_watt(23.0)
+    sigma2_ul: float = dbm_to_watt(-96.0)
+    sigma2_dl: float = dbm_to_watt(-96.0)
     T_s: float = 10e-6
     f_c: float = 2e9
     c_ap: float = 1e-18
@@ -224,29 +228,27 @@ def phase_increment_variance(f_c: float, c_osc: float, T_s: float) -> float:
     return 4.0 * np.pi**2 * f_c**2 * c_osc * T_s
 
 
-def expected_phase_decay(gap: float | np.ndarray, var_sum: float) -> float | np.ndarray:
-    """Mean of the accumulated phase rotation over ``gap`` instants.
+def phase_decay(gap: float | np.ndarray, var: float) -> float | np.ndarray:
+    """Power decay exp(-gap*var) of an oscillator drift over ``gap`` instants.
 
-    The sum of ``gap`` i.i.d. zero-mean Gaussian increments with total
-    per-step variance ``var_sum`` has characteristic function
-    exp(-gap*var_sum/2), which is the expectation of the unit-modulus
-    rotation.  With var_sum = 2*sigma_ap^2 this also yields the per-side
-    decay factors exp(-(n-lambda)*sigma_ap^2) used in the SINR expressions.
+    The sum of ``gap`` i.i.d. zero-mean Gaussian increments of variance
+    ``var`` rotates a phase by e^{i phi} with mean exp(-gap*var/2), so its
+    power |E e^{i phi}|^2 is exp(-gap*var).  This is the only decay formula
+    of the package: the estimation statistics' pilot-to-lambda decay at
+    var_ap + var_ue, and the closed form's per-side decays ea and eu from
+    lambda to each data instant at var_ap and var_ue.
     """
     gap = np.asarray(gap, dtype=float)
     if np.any(gap < 0):
         raise ValueError("gap must be >= 0")
-    if var_sum < 0:
-        raise ValueError("var_sum must be >= 0")
-    out = np.exp(-0.5 * gap * var_sum)
+    if var < 0:
+        raise ValueError("var must be >= 0")
+    out = np.exp(-gap * var)
     return float(out) if out.ndim == 0 else out
 
 
 def three_slope_gain_db(
-    dist_m: np.ndarray,
-    fixed_loss_db: float = 140.7,
-    break1_m: float = 10.0,
-    break2_m: float = 50.0,
+    dist_m: np.ndarray, fixed_loss_db: float, break1_m: float, break2_m: float
 ) -> np.ndarray:
     """Large-scale gain in dB for the three-slope profile.
 

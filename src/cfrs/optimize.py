@@ -29,9 +29,9 @@ Two optimizers operate on the closed-form expressions:
   kept across the bisection's targets.  The program's SINR is written
   once, in the cone terms (``_cone_terms``), which both the cuts and the
   min SINR >= t check read; its decay factors come from
-  ``closed_form.decay_pair`` and its private interference from
-  ``closed_form.plan_parts``.  No matrix product is formed, so the weights
-  do not depend on the BLAS kernel.
+  ``closed_form.decay_pair`` (so from ``model.phase_decay``) and its
+  private interference from ``closed_form.plan_parts``.  No matrix product
+  is formed, so the weights do not depend on the BLAS kernel.
 """
 
 from __future__ import annotations

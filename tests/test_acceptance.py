@@ -49,12 +49,9 @@ def test_criterion_1_oracle_equivalence(desk):
             for scheme in cf.PRIVATE_SCHEMES:
                 plan = plans[stream, transmission, scheme]
                 results = cfrs.mc_sinr(batch, plan, instants)
-                for n, res in zip(instants, results):
-                    closed = (
-                        cf.private_sinr(terms, plan, phases, cfg, int(n))
-                        if stream == "private"
-                        else cf.common_sinr(terms, plan, phases, cfg, int(n))
-                    )
+                closed_sinrs = cf.assemble(cf.plan_parts(terms, plan, phases, cfg, instants),
+                                           plan.rho)[0 if stream == "private" else 1]
+                for n, res, closed in zip(instants, results, closed_sinrs.T):
                     mc = res.private if stream == "private" else res.common
                     rel = float(np.max(np.abs(mc - closed) / closed))
                     if rel > worst:
@@ -83,36 +80,34 @@ def test_criterion_2_exact_identities(desk):
     for transmission in cf.TRANSMISSIONS:
         du = cf.make_plan(unit_terms, "du_mr", transmission, 0.4)
         df = cf.make_plan(unit_terms, "df_mr", transmission, 0.4)
-        ok_a &= np.array_equal(
-            cf.private_sinr(unit_terms, du, phases, cfg, ns),
-            cf.private_sinr(unit_terms, df, phases, cfg, ns),
-        )
-        ok_a &= np.array_equal(
-            cf.common_sinr(unit_terms, du, phases, cfg, ns),
-            cf.common_sinr(unit_terms, df, phases, cfg, ns),
-        )
+        du_sinrs = cf.assemble(cf.plan_parts(unit_terms, du, phases, cfg, ns), 0.4)
+        df_sinrs = cf.assemble(cf.plan_parts(unit_terms, df, phases, cfg, ns), 0.4)
+        for du_sinr, df_sinr in zip(du_sinrs, df_sinrs):  # private, then common
+            ok_a &= np.array_equal(du_sinr, df_sinr)
 
     # (b) non-coherent private SINR identical for DU and DF at arbitrary theta
     du_nc = cf.make_plan(terms, "du_mr", "noncoherent", 0.3)
     df_nc = cf.make_plan(terms, "df_mr", "noncoherent", 0.3)
     ok_b = np.array_equal(
-        cf.private_sinr(terms, du_nc, phases, cfg, ns),
-        cf.private_sinr(terms, df_nc, phases, cfg, ns),
+        cf.assemble(cf.plan_parts(terms, du_nc, phases, cfg, ns), 0.3)[0],
+        cf.assemble(cf.plan_parts(terms, df_nc, phases, cfg, ns), 0.3)[0],
     )
 
     # (c) coherent DU private SINR invariant under random delay redraws
     plan_du = cf.make_plan(terms, "du_mr", "coherent", 0.2)
-    ref = cf.private_sinr(terms, plan_du, phases, cfg, ns)
+    parts_du = cf.plan_parts(terms, plan_du, phases, cfg, ns)
+    ref = cf.assemble(parts_du, 0.2)[0]
     rng = np.random.default_rng(123)
     ok_c = True
     for _ in range(5):
         redrawn = dataclasses.replace(
             terms, theta=np.exp(2j * np.pi * rng.random(net.theta.shape))
         )
-        ok_c &= np.array_equal(ref, cf.private_sinr(redrawn, plan_du, phases, cfg, ns))
+        ok_c &= np.array_equal(
+            ref, cf.assemble(cf.plan_parts(redrawn, plan_du, phases, cfg, ns), 0.2)[0])
 
     # (d) rho = 0 gives the plain non-split sum SE
-    rep = cf.evaluate_plan(terms, plan_du.replace_rho(0.0), phases, cfg)
+    rep = cf.se_report(parts_du, 0.0, cfg.tau_c)
     ok_d = rep.se_common == 0.0 and rep.sum_se == pytest.approx(
         float(np.sum(rep.se_private)), rel=1e-15
     )
@@ -172,7 +167,8 @@ def test_criterion_4_trends():
         stats = cfrs.estimation_statistics(net, pilots, ph, cfg)
         terms = cf.TraceTerms.compute(net, stats, pilots)
         plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
-        sse = cf.evaluate_plan(terms, plan, ph, cfg).sum_se
+        sse = cf.se_report(cf.plan_parts(terms, plan, ph, cfg, cfg.data_instants()), 0.0,
+                           cfg.tau_c).sum_se
         if nmse_prev is not None:
             nmse_monotone &= bool(np.all(stats.nmse_mmse >= nmse_prev - 1e-15))
             sse_monotone &= sse <= sse_prev + 1e-12
@@ -187,7 +183,8 @@ def test_criterion_4_trends():
         stats = cfrs.estimation_statistics(big_net, big_pilots, ph, big)
         terms = cf.TraceTerms.compute(big_net, stats, big_pilots)
         plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
-        return cf.evaluate_plan(terms, plan, ph, big).sum_se
+        return cf.se_report(cf.plan_parts(terms, plan, ph, big, big.data_instants()), 0.0,
+                            big.tau_c).sum_se
 
     ue_heavy = sum_se_at(1e-5, 1e-3)
     ap_heavy = sum_se_at(1e-3, 1e-5)
@@ -222,9 +219,10 @@ def test_criterion_5_power_split_search():
         stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
         terms = cf.TraceTerms.compute(net, stats, pilots)
         plan0 = cf.make_plan(terms, "du_mr", "coherent", 0.0)
+        parts = cf.plan_parts(terms, plan0, phases, cfg, cfg.data_instants())
 
         def sse(r):
-            return cf.evaluate_plan(terms, plan0.replace_rho(r), phases, cfg).sum_se
+            return cf.se_report(parts, r, cfg.tau_c).sum_se
 
         rho_star, best = opt.optimal_rho(sse)
         grid_best = max(sse(r) for r in np.linspace(0.0, 1.0, 1000))
@@ -269,8 +267,10 @@ def test_criterion_6_robust_precoding():
         plan_rob = cf.make_plan(terms, "du_mr", "coherent", 0.5,
                                 weights=res.weights, unit_eta=True)
         plan_sim = cf.make_plan(terms, "du_mr", "coherent", 0.5)
-        rep_rob = cf.evaluate_plan(terms, plan_rob, phases, cfg)
-        rep_sim = cf.evaluate_plan(terms, plan_sim, phases, cfg)
+        rep_rob, rep_sim = (
+            cf.se_report(cf.plan_parts(terms, plan, phases, cfg, cfg.data_instants()), 0.5,
+                         cfg.tau_c)
+            for plan in (plan_rob, plan_sim))
         beats_simple &= rep_rob.se_common >= rep_sim.se_common - 1e-12
 
     # K=2, L=2 feasibility boundary vs a refined brute-force grid over a.
@@ -378,9 +378,10 @@ def test_criterion_8_splitting_gain():
         stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
         terms = cf.TraceTerms.compute(net, stats, pilots)
         plan0 = cf.make_plan(terms, "du_mr", "coherent", 0.0)
+        parts = cf.plan_parts(terms, plan0, phases, cfg, cfg.data_instants())
 
         def sse(r):
-            return cf.evaluate_plan(terms, plan0.replace_rho(r), phases, cfg).sum_se
+            return cf.se_report(parts, r, cfg.tau_c).sum_se
 
         _, best = opt.optimal_rho(sse)
         gains.append(best - sse(0.0))

@@ -829,6 +829,33 @@ def test_mc_rel_err_is_blank_where_every_closed_form_sinr_underflows(tmp_path):
         assert underflow or float(row["mc_rel_err_private"]) < 1.0
 
 
+def test_validate_leaves_out_the_ues_whose_closed_form_sinr_underflows(tmp_path, capsys):
+    # the same 3/3/2/2 system at 25 rad^2: 64 of the 72 rows have a
+    # closed-form SINR at or below the 1e-30 floor, where rel_err read up to
+    # 1.1e28 and was printed as the worst relative error.  Their cells are
+    # blank, and every other row keeps |mc - closed| / closed
+    cfg = cfrs.SystemConfig(L=3, K=3, N=2, tau_p=2, tau_c=20, seed=1)
+    rows = cli.validate_families(cfg, cfrs.PhaseStatistics(25.0, 25.0), 200)
+    below = [float(r["closed_sinr"]) <= 1e-30 for r in rows]
+    assert len(rows) == 72 and sum(below) == 64
+    for row, floor in zip(rows, below):
+        closed, mc = float(row["closed_sinr"]), float(row["mc_sinr"])
+        assert row["rel_err"] == ("" if floor else repr(abs(mc - closed) / closed))
+    # the printed worst skips blank cells, and says so when every cell is
+    for var in (25.0, 100.0):
+        osc = var / (4 * np.pi**2 * 2e9**2 * 1e-5)
+        path = write_spec(tmp_path, one_scheme_spec(system={
+            **desk_system(seed=1), "L": 3, "K": 3, "osc_constant_ap": osc,
+            "osc_constant_ue": osc}))
+        out = tmp_path / "val.csv"
+        assert cli.main(["validate", "--config", str(path), "--mc", "200",
+                         "--out", str(out)]) == 0
+        rel = [float(r["rel_err"]) for r in read_csv(out)[0] if r["rel_err"]]
+        assert bool(rel) == (var == 25.0)
+        worst = f"{max(rel):.4%}" if rel else "blank: no closed-form SINR above 1e-30"
+        assert capsys.readouterr().out.strip().endswith(f"worst relative error {worst}")
+
+
 def _readme_spec() -> dict:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     return json.loads(readme.split("```json", 1)[1].split("```", 1)[0])
@@ -944,6 +971,49 @@ def test_sweep_modules_form_no_matrix_product(module):
     # kernels round it differently, so the sources are checked as well
     source = (Path(cli.__file__).parent / f"{module}.py").read_text()
     assert _matrix_products(source) == []
+
+
+EXPONENTIALS = {"exp", "exp2", "expm1"}
+
+
+def _real_exponentials(source: str) -> list[str]:
+    """The calls in ``source`` to a function named in EXPONENTIALS whose
+    argument holds no imaginary literal, each as its line and the top-level
+    function or class it lies in."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            imaginary = any(isinstance(c, ast.Constant) and isinstance(c.value, complex)
+                            for arg in node.args for c in ast.walk(arg))
+            if name in EXPONENTIALS and not imaginary:
+                found.append(f"line {node.lineno}: {owner}")
+    return found
+
+
+def test_exponential_lint_flags_every_real_form():
+    source = "\n".join([
+        "np.exp(a)", "math.exp(-a * b)", "exp(a)", "np.expm1(a)", "np.exp2(a)",
+        "def decay(a):", "    return np.exp(-a)", "class C:", "    x = np.exp(1.0)",
+        "np.exp(-2j * a)", "np.exponent(a)", "a.explode()",
+    ])
+    assert _real_exponentials(source) == [
+        "line 1: <module>", "line 2: <module>", "line 3: <module>", "line 4: <module>",
+        "line 5: <module>", "line 7: decay", "line 9: C"]
+
+
+def test_every_drift_decay_comes_from_model_phase_decay():
+    # one decay formula: a second copy of exp(-gap * var) elsewhere would
+    # drift apart from it when the decays are re-referenced
+    package = Path(cli.__file__).parent
+    found = {path.stem: _real_exponentials(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert [owner.split(": ")[1] for owner in found.pop("model")] == ["phase_decay"]
+    assert {module: calls for module, calls in found.items() if calls} == {}
 
 
 def test_sweep_jobs_factor_no_matrix_but_the_template(monkeypatch):

@@ -118,14 +118,10 @@ def test_df_equals_du_bitwise_when_delays_vanish(desk):
     for transmission in cf.TRANSMISSIONS:
         du = cf.make_plan(terms, "du_mr", transmission, 0.4)
         df = cf.make_plan(terms, "df_mr", transmission, 0.4)
-        assert np.array_equal(
-            cf.private_sinr(terms, du, phases, cfg, ns),
-            cf.private_sinr(terms, df, phases, cfg, ns),
-        )
-        assert np.array_equal(
-            cf.common_sinr(terms, du, phases, cfg, ns),
-            cf.common_sinr(terms, df, phases, cfg, ns),
-        )
+        du_sinrs = cf.assemble(cf.plan_parts(terms, du, phases, cfg, ns), 0.4)
+        df_sinrs = cf.assemble(cf.plan_parts(terms, df, phases, cfg, ns), 0.4)
+        for du_sinr, df_sinr in zip(du_sinrs, df_sinrs):  # private, then common
+            assert np.array_equal(du_sinr, df_sinr)
 
 
 def test_noncoherent_private_identical_for_du_and_df(desk):
@@ -134,8 +130,8 @@ def test_noncoherent_private_identical_for_du_and_df(desk):
     du = cf.make_plan(terms, "du_mr", "noncoherent", 0.3)
     df = cf.make_plan(terms, "df_mr", "noncoherent", 0.3)
     assert np.array_equal(
-        cf.private_sinr(terms, du, phases, cfg, ns),
-        cf.private_sinr(terms, df, phases, cfg, ns),
+        cf.assemble(cf.plan_parts(terms, du, phases, cfg, ns), 0.3)[0],
+        cf.assemble(cf.plan_parts(terms, df, phases, cfg, ns), 0.3)[0],
     )
 
 
@@ -143,12 +139,12 @@ def test_du_coherent_private_invariant_under_delay_redraws(desk):
     cfg, net, pilots, phases, stats, terms = desk
     ns = cfg.data_instants()
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.2)
-    reference = cf.private_sinr(terms, plan, phases, cfg, ns)
+    reference = cf.assemble(cf.plan_parts(terms, plan, phases, cfg, ns), 0.2)[0]
     rng = np.random.default_rng(99)
     for _ in range(3):
         rand_theta = np.exp(2j * np.pi * rng.random(net.theta.shape))
         shuffled = dataclasses.replace(terms, theta=rand_theta)
-        again = cf.private_sinr(shuffled, plan, phases, cfg, ns)
+        again = cf.assemble(cf.plan_parts(shuffled, plan, phases, cfg, ns), 0.2)[0]
         assert np.array_equal(reference, again)
 
 
@@ -163,16 +159,10 @@ def test_single_ap_noncoherent_collapses_to_coherent():
     for rho in (0.0, 0.4):
         co = cf.make_plan(terms, "du_mr", "coherent", rho)
         nc = cf.make_plan(terms, "du_mr", "noncoherent", rho)
-        assert np.allclose(
-            cf.private_sinr(terms, co, phases, cfg, ns),
-            cf.private_sinr(terms, nc, phases, cfg, ns),
-            rtol=1e-12,
-        )
-        assert np.allclose(
-            cf.common_sinr(terms, co, phases, cfg, ns),
-            cf.common_sinr(terms, nc, phases, cfg, ns),
-            rtol=1e-12,
-        )
+        co_sinrs = cf.assemble(cf.plan_parts(terms, co, phases, cfg, ns), rho)
+        nc_sinrs = cf.assemble(cf.plan_parts(terms, nc, phases, cfg, ns), rho)
+        for co_sinr, nc_sinr in zip(co_sinrs, nc_sinrs):  # private, then common
+            assert np.allclose(co_sinr, nc_sinr, rtol=1e-12)
 
 
 def test_sinrs_nonnegative_and_decreasing_in_time():
@@ -186,8 +176,7 @@ def test_sinrs_nonnegative_and_decreasing_in_time():
         for scheme in cf.PRIVATE_SCHEMES:
             for transmission in cf.TRANSMISSIONS:
                 plan = cf.make_plan(terms, scheme, transmission, 0.5)
-                for fn in (cf.private_sinr, cf.common_sinr):
-                    vals = fn(terms, plan, phases, cfg, ns)
+                for vals in cf.assemble(cf.plan_parts(terms, plan, phases, cfg, ns), 0.5):
                     assert np.all(vals >= 0)
                     assert np.all(np.diff(vals, axis=1) < 0)
 
@@ -200,8 +189,7 @@ def test_zero_drift_makes_sinr_time_invariant(desk):
     ns = cfg.data_instants()
     for transmission in cf.TRANSMISSIONS:
         plan = cf.make_plan(terms, "df_mr", transmission, 0.4)
-        for fn in (cf.private_sinr, cf.common_sinr):
-            vals = fn(terms, plan, still, cfg, ns)
+        for vals in cf.assemble(cf.plan_parts(terms, plan, still, cfg, ns), 0.4):
             assert np.all(vals == vals[:, :1])
 
 
@@ -211,19 +199,13 @@ def test_joint_power_noise_scaling_leaves_sinr_unchanged(desk):
     scaled_cfg = dataclasses.replace(cfg, p_d=cfg.p_d * 37.0, sigma2_dl=cfg.sigma2_dl * 37.0)
     for transmission in cf.TRANSMISSIONS:
         plan = cf.make_plan(terms, "df_mr", transmission, 0.6)
-        assert np.allclose(
-            cf.private_sinr(terms, plan, phases, cfg, ns),
-            cf.private_sinr(terms, plan, phases, scaled_cfg, ns),
-            rtol=1e-12,
-        )
-        assert np.allclose(
-            cf.common_sinr(terms, plan, phases, cfg, ns),
-            cf.common_sinr(terms, plan, phases, scaled_cfg, ns),
-            rtol=1e-12,
-        )
+        base = cf.assemble(cf.plan_parts(terms, plan, phases, cfg, ns), 0.6)
+        scaled = cf.assemble(cf.plan_parts(terms, plan, phases, scaled_cfg, ns), 0.6)
+        for base_sinr, scaled_sinr in zip(base, scaled):  # private, then common
+            assert np.allclose(base_sinr, scaled_sinr, rtol=1e-12)
 
 
-def test_assemble_equals_evaluate_plan_exactly():
+def test_assemble_equals_the_report_of_the_plan_at_rho_exactly():
     rng = np.random.default_rng(5)
     # even co-pilot sets (4 UEs on 2 pilots) and uneven ones (7 UEs on 3
     # pilots: sizes 3, 2, 2, so two stacks)
@@ -236,7 +218,9 @@ def test_assemble_equals_evaluate_plan_exactly():
                 parts = cf.plan_parts(terms, plan, phases, cfg, ns)
                 curve = cf.sum_se_curve(parts, cfg.tau_c)
                 for rho in (0.0, 1e-5, 0.25, 0.5, 0.731, 1.0):
-                    report = cf.evaluate_plan(terms, plan.replace_rho(rho), phases, cfg)
+                    report = cf.se_report(
+                        cf.plan_parts(terms, plan.replace_rho(rho), phases, cfg, ns), rho,
+                        cfg.tau_c)
                     sinr_p, sinr_c = cf.assemble(parts, rho)
                     assert np.array_equal(sinr_p, report.sinr_private)
                     assert np.array_equal(sinr_c, report.sinr_common)
@@ -257,10 +241,6 @@ def test_sum_se_curve_checks_its_inputs(desk):
     assert bad(0.0) == curve(0.0)  # no common stream at rho = 0
     with pytest.raises(ValueError, match="SINR"):
         bad(0.5)
-    # the curve sums over the block's instants, which one scalar instant is not
-    scalar = cf.plan_parts(terms, plan, phases, cfg, cfg.mid_instant)
-    with pytest.raises(ValueError, match="instants"):
-        cf.sum_se_curve(scalar, cfg.tau_c)
 
 
 def test_se_report_and_curve_both_reject_a_nan_sinr(desk):
@@ -457,7 +437,7 @@ def test_plans_that_would_broadcast_are_rejected():
                       ("eta", np.ones(1))):
         wrong = dataclasses.replace(plan, **{name: bad})
         with pytest.raises(ValueError, match=f"plan {name} has shape"):
-            cf.evaluate_plan(terms, wrong, phases, cfg)
+            cf.plan_parts(terms, wrong, phases, cfg, cfg.data_instants())
 
 
 @pytest.mark.parametrize("scheme", ["du_mmse", "mr", "DU_MR", ""])
@@ -473,7 +453,7 @@ def test_rho_zero_common_sinr_is_zero(desk):
     cfg, _, _, phases, _, terms = desk
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
     ns = cfg.data_instants()
-    assert np.all(cf.common_sinr(terms, plan, phases, cfg, ns) == 0.0)
+    assert np.all(cf.assemble(cf.plan_parts(terms, plan, phases, cfg, ns), 0.0)[1] == 0.0)
 
 
 def test_plan_freezes_a_copy_of_the_callers_arrays(desk):
@@ -523,9 +503,9 @@ def test_out_of_range_instant_rejected(desk):
     cfg, _, _, phases, _, terms = desk
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
     with pytest.raises(ValueError):
-        cf.private_sinr(terms, plan, phases, cfg, cfg.tau_p)  # pilot region
+        cf.plan_parts(terms, plan, phases, cfg, cfg.tau_p)  # pilot region
     with pytest.raises(ValueError):
-        cf.private_sinr(terms, plan, phases, cfg, cfg.tau_c + 1)
+        cf.plan_parts(terms, plan, phases, cfg, cfg.tau_c + 1)
 
 
 @pytest.mark.parametrize("instants, bad", [([5.7, 8], "5.7"), (6.5, "6.5"),
@@ -582,13 +562,14 @@ def test_sum_se_identities():
 def test_report_recomposition_and_rho_zero(desk):
     cfg, _, _, phases, _, terms = desk
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.5)
-    rep = cf.evaluate_plan(terms, plan, phases, cfg)
+    parts = cf.plan_parts(terms, plan, phases, cfg, cfg.data_instants())
+    rep = cf.se_report(parts, 0.5, cfg.tau_c)
     # recomposition from the raw SINR matrices
     se_p = cf.se_from_sinr(rep.sinr_private, cfg.tau_c)
     se_c = cf.se_from_sinr(rep.sinr_common, cfg.tau_c)
     assert rep.sum_se == pytest.approx(np.min(se_c) + np.sum(se_p), rel=1e-14)
     # rho = 0 degenerates to the plain (non-split) sum SE
-    rep0 = cf.evaluate_plan(terms, plan.replace_rho(0.0), phases, cfg)
+    rep0 = cf.se_report(parts, 0.0, cfg.tau_c)
     assert rep0.se_common == 0.0
     assert rep0.sum_se == pytest.approx(np.sum(rep0.se_private), rel=1e-14)
 
@@ -647,7 +628,8 @@ def test_more_aps_shrink_ap_drift_penalty():
             stats = cfrs.estimation_statistics(net, pilots, ph, cfg)
             terms = cf.TraceTerms.compute(net, stats, pilots)
             plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
-            return cf.evaluate_plan(terms, plan, ph, cfg).sum_se
+            return cf.se_report(cf.plan_parts(terms, plan, ph, cfg, cfg.data_instants()),
+                                0.0, cfg.tau_c).sum_se
 
         return sum_se_at(1e-3, 1e-5) / sum_se_at(1e-5, 1e-5)
 
@@ -663,6 +645,8 @@ def test_asymptotic_swap_equal_variances_tie():
     terms = cf.TraceTerms.compute(net, a, pilots)
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
     ph1 = cfrs.PhaseStatistics(v, v)
-    rep1 = cf.evaluate_plan(terms, plan, ph1, cfg)
-    rep2 = cf.evaluate_plan(terms, plan, ph1, cfg)
+    rep1 = cf.se_report(cf.plan_parts(terms, plan, ph1, cfg, cfg.data_instants()), 0.0,
+                        cfg.tau_c)
+    rep2 = cf.se_report(cf.plan_parts(terms, plan, ph1, cfg, cfg.data_instants()), 0.0,
+                        cfg.tau_c)
     assert rep1.sum_se == rep2.sum_se

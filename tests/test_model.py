@@ -42,19 +42,26 @@ def test_phase_statistics_reject_bad_variances(var_ap, var_ue):
         cfrs.PhaseStatistics(var_ap, var_ue)
 
 
-def test_expected_phase_decay_edges():
-    assert cfrs.expected_phase_decay(0, 0.5) == 1.0
-    assert cfrs.expected_phase_decay(17, 0.0) == 1.0
-    assert cfrs.expected_phase_decay(2, 0.01) == pytest.approx(np.exp(-0.01), rel=1e-14)
-    assert cfrs.expected_phase_decay(2, 0.01) == pytest.approx(0.990050, abs=1e-6)
+def test_phase_decay_edges():
+    assert cfrs.phase_decay(0, 0.5) == 1.0
+    assert cfrs.phase_decay(17, 0.0) == 1.0
+    assert cfrs.phase_decay(2, 0.005) == pytest.approx(np.exp(-0.01), rel=1e-14)
+    assert cfrs.phase_decay(2, 0.005) == pytest.approx(0.990050, abs=1e-6)
 
 
-def test_expected_phase_decay_strictly_monotone():
+def test_phase_decay_strictly_monotone():
     gaps = np.arange(0, 30)
-    vals = cfrs.expected_phase_decay(gaps, 0.02)
+    vals = cfrs.phase_decay(gaps, 0.02)
     assert np.all(np.diff(vals) < 0)
-    over_var = [cfrs.expected_phase_decay(3, v) for v in np.linspace(0.001, 0.1, 20)]
+    over_var = [cfrs.phase_decay(3, v) for v in np.linspace(0.001, 0.1, 20)]
     assert np.all(np.diff(over_var) < 0)
+
+
+def test_phase_decay_rejects_a_negative_gap_or_variance():
+    with pytest.raises(ValueError, match="gap must be >= 0"):
+        cfrs.phase_decay(np.array([1, -1]), 0.01)
+    with pytest.raises(ValueError, match="var must be >= 0"):
+        cfrs.phase_decay(2, -0.01)
 
 
 def _link_phases(var_ap, var_ue, count, instants, seed):
@@ -86,7 +93,7 @@ def test_phase_trajectory_rotation_mean_matches_decay():
         rot = np.exp(1j * (paths[:, cols[0]] - paths[:, cols[1]]))
         est = rot.mean()
         stderr = np.sqrt((np.var(rot.real) + np.var(rot.imag)) / paths.shape[0])
-        expected = cfrs.expected_phase_decay(n - m, var)
+        expected = cfrs.phase_decay(n - m, var / 2)
         assert abs(est - expected) < 3 * stderr
 
 
@@ -100,11 +107,13 @@ def test_phase_trajectory_increment_variance_consistent():
 
 
 def test_three_slope_continuity_and_anchor():
+    cfg = cfrs.SystemConfig()
+    profile = (cfg.pl_fixed_db, cfg.pl_break1_m, cfg.pl_break2_m)
     for d in (10.0, 50.0):
-        below = three_slope_gain_db(d - 1e-9)
-        above = three_slope_gain_db(d + 1e-9)
+        below = three_slope_gain_db(d - 1e-9, *profile)
+        above = three_slope_gain_db(d + 1e-9, *profile)
         assert below == pytest.approx(above, abs=1e-6)
-    assert three_slope_gain_db(1000.0) == pytest.approx(-140.7, abs=1e-9)
+    assert three_slope_gain_db(1000.0, *profile) == pytest.approx(-140.7, abs=1e-9)
 
 
 def test_delay_phases_single_ap_all_unity():
@@ -244,5 +253,6 @@ def test_min_distance_clamp():
     # UE dropped (almost) on top of an AP must not blow up the gain
     cfg = cfrs.SystemConfig(L=2, K=2, area_side=2.0, seed=13)
     net = cfrs.build_network(cfg)
-    cap = 10 ** (three_slope_gain_db(cfg.min_dist_m) / 10.0)
+    cap = 10 ** (three_slope_gain_db(
+        cfg.min_dist_m, cfg.pl_fixed_db, cfg.pl_break1_m, cfg.pl_break2_m) / 10.0)
     assert np.all(net.beta <= cap * (1 + 1e-12))

@@ -320,7 +320,8 @@ def test_correlated_oracle_matches_the_closed_form():
                               plans=list(plans.values()))
     for (scheme, transmission), plan in plans.items():
         res = cfrs.mc_sinr(batch, plan, n)
-        closed = cf.assemble(cf.plan_parts(terms, plan, phases, cfg, n), 0.5)
+        closed = [sinr[:, 0] for sinr in cf.assemble(cf.plan_parts(terms, plan, phases, cfg, n),
+                                                     0.5)]
         for est, stderr, want in ((res.private, res.private_stderr, closed[0]),
                                   (res.common, res.common_stderr, closed[1])):
             assert np.all(np.abs(est - want) <= 4 * stderr), (scheme, transmission)
@@ -922,8 +923,8 @@ def test_mc_matches_closed_form_under_pilot_contamination():
                               plans=list(plans.values()))
     for tag, plan in plans.items():
         res = cfrs.mc_sinr(batch, plan, n)
-        closed_p = cf.private_sinr(terms, plan, phases, cfg, n)
-        closed_c = cf.common_sinr(terms, plan, phases, cfg, n)
+        closed_p, closed_c = (sinr[:, 0] for sinr in
+                              cf.assemble(cf.plan_parts(terms, plan, phases, cfg, n), 0.5))
         assert np.all(np.abs(res.private - closed_p) / closed_p < 0.04), tag
         assert np.all(np.abs(res.common - closed_c) / closed_c < 0.04), tag
 
@@ -934,7 +935,7 @@ def test_mc_matches_closed_form_with_power_control(desk, desk_batch, desk_instan
     mu = cf.power_control_coefficients(terms, alpha=-1.0)
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0, power_control_alpha=-1.0)
     res = cfrs.mc_sinr(desk_batch([plan]), plan, n)
-    closed = cf.private_sinr(terms, plan, phases, cfg, n)
+    closed = cf.assemble(cf.plan_parts(terms, plan, phases, cfg, n), 0.0)[0][:, 0]
     assert np.all(np.abs(res.private - closed) / closed < 0.03)
 
 
@@ -1057,7 +1058,7 @@ def check_factored_accumulation():
 
 def test_jackknife_assembles_every_mean_as_its_own_call_would(desk, desk_batch, desk_instants):
     # one assemble call over the full and the B delete-one means gives the
-    # bits of one call per mean, each on its scalar PlanParts
+    # bits of one call per mean, each on its own one-row PlanParts
     cfg, net, pilots, phases, stats, terms = desk
     plans = [cf.make_plan(terms, scheme, transmission, rho) for scheme in cf.PRIVATE_SCHEMES
              for transmission in cf.TRANSMISSIONS for rho in (0.0, 0.5, 1.0)]
@@ -1071,8 +1072,8 @@ def test_jackknife_assembles_every_mean_as_its_own_call_would(desk, desk_batch, 
             sig_p, sig_c = (np.sum(np.abs(ds) ** 2, axis=1) for ds in (ds_p, ds_c))
         parts = cf.PlanParts(eaeu=np.ones((1, 1)), xi=int_p.sum(axis=1)[None],
                              sig_private=sig_p, sig_common=sig_c, gamma=(int_c - sig_c)[None],
-                             p_d=cfg.p_d, sigma2=cfg.sigma2_dl, scalar=True)
-        return cf.assemble(parts, rho)
+                             p_d=cfg.p_d, sigma2=cfg.sigma2_dl)
+        return tuple(sinr[:, 0] for sinr in cf.assemble(parts, rho))
 
     for plan in plans:
         sums = mc._declared_sums(batch, plan)

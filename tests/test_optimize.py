@@ -67,9 +67,10 @@ def test_optimal_rho_validates_tolerances():
 def test_optimal_rho_matches_grid_on_closed_form():
     cfg, net, pilots, phases, stats, terms, _ = setup_instance(seed=2)
     plan0 = cf.make_plan(terms, "du_mr", "coherent", 0.0)
+    parts = cf.plan_parts(terms, plan0, phases, cfg, cfg.data_instants())
 
     def sse(r):
-        return cf.evaluate_plan(terms, plan0.replace_rho(r), phases, cfg).sum_se
+        return cf.se_report(parts, r, cfg.tau_c).sum_se
 
     rho, best = opt.optimal_rho(sse)
     grid = np.linspace(0.0, 1.0, 1000)
@@ -131,7 +132,8 @@ def test_problem_sinr_matches_closed_form_with_unit_eta():
     for _ in range(10):
         w = rng.uniform(0, 1e4, size=(cfg.K, cfg.L))
         plan = cf.make_plan(terms, "du_mr", "coherent", 0.35, weights=w, unit_eta=True)
-        via_closed = cf.common_sinr(terms, plan, phases, cfg, problem.instant)
+        via_closed = cf.assemble(cf.plan_parts(terms, plan, phases, cfg, problem.instant),
+                                 0.35)[1][:, 0]
         via_problem = problem.sinr(per_set_y(problem, w))
         assert np.allclose(via_closed, via_problem, rtol=1e-10)
 
@@ -140,7 +142,7 @@ def test_problem_xi_matches_private_interference():
     cfg, net, pilots, phases, stats, terms, problem = setup_instance(seed=7)
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
     # reconstruct xi from the coherent private SINR at full power
-    sinr = cf.private_sinr(terms, plan, phases, cfg, problem.instant)
+    sinr = cf.assemble(cf.plan_parts(terms, plan, phases, cfg, problem.instant), 0.0)[0][:, 0]
     lam = cfg.estimation_instant
     ea = np.exp(-(problem.instant - lam) * phases.var_ap)
     eu = np.exp(-(problem.instant - lam) * phases.var_ue)
@@ -193,7 +195,8 @@ def test_split_is_canonical():
         same = []
         for v in (w, r):
             plan = cf.make_plan(terms, *opt.MAXMIN_SCHEME, 0.5, weights=v, unit_eta=True)
-            same.append((cf.common_sinr(terms, plan, phases, cfg, problem.instant),
+            same.append((cf.assemble(cf.plan_parts(terms, plan, phases, cfg, problem.instant),
+                                     0.5)[1][:, 0],
                          cf.common_power(terms, v), problem.sinr(per_set_y(problem, v))))
         for got, want in zip(*same):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -202,7 +205,7 @@ def test_split_is_canonical():
         members = res.weights[idx]  # (S, g, L)
         assert np.array_equal(members, np.broadcast_to(members[:, :1], members.shape))
     plan = cf.make_plan(terms, *opt.MAXMIN_SCHEME, 0.5, weights=res.weights, unit_eta=True)
-    applied = cf.common_sinr(terms, plan, phases, cfg, problem.instant)
+    applied = cf.assemble(cf.plan_parts(terms, plan, phases, cfg, problem.instant), 0.5)[1]
     assert np.min(applied) >= res.bracket[0] * (1 - 1e-9)
     assert np.max(cf.common_power(terms, res.weights)) <= 1 + 1e-12
 
