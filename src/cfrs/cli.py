@@ -875,9 +875,9 @@ def cmd_validate(args) -> int:
                ["stream", "transmission", "scheme", "n", "k", "closed_sinr",
                 "mc_sinr", "mc_stderr", "rel_err", "ci_lo", "ci_hi", "covered"],
                rows)
-    worst = max((float(r["rel_err"]) for r in rows if r["rel_err"]), default=None)
-    print(f"wrote {len(rows)} rows to {out}; worst relative error "
-          + ("blank: no closed-form SINR above 1e-30" if worst is None else f"{worst:.4%}"))
+    rel = [float(r["rel_err"]) for r in rows if r["rel_err"]]
+    worst = f"{max(rel):.4%}" if rel else "blank: no closed-form SINR above 1e-30"
+    print(f"wrote {len(rows)} rows to {out}; worst relative error {worst}")
     return 0
 
 
