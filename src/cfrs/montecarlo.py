@@ -45,9 +45,10 @@ each RNG chunk, and each worker runs its chunks in one workspace
 (``_Workspace``) that it holds for the whole pass.  The workspace names
 only the arrays that outlive a step: the chunk's channels h and pilot
 signal z, its UE and AP phase factors eu and ea, and a slice's link
-products Y and common products E, each allocated on first use and grown
-to the largest layout asked of it.  Every other array is a view of the
-one scratch buffer, in the layout its step takes (``_scratch_layouts``).
+products Y and one precoder's common products E, each allocated once, at
+the largest layout the pass asks of it (``_largest_layouts``), before the
+workspace's first draw.  Every other array is a view of the one scratch
+buffer, in the layout its step takes (``_scratch_layouts``).
 Every array with a realization axis is a view into the workspace, filled
 through ``out=``, and has its realization axis last, so a pass allocates
 no such array per chunk or per slice and its memory does not grow with
@@ -63,13 +64,13 @@ its work is shared at three levels (see ``_accumulate``):
 * once per slice, whatever the plans: the (K, S, L, r) link products
   Y[k,P,l] = sum_n conj(theta h)[k,l,n] u[P,l,n], through which every
   link-precoder product is x[i,l] Y[k,P_i,l], the observations' power
-  and, at each instant, the phase products and the private
-  desired-signal moment.  The DF precoders are v_df = conj(theta) v_du,
-  and as |theta| = 1 both schemes have the same private power: a DF plan
-  folds the rotation into its own factors and forms no products of its
-  own;
+  and, at each instant, the private desired-signal moment.  The DF
+  precoders are v_df = conj(theta) v_du, and as |theta| = 1 both schemes
+  have the same private power: a DF plan folds the rotation into its own
+  factors and forms no products of its own;
 * once per distinct precoder (private scheme, rho, mu, weights and eta,
-  compared by value): the common precoder's power and products and both
+  compared by value), one precoder after another: the common precoder's
+  power and products, which overwrite the previous precoder's, and both
   desired-signal sums;
 * once per plan: its transmission's interference terms.
 
@@ -319,8 +320,9 @@ class _ChunkDraw:
     shape with the realization axis moved first; a path is the cumulative
     sum of its sd-scaled increments over the instants, written into the
     float view of the buffer ("eu" or "ea") that the pass turns into its
-    phase factors (see ``_stream``).  A later call overwrites what an
-    earlier one wrote into the same workspace.
+    phase factors (see ``_stream``), which ``_stream`` has already sized
+    for the larger of the path and the factors.  A later call overwrites
+    what an earlier one wrote into the same workspace.
     """
 
     def __init__(self, net: NetworkModel, pilots: PilotAssignment, phases: PhaseStatistics,
@@ -496,8 +498,8 @@ def _scratch_layouts(draw: _ChunkDraw, c: int, r: int = 0) -> dict[str, tuple]:
     A step asks for its layout when it starts and reads nothing that an
     earlier step left in the buffer.  The views of one layout are in use at
     the same time, so each has its own region, except where noted.
-    ``_stream`` sizes the buffer for the largest layout of its longest
-    chunk and slice, and asks for that first.
+    ``_stream`` asks for the largest layout of its longest chunk and slice
+    first (``_largest_layouts``).
     """
     K, L, N, S = draw.shape
     drawn, M = len(draw.needed), draw.kept
@@ -525,6 +527,33 @@ def _scratch_layouts(draw: _ChunkDraw, c: int, r: int = 0) -> dict[str, tuple]:
         "e": (((K, L, r), complex),),
         "instants": (((K, L, r), complex), ((K, L, r), complex), ((K, K, r), complex),
                      ((K, K, r), complex), ((K, r), complex), ((K, r), complex)),
+    }
+
+
+def _largest_layouts(draw: _ChunkDraw, c: int, r: int) -> dict[str, tuple]:
+    """The largest layout a pass asks of each named workspace buffer, for
+    its longest chunk of c and slice of r realizations.  ``_stream`` asks
+    for each before a workspace's first draw, so every buffer is allocated
+    once and never replaced.
+
+    The phase buffers eu and ea first hold the draw's float paths at every
+    sampled instant and then the complex factors at the kept ones, so each
+    takes the larger of the two.
+    """
+    K, L, N, S = draw.shape
+    drawn, M = len(draw.needed), draw.kept
+
+    def larger(*layouts):
+        return max(layouts, key=lambda layout: _Workspace.nbytes(*layout))
+
+    return {
+        "h": (((K, L, N, c), complex),),
+        "z": (((S, L, N, c), complex),),
+        "eu": larger((((K, drawn, c), float),), (((K, M, c), complex),)),
+        "ea": larger((((L, drawn, c), float),), (((L, M, c), complex),)),
+        "Y": (((K, S, L, r), complex),),
+        "E": (((K, L, r), complex),),
+        "scratch": larger(*_scratch_layouts(draw, c, r).values()),
     }
 
 
@@ -592,33 +621,35 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
 
     Each RNG chunk runs on a worker of ``_map``, inside a workspace that
     the worker keeps for the whole pass: at most one is built per worker,
-    and each of its buffers grows to the largest chunk or slice layout
-    asked of it; the scratch buffer is asked for at the largest of
-    ``_scratch_layouts`` first, so it is allocated once.  Every array of
-    the pass has its realization axis last.  A chunk draws its
-    realizations into the workspace, the phase paths into the buffers of
-    their factors eu and ea; turns the paths' kept columns into those
-    factors, each once its columns are negated into the scratch; turns the
-    channels h into gh = conj(theta h) in place; and cuts itself into the
-    slices of ``_chunk_slices``.  Each slice filters its slice of the pilot
-    signal, drawn in set order, into one observation per co-pilot set
-    (``_CopilotSets.filter``), written over that slice of z; then
-    ``_accumulate`` shares its work at
-    three levels: the link products and their plan-free moments once per
-    slice; the power and common-precoder products once per distinct
-    precoder (``_share``); and only its transmission's interference terms
-    once per plan.  A plan's sums do not depend on which other plans were
-    declared with it.  Each slice adds into the chunk's partial sums, one
-    row per group the chunk touches, and the caller's thread folds the
-    partials into the group rows in chunk order.
+    and each chunk first asks every named buffer for the largest layout of
+    the pass (``_largest_layouts``), so each buffer is allocated once, in
+    the workspace's first chunk, and no view outlives the buffer it was
+    cut from.  Every array of the pass has its realization axis last.  A
+    chunk draws its realizations into the workspace, the phase paths into
+    the buffers of their factors eu and ea; turns the paths' kept columns
+    into those factors, each once its columns are negated into the
+    scratch; turns the channels h into gh = conj(theta h) in place; and
+    cuts itself into the slices of ``_chunk_slices``.  Each slice filters
+    its slice of the pilot signal, drawn in set order, into one
+    observation per co-pilot set (``_CopilotSets.filter``), written over
+    that slice of z; then ``_accumulate`` shares its work at three levels:
+    the link products and their plan-free moments once per slice; the
+    power and common-precoder products once per distinct precoder
+    (``_share``), one precoder at a time; and only its transmission's
+    interference terms once per plan.  A plan's sums do not depend on
+    which other plans were declared with it.  Each slice adds into the
+    chunk's partial sums, one row per group the chunk touches, and the
+    caller's thread folds the partials into the group rows in chunk order.
 
     Memory: a worker's workspace holds seven buffers, h, z, eu, ea, Y, E
-    and the scratch.  Beyond the desk scale it is dominated by the chunk
-    arrays h and z and the draw's scratch, which hold up to
-    K L N min(``RNG_CHUNK``, count) entries each.  With ``cfrs validate``'s
-    three instants and two distinct precoders, the layouts at 2e4
-    realizations sum to 5.0 MiB on the 4/2/2/2 desk, 92 MiB at 40/8/2/4,
-    856 MiB at 100/16/4/8 and 2.9 GiB at 200/32/4/8, per worker.
+    and the scratch, each allocated once; E holds one precoder's common
+    products, however many precoders the plans have.  Beyond the desk
+    scale it is dominated by the chunk arrays h and z and the draw's
+    scratch, which hold up to K L N min(``RNG_CHUNK``, count) entries each.
+    With ``cfrs validate``'s three instants, the layouts sum to 4.7 MiB at
+    2e4 realizations and 6.4 MiB at 1e5 on the 4/2/2/2 desk, and at 2e4 to
+    92 MiB at 40/8/2/4, 854 MiB at 100/16/4/8 and 2.9 GiB at 200/32/4/8,
+    per worker.
     """
     K, L, N = net.K, net.L, net.N
     for plan in plans:
@@ -631,9 +662,8 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
     assert draw.needed[-M:] == list(instants)
     sets = _CopilotSets(pilots, stats, net.lam)
     precoders = _share(plans, net.theta, stats.x, pilots)
-    largest = max(_scratch_layouts(draw, min(count, RNG_CHUNK),
-                                   max(sl.stop - sl.start for pieces in chunks for _, sl in pieces))
-                  .values(), key=lambda layout: _Workspace.nbytes(*layout))
+    largest = _largest_layouts(draw, min(count, RNG_CHUNK),
+                               max(sl.stop - sl.start for pieces in chunks for _, sl in pieces))
     conj_theta = np.conj(net.theta)[:, :, None, None]
     idle = []  # workspaces no chunk is running in
 
@@ -647,7 +677,8 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
         except IndexError:  # at most one per worker, as at most one chunk runs on each
             ws = _Workspace()
         try:
-            ws.get("scratch", *largest)
+            for name, layout in largest.items():  # allocates each buffer once
+                ws.get(name, *layout)
             h, z, ue, ap = draw(chunk, ws)
             c = h.shape[-1]
             scratch = _scratch_layouts(draw, c)
@@ -710,14 +741,16 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
     co-pilot set, not per UE, and every term reads it through x:
 
     * once per slice, plan-free: Y, the observation power sum |u|^2, and at
-      each instant the phase products eu[k] ea[l] and the private
-      desired-signal moment D[k,l] = sum_r eu[k] ea[l] Y[k,P_k,l];
-    * once per precoder: its power (mu x^2 |u|^2 per private precoder and
-      |v_c|^2 with the common precoder v_c[l] = sqrt(eta[l]) sum_P
-      Omega[P,l] u[P,l], its power normalization folded in), the
-      common-precoder products E[k,l] = sqrt(eta[l]) sum_P Omega[P,l]
-      Y[k,P,l], the private desired signal sqrt(mu) rot x D and the common
-      one, sum_r eu ea E;
+      every instant, before any precoder, the phase products eu[k] ea[l]
+      and the private desired-signal moment D[k,l] = sum_r eu[k] ea[l]
+      Y[k,P_k,l];
+    * once per precoder, one after another: its power (mu x^2 |u|^2 per
+      private precoder and |v_c|^2 with the common precoder v_c[l] =
+      sqrt(eta[l]) sum_P Omega[P,l] u[P,l], its power normalization folded
+      in), the common-precoder products E[k,l] = sqrt(eta[l]) sum_P
+      Omega[P,l] Y[k,P,l], written over the previous precoder's, the
+      private desired signal sqrt(mu) rot x D and the common one,
+      sum_r eu ea E, with the phase products formed again at each instant;
     * once per plan: its transmission's interference.  |eu| = 1 drops the
       per-UE factor from every interference term.  The non-coherent one is
       mu x^2 |Y|^2 summed over APs and has no phase at all, so it is the
@@ -726,8 +759,10 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
       co-pilot stack at a time from views of Y, with its UEs set by set.
 
     Every product is written into a workspace array and every sum of
-    products added into one, in the order a sum of fresh arrays would take.
-    Only Y and the common products E have buffers of their own, and u is
+    products added into one, in the order a sum of fresh arrays would take,
+    and each plan's sums receive the same products in the same order
+    whichever precoders come before its own.  Only Y and the common
+    products E of one precoder have buffers of their own, and u is
     the slice of the pilot signal it was filtered over; every other array
     of a slice is a view of the scratch layout of its step.  Each sum
     of squares over the realizations is one ``einsum`` over the float view
@@ -744,24 +779,6 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
     u_power = _sumsq(u).sum(axis=-1)[of]  # (K, L): sum |u[P_i]|^2
     # (K, K, L): sum_r |Y[k,P_i,l]|^2
     Y_power = _sumsq(Y)[:, of] if any(not s.coherent for s in sums) else None
-    E = []
-    for pre, slot in zip(precoders, ws.get("E", ((len(precoders), K, L, r), complex))):
-        power = (1.0 - pre.rho) * config.p_d * np.sum(pre.mu_x2 * u_power, axis=0)
-        e = None
-        if pre.rho > 0:
-            v_c = _sum_products(((pre.eta_omega[s, :, None, None], u[s]) for s in range(S)),
-                                *ws.get("scratch", *scratch["v_c"]))
-            power += pre.rho * config.p_d * _sumsq(v_c).sum(axis=-1)
-            e = _sum_products(((pre.eta_omega[s, :, None], Y[:, s]) for s in range(S)), slot,
-                              ws.get("scratch", *scratch["e"]))  # (K, L, r)
-        E.append(e)
-        for j in pre.plans:
-            out = sums[j]
-            out.power[b] += power
-            if not out.coherent:
-                out.int_p[b] += np.sum(pre.mu_x2 * Y_power, axis=-1)
-                if e is not None:
-                    out.int_c[b] += np.sum(_sumsq(e), axis=-1)
     phase_, w_, c_, c_work, ec_, ec_work = ws.get("scratch", *scratch["instants"])
     work = w_  # D's and ds_c's products, summed before w is formed
     # w and c list their UEs i set by set, c[i,k] = sum_l Y[k,P_i,l] w[i,l]: per
@@ -770,15 +787,39 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
                w_[ue_range].reshape(*idx.shape, 1, L, r), c_[ue_range].reshape(*idx.shape, K, r),
                c_work[ue_range].reshape(*idx.shape, K, r))
               for idx, set_range, ue_range in sets.stacks]
-    for m in range(eu.shape[1]):
-        ea_m = ea[:, m]  # (L, r)
-        phase = np.multiply(eu[:, m, None], ea_m, out=phase_)  # (K, L, r)
+    instants = range(eu.shape[1])
+    D = []
+    for m in instants:
+        phase = np.multiply(eu[:, m, None], ea[:, m], out=phase_)  # (K, L, r)
         for k, s in enumerate(of):  # eu[k] ea Y[k,P_k]
             np.multiply(phase[k], Y[k, s], out=work[k])
-        D = np.sum(work, axis=-1)
-        for pre, e in zip(precoders, E):
-            ds_p = pre.gain * D
-            ds_c = None if e is None else np.sum(np.multiply(phase, e, out=work), axis=-1)
+        D.append(np.sum(work, axis=-1))
+    e_ = ws.get("E", ((K, L, r), complex))
+    for pre in precoders:
+        # the precoder's v_c and e steps reuse the instants' scratch region,
+        # whose views each instant below writes before it reads them
+        power = (1.0 - pre.rho) * config.p_d * np.sum(pre.mu_x2 * u_power, axis=0)
+        e = None
+        if pre.rho > 0:
+            v_c = _sum_products(((pre.eta_omega[s, :, None, None], u[s]) for s in range(S)),
+                                *ws.get("scratch", *scratch["v_c"]))
+            power += pre.rho * config.p_d * _sumsq(v_c).sum(axis=-1)
+            e = _sum_products(((pre.eta_omega[s, :, None], Y[:, s]) for s in range(S)), e_,
+                              ws.get("scratch", *scratch["e"]))  # (K, L, r)
+        for j in pre.plans:
+            out = sums[j]
+            out.power[b] += power
+            if not out.coherent:
+                out.int_p[b] += np.sum(pre.mu_x2 * Y_power, axis=-1)
+                if e is not None:
+                    out.int_c[b] += np.sum(_sumsq(e), axis=-1)
+        for m in instants:
+            ea_m = ea[:, m]  # (L, r)
+            ds_p = pre.gain * D[m]
+            ds_c = None
+            if e is not None:
+                phase = np.multiply(eu[:, m, None], ea_m, out=phase_)
+                ds_c = np.sum(np.multiply(phase, e, out=work), axis=-1)
             for j in pre.plans:
                 out = sums[j]
                 out.ds_p[b, m] += ds_p

@@ -701,9 +701,8 @@ def test_a_cached_view_is_rebuilt_when_its_buffer_grows():
     assert ws.get("b", ((4,), float)) is other  # another buffer's views stay
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_a_pass_builds_one_workspace_per_worker(desk, monkeypatch, workers):
-    monkeypatch.setattr(mc, "_CPUS", workers)
+def built_workspaces(monkeypatch):
+    """The workspaces that passes build from now on."""
     built = []
 
     class Counted(mc._Workspace):
@@ -712,6 +711,13 @@ def test_a_pass_builds_one_workspace_per_worker(desk, monkeypatch, workers):
             super().__init__()
 
     monkeypatch.setattr(mc, "_Workspace", Counted)
+    return built
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_pass_builds_one_workspace_per_worker(desk, monkeypatch, workers):
+    monkeypatch.setattr(mc, "_CPUS", workers)
+    built = built_workspaces(monkeypatch)
     count = 5 * mc.RNG_CHUNK + 17
     assert len(mc._chunk_slices(count, desk[1].K, desk[1].L)[1]) == 6
     desk_pass_sums(desk, count)
@@ -760,11 +766,17 @@ def test_a_workspace_holds_only_the_largest_layout_of_each_buffer(desk, monkeypa
             assert sum(ws.allocations.values()) <= 2 * len(ws._flat)
 
 
+WORKSPACE_BUFFERS = ("h", "z", "eu", "ea", "Y", "E", "scratch")
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_workspace_allocates_its_scratch_once(desk, monkeypatch, workers):
-    # a chunk asks for its largest scratch layout first: a scratch buffer
-    # grown in steps frees blocks that the allocator then trims and faults
-    # back in at every pass.  Uneven co-pilot sets and a short last chunk.
+def test_a_workspace_allocates_each_buffer_once(desk, monkeypatch, workers):
+    # a chunk asks for every buffer's largest layout first: a buffer grown in
+    # steps frees blocks that the allocator then trims and faults back in at
+    # every pass, and a view of a replaced buffer keeps it alive.  On
+    # the desk the phase factors outgrow their float paths, and groups of 849
+    # and 850 realizations give slices of both lengths; the second system
+    # has uneven co-pilot sets and a short last chunk.
     monkeypatch.setattr(mc, "_CPUS", workers)
     built = spied_workspaces(monkeypatch)
     for setup in (desk, small_setup(seed=3, L=10, K=5, N=3, tau_p=3)):
@@ -772,15 +784,33 @@ def test_a_workspace_allocates_its_scratch_once(desk, monkeypatch, workers):
         desk_pass_sums(setup)
         assert 1 <= len(built) <= workers
         for ws in built:
-            assert ws.allocations["scratch"] == 1
+            assert ws.allocations == dict.fromkeys(WORKSPACE_BUFFERS, 1)
+
+
+def test_a_desk_pass_peaks_near_its_workspace(desk, monkeypatch):
+    # at its peak a one-worker 1e5-realization desk pass holds little beyond
+    # its workspace's buffers: no replaced buffer outlives its replacement,
+    # and only one precoder's common products are kept at a time
+    monkeypatch.setattr(mc, "_CPUS", 1)
+    built = built_workspaces(monkeypatch)
+    tracemalloc.start()
+    try:
+        desk_pass_sums(desk, DESK_DRAW["count"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (ws,) = built
+    held = sum(flat.size for flat in ws._flat.values())
+    assert peak - held <= 0.75 * 2**20, (peak, held)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_desk_workspace_holds_only_what_outlives_a_step(desk, monkeypatch, workers):
     # after a 1e5-realization desk pass a workspace names only the chunk
-    # arrays, the phase factors, the link and common products and one
-    # scratch, and every scratch request is a layout of _scratch_layouts
-    # for one of the pass's chunk and slice lengths
+    # arrays, the phase factors, the link products, one precoder's common
+    # products and one scratch (6.375 MiB), and every scratch request is a
+    # layout of _scratch_layouts for one of the pass's chunk and slice
+    # lengths
     cfg, net, pilots, phases, _, _ = desk
     monkeypatch.setattr(mc, "_CPUS", workers)
     count = DESK_DRAW["count"]
@@ -788,8 +818,8 @@ def test_a_desk_workspace_holds_only_what_outlives_a_step(desk, monkeypatch, wor
     desk_pass_sums(desk, count)
     assert 1 <= len(built) <= workers
     for ws in built:
-        assert set(ws._flat) == {"h", "z", "eu", "ea", "Y", "E", "scratch"}
-        assert sum(flat.size for flat in ws._flat.values()) <= 7.5 * 2**20
+        assert set(ws._flat) == set(WORKSPACE_BUFFERS)
+        assert sum(flat.size for flat in ws._flat.values()) <= 6.5 * 2**20
     kept = (cfg.estimation_instant, cfg.estimation_instant + 3, cfg.tau_c)
     draw = mc._ChunkDraw(net, pilots, phases, cfg, count, 2, kept)
     chunks = mc._chunk_slices(count, net.K, net.L)[1]
