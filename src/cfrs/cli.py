@@ -440,6 +440,173 @@ def build_topology(
     return Topology(net, pilots, stats, TraceTerms.compute(net, stats, pilots))
 
 
+class Job(NamedTuple):
+    """One scheme on one topology, with the inputs of its sweep point."""
+
+    cfg: SystemConfig
+    phases: PhaseStatistics
+    scheme: SchemeSpec
+    topology: Topology
+    fixed_rho: float | None = None
+
+
+def _in_stack(fn, ids: list[int], failed: dict) -> dict:
+    """{i: result} over ``ids`` of ``fn(ids)``, which returns one result per
+    id from one stacked call.  If that call raises, each id is run alone,
+    so that a failure lands on its own id, in ``failed``."""
+    if not ids:
+        return {}
+    try:
+        return dict(zip(ids, fn(ids)))
+    except Exception as exc:  # redone one by one below
+        if len(ids) == 1:
+            failed[ids[0]] = exc
+            return {}
+    done = {}
+    for i in ids:
+        try:
+            done[i] = fn([i])[0]
+        except Exception as exc:  # recorded, the other ids continue
+            failed[i] = exc
+    return done
+
+
+def run_jobs(jobs: list[Job], mc_realizations: int = 0) -> list:
+    """Each job's (report, extras), or the exception that failed it; extras
+    carries the optimized rho and optional Monte Carlo cross-check errors.
+
+    The jobs, which share K, tau_p and tau_c, are evaluated as stacks with
+    a leading job axis: one ``closed_form.plan_parts`` call per (private
+    scheme, transmission) builds the rho-independent coefficients that the
+    rho search, the report and the Monte Carlo check share; one lockstep
+    ``optimize.optimal_rho`` searches every job that optimizes rho; and one
+    ``se_report`` reports every job.  If a stacked call raises, its jobs are
+    redone one by one (``_in_stack``), so each failure lands on its own job
+    and the others keep their numbers, which a stack computes bitwise as
+    their own calls do.  Robust weights, found at the searched rho, need
+    new coefficients; they and the Monte Carlo checks run per job.
+    """
+    if len({(job.cfg.K, job.cfg.tau_p, job.cfg.tau_c) for job in jobs}) > 1:
+        raise ValueError("jobs evaluated together must share K, tau_p and tau_c")
+    failed: dict[int, Exception] = {}
+    plans = {}
+    for i, job in enumerate(jobs):
+        try:
+            plans[i] = make_plan(job.topology.terms, job.scheme.private_scheme,
+                                 job.scheme.transmission, 0.0)
+        except Exception as exc:  # recorded, the other jobs continue
+            failed[i] = exc
+
+    def parts_of(ids):
+        stack = closed_form.plan_parts(
+            TraceTerms.stack([jobs[i].topology.terms for i in ids]),
+            closed_form.PrecodingPlan.stack([plans[i] for i in ids]),
+            [jobs[i].phases for i in ids], [jobs[i].cfg for i in ids],
+            jobs[ids[0]].cfg.data_instants())
+        return [(stack, b) for b in range(len(ids))]
+
+    joined = {}  # ids -> their stack, shared by the search and the report
+
+    def stack_of(ids):
+        # the jobs' coefficients cut from the stacks they were computed in,
+        # where the jobs of one stack come in a row
+        key = tuple(ids)
+        if key not in joined:
+            pieces = []
+            for i in ids:
+                stack, b = parts[i]
+                if pieces and pieces[-1][0] is stack:
+                    pieces[-1][1].append(b)
+                else:
+                    pieces.append((stack, [b]))
+            joined[key] = closed_form.PlanParts.stack([
+                stack if rows == list(range(len(stack.eaeu))) else stack.take(rows)
+                for stack, rows in pieces])
+        return joined[key]
+
+    def alive(ids):
+        return [i for i in ids if i not in failed]
+
+    pairs = {}  # (private scheme, transmission) -> its jobs
+    for i in alive(range(len(jobs))):
+        pairs.setdefault((jobs[i].scheme.private_scheme, jobs[i].scheme.transmission),
+                         []).append(i)
+    parts = {}  # job -> (stack, row), in stack order
+    for ids in pairs.values():
+        parts.update(_in_stack(parts_of, ids, failed))
+
+    rho, searched = {}, []
+    for i in alive(parts):
+        scheme = jobs[i].scheme
+        if not scheme.rs_enabled:
+            rho[i] = 0.0
+        elif jobs[i].fixed_rho is not None:
+            rho[i] = jobs[i].fixed_rho
+        else:
+            searched.append(i)
+
+    def search(ids):
+        curve = closed_form.sum_se_curve(stack_of(ids), jobs[ids[0]].cfg.tau_c)
+        return optimize.optimal_rho(curve)[0].tolist()
+
+    rho.update(_in_stack(search, searched, failed))
+    extras = {i: {"optimized_rho": rho[i]} for i in searched if i in rho}
+
+    for i in alive(rho):
+        job = jobs[i]
+        if job.scheme.rs_enabled and job.scheme.weights_mode == "robust" and rho[i] > 0:
+            try:
+                terms = job.topology.terms
+                problem = optimize.build_maxmin_problem(terms, job.phases, job.cfg, rho[i])
+                result = optimize.robust_common_precoding(problem)
+                plans[i] = make_plan(terms, job.scheme.private_scheme, job.scheme.transmission,
+                                     rho[i], weights=result.weights, unit_eta=True)
+                parts[i] = parts_of([i])[0]
+                joined.clear()
+            except Exception as exc:  # recorded, the other jobs continue
+                failed[i] = exc
+
+    def report(ids):
+        stack = closed_form.se_report(stack_of(ids), np.array([rho[i] for i in ids]),
+                                      jobs[ids[0]].cfg.tau_c)
+        return [stack.job(b) for b in range(len(ids))]
+
+    reports = _in_stack(report, [i for i in alive(parts) if i in rho], failed)
+
+    for i in reports if mc_realizations > 0 else ():
+        try:
+            extras.setdefault(i, {}).update(
+                _mc_errors(jobs[i], plans[i].replace_rho(rho[i]), reports[i], mc_realizations))
+        except Exception as exc:  # recorded, the other jobs continue
+            failed[i] = exc
+    return [failed[i] if i in failed else (reports[i], extras.get(i, {}))
+            for i in range(len(jobs))]
+
+
+def _mc_errors(job: Job, plan, report, mc_realizations: int) -> dict:
+    """The Monte Carlo check of a job's report at the mid instant: the
+    largest relative error per stream, left out where every UE is."""
+    cfg = job.cfg
+    net, pilots, stats, _ = job.topology
+    mid = cfg.mid_instant
+    batch = montecarlo.sample_batch(
+        net, pilots, stats, job.phases, cfg, mc_realizations, cfg.seed, instants=[mid],
+        plans=[plan],
+    )
+    mc = montecarlo.mc_sinr(batch, plan, mid)
+    i = mid - cfg.estimation_instant  # the report's columns start at lambda
+    streams = [("private", mc.private, report.sinr_private[:, i])]
+    if plan.rho > 0:
+        streams.append(("common", mc.common, report.sinr_common[:, i]))
+    errors = {}
+    for stream, est, closed in streams:
+        # the column stays blank when every UE is left out
+        rel = _relative_errors(est, closed)
+        if not np.isnan(rel).all():
+            errors[f"mc_rel_err_{stream}"] = float(np.nanmax(rel))
+    return errors
+
+
 def run_scheme(
     cfg: SystemConfig,
     phases: PhaseStatistics,
@@ -448,55 +615,16 @@ def run_scheme(
     fixed_rho: float | None = None,
     mc_realizations: int = 0,
 ):
-    """Optimize the plan for one scheme on one topology, evaluate SE.
+    """Optimize the plan for one scheme on one topology, evaluate SE: the
+    one-job case of ``run_jobs``, raising what failed the job.
 
     Returns (report, extras) where extras carries the optimized rho and
     optional Monte Carlo cross-check errors.
     """
-    net, pilots, stats, terms = topology
-    extras: dict = {}
-    # the plan's rho-independent coefficients serve the rho search and the
-    # report; only robust weights, found at the searched rho, need new ones
-    plan = make_plan(terms, scheme.private_scheme, scheme.transmission, 0.0)
-    parts = closed_form.plan_parts(terms, plan, phases, cfg, cfg.data_instants())
-
-    if not scheme.rs_enabled:
-        rho = 0.0
-    elif fixed_rho is not None:
-        rho = fixed_rho
-    else:
-        rho, _ = optimize.optimal_rho(closed_form.sum_se_curve(parts, cfg.tau_c))
-        extras["optimized_rho"] = rho
-
-    if scheme.rs_enabled and scheme.weights_mode == "robust" and rho > 0:
-        problem = optimize.build_maxmin_problem(terms, phases, cfg, rho)
-        result = optimize.robust_common_precoding(problem)
-        plan = make_plan(
-            terms, scheme.private_scheme, scheme.transmission, rho,
-            weights=result.weights, unit_eta=True,
-        )
-        parts = closed_form.plan_parts(terms, plan, phases, cfg, cfg.data_instants())
-
-    report = closed_form.se_report(parts, rho, cfg.tau_c)
-
-    if mc_realizations > 0:
-        plan = plan.replace_rho(rho)
-        mid = cfg.mid_instant
-        batch = montecarlo.sample_batch(
-            net, pilots, stats, phases, cfg, mc_realizations, cfg.seed, instants=[mid],
-            plans=[plan],
-        )
-        mc = montecarlo.mc_sinr(batch, plan, mid)
-        i = mid - cfg.estimation_instant  # the report's columns start at lambda
-        streams = [("private", mc.private, report.sinr_private[:, i])]
-        if plan.rho > 0:
-            streams.append(("common", mc.common, report.sinr_common[:, i]))
-        for stream, est, closed in streams:
-            # the column stays blank when every UE is left out
-            rel = _relative_errors(est, closed)
-            if not np.isnan(rel).all():
-                extras[f"mc_rel_err_{stream}"] = float(np.nanmax(rel))
-    return report, extras
+    (result,) = run_jobs([Job(cfg, phases, scheme, topology, fixed_rho)], mc_realizations)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _relative_errors(est: np.ndarray, closed: np.ndarray) -> np.ndarray:
@@ -540,10 +668,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> P
     A repetition draws its network and pilots once and shares them across
     its jobs for as long as their system config, the downlink power set
     aside, is the same (oscillator, rho and transmit-power sweeps; an
-    antenna sweep point has its own network), keeping one network alive at
-    a time; a failed draw is recorded on every job that needed it.  Each
-    job computes its own estimation statistics and traces; the previous
-    job's are dropped before the next ones are built.  Writes results.csv
+    antenna sweep point has its own network); a failed draw is recorded on
+    every job that needed it.  Each job computes its own estimation
+    statistics and traces, and then all jobs of the repetition are
+    evaluated together (``run_jobs``), so one repetition's topologies, one
+    per sweep point and scheme, are alive at once.  Writes results.csv
     (one row per job and UE), aggregate.csv, and a manifest.json from which
     the run can be replayed byte-identically.  Per-job failures are
     recorded in the rows' status column and do not abort the run.
@@ -554,53 +683,61 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> P
     sweep_points = spec.sweep_values or (None,)
     rows = {}  # (sweep_idx, scheme_idx, rep) -> the job's rows, one per UE
     agg: dict[tuple, list[float]] = {}
-    topology = None
     for rep in range(spec.repetitions):
         seed = _job_seed(spec.base.seed, rep)
         drawn_for = None
+        labels, jobs = [], []  # a Job, or the exception that failed its build
         for sweep_idx, sweep_value in enumerate(sweep_points):
             cfg, phases, fixed_rho = _job_inputs(spec, sweep_value, seed)
             # build_network does not read the downlink power p_d
-            draw_cfg = dataclasses.replace(cfg, p_d=spec.base.p_d)
+            draw_cfg = cfg if cfg.p_d == spec.base.p_d else dataclasses.replace(
+                cfg, p_d=spec.base.p_d)
             if draw_cfg != drawn_for:
-                # frees the previous network, and the last job's arrays, first
-                drawn_for, network, topology = draw_cfg, None, None
+                drawn_for = draw_cfg
                 try:
                     network = (build_network(cfg), assign_pilots(cfg.K, cfg.tau_p))
                 except Exception as exc:  # recorded on each job below
                     network = exc
             for scheme_idx, scheme in enumerate(spec.schemes):
-                topology = None  # frees the previous job's arrays first
+                labels.append((sweep_idx, scheme_idx, _job_label(spec, sweep_value, scheme)))
                 try:
                     if isinstance(network, Exception):
                         raise network
                     topology = build_topology(cfg, phases, network)
-                    report, extras = run_scheme(
-                        cfg, phases, scheme, topology, fixed_rho, spec.mc_realizations
-                    )
+                    if not spec.mc_realizations:
+                        # only the Monte Carlo check reads the statistics
+                        topology = topology._replace(stats=None)
+                    jobs.append(Job(cfg, phases, scheme, topology, fixed_rho))
                 except Exception as exc:  # recorded, run continues
-                    log.warning("job failed (%s, rep %d): %s", scheme.label(), rep, exc)
-                    # _write_csv leaves the value columns of these rows blank
-                    values = [{"status": f"error:{type(exc).__name__}"}] * cfg.K
-                else:
-                    agg.setdefault((sweep_idx, scheme_idx), []).append(report.sum_se)
-                    values = [
-                        {
-                            "rho": repr(float(report.rho)),
-                            "se_private": repr(float(report.se_private[k])),
-                            "se_common_per_ue": repr(float(report.se_common_per_ue[k])),
-                            "se_common": repr(float(report.se_common)),
-                            "sum_se": repr(float(report.sum_se)),
-                            "mc_rel_err_private": extras.get("mc_rel_err_private", ""),
-                            "mc_rel_err_common": extras.get("mc_rel_err_common", ""),
-                            "status": "ok",
-                        }
-                        for k in range(cfg.K)
-                    ]
-                label = _job_label(spec, sweep_value, scheme)
-                rows[sweep_idx, scheme_idx, rep] = [
-                    {**label, "repetition": rep, "k": k, "seed": seed, **v}
-                    for k, v in enumerate(values)]
+                    jobs.append(exc)
+        results = iter(run_jobs([job for job in jobs if isinstance(job, Job)],
+                                spec.mc_realizations))
+        for (sweep_idx, scheme_idx, label), job in zip(labels, jobs):
+            result = next(results) if isinstance(job, Job) else job
+            if isinstance(result, Exception):
+                log.warning("job failed (%s, rep %d): %s",
+                            spec.schemes[scheme_idx].label(), rep, result)
+                # _write_csv leaves the value columns of these rows blank
+                values = [{"status": f"error:{type(result).__name__}"}] * spec.base.K
+            else:
+                report, extras = result
+                agg.setdefault((sweep_idx, scheme_idx), []).append(report.sum_se)
+                values = [
+                    {
+                        "rho": repr(float(report.rho)),
+                        "se_private": repr(float(report.se_private[k])),
+                        "se_common_per_ue": repr(float(report.se_common_per_ue[k])),
+                        "se_common": repr(float(report.se_common)),
+                        "sum_se": repr(float(report.sum_se)),
+                        "mc_rel_err_private": extras.get("mc_rel_err_private", ""),
+                        "mc_rel_err_common": extras.get("mc_rel_err_common", ""),
+                        "status": "ok",
+                    }
+                    for k in range(spec.base.K)
+                ]
+            rows[sweep_idx, scheme_idx, rep] = [
+                {**label, "repetition": rep, "k": k, "seed": seed, **v}
+                for k, v in enumerate(values)]
 
     # both CSVs list jobs in spec order: sweep point, scheme, then repetition
     _write_csv(out / "results.csv", RESULTS_SCHEMA, RESULT_COLUMNS,

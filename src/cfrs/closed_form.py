@@ -45,6 +45,15 @@ rho search's objective (``sum_se_curve``) into the sum SE alone, so a sweep
 job that searches rho and then reports at the optimum computes its plan's
 coefficients once.
 
+The same functions take a leading job axis of B jobs that share their
+pilot assignment, scheme and instants: ``TraceTerms.stack`` and
+``PrecodingPlan.stack`` stack the jobs' terms and plans, ``plan_parts``
+then takes one phase statistics and config per job, and ``PlanParts.stack``
+joins such stacks, so ``sum_se_curve``, ``assemble`` and ``se_report``
+take rho as a (B,) array and evaluate every job in one call.  Every sum
+runs over the same axis, in the same order, as for one job, so each job's
+numbers in a stack are bitwise those of its own call.
+
 No matrix product appears in this module: no ``@``, ``matmul``, ``dot``,
 ``vdot``, ``inner`` or ``tensordot``, and no ``einsum(..., optimize=...)``.
 A product dispatched to BLAS sums in an order that depends on the CPU
@@ -53,7 +62,9 @@ kernel OpenBLAS selects, and the sweep's CSVs must not.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +79,11 @@ TRANSMISSIONS = ("coherent", "noncoherent")
 def _abs2(z: np.ndarray) -> np.ndarray:
     """|z|^2 of a complex array, without the square root of ``np.abs``."""
     return z.real**2 + z.imag**2
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays stacked on a new leading axis; one array is not copied."""
+    return np.stack(arrays) if len(arrays) > 1 else arrays[0][None]
 
 
 def _eig_sum(x: np.ndarray, lam: np.ndarray | None = None) -> np.ndarray:
@@ -118,11 +134,22 @@ class TraceTerms:
 
     @property
     def K(self) -> int:
-        return self.tr_Q.shape[0]
+        return self.tr_Q.shape[-2]
 
     @property
     def L(self) -> int:
-        return self.tr_Q.shape[1]
+        return self.tr_Q.shape[-1]
+
+    @classmethod
+    def stack(cls, terms: Sequence["TraceTerms"]) -> "TraceTerms":
+        """The terms of B jobs on one pilot assignment, each array with a
+        leading job axis."""
+        pilots = terms[0].pilots
+        if any(not np.array_equal(t.pilots.t, pilots.t) for t in terms[1:]):
+            raise ValueError("stacked trace terms must share their pilot assignment")
+        arrays = ("x", "s2", "s3", "tr_Q", "tr_QT", "theta", "beta")
+        return cls(pilots=pilots, **{name: _stack([getattr(t, name) for t in terms])
+                                     for name in arrays})
 
     @classmethod
     def compute(
@@ -187,22 +214,44 @@ class PrecodingPlan:
     def replace_rho(self, rho: float) -> "PrecodingPlan":
         return dataclasses.replace(self, rho=rho)
 
+    @classmethod
+    def stack(cls, plans: Sequence["PrecodingPlan"]) -> "PrecodingPlan":
+        """The plans of B jobs with one scheme and rho, each array with a
+        leading job axis."""
+        first = plans[0]
+        tags = first.private_scheme, first.transmission, first.rho
+        if any((p.private_scheme, p.transmission, p.rho) != tags for p in plans):
+            raise ValueError("stacked plans must share their scheme, transmission and rho")
+        # each plan was checked on construction, so the stack is not
+        # checked again: it holds their arrays, frozen, and nothing else
+        stacked = copy.copy(first)
+        for name in ("weights", "mu", "eta"):
+            arr = _stack([getattr(p, name) for p in plans])
+            arr.setflags(write=False)
+            object.__setattr__(stacked, name, arr)
+        return stacked
+
 
 def _check_shape(name: str, arr: np.ndarray, shape: tuple) -> None:
     if arr.shape != shape:
         raise ValueError(f"plan {name} has shape {arr.shape}, but the network needs {shape}")
 
 
-def check_plan_shapes(plan: PrecodingPlan, K: int, L: int) -> None:
+def check_plan_shapes(plan: PrecodingPlan, *shape: int) -> None:
     """Raise ValueError, naming the field, unless the plan's mu and weights
-    are (K, L) and its eta is (L,): a plan is never broadcast to a network."""
-    for name, shape in (("mu", (K, L)), ("weights", (K, L)), ("eta", (L,))):
-        _check_shape(name, getattr(plan, name), shape)
+    have the network's ``shape`` (K, L), or (B, K, L) for B jobs, and its
+    eta that shape without K: a plan is never broadcast to a network."""
+    for name, want in (("mu", shape), ("weights", shape), ("eta", shape[:-2] + shape[-1:])):
+        _check_shape(name, getattr(plan, name), want)
 
 
 @dataclass(frozen=True)
 class SEReport:
-    """Per-instant SINRs, per-UE SE, and the rate-splitting sum SE at ``rho``."""
+    """Per-instant SINRs, per-UE SE, and the rate-splitting sum SE at ``rho``.
+
+    The report of B jobs holds each field with a leading job axis, and
+    ``job`` takes one job's report out of it.
+    """
 
     sinr_private: np.ndarray
     sinr_common: np.ndarray
@@ -211,6 +260,12 @@ class SEReport:
     se_common: float
     sum_se: float
     rho: float
+
+    def job(self, b: int) -> "SEReport":
+        """Job b's report of a report of B jobs."""
+        return SEReport(self.sinr_private[b], self.sinr_common[b], self.se_private[b],
+                        self.se_common_per_ue[b], float(self.se_common[b]),
+                        float(self.sum_se[b]), float(self.rho[b]))
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +393,10 @@ class PlanParts:
 
     eaeu (M, 1) is ea*eu; xi (M, K) or (1, K) the private received power,
     gamma (M, K) the common interference, both per transmitted watt;
-    sig_private and sig_common (K,) the desired-signal coefficients, or
-    (M, K) where they differ per row.
+    sig_private and sig_common (1, K) the desired-signal coefficients, or
+    (M, K) where they differ per row.  The coefficients of B jobs carry a
+    leading job axis on every array; p_d and sigma2 stay floats where the
+    jobs share them, and are (B, 1, 1) otherwise.
     """
 
     eaeu: np.ndarray
@@ -350,15 +407,65 @@ class PlanParts:
     p_d: float
     sigma2: float
 
+    @classmethod
+    def stack(cls, parts: Sequence["PlanParts"]) -> "PlanParts":
+        """One stack of several stacks of jobs' coefficients, joined along
+        the job axis.  A field with one row next to one with M, such as a
+        non-coherent xi next to a coherent one, is broadcast to M rows."""
+        if len(parts) == 1:
+            return parts[0]
+        joined = []
+        for field in dataclasses.fields(cls):
+            values = [getattr(p, field.name) for p in parts]
+            if all(np.ndim(v) == 0 for v in values) and len(set(values)) == 1:
+                joined.append(values[0])
+                continue
+            arrays = [np.full((len(p.eaeu), 1, 1), v) if np.ndim(v) == 0 else v
+                      for p, v in zip(parts, values)]
+            rows = max(a.shape[-2] for a in arrays)
+            joined.append(np.concatenate([
+                a if a.shape[-2] == rows else np.broadcast_to(a, (len(a), rows, a.shape[-1]))
+                for a in arrays]))
+        return cls(*joined)
+
+    def take(self, jobs: list[int]) -> "PlanParts":
+        """The stack of the given jobs of a stack, in that order."""
+        values = (getattr(self, field.name) for field in dataclasses.fields(self))
+        return PlanParts(*(v if np.ndim(v) == 0 else v[jobs] for v in values))
+
+
+def _job_decays(phases, config, instants):
+    """(ea, eu, p_d, sigma2) of one job, or of B jobs, which share their
+    instants, from their sequences of phase statistics and configs: ea and
+    eu (B, M), p_d and sigma2 floats where the jobs share them, else
+    (B, 1, 1)."""
+    if isinstance(config, SystemConfig):
+        return (*decay_pair(phases, config, instants), config.p_d, config.sigma2_dl)
+    if len({(cfg.estimation_instant, cfg.tau_c) for cfg in config}) > 1:
+        raise ValueError("stacked jobs must share their estimation instant and tau_c")
+    gap = check_instants(config[0], instants) - config[0].estimation_instant
+    var = np.array([[ph.var_ap for ph in phases], [ph.var_ue for ph in phases]])
+    ea, eu = phase_decay(gap, var[..., None])
+
+    def per_job(values):
+        return values[0] if len(set(values)) == 1 else np.array(values)[:, None, None]
+
+    return (ea, eu, per_job([cfg.p_d for cfg in config]),
+            per_job([cfg.sigma2_dl for cfg in config]))
+
 
 def plan_parts(
     terms: TraceTerms,
     plan: PrecodingPlan,
-    phases: PhaseStatistics,
-    config: SystemConfig,
+    phases: PhaseStatistics | Sequence[PhaseStatistics],
+    config: SystemConfig | Sequence[SystemConfig],
     instants,
 ) -> PlanParts:
     """Every coefficient of the plan's SINRs that does not depend on rho.
+
+    For B jobs, ``terms`` and ``plan`` are stacks (``TraceTerms.stack``,
+    ``PrecodingPlan.stack``) and ``phases`` and ``config`` sequences of B,
+    and so is every field of the result.
 
     Non-coherent private terms carry no delay phase (per-AP detection
     removes it, so DU and DF agree exactly); the non-coherent common stream
@@ -378,8 +485,8 @@ def plan_parts(
     sum_{i in P_k} |sum_l (x s2)[k,l] (sq x)[i,l]|^2 pairs UEs, in an
     (S_c, g_c, g_c) array per stack of equal-size sets that is not kept.
     """
-    check_plan_shapes(plan, terms.K, terms.L)
-    ea, eu = decay_pair(phases, config, instants)
+    check_plan_shapes(plan, *terms.tr_Q.shape)
+    ea, eu, p_d, sigma2 = _job_decays(phases, config, instants)
     theta_eff = _theta_eff(terms, plan.private_scheme)
     mu, eta = plan.mu, plan.eta
     coherent_tx = plan.transmission == "coherent"
@@ -389,49 +496,58 @@ def plan_parts(
         sqx = sq * terms.x
     pilots, x = terms.pilots, terms.x
     of = pilots.set_of
-    xs2 = x * terms.s2[of]
+    xs2 = x * terms.s2[..., of, :]
 
     omega = pilots.set_sums(w * x)  # (S, L)
-    per_ap = xs2 * omega[of]
-    percontam = np.einsum("kl,kl->k", xs2 * xs2, pilots.set_sums(mu * x * x)[of])
-    s = np.einsum("sl,sl->l", terms.s3, _abs2(omega))
+    per_ap = xs2 * omega[..., of, :]
+    percontam = np.einsum("...kl,...kl->...k", xs2 * xs2,
+                          pilots.set_sums(mu * x * x)[..., of, :])
+    s = np.einsum("...sl,...sl->...l", terms.s3, _abs2(omega))
     if coherent_tx:
-        coherent = np.empty(terms.K)
+        coherent = np.empty(x.shape[:-1])
         for idx in pilots.stacks:
-            a = np.einsum("skl,sil->ski", xs2[idx], sqx[idx])
-            coherent[idx] = _abs2(a).sum(axis=-1)
+            a = np.einsum("...skl,...sil->...ski", np.take(xs2, idx, axis=-2),
+                          np.take(sqx, idx, axis=-2))
+            coherent[..., idx] = _abs2(a).sum(axis=-1)
 
     # sum_il mu[i,l] tr(Q[i,l] R[k,l]), with tr(Q[i,l] R[k,l]) = beta[k,l] tr(Q[i,l] T)
-    total = np.einsum("kl,l->k", terms.beta, np.sum(mu * terms.tr_QT, axis=0))
-    gain_unc = np.einsum("l,kl->k", eta, _abs2(per_ap))
-    cross = np.einsum("kl,l->k", terms.beta, eta * s)
+    total = np.einsum("...kl,...l->...k", terms.beta, np.sum(mu * terms.tr_QT, axis=-2))
+    gain_unc = np.einsum("...l,...kl->...k", eta, _abs2(per_ap))
+    cross = np.einsum("...kl,...l->...k", terms.beta, eta * s)
+    # per-instant factors as rows (..., M, 1), per-UE ones as a row (..., 1, K)
+    ea_, eu_ = ea[..., None], eu[..., None]
+    total, percontam, gain_unc, cross = (v[..., None, :] for v in (total, percontam,
+                                                                   gain_unc, cross))
     if coherent_tx:
-        xi = (total[None, :] + (1.0 - ea)[:, None] * percontam[None, :]
-              + ea[:, None] * coherent[None, :])
-        sig_private = _abs2(np.einsum("kl,kl->k", sq, terms.tr_Q))
+        xi = total + (1.0 - ea_) * percontam + ea_ * coherent[..., None, :]
+        sig_private = _abs2(np.einsum("...kl,...kl->...k", sq, terms.tr_Q))[..., None, :]
         # coherent |sum_l sqrt(eta_l) per_ap[k,l]|^2
-        sig_common = _abs2(np.einsum("kl,l->k", per_ap, np.sqrt(eta)))
-        gamma = ((1.0 - ea)[:, None] * gain_unc[None, :] + cross[None, :]
-                 + (ea * (1.0 - eu))[:, None] * sig_common[None, :])
+        sig_common = _abs2(np.einsum("...kl,...l->...k", per_ap, np.sqrt(eta)))[..., None, :]
+        gamma = (1.0 - ea_) * gain_unc + cross + (ea_ * (1.0 - eu_)) * sig_common
     else:
-        xi = (total + percontam)[None, :]
-        sig_private = np.einsum("kl,kl->k", mu, terms.tr_Q**2)
+        xi = total + percontam
+        sig_private = np.einsum("...kl,...kl->...k", mu, terms.tr_Q**2)[..., None, :]
         sig_common = gain_unc
-        gamma = cross[None, :] + (1.0 - ea * eu)[:, None] * gain_unc[None, :]
-    return PlanParts((ea * eu)[:, None], xi, sig_private, sig_common, gamma,
-                     config.p_d, config.sigma2_dl)
+        gamma = cross + (1.0 - ea_ * eu_) * gain_unc
+    return PlanParts(ea_ * eu_, xi, sig_private, sig_common, gamma, p_d, sigma2)
 
 
-def _write_sinrs(parts: PlanParts, rho: float, out: np.ndarray, num: np.ndarray) -> None:
+def _write_sinrs(parts: PlanParts, rho, out: np.ndarray, num: np.ndarray) -> None:
     """Write the private and common SINRs at power split rho into out, with
-    num as work buffer, both (2, M, K); elementwise work only.
+    num as work buffer, both (2, M, K), or (2, B, M, K) for B jobs with
+    rho (B,); elementwise work only.
 
     With p_dp = (1 - rho) p_d and p_dc = rho p_d:
         private = eaeu p_dp s_p / (p_dp xi - eaeu p_dp s_p + sigma2)
         common  = eaeu p_dc s_c / (p_dc gamma + p_dp xi + sigma2),
     so the common SINR is zero at rho == 0.
     """
-    if not 0.0 <= rho <= 1.0:
+    if isinstance(rho, np.ndarray):
+        # written as "not inside" so that nan fails too
+        if not (rho.min() >= 0.0 and rho.max() <= 1.0):
+            raise ValueError("rho must lie in [0, 1]")
+        rho = rho[:, None, None]
+    elif not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
     p_dc = rho * parts.p_d
     p_dp = (1.0 - rho) * parts.p_d
@@ -446,12 +562,17 @@ def _write_sinrs(parts: PlanParts, rho: float, out: np.ndarray, num: np.ndarray)
     np.divide(num, out, out=out)
 
 
-def assemble(parts: PlanParts, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """(private, common) SINRs at power split rho, (K, M) each: transposed
-    views of one fresh (2, M, K) array."""
-    sinr = np.empty((2, len(parts.eaeu), parts.sig_private.shape[-1]))
+def _sinr_buffer(parts: PlanParts) -> np.ndarray:
+    """An empty (2, M, K) array, or (2, B, M, K) for B jobs."""
+    return np.empty((2, *parts.eaeu.shape[:-1], parts.xi.shape[-1]))
+
+
+def assemble(parts: PlanParts, rho) -> tuple[np.ndarray, np.ndarray]:
+    """(private, common) SINRs at power split rho, (K, M) each, or
+    (B, K, M) for B jobs: transposed views of one fresh (2, M, K) array."""
+    sinr = _sinr_buffer(parts)
     _write_sinrs(parts, rho, sinr, np.empty_like(sinr))
-    return tuple(sinr.transpose(0, 2, 1))
+    return tuple(np.swapaxes(sinr, -1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -472,17 +593,22 @@ def se_from_sinr(sinr: np.ndarray, tau_c: int) -> np.ndarray:
 
 
 def sum_se(se_private: np.ndarray, se_common_per_ue: np.ndarray):
-    """(se_common, sse): worst-UE common SE plus the private sum.
+    """(se_common, sse): worst-UE common SE plus the private sum, floats,
+    or (B,) arrays for B jobs' SEs with a leading job axis.
 
     The common stream must be decodable by every UE, so its rate is set by
     the minimum per-UE common SE.
     """
-    se_common = float(np.min(se_common_per_ue)) if se_common_per_ue.size else 0.0
-    return se_common, se_common + float(np.sum(se_private))
+    se_common = se_common_per_ue.min(axis=-1)
+    sse = se_common + se_private.sum(axis=-1)
+    if sse.ndim:
+        return se_common, sse
+    return float(se_common), float(sse)
 
 
-def se_report(parts: PlanParts, rho: float, tau_c: int) -> SEReport:
-    """The SE report of a plan's coefficients at power split rho."""
+def se_report(parts: PlanParts, rho, tau_c: int) -> SEReport:
+    """The SE report of a plan's coefficients at power split rho, or of B
+    jobs' coefficients at their (B,) power splits."""
     sinr_p, sinr_c = assemble(parts, rho)
     se_p = se_from_sinr(sinr_p, tau_c)
     se_c_per_ue = se_from_sinr(sinr_c, tau_c)
@@ -500,7 +626,8 @@ def se_report(parts: PlanParts, rho: float, tau_c: int) -> SEReport:
 
 def sum_se_curve(parts: PlanParts, tau_c: int):
     """The sum SE of a plan's coefficients (over all data instants) as a
-    function of rho, for the rho search.
+    function of rho, for the rho search; for B jobs' coefficients, the
+    (B,) sum SEs at (B,) power splits.
 
     Each call writes the SINRs with ``assemble``'s function into (2, M, K)
     buffers allocated here once per plan and sums them as ``se_from_sinr``
@@ -508,16 +635,16 @@ def sum_se_curve(parts: PlanParts, tau_c: int):
     ``se_report(parts, rho, tau_c).sum_se`` exactly.  A negative or nan
     SINR raises ValueError, as in ``se_from_sinr``.
     """
-    sinr = np.empty((2, len(parts.eaeu), parts.sig_private.shape[-1]))
+    sinr = _sinr_buffer(parts)
     num = np.empty_like(sinr)
 
-    def curve(rho: float) -> float:
+    def curve(rho):
         _write_sinrs(parts, rho, sinr, num)
         if not sinr.min() >= 0:
             raise ValueError("SINR values must be >= 0")
         np.add(sinr, 1.0, out=sinr)
         np.log2(sinr, out=sinr)
-        se = sinr.sum(axis=1) / tau_c  # (2, K)
-        return float(se[1].min()) + float(se[0].sum())
+        se = sinr.sum(axis=-2) / tau_c  # (2, K) or (2, B, K)
+        return sum_se(se[0], se[1])[1]
 
     return curve

@@ -82,9 +82,14 @@ class PilotAssignment:
         return self.t.shape[0]
 
     def set_sums(self, a: np.ndarray) -> np.ndarray:
-        """(S, ...) sums of the (K, ...) ``a`` over each set's UEs, in set
-        order, each added in increasing UE order."""
-        return np.concatenate([a[idx].sum(axis=1) for idx in self.stacks])
+        """(..., S, L) sums of the (..., K, L) ``a`` over each set's UEs, in
+        set order, each added in increasing UE order.
+
+        ``np.take`` lays each stack out in C order, leading axes first, so
+        a set's sum runs over the same layout, and in the same order, with
+        or without leading axes."""
+        return np.concatenate([np.take(a, idx, axis=-2).sum(axis=-2) for idx in self.stacks],
+                              axis=-2)
 
 
 def assign_pilots(

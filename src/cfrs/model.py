@@ -228,7 +228,7 @@ def phase_increment_variance(f_c: float, c_osc: float, T_s: float) -> float:
     return 4.0 * np.pi**2 * f_c**2 * c_osc * T_s
 
 
-def phase_decay(gap: float | np.ndarray, var: float) -> float | np.ndarray:
+def phase_decay(gap: float | np.ndarray, var: float | np.ndarray) -> float | np.ndarray:
     """Power decay exp(-gap*var) of an oscillator drift over ``gap`` instants.
 
     The sum of ``gap`` i.i.d. zero-mean Gaussian increments of variance
@@ -236,12 +236,13 @@ def phase_decay(gap: float | np.ndarray, var: float) -> float | np.ndarray:
     power |E e^{i phi}|^2 is exp(-gap*var).  This is the only decay formula
     of the package: the estimation statistics' pilot-to-lambda decay at
     var_ap + var_ue, and the closed form's per-side decays ea and eu from
-    lambda to each data instant at var_ap and var_ue.
+    lambda to each data instant at var_ap and var_ue.  An array of
+    variances broadcasts against the gaps.
     """
     gap = np.asarray(gap, dtype=float)
     if np.any(gap < 0):
         raise ValueError("gap must be >= 0")
-    if var < 0:
+    if np.any(np.asarray(var) < 0):
         raise ValueError("var must be >= 0")
     out = np.exp(-gap * var)
     return float(out) if out.ndim == 0 else out

@@ -46,8 +46,8 @@ each RNG chunk, and each worker runs its chunks in one workspace
 only the arrays that outlive a step: the chunk's channels h and pilot
 signal z, its UE and AP phase factors eu and ea, and a slice's link
 products Y and one precoder's common products E, each allocated once, at
-the largest layout the pass asks of it (``_largest_layouts``), before the
-workspace's first draw.  Every other array is a view of the one scratch
+the largest layout the pass asks of it (``_largest_layouts``), when the
+workspace is built.  Every other array is a view of the one scratch
 buffer, in the layout its step takes (``_scratch_layouts``).
 Every array with a realization axis is a view into the workspace, filled
 through ``out=``, and has its realization axis last, so a pass allocates
@@ -224,18 +224,19 @@ class _Workspace:
     one pass, so the pass allocates no array with a realization axis per
     chunk or per slice.
 
-    ``get`` views a buffer's leading bytes as C-contiguous arrays laid one
-    after the other, each at a 64-byte boundary.  A buffer is allocated on
-    its first use and grown when a later layout needs more bytes, so each
-    ends at the size of the largest layout asked of it.  A shorter chunk or
-    slice takes a shorter prefix, so every view has the layout a fresh
+    A workspace is built from the largest layout the pass asks of each
+    named buffer (``_largest_layouts``), so each buffer is allocated once,
+    when the workspace is built.  ``get`` views a buffer's leading bytes as
+    C-contiguous arrays laid one after the other, each at a 64-byte
+    boundary, and refuses a layout larger than its buffer.  A shorter chunk
+    or slice takes a shorter prefix, so every view has the layout a fresh
     array of its shape would have.  The views of each (name, layout) are
-    built once and handed out again until that buffer is grown, which
-    drops every view of the buffer it replaces.
+    built once and handed out again.
     """
 
-    def __init__(self):
-        self._flat = {}
+    def __init__(self, layouts: dict[str, tuple]):
+        self._flat = {name: np.empty(self.nbytes(*layout), dtype=np.uint8)
+                      for name, layout in layouts.items()}
         self._views = {}
 
     @staticmethod
@@ -257,11 +258,11 @@ class _Workspace:
         views = self._views.get(key)
         if views is not None:
             return views
+        flat = self._flat[name]
         need = self.nbytes(*layout)
-        flat = self._flat.get(name)
-        if flat is None or flat.size < need:
-            flat = self._flat[name] = np.empty(need, dtype=np.uint8)
-            self._views = {k: v for k, v in self._views.items() if k[0] != name}
+        if need > flat.size:
+            raise ValueError(f"workspace buffer {name!r} holds {flat.size} bytes, "
+                             f"but the layout needs {need}")
         views, start = [], 0
         for shape, dtype in layout:
             views.append(flat[start:start + self._extent(shape, dtype)]
@@ -498,8 +499,8 @@ def _scratch_layouts(draw: _ChunkDraw, c: int, r: int = 0) -> dict[str, tuple]:
     A step asks for its layout when it starts and reads nothing that an
     earlier step left in the buffer.  The views of one layout are in use at
     the same time, so each has its own region, except where noted.
-    ``_stream`` asks for the largest layout of its longest chunk and slice
-    first (``_largest_layouts``).
+    ``_stream`` sizes the buffer for the largest layout of its longest
+    chunk and slice (``_largest_layouts``).
     """
     K, L, N, S = draw.shape
     drawn, M = len(draw.needed), draw.kept
@@ -532,9 +533,9 @@ def _scratch_layouts(draw: _ChunkDraw, c: int, r: int = 0) -> dict[str, tuple]:
 
 def _largest_layouts(draw: _ChunkDraw, c: int, r: int) -> dict[str, tuple]:
     """The largest layout a pass asks of each named workspace buffer, for
-    its longest chunk of c and slice of r realizations.  ``_stream`` asks
-    for each before a workspace's first draw, so every buffer is allocated
-    once and never replaced.
+    its longest chunk of c and slice of r realizations.  ``_stream`` builds
+    each workspace from them, so every buffer is allocated once and never
+    replaced.
 
     The phase buffers eu and ea first hold the draw's float paths at every
     sampled instant and then the complex factors at the kept ones, so each
@@ -621,10 +622,9 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
 
     Each RNG chunk runs on a worker of ``_map``, inside a workspace that
     the worker keeps for the whole pass: at most one is built per worker,
-    and each chunk first asks every named buffer for the largest layout of
-    the pass (``_largest_layouts``), so each buffer is allocated once, in
-    the workspace's first chunk, and no view outlives the buffer it was
-    cut from.  Every array of the pass has its realization axis last.  A
+    with every named buffer at the largest layout of the pass
+    (``_largest_layouts``), so each buffer is allocated once and no view
+    outlives the buffer it was cut from.  Every array of the pass has its realization axis last.  A
     chunk draws its realizations into the workspace, the phase paths into
     the buffers of their factors eu and ea; turns the paths' kept columns
     into those factors, each once its columns are negated into the
@@ -675,10 +675,8 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
         try:
             ws = idle.pop()
         except IndexError:  # at most one per worker, as at most one chunk runs on each
-            ws = _Workspace()
+            ws = _Workspace(largest)
         try:
-            for name, layout in largest.items():  # allocates each buffer once
-                ws.get(name, *layout)
             h, z, ue, ap = draw(chunk, ws)
             c = h.shape[-1]
             scratch = _scratch_layouts(draw, c)

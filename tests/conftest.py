@@ -70,6 +70,12 @@ def batch_arrays(net, pilots, stats, phases, config, count, seed, instants):
                            ap_factor=mc._phasor(-ap[:, columns]), instants=kept, count=count)
 
 
+def draw_workspace(draw):
+    """A workspace sized for the draw's chunks (``montecarlo._largest_layouts``
+    with no slice)."""
+    return mc._Workspace(mc._largest_layouts(draw, min(draw.count, mc.RNG_CHUNK), 0))
+
+
 def drawn_chunks(net, pilots, stats, phases, config, count, seed, instants):
     """(h, hhat, z, ue, ap) of every RNG chunk that ``montecarlo._ChunkDraw``
     draws from these inputs, each chunk drawn into a workspace of its own
@@ -78,7 +84,7 @@ def drawn_chunks(net, pilots, stats, phases, config, count, seed, instants):
     draw = mc._ChunkDraw(net, pilots, phases, config, count, seed, instants)
     chunks = []
     for chunk in range(-(-count // mc.RNG_CHUNK)):
-        h, z, ue, ap = draw(chunk, mc._Workspace())
+        h, z, ue, ap = draw(chunk, draw_workspace(draw))
         chunks.append((h, estimates(net, pilots, stats, z), z, ue, ap))
     return chunks
 

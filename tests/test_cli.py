@@ -714,6 +714,91 @@ def test_failed_jobs_are_tagged_and_run_continues(tmp_path):
     assert by_value["1.5"] == {"error:ValueError"}
 
 
+THREE_SCHEMES = [
+    {"private": "du_mr", "transmission": "coherent", "rs": True, "weights": "simple"},
+    {"private": "du_mr", "transmission": "coherent", "rs": False},
+    {"private": "df_mr", "transmission": "noncoherent", "rs": True, "weights": "simple"},
+]
+
+
+@pytest.mark.parametrize("scheme_idx", [0, 1, 2])
+def test_a_job_failing_inside_a_stack_fails_alone(scheme_idx, tmp_path, monkeypatch):
+    # a nan gain on one job's topology makes its SINRs nan, so the stacked
+    # rho search (an RS job, whose stack mixes coherent and non-coherent
+    # jobs) or the stacked report (the non-RS job) raises: only that job is
+    # tagged, and every other row keeps the bytes of the clean run
+    spec = cli.spec_from_dict({
+        "system": desk_system(),
+        "sweep": {"parameter": "oscillator_variance", "values": ["-50 dB", "-40 dB", "-30 dB"]},
+        "schemes": THREE_SCHEMES,
+        "repetitions": 2,
+    })
+    clean, _ = read_csv(cli.run_experiment(spec, out_dir=tmp_path / "clean") / "results.csv")
+    jobs_per_rep = len(spec.sweep_values) * len(spec.schemes)
+    poisoned = jobs_per_rep + 1 * len(spec.schemes) + scheme_idx  # rep 1, sweep point 1
+    calls = []
+    original = cli.build_topology
+
+    def build(cfg, phases, network=None):
+        topology = original(cfg, phases, network)
+        calls.append(len(calls))
+        if calls[-1] == poisoned:
+            terms = dataclasses.replace(topology.terms,
+                                        beta=np.full_like(topology.terms.beta, np.nan))
+            topology = topology._replace(terms=terms)
+        return topology
+
+    monkeypatch.setattr(cli, "build_topology", build)
+    rows, _ = read_csv(cli.run_experiment(spec, out_dir=tmp_path / "out") / "results.csv")
+    assert len(calls) == spec.repetitions * jobs_per_rep
+    scheme = spec.schemes[scheme_idx]
+    failed = [r for r in rows if r["status"] != "ok"]
+    assert {(r["repetition"], r["sweep_value"], r["private_scheme"], r["rs"])
+            for r in failed} == {("1", repr(spec.sweep_values[1]), scheme.private_scheme,
+                                  str(int(scheme.rs_enabled)))}
+    assert {r["status"] for r in failed} == {"error:ValueError"}
+    assert len(failed) == spec.base.K and all(r["sum_se"] == "" for r in failed)
+    assert [r for r in rows if r["status"] == "ok"] == [
+        r for r, f in zip(clean, rows) if f["status"] == "ok"]
+
+
+def test_a_repetition_searches_rho_once_and_estimates_once_per_job(tmp_path, monkeypatch):
+    # the README spec with DU RS, DU non-RS and DF non-coherent RS at 2
+    # repetitions: each repetition's RS jobs, of both transmissions, share
+    # one lockstep rho search of 22 evaluations, and each job still
+    # computes its own estimation statistics
+    spec = cli.spec_from_dict({**_readme_spec(), "schemes": THREE_SCHEMES, "repetitions": 2})
+    searches, estimations = [], []
+    search, estimate = cli.optimize.optimal_rho, cli.estimation_statistics
+
+    def counted_search(evaluator, tol=1e-3):
+        calls = []
+        searches.append(calls)
+
+        def counted(rho):
+            calls.append(np.shape(rho))
+            return evaluator(rho)
+
+        return search(counted, tol)
+
+    def counted_estimate(*args, **kwargs):
+        estimations.append(args[2])  # phases
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(cli.optimize, "optimal_rho", counted_search)
+    monkeypatch.setattr(cli, "estimation_statistics", counted_estimate)
+    rows, _ = read_csv(cli.run_experiment(spec, out_dir=tmp_path / "out") / "results.csv")
+    assert {r["status"] for r in rows} == {"ok"}
+    rs_jobs = len(spec.sweep_values) * 2
+    # the first call reads the endpoint rho = 0 for all jobs at once
+    assert searches == [[()] + [(rs_jobs,)] * 21] * spec.repetitions
+    jobs = len(spec.sweep_values) * len(spec.schemes)
+    assert len(estimations) == spec.repetitions * jobs
+    assert [ph.var_ap for ph in estimations] == [
+        v for _ in range(spec.repetitions) for v in spec.sweep_values
+        for _ in spec.schemes]
+
+
 def test_robust_job_checks_the_instant_its_weights_were_optimized_for(monkeypatch):
     sampled = []
     original = cli.montecarlo.sample_batch

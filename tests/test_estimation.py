@@ -11,6 +11,7 @@ from cfrs.model import NetworkModel
 from conftest import (
     DESK_DRAW,
     dense_R,
+    draw_workspace,
     from_eigenbasis,
     mmse_filters,
     per_link_statistics,
@@ -304,7 +305,7 @@ def test_batch_estimates_match_single_realization_path(desk, desk_instants, desk
     # seed, each chunk into a workspace of its own
     draw = mc._ChunkDraw(net, pilots, phases, cfg, DESK_DRAW["count"],
                          DESK_DRAW["seed"], desk_instants)
-    z = np.concatenate([draw(chunk, mc._Workspace())[1] for chunk in range(2)],
+    z = np.concatenate([draw(chunk, draw_workspace(draw))[1] for chunk in range(2)],
                        axis=-1)
     filters = mmse_filters(net, pilots, stats)
     for r in (0, 123, 4567):

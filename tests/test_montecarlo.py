@@ -11,8 +11,8 @@ import cfrs
 from cfrs import closed_form as cf
 from cfrs import montecarlo as mc
 
-from conftest import (DESK_DRAW, batch_arrays, dense_R, drawn_chunks, private_precoders,
-                      to_eigenbasis)
+from conftest import (DESK_DRAW, batch_arrays, dense_R, draw_workspace, drawn_chunks,
+                      private_precoders, to_eigenbasis)
 
 
 def small_setup(seed=1, L=2, K=2, N=2, tau_p=2, var=1e-3):
@@ -128,7 +128,7 @@ def check_chunk_draw(cfg, net, pilots, phases, instants, count, sets):
     UEs of z's rows in order."""
     seed = DESK_DRAW["seed"]
     draw = mc._ChunkDraw(net, pilots, phases, cfg, count, seed, instants)
-    h, z, ue, ap = draw(0, mc._Workspace())
+    h, z, ue, ap = draw(0, draw_workspace(draw))
     K, L, N, S = draw.shape
     assert S == len(sets)
     M, c = len(draw.needed), min(count, mc.RNG_CHUNK)
@@ -680,25 +680,26 @@ def test_every_workspace_view_is_written_before_it_is_read(desk, monkeypatch):
         assert np.array_equal(a, b)
 
 
-def test_a_cached_view_is_rebuilt_when_its_buffer_grows():
-    ws = mc._Workspace()
+def test_a_workspace_refuses_a_layout_larger_than_its_buffer():
     small = (((3, 5), complex), ((7,), float))
+    ws = mc._Workspace({"a": small, "b": (((4,), float),)})
     first = ws.get("a", *small)
     other = ws.get("b", ((4,), float))
     # a (name, layout) asked again gets the views built the first time
     assert ws.get("a", *small) is first
-    replaced = ws._flat["a"]
-    ws.get("a", ((100, 5), complex))  # a larger layout grows the buffer
-    assert ws._flat["a"] is not replaced
-    again = ws.get("a", *small)
-    assert [view.shape for view in again] == [(3, 5), (7,)]
-    for view in again:
-        # views of the grown buffer, none of the one it replaced
-        assert np.shares_memory(view, ws._flat["a"])
-        assert not np.shares_memory(view, replaced)
-    again[0][...] = 1.0
-    assert np.all(ws.get("a", ((3, 5), complex)) == 1.0)
-    assert ws.get("b", ((4,), float)) is other  # another buffer's views stay
+    assert [view.shape for view in first] == [(3, 5), (7,)]
+    # a shorter layout takes a prefix of the same buffer
+    shorter = ws.get("a", ((2, 5), complex))
+    assert np.shares_memory(shorter, first[0]) and shorter.flags.c_contiguous
+    for larger in ((((100, 5), complex),), (((3, 5), complex), ((9,), float))):
+        with pytest.raises(ValueError, match="'a' holds"):
+            ws.get("a", *larger)
+    with pytest.raises(ValueError, match="'b' holds"):
+        ws.get("b", ((9,), float))
+    # a refused layout leaves the buffers and their views as they were
+    assert ws.get("a", *small) is first and ws.get("b", ((4,), float)) is other
+    assert {name: flat.size for name, flat in ws._flat.items()} == {
+        "a": ws.nbytes(*small), "b": 64}
 
 
 def built_workspaces(monkeypatch):
@@ -706,9 +707,9 @@ def built_workspaces(monkeypatch):
     built = []
 
     class Counted(mc._Workspace):
-        def __init__(self):
+        def __init__(self, layouts):
             built.append(self)
-            super().__init__()
+            super().__init__(layouts)
 
     monkeypatch.setattr(mc, "_Workspace", Counted)
     return built
@@ -726,22 +727,24 @@ def test_a_pass_builds_one_workspace_per_worker(desk, monkeypatch, workers):
 
 def spied_workspaces(monkeypatch):
     """The workspaces that passes build from now on, each recording per
-    buffer name its largest requested layout in bytes, its allocations,
-    every requested shape and every requested scratch layout."""
+    buffer name its largest requested layout in bytes, the buffers it was
+    built with, the names whose views came from any other memory, every
+    requested shape and every requested scratch layout."""
     built = []
 
     class Spied(mc._Workspace):
-        def __init__(self):
-            super().__init__()
-            self.largest, self.allocations, self.shapes, self.scratch = {}, {}, [], []
+        def __init__(self, layouts):
+            super().__init__(layouts)
+            self.allocated = dict(self._flat)
+            self.largest, self.elsewhere, self.shapes, self.scratch = {}, set(), [], []
             built.append(self)
 
         def get(self, name, *layout):
-            before = self._flat.get(name)
             views = super().get(name, *layout)
             self.largest[name] = max(self.largest.get(name, 0), self.nbytes(*layout))
-            self.allocations[name] = (self.allocations.get(name, 0)
-                                      + (self._flat[name] is not before))
+            for view in views if isinstance(views, list) else [views]:
+                if not np.shares_memory(view, self.allocated[name]):
+                    self.elsewhere.add(name)
             self.shapes += [shape for shape, _ in layout]
             if name == "scratch":
                 self.scratch.append(layout)
@@ -753,8 +756,8 @@ def spied_workspaces(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_workspace_holds_only_the_largest_layout_of_each_buffer(desk, monkeypatch, workers):
-    # a buffer is allocated on first use and grown only when a layout needs
-    # more bytes, so it ends at the largest layout asked under its name
+    # a workspace is built from _largest_layouts, so each buffer must be
+    # exactly the largest layout that the pass asks under its name
     monkeypatch.setattr(mc, "_CPUS", workers)
     built = spied_workspaces(monkeypatch)
     for setup in (desk, small_setup(seed=3, L=10, K=5, N=2, tau_p=3)):
@@ -763,7 +766,6 @@ def test_a_workspace_holds_only_the_largest_layout_of_each_buffer(desk, monkeypa
         assert 1 <= len(built) <= workers
         for ws in built:
             assert {name: flat.size for name, flat in ws._flat.items()} == ws.largest
-            assert sum(ws.allocations.values()) <= 2 * len(ws._flat)
 
 
 WORKSPACE_BUFFERS = ("h", "z", "eu", "ea", "Y", "E", "scratch")
@@ -771,10 +773,11 @@ WORKSPACE_BUFFERS = ("h", "z", "eu", "ea", "Y", "E", "scratch")
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_workspace_allocates_each_buffer_once(desk, monkeypatch, workers):
-    # a chunk asks for every buffer's largest layout first: a buffer grown in
-    # steps frees blocks that the allocator then trims and faults back in at
-    # every pass, and a view of a replaced buffer keeps it alive.  On
-    # the desk the phase factors outgrow their float paths, and groups of 849
+    # every buffer is allocated when its workspace is built, and every view
+    # the pass asks for is cut from that buffer: a buffer grown in steps
+    # frees blocks that the allocator then trims and faults back in at
+    # every pass, and a view of a replaced buffer keeps it alive.  On the
+    # desk the phase factors outgrow their float paths, and groups of 849
     # and 850 realizations give slices of both lengths; the second system
     # has uneven co-pilot sets and a short last chunk.
     monkeypatch.setattr(mc, "_CPUS", workers)
@@ -784,7 +787,8 @@ def test_a_workspace_allocates_each_buffer_once(desk, monkeypatch, workers):
         desk_pass_sums(setup)
         assert 1 <= len(built) <= workers
         for ws in built:
-            assert ws.allocations == dict.fromkeys(WORKSPACE_BUFFERS, 1)
+            assert set(ws.allocated) == set(ws.largest) == set(WORKSPACE_BUFFERS)
+            assert ws._flat == ws.allocated and not ws.elsewhere
 
 
 def test_a_desk_pass_peaks_near_its_workspace(desk, monkeypatch):

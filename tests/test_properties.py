@@ -1,6 +1,8 @@
 """Property-based invariants over small random systems (derandomized, so the
 suite stays deterministic)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 import cfrs
 from cfrs import closed_form as cf
 from cfrs import montecarlo as mc
+from cfrs import optimize as opt
 
 
 @st.composite
@@ -62,3 +65,78 @@ def test_a_batchs_sums_do_not_depend_on_workers_or_company(setup, specs, count):
         (alone,) = sums([plan], 1)
         for a, b in zip(together, alone):
             assert np.array_equal(a, b)
+
+
+@st.composite
+def job_stacks(draw):
+    """(configs, phases, terms) of 1-5 jobs on one small system (L, K <= 6,
+    N <= 3, tau_p <= K, either correlation) that differ in oscillator
+    variance, downlink power or antenna count; jobs with one N share one
+    network draw, as the jobs of a sweep's repetition do."""
+    K = draw(st.integers(1, 6))
+    correlation = draw(st.sampled_from(cfrs.model.CORRELATION_MODELS))
+    tau_p = draw(st.integers(1, K))
+    base = cfrs.SystemConfig(
+        L=draw(st.integers(1, 6)), K=K, N=1, tau_p=tau_p,
+        tau_c=draw(st.integers(tau_p + 1, 30)), seed=draw(st.integers(0, 2**16)),
+        correlation=correlation,
+        corr_r=draw(st.floats(-0.9, 0.9)) if correlation == "exponential" else 0.0)
+    pilots = cfrs.assign_pilots(K, tau_p)
+    networks, configs, phases, terms = {}, [], [], []
+    for _ in range(draw(st.integers(1, 5))):
+        cfg = dataclasses.replace(base, N=draw(st.integers(1, 3)),
+                                  p_d=draw(st.floats(0.01, 1.0)))
+        variance = draw(st.one_of(st.just(0.0), st.floats(1e-5, 1e-1)))
+        phase = cfrs.PhaseStatistics(variance, variance)
+        net = networks.setdefault(cfg.N, cfrs.build_network(cfg))
+        stats = cfrs.estimation_statistics(net, pilots, phase, cfg)
+        configs.append(cfg)
+        phases.append(phase)
+        terms.append(cfrs.TraceTerms.compute(net, stats, pilots))
+    return configs, phases, terms
+
+
+def assert_same(stacked, one):
+    """A stacked job's array equals its own call's, bit for bit, where
+    one of them is broadcast to the other (a per-UE row, a float)."""
+    a, b = np.broadcast_arrays(stacked, one)
+    assert a.shape == np.shape(stacked) and np.array_equal(a, b)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(jobs=job_stacks(), rho=st.sampled_from([0.0, 0.37, 1.0]))
+def test_a_job_stack_computes_each_jobs_numbers_as_its_own_call_does(jobs, rho):
+    configs, phases, terms = jobs
+    ns = configs[0].data_instants()
+    tau_c = configs[0].tau_c
+    stacks, searches = [], []
+    for scheme in cf.PRIVATE_SCHEMES:
+        for transmission in cf.TRANSMISSIONS:
+            plans = [cf.make_plan(t, scheme, transmission) for t in terms]
+            stack = cf.plan_parts(cf.TraceTerms.stack(terms), cf.PrecodingPlan.stack(plans),
+                                  phases, configs, ns)
+            alone = [cf.plan_parts(*job, ns) for job in zip(terms, plans, phases, configs)]
+            for b, parts in enumerate(alone):
+                for field in dataclasses.fields(cf.PlanParts):
+                    # p_d and sigma2 stay floats where every job shares them
+                    value = getattr(stack, field.name)
+                    assert_same(value if np.ndim(value) == 0 else value[b],
+                                getattr(parts, field.name))
+            rhos = np.full(len(terms), rho)
+            curve = cf.sum_se_curve(stack, tau_c)(rhos)
+            best_rho, best_sse = opt.optimal_rho(cf.sum_se_curve(stack, tau_c))
+            report = cf.se_report(stack, best_rho, tau_c)
+            for b, parts in enumerate(alone):
+                assert curve[b] == cf.sum_se_curve(parts, tau_c)(rho)
+                assert (best_rho[b], best_sse[b]) == opt.optimal_rho(
+                    cf.sum_se_curve(parts, tau_c))
+                one = cf.se_report(parts, float(best_rho[b]), tau_c)
+                for field in dataclasses.fields(cf.SEReport):
+                    assert_same(getattr(report.job(b), field.name), getattr(one, field.name))
+            stacks.append(stack)
+            searches.append((best_rho, best_sse))
+    # one search over every scheme's jobs, coherent and non-coherent
+    # mixed, finds what each scheme's own search finds
+    mixed_rho, mixed_sse = opt.optimal_rho(cf.sum_se_curve(cf.PlanParts.stack(stacks), tau_c))
+    assert np.array_equal(mixed_rho, np.concatenate([r for r, _ in searches]))
+    assert np.array_equal(mixed_sse, np.concatenate([s for _, s in searches]))
