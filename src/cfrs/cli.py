@@ -403,11 +403,11 @@ def _job_seed(master: int, repetition: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint32)[0])
 
 
-def _job_inputs(spec: ExperimentSpec, sweep_value: float | None, seed: int,
+def _job_inputs(spec: ExperimentSpec, sweep_value: float | None, cfg: SystemConfig,
                 ) -> tuple[SystemConfig, PhaseStatistics, float | None]:
     """A job's system config, phase statistics and fixed power split (None
-    lets RS schemes optimize it) at one sweep point."""
-    cfg = dataclasses.replace(spec.base, seed=seed)
+    lets RS schemes optimize it) at one sweep point, from its repetition's
+    config ``cfg``, which is returned as it is where the sweep leaves it."""
     if spec.sweep_parameter == "transmit_power":
         cfg = dataclasses.replace(cfg, p_d=sweep_value)
     elif spec.sweep_parameter == "antenna_count":
@@ -476,33 +476,31 @@ def run_jobs(jobs: list[Job], mc_realizations: int = 0) -> list:
     carries the optimized rho and optional Monte Carlo cross-check errors.
 
     The jobs, which share K, tau_p and tau_c, are evaluated as stacks with
-    a leading job axis: one ``closed_form.plan_parts`` call per (private
-    scheme, transmission) builds the rho-independent coefficients that the
-    rho search, the report and the Monte Carlo check share; one lockstep
-    ``optimize.optimal_rho`` searches every job that optimizes rho; and one
-    ``se_report`` reports every job.  If a stacked call raises, its jobs are
-    redone one by one (``_in_stack``), so each failure lands on its own job
-    and the others keep their numbers, which a stack computes bitwise as
-    their own calls do.  Robust weights, found at the searched rho, need
-    new coefficients; they and the Monte Carlo checks run per job.
+    a leading job axis: one ``make_plan`` and one ``closed_form.plan_parts``
+    call per (private scheme, transmission) build the plans and the
+    rho-independent coefficients that the rho search, the report and the
+    Monte Carlo check share; one lockstep ``optimize.optimal_rho`` searches
+    every job that optimizes rho; and one ``se_report`` reports every job.
+    If a stacked call raises, its jobs are redone one by one
+    (``_in_stack``), so each failure lands on its own job and the others
+    keep their numbers, which a stack computes bitwise as their own calls
+    do.  Robust weights, found at the searched rho, need a new plan and new
+    coefficients; they and the Monte Carlo checks, which cut the job's plan
+    from its stack, run per job.
     """
     if len({(job.cfg.K, job.cfg.tau_p, job.cfg.tau_c) for job in jobs}) > 1:
         raise ValueError("jobs evaluated together must share K, tau_p and tau_c")
     failed: dict[int, Exception] = {}
-    plans = {}
-    for i, job in enumerate(jobs):
-        try:
-            plans[i] = make_plan(job.topology.terms, job.scheme.private_scheme,
-                                 job.scheme.transmission, 0.0)
-        except Exception as exc:  # recorded, the other jobs continue
-            failed[i] = exc
+    plans = {}  # job -> (the plan of its stack, its row there)
 
-    def parts_of(ids):
-        stack = closed_form.plan_parts(
-            TraceTerms.stack([jobs[i].topology.terms for i in ids]),
-            closed_form.PrecodingPlan.stack([plans[i] for i in ids]),
-            [jobs[i].phases for i in ids], [jobs[i].cfg for i in ids],
-            jobs[ids[0]].cfg.data_instants())
+    def parts_of(ids, rho=0.0, **plan_args):
+        first = jobs[ids[0]]
+        terms = TraceTerms.stack([jobs[i].topology.terms for i in ids])
+        plan = make_plan(terms, first.scheme.private_scheme, first.scheme.transmission, rho,
+                         **plan_args)
+        stack = closed_form.plan_parts(terms, plan, [jobs[i].phases for i in ids],
+                                       [jobs[i].cfg for i in ids], first.cfg.data_instants())
+        plans.update((i, (plan, b)) for b, i in enumerate(ids))
         return [(stack, b) for b in range(len(ids))]
 
     joined = {}  # ids -> their stack, shared by the search and the report
@@ -528,7 +526,7 @@ def run_jobs(jobs: list[Job], mc_realizations: int = 0) -> list:
         return [i for i in ids if i not in failed]
 
     pairs = {}  # (private scheme, transmission) -> its jobs
-    for i in alive(range(len(jobs))):
+    for i in range(len(jobs)):
         pairs.setdefault((jobs[i].scheme.private_scheme, jobs[i].scheme.transmission),
                          []).append(i)
     parts = {}  # job -> (stack, row), in stack order
@@ -556,12 +554,10 @@ def run_jobs(jobs: list[Job], mc_realizations: int = 0) -> list:
         job = jobs[i]
         if job.scheme.rs_enabled and job.scheme.weights_mode == "robust" and rho[i] > 0:
             try:
-                terms = job.topology.terms
-                problem = optimize.build_maxmin_problem(terms, job.phases, job.cfg, rho[i])
-                result = optimize.robust_common_precoding(problem)
-                plans[i] = make_plan(terms, job.scheme.private_scheme, job.scheme.transmission,
-                                     rho[i], weights=result.weights, unit_eta=True)
-                parts[i] = parts_of([i])[0]
+                problem = optimize.build_maxmin_problem(job.topology.terms, job.phases,
+                                                        job.cfg, rho[i])
+                weights = optimize.robust_common_precoding(problem).weights
+                parts[i] = parts_of([i], rho[i], weights=weights[None], unit_eta=True)[0]
                 joined.clear()
             except Exception as exc:  # recorded, the other jobs continue
                 failed[i] = exc
@@ -574,9 +570,10 @@ def run_jobs(jobs: list[Job], mc_realizations: int = 0) -> list:
     reports = _in_stack(report, [i for i in alive(parts) if i in rho], failed)
 
     for i in reports if mc_realizations > 0 else ():
+        plan, b = plans[i]
         try:
             extras.setdefault(i, {}).update(
-                _mc_errors(jobs[i], plans[i].replace_rho(rho[i]), reports[i], mc_realizations))
+                _mc_errors(jobs[i], plan.job(b).replace_rho(rho[i]), reports[i], mc_realizations))
         except Exception as exc:  # recorded, the other jobs continue
             failed[i] = exc
     return [failed[i] if i in failed else (reports[i], extras.get(i, {}))
@@ -650,48 +647,54 @@ AGGREGATE_COLUMNS = LABEL_COLUMNS + [
 ]
 
 
-def _job_label(spec: ExperimentSpec, sweep_value: float | None, scheme: SchemeSpec) -> dict:
-    """The columns that name a job's sweep point and scheme in both CSVs."""
-    return {
-        "sweep_parameter": spec.sweep_parameter,
-        "sweep_value": "" if sweep_value is None else repr(float(sweep_value)),
-        "private_scheme": scheme.private_scheme,
-        "transmission": scheme.transmission,
-        "rs": int(scheme.rs_enabled),
-        "weights_mode": scheme.weights_mode if scheme.rs_enabled else "",
-    }
+def _job_label(spec: ExperimentSpec, sweep_value: float | None, scheme: SchemeSpec) -> list:
+    """The values of the columns that name a job's sweep point and scheme
+    in both CSVs (``LABEL_COLUMNS``)."""
+    return [
+        spec.sweep_parameter,
+        "" if sweep_value is None else repr(float(sweep_value)),
+        scheme.private_scheme,
+        scheme.transmission,
+        int(scheme.rs_enabled),
+        scheme.weights_mode if scheme.rs_enabled else "",
+    ]
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> Path:
     """Execute every (sweep point, scheme, repetition) job and write results.
 
-    A repetition draws its network and pilots once and shares them across
-    its jobs for as long as their system config, the downlink power set
-    aside, is the same (oscillator, rho and transmit-power sweeps; an
-    antenna sweep point has its own network); a failed draw is recorded on
-    every job that needed it.  Each job computes its own estimation
-    statistics and traces, and then all jobs of the repetition are
-    evaluated together (``run_jobs``), so one repetition's topologies, one
-    per sweep point and scheme, are alive at once.  Writes results.csv
-    (one row per job and UE), aggregate.csv, and a manifest.json from which
-    the run can be replayed byte-identically.  Per-job failures are
-    recorded in the rows' status column and do not abort the run.
+    A repetition derives its seed and system config once and draws its
+    network and pilots once, sharing them across its jobs for as long as
+    their system config, the downlink power set aside, is the same
+    (oscillator, rho and transmit-power sweeps; an antenna sweep point has
+    its own network); a failed draw is recorded on every job that needed
+    it.  Each job computes its own estimation statistics and traces, and
+    then all jobs of the repetition are evaluated together (``run_jobs``),
+    so one repetition's topologies, one per sweep point and scheme, are
+    alive at once.  Writes results.csv (one row per job and UE),
+    aggregate.csv, and a manifest.json from which the run can be replayed
+    byte-identically.  Per-job failures are recorded in the rows' status
+    column and do not abort the run.
     """
     out = Path(out_dir) if out_dir is not None else Path(spec.output_path)
     out.mkdir(parents=True, exist_ok=True)
 
     sweep_points = spec.sweep_values or (None,)
+    seeds = [_job_seed(spec.base.seed, rep) for rep in range(spec.repetitions)]
+    labels = {(sweep_idx, scheme_idx): _job_label(spec, sweep_value, scheme)
+              for sweep_idx, sweep_value in enumerate(sweep_points)
+              for scheme_idx, scheme in enumerate(spec.schemes)}
     rows = {}  # (sweep_idx, scheme_idx, rep) -> the job's rows, one per UE
     agg: dict[tuple, list[float]] = {}
-    for rep in range(spec.repetitions):
-        seed = _job_seed(spec.base.seed, rep)
+    for rep, seed in enumerate(seeds):
+        rep_cfg = dataclasses.replace(spec.base, seed=seed)
         drawn_for = None
-        labels, jobs = [], []  # a Job, or the exception that failed its build
+        keys, jobs = [], []  # a Job, or the exception that failed its build
         for sweep_idx, sweep_value in enumerate(sweep_points):
-            cfg, phases, fixed_rho = _job_inputs(spec, sweep_value, seed)
+            cfg, phases, fixed_rho = _job_inputs(spec, sweep_value, rep_cfg)
             # build_network does not read the downlink power p_d
-            draw_cfg = cfg if cfg.p_d == spec.base.p_d else dataclasses.replace(
-                cfg, p_d=spec.base.p_d)
+            draw_cfg = cfg if cfg.p_d == rep_cfg.p_d else dataclasses.replace(
+                cfg, p_d=rep_cfg.p_d)
             if draw_cfg != drawn_for:
                 drawn_for = draw_cfg
                 try:
@@ -699,7 +702,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> P
                 except Exception as exc:  # recorded on each job below
                     network = exc
             for scheme_idx, scheme in enumerate(spec.schemes):
-                labels.append((sweep_idx, scheme_idx, _job_label(spec, sweep_value, scheme)))
+                keys.append((sweep_idx, scheme_idx))
                 try:
                     if isinstance(network, Exception):
                         raise network
@@ -712,47 +715,36 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> P
                     jobs.append(exc)
         results = iter(run_jobs([job for job in jobs if isinstance(job, Job)],
                                 spec.mc_realizations))
-        for (sweep_idx, scheme_idx, label), job in zip(labels, jobs):
+        for (sweep_idx, scheme_idx), job in zip(keys, jobs):
             result = next(results) if isinstance(job, Job) else job
+            label = labels[sweep_idx, scheme_idx] + [rep]
             if isinstance(result, Exception):
                 log.warning("job failed (%s, rep %d): %s",
                             spec.schemes[scheme_idx].label(), rep, result)
-                # _write_csv leaves the value columns of these rows blank
-                values = [{"status": f"error:{type(result).__name__}"}] * spec.base.K
+                # the value columns of these rows stay blank
+                status = f"error:{type(result).__name__}"
+                job_rows = [label + [k, "", "", "", "", "", seed, "", "", status]
+                            for k in range(spec.base.K)]
             else:
                 report, extras = result
                 agg.setdefault((sweep_idx, scheme_idx), []).append(report.sum_se)
-                values = [
-                    {
-                        "rho": repr(float(report.rho)),
-                        "se_private": repr(float(report.se_private[k])),
-                        "se_common_per_ue": repr(float(report.se_common_per_ue[k])),
-                        "se_common": repr(float(report.se_common)),
-                        "sum_se": repr(float(report.sum_se)),
-                        "mc_rel_err_private": extras.get("mc_rel_err_private", ""),
-                        "mc_rel_err_common": extras.get("mc_rel_err_common", ""),
-                        "status": "ok",
-                    }
-                    for k in range(spec.base.K)
-                ]
-            rows[sweep_idx, scheme_idx, rep] = [
-                {**label, "repetition": rep, "k": k, "seed": seed, **v}
-                for k, v in enumerate(values)]
+                # floats go in as their repr, which the csv writer would
+                # make more slowly; a job's own are made once for its rows
+                rho, se_common, sse = map(repr, (report.rho, report.se_common, report.sum_se))
+                tail = [seed, extras.get("mc_rel_err_private", ""),
+                        extras.get("mc_rel_err_common", ""), "ok"]
+                job_rows = [label + [k, rho, se_p, se_c, se_common, sse] + tail
+                            for k, (se_p, se_c) in enumerate(zip(
+                                map(repr, report.se_private.tolist()),
+                                map(repr, report.se_common_per_ue.tolist())))]
+            rows[sweep_idx, scheme_idx, rep] = job_rows
 
     # both CSVs list jobs in spec order: sweep point, scheme, then repetition
     _write_csv(out / "results.csv", RESULTS_SCHEMA, RESULT_COLUMNS,
                [row for job in sorted(rows) for row in rows[job]])
-
-    agg_rows = [
-        {
-            **_job_label(spec, sweep_points[sweep_idx], spec.schemes[scheme_idx]),
-            "repetitions_ok": len(values),
-            "mean_sum_se": repr(float(np.mean(values))),
-            "min_sum_se": repr(float(np.min(values))),
-            "max_sum_se": repr(float(np.max(values))),
-        }
-        for (sweep_idx, scheme_idx), values in sorted(agg.items())
-    ]
+    agg_rows = [labels[job] + [len(values), float(np.mean(values)), float(np.min(values)),
+                               float(np.max(values))]
+                for job, values in sorted(agg.items())]
     _write_csv(out / "aggregate.csv", AGGREGATE_SCHEMA, AGGREGATE_COLUMNS, agg_rows)
 
     manifest = {
@@ -760,26 +752,35 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> P
         "spec": spec_to_dict(spec),
         "config_hash": config_hash(spec.base),
         "jobs": [
-            {
-                "sweep_idx": si, "scheme_idx": ci, "repetition": rep,
-                "seed": _job_seed(spec.base.seed, rep),
-            }
+            {"sweep_idx": si, "scheme_idx": ci, "repetition": rep, "seed": seed}
             for si in range(len(sweep_points))
             for ci in range(len(spec.schemes))
-            for rep in range(spec.repetitions)
+            for rep, seed in enumerate(seeds)
         ],
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return out
 
 
-def _write_csv(path: Path, schema: str, columns: list[str], rows: list[dict]):
-    """Schema line, header and rows; a column missing from a row is blank."""
+def _write_csv(path: Path, schema: str, columns: list[str], rows: list):
+    """Schema line, header and rows, each a list of values in column order
+    or a dict by column; a column missing from a dict is blank, and a dict
+    key that names no column, or a list of another length, raises
+    ValueError."""
+    known = set(columns)
     with open(path, "w", newline="") as fh:
         fh.write(f"# schema={schema}\n")
-        writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
         for row in rows:
+            if isinstance(row, dict):
+                if not known.issuperset(row):
+                    raise ValueError(f"{path.name}: row keys {sorted(set(row) - known)} "
+                                     "name no column")
+                row = [row.get(column, "") for column in columns]
+            elif len(row) != len(columns):
+                raise ValueError(f"{path.name}: a row of {len(row)} values for "
+                                 f"{len(columns)} columns")
             writer.writerow(row)
 
 

@@ -46,13 +46,14 @@ job that searches rho and then reports at the optimum computes its plan's
 coefficients once.
 
 The same functions take a leading job axis of B jobs that share their
-pilot assignment, scheme and instants: ``TraceTerms.stack`` and
-``PrecodingPlan.stack`` stack the jobs' terms and plans, ``plan_parts``
+pilot assignment, scheme and instants: ``TraceTerms.stack`` stacks the
+jobs' terms, ``make_plan`` makes one plan for the stack, ``plan_parts``
 then takes one phase statistics and config per job, and ``PlanParts.stack``
 joins such stacks, so ``sum_se_curve``, ``assemble`` and ``se_report``
-take rho as a (B,) array and evaluate every job in one call.  Every sum
-runs over the same axis, in the same order, as for one job, so each job's
-numbers in a stack are bitwise those of its own call.
+take rho as a (B,) array and evaluate every job in one call.  They lay a
+stack's SINRs out (stream, instant, job, UE).  Every sum runs in the same
+order as for one job, so each job's numbers in a stack are bitwise those
+of its own call.
 
 No matrix product appears in this module: no ``@``, ``matmul``, ``dot``,
 ``vdot``, ``inner`` or ``tensordot``, and no ``einsum(..., optimize=...)``.
@@ -62,7 +63,6 @@ kernel OpenBLAS selects, and the sweep's CSVs must not.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -214,22 +214,9 @@ class PrecodingPlan:
     def replace_rho(self, rho: float) -> "PrecodingPlan":
         return dataclasses.replace(self, rho=rho)
 
-    @classmethod
-    def stack(cls, plans: Sequence["PrecodingPlan"]) -> "PrecodingPlan":
-        """The plans of B jobs with one scheme and rho, each array with a
-        leading job axis."""
-        first = plans[0]
-        tags = first.private_scheme, first.transmission, first.rho
-        if any((p.private_scheme, p.transmission, p.rho) != tags for p in plans):
-            raise ValueError("stacked plans must share their scheme, transmission and rho")
-        # each plan was checked on construction, so the stack is not
-        # checked again: it holds their arrays, frozen, and nothing else
-        stacked = copy.copy(first)
-        for name in ("weights", "mu", "eta"):
-            arr = _stack([getattr(p, name) for p in plans])
-            arr.setflags(write=False)
-            object.__setattr__(stacked, name, arr)
-        return stacked
+    def job(self, b: int) -> "PrecodingPlan":
+        """Job b's plan of a plan of B jobs."""
+        return dataclasses.replace(self, weights=self.weights[b], mu=self.mu[b], eta=self.eta[b])
 
 
 def _check_shape(name: str, arr: np.ndarray, shape: tuple) -> None:
@@ -273,8 +260,9 @@ class SEReport:
 # ---------------------------------------------------------------------------
 
 def private_normalization(terms: TraceTerms) -> np.ndarray:
-    """(L,) per-AP private normalization 1 / sum_i tr(Q[i,l])."""
-    denom = terms.tr_Q.sum(axis=0)
+    """(L,) per-AP private normalization 1 / sum_i tr(Q[i,l]), or (B, L)
+    for B jobs' terms."""
+    denom = terms.tr_Q.sum(axis=-2)
     if np.any(denom <= 0):
         raise ValueError("estimate power vanished at some AP; cannot normalize")
     return 1.0 / denom
@@ -283,17 +271,18 @@ def private_normalization(terms: TraceTerms) -> np.ndarray:
 def common_power(terms: TraceTerms, weights: np.ndarray) -> np.ndarray:
     """(L,) common precoder power sum_k sum_{i in P_k} a_kl a_il tr(Qc[k,i,l])
     of weights a (K, L), that is sum_P s2[P,l] (sum_{i in P} a_il x_il)^2,
-    summed over the sets in their order.
+    summed over the sets in their order; (B, L) for B jobs' terms and
+    weights.
 
     With all-ones weights and orthogonal pilots it is the private
     normalization's sum_k tr(Q[k,l]).
     """
     omega = terms.pilots.set_sums(weights * terms.x)
-    return np.einsum("sl,sl,sl->l", terms.s2, omega, omega)
+    return np.einsum("...sl,...sl,...sl->...l", terms.s2, omega, omega)
 
 
 def common_normalization(terms: TraceTerms, weights: np.ndarray) -> np.ndarray:
-    """(L,) common normalization 1 / ``common_power``, after checking that
+    """(L,) or (B, L) common normalization 1 / ``common_power``, after checking that
     the weights lie in [0, inf) and the power in (0, inf)."""
     if not np.all((weights >= 0.0) & (weights < np.inf)):
         raise ValueError("common weights must lie in [0, inf)")
@@ -309,20 +298,19 @@ def power_control_coefficients(terms: TraceTerms, alpha: float = -1.0) -> np.nda
     mu[k,l] = beta_bar_k^alpha / sum_i tr(Q[i,l]) beta_bar_i^alpha with
     beta_bar the UE's network-average large-scale gain; alpha = -1 inverts
     the channel to lift the weakest UEs.  Satisfies
-    sum_k mu[k,l] tr(Q[k,l]) == 1 at every AP.
+    sum_k mu[k,l] tr(Q[k,l]) == 1 at every AP.  (B, K, L) for B jobs' terms.
     """
-    beta_bar = terms.beta.mean(axis=1)
+    beta_bar = terms.beta.mean(axis=-1)
     if np.any(beta_bar <= 0):
         raise ValueError("every UE needs a positive average channel gain")
     weight = beta_bar**alpha
-    denom = np.einsum("il,i->l", terms.tr_Q, weight)
-    return weight[:, None] / denom[None, :]
+    denom = np.einsum("...il,...i->...l", terms.tr_Q, weight)
+    return weight[..., :, None] / denom[..., None, :]
 
 
 def uniform_mu(terms: TraceTerms) -> np.ndarray:
-    """(K, L) broadcast of the per-AP private normalization."""
-    return np.broadcast_to(private_normalization(terms)[None, :],
-                           (terms.K, terms.L)).copy()
+    """(K, L) or (B, K, L) broadcast of the per-AP private normalization."""
+    return np.broadcast_to(private_normalization(terms)[..., None, :], terms.tr_Q.shape).copy()
 
 
 def make_plan(
@@ -338,11 +326,16 @@ def make_plan(
 
     ``unit_eta`` keeps eta = 1 for weights that already satisfy the per-AP
     common power constraint (robust precoding output).  Weights of another
-    shape than (K, L) raise ValueError before any normalization.
+    shape than the terms' (K, L) raise ValueError before any normalization.
+
+    For the stacked terms of B jobs (``TraceTerms.stack``) the plan is the
+    stack of the B jobs' plans, one scheme and rho with weights, mu and eta
+    on a leading job axis, each job's arrays bitwise those of its own call;
+    ``PrecodingPlan.job`` cuts one job's plan from it.
     """
-    weights = (np.ones((terms.K, terms.L)) if weights is None
-               else np.asarray(weights, dtype=float))
-    _check_shape("weights", weights, (terms.K, terms.L))
+    shape = terms.tr_Q.shape
+    weights = np.ones(shape) if weights is None else np.asarray(weights, dtype=float)
+    _check_shape("weights", weights, shape)
     if power_control_alpha is None:
         mu = uniform_mu(terms)
     else:
@@ -353,7 +346,7 @@ def make_plan(
         rho=rho,
         weights=weights,
         mu=mu,
-        eta=np.ones(terms.L) if unit_eta else common_normalization(terms, weights),
+        eta=np.ones(shape[:-2] + shape[-1:]) if unit_eta else common_normalization(terms, weights),
     )
 
 
@@ -463,9 +456,9 @@ def plan_parts(
 ) -> PlanParts:
     """Every coefficient of the plan's SINRs that does not depend on rho.
 
-    For B jobs, ``terms`` and ``plan`` are stacks (``TraceTerms.stack``,
-    ``PrecodingPlan.stack``) and ``phases`` and ``config`` sequences of B,
-    and so is every field of the result.
+    For B jobs, ``terms`` is a stack (``TraceTerms.stack``), ``plan`` the
+    stack's plan (``make_plan`` of those terms), and ``phases`` and
+    ``config`` sequences of B, and so is every field of the result.
 
     Non-coherent private terms carry no delay phase (per-AP detection
     removes it, so DU and DF agree exactly); the non-coherent common stream
@@ -532,10 +525,34 @@ def plan_parts(
     return PlanParts(ea_ * eu_, xi, sig_private, sig_common, gamma, p_d, sigma2)
 
 
+def _by_instant(parts: PlanParts, contiguous: bool = False) -> PlanParts:
+    """A stack's coefficients laid out (instant, job, UE), so that the
+    SINRs of B jobs are written (2, M, B, K): views with the job and
+    instant axes swapped, or with ``contiguous`` (M, B, K) arrays, each
+    broadcast and copied, which a curve's elementwise work runs over in
+    whole rows.  One job's are returned as they are."""
+    if parts.eaeu.ndim < 3:
+        return parts
+    B, M = parts.eaeu.shape[:2]
+    shape = (M, B, parts.xi.shape[-1])
+
+    def laid_out(v):
+        if np.ndim(v) == 0:
+            return v
+        if not contiguous:
+            return np.swapaxes(v, 0, 1)
+        out = np.empty(shape)
+        np.copyto(np.swapaxes(out, 0, 1), v)
+        return out
+
+    return PlanParts(*(laid_out(getattr(parts, field.name)) for field in dataclasses.fields(parts)))
+
+
 def _write_sinrs(parts: PlanParts, rho, out: np.ndarray, num: np.ndarray) -> None:
     """Write the private and common SINRs at power split rho into out, with
-    num as work buffer, both (2, M, K), or (2, B, M, K) for B jobs with
-    rho (B,); elementwise work only.
+    num as work buffer, both (2, M, K), or (2, M, B, K) for B jobs'
+    coefficients laid out by ``_by_instant`` with rho (B,); elementwise
+    work only.
 
     With p_dp = (1 - rho) p_d and p_dc = rho p_d:
         private = eaeu p_dp s_p / (p_dp xi - eaeu p_dp s_p + sigma2)
@@ -544,16 +561,19 @@ def _write_sinrs(parts: PlanParts, rho, out: np.ndarray, num: np.ndarray) -> Non
     """
     if isinstance(rho, np.ndarray):
         # written as "not inside" so that nan fails too
-        if not (rho.min() >= 0.0 and rho.max() <= 1.0):
+        if not all(0.0 <= r <= 1.0 for r in rho.tolist()):
             raise ValueError("rho must lie in [0, 1]")
-        rho = rho[:, None, None]
+        # each job's split repeated over its UEs, a (B, K) row of the buffer
+        rho = np.repeat(rho, out.shape[-1]).reshape(out.shape[-2:])
     elif not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
     p_dc = rho * parts.p_d
     p_dp = (1.0 - rho) * parts.p_d
     (num_p, num_c), (den_p, den_c) = num, out
-    np.multiply(parts.eaeu * p_dp, parts.sig_private, out=num_p)
-    np.multiply(parts.eaeu * p_dc, parts.sig_common, out=num_c)
+    np.multiply(parts.eaeu, p_dp, out=num_p)
+    num_p *= parts.sig_private
+    np.multiply(parts.eaeu, p_dc, out=num_c)
+    num_c *= parts.sig_common
     np.multiply(parts.xi, p_dp, out=den_p)
     np.multiply(parts.gamma, p_dc, out=den_c)
     den_c += den_p
@@ -563,16 +583,23 @@ def _write_sinrs(parts: PlanParts, rho, out: np.ndarray, num: np.ndarray) -> Non
 
 
 def _sinr_buffer(parts: PlanParts) -> np.ndarray:
-    """An empty (2, M, K) array, or (2, B, M, K) for B jobs."""
+    """An empty (2, M, K) array, or (2, M, B, K) for coefficients laid out
+    by ``_by_instant``."""
     return np.empty((2, *parts.eaeu.shape[:-1], parts.xi.shape[-1]))
+
+
+def _sinrs(parts: PlanParts, rho) -> np.ndarray:
+    """Both streams' SINRs at rho in a fresh (2, M, K) or (2, M, B, K) array."""
+    parts = _by_instant(parts)
+    sinr = _sinr_buffer(parts)
+    _write_sinrs(parts, rho, sinr, np.empty_like(sinr))
+    return sinr
 
 
 def assemble(parts: PlanParts, rho) -> tuple[np.ndarray, np.ndarray]:
     """(private, common) SINRs at power split rho, (K, M) each, or
-    (B, K, M) for B jobs: transposed views of one fresh (2, M, K) array."""
-    sinr = _sinr_buffer(parts)
-    _write_sinrs(parts, rho, sinr, np.empty_like(sinr))
-    return tuple(np.swapaxes(sinr, -1, -2))
+    (B, K, M) for B jobs: views of one fresh array."""
+    return tuple(np.moveaxis(_sinrs(parts, rho), 1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -606,13 +633,32 @@ def sum_se(se_private: np.ndarray, se_common_per_ue: np.ndarray):
     return float(se_common), float(sse)
 
 
+def _stream_se(sinr: np.ndarray, tau_c: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-UE SEs of both streams, (2, K) or (2, B, K), from their SINRs
+    (2, M, K) or (2, M, B, K): log2(1 + sinr) summed over the M data
+    instants and divided by tau_c, written through ``out`` if given.
+
+    The instants are summed as numpy sums them in the (..., M, K) layout:
+    row by row in instant order, except for one UE (K = 1), where the
+    instants are contiguous there and numpy sums them pairwise.  A
+    negative or nan SINR raises ValueError, as in ``se_from_sinr``.
+    """
+    if not sinr.min() >= 0:
+        raise ValueError("SINR values must be >= 0")
+    terms = np.add(sinr, 1.0, out=out)
+    np.log2(terms, out=terms)
+    if terms.shape[-1] == 1:
+        return np.moveaxis(terms, 1, -1).copy().sum(axis=-1) / tau_c
+    return terms.sum(axis=1) / tau_c
+
+
 def se_report(parts: PlanParts, rho, tau_c: int) -> SEReport:
     """The SE report of a plan's coefficients at power split rho, or of B
     jobs' coefficients at their (B,) power splits."""
-    sinr_p, sinr_c = assemble(parts, rho)
-    se_p = se_from_sinr(sinr_p, tau_c)
-    se_c_per_ue = se_from_sinr(sinr_c, tau_c)
+    sinr = _sinrs(parts, rho)
+    se_p, se_c_per_ue = _stream_se(sinr, tau_c)
     se_c, sse = sum_se(se_p, se_c_per_ue)
+    sinr_p, sinr_c = np.moveaxis(sinr, 1, -1)
     return SEReport(
         sinr_private=sinr_p,
         sinr_common=sinr_c,
@@ -629,22 +675,22 @@ def sum_se_curve(parts: PlanParts, tau_c: int):
     function of rho, for the rho search; for B jobs' coefficients, the
     (B,) sum SEs at (B,) power splits.
 
-    Each call writes the SINRs with ``assemble``'s function into (2, M, K)
-    buffers allocated here once per plan and sums them as ``se_from_sinr``
-    and ``sum_se`` do, building no report, so a call at rho equals
-    ``se_report(parts, rho, tau_c).sum_se`` exactly.  A negative or nan
-    SINR raises ValueError, as in ``se_from_sinr``.
+    The coefficients are laid out (instant, job, UE) once per curve
+    (``_by_instant``), and each call writes the SINRs into a (2, M, B, K)
+    buffer allocated here, so its elementwise work runs over whole rows of
+    B*K and its instant sum adds M such rows.  The SEs go through
+    ``se_report``'s instant sum (``_stream_se``) and ``sum_se``, building
+    no report, so a call at rho equals ``se_report(parts, rho,
+    tau_c).sum_se`` exactly, and each job's value is bitwise that of its
+    own curve.  A negative or nan SINR raises ValueError.
     """
+    parts = _by_instant(parts, contiguous=True)
     sinr = _sinr_buffer(parts)
     num = np.empty_like(sinr)
 
     def curve(rho):
         _write_sinrs(parts, rho, sinr, num)
-        if not sinr.min() >= 0:
-            raise ValueError("SINR values must be >= 0")
-        np.add(sinr, 1.0, out=sinr)
-        np.log2(sinr, out=sinr)
-        se = sinr.sum(axis=-2) / tau_c  # (2, K) or (2, B, K)
+        se = _stream_se(sinr, tau_c, out=sinr)
         return sum_se(se[0], se[1])[1]
 
     return curve

@@ -373,8 +373,8 @@ def _assert_every_job_matches_its_own_draw(spec, rows, monkeypatch):
     monkeypatch.setattr(cli, "build_network", cfrs.build_network)
     for rep in range(spec.repetitions):
         for sweep_value in spec.sweep_values:
-            cfg, phases, _ = cli._job_inputs(spec, sweep_value,
-                                             cli._job_seed(spec.base.seed, rep))
+            rep_cfg = dataclasses.replace(spec.base, seed=cli._job_seed(spec.base.seed, rep))
+            cfg, phases, _ = cli._job_inputs(spec, sweep_value, rep_cfg)
             for scheme in spec.schemes:
                 report, _ = cli.run_scheme(cfg, phases, scheme, cli.build_topology(cfg, phases))
                 sse = {r["sum_se"] for r in rows
@@ -765,11 +765,16 @@ def test_a_job_failing_inside_a_stack_fails_alone(scheme_idx, tmp_path, monkeypa
 def test_a_repetition_searches_rho_once_and_estimates_once_per_job(tmp_path, monkeypatch):
     # the README spec with DU RS, DU non-RS and DF non-coherent RS at 2
     # repetitions: each repetition's RS jobs, of both transmissions, share
-    # one lockstep rho search of 22 evaluations, and each job still
+    # one lockstep rho search of 22 evaluations, each (private scheme,
+    # transmission) stack of jobs makes one plan, and each job still
     # computes its own estimation statistics
     spec = cli.spec_from_dict({**_readme_spec(), "schemes": THREE_SCHEMES, "repetitions": 2})
-    searches, estimations = [], []
-    search, estimate = cli.optimize.optimal_rho, cli.estimation_statistics
+    searches, estimations, plans = [], [], []
+    search, estimate, plan = cli.optimize.optimal_rho, cli.estimation_statistics, cli.make_plan
+
+    def counted_plan(terms, *args, **kwargs):
+        plans.append((args[:2], terms.tr_Q.shape[0]))  # (scheme, transmission), jobs
+        return plan(terms, *args, **kwargs)
 
     def counted_search(evaluator, tol=1e-3):
         calls = []
@@ -787,16 +792,31 @@ def test_a_repetition_searches_rho_once_and_estimates_once_per_job(tmp_path, mon
 
     monkeypatch.setattr(cli.optimize, "optimal_rho", counted_search)
     monkeypatch.setattr(cli, "estimation_statistics", counted_estimate)
+    monkeypatch.setattr(cli, "make_plan", counted_plan)
     rows, _ = read_csv(cli.run_experiment(spec, out_dir=tmp_path / "out") / "results.csv")
     assert {r["status"] for r in rows} == {"ok"}
     rs_jobs = len(spec.sweep_values) * 2
     # the first call reads the endpoint rho = 0 for all jobs at once
     assert searches == [[()] + [(rs_jobs,)] * 21] * spec.repetitions
+    points = len(spec.sweep_values)
+    assert plans == [(("du_mr", "coherent"), 2 * points),
+                     (("df_mr", "noncoherent"), points)] * spec.repetitions
     jobs = len(spec.sweep_values) * len(spec.schemes)
     assert len(estimations) == spec.repetitions * jobs
     assert [ph.var_ap for ph in estimations] == [
         v for _ in range(spec.repetitions) for v in spec.sweep_values
         for _ in spec.schemes]
+
+
+def test_a_csv_row_with_a_key_outside_its_columns_is_refused(tmp_path):
+    # rows are written as lists, so a misnamed key must fail, not vanish
+    path = tmp_path / "rows.csv"
+    with pytest.raises(ValueError, match="sum_sse"):
+        cli._write_csv(path, "x.v1", ["k", "sum_se"], [{"k": 0, "sum_sse": 1.5}])
+    with pytest.raises(ValueError, match="3 values for 2 columns"):
+        cli._write_csv(path, "x.v1", ["k", "sum_se"], [[0, 1.5, "ok"]])
+    cli._write_csv(path, "x.v1", ["k", "sum_se"], [{"k": 0}, [1, 0.1 + 0.2]])
+    assert path.read_text() == "# schema=x.v1\nk,sum_se\n0,\n1,0.30000000000000004\n"
 
 
 def test_robust_job_checks_the_instant_its_weights_were_optimized_for(monkeypatch):

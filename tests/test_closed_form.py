@@ -227,6 +227,35 @@ def test_assemble_equals_the_report_of_the_plan_at_rho_exactly():
                     assert curve(rho) == report.sum_se
 
 
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("K", [1, 2, 8, 32])
+def test_a_stack_sums_its_instants_as_the_instant_major_layout_does(K, B):
+    # a stack's SINRs are laid out (stream, instant, job, UE), but each SE
+    # must be the sum numpy makes over the (..., M, K) layout: in instant
+    # order for K >= 2 and pairwise for K = 1, where the instants are
+    # contiguous there; the power sweep's per-job p_d rides along
+    cfg = cfrs.SystemConfig(L=5, K=K, N=2, tau_p=min(K, 4), tau_c=60, seed=K)
+    net = cfrs.build_network(cfg)
+    pilots = cfrs.assign_pilots(K, cfg.tau_p)
+    configs = [dataclasses.replace(cfg, p_d=0.05 * 3**b) for b in range(B)]
+    phases = [cfrs.PhaseStatistics(1e-4 * (b + 1), 2e-4) for b in range(B)]
+    terms = cf.TraceTerms.stack([
+        cf.TraceTerms.compute(net, cfrs.estimation_statistics(net, pilots, ph, cfg), pilots)
+        for ph in phases])
+    rho = np.linspace(0.2, 0.7, B)
+    for transmission in cf.TRANSMISSIONS:
+        plan = cf.make_plan(terms, "df_mr", transmission)
+        parts = cf.plan_parts(terms, plan, phases, configs, cfg.data_instants())
+        per_instant = [np.log2(1 + np.ascontiguousarray(np.swapaxes(sinr, -1, -2)))
+                       for sinr in cf.assemble(parts, rho)]  # (B, M, K)
+        se_p, se_c = (t.sum(axis=-2) / cfg.tau_c for t in per_instant)
+        report = cf.se_report(parts, rho, cfg.tau_c)
+        assert np.array_equal(report.se_private, se_p)
+        assert np.array_equal(report.se_common_per_ue, se_c)
+        assert np.array_equal(report.sum_se, cf.sum_se(se_p, se_c)[1])
+        assert np.array_equal(cf.sum_se_curve(parts, cfg.tau_c)(rho), report.sum_se)
+
+
 def test_sum_se_curve_checks_its_inputs(desk):
     cfg, _, _, phases, _, terms = desk
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)

@@ -113,7 +113,8 @@ def test_a_job_stack_computes_each_jobs_numbers_as_its_own_call_does(jobs, rho):
     for scheme in cf.PRIVATE_SCHEMES:
         for transmission in cf.TRANSMISSIONS:
             plans = [cf.make_plan(t, scheme, transmission) for t in terms]
-            stack = cf.plan_parts(cf.TraceTerms.stack(terms), cf.PrecodingPlan.stack(plans),
+            stacked = cf.TraceTerms.stack(terms)
+            stack = cf.plan_parts(stacked, cf.make_plan(stacked, scheme, transmission),
                                   phases, configs, ns)
             alone = [cf.plan_parts(*job, ns) for job in zip(terms, plans, phases, configs)]
             for b, parts in enumerate(alone):
@@ -140,3 +141,21 @@ def test_a_job_stack_computes_each_jobs_numbers_as_its_own_call_does(jobs, rho):
     mixed_rho, mixed_sse = opt.optimal_rho(cf.sum_se_curve(cf.PlanParts.stack(stacks), tau_c))
     assert np.array_equal(mixed_rho, np.concatenate([r for r, _ in searches]))
     assert np.array_equal(mixed_sse, np.concatenate([s for _, s in searches]))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(jobs=job_stacks(), alpha=st.sampled_from([None, -1.0, 0.5]), spec=plan_specs)
+def test_a_stacked_plan_is_each_jobs_own_plan_and_keeps_every_ap_in_budget(jobs, alpha, spec):
+    # one make_plan for a stack of jobs makes each job's own plan, bit for
+    # bit; every simple-weights plan spends at most unit power per AP on
+    # each stream: sum_k mu tr_Q privately, common_power * eta in common
+    _, _, terms = jobs
+    stack = cf.make_plan(cf.TraceTerms.stack(terms), *spec, power_control_alpha=alpha)
+    for b, t in enumerate(terms):
+        own = cf.make_plan(t, *spec, power_control_alpha=alpha)
+        cut = stack.job(b)
+        assert (cut.private_scheme, cut.transmission, cut.rho) == spec
+        for name in ("weights", "mu", "eta"):
+            assert np.array_equal(getattr(cut, name), getattr(own, name))
+        assert np.all((own.mu * t.tr_Q).sum(axis=0) <= 1 + 1e-12)
+        assert np.all(cf.common_power(t, own.weights) * own.eta <= 1 + 1e-12)
