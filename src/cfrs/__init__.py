@@ -19,7 +19,6 @@ from .closed_form import (
     plan_parts,
     power_control_coefficients,
     private_normalization,
-    se_from_sinr,
     se_report,
     sum_se,
     sum_se_curve,

@@ -518,7 +518,7 @@ def run_jobs(jobs: list[Job], mc_realizations: int = 0) -> list:
                 else:
                     pieces.append((stack, [b]))
             joined[key] = closed_form.PlanParts.stack([
-                stack if rows == list(range(len(stack.eaeu))) else stack.take(rows)
+                stack if rows == list(range(stack.jobs)) else stack.take(rows)
                 for stack, rows in pieces])
         return joined[key]
 

@@ -50,10 +50,12 @@ pilot assignment, scheme and instants: ``TraceTerms.stack`` stacks the
 jobs' terms, ``make_plan`` makes one plan for the stack, ``plan_parts``
 then takes one phase statistics and config per job, and ``PlanParts.stack``
 joins such stacks, so ``sum_se_curve``, ``assemble`` and ``se_report``
-take rho as a (B,) array and evaluate every job in one call.  They lay a
-stack's SINRs out (stream, instant, job, UE).  Every sum runs in the same
-order as for one job, so each job's numbers in a stack are bitwise those
-of its own call.
+take rho as a (B,) array and evaluate every job in one call.
+``plan_parts`` writes each coefficient of a stack (instant, job, UE), the
+layout of the stack's SINRs (stream, instant, job, UE), so their
+elementwise work runs over whole rows of B*K with no copy in between.
+Every sum runs in the same order as for one job, so each job's numbers in
+a stack are bitwise those of its own call.
 
 No matrix product appears in this module: no ``@``, ``matmul``, ``dot``,
 ``vdot``, ``inner`` or ``tensordot``, and no ``einsum(..., optimize=...)``.
@@ -384,12 +386,11 @@ def decay_pair(phases: PhaseStatistics, config: SystemConfig, instants):
 class PlanParts:
     """rho-independent coefficients of one plan's SINRs at M instants.
 
-    eaeu (M, 1) is ea*eu; xi (M, K) or (1, K) the private received power,
-    gamma (M, K) the common interference, both per transmitted watt;
-    sig_private and sig_common (1, K) the desired-signal coefficients, or
-    (M, K) where they differ per row.  The coefficients of B jobs carry a
-    leading job axis on every array; p_d and sigma2 stay floats where the
-    jobs share them, and are (B, 1, 1) otherwise.
+    Each coefficient is a full, C-contiguous (M, K) array, or (M, B, K)
+    for a stack of B jobs: eaeu is ea*eu; xi the private received power
+    and gamma the common interference, both per transmitted watt;
+    sig_private and sig_common the desired-signal coefficients.  p_d and
+    sigma2 are floats for one job and per-job (B, 1) columns for a stack.
     """
 
     eaeu: np.ndarray
@@ -400,51 +401,39 @@ class PlanParts:
     p_d: float
     sigma2: float
 
+    @property
+    def jobs(self) -> int:
+        """The number of jobs B of a stack."""
+        return len(self.p_d)
+
     @classmethod
     def stack(cls, parts: Sequence["PlanParts"]) -> "PlanParts":
         """One stack of several stacks of jobs' coefficients, joined along
-        the job axis.  A field with one row next to one with M, such as a
-        non-coherent xi next to a coherent one, is broadcast to M rows."""
+        the job axis."""
         if len(parts) == 1:
             return parts[0]
-        joined = []
-        for field in dataclasses.fields(cls):
-            values = [getattr(p, field.name) for p in parts]
-            if all(np.ndim(v) == 0 for v in values) and len(set(values)) == 1:
-                joined.append(values[0])
-                continue
-            arrays = [np.full((len(p.eaeu), 1, 1), v) if np.ndim(v) == 0 else v
-                      for p, v in zip(parts, values)]
-            rows = max(a.shape[-2] for a in arrays)
-            joined.append(np.concatenate([
-                a if a.shape[-2] == rows else np.broadcast_to(a, (len(a), rows, a.shape[-1]))
-                for a in arrays]))
-        return cls(*joined)
+        return cls(*(np.concatenate([getattr(p, field.name) for p in parts], axis=-2)
+                     for field in dataclasses.fields(cls)))
 
     def take(self, jobs: list[int]) -> "PlanParts":
         """The stack of the given jobs of a stack, in that order."""
-        values = (getattr(self, field.name) for field in dataclasses.fields(self))
-        return PlanParts(*(v if np.ndim(v) == 0 else v[jobs] for v in values))
+        return PlanParts(*(np.take(getattr(self, field.name), jobs, axis=-2)
+                           for field in dataclasses.fields(self)))
 
 
 def _job_decays(phases, config, instants):
     """(ea, eu, p_d, sigma2) of one job, or of B jobs, which share their
     instants, from their sequences of phase statistics and configs: ea and
-    eu (B, M), p_d and sigma2 floats where the jobs share them, else
-    (B, 1, 1)."""
+    eu (M, B), p_d and sigma2 (B, 1) columns."""
     if isinstance(config, SystemConfig):
         return (*decay_pair(phases, config, instants), config.p_d, config.sigma2_dl)
     if len({(cfg.estimation_instant, cfg.tau_c) for cfg in config}) > 1:
         raise ValueError("stacked jobs must share their estimation instant and tau_c")
     gap = check_instants(config[0], instants) - config[0].estimation_instant
     var = np.array([[ph.var_ap for ph in phases], [ph.var_ue for ph in phases]])
-    ea, eu = phase_decay(gap, var[..., None])
-
-    def per_job(values):
-        return values[0] if len(set(values)) == 1 else np.array(values)[:, None, None]
-
-    return (ea, eu, per_job([cfg.p_d for cfg in config]),
-            per_job([cfg.sigma2_dl for cfg in config]))
+    ea, eu = phase_decay(gap[:, None], var[:, None, :])
+    return (ea, eu, np.array([[cfg.p_d] for cfg in config]),
+            np.array([[cfg.sigma2_dl] for cfg in config]))
 
 
 def plan_parts(
@@ -458,7 +447,8 @@ def plan_parts(
 
     For B jobs, ``terms`` is a stack (``TraceTerms.stack``), ``plan`` the
     stack's plan (``make_plan`` of those terms), and ``phases`` and
-    ``config`` sequences of B, and so is every field of the result.
+    ``config`` sequences of B, and every coefficient of the result is
+    written (M, B, K), the layout of the stack's SINRs.
 
     Non-coherent private terms carry no delay phase (per-AP detection
     removes it, so DU and DF agree exactly); the non-coherent common stream
@@ -507,52 +497,37 @@ def plan_parts(
     total = np.einsum("...kl,...l->...k", terms.beta, np.sum(mu * terms.tr_QT, axis=-2))
     gain_unc = np.einsum("...l,...kl->...k", eta, _abs2(per_ap))
     cross = np.einsum("...kl,...l->...k", terms.beta, eta * s)
-    # per-instant factors as rows (..., M, 1), per-UE ones as a row (..., 1, K)
+    # per-instant factors as columns (M, ..., 1), per-UE ones as a row (1, ..., K)
     ea_, eu_ = ea[..., None], eu[..., None]
-    total, percontam, gain_unc, cross = (v[..., None, :] for v in (total, percontam,
-                                                                   gain_unc, cross))
+    total, percontam, gain_unc, cross = (v[None] for v in (total, percontam, gain_unc, cross))
     if coherent_tx:
-        xi = total + (1.0 - ea_) * percontam + ea_ * coherent[..., None, :]
-        sig_private = _abs2(np.einsum("...kl,...kl->...k", sq, terms.tr_Q))[..., None, :]
+        xi = total + (1.0 - ea_) * percontam + ea_ * coherent[None]
+        sig_private = _abs2(np.einsum("...kl,...kl->...k", sq, terms.tr_Q))[None]
         # coherent |sum_l sqrt(eta_l) per_ap[k,l]|^2
-        sig_common = _abs2(np.einsum("...kl,...l->...k", per_ap, np.sqrt(eta)))[..., None, :]
+        sig_common = _abs2(np.einsum("...kl,...l->...k", per_ap, np.sqrt(eta)))[None]
         gamma = (1.0 - ea_) * gain_unc + cross + (ea_ * (1.0 - eu_)) * sig_common
     else:
         xi = total + percontam
-        sig_private = np.einsum("...kl,...kl->...k", mu, terms.tr_Q**2)[..., None, :]
+        sig_private = np.einsum("...kl,...kl->...k", mu, terms.tr_Q**2)[None]
         sig_common = gain_unc
         gamma = cross + (1.0 - ea_ * eu_) * gain_unc
-    return PlanParts(ea_ * eu_, xi, sig_private, sig_common, gamma, p_d, sigma2)
+    shape = ea_.shape[:-1] + total.shape[-1:]
 
-
-def _by_instant(parts: PlanParts, contiguous: bool = False) -> PlanParts:
-    """A stack's coefficients laid out (instant, job, UE), so that the
-    SINRs of B jobs are written (2, M, B, K): views with the job and
-    instant axes swapped, or with ``contiguous`` (M, B, K) arrays, each
-    broadcast and copied, which a curve's elementwise work runs over in
-    whole rows.  One job's are returned as they are."""
-    if parts.eaeu.ndim < 3:
-        return parts
-    B, M = parts.eaeu.shape[:2]
-    shape = (M, B, parts.xi.shape[-1])
-
-    def laid_out(v):
-        if np.ndim(v) == 0:
+    def full(v):
+        if v.shape == shape:
             return v
-        if not contiguous:
-            return np.swapaxes(v, 0, 1)
         out = np.empty(shape)
-        np.copyto(np.swapaxes(out, 0, 1), v)
+        out[...] = v
         return out
 
-    return PlanParts(*(laid_out(getattr(parts, field.name)) for field in dataclasses.fields(parts)))
+    return PlanParts(*map(full, (ea_ * eu_, xi, sig_private, sig_common, gamma)), p_d, sigma2)
 
 
 def _write_sinrs(parts: PlanParts, rho, out: np.ndarray, num: np.ndarray) -> None:
     """Write the private and common SINRs at power split rho into out, with
-    num as work buffer, both (2, M, K), or (2, M, B, K) for B jobs'
-    coefficients laid out by ``_by_instant`` with rho (B,); elementwise
-    work only.
+    num as work buffer, both (2, M, K), or (2, M, B, K) for a stack's
+    coefficients with rho (B,) and p_d and sigma2 floats or (B, 1)
+    columns; elementwise work only.
 
     With p_dp = (1 - rho) p_d and p_dc = rho p_d:
         private = eaeu p_dp s_p / (p_dp xi - eaeu p_dp s_p + sigma2)
@@ -582,15 +557,27 @@ def _write_sinrs(parts: PlanParts, rho, out: np.ndarray, num: np.ndarray) -> Non
     np.divide(num, out, out=out)
 
 
+def _shared_powers(parts: PlanParts) -> PlanParts:
+    """The coefficients with a stack's p_d and sigma2 columns as floats
+    where every job shares them: a (B, 1) column broadcast over the
+    (2, M, B, K) SINRs cuts each elementwise loop to K elements, a float
+    leaves it whole."""
+
+    def shared(v):
+        return v.flat[0] if np.ndim(v) and (v == v.flat[0]).all() else v
+
+    return dataclasses.replace(parts, p_d=shared(parts.p_d), sigma2=shared(parts.sigma2))
+
+
 def _sinr_buffer(parts: PlanParts) -> np.ndarray:
-    """An empty (2, M, K) array, or (2, M, B, K) for coefficients laid out
-    by ``_by_instant``."""
-    return np.empty((2, *parts.eaeu.shape[:-1], parts.xi.shape[-1]))
+    """An empty array of both streams' SINRs: (2, M, K), or (2, M, B, K)
+    for a stack, the shape of each coefficient."""
+    return np.empty((2, *parts.xi.shape))
 
 
 def _sinrs(parts: PlanParts, rho) -> np.ndarray:
     """Both streams' SINRs at rho in a fresh (2, M, K) or (2, M, B, K) array."""
-    parts = _by_instant(parts)
+    parts = _shared_powers(parts)
     sinr = _sinr_buffer(parts)
     _write_sinrs(parts, rho, sinr, np.empty_like(sinr))
     return sinr
@@ -605,19 +592,6 @@ def assemble(parts: PlanParts, rho) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # spectral efficiency
 # ---------------------------------------------------------------------------
-
-def se_from_sinr(sinr: np.ndarray, tau_c: int) -> np.ndarray:
-    """SE in bit/s/Hz from per-instant SINRs over the data instants.
-
-    ``sinr`` has instants on the last axis (one value per data instant);
-    the 1/tau_c prelog charges the pilot overhead.
-    """
-    sinr = np.asarray(sinr, dtype=float)
-    # written as "not inside" so that nan fails too
-    if not np.all(sinr >= 0):
-        raise ValueError("SINR values must be >= 0")
-    return np.log2(1.0 + sinr).sum(axis=-1) / tau_c
-
 
 def sum_se(se_private: np.ndarray, se_common_per_ue: np.ndarray):
     """(se_common, sse): worst-UE common SE plus the private sum, floats,
@@ -641,7 +615,7 @@ def _stream_se(sinr: np.ndarray, tau_c: int, out: np.ndarray | None = None) -> n
     The instants are summed as numpy sums them in the (..., M, K) layout:
     row by row in instant order, except for one UE (K = 1), where the
     instants are contiguous there and numpy sums them pairwise.  A
-    negative or nan SINR raises ValueError, as in ``se_from_sinr``.
+    negative or nan SINR raises ValueError.
     """
     if not sinr.min() >= 0:
         raise ValueError("SINR values must be >= 0")
@@ -675,16 +649,16 @@ def sum_se_curve(parts: PlanParts, tau_c: int):
     function of rho, for the rho search; for B jobs' coefficients, the
     (B,) sum SEs at (B,) power splits.
 
-    The coefficients are laid out (instant, job, UE) once per curve
-    (``_by_instant``), and each call writes the SINRs into a (2, M, B, K)
-    buffer allocated here, so its elementwise work runs over whole rows of
-    B*K and its instant sum adds M such rows.  The SEs go through
+    Each call writes the SINRs into a (2, M, B, K) buffer allocated here,
+    in the coefficients' own (instant, job, UE) layout, so its elementwise
+    work runs over whole rows of B*K and its instant sum adds M such rows;
+    the curve copies no coefficient.  The SEs go through
     ``se_report``'s instant sum (``_stream_se``) and ``sum_se``, building
     no report, so a call at rho equals ``se_report(parts, rho,
     tau_c).sum_se`` exactly, and each job's value is bitwise that of its
     own curve.  A negative or nan SINR raises ValueError.
     """
-    parts = _by_instant(parts, contiguous=True)
+    parts = _shared_powers(parts)
     sinr = _sinr_buffer(parts)
     num = np.empty_like(sinr)
 

@@ -850,7 +850,7 @@ def _sinr(means, coherent: bool, plan, config):
         sig_p, sig_c = (np.abs(ds.sum(axis=-1)) ** 2 for ds in (ds_p, ds_c))
     else:
         sig_p, sig_c = (np.sum(np.abs(ds) ** 2, axis=-1) for ds in (ds_p, ds_c))
-    parts = PlanParts(eaeu=np.ones((len(ds_p), 1)), xi=int_p.sum(axis=-1), sig_private=sig_p,
+    parts = PlanParts(eaeu=np.ones_like(sig_p), xi=int_p.sum(axis=-1), sig_private=sig_p,
                       sig_common=sig_c, gamma=int_c - sig_c, p_d=config.p_d,
                       sigma2=config.sigma2_dl)
     return assemble(parts, plan.rho)

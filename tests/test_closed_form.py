@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,90 @@ def test_a_stack_sums_its_instants_as_the_instant_major_layout_does(K, B):
         assert np.array_equal(cf.sum_se_curve(parts, cfg.tau_c)(rho), report.sum_se)
 
 
+@pytest.mark.parametrize("transmission", cf.TRANSMISSIONS)
+@pytest.mark.parametrize("B", [None, 1, 3])
+def test_plan_parts_writes_every_coefficient_full_and_c_contiguous(B, transmission):
+    # one job's coefficients are (M, K), a stack's (M, B, K), the layout of
+    # their SINRs, and so are the stacks that take and stack cut and join
+    cfg = cfrs.SystemConfig(L=5, K=3, N=2, tau_p=2, tau_c=30, seed=2)
+    net = cfrs.build_network(cfg)
+    pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p)
+    configs = [dataclasses.replace(cfg, p_d=0.05 * (b + 1)) for b in range(B or 1)]
+    phases = [cfrs.PhaseStatistics(1e-4 * (b + 1), 2e-4) for b in range(B or 1)]
+    terms = [cf.TraceTerms.compute(net, cfrs.estimation_statistics(net, pilots, ph, cfg), pilots)
+             for ph in phases]
+    M, K = len(cfg.data_instants()), cfg.K
+    if B is None:
+        plan = cf.make_plan(terms[0], "df_mr", transmission)
+        made = [(cf.plan_parts(terms[0], plan, phases[0], cfg, cfg.data_instants()), (M, K))]
+    else:
+        stacked = cf.TraceTerms.stack(terms)
+        plan = cf.make_plan(stacked, "df_mr", transmission)
+        parts = cf.plan_parts(stacked, plan, phases, configs, cfg.data_instants())
+        other = cf.plan_parts(stacked, cf.make_plan(stacked, "du_mr", cf.TRANSMISSIONS[0]),
+                              phases, configs, cfg.data_instants())
+        made = [(parts, (M, B, K)), (parts.take([B - 1, 0]), (M, 2, K)),
+                (cf.PlanParts.stack([parts, other]), (M, 2 * B, K))]
+    for parts, shape in made:
+        for name in ("eaeu", "xi", "sig_private", "sig_common", "gamma"):
+            value = getattr(parts, name)
+            assert value.shape == shape and value.flags.c_contiguous, (name, value.shape)
+        if B is not None:
+            assert parts.p_d.shape == parts.sigma2.shape == (shape[1], 1) == (parts.jobs, 1)
+
+
+def test_a_stack_of_jobs_with_their_own_noise_gives_each_job_its_own_numbers():
+    # shared powers are added as floats, per-job ones as (B, 1) columns;
+    # either way each job's SINRs and sum SE are those of its own call
+    cfg = cfrs.SystemConfig(L=5, K=3, N=2, tau_p=2, tau_c=30, seed=4)
+    net = cfrs.build_network(cfg)
+    pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p)
+    configs = [dataclasses.replace(cfg, p_d=0.05 * (b + 1), sigma2_dl=cfg.sigma2_dl * 3**b)
+               for b in range(3)]
+    phases = [cfrs.PhaseStatistics(1e-4 * (b + 1), 2e-4) for b in range(3)]
+    terms = [cf.TraceTerms.compute(net, cfrs.estimation_statistics(net, pilots, ph, cfg), pilots)
+             for ph in phases]
+    stacked = cf.TraceTerms.stack(terms)
+    rho = np.array([0.2, 0.5, 0.9])
+    for transmission in cf.TRANSMISSIONS:
+        parts = cf.plan_parts(stacked, cf.make_plan(stacked, "df_mr", transmission), phases,
+                              configs, cfg.data_instants())
+        sinrs = cf.assemble(parts, rho)
+        sse = cf.sum_se_curve(parts, cfg.tau_c)(rho)
+        for b in range(3):
+            alone = cf.plan_parts(terms[b], cf.make_plan(terms[b], "df_mr", transmission),
+                                  phases[b], configs[b], cfg.data_instants())
+            for got, want in zip(sinrs, cf.assemble(alone, rho[b])):
+                assert np.array_equal(got[b], want)
+            assert sse[b] == cf.sum_se_curve(alone, cfg.tau_c)(rho[b])
+
+
+def test_sum_se_curve_allocates_only_its_two_sinr_buffers():
+    # the curve writes in the coefficients' own layout and copies none of them
+    cfg = cfrs.SystemConfig(seed=3)
+    net = cfrs.build_network(cfg)
+    pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p)
+    phases = [cfrs.PhaseStatistics(1e-4 * (b + 1), 2e-4) for b in range(4)]
+    terms = cf.TraceTerms.stack([
+        cf.TraceTerms.compute(net, cfrs.estimation_statistics(net, pilots, ph, cfg), pilots)
+        for ph in phases])
+    parts = cf.plan_parts(terms, cf.make_plan(terms, "df_mr", "coherent"), phases,
+                          [cfg] * len(phases), cfg.data_instants())
+    buffers = 2 * 2 * parts.xi.nbytes  # two (2, M, B, K) arrays
+    rho = np.full(len(phases), 0.4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        curve = cf.sum_se_curve(parts, cfg.tau_c)
+        peak = tracemalloc.get_traced_memory()[1]
+        curve(rho)  # a call's numpy temporaries are freed again
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= buffers + 8192
+    assert held - before <= buffers + 8192
+
+
 def test_sum_se_curve_checks_its_inputs(desk):
     cfg, _, _, phases, _, terms = desk
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.0)
@@ -264,7 +349,7 @@ def test_sum_se_curve_checks_its_inputs(desk):
     for rho in (-0.1, 1.5):
         with pytest.raises(ValueError, match="rho"):
             curve(rho)
-    # coefficients that make a SINR negative are rejected, as by se_from_sinr
+    # coefficients that make a SINR negative are rejected, as by se_report
     bad = cf.sum_se_curve(dataclasses.replace(parts, sig_common=-parts.sig_common),
                           cfg.tau_c)
     assert bad(0.0) == curve(0.0)  # no common stream at rho = 0
@@ -555,27 +640,39 @@ def test_non_integral_instants_rejected(desk, instants, bad):
 # SE assembly
 # ---------------------------------------------------------------------------
 
-def test_se_from_sinr_constant_unity():
+def sinr_parts(sinr):
+    """Coefficients whose private SINRs at rho = 0 are ``sinr`` (M, K)
+    exactly, with p_d = sigma2 = 1 and xi = eaeu = sinr, and whose common
+    SINRs are zero."""
+    ones = np.ones_like(sinr)
+    return cf.PlanParts(eaeu=sinr, xi=sinr, sig_private=ones, sig_common=ones, gamma=ones,
+                        p_d=1.0, sigma2=1.0)
+
+
+def test_se_report_constant_unity():
     cfg = cfrs.SystemConfig(L=2, K=1, tau_p=4, tau_c=200, seed=0)
-    sinr = np.ones((1, cfg.tau_c - cfg.tau_p))
-    se = cf.se_from_sinr(sinr, cfg.tau_c)
+    se = cf.se_report(sinr_parts(np.ones((cfg.tau_c - cfg.tau_p, 1))), 0.0,
+                      cfg.tau_c).se_private
     assert se[0] == pytest.approx((cfg.tau_c - cfg.tau_p) / cfg.tau_c)
 
 
-def test_se_from_sinr_zero_and_negative():
-    assert cf.se_from_sinr(np.zeros((3, 10)), 20).tolist() == [0.0, 0.0, 0.0]
-    with pytest.raises(ValueError):
-        cf.se_from_sinr(np.array([[-0.1]]), 20)
+def test_se_report_zero_and_negative():
+    rep = cf.se_report(sinr_parts(np.zeros((10, 3))), 0.0, 20)
+    assert rep.se_private.tolist() == [0.0, 0.0, 0.0]
+    assert rep.se_common_per_ue.tolist() == [0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="SINR"):
+        cf.se_report(sinr_parts(np.array([[-0.1]])), 0.0, 20)
 
 
-def test_se_from_sinr_matches_plain_summation():
+def test_se_report_matches_plain_summation():
     tau_c, tau_p = 200, 4
     lam = tau_p + 1
     ns = np.arange(lam, tau_c + 1)
-    sinr = np.exp(-(ns - lam) * 0.01)[None, :]
-    se = cf.se_from_sinr(sinr, tau_c)
+    sinr = np.exp(-(ns - lam) * 0.01)[:, None]
+    rep = cf.se_report(sinr_parts(sinr), 0.0, tau_c)
+    assert np.array_equal(rep.sinr_private, sinr.T)
     manual = sum(math.log2(1.0 + math.exp(-(n - lam) * 0.01)) for n in ns) / tau_c
-    assert se[0] == pytest.approx(manual, rel=1e-14)
+    assert rep.se_private[0] == pytest.approx(manual, rel=1e-14)
 
 
 def test_sum_se_identities():
@@ -593,9 +690,9 @@ def test_report_recomposition_and_rho_zero(desk):
     plan = cf.make_plan(terms, "du_mr", "coherent", 0.5)
     parts = cf.plan_parts(terms, plan, phases, cfg, cfg.data_instants())
     rep = cf.se_report(parts, 0.5, cfg.tau_c)
-    # recomposition from the raw SINR matrices
-    se_p = cf.se_from_sinr(rep.sinr_private, cfg.tau_c)
-    se_c = cf.se_from_sinr(rep.sinr_common, cfg.tau_c)
+    # recomposition from the raw SINR matrices, summed over the instants
+    se_p, se_c = (np.log2(1.0 + sinr).sum(axis=-1) / cfg.tau_c
+                  for sinr in (rep.sinr_private, rep.sinr_common))
     assert rep.sum_se == pytest.approx(np.min(se_c) + np.sum(se_p), rel=1e-14)
     # rho = 0 degenerates to the plain (non-split) sum SE
     rep0 = cf.se_report(parts, 0.0, cfg.tau_c)

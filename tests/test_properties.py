@@ -119,9 +119,8 @@ def test_a_job_stack_computes_each_jobs_numbers_as_its_own_call_does(jobs, rho):
             alone = [cf.plan_parts(*job, ns) for job in zip(terms, plans, phases, configs)]
             for b, parts in enumerate(alone):
                 for field in dataclasses.fields(cf.PlanParts):
-                    # p_d and sigma2 stay floats where every job shares them
-                    value = getattr(stack, field.name)
-                    assert_same(value if np.ndim(value) == 0 else value[b],
+                    # every field of a stack has its job axis at -2
+                    assert_same(np.take(getattr(stack, field.name), b, axis=-2),
                                 getattr(parts, field.name))
             rhos = np.full(len(terms), rho)
             curve = cf.sum_se_curve(stack, tau_c)(rhos)
