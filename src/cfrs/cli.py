@@ -1065,7 +1065,7 @@ def cmd_robust(args) -> int:
     print(
         f"achieved min common SINR t = {result.achieved_t:.6g} "
         f"(bracket [{result.bracket[0]:.6g}, {result.bracket[1]:.6g}], "
-        f"{result.iterations} LP solves); wrote weights to {out}"
+        f"{result.iterations} Newton steps); wrote weights to {out}"
     )
     return 0
 

@@ -21,19 +21,16 @@ Two optimizers operate on the closed-form expressions:
   The problem is quasi-concave; a bisection over the target t, warm-started
   at the min SINR of the all-ones weights scaled to the power budget,
   solves a second-order cone feasibility program per step.  Feasibility is
-  decided through a max-slack reformulation: the slack optimum is the
-  largest margin by which the row-normalized SINR cones can be met.  A
-  Kelley cutting-plane loop (Kelley, "The cutting-plane method for solving
-  convex programs", 1960) solves it as a sequence of LPs (scipy's HiGHS)
-  over a polyhedral outer approximation of the cones, so a negative LP
-  optimum certifies infeasibility, while a feasible verdict needs a point
-  meeting every original constraint, min SINR >= t included.  Cuts are
-  kept across the bisection's targets.  The program's SINR is written
-  once, in the cone terms (``_cone_terms``), which both the cuts and the
-  min SINR >= t check read; its decay factors come from
-  ``closed_form.decay_pair`` (so from ``model.phase_decay``) and its
-  private interference from ``closed_form.plan_parts``.  No matrix product
-  is formed, so the weights do not depend on the BLAS kernel.
+  decided through a max-slack reformulation, the largest margin by which
+  the row-normalized SINR cones can be met, solved by a log-barrier
+  method with no state kept between targets: an iterate that meets every
+  original constraint, min SINR >= t included, makes a target feasible,
+  and an explicit dual bound on the slack below TOL_FEAS makes it
+  infeasible.  The program's SINR is written once, in the cone terms
+  (``_cone_terms``); its decay factors come from ``closed_form.decay_pair``
+  (so from ``model.phase_decay``) and its private interference from
+  ``closed_form.plan_parts``.  No matrix product or LAPACK solve is
+  formed, so the weights do not depend on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -52,8 +49,14 @@ log = logging.getLogger(__name__)
 
 
 # feasibility tolerance: largest accepted constraint violation of a feasible
-# point, and the LP optimum below which a target counts as infeasible
+# point, and the dual bound below which a target counts as infeasible
 TOL_FEAS = 1e-8
+
+# the barrier method's Newton steps per target, its barrier weight's growth
+# factor per centring, and the Newton decrement squared that ends a centring
+MAX_NEWTON_STEPS = 500
+MU = 8.0
+CENTRED = 0.5
 
 # the (private scheme, transmission) whose common SINR the max-min program
 # optimizes, with the per-AP private normalization; robust weights are
@@ -200,7 +203,7 @@ class MaxMinProblem:
 
         The SINR is (e_k.y / norm_k)^2 in the cone terms' units.
         """
-        _, ey, norm, _ = _cone_terms(self, y)
+        ey, norm = _cone_terms(self, y, values_only=True)
         return ey**2 / norm**2
 
     def power_norms(self, y: np.ndarray) -> np.ndarray:
@@ -251,10 +254,10 @@ class FeasibilityVerdict:
 
     ``point`` is the certified (S, L) variable array y (None when
     infeasible), mapped to weights by ``MaxMinProblem.weights``;
-    ``max_violation`` is the point's ``_verify_point`` value when feasible,
-    otherwise the certified margin -slack or the best LP point's violation;
-    ``iterations`` counts LP solves; ``slack`` is the last LP optimum, the
-    bound on the max-slack program in row-normalized units.
+    ``max_violation`` is ``_verify_point`` at that point, or at the last
+    iterate when infeasible; ``iterations`` counts Newton steps; ``slack``
+    is the point's slack min_k(e_k.y - sqrt(t)*norm_k) when feasible, and
+    the dual bound on the max-slack optimum when infeasible.
     """
 
     feasible: bool
@@ -264,7 +267,7 @@ class FeasibilityVerdict:
     slack: float
 
 
-def _cone_terms(problem: MaxMinProblem, y: np.ndarray):
+def _cone_terms(problem: MaxMinProblem, y: np.ndarray, values_only: bool = False):
     """Row-normalized SINR cones at y, elementwise.
 
     Cone k reads sqrt(t) * norm_k(y) <= e_k.y, with e_k = r_k*sig*c[k] on
@@ -272,7 +275,7 @@ def _cone_terms(problem: MaxMinProblem, y: np.ndarray):
     norm_k = sqrt(r_k^2 * q_k(y) + 1), where r_k = 1/sqrt(p_dp*xi_k + sigma2)
     and q_k = (1-ea)*p_dc*h_k + p_dc*m_k + ea*(1-eu)*p_dc*g_k^2 the
     quadratic interference.  Returns (e, e.y, norm, grad), with e and grad
-    (K, S, L) and grad[k] the gradient of norm_k in y.
+    (K, S, L) and grad[k] the gradient of norm_k in y, or only (e.y, norm).
     """
     sig = math.sqrt(problem.p_dc * problem.eta_ap * problem.eta_ue)
     c_h2 = problem.p_dc * (1.0 - problem.eta_ap)
@@ -287,6 +290,8 @@ def _cone_terms(problem: MaxMinProblem, y: np.ndarray):
     m = np.einsum("kl,l->k", beta, (ry * y).sum(axis=0))
     q = c_h2 * (cy * cy).sum(axis=1) + problem.p_dc * m + c_b2 * g * g
     norm = np.sqrt(row**2 * q + 1.0)
+    if values_only:
+        return row * sig * g, norm
     # half the gradient of q: M_k y on every row, H_k y and the g_k^2 part on P_k's
     half = problem.p_dc * beta[:, None, :] * ry
     half[own] += (c_h2 * cy + c_b2 * g[:, None]) * c
@@ -302,120 +307,113 @@ def _verify_point(problem: MaxMinProblem, y: np.ndarray, t: float) -> float:
     the row-normalized units of ``_cone_terms``, so the value does not
     depend on the scale of the channel statistics.
     """
-    _, ey, norm, _ = _cone_terms(problem, y)
+    ey, norm = _cone_terms(problem, y, values_only=True)
     viol = float(np.max(-y, initial=0.0))
     viol = max(viol, float(np.max(problem.power_norms(y) - 1.0)))
     return max(viol, float(np.max(math.sqrt(t) * norm - ey)))
 
 
-class _OuterApproximation:
-    """Polyhedral outer approximation of the max-slack program (Kelley).
+def _barrier(problem: MaxMinProblem, y: np.ndarray, s: float, sqrt_t: float,
+             tau: float) -> float:
+    """-tau*s - sum_k log u_k - sum_l log(1 - ||y[:, l]||^2) - sum log y,
+    u_k = e_k.y - sqrt(t)*norm_k - s; inf outside its domain."""
+    ey, norm = _cone_terms(problem, y, values_only=True)
+    margins = np.concatenate([ey - sqrt_t * norm - s, 1.0 - np.sum(y * y, axis=0),
+                              y.ravel()])
+    return -tau * s - float(np.sum(np.log(margins))) if np.min(margins) > 0.0 else math.inf
 
-    LP variables are (y, s), with y flattened and boxed in [0, 1]: y >= 0
-    and ||y[:, l]|| <= 1 imply y <= 1, so the box cuts off no feasible
-    point and keeps the LP bounded.  With ``_cone_terms``'s e_k and norm_k,
-    a cone cut (k, w, c) reads s + sqrt(t)*(c + w.y) <= e_k.y: c + w.y is a
-    tangent of the convex norm_k, so the cut holds at every t and the cuts
-    are reused across targets.  A power cut reads g.y[:, l] <= 1 with g the
-    unit vector of an LP point's y[:, l] outside the ball.  The seed cut
-    (w, c) = (0, 1) per UE uses norm_k >= 1.
-    """
 
-    MAX_ROUNDS = 400
-
-    def __init__(self, problem: MaxMinProblem):
-        self.problem = problem
-        K = problem.K
-        e, *_ = _cone_terms(problem, np.zeros(problem.y_ones.shape))
-        self.e = e.reshape(K, -1)
-        self.cone_k = list(range(K))
-        self.cone_w = [np.zeros(self.e.shape[1])] * K
-        self.cone_c = [1.0] * K
-        self.power_rows: list[np.ndarray] = []
-
-    def _refine(self, y: np.ndarray, s: float, sqrt_t: float) -> None:
-        """Add tangent cuts at y for every cone the LP point (y, s) violates."""
-        _, ey, norm, grad = _cone_terms(self.problem, y)
-        for k in np.flatnonzero(ey - sqrt_t * norm < s):
-            self.cone_k.append(int(k))
-            self.cone_w.append(grad[k].reshape(-1))
-            self.cone_c.append(1.0 / norm[k])
-        norms = self.problem.power_norms(y)
-        for l in np.flatnonzero(norms > 1.0):
-            g = np.zeros_like(y)
-            g[:, l] = y[:, l] / norms[l]
-            self.power_rows.append(g.reshape(-1))
-
-    def check(self, t: float) -> FeasibilityVerdict:
-        from scipy.optimize import linprog
-
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        problem, shape = self.problem, self.problem.y_ones.shape
-        dim = self.e.shape[1]
-        sqrt_t = math.sqrt(t)
-        cost = np.zeros(dim + 1)
-        cost[-1] = -1.0
-        bounds = [(0.0, 1.0)] * dim + [(None, None)]
-        for rounds in range(1, self.MAX_ROUNDS + 1):
-            cone = sqrt_t * np.asarray(self.cone_w) - self.e[self.cone_k]
-            a_ub = np.vstack([
-                np.column_stack([cone, np.ones(len(self.cone_k))]),
-                np.column_stack([np.reshape(self.power_rows, (-1, dim)),
-                                 np.zeros(len(self.power_rows))]),
-            ])
-            b_ub = np.concatenate([
-                -sqrt_t * np.asarray(self.cone_c), np.ones(len(self.power_rows))
-            ])
-            lp = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-            if lp.status != 0:
-                raise SolverIndeterminate(
-                    f"LP status {lp.status} at t={t} after {rounds} solves: "
-                    f"{lp.message}"
-                )
-            slack = float(lp.x[-1])
-            if slack < 0.0:  # the outer set contains the feasible set
-                return FeasibilityVerdict(
-                    feasible=False, point=None, max_violation=-slack,
-                    iterations=rounds, slack=slack,
-                )
-            y = np.clip(lp.x[:-1], 0.0, None).reshape(shape)
-            # exact repair of the outer set's power overshoot
-            point = y / np.maximum(problem.power_norms(y), 1.0)
-            violation = _verify_point(problem, point, t)
-            if violation <= TOL_FEAS and float(np.min(problem.sinr(point))) >= t:
-                return FeasibilityVerdict(
-                    feasible=True, point=point, max_violation=violation,
-                    iterations=rounds, slack=slack,
-                )
-            if slack < TOL_FEAS:
-                return FeasibilityVerdict(
-                    feasible=False, point=None, max_violation=violation,
-                    iterations=rounds, slack=slack,
-                )
-            self._refine(y, slack, sqrt_t)
-        raise SolverIndeterminate(
-            f"cutting planes did not settle t={t} after {rounds} LP solves "
-            f"(LP status {lp.status}, slack {slack:.3e}, point violation "
-            f"{violation:.3e})"
-        )
+def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b for a symmetric positive definite a, by Gaussian
+    elimination without pivoting, written elementwise so that x does not
+    depend on the BLAS kernel."""
+    n = len(b)
+    m = np.concatenate([a, b[:, None]], axis=1)
+    for j in range(n):
+        m[j, j:] /= m[j, j]
+        m[j + 1:, j + 1:] -= np.einsum("i,j->ij", m[j + 1:, j], m[j, j + 1:])
+    x = m[:, n]
+    for j in range(n - 1, 0, -1):
+        x[:j] -= m[:j, j] * x[j]
+    return x
 
 
 def check_feasibility(problem: MaxMinProblem, t: float) -> FeasibilityVerdict:
     """Decide whether min-UE common SINR >= t is achievable.
 
-    Solved as max-slack: maximize s so every row-normalized SINR cone holds
-    with margin s under the power and sign constraints, by a cutting-plane
-    loop of LPs over a polyhedral outer approximation of the cones.  An LP
-    optimum s* < 0 certifies infeasibility, because the outer set contains
-    the feasible set.  Feasible means an LP point that, after the per-AP
-    power repair, has y >= 0, per-AP power <= 1 and min SINR >= t.  An LP
-    optimum below TOL_FEAS without such a point counts as infeasible;
-    otherwise tangent cuts of the violated cones are added and the LP is
-    solved again.  Raises SolverIndeterminate on a non-optimal LP status
-    or when the round cap is reached.
+    Solved as max-slack: maximize s so that every cone margin
+    u_k = e_k.y - sqrt(t)*norm_k - s of ``_cone_terms`` is non-negative,
+    under y >= 0 and per-AP power <= 1, by a log-barrier method (Boyd &
+    Vandenberghe, *Convex Optimization*, 2004, ch. 11) over (y, s).  An
+    iterate that passes ``_verify_point`` with min SINR >= t is feasible.
+    The target is infeasible once a dual bound on the optimum falls below
+    TOL_FEAS: for lam >= 0 summing to 1 and any y^, with
+    r = sum_k lam_k (e_k - sqrt(t)*grad_k(y^)), the optimum is at most
+
+        sum_k lam_k (e_k.y^ - sqrt(t)*norm_k(y^)) - r.y^
+        + sum_l ||max(r[:, l], 0)||,
+
+    as each norm_k is convex and the last sum is the largest r.y over the
+    feasible y.  A Newton step dz = (dy, ds) gives y^ = y + dy and lam_k
+    proportional to max((1 - grad u_k.dz / u_k) / u_k, 0).  Raises
+    SolverIndeterminate when neither verdict comes within MAX_NEWTON_STEPS.
     """
-    return _OuterApproximation(problem).check(t)
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    sqrt_t, (S, L), K = math.sqrt(t), problem.y_ones.shape, problem.K
+    n, row2 = S * L, 1.0 / (problem.p_dp * problem.xi + problem.sigma2)
+    flat = np.arange(n).reshape(S, L).T  # (L, S) indices of each AP's y[:, l]
+    # interior start: half the scaled all-ones weights, slack one below theirs
+    y = 0.5 * scaled_simple_weights(problem)
+    ey, norm = _cone_terms(problem, y, values_only=True)
+    s, tau = float(np.min(ey - sqrt_t * norm)) - 1.0, 1.0
+    for steps in range(1, MAX_NEWTON_STEPS + 1):
+        e, ey, norm, grad = _cone_terms(problem, y)
+        u, power = ey - sqrt_t * norm - s, 1.0 - np.sum(y * y, axis=0)
+        du = np.append((e - sqrt_t * grad).reshape(K, n), -np.ones((K, 1)), axis=1)
+        gradient = np.append(2.0 * y / power - 1.0 / y, -tau) - np.einsum("k,ka->a", 1 / u, du)
+        # Hessian: -log u_k's rank-1 term, norm_k's Hessian as two rank-1
+        # terms and a diagonal, and the sign and power barriers
+        curv = sqrt_t / (norm * u)
+        vecs = np.concatenate([du, np.pad(np.concatenate([e, grad]).reshape(2 * K, n),
+                                          ((0, 0), (0, 1)))])
+        w = np.concatenate([u**-2, curv * (1.0 - problem.eta_ue) / problem.eta_ue, -curv])
+        hess = np.einsum("ja,jb->ab", w[:, None] * vecs, vecs)
+        curv *= row2
+        diag = (problem.p_dc * problem.ratio * np.einsum("k,kl->l", curv, problem.terms.beta)
+                + problem.p_dc * (1.0 - problem.eta_ap)
+                * problem.terms.pilots.set_sums(curv[:, None] * problem.c**2)
+                + y**-2 + 2.0 / power)
+        hess[np.arange(n), np.arange(n)] += diag.ravel()
+        hess[flat[:, :, None], flat[:, None, :]] += (
+            (4.0 / power**2)[:, None, None] * y.T[:, :, None] * y.T[:, None, :])
+        step = _solve_spd(hess, -gradient)
+        dy, ds = step[:n].reshape(S, L), step[n]
+        lam = np.maximum((1.0 - np.einsum("ka,a->k", du, step) / u) / u, 0.0)
+        lam /= np.sum(lam)
+        _, ey, norm, grad = _cone_terms(problem, y + dy)
+        r = np.einsum("k,ksl->sl", lam, e - sqrt_t * grad)
+        bound = float(np.sum(lam * (ey - sqrt_t * norm)) - np.sum(r * (y + dy))
+                      + np.sum(np.sqrt(np.sum(np.maximum(r, 0.0)**2, axis=0))))
+        if bound < TOL_FEAS:
+            return FeasibilityVerdict(False, None, _verify_point(problem, y, t), steps, bound)
+        # backtracking line search on the barrier's value alone
+        value, slope = _barrier(problem, y, s, sqrt_t, tau), float(np.sum(gradient * step))
+        alpha = 1.0
+        while (_barrier(problem, y + alpha * dy, s + alpha * ds, sqrt_t, tau)
+               > value + 0.25 * alpha * slope):
+            alpha *= 0.5
+            if alpha < 1e-20:
+                raise SolverIndeterminate(f"line search stalled at t={t} after {steps} steps")
+        y, s = y + alpha * dy, s + alpha * ds
+        violation = _verify_point(problem, y, t)
+        if violation <= TOL_FEAS and float(np.min(problem.sinr(y))) >= t:
+            ey, norm = _cone_terms(problem, y, values_only=True)
+            return FeasibilityVerdict(True, y, violation, steps, float(np.min(ey - sqrt_t * norm)))
+        if -slope <= CENTRED:  # centred: raise the barrier weight
+            tau *= MU
+    raise SolverIndeterminate(f"barrier method did not settle t={t} in {MAX_NEWTON_STEPS} "
+                              f"Newton steps (barrier weight {tau:.3g}, slack {s:.3e})")
 
 
 @dataclass(frozen=True)
@@ -455,7 +453,6 @@ def robust_common_precoding(
         raise ValueError(f"eps must be > 0, got {eps}")
     trace: list[dict] = []
     total_iters = 0
-    cuts = _OuterApproximation(problem)  # shared by every target below
 
     def record(event, **kw):
         entry = {"event": event, **kw}
@@ -471,7 +468,7 @@ def robust_common_precoding(
 
     t_max = max(1.0, 2.0 * t_min)
     while True:
-        verdict = cuts.check(t_max)
+        verdict = check_feasibility(problem, t_max)
         total_iters += verdict.iterations
         record("bracket", t_max=t_max, feasible=verdict.feasible)
         if not verdict.feasible:
@@ -484,7 +481,7 @@ def robust_common_precoding(
     while t_max - t_min > eps:
         t = 0.5 * (t_max + t_min)
         try:
-            verdict = cuts.check(t)
+            verdict = check_feasibility(problem, t)
         except SolverIndeterminate as exc:
             raise SolverIndeterminate(
                 f"{exc} (bisection bracket was [{t_min}, {t_max}])"

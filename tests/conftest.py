@@ -2,7 +2,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
 
 import cfrs
 from cfrs import montecarlo as mc
@@ -196,7 +195,7 @@ def per_link_statistics(net, pilots, phases, cfg):
         members = np.flatnonzero(pilots.t == pilots.t[k])
         for l in range(L):
             cov = cfg.sigma2_ul * np.eye(N) + sum(p[i] * R[i, l] for i in members)
-            Psi[k, l] = cho_solve(cho_factor(cov), np.eye(N))
+            Psi[k, l] = np.linalg.solve(cov, np.eye(N))
             Q[k, l] = p[k] * decay[k] * R[k, l] @ Psi[k, l] @ R[k, l]
             for i in members:
                 Q_cross[k, i, l] = (np.sqrt(p[k] * p[i]) * decay[k]

@@ -470,14 +470,27 @@ def test_spec_roundtrip(tmp_path):
     assert cli.spec_from_dict(canonical) == first
 
 
+LIST_SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
 def test_import_loads_no_scipy():
-    # scipy costs start-up time; only the robust-precoding oracle imports it
-    code = ("import sys, cfrs, cfrs.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # cfrs needs numpy alone, and scipy would cost start-up time
+    code = "import sys, cfrs, cfrs.cli; " + LIST_SCIPY
     src = str(Path(cli.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_robust_path_loads_no_scipy(tmp_path):
+    # the max-min feasibility solver is numpy alone
+    path = write_spec(tmp_path, one_scheme_spec())
+    code = (f"import sys, cfrs.cli; cfrs.cli.main(['robust', '--config', {str(path)!r}, "
+            f"'--out', {str(tmp_path / 'w.csv')!r}]); " + LIST_SCIPY)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -1040,12 +1053,14 @@ def test_robust_weights_do_not_depend_on_the_blas_kernel(tmp_path):
     assert outputs["Prescott"] == outputs[""]
 
 
-MATRIX_PRODUCTS = {"matmul", "dot", "vdot", "inner", "tensordot"}
+MATRIX_PRODUCTS = {"matmul", "dot", "vdot", "inner", "tensordot",
+                   "solve", "cholesky", "inv", "lstsq"}
 
 
 def _matrix_products(source: str) -> list[str]:
-    """The lines of ``source`` that form a matrix product: ``@``, a call named
-    in MATRIX_PRODUCTS, or an ``einsum`` given ``optimize``."""
+    """The lines of ``source`` that form a matrix product or a LAPACK solve:
+    ``@``, a call named in MATRIX_PRODUCTS, or an ``einsum`` given
+    ``optimize``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
@@ -1063,10 +1078,12 @@ def test_matrix_product_lint_flags_every_form():
     source = "\n".join([
         "a @ b", "a @= b", "np.matmul(a, b)", "a.dot(b)", "np.vdot(a, b)",
         "inner(a, b)", "np.tensordot(a, b)", "np.einsum('ij,jk', a, b, optimize=True)",
-        "np.einsum('ij,jk', a, b)", "a * b",
+        "np.linalg.solve(a, b)", "np.linalg.cholesky(a)", "linalg.inv(a)",
+        "np.linalg.lstsq(a, b)", "np.einsum('ij,jk', a, b)", "a * b",
+        "np.linalg.eigvalsh(a)",
     ])
     assert [line.split(": ")[0] for line in _matrix_products(source)] == [
-        f"line {n}" for n in range(1, 9)]
+        f"line {n}" for n in range(1, 13)]
 
 
 @pytest.mark.parametrize("module", ["cli", "closed_form", "estimation", "model", "montecarlo",

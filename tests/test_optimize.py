@@ -281,6 +281,20 @@ def test_block_products_match_dense_reference():
 # feasibility oracle
 # ---------------------------------------------------------------------------
 
+def test_elimination_matches_lapack():
+    # the Newton systems' solver against LAPACK on barrier-like systems: a
+    # positive diagonal plus rank-1 terms spanning six decades
+    rng = np.random.default_rng(2)
+    for n in (1, 2, 33):
+        vecs = rng.standard_normal((5, n))
+        a = np.einsum("j,ja,jb->ab", 10.0 ** rng.uniform(-3, 3, 5), vecs, vecs)
+        a += np.diag(10.0 ** rng.uniform(-3, 3, n))
+        b = rng.standard_normal(n)
+        want = np.linalg.solve(a, b)
+        got = opt._solve_spd(a, b)
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
+
 def test_zero_target_is_feasible():
     *_, problem = setup_instance(seed=3)
     verdict = opt.check_feasibility(problem, 0.0)
@@ -380,6 +394,47 @@ def test_robust_single_ue_hits_numeric_optimum():
                        1.0, atol=1e-4)
 
 
+def test_infeasibility_bound_is_sound():
+    # an infeasible verdict's slack bounds the max-slack optimum from above:
+    # here at least the largest min_k(e_k.y - sqrt(t) norm_k) on a fine grid
+    # of the feasible set, the box [0, 1]^2 for one UE and two APs, up to
+    # the rounding of a bound that is tight at a grid point
+    cfg, net, pilots, phases, stats, terms, problem = setup_instance(
+        seed=9, K=1, tau_p=1, L=2
+    )
+    res = opt.robust_common_precoding(problem, eps=1e-6)
+    b, _, H, M = dense_maxmin_matrices(net, pilots, phases, cfg)
+    side = np.linspace(0.0, 1.0, 801)
+    y = np.stack(np.meshgrid(side, side, indexing="ij"), axis=-1).reshape(-1, 2)
+    a = y / problem.c[0]  # one UE, one set: y = c * a
+    for factor in (1.001, 1.1, 2.0):
+        t = factor * res.achieved_t
+        verdict = opt.check_feasibility(problem, t)
+        assert not verdict.feasible
+        assert verdict.slack >= np.max(dense_slack(problem, b, H, M, a, t)) - 1e-12
+
+
+def test_near_full_common_power_split_settles():
+    # rho near 1 at low phase noise, where the private interference is small
+    cfg = cfrs.SystemConfig(L=20, K=8, N=2, tau_p=4, seed=1)
+    phases = cfrs.PhaseStatistics(1e-5, 1e-5)
+    net = cfrs.build_network(cfg)
+    pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p)
+    terms = cf.TraceTerms.compute(net, cfrs.estimation_statistics(net, pilots, phases, cfg),
+                                  pilots)
+    plan0 = cf.make_plan(terms, "du_mr", "coherent", 0.0)
+    rho, _ = opt.optimal_rho(cf.sum_se_curve(
+        cf.plan_parts(terms, plan0, phases, cfg, cfg.data_instants()), cfg.tau_c))
+    assert rho > 0.98
+    problem = opt.build_maxmin_problem(terms, phases, cfg, rho)
+    eps = 1e-4
+    res = opt.robust_common_precoding(problem, eps=eps)
+    assert res.bracket[1] - res.bracket[0] <= eps
+    achieved = float(np.min(problem.sinr(per_set_y(problem, res.weights))))
+    assert res.bracket[0] - 1e-9 <= achieved <= res.bracket[1]
+    assert np.max(cf.common_power(terms, res.weights)) <= 1.0
+
+
 def test_bottleneck_user_cannot_be_lifted_further():
     # the bisection's t* is tight: t* + margin is certified infeasible, and
     # every user sits at or above t* at the returned point
@@ -399,3 +454,16 @@ def test_bisection_trace_emitted():
     events = {e["event"] for e in res.trace}
     assert "bisect" in events
     assert res.iterations > 0
+
+
+def dense_slack(problem, b, H, M, a, t):
+    """Reference for the max-slack objective min_k(e_k.y - sqrt(t) norm_k)
+    on the dense b_k, H_k and M_k, at each row of the stacked weights a."""
+    c_h2 = problem.p_dc * (1.0 - problem.eta_ap)
+    c_b2 = problem.p_dc * problem.eta_ap * (1.0 - problem.eta_ue)
+    row = 1.0 / np.sqrt(problem.p_dp * problem.xi + problem.sigma2)
+    ab = a @ b.T
+    q = (c_h2 * np.einsum("gi,kij,gj->gk", a, H, a)
+         + problem.p_dc * np.einsum("gi,kij,gj->gk", a, M, a) + c_b2 * ab**2)
+    sig = math.sqrt(problem.p_dc * problem.eta_ap * problem.eta_ue)
+    return np.min(row * sig * ab - math.sqrt(t) * np.sqrt(row**2 * q + 1.0), axis=1)
