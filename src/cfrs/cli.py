@@ -450,91 +450,72 @@ class Job(NamedTuple):
     fixed_rho: float | None = None
 
 
-def _in_stack(fn, ids: list[int], failed: dict) -> dict:
-    """{i: result} over ``ids`` of ``fn(ids)``, which returns one result per
-    id from one stacked call.  If that call raises, each id is run alone,
-    so that a failure lands on its own id, in ``failed``."""
-    if not ids:
-        return {}
+def _in_stack(fn, ids: list[int], failed: dict) -> list:
+    """[(ids of a call, its result)] of ``fn(ids)``, which returns one result
+    per id from one stacked call.  If that call raises, each id is run
+    alone, so that a failure lands on its own id, in ``failed``."""
     try:
-        return dict(zip(ids, fn(ids)))
+        return [(ids, fn(ids))] if ids else []
     except Exception as exc:  # redone one by one below
         if len(ids) == 1:
             failed[ids[0]] = exc
-            return {}
-    done = {}
-    for i in ids:
-        try:
-            done[i] = fn([i])[0]
-        except Exception as exc:  # recorded, the other ids continue
-            failed[i] = exc
-    return done
+            return []
+    return [call for i in ids for call in _in_stack(fn, [i], failed)]
 
 
-def run_jobs(jobs: list[Job], mc_realizations: int = 0) -> list:
+def run_jobs(jobs: list[Job | Exception], mc_realizations: int = 0) -> list:
     """Each job's (report, extras), or the exception that failed it; extras
     carries the optimized rho and optional Monte Carlo cross-check errors.
 
-    The jobs, which share K, tau_p and tau_c, are evaluated as stacks with
-    a leading job axis: one ``make_plan`` and one ``closed_form.plan_parts``
-    call per (private scheme, transmission) build the plans and the
-    rho-independent coefficients that the rho search, the report and the
-    Monte Carlo check share; one lockstep ``optimize.optimal_rho`` searches
-    every job that optimizes rho; and one ``se_report`` reports every job.
-    If a stacked call raises, its jobs are redone one by one
-    (``_in_stack``), so each failure lands on its own job and the others
-    keep their numbers, which a stack computes bitwise as their own calls
-    do.  Robust weights, found at the searched rho, need a new plan and new
-    coefficients; they and the Monte Carlo checks, which cut the job's plan
-    from its stack, run per job.
+    ``jobs`` holds Jobs, which share K, tau_p and tau_c, and, in place of
+    a job whose build failed, the exception that failed it, which is
+    returned in its place.  One ``make_plan`` and one
+    ``closed_form.plan_parts`` call per (private scheme, transmission)
+    build the plans and the rho-independent coefficients as stacks with a
+    leading job axis, and these stacks are joined once into one stack
+    with a row per job.  One lockstep ``optimize.optimal_rho`` searches the
+    rows of the jobs that optimize rho, and one ``se_report`` reports the
+    rows of every job but the robust ones.  A robust job's weights, found
+    at its searched rho, need their own plan and coefficients: it gets a
+    one-job stack, from which it is reported alone.  Each job's Monte
+    Carlo check runs on the plan cut from its stack's plan.  If a stacked
+    call raises, its jobs are redone one by one (``_in_stack``), so each
+    failure lands on its own job and the others keep their numbers, which
+    a stack computes bitwise as their own calls do.
     """
-    if len({(job.cfg.K, job.cfg.tau_p, job.cfg.tau_c) for job in jobs}) > 1:
+    failed = {i: job for i, job in enumerate(jobs) if isinstance(job, Exception)}
+    built = [i for i in range(len(jobs)) if i not in failed]
+    if len({(jobs[i].cfg.K, jobs[i].cfg.tau_p, jobs[i].cfg.tau_c) for i in built}) > 1:
         raise ValueError("jobs evaluated together must share K, tau_p and tau_c")
-    failed: dict[int, Exception] = {}
-    plans = {}  # job -> (the plan of its stack, its row there)
 
     def parts_of(ids, rho=0.0, **plan_args):
         first = jobs[ids[0]]
         terms = TraceTerms.stack([jobs[i].topology.terms for i in ids])
         plan = make_plan(terms, first.scheme.private_scheme, first.scheme.transmission, rho,
                          **plan_args)
-        stack = closed_form.plan_parts(terms, plan, [jobs[i].phases for i in ids],
-                                       [jobs[i].cfg for i in ids], first.cfg.data_instants())
-        plans.update((i, (plan, b)) for b, i in enumerate(ids))
-        return [(stack, b) for b in range(len(ids))]
-
-    joined = {}  # ids -> their stack, shared by the search and the report
-
-    def stack_of(ids):
-        # the jobs' coefficients cut from the stacks they were computed in,
-        # where the jobs of one stack come in a row
-        key = tuple(ids)
-        if key not in joined:
-            pieces = []
-            for i in ids:
-                stack, b = parts[i]
-                if pieces and pieces[-1][0] is stack:
-                    pieces[-1][1].append(b)
-                else:
-                    pieces.append((stack, [b]))
-            joined[key] = closed_form.PlanParts.stack([
-                stack if rows == list(range(stack.jobs)) else stack.take(rows)
-                for stack, rows in pieces])
-        return joined[key]
-
-    def alive(ids):
-        return [i for i in ids if i not in failed]
+        return plan, closed_form.plan_parts(terms, plan, [jobs[i].phases for i in ids],
+                                            [jobs[i].cfg for i in ids],
+                                            first.cfg.data_instants())
 
     pairs = {}  # (private scheme, transmission) -> its jobs
-    for i in range(len(jobs)):
+    for i in built:
         pairs.setdefault((jobs[i].scheme.private_scheme, jobs[i].scheme.transmission),
                          []).append(i)
-    parts = {}  # job -> (stack, row), in stack order
-    for ids in pairs.values():
-        parts.update(_in_stack(parts_of, ids, failed))
+    calls = [call for ids in pairs.values() for call in _in_stack(parts_of, ids, failed)]
+    order = [i for ids, _ in calls for i in ids]  # the jobs by row of the repetition stack
+    row = {i: r for r, i in enumerate(order)}
+    stack = closed_form.PlanParts.stack([parts for _, (_, parts) in calls]) if calls else None
+    plans = {i: (plan, b) for ids, (plan, _) in calls for b, i in enumerate(ids)}
+    own = {}  # robust job -> its one-job stack
+
+    def rows_of(ids):
+        if ids[0] in own:  # a robust job is reported alone
+            return own[ids[0]]
+        rows = [row[i] for i in ids]
+        return stack if rows == list(range(stack.jobs)) else stack.take(rows)
 
     rho, searched = {}, []
-    for i in alive(parts):
+    for i in order:
         scheme = jobs[i].scheme
         if not scheme.rs_enabled:
             rho[i] = 0.0
@@ -544,30 +525,35 @@ def run_jobs(jobs: list[Job], mc_realizations: int = 0) -> list:
             searched.append(i)
 
     def search(ids):
-        curve = closed_form.sum_se_curve(stack_of(ids), jobs[ids[0]].cfg.tau_c)
+        curve = closed_form.sum_se_curve(rows_of(ids), jobs[ids[0]].cfg.tau_c)
         return optimize.optimal_rho(curve)[0].tolist()
 
-    rho.update(_in_stack(search, searched, failed))
+    for ids, found in _in_stack(search, searched, failed):
+        rho.update(zip(ids, found))
     extras = {i: {"optimized_rho": rho[i]} for i in searched if i in rho}
 
-    for i in alive(rho):
+    for i in order:
         job = jobs[i]
-        if job.scheme.rs_enabled and job.scheme.weights_mode == "robust" and rho[i] > 0:
+        if job.scheme.rs_enabled and job.scheme.weights_mode == "robust" and rho.get(i, 0) > 0:
             try:
                 problem = optimize.build_maxmin_problem(job.topology.terms, job.phases,
                                                         job.cfg, rho[i])
                 weights = optimize.robust_common_precoding(problem).weights
-                parts[i] = parts_of([i], rho[i], weights=weights[None], unit_eta=True)[0]
-                joined.clear()
+                plan, own[i] = parts_of([i], rho[i], weights=weights[None], unit_eta=True)
+                plans[i] = plan, 0
             except Exception as exc:  # recorded, the other jobs continue
                 failed[i] = exc
 
     def report(ids):
-        stack = closed_form.se_report(stack_of(ids), np.array([rho[i] for i in ids]),
-                                      jobs[ids[0]].cfg.tau_c)
-        return [stack.job(b) for b in range(len(ids))]
+        result = closed_form.se_report(rows_of(ids), np.array([rho[i] for i in ids]),
+                                       jobs[ids[0]].cfg.tau_c)
+        return [result.job(b) for b in range(len(ids))]
 
-    reports = _in_stack(report, [i for i in alive(parts) if i in rho], failed)
+    reports = {}
+    shared = [i for i in order if i in rho and i not in failed and i not in own]
+    for group in [shared, *([i] for i in own)]:
+        for ids, found in _in_stack(report, group, failed):
+            reports.update(zip(ids, found))
 
     for i in reports if mc_realizations > 0 else ():
         plan, b = plans[i]
@@ -602,26 +588,6 @@ def _mc_errors(job: Job, plan, report, mc_realizations: int) -> dict:
         if not np.isnan(rel).all():
             errors[f"mc_rel_err_{stream}"] = float(np.nanmax(rel))
     return errors
-
-
-def run_scheme(
-    cfg: SystemConfig,
-    phases: PhaseStatistics,
-    scheme: SchemeSpec,
-    topology: Topology,
-    fixed_rho: float | None = None,
-    mc_realizations: int = 0,
-):
-    """Optimize the plan for one scheme on one topology, evaluate SE: the
-    one-job case of ``run_jobs``, raising what failed the job.
-
-    Returns (report, extras) where extras carries the optimized rho and
-    optional Monte Carlo cross-check errors.
-    """
-    (result,) = run_jobs([Job(cfg, phases, scheme, topology, fixed_rho)], mc_realizations)
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 def _relative_errors(est: np.ndarray, closed: np.ndarray) -> np.ndarray:
@@ -669,11 +635,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> P
     (oscillator, rho and transmit-power sweeps; an antenna sweep point has
     its own network); a failed draw is recorded on every job that needed
     it.  Each job computes its own estimation statistics and traces, and
-    then all jobs of the repetition are evaluated together (``run_jobs``),
-    so one repetition's topologies, one per sweep point and scheme, are
-    alive at once.  Writes results.csv (one row per job and UE),
-    aggregate.csv, and a manifest.json from which the run can be replayed
-    byte-identically.  Per-job failures are recorded in the rows' status
+    then all jobs of the repetition, a failed build's exception in its
+    job's place, go to one ``run_jobs`` call, so one repetition's
+    topologies, one per sweep point and scheme, are alive at once.  Writes
+    results.csv (one row per job and UE), aggregate.csv, and a
+    manifest.json from which the run can be replayed byte-identically.  Per-job failures are recorded in the rows' status
     column and do not abort the run.
     """
     out = Path(out_dir) if out_dir is not None else Path(spec.output_path)
@@ -713,10 +679,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> P
                     jobs.append(Job(cfg, phases, scheme, topology, fixed_rho))
                 except Exception as exc:  # recorded, run continues
                     jobs.append(exc)
-        results = iter(run_jobs([job for job in jobs if isinstance(job, Job)],
-                                spec.mc_realizations))
-        for (sweep_idx, scheme_idx), job in zip(keys, jobs):
-            result = next(results) if isinstance(job, Job) else job
+        results = run_jobs(jobs, spec.mc_realizations)
+        for (sweep_idx, scheme_idx), result in zip(keys, results):
             label = labels[sweep_idx, scheme_idx] + [rep]
             if isinstance(result, Exception):
                 log.warning("job failed (%s, rep %d): %s",
@@ -894,8 +858,11 @@ def cmd_se(args) -> int:
         print(f"wrote network to {net_path}")
 
     rows = []
-    for scheme in schemes:
-        report, extras = run_scheme(cfg, phases, scheme, topology)
+    results = run_jobs([Job(cfg, phases, scheme, topology) for scheme in schemes])
+    for scheme, result in zip(schemes, results):
+        if isinstance(result, Exception):
+            raise result
+        report, extras = result
         for k in range(cfg.K):
             rows.append({"scheme": scheme.label(), "transmission": scheme.transmission,
                          "rho": report.rho, "k": k,

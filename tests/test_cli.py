@@ -232,6 +232,17 @@ def test_values_of_the_wrong_json_type_rejected(section, key, value):
     assert str(info.value).count("config") == 1
 
 
+
+@pytest.mark.parametrize("section", ["system", "sweep"])
+def test_a_section_that_is_not_an_object_rejected(section):
+    data = one_scheme_spec(sweep={"parameter": "none"})
+    data[section] = [data[section]]
+    with pytest.raises(cli.ConfigError, match=rf"config\.{section}: must be an object"):
+        cli.spec_from_dict(data)
+    data = one_scheme_spec(schemes=["du_mr"])
+    with pytest.raises(cli.ConfigError, match=r"config\.schemes\[0\]: must be an object"):
+        cli.spec_from_dict(data)
+
 def test_malformed_config_file_exits_2_naming_the_field(tmp_path, capsys):
     data = one_scheme_spec()
     data["system"]["downlink_power"] = [1, 2]
@@ -376,7 +387,8 @@ def _assert_every_job_matches_its_own_draw(spec, rows, monkeypatch):
             rep_cfg = dataclasses.replace(spec.base, seed=cli._job_seed(spec.base.seed, rep))
             cfg, phases, _ = cli._job_inputs(spec, sweep_value, rep_cfg)
             for scheme in spec.schemes:
-                report, _ = cli.run_scheme(cfg, phases, scheme, cli.build_topology(cfg, phases))
+                [(report, _)] = cli.run_jobs(
+                    [cli.Job(cfg, phases, scheme, cli.build_topology(cfg, phases))])
                 sse = {r["sum_se"] for r in rows
                        if r["repetition"] == str(rep)
                        and r["sweep_value"] == repr(sweep_value)
@@ -732,6 +744,7 @@ THREE_SCHEMES = [
     {"private": "du_mr", "transmission": "coherent", "rs": False},
     {"private": "df_mr", "transmission": "noncoherent", "rs": True, "weights": "simple"},
 ]
+DU_RS, DU_NORS, DF_NC_RS = THREE_SCHEMES
 
 
 @pytest.mark.parametrize("scheme_idx", [0, 1, 2])
@@ -773,6 +786,119 @@ def test_a_job_failing_inside_a_stack_fails_alone(scheme_idx, tmp_path, monkeypa
     assert len(failed) == spec.base.K and all(r["sum_se"] == "" for r in failed)
     assert [r for r in rows if r["status"] == "ok"] == [
         r for r, f in zip(clean, rows) if f["status"] == "ok"]
+
+
+def _rows_after_one_failure(spec, tmp_path, fail) -> tuple[list, list]:
+    """results.csv lines of ``spec`` run clean, then after ``fail()`` has
+    installed a failure: (the clean lines, the failing run's lines)."""
+    def lines(name):
+        return (cli.run_experiment(spec, out_dir=tmp_path / name) / "results.csv"
+                ).read_text().splitlines()
+
+    clean = lines("clean")
+    fail()
+    return clean, lines("failing")
+
+
+def _assert_only_job_failed(clean, rows, job: tuple, status: str, K: int):
+    """The rows of ``job`` (private scheme, transmission, rs, weights mode,
+    repetition) read ``status`` with every value column blank; every other
+    row keeps the bytes of the clean run."""
+    header = rows[1].split(",")
+    named = [dict(zip(header, line.split(","))) for line in rows[2:]]
+    failed = [i for i, r in enumerate(named, 2)
+              if (r["private_scheme"], r["transmission"], r["rs"], r["weights_mode"],
+                  r["repetition"]) == job]
+    assert len(failed) == K
+    for i in failed:
+        r = named[i - 2]
+        assert r["status"] == status
+        assert {r[c] for c in ("rho", "se_private", "se_common_per_ue", "se_common", "sum_se",
+                               "mc_rel_err_private", "mc_rel_err_common")} == {""}
+    assert [line for i, line in enumerate(rows) if i not in failed] == [
+        line for i, line in enumerate(clean) if i not in failed]
+    assert len(rows) == len(clean)
+
+
+@pytest.mark.parametrize("poisoned, field", [(0, "beta"), (1, "beta"), (0, "tr_Q"),
+                                             (1, "tr_Q")])
+def test_a_job_failing_alone_in_its_pair_fails_alone(poisoned, field, tmp_path, monkeypatch):
+    # two (private scheme, transmission) pairs with one job each: a nan gain
+    # fails the two jobs' joint rho search, which is redone job by job; a
+    # nan trace fails the plan of the poisoned job's one-job stack
+    spec = cli.spec_from_dict(one_scheme_spec(schemes=[DU_RS, DF_NC_RS]))
+    original = cli.build_topology
+    calls = []
+
+    def fail():
+        def build(cfg, phases, network=None):
+            topology = original(cfg, phases, network)
+            calls.append(len(calls))
+            if calls[-1] == poisoned:
+                array = getattr(topology.terms, field)
+                topology = topology._replace(terms=dataclasses.replace(
+                    topology.terms, **{field: np.full_like(array, np.nan)}))
+            return topology
+
+        monkeypatch.setattr(cli, "build_topology", build)
+
+    clean, rows = _rows_after_one_failure(spec, tmp_path, fail)
+    scheme = spec.schemes[poisoned]
+    _assert_only_job_failed(clean, rows, (scheme.private_scheme, scheme.transmission, "1",
+                                          "simple", "0"), "error:ValueError", spec.base.K)
+
+
+def test_a_failed_robust_solve_fails_its_job_alone(tmp_path, monkeypatch):
+    spec = cli.spec_from_dict(one_scheme_spec(
+        schemes=[DU_RS, {**DU_RS, "weights": "robust"}, DU_NORS, DF_NC_RS],
+        repetitions=2))
+    solve = cli.optimize.robust_common_precoding
+    calls = []
+
+    def fail():
+        def failing(problem, *args, **kwargs):
+            calls.append(problem)
+            if len(calls) == 2:  # repetition 1's robust job
+                raise cli.optimize.SolverIndeterminate("no verdict")
+            return solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(cli.optimize, "robust_common_precoding", failing)
+
+    clean, rows = _rows_after_one_failure(spec, tmp_path, fail)
+    assert len(calls) == spec.repetitions
+    _assert_only_job_failed(clean, rows, ("du_mr", "coherent", "1", "robust", "1"),
+                            "error:SolverIndeterminate", spec.base.K)
+
+
+def test_a_failed_monte_carlo_check_fails_its_job_alone(tmp_path, monkeypatch):
+    spec = cli.spec_from_dict(one_scheme_spec(schemes=THREE_SCHEMES, mc_realizations=200))
+    sample = cli.montecarlo.sample_batch
+    calls = []
+
+    def fail():
+        def failing(*args, **kwargs):
+            calls.append(len(calls))
+            if calls[-1] == 1:  # the job of the second scheme
+                raise MemoryError("no room")
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(cli.montecarlo, "sample_batch", failing)
+
+    clean, rows = _rows_after_one_failure(spec, tmp_path, fail)
+    assert len(calls) == len(spec.schemes)
+    _assert_only_job_failed(clean, rows, ("du_mr", "coherent", "0", "", "0"),
+                            "error:MemoryError", spec.base.K)
+
+
+def test_jobs_of_two_user_counts_are_refused():
+    jobs = []
+    for K in (2, 3):
+        cfg = cfrs.SystemConfig(L=4, K=K, N=2, tau_p=2, tau_c=20, seed=1)
+        phases = cli.PhaseStatistics.from_config(cfg)
+        jobs.append(cli.Job(cfg, phases, cli.SchemeSpec("du_mr", "coherent", False),
+                            cli.build_topology(cfg, phases)))
+    with pytest.raises(ValueError, match="K, tau_p and tau_c"):
+        cli.run_jobs(jobs)
 
 
 def test_a_repetition_searches_rho_once_and_estimates_once_per_job(tmp_path, monkeypatch):
@@ -846,8 +972,8 @@ def test_robust_job_checks_the_instant_its_weights_were_optimized_for(monkeypatc
     cfg = spec.base
     phases = cli.PhaseStatistics.from_config(cfg)
     topology = cli.build_topology(cfg, phases)
-    _, extras = cli.run_scheme(cfg, phases, spec.schemes[0], topology, fixed_rho=0.5,
-                               mc_realizations=100)
+    [(_, extras)] = cli.run_jobs([cli.Job(cfg, phases, spec.schemes[0], topology, 0.5)],
+                                 mc_realizations=100)
     problem = cli.optimize.build_maxmin_problem(topology.terms, phases, cfg, 0.5)
     assert sampled == [[problem.instant]]
     assert "mc_rel_err_common" in extras
@@ -875,8 +1001,8 @@ def test_sweep_jobs_form_no_copilot_trace_block():
                 for a in (value if isinstance(value, tuple) else (value,))
                 if isinstance(a, np.ndarray)]
 
-    for scheme in spec.schemes:
-        cli.run_scheme(cfg, phases, scheme, topology)
+    results = cli.run_jobs([cli.Job(cfg, phases, scheme, topology) for scheme in spec.schemes])
+    assert not any(isinstance(result, Exception) for result in results)
     problem = cli.optimize.build_maxmin_problem(topology.terms, phases, cfg, 0.5)
     for a in held(topology.stats, topology.terms, problem):
         assert np.shape(a)[:3] not in pair_shapes
@@ -914,7 +1040,8 @@ def test_each_job_computes_its_plan_coefficients_once(scheme, fixed_rho, mc, exp
     monkeypatch.setattr(cli.closed_form, "plan_parts", counted)
     # a by-name import into optimize would otherwise escape the count
     monkeypatch.setattr(cli.optimize, "plan_parts", counted, raising=False)
-    report, extras = cli.run_scheme(cfg, phases, spec.schemes[0], topology, fixed_rho, mc)
+    [(report, extras)] = cli.run_jobs([cli.Job(cfg, phases, spec.schemes[0], topology, fixed_rho)],
+                                      mc)
     assert len(calls) == expected
     assert report.sum_se > 0 and (mc == 0) == ("mc_rel_err_private" not in extras)
 
@@ -932,8 +1059,9 @@ def test_mc_rel_err_is_blank_where_every_closed_form_sinr_underflows(tmp_path):
     })
     cfg = spec.base
     phases = cli.PhaseStatistics(25.0, 25.0)
-    report, extras = cli.run_scheme(cfg, phases, spec.schemes[0], cli.build_topology(cfg, phases),
-                                    mc_realizations=200)
+    [(report, extras)] = cli.run_jobs(
+        [cli.Job(cfg, phases, spec.schemes[0], cli.build_topology(cfg, phases))],
+        mc_realizations=200)
     i = cfg.mid_instant - cfg.estimation_instant
     assert report.sum_se == 0.0
     assert np.all(report.sinr_private[:, i] <= 1e-30)
@@ -1163,8 +1291,8 @@ def test_sweep_jobs_factor_no_matrix_but_the_template(monkeypatch):
             monkeypatch.setattr(np.linalg, name, spy)
     topology = cli.build_topology(cfg, phases)
     assert cfg.K > cfg.tau_p
-    for scheme in spec.schemes:
-        cli.run_scheme(cfg, phases, scheme, topology)
+    results = cli.run_jobs([cli.Job(cfg, phases, scheme, topology) for scheme in spec.schemes])
+    assert not any(isinstance(result, Exception) for result in results)
     assert calls == [("eigvalsh", (cfg.N, cfg.N))]
 
 

@@ -776,3 +776,29 @@ def test_asymptotic_swap_equal_variances_tie():
     rep2 = cf.se_report(cf.plan_parts(terms, plan, ph1, cfg, cfg.data_instants()), 0.0,
                         cfg.tau_c)
     assert rep1.sum_se == rep2.sum_se
+
+
+def test_terms_on_two_pilot_assignments_do_not_stack():
+    # one UE on pilot instant 1 of 1, and on instant 2 of 2
+    other = cfrs.estimation.PilotAssignment(np.array([2]), 2)
+    with pytest.raises(ValueError, match="pilot assignment"):
+        cf.TraceTerms.stack([tiny_terms(), dataclasses.replace(tiny_terms(), pilots=other)])
+
+
+@pytest.mark.parametrize("args, message", [
+    (("du_mr", "hybrid", 0.5), "transmission must be one of"),
+    (("du_mr", "coherent", 1.5), r"rho must lie in \[0, 1\]"),
+    (("du_mr", "coherent", -0.1), r"rho must lie in \[0, 1\]"),
+])
+def test_a_plan_with_an_unknown_transmission_or_split_rejected(args, message):
+    with pytest.raises(ValueError, match=message):
+        cf.make_plan(tiny_terms(), *args)
+
+
+def test_stacked_jobs_of_two_block_lengths_rejected(desk):
+    cfg, _, _, phases, _, terms = desk
+    stacked = cf.TraceTerms.stack([terms, terms])
+    plan = cf.make_plan(stacked)
+    longer = dataclasses.replace(cfg, tau_c=cfg.tau_c + 10)
+    with pytest.raises(ValueError, match="tau_c"):
+        cf.plan_parts(stacked, plan, [phases, phases], [cfg, longer], cfg.data_instants())

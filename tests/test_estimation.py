@@ -49,6 +49,19 @@ def test_round_robin_contamination_groups():
     assert pa.set_of[0] == pa.set_of[4] != pa.set_of[1]
 
 
+
+@pytest.mark.parametrize("t", [[0, 1], [1, 3]])
+def test_pilot_instants_outside_the_pilot_block_rejected(t):
+    with pytest.raises(ValueError, match=r"pilot instants must lie in 1\.\.tau_p"):
+        cfrs.estimation.PilotAssignment(t=np.array(t), tau_p=2)
+
+
+def test_pilot_assignment_checks_its_arguments():
+    with pytest.raises(ValueError, match="tau_p must be >= 1"):
+        cfrs.assign_pilots(2, 0)
+    with pytest.raises(ValueError, match="pilot policy 'greedy'"):
+        cfrs.assign_pilots(2, 2, policy="greedy")
+
 def check_set_numbering(pa):
     """Every UE is in exactly one set, ``set_of`` and ``stacks`` agree, the
     sets are numbered by size and then by pilot instant, and ``set_sums``

@@ -256,3 +256,22 @@ def test_min_distance_clamp():
     cap = 10 ** (three_slope_gain_db(
         cfg.min_dist_m, cfg.pl_fixed_db, cfg.pl_break1_m, cfg.pl_break2_m) / 10.0)
     assert np.all(net.beta <= cap * (1 + 1e-12))
+
+
+def test_log_normal_shadowing_spreads_the_gains_by_its_deviation():
+    # the shadow normals are drawn after the positions, so only beta moves:
+    # 10 log10(beta_shadowed / beta) is the shadowing itself, zero-mean
+    # within 4 standard errors and with its deviation within 5% of 8 dB
+    cfg = cfrs.SystemConfig(L=200, K=32, N=2, tau_p=8, seed=3)
+    plain = cfrs.build_network(cfg)
+    shadowed = cfrs.build_network(dataclasses.replace(cfg, shadow_std_db=8.0))
+    for name in ("ap_positions", "ue_positions", "template", "theta"):
+        assert np.array_equal(getattr(shadowed, name), getattr(plain, name))
+    db = 10.0 * np.log10(shadowed.beta / plain.beta)
+    assert abs(db.mean()) < 4 * 8.0 / np.sqrt(cfg.K * cfg.L)
+    assert abs(db.std() / 8.0 - 1.0) < 0.05
+
+
+def test_unknown_correlation_model_rejected():
+    with pytest.raises(ValueError, match="correlation must be one of"):
+        cfrs.SystemConfig(correlation="kronecker")

@@ -456,6 +456,27 @@ def test_bisection_trace_emitted():
     assert res.iterations > 0
 
 
+def test_a_feasible_first_target_doubles_the_bracket():
+    # on the desk at rho 1 the warm start reaches t_min 1.291, so the first
+    # target 2 t_min = 2.582 is feasible and the bracket doubles once, to an
+    # infeasible 5.164, before the bisection narrows it to about 3.4981
+    cfg = cfrs.SystemConfig(L=4, K=2, N=2, tau_p=2, tau_c=20, seed=1)
+    phases = cfrs.PhaseStatistics.from_config(cfg)
+    net = cfrs.build_network(cfg)
+    pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p)
+    terms = cf.TraceTerms.compute(net, cfrs.estimation_statistics(net, pilots, phases, cfg),
+                                  pilots)
+    problem = opt.build_maxmin_problem(terms, phases, cfg, 1.0)
+    eps = 1e-4
+    res = opt.robust_common_precoding(problem, eps=eps)
+    (warm,) = [e["t_min"] for e in res.trace if e["event"] == "warm_start"]
+    brackets = [e for e in res.trace if e["event"] == "bracket"]
+    assert [e["feasible"] for e in brackets] == [True, False]
+    assert [e["t_max"] for e in brackets] == [2 * warm, 4 * warm]
+    assert 2 * warm <= res.bracket[0] and res.bracket[1] - res.bracket[0] <= eps
+    assert np.all(cf.common_power(terms, res.weights) <= 1.0)
+
+
 def dense_slack(problem, b, H, M, a, t):
     """Reference for the max-slack objective min_k(e_k.y - sqrt(t) norm_k)
     on the dense b_k, H_k and M_k, at each row of the stacked weights a."""
@@ -467,3 +488,12 @@ def dense_slack(problem, b, H, M, a, t):
          + problem.p_dc * np.einsum("gi,kij,gj->gk", a, M, a) + c_b2 * ab**2)
     sig = math.sqrt(problem.p_dc * problem.eta_ap * problem.eta_ue)
     return np.min(row * sig * ab - math.sqrt(t) * np.sqrt(row**2 * q + 1.0), axis=1)
+
+
+def test_a_negative_target_or_tolerance_rejected():
+    *_, problem = setup_instance()
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        opt.check_feasibility(problem, -1.0)
+    for eps in (0.0, -1e-4, float("nan")):
+        with pytest.raises(ValueError, match="eps must be > 0"):
+            opt.robust_common_precoding(problem, eps=eps)
