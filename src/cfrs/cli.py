@@ -568,7 +568,10 @@ def run_jobs(jobs: list[Job | Exception], mc_realizations: int = 0) -> list:
 
 def _mc_errors(job: Job, plan, report, mc_realizations: int) -> dict:
     """The Monte Carlo check of a job's report at the mid instant: the
-    largest relative error per stream, left out where every UE is."""
+    largest relative error per stream, left out where every UE is.  A UE
+    is left out where its closed-form SINR is at or below the larger of
+    the 1e-30 floor and the stream's Monte Carlo standard error: the check
+    cannot resolve a SINR below its own noise."""
     cfg = job.cfg
     net, pilots, stats, _ = job.topology
     mid = cfg.mid_instant
@@ -578,24 +581,25 @@ def _mc_errors(job: Job, plan, report, mc_realizations: int) -> dict:
     )
     mc = montecarlo.mc_sinr(batch, plan, mid)
     i = mid - cfg.estimation_instant  # the report's columns start at lambda
-    streams = [("private", mc.private, report.sinr_private[:, i])]
+    streams = [("private", mc.private, mc.private_stderr, report.sinr_private[:, i])]
     if plan.rho > 0:
-        streams.append(("common", mc.common, report.sinr_common[:, i]))
+        streams.append(("common", mc.common, mc.common_stderr, report.sinr_common[:, i]))
     errors = {}
-    for stream, est, closed in streams:
+    for stream, est, stderr, closed in streams:
         # the column stays blank when every UE is left out
-        rel = _relative_errors(est, closed)
+        rel = _relative_errors(est, closed, np.maximum(stderr, 1e-30))
         if not np.isnan(rel).all():
             errors[f"mc_rel_err_{stream}"] = float(np.nanmax(rel))
     return errors
 
 
-def _relative_errors(est: np.ndarray, closed: np.ndarray) -> np.ndarray:
+def _relative_errors(est: np.ndarray, closed: np.ndarray, floor=1e-30) -> np.ndarray:
     """|est - closed| / closed per UE of a Monte Carlo estimate against the
-    closed-form SINRs, nan where the closed form is at or below the 1e-30
-    floor: a relative error against it says nothing, so that UE is left out."""
+    closed-form SINRs, nan where the closed form is at or below the floor
+    (1e-30, or per UE): a relative error against it says nothing, so that
+    UE is left out."""
     rel = np.full(closed.shape, np.nan)
-    above = closed > 1e-30
+    above = closed > floor
     rel[above] = np.abs(est[above] - closed[above]) / closed[above]
     return rel
 

@@ -534,14 +534,12 @@ def _write_sinrs(parts: PlanParts, rho, out: np.ndarray, num: np.ndarray) -> Non
         common  = eaeu p_dc s_c / (p_dc gamma + p_dp xi + sigma2),
     so the common SINR is zero at rho == 0.
     """
-    if isinstance(rho, np.ndarray):
-        # written as "not inside" so that nan fails too
-        if not all(0.0 <= r <= 1.0 for r in rho.tolist()):
-            raise ValueError("rho must lie in [0, 1]")
+    # written as "not inside" so that nan fails too
+    if not np.all((rho >= 0.0) & (rho <= 1.0)):
+        raise ValueError("rho must lie in [0, 1]")
+    if np.ndim(rho):
         # each job's split repeated over its UEs, a (B, K) row of the buffer
         rho = np.repeat(rho, out.shape[-1]).reshape(out.shape[-2:])
-    elif not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
     p_dc = rho * parts.p_d
     p_dp = (1.0 - rho) * parts.p_d
     (num_p, num_c), (den_p, den_c) = num, out

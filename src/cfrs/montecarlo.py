@@ -500,7 +500,10 @@ def _scratch_layouts(draw: _ChunkDraw, c: int, r: int = 0) -> dict[str, tuple]:
     earlier step left in the buffer.  The views of one layout are in use at
     the same time, so each has its own region, except where noted.
     ``_stream`` sizes the buffer for the largest layout of its longest
-    chunk and slice (``_largest_layouts``).
+    chunk and slice (``_largest_layouts``): with ``cfrs validate``'s three
+    instants on the 4/2/2/2 desk, the pilot step's 0.9 MiB at 2e4
+    realizations and the link products' work, 1 MiB, at 1e5; from
+    40/8/2/4 up, the draw's h (20 MiB at 2e4).
     """
     K, L, N, S = draw.shape
     drawn, M = len(draw.needed), draw.kept
@@ -519,15 +522,15 @@ def _scratch_layouts(draw: _ChunkDraw, c: int, r: int = 0) -> dict[str, tuple]:
         "-ap": (((L, M, c), float),),
         # a slice (``_accumulate``): the link products' work; the common
         # precoder v_c and its work; the common products' work; and at each
-        # instant the phase products, the coherent precoders w (whose
-        # region first holds the desired-signal products, which are summed
-        # before w is formed), the coherent interference c and its work, and
-        # the common one ec and its work
+        # instant the coherent precoders w (whose region first holds the
+        # desired-signal products, formed from the phase products in place
+        # and summed before w is formed), and the coherent interference c
+        # and its work, whose leading (K, r) rows then hold the common one
+        # ec and its work
         "Y": (((K, S, L, r), complex),),
         "v_c": (((L, N, r), complex), ((L, N, r), complex)),
         "e": (((K, L, r), complex),),
-        "instants": (((K, L, r), complex), ((K, L, r), complex), ((K, K, r), complex),
-                     ((K, K, r), complex), ((K, r), complex), ((K, r), complex)),
+        "instants": (((K, L, r), complex), ((K, K, r), complex), ((K, K, r), complex)),
     }
 
 
@@ -647,7 +650,7 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
     scale it is dominated by the chunk arrays h and z and the draw's
     scratch, which hold up to K L N min(``RNG_CHUNK``, count) entries each.
     With ``cfrs validate``'s three instants, the layouts sum to 4.7 MiB at
-    2e4 realizations and 6.4 MiB at 1e5 on the 4/2/2/2 desk, and at 2e4 to
+    2e4 realizations and 5.6 MiB at 1e5 on the 4/2/2/2 desk, and at 2e4 to
     92 MiB at 40/8/2/4, 854 MiB at 100/16/4/8 and 2.9 GiB at 200/32/4/8,
     per worker.
     """
@@ -777,8 +780,9 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
     u_power = _sumsq(u).sum(axis=-1)[of]  # (K, L): sum |u[P_i]|^2
     # (K, K, L): sum_r |Y[k,P_i,l]|^2
     Y_power = _sumsq(Y)[:, of] if any(not s.coherent for s in sums) else None
-    phase_, w_, c_, c_work, ec_, ec_work = ws.get("scratch", *scratch["instants"])
+    w_, c_, c_work = ws.get("scratch", *scratch["instants"])
     work = w_  # D's and ds_c's products, summed before w is formed
+    ec_, ec_work = c_[0], c_work[0]  # (K, r), used once c is summed
     # w and c list their UEs i set by set, c[i,k] = sum_l Y[k,P_i,l] w[i,l]: per
     # stack, Y's (S_c, 1, K, L, r) view and w's, c's and c's work's by set and UE
     stacks = [(np.moveaxis(Y[:, set_range], 1, 0)[:, None],
@@ -788,9 +792,9 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
     instants = range(eu.shape[1])
     D = []
     for m in instants:
-        phase = np.multiply(eu[:, m, None], ea[:, m], out=phase_)  # (K, L, r)
+        np.multiply(eu[:, m, None], ea[:, m], out=work)  # (K, L, r) phase products
         for k, s in enumerate(of):  # eu[k] ea Y[k,P_k]
-            np.multiply(phase[k], Y[k, s], out=work[k])
+            work[k] *= Y[k, s]
         D.append(np.sum(work, axis=-1))
     e_ = ws.get("E", ((K, L, r), complex))
     for pre in precoders:
@@ -816,8 +820,8 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
             ds_p = pre.gain * D[m]
             ds_c = None
             if e is not None:
-                phase = np.multiply(eu[:, m, None], ea_m, out=phase_)
-                ds_c = np.sum(np.multiply(phase, e, out=work), axis=-1)
+                np.multiply(eu[:, m, None], ea_m, out=work)  # phase products
+                ds_c = np.sum(np.multiply(work, e, out=work), axis=-1)
             for j in pre.plans:
                 out = sums[j]
                 out.ds_p[b, m] += ds_p

@@ -5,11 +5,13 @@ Two optimizers operate on the closed-form expressions:
 * ``optimal_rho`` — derivative-sign binary search over the common/private
   power split rho in [0, 1], probing a small forward difference at each
   midpoint.  Globally optimal for unimodal sum SE, best-seen otherwise,
-  and never worse than the better endpoint.  A sweep searches all RS jobs
-  of a repetition at once, whatever their schemes, in one lockstep search
-  of ``closed_form.sum_se_curve`` over their stacked rho-independent
-  coefficients: 22 evaluations at the default tol, each evaluating every
-  job's sum SE.
+  and never worse than the better endpoint.  One path serves one curve
+  and a stack of curves: the search runs on numpy arrays of the shape of
+  the curve's value, () or (B,), and halves every lane's interval at each
+  step.  A sweep searches all RS jobs of a repetition at once, whatever
+  their schemes, in one lockstep search of ``closed_form.sum_se_curve``
+  over their stacked rho-independent coefficients: 22 evaluations at the
+  default tol, each evaluating every job's sum SE.
 
 * ``robust_common_precoding`` — maximizes the minimum per-UE common-stream
   SINR at one instant over non-negative combining weights a[k,l], subject
@@ -77,55 +79,43 @@ def optimal_rho(evaluator, tol: float = 1e-3):
 
     At each midpoint the sign of a forward difference with step tol/100
     decides which half to keep; the best value ever evaluated is tracked
-    and returned.  tol must lie in (0, 1): at tol >= 1 the search would
-    evaluate the endpoints only.
+    and returned, a tie keeping the earlier split (so rho = 0 first).  tol
+    must lie in (0, 1): at tol >= 1 the search would evaluate the endpoints
+    only.  The calls are the endpoints 0 and 1, then a value and a probe
+    at each midpoint: 22 at the default tol.
 
-    An evaluator of B curves (``closed_form.sum_se_curve`` of B jobs)
-    returns their (B,) values at (B,) power splits, or at one float.  The B
-    searches then run in lockstep, 22 calls at the default tol, each
-    evaluating all B curves, and return (B,) arrays of power splits and
-    values, each the one its own search finds: every curve's interval
-    halves at every step, so all take the same steps.  The first call is
-    at rho = 0.0, and its value, a float or (B,), tells the two apart.  A
-    single curve, float-valued or a stack of one, is evaluated at floats,
-    and a float-valued one's search returns floats.
+    The evaluator is called first at the float 0.0, and the shape of that
+    value is the shape of every later split: () for one curve, or (B,)
+    for an evaluator of B curves (``closed_form.sum_se_curve`` of B jobs),
+    whose B searches then run in lockstep on numpy arrays, each call
+    evaluating all B curves.  Every curve's interval halves at every step,
+    so each lane's (rho, value) is the one its own search finds.  A
+    float-valued curve's search returns Python floats, a stack's (B,)
+    arrays.
     """
     if not 0 < tol < 1:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     delta = tol / 100.0
 
-    at_zero = evaluator(0.0)
-    stacked = np.ndim(at_zero) > 0
-    best_sse = at_zero.tolist() if stacked else [at_zero]
-    B = len(best_sse)
+    best_sse = np.asarray(evaluator(0.0))
+    best_rho, lo, hi = np.zeros(best_sse.shape), np.zeros(best_sse.shape), np.ones(best_sse.shape)
 
-    def values(rho: list[float]) -> list:
-        """The B curves' values at their B power splits; one curve is
-        evaluated at a float, which keeps numpy on its scalar path."""
-        if not stacked:
-            return [evaluator(rho[0])]
-        return evaluator(rho[0] if B == 1 else np.array(rho)).tolist()
+    def keep(rho, sse):
+        better = sse > best_sse
+        return np.where(better, rho, best_rho), np.where(better, sse, best_sse)
 
-    best_rho = [0.0] * B
-    # ties keep rho = 0
-    for b, sse in enumerate(values([1.0] * B)):
-        if sse > best_sse[b]:
-            best_sse[b], best_rho[b] = sse, 1.0
-    rho_min, rho_max = [0.0] * B, [1.0] * B
-    while rho_max[0] - rho_min[0] > tol:
-        rho_next = [0.5 * (hi + lo) for hi, lo in zip(rho_max, rho_min)]
-        sse_next = values(rho_next)
-        sse_probe = values([rho + delta for rho in rho_next])
-        for b in range(B):
-            if sse_probe[b] > sse_next[b]:
-                rho_min[b] = rho_next[b]
-            else:
-                rho_max[b] = rho_next[b]
-            if sse_next[b] > best_sse[b]:
-                best_sse[b], best_rho[b] = sse_next[b], rho_next[b]
-    if stacked:
-        return np.array(best_rho), np.array(best_sse)
-    return best_rho[0], best_sse[0]
+    best_rho, best_sse = keep(hi, evaluator(hi))
+    width = 1.0  # every lane's hi - lo: halving a dyadic interval is exact
+    while width > tol:
+        width *= 0.5
+        mid = 0.5 * (hi + lo)
+        sse = evaluator(mid)
+        rising = evaluator(mid + delta) > sse
+        lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
+        best_rho, best_sse = keep(mid, sse)
+    if best_sse.ndim:
+        return best_rho, best_sse
+    return float(best_rho), float(best_sse)
 
 
 # ---------------------------------------------------------------------------

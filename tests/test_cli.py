@@ -2,6 +2,7 @@ import ast
 import csv
 import dataclasses
 import json
+import logging
 import os
 import re
 import shlex
@@ -109,6 +110,14 @@ def one_scheme_spec(**overrides):
         {"private": "du_mr", "transmission": "coherent", "rs": True}]}
     data.update(overrides)
     return data
+
+
+def test_an_experiment_spec_built_directly_names_an_unknown_sweep_parameter():
+    # spec_from_dict rejects it while parsing; a library caller that builds
+    # the spec itself meets the same message
+    spec = cli.spec_from_dict(one_scheme_spec())
+    with pytest.raises(cli.ConfigError, match=r"sweep\.parameter must be one of \('none', "):
+        dataclasses.replace(spec, sweep_parameter="bandwidth", sweep_values=(1.0,))
 
 
 def test_rs_must_be_a_boolean():
@@ -650,6 +659,36 @@ def test_nmse_subcommand(tmp_path):
     assert np.mean(high) > np.mean(low)
 
 
+def test_nmse_without_variances_writes_the_configs_own(tmp_path, capsys):
+    # one row per link, all at the oscillator variance the config implies
+    path = write_spec(tmp_path, one_scheme_spec())
+    out = tmp_path / "nmse.csv"
+    assert cli.main(["nmse", "--config", str(path), "--out", str(out)]) == 0
+    cfg = cli.parse_config(str(path)).base
+    rows, _ = read_csv(out)
+    assert [(int(r["k"]), int(r["l"])) for r in rows] == [
+        (k, l) for k in range(cfg.K) for l in range(cfg.L)]
+    assert {r["variance"] for r in rows} == {
+        repr(float(cli.PhaseStatistics.from_config(cfg).var_ap))}
+    assert capsys.readouterr().out == f"wrote {cfg.K * cfg.L} rows to {out}\n"
+
+
+def test_se_raises_the_exception_that_failed_a_job(tmp_path, monkeypatch):
+    # a robust scheme whose max-min solve fails: the sweep would record it
+    # as the job's status, but `cfrs se` has no row to put it in
+    def indeterminate(problem, eps=1e-4):
+        raise cli.optimize.SolverIndeterminate("barrier method did not settle t=1.0")
+
+    monkeypatch.setattr(cli.optimize, "robust_common_precoding", indeterminate)
+    path = write_spec(tmp_path, one_scheme_spec(schemes=[
+        {"private": "du_mr", "transmission": "coherent", "rs": False},
+        {"private": "du_mr", "transmission": "coherent", "rs": True, "weights": "robust"}]))
+    out = tmp_path / "se.csv"
+    with pytest.raises(cli.optimize.SolverIndeterminate, match="did not settle t=1.0"):
+        cli.main(["se", "--config", str(path), "--out", str(out)])
+    assert not out.exists()
+
+
 def test_network_dump(tmp_path):
     spec_path = write_spec(tmp_path, {
         "system": desk_system(),
@@ -1075,6 +1114,36 @@ def test_mc_rel_err_is_blank_where_every_closed_form_sinr_underflows(tmp_path):
         assert underflow or float(row["mc_rel_err_private"]) < 1.0
 
 
+def test_mc_rel_err_is_blank_where_the_check_cannot_resolve_the_sinr(tmp_path):
+    # the README system at 3/3/2/2 (tau_c 20) and 1 rad^2: at the mid
+    # instant the closed-form SINRs are 5e-11 to 7e-9, above the 1e-30
+    # floor but far below the Monte Carlo standard errors (1e-3 to 4e-3 at
+    # 200 realizations), and the columns read 2086338.16 (private) and 1.0
+    # (common); the 1e-3 point's rows keep their numbers
+    data = _readme_spec()
+    data["system"].update(L=3, K=3, N=2, tau_p=2, tau_c=20, seed=1)
+    data.update(sweep={"parameter": "oscillator_variance", "values": [1.0, 1e-3]},
+                schemes=[{"private": "du_mr", "transmission": "coherent", "rs": True,
+                          "weights": "simple"}],
+                mc_realizations=200, repetitions=1)
+    spec = cli.spec_from_dict(data)
+    cfg, phases = spec.base, cli.PhaseStatistics(1.0, 1.0)
+    job = cli.Job(cfg, phases, spec.schemes[0], cli.build_topology(cfg, phases))
+    [(report, extras)] = cli.run_jobs([job], mc_realizations=200)
+    i = cfg.mid_instant - cfg.estimation_instant
+    for sinr in (report.sinr_private[:, i], report.sinr_common[:, i]):
+        assert np.all((sinr > 1e-30) & (sinr < 1e-8))
+    assert extras.keys() == {"optimized_rho"}
+    rows, _ = read_csv(cli.run_experiment(spec, out_dir=tmp_path / "out") / "results.csv")
+    assert {r["status"] for r in rows} == {"ok"}
+    for row in rows:
+        unresolved = float(row["sweep_value"]) == 1.0
+        for stream in ("private", "common"):
+            err = row[f"mc_rel_err_{stream}"]
+            assert (err == "") == unresolved
+            assert unresolved or float(err) < 1.0
+
+
 def test_validate_leaves_out_the_ues_whose_closed_form_sinr_underflows(tmp_path, capsys):
     # the same 3/3/2/2 system at 25 rad^2: 64 of the 72 rows have a
     # closed-form SINR at or below the 1e-30 floor, where rel_err read up to
@@ -1435,18 +1504,23 @@ def test_rho_opt_prints_the_split_and_the_grid_check(tmp_path, capsys):
     assert re.search(r"^grid check: rho = \S+, sum SE = \S+$", out, re.MULTILINE)
 
 
-def test_robust_verbose_writes_json_lines_to_stderr(tmp_path):
+def test_robust_verbose_writes_json_lines_to_stderr(tmp_path, capsys, monkeypatch):
+    # in-process, so a line tracer sees --verbose run; ``logging.basicConfig``
+    # configures only a root logger with no handlers, so the test runner's
+    # are set aside for the call
+    root = logging.getLogger()
+    monkeypatch.setattr(root, "handlers", [])
+    level = root.level
     path = write_spec(tmp_path, one_scheme_spec())
     out = tmp_path / "weights.csv"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "cfrs.cli", "robust", "--config", str(path),
-         "--out", str(out), "--verbose"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stderr.splitlines()
-    assert lines
-    assert all("event" in json.loads(line) for line in lines)
+    try:
+        assert cli.main(["robust", "--config", str(path), "--out", str(out), "--verbose"]) == 0
+    finally:
+        root.setLevel(level)
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert {"bracket", "bisect"} <= {e["event"] for e in events}
+    assert all(e["bracket"][0] < e["t"] < e["bracket"][1] for e in events
+               if e["event"] == "bisect")
     rows, schema = read_csv(out)
     assert schema == f"# schema={cli.WEIGHTS_SCHEMA}"
     system = desk_system()

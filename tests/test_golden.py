@@ -5,6 +5,9 @@ digests the files it writes (and, for ``rho-opt``, what it prints).  Every
 numeric CSV field enters the digest rounded to 9 significant digits, as the
 benchmark's ``digest_lines`` does, so a change in the last bits of a sum
 keeps the digest while any change a reader of the CSVs could see moves it.
+The ``bench-*`` entries are the benchmark's own digests: each workload of
+``perfbench/workloads.py`` run at seed 1 with the ops of a 16 s run, every
+op's output passing the workload's check.
 
 A change that moves an entry on purpose updates tests/golden.json and names
 each moved entry and the reason.  To print the digests of the current code:
@@ -15,6 +18,7 @@ each moved entry and the reason.  To print the digests of the current code:
 import contextlib
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import sys
@@ -25,6 +29,7 @@ import pytest
 import cfrs.cli as cli
 
 GOLDEN = Path(__file__).with_name("golden.json")
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 DIGITS = 9
 
 README_SYSTEM = {
@@ -86,6 +91,11 @@ COMMANDS = {
 }
 
 
+# entry -> the benchmark workload it runs, at seed 1 with the ops of a 16 s run
+BENCHMARKS = {f"bench-{name}": name for name in ("sweep-default", "sweep-large", "validate-desk")}
+BENCH_SEED, BENCH_SECONDS = 1, 16.0
+
+
 def _sig(field: str) -> str:
     """A numeric field at DIGITS significant digits; any other field as it is."""
     try:
@@ -112,8 +122,35 @@ def _main(argv: list[str]) -> str:
     return out.getvalue()
 
 
+def _workloads():
+    """The benchmark's ``workloads`` module, loaded from its file."""
+    module = sys.modules.get("perfbench_workloads")
+    if module is None:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+def run_benchmark(name: str, d: Path) -> str:
+    """The digest of benchmark entry ``name``, its ops run with ``d`` as
+    their output directory; an op whose output fails the workload's check
+    fails the entry."""
+    workloads = _workloads()
+    workload = workloads.WORKLOADS[BENCHMARKS[name]]
+    lines = []
+    for i, op in enumerate(workloads.make_ops(workload, BENCH_SEED,
+                                              workload.op_count(BENCH_SECONDS))):
+        rows = workloads.output_rows(workload, workloads.call(workload, op, d))
+        assert workloads.check(workload, op, rows) == [], (name, i)
+        lines.append(workloads.digest_lines(workload, rows))
+    return workloads.digest(lines)
+
+
 def run_entry(name: str, d: Path) -> str:
     """Run corpus entry ``name`` in the empty directory ``d``; its digest."""
+    if name in BENCHMARKS:
+        return run_benchmark(name, d)
     base = name.removesuffix("-replay")
     if base in SWEEPS:
         spec = d / "spec.json"
@@ -137,7 +174,7 @@ def run_entry(name: str, d: Path) -> str:
     return h.hexdigest()[:16]
 
 
-ENTRIES = [*SWEEPS, "sweep-readme-replay", *COMMANDS]
+ENTRIES = [*SWEEPS, "sweep-readme-replay", *COMMANDS, *BENCHMARKS]
 
 
 def test_corpus_lists_every_entry_once():

@@ -497,3 +497,67 @@ def test_a_negative_target_or_tolerance_rejected():
     for eps in (0.0, -1e-4, float("nan")):
         with pytest.raises(ValueError, match="eps must be > 0"):
             opt.robust_common_precoding(problem, eps=eps)
+
+
+def half_optimum_instance():
+    """The default instance and half its max-min common SINR, a feasible
+    target that the barrier method settles in 5 Newton steps."""
+    *_, problem = setup_instance()
+    return problem, 0.5 * opt.robust_common_precoding(problem, eps=1e-3).bracket[0]
+
+
+def test_a_line_search_that_cannot_descend_raises_with_its_target(monkeypatch):
+    problem, t = half_optimum_instance()
+    values = iter([0.0])  # the iterate's barrier value; every trial point is outside
+
+    def barrier(*args):
+        return next(values, math.inf)
+
+    monkeypatch.setattr(opt, "_barrier", barrier)
+    with pytest.raises(opt.SolverIndeterminate,
+                       match=rf"line search stalled at t={t} after 1 steps"):
+        opt.check_feasibility(problem, t)
+
+
+def test_newton_steps_run_out_with_the_target_named(monkeypatch):
+    problem, t = half_optimum_instance()
+    monkeypatch.setattr(opt, "MAX_NEWTON_STEPS", 1)
+    with pytest.raises(opt.SolverIndeterminate,
+                       match=rf"barrier method did not settle t={t} in 1 Newton steps"):
+        opt.check_feasibility(problem, t)
+
+
+def test_a_target_that_is_always_feasible_fails_to_bracket(monkeypatch):
+    *_, problem = setup_instance()
+    targets = []
+
+    def feasible(problem, t):
+        targets.append(t)
+        return opt.FeasibilityVerdict(True, opt.scaled_simple_weights(problem), 0.0, 1, 1.0)
+
+    monkeypatch.setattr(opt, "check_feasibility", feasible)
+    with pytest.raises(opt.SolverIndeterminate, match="failed to bracket an infeasible target"):
+        opt.robust_common_precoding(problem)
+    assert targets == [2.0**j for j in range(40)]  # 2^40 > 1e12
+
+
+def test_an_indeterminate_bisection_step_names_its_bracket(monkeypatch):
+    # on the default instance the warm start is feasible and t_max = 1 is
+    # not, so the first bisection step's bracket is [warm start, 1]
+    *_, problem = setup_instance()
+    (warm,) = [e["t_min"] for e in opt.robust_common_precoding(problem).trace
+               if e["event"] == "warm_start"]
+    check, verdicts = opt.check_feasibility, []
+
+    def bisection_fails(problem, t):
+        # the bracket search runs as usual; the first bisection step fails
+        if verdicts and not verdicts[-1].feasible:
+            raise opt.SolverIndeterminate(f"stalled at t={t}")
+        verdicts.append(check(problem, t))
+        return verdicts[-1]
+
+    monkeypatch.setattr(opt, "check_feasibility", bisection_fails)
+    with pytest.raises(opt.SolverIndeterminate) as info:
+        opt.robust_common_precoding(problem)
+    assert str(info.value) == (f"stalled at t={0.5 * (1.0 + warm)} "
+                               f"(bisection bracket was [{warm}, 1.0])")

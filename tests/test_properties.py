@@ -158,3 +158,53 @@ def test_a_stacked_plan_is_each_jobs_own_plan_and_keeps_every_ap_in_budget(jobs,
             assert np.array_equal(getattr(cut, name), getattr(own, name))
         assert np.all((own.mu * t.tr_Q).sum(axis=0) <= 1 + 1e-12)
         assert np.all(cf.common_power(t, own.weights) * own.eta <= 1 + 1e-12)
+
+
+@st.composite
+def polynomial_stacks(draw):
+    """(coefficients, constant): the (degree + 1, B) coefficients of B
+    polynomials of degree <= 4 on 1 <= B <= 6 lanes, highest power first,
+    and which lanes are constant (every coefficient but the last zero)."""
+    B, degree = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    coefficients = np.array([[draw(st.floats(-10.0, 10.0)) for _ in range(B)]
+                             for _ in range(degree + 1)])
+    constant = np.array([degree == 0 or draw(st.booleans()) for _ in range(B)])
+    coefficients[:-1, constant] = 0.0
+    return coefficients, constant
+
+
+def recorded_polynomial(coefficients, calls):
+    """The polynomial curve of ``coefficients`` by Horner's rule, which
+    appends each split it is evaluated at to ``calls``.  Products and sums
+    round alike on arrays and on scalars, so each lane of a stack's value
+    is bitwise its own curve's."""
+
+    def curve(rho):
+        calls.append(rho)
+        value = coefficients[0]
+        for c in coefficients[1:]:
+            value = value * rho + c
+        return value
+
+    return curve
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(stack=polynomial_stacks())
+def test_a_lockstep_rho_search_finds_each_curves_own_split(stack):
+    coefficients, constant = stack
+    B = coefficients.shape[1]
+    calls = []
+    rho, value = opt.optimal_rho(recorded_polynomial(coefficients, calls))
+    assert type(calls[0]) is float and calls[0] == 0.0
+    assert len(calls) == 22 and all(np.shape(r) == (B,) for r in calls[1:])
+    assert rho.shape == value.shape == (B,)
+    for b in range(B):
+        alone = []
+        own = opt.optimal_rho(recorded_polynomial(coefficients[:, b].tolist(), alone))
+        assert type(alone[0]) is float and alone[0] == 0.0
+        assert len(alone) == 22 and all(np.shape(r) == () for r in alone[1:])
+        assert all(type(x) is float for x in own)
+        assert (rho[b], value[b]) == own
+    # a tie keeps the earlier split, so a constant curve keeps rho = 0
+    assert np.all(rho[constant] == 0.0)
