@@ -160,6 +160,20 @@ _SWEEP_VALUES = {
 SWEEP_PARAMETERS = ("none", *_SWEEP_VALUES)
 
 
+_OSC_KEYS = "system.osc_constant_ap/osc_constant_ue"
+
+
+def _check_decay(config: SystemConfig, phases: PhaseStatistics, where: str) -> PhaseStatistics:
+    """``phases`` if every pilot of ``config`` survives its drift to the
+    estimation instant (``estimation.decay_factors``), else ConfigError
+    naming ``where``, the input that set the variances."""
+    try:
+        estimation.decay_factors(assign_pilots(config.K, config.tau_p), phases)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return phases
+
+
 def _sweep_value(parameter: str, value, key: str) -> float:
     """One value of an active sweep, parsed and range-checked."""
     parse, inside, interval = _SWEEP_VALUES[parameter]
@@ -218,15 +232,10 @@ class ExperimentSpec:
         # its largest value decays the most.
         if self.sweep_parameter == "oscillator_variance":
             i = int(np.argmax(self.sweep_values))
-            where = f"sweep.values[{i}]"
-            phases = PhaseStatistics(self.sweep_values[i], self.sweep_values[i])
+            var = self.sweep_values[i]
+            _check_decay(self.base, PhaseStatistics(var, var), f"sweep.values[{i}]")
         else:
-            where = "system.osc_constant_ap/osc_constant_ue"
-            phases = PhaseStatistics.from_config(self.base)
-        try:
-            estimation.decay_factors(assign_pilots(self.base.K, self.base.tau_p), phases)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+            _check_decay(self.base, PhaseStatistics.from_config(self.base), _OSC_KEYS)
 
 
 # Each section of the spec is a table of JSON key -> (field, parser(value,
@@ -643,8 +652,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> P
     job's place, go to one ``run_jobs`` call, so one repetition's
     topologies, one per sweep point and scheme, are alive at once.  Writes
     results.csv (one row per job and UE), aggregate.csv, and a
-    manifest.json from which the run can be replayed byte-identically.  Per-job failures are recorded in the rows' status
-    column and do not abort the run.
+    manifest.json from which the run can be replayed byte-identically.
+    Per-job failures are recorded in the rows' status column and do not
+    abort the run.
     """
     out = Path(out_dir) if out_dir is not None else Path(spec.output_path)
     out.mkdir(parents=True, exist_ok=True)
@@ -676,11 +686,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> P
                 try:
                     if isinstance(network, Exception):
                         raise network
-                    topology = build_topology(cfg, phases, network)
-                    if not spec.mc_realizations:
-                        # only the Monte Carlo check reads the statistics
-                        topology = topology._replace(stats=None)
-                    jobs.append(Job(cfg, phases, scheme, topology, fixed_rho))
+                    jobs.append(Job(cfg, phases, scheme, build_topology(cfg, phases, network),
+                                    fixed_rho))
                 except Exception as exc:  # recorded, run continues
                     jobs.append(exc)
         results = run_jobs(jobs, spec.mc_realizations)
@@ -775,6 +782,13 @@ def _load_system(args, default: SystemConfig | None = None) -> tuple[SystemConfi
     return cfg, spec
 
 
+def _system_phases(cfg: SystemConfig, args) -> PhaseStatistics:
+    """The phase statistics of the system's oscillator constants, checked
+    (``_check_decay``) and named as keys of the spec that set them."""
+    where = f"{args.config}: {_OSC_KEYS}" if args.config else _OSC_KEYS
+    return _check_decay(cfg, PhaseStatistics.from_config(cfg), where)
+
+
 def _output_file(value: str | None, flag: str, default: str | None = None) -> Path | None:
     """The file ``flag`` names, or ``default`` when it names none (None if
     neither), checked before any work: a directory or a missing parent
@@ -792,22 +806,18 @@ def _output_file(value: str | None, flag: str, default: str | None = None) -> Pa
 def cmd_nmse(args) -> int:
     out = _output_file(args.out, "--out", "nmse.csv")
     cfg, _ = _load_system(args)
-    variances = (
-        [_sweep_value("oscillator_variance", v, "--variances")
-         for v in args.variances.split(",")]
-        if args.variances
-        else [None]
-    )
+    if args.variances:
+        all_phases = [
+            _check_decay(cfg, PhaseStatistics(var_ap=var, var_ue=var), "--variances")
+            for var in (_sweep_value("oscillator_variance", v, "--variances")
+                        for v in args.variances.split(","))]
+    else:
+        all_phases = [_system_phases(cfg, args)]
     net = build_network(cfg)
     pilots = assign_pilots(cfg.K, cfg.tau_p)
     rows = []
-    for var in variances:
-        phases = (
-            PhaseStatistics.from_config(cfg)
-            if var is None
-            else PhaseStatistics(var_ap=var, var_ue=var)
-        )
-        stats = estimation_statistics(net, pilots, phases, cfg)
+    for phases in all_phases:
+        nmse_mmse, nmse_ls = estimation.nmse(net, pilots, phases, cfg)
         for k in range(cfg.K):
             for l in range(cfg.L):
                 rows.append(
@@ -815,8 +825,8 @@ def cmd_nmse(args) -> int:
                         "variance": repr(float(phases.var_ap)),
                         "k": k,
                         "l": l,
-                        "nmse_mmse": repr(float(stats.nmse_mmse[k, l])),
-                        "nmse_ls": repr(float(stats.nmse_ls[k, l])),
+                        "nmse_mmse": repr(float(nmse_mmse[k, l])),
+                        "nmse_ls": repr(float(nmse_ls[k, l])),
                     }
                 )
     _write_csv(out, NMSE_SCHEMA, ["variance", "k", "l", "nmse_mmse", "nmse_ls"], rows)
@@ -828,7 +838,7 @@ def cmd_se(args) -> int:
     out = _output_file(args.out, "--out", "se.csv")
     net_path = _output_file(args.dump_network, "--dump-network")
     cfg, spec = _load_system(args)
-    phases = PhaseStatistics.from_config(cfg)
+    phases = _system_phases(cfg, args)
     schemes = (
         spec.schemes
         if spec is not None
@@ -978,7 +988,7 @@ def cmd_validate(args) -> int:
     out = _output_file(args.out, "--out", "validate.csv")
     terms_out = _output_file(args.terms_out, "--terms-out")
     cfg, _ = _load_system(args, default=_desk_config())
-    phases = PhaseStatistics.from_config(cfg)
+    phases = _system_phases(cfg, args)
     rows = validate_families(cfg, phases, args.mc, terms_out=terms_out)
     _write_csv(out, VALIDATE_SCHEMA,
                ["stream", "transmission", "scheme", "n", "k", "closed_sinr",
@@ -996,7 +1006,7 @@ def cmd_rho_opt(args) -> int:
     if args.grid < 0 or args.grid == 1:
         raise ConfigError(f"--grid: must be 0 (no grid check) or >= 2, got {args.grid}")
     cfg, _ = _load_system(args)
-    phases = PhaseStatistics.from_config(cfg)
+    phases = _system_phases(cfg, args)
     terms = build_topology(cfg, phases).terms
     plan0 = make_plan(terms, args.scheme, args.transmission, 0.0)
     sse_of = closed_form.sum_se_curve(
@@ -1022,7 +1032,7 @@ def cmd_robust(args) -> int:
     lam = cfg.estimation_instant
     if args.instant is not None and not lam <= args.instant <= cfg.tau_c:
         raise ConfigError(f"--instant: {args.instant} is outside [{lam}, {cfg.tau_c}]")
-    phases = PhaseStatistics.from_config(cfg)
+    phases = _system_phases(cfg, args)
     terms = build_topology(cfg, phases).terms
     problem = optimize.build_maxmin_problem(terms, phases, cfg, args.rho,
                                             n=args.instant)

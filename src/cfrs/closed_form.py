@@ -16,7 +16,7 @@ ea = exp(-(n-lambda)*var_ap) and eu = exp(-(n-lambda)*var_ue) of
 ``model.phase_decay``; SINR terms split into n-independent trace sums
 weighted by ea/eu, so all data instants are evaluated at once.  The drift
 between UE k's pilot instant t_k and lambda enters only the mean, through
-Q; the gain-uncertainty (fourth-moment) terms omit it, so under oscillator
+x; the gain-uncertainty (fourth-moment) terms omit it, so under oscillator
 drift the bound is an approximation that overstates SINR slightly, and
 more so as the increment variances grow.
 

@@ -13,12 +13,13 @@ covariance
 
 and the cross-covariance between the estimates of co-pilot UEs k and i is
 Q_cross[k,i,l] = sqrt(p_k p_i) * decay_k * R[i,l] Psi[P_k,l] R[k,l]; it
-vanishes for UEs on different pilots.  NMSE = tr(R - Q)/tr(R) for MMSE; the
-LS NMSE is tr(Psi^-1) / (decay_k p_k tr R) - 1 and can exceed one because
-the LS estimate and its error are correlated.
+vanishes for UEs on different pilots.  ``nmse`` gives the estimation
+quality: tr(R - Q)/tr(R) for MMSE, and for LS tr(Psi^-1) / (decay_k p_k
+tr R) - 1, which can exceed one because the LS estimate and its error are
+correlated.
 
 Every R[k,l] is beta[k,l] times the network's one correlation template T,
-so all of these matrices share T's eigenvectors and are stored as their N
+so all of these matrices share T's eigenvectors and are computed as their N
 real eigenvalues: each formula above is elementwise in T's eigenbasis.  The
 pilot covariance's eigenvalues are at least sigma2 > 0, so it is always
 invertible.  Co-pilots share a pilot instant, so a drift decay and a Psi,
@@ -28,10 +29,10 @@ and their estimates are scaled copies of one processed observation
     Q_cross[k,i,l] = x[k,l] x[i,l] lam^2 Psi[P_k,l],
     Q[k,l] = x[k,l]^2 lam^2 Psi[P_k,l],
 
-so no co-pilot pair is stored: the (K, L) factor x and the per-set Psi
-give every block.  ``PilotAssignment`` numbers the S co-pilot sets once, by
-size and then by pilot instant, and every per-set axis of the package
-follows that order.
+so neither Q nor a co-pilot pair is stored: the (K, L) factor x and the
+per-set Psi give every block.  ``PilotAssignment`` numbers the S co-pilot
+sets once, by size and then by pilot instant, and every per-set axis of
+the package follows that order.
 """
 
 from __future__ import annotations
@@ -114,28 +115,25 @@ def assign_pilots(
 
 @dataclass(frozen=True)
 class EstimationStatistics:
-    """Second-order statistics of the channel estimates, as eigenvalues.
+    """What the closed form and the Monte Carlo draw read of the channel
+    estimates: every co-pilot block is rank 1, so a per-set Psi and a
+    per-UE factor x give each of them.
 
-    Every matrix here is diagonal in the eigenbasis of the network's
-    correlation template T (see ``NetworkModel``), so each is stored as its
-    N real eigenvalues on the last axis, in the order of ``NetworkModel.lam``:
     Psi (S, L, N): inverse of each co-pilot set's pilot covariance, > 0,
-        one row per set in the order of ``PilotAssignment``.
-    Q (K, L, N): estimate covariance, 0 <= Q <= beta * lam.
+        one row per set in the order of ``PilotAssignment``, as its N real
+        eigenvalues in the eigenbasis of the network's correlation template
+        T (see ``NetworkModel``), in the order of ``NetworkModel.lam``.
     x (K, L): the rank-1 factor sqrt(p_k decay_k) beta[k,l] of every
         co-pilot block, Q_cross[k,i,l] = x[k,l] x[i,l] lam^2 Psi[P_k,l] for
         co-pilot k and i; UEs on different pilots are uncorrelated.
-    nmse_mmse / nmse_ls (K, L): normalized MSE of the two estimators.
+    The estimation quality is ``nmse``'s.
     """
 
     Psi: np.ndarray
-    Q: np.ndarray
     x: np.ndarray
-    nmse_mmse: np.ndarray
-    nmse_ls: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.Psi, self.Q, self.x, self.nmse_mmse, self.nmse_ls):
+        for arr in (self.Psi, self.x):
             arr.setflags(write=False)
 
 
@@ -169,31 +167,36 @@ def decay_factors(pilots: PilotAssignment, phases: PhaseStatistics) -> np.ndarra
     return decay
 
 
+def _pilot_covariance(net: NetworkModel, pilots: PilotAssignment, config: SystemConfig):
+    """(S, L, N) eigenvalues sigma2 + sum_{j in P} p_j beta[j,l] lam_n of
+    each co-pilot set's pilot covariance, one row per set."""
+    p = config.pilot_powers()
+    return config.sigma2_ul + pilots.set_sums(p[:, None] * net.beta)[..., None] * net.lam
+
+
 def estimation_statistics(
     net: NetworkModel,
     pilots: PilotAssignment,
     phases: PhaseStatistics,
     config: SystemConfig,
 ) -> EstimationStatistics:
-    """Compute Psi, Q, the co-pilot factor x and both NMSE matrices.
-
-    Per co-pilot set P and AP l, the pilot covariance has the eigenvalues
-    sigma2 + sum_{j in P} p_j beta[j,l] lam_n, one row per set; the rest is
-    elementwise per UE.
-    """
+    """Compute Psi, one per co-pilot set, and the co-pilot factor x."""
     check_pilots(pilots, net.K, config)
-    p = config.pilot_powers()
     decay = decay_factors(pilots, phases)
+    Psi = 1.0 / _pilot_covariance(net, pilots, config)
+    x = np.sqrt(config.pilot_powers() * decay)[:, None] * net.beta
+    return EstimationStatistics(Psi=Psi, x=x)
 
-    cov = config.sigma2_ul + pilots.set_sums(p[:, None] * net.beta)[..., None] * net.lam
-    Psi = 1.0 / cov  # (S, L, N)
 
-    x = np.sqrt(p * decay)[:, None] * net.beta
-    xl = x[..., None] * net.lam
-    Q = xl * xl * Psi[pilots.set_of]
+def nmse(net: NetworkModel, pilots: PilotAssignment, phases: PhaseStatistics,
+         config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(K, L) normalized MSE of the MMSE and of the LS estimate of every
+    link, tr(R - Q)/tr(R) and tr(Psi^-1) / (decay_k p_k tr R) - 1 (Ngo et
+    al., "Cell-free massive MIMO versus small cells", IEEE TWC 2017)."""
+    stats = estimation_statistics(net, pilots, phases, config)
+    p_decay = decay_factors(pilots, phases) * config.pilot_powers()
     tr_R = net.beta * net.lam.sum()
-    tr_Q = Q.sum(axis=-1)
-    nmse_mmse = (tr_R - tr_Q) / tr_R
-    nmse_ls = cov.sum(axis=-1)[pilots.set_of] / ((decay * p)[:, None] * tr_R) - 1.0
-
-    return EstimationStatistics(Psi=Psi, Q=Q, x=x, nmse_mmse=nmse_mmse, nmse_ls=nmse_ls)
+    xl = stats.x[..., None] * net.lam
+    tr_Q = (xl * xl * stats.Psi[pilots.set_of]).sum(axis=-1)
+    tr_cov = _pilot_covariance(net, pilots, config).sum(axis=-1)[pilots.set_of]
+    return (tr_R - tr_Q) / tr_R, tr_cov / (p_decay[:, None] * tr_R) - 1.0

@@ -171,6 +171,13 @@ def from_eigenbasis(net, eig):
     return (U * eig[..., None, :]) @ np.conj(U.T)
 
 
+def estimate_covariance(net, pilots, stats):
+    """(K, L, N) eigenvalues of every estimate covariance,
+    Q[k,l] = (x[k,l] lam)^2 Psi[P_k,l]: the diagonal of ``rank1_q_cross``."""
+    xl = stats.x[..., None] * net.lam
+    return xl * xl * stats.Psi[pilots.set_of]
+
+
 def rank1_q_cross(net, pilots, stats):
     """(K, K, L, N) eigenvalues of every Q_cross block from the statistics'
     rank-1 factor: x[k,l] x[i,l] lam^2 Psi[P_k,l] for co-pilot k and i, else 0."""

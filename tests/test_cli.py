@@ -203,6 +203,26 @@ def test_oscillators_that_leave_no_estimate_rejected(tmp_path, capsys):
     assert cli.spec_from_dict(data).sweep_values == (1e-4, 100.0)
 
 
+@pytest.mark.parametrize("argv", [
+    ["se"], ["nmse"], ["validate", "--mc", "100"], ["rho-opt"], ["robust"],
+], ids=lambda argv: argv[0])
+def test_commands_check_the_oscillators_of_the_base_they_use(argv, tmp_path, capsys):
+    # an oscillator sweep replaces the base's variances, so a spec whose base
+    # decorrelates every pilot parses, and its sweep runs; a command that
+    # runs the base itself refuses it, naming the keys
+    data = one_scheme_spec(sweep={"parameter": "oscillator_variance", "values": [1e-4]})
+    data["system"].update(osc_constant_ap=1e-9, osc_constant_ue=1e-9)
+    path = write_spec(tmp_path, data)
+    out = ["--out", str(tmp_path / "out.csv")] if argv[0] != "rho-opt" else []
+    assert cli.main(argv + ["--config", str(path)] + out) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: system.osc_constant_ap/osc_constant_ue: " in err
+    assert not (tmp_path / "out.csv").exists()
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    rows, _ = read_csv(tmp_path / "run" / "results.csv")
+    assert {row["status"] for row in rows} == {"ok"}
+
+
 @pytest.mark.parametrize("key, value", [("pl_fixed_db", float("nan")), ("seed", -1)])
 def test_bad_system_values_in_a_config_file_rejected(key, value, tmp_path):
     # Python's json reads NaN, so the parser must reject it by value
@@ -495,12 +515,15 @@ LIST_SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
 
 
 def test_import_loads_no_scipy():
-    # cfrs needs numpy alone, and scipy would cost start-up time
-    code = "import sys, cfrs, cfrs.cli; " + LIST_SCIPY
+    # cfrs needs numpy alone, and scipy would cost start-up time; the Monte
+    # Carlo thread pool's concurrent.futures is imported on first use, so no
+    # command that draws nothing pays for it either
+    code = ("import sys, cfrs, cfrs.cli; " + LIST_SCIPY
+            + "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))")
     src = str(Path(cli.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip().splitlines() == ["[]", "[]"]
 
 
 def test_robust_path_loads_no_scipy(tmp_path):
@@ -1403,6 +1426,7 @@ def test_sweep_requires_config():
     ["rho-opt", "--seed", "-3"],
     ["nmse", "--variances", "-1"],
     ["nmse", "--variances", "nan"],
+    ["nmse", "--variances", "1e3"],
 ], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
 def test_bad_flags_fail_at_the_boundary(argv, tmp_path, monkeypatch, capsys):
     def no_topology(*args):

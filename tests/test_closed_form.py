@@ -712,11 +712,14 @@ def test_trace_terms_sparsity(desk):
         K, L, N = net.K, net.L, net.N
         S = len(np.unique(pilots.t))
         problem = opt.build_maxmin_problem(terms, phases, cfg, rho=0.5)
+        # the statistics are what the chain reads, and nothing more; the
+        # NMSEs are estimation.nmse's
+        assert [f.name for f in dataclasses.fields(stats)] == ["Psi", "x"]
         assert stats.Psi.shape == (S, L, N)
         for per_set in (terms.s2, terms.s3, problem.ratio, problem.y_ones):
             assert per_set.shape == (S, L)
-        for per_ue in (stats.x, stats.nmse_mmse, stats.nmse_ls, terms.x, terms.tr_Q,
-                       terms.tr_QT, problem.c):
+        for per_ue in (stats.x, *cfrs.estimation.nmse(net, pilots, phases, cfg), terms.x,
+                       terms.tr_Q, terms.tr_QT, problem.c):
             assert per_ue.shape == (K, L)
         assert terms.x is stats.x
         # the terms hold the network's gains themselves, not a copy

@@ -5,13 +5,14 @@ import pytest
 
 import cfrs
 from cfrs import montecarlo as mc
-from cfrs.estimation import decay_factors
+from cfrs.estimation import decay_factors, nmse
 from cfrs.model import NetworkModel
 
 from conftest import (
     DESK_DRAW,
     dense_R,
     draw_workspace,
+    estimate_covariance,
     from_eigenbasis,
     mmse_filters,
     per_link_statistics,
@@ -103,40 +104,41 @@ def test_set_numbering_partitions_and_orders_the_sets():
 # MMSE / LS statistics
 # ---------------------------------------------------------------------------
 
-def _single_ue_stats(beta, p, sigma2, var_ap=0.0, var_ue=0.0, N=1):
+def _single_ue_nmse(beta, p, sigma2, var_ap=0.0, var_ue=0.0, N=1):
+    """The (MMSE, LS) NMSE pair of one UE on one AP."""
     net = single_link_network(beta, N)
     cfg = cfrs.SystemConfig(
         L=1, K=1, N=N, tau_p=1, tau_c=20, p_pilot=p, sigma2_ul=sigma2, seed=0
     )
     pilots = cfrs.assign_pilots(1, 1)
     phases = cfrs.PhaseStatistics(var_ap=var_ap, var_ue=var_ue)
-    return cfrs.estimation_statistics(net, pilots, phases, cfg), cfg, net, pilots, phases
+    return nmse(net, pilots, phases, cfg)
 
 
 def test_scalar_mmse_nmse_identity():
     beta, p, sigma2 = 1e-9, 0.1, 2.5e-13
-    stats, *_ = _single_ue_stats(beta, p, sigma2)
+    nmse_mmse, _ = _single_ue_nmse(beta, p, sigma2)
     expected = 1.0 / (1.0 + p * beta / sigma2)
-    assert stats.nmse_mmse[0, 0] == pytest.approx(expected, rel=1e-12)
+    assert nmse_mmse[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_scalar_mmse_nmse_with_phase_decay():
     beta, p, sigma2, s2 = 1e-9, 0.1, 2.5e-13, 1e-3
-    stats, *_ = _single_ue_stats(beta, p, sigma2, var_ap=s2, var_ue=s2)
+    nmse_mmse, _ = _single_ue_nmse(beta, p, sigma2, var_ap=s2, var_ue=s2)
     # one-instant gap, both oscillators at variance s2
     expected = 1.0 - np.exp(-2 * s2) * p * beta / (p * beta + sigma2)
-    assert stats.nmse_mmse[0, 0] == pytest.approx(expected, rel=1e-12)
+    assert nmse_mmse[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_scalar_ls_nmse_is_inverse_snr():
     beta, p, sigma2 = 4e-10, 0.05, 2.5e-13
-    stats, *_ = _single_ue_stats(beta, p, sigma2, N=3)
-    assert stats.nmse_ls[0, 0] == pytest.approx(sigma2 / (p * beta), rel=1e-12)
+    _, nmse_ls = _single_ue_nmse(beta, p, sigma2, N=3)
+    assert nmse_ls[0, 0] == pytest.approx(sigma2 / (p * beta), rel=1e-12)
 
 
 def test_ls_nmse_vanishes_at_high_snr():
     vals = [
-        _single_ue_stats(1e-9, p, 2.5e-13)[0].nmse_ls[0, 0]
+        _single_ue_nmse(1e-9, p, 2.5e-13)[1][0, 0]
         for p in (0.1, 10.0, 1000.0)
     ]
     assert vals[0] > vals[1] > vals[2]
@@ -157,7 +159,8 @@ def test_a_drift_that_leaves_no_estimate_is_named():
     phases = cfrs.PhaseStatistics(100.0, 100.0)
     assert decay_factors(pilots, phases).min() > 0
     stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
-    assert np.all(np.isfinite(stats.nmse_ls)) and np.all(stats.Q.sum(axis=(0, 2)) > 0)
+    assert np.all(np.isfinite(nmse(net, pilots, phases, cfg)[1]))
+    assert np.all(estimate_covariance(net, pilots, stats).sum(axis=(0, 2)) > 0)
 
 
 @pytest.mark.parametrize("K, tau_p", [(2, 1), (2, 6), (3, 2)])
@@ -173,8 +176,9 @@ def test_statistics_reject_pilots_of_another_system(desk, K, tau_p):
 def test_ls_never_beats_mmse_on_random_instances():
     rng = np.random.default_rng(42)
     for _ in range(100):
-        _, _, _, _, stats, _ = random_instance(rng)
-        assert np.all(stats.nmse_ls >= stats.nmse_mmse - 1e-12)
+        cfg, net, pilots, phases, _, _ = random_instance(rng)
+        nmse_mmse, nmse_ls = nmse(net, pilots, phases, cfg)
+        assert np.all(nmse_ls >= nmse_mmse - 1e-12)
 
 
 def test_nmse_in_unit_interval_and_monotone_in_variance():
@@ -184,11 +188,11 @@ def test_nmse_in_unit_interval_and_monotone_in_variance():
     previous = None
     for var in (0.0, 1e-5, 1e-4, 1e-3, 1e-2):
         ph = cfrs.PhaseStatistics(var_ap=var, var_ue=var)
-        stats = cfrs.estimation_statistics(net, pilots, ph, cfg)
-        assert np.all(stats.nmse_mmse >= 0) and np.all(stats.nmse_mmse <= 1)
+        nmse_mmse = nmse(net, pilots, ph, cfg)[0]
+        assert np.all(nmse_mmse >= 0) and np.all(nmse_mmse <= 1)
         if previous is not None:
-            assert np.all(stats.nmse_mmse >= previous - 1e-15)
-        previous = stats.nmse_mmse
+            assert np.all(nmse_mmse >= previous - 1e-15)
+        previous = nmse_mmse
 
 
 def test_nmse_monotone_in_pilot_gap():
@@ -197,10 +201,10 @@ def test_nmse_monotone_in_pilot_gap():
     net = cfrs.build_network(cfg)
     ph = cfrs.PhaseStatistics(var_ap=1e-3, var_ue=1e-3)
     pilots = cfrs.assign_pilots(2, 2)  # UE0 -> instant 1 (gap 2), UE1 -> instant 2 (gap 1)
-    stats = cfrs.estimation_statistics(net, pilots, ph, cfg)
+    nmse_mmse = nmse(net, pilots, ph, cfg)[0]
     swapped = cfrs.PilotAssignment(t=np.array([2, 1]), tau_p=2)
-    stats_sw = cfrs.estimation_statistics(net, swapped, ph, cfg)
-    assert np.all(stats.nmse_mmse[0] > stats_sw.nmse_mmse[0])
+    nmse_sw = nmse(net, swapped, ph, cfg)[0]
+    assert np.all(nmse_mmse[0] > nmse_sw[0])
 
 
 def test_contamination_never_improves_nmse():
@@ -209,8 +213,8 @@ def test_contamination_never_improves_nmse():
     ph = cfrs.PhaseStatistics(var_ap=1e-4, var_ue=1e-4)
     orthogonal = cfrs.PilotAssignment(t=np.array([1, 2]), tau_p=2)
     contaminated = cfrs.PilotAssignment(t=np.array([1, 1]), tau_p=2)
-    nm_orth = cfrs.estimation_statistics(net, orthogonal, ph, cfg).nmse_mmse
-    nm_cont = cfrs.estimation_statistics(net, contaminated, ph, cfg).nmse_mmse
+    nm_orth = nmse(net, orthogonal, ph, cfg)[0]
+    nm_cont = nmse(net, contaminated, ph, cfg)[0]
     assert np.all(nm_cont[0] >= nm_orth[0] - 1e-15)
 
 
@@ -221,11 +225,12 @@ def test_statistics_invariants_random_instances(desk):
         # the statistics are eigenvalues in T's eigenbasis: Psi PD
         assert stats.Psi.min() > 0
         # 0 <= Q <= R, with R's eigenvalues beta * lam
-        assert stats.Q.min() >= -1e-10
-        assert (net.beta[..., None] * net.lam - stats.Q).min() >= -1e-10
+        Q = estimate_covariance(net, pilots, stats)
+        assert Q.min() >= -1e-10
+        assert (net.beta[..., None] * net.lam - Q).min() >= -1e-10
         blocks = rank1_q_cross(net, pilots, stats)
         # Q_cross collapses to Q on the diagonal
-        assert np.allclose(np.einsum("kkln->kln", blocks), stats.Q, rtol=1e-12)
+        assert np.allclose(np.einsum("kkln->kln", blocks), Q, rtol=1e-12)
         # one Psi per co-pilot set
         assert stats.Psi.shape == (len(np.unique(pilots.t)), net.L, net.N)
         # trace symmetry within pilot groups (real, equal traces)
@@ -251,9 +256,9 @@ def test_batched_statistics_match_per_link_loop():
         stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
         ref = per_link_statistics(net, pilots, phases, cfg)
         Q_cross = rank1_q_cross(net, pilots, stats)
-        got = [from_eigenbasis(net, x)
-               for x in (stats.Psi[pilots.set_of], stats.Q, Q_cross)]
-        for got, want in zip(got + [stats.nmse_ls], ref):
+        got = [from_eigenbasis(net, x) for x in
+               (stats.Psi[pilots.set_of], estimate_covariance(net, pilots, stats), Q_cross)]
+        for got, want in zip(got + [nmse(net, pilots, phases, cfg)[1]], ref):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -285,8 +290,9 @@ def test_stacked_statistics_match_per_link_loop_on_uneven_sets(policy):
     Q_cross = rank1_q_cross(net, pilots, stats)
     # one Psi per set, in set order
     assert stats.Psi.shape == (3, cfg.L, cfg.N)
-    got = [from_eigenbasis(net, x) for x in (stats.Psi[pilots.set_of], stats.Q, Q_cross)]
-    for got, want in zip(got + [stats.nmse_ls], ref):
+    got = [from_eigenbasis(net, x) for x in
+           (stats.Psi[pilots.set_of], estimate_covariance(net, pilots, stats), Q_cross)]
+    for got, want in zip(got + [nmse(net, pilots, phases, cfg)[1]], ref):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -331,14 +337,15 @@ def test_batch_estimates_match_single_realization_path(desk, desk_instants, desk
 
 
 def test_estimate_covariance_matches_q(desk, desk_arrays):
-    cfg, net, _, _, stats, _ = desk
+    cfg, net, pilots, _, stats, _ = desk
     hhat = desk_arrays.hhat
+    Q_all = estimate_covariance(net, pilots, stats)
     for k in range(cfg.K):
         for l in range(cfg.L):
             emp = np.einsum("nr,mr->nm", hhat[k, l],
                             np.conj(hhat[k, l])) / desk_arrays.count
             # the batch is drawn in T's eigenbasis, where Q is diagonal
-            Q = np.diag(stats.Q[k, l])
+            Q = np.diag(Q_all[k, l])
             rel = np.linalg.norm(emp - Q) / np.linalg.norm(Q)
             assert rel < 0.02
 

@@ -12,7 +12,7 @@ from cfrs import closed_form as cf
 from cfrs import montecarlo as mc
 
 from conftest import (DESK_DRAW, batch_arrays, dense_R, draw_workspace, drawn_chunks,
-                      private_precoders, to_eigenbasis)
+                      estimate_covariance, private_precoders, to_eigenbasis)
 
 
 def small_setup(seed=1, L=2, K=2, N=2, tau_p=2, var=1e-3):
@@ -309,9 +309,10 @@ def test_correlated_oracle_matches_the_closed_form():
     terms = cf.TraceTerms.compute(net, stats, pilots)
     n = cfg.estimation_instant + 3
     arrays = batch_arrays(net, pilots, stats, phases, cfg, 40_000, 6, [n])
+    Q = estimate_covariance(net, pilots, stats)
     for k in range(cfg.K):
         # channel and estimate powers per eigen-direction: beta * lam and Q
-        for x, want in ((arrays.h, net.beta[k][:, None] * net.lam), (arrays.hhat, stats.Q[k])):
+        for x, want in ((arrays.h, net.beta[k][:, None] * net.lam), (arrays.hhat, Q[k])):
             emp = np.sum(np.abs(x[k]) ** 2, axis=-1) / arrays.count
             assert np.allclose(emp, want, rtol=0.05, atol=0)
     plans = {(scheme, transmission): cf.make_plan(terms, scheme, transmission, 0.5)
