@@ -88,17 +88,17 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     return np.stack(arrays) if len(arrays) > 1 else arrays[0][None]
 
 
-def _eig_sum(x: np.ndarray, lam: np.ndarray | None = None) -> np.ndarray:
+def _eig_sum(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """``x`` summed over its last (eigenvalue) axis, each slice weighted by
-    ``lam`` if given, by explicit slice adds.
+    ``lam``, by explicit slice adds.
 
     Adds in the order ``np.sum(x * lam, axis=-1)`` does for fewer than 8
     eigenvalues, so the result is bitwise the same there, at a fraction of
     the cost of a product and a reduction along a short last axis.
     """
-    total = x[..., 0].copy() if lam is None else x[..., 0] * lam[0]
+    total = x[..., 0] * lam[0]
     for n in range(1, x.shape[-1]):
-        total += x[..., n] if lam is None else x[..., n] * lam[n]
+        total += x[..., n] * lam[n]
     return total
 
 
@@ -310,25 +310,23 @@ def power_control_coefficients(terms: TraceTerms, alpha: float = -1.0) -> np.nda
     return weight[..., :, None] / denom[..., None, :]
 
 
-def uniform_mu(terms: TraceTerms) -> np.ndarray:
-    """(K, L) or (B, K, L) broadcast of the per-AP private normalization."""
-    return np.broadcast_to(private_normalization(terms)[..., None, :], terms.tr_Q.shape).copy()
-
-
 def make_plan(
     terms: TraceTerms,
     private_scheme: str = "du_mr",
     transmission: str = "coherent",
     rho: float = 0.0,
     weights: np.ndarray | None = None,
-    power_control_alpha: float | None = None,
     unit_eta: bool = False,
 ) -> PrecodingPlan:
     """Assemble a plan with consistent normalizations.
 
-    ``unit_eta`` keeps eta = 1 for weights that already satisfy the per-AP
-    common power constraint (robust precoding output).  Weights of another
-    shape than the terms' (K, L) raise ValueError before any normalization.
+    mu is the per-AP private normalization, the same for every UE.  A
+    power-controlled plan replaces it, ``dataclasses.replace(plan,
+    mu=power_control_coefficients(terms, alpha))``, with no other field to
+    change: eta depends on the weights, not on mu.  ``unit_eta`` keeps
+    eta = 1 for weights that already satisfy the per-AP common power
+    constraint (robust precoding output).  Weights of another shape than
+    the terms' (K, L) raise ValueError before any normalization.
 
     For the stacked terms of B jobs (``TraceTerms.stack``) the plan is the
     stack of the B jobs' plans, one scheme and rho with weights, mu and eta
@@ -338,16 +336,14 @@ def make_plan(
     shape = terms.tr_Q.shape
     weights = np.ones(shape) if weights is None else np.asarray(weights, dtype=float)
     _check_shape("weights", weights, shape)
-    if power_control_alpha is None:
-        mu = uniform_mu(terms)
-    else:
-        mu = power_control_coefficients(terms, power_control_alpha)
+    # mu is copied here in C order: the plan's own copy of the broadcast
+    # view would lay it out UE-innermost, and its einsums would sum otherwise
     return PrecodingPlan(
         private_scheme=private_scheme,
         transmission=transmission,
         rho=rho,
         weights=weights,
-        mu=mu,
+        mu=np.broadcast_to(private_normalization(terms)[..., None, :], shape).copy(),
         eta=np.ones(shape[:-2] + shape[-1:]) if unit_eta else common_normalization(terms, weights),
     )
 
@@ -376,10 +372,20 @@ def check_instants(config: SystemConfig, instants) -> np.ndarray:
     return n
 
 
-def decay_pair(phases: PhaseStatistics, config: SystemConfig, instants):
-    """(ea, eu) per-side phase decays at the instants, after a range check."""
-    gap = check_instants(config, instants) - config.estimation_instant
-    return phase_decay(gap, phases.var_ap), phase_decay(gap, phases.var_ue)
+def decay_pair(phases, config, instants):
+    """(ea, eu) per-side phase decays at the instants, after a range check:
+    (M,) each for one job's phase statistics and config, (M, B) for
+    sequences of B jobs' phase statistics and configs, which must share
+    their estimation instant and tau_c."""
+    one = isinstance(config, SystemConfig)
+    if one:
+        phases, config = [phases], [config]
+    if len({(cfg.estimation_instant, cfg.tau_c) for cfg in config}) > 1:
+        raise ValueError("stacked jobs must share their estimation instant and tau_c")
+    gap = check_instants(config[0], instants) - config[0].estimation_instant
+    var = np.array([[ph.var_ap for ph in phases], [ph.var_ue for ph in phases]])
+    ea, eu = phase_decay(gap[:, None], var[:, None, :])
+    return (ea[:, 0], eu[:, 0]) if one else (ea, eu)
 
 
 @dataclass(frozen=True)
@@ -421,21 +427,6 @@ class PlanParts:
                            for field in dataclasses.fields(self)))
 
 
-def _job_decays(phases, config, instants):
-    """(ea, eu, p_d, sigma2) of one job, or of B jobs, which share their
-    instants, from their sequences of phase statistics and configs: ea and
-    eu (M, B), p_d and sigma2 (B, 1) columns."""
-    if isinstance(config, SystemConfig):
-        return (*decay_pair(phases, config, instants), config.p_d, config.sigma2_dl)
-    if len({(cfg.estimation_instant, cfg.tau_c) for cfg in config}) > 1:
-        raise ValueError("stacked jobs must share their estimation instant and tau_c")
-    gap = check_instants(config[0], instants) - config[0].estimation_instant
-    var = np.array([[ph.var_ap for ph in phases], [ph.var_ue for ph in phases]])
-    ea, eu = phase_decay(gap[:, None], var[:, None, :])
-    return (ea, eu, np.array([[cfg.p_d] for cfg in config]),
-            np.array([[cfg.sigma2_dl] for cfg in config]))
-
-
 def plan_parts(
     terms: TraceTerms,
     plan: PrecodingPlan,
@@ -469,7 +460,12 @@ def plan_parts(
     (S_c, g_c, g_c) array per stack of equal-size sets that is not kept.
     """
     check_plan_shapes(plan, *terms.tr_Q.shape)
-    ea, eu, p_d, sigma2 = _job_decays(phases, config, instants)
+    ea, eu = decay_pair(phases, config, instants)
+    if isinstance(config, SystemConfig):
+        p_d, sigma2 = config.p_d, config.sigma2_dl
+    else:
+        p_d = np.array([[cfg.p_d] for cfg in config])
+        sigma2 = np.array([[cfg.sigma2_dl] for cfg in config])
     theta_eff = _theta_eff(terms, plan.private_scheme)
     mu, eta = plan.mu, plan.eta
     coherent_tx = plan.transmission == "coherent"

@@ -93,24 +93,14 @@ class PilotAssignment:
                               axis=-2)
 
 
-def assign_pilots(
-    K: int, tau_p: int, policy: str = "round_robin", seed: int | None = None
-) -> PilotAssignment:
-    """Assign pilot instants to UEs.
-
-    ``round_robin`` gives UE k (1-based) instant ((k-1) mod tau_p) + 1 so
-    contamination appears as soon as K > tau_p; ``random`` draws uniformly.
+def assign_pilots(K: int, tau_p: int) -> PilotAssignment:
+    """Round-robin pilot instants: UE k (1-based) sends at instant
+    ((k-1) mod tau_p) + 1, so contamination appears as soon as K > tau_p.
+    Any other assignment is a ``PilotAssignment`` of its own instants.
     """
     if tau_p < 1:
         raise ValueError("tau_p must be >= 1")
-    if policy == "round_robin":
-        t = (np.arange(K) % tau_p) + 1
-    elif policy == "random":
-        rng = np.random.default_rng(seed)
-        t = rng.integers(1, tau_p + 1, size=K)
-    else:
-        raise ValueError(f"unknown pilot policy {policy!r}")
-    return PilotAssignment(t=t.astype(int), tau_p=tau_p)
+    return PilotAssignment(t=(np.arange(K) % tau_p) + 1, tau_p=tau_p)
 
 
 @dataclass(frozen=True)
@@ -162,8 +152,7 @@ def decay_factors(pilots: PilotAssignment, phases: PhaseStatistics) -> np.ndarra
         raise ValueError(
             f"phase increment variances var_ap + var_ue = {phases.var_sum:.4g} rad^2 per "
             f"symbol decorrelate UE {k}'s pilot over the {gaps[k]} symbol(s) to the "
-            f"estimation instant (its decay underflows to 0), leaving no channel estimate; "
-            f"lower the oscillator constants c_ap/c_ue or the oscillator_variance sweep value")
+            f"estimation instant (its decay underflows to 0), leaving no channel estimate")
     return decay
 
 

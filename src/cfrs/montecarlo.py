@@ -361,10 +361,11 @@ class _ChunkDraw:
                                            ("ap steps", "ea", L, self.sd_ap)):
             steps = rng.standard_normal(out=ws.get("scratch", *scratch[steps_of]))
             path = ws.get(factor, ((rows, M, c), float))
-            for j in range(M):
-                np.multiply(steps[:, :, j].T, sd[j], out=path[:, j])
-                if j:
-                    path[:, j] += path[:, j - 1]
+            np.multiply(steps.transpose(1, 2, 0), sd[:, None], out=path)
+            # summed a whole (rows, c) slice per instant: np.cumsum along
+            # axis 1 runs one M-long loop per path, several times slower
+            for j in range(1, M):
+                path[:, j] += path[:, j - 1]
             paths.append(path)
         ue, ap = paths
         z = _complex_normal(rng, ws.get("z", ((S, L, N, c), complex)),

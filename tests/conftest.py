@@ -142,6 +142,15 @@ def random_instance(rng, L=None, K=None, N=None, tau_p=None, correlation=None):
     return cfg, net, pilots, phases, stats, terms
 
 
+def uneven_pilots(policy):
+    """K = 7 UEs on tau_p = 3 pilots in sets of sizes 3, 2 and 2: by round
+    robin, or ("random") with instants whose sets' instant order differs
+    from their first members' order."""
+    if policy == "round_robin":
+        return cfrs.assign_pilots(7, 3)
+    return cfrs.PilotAssignment(t=np.array([2, 2, 3, 3, 1, 1, 3]), tau_p=3)
+
+
 def dense_R(net):
     """(K, L, N, N) dense correlation matrices R = beta * T, bit for bit the
     product ``build_network`` once stored."""

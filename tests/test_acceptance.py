@@ -344,8 +344,9 @@ def test_criterion_7_power_constraint(desk, desk_batch):
         "df_mr/coherent/split": cf.make_plan(terms, "df_mr", "coherent", 0.7),
         "du_mr/noncoherent/split": cf.make_plan(terms, "du_mr", "noncoherent", 0.5),
         "df_mr/noncoherent/no-split": cf.make_plan(terms, "df_mr", "noncoherent", 0.0),
-        "du_mr/power-control": cf.make_plan(
-            terms, "du_mr", "coherent", 0.0, power_control_alpha=-1.0
+        "du_mr/power-control": dataclasses.replace(
+            cf.make_plan(terms, "du_mr", "coherent", 0.0),
+            mu=cf.power_control_coefficients(terms, alpha=-1.0),
         ),
         "du_mr/robust-common": cf.make_plan(
             terms, "du_mr", "coherent", 0.5, weights=robust.weights, unit_eta=True

@@ -190,7 +190,7 @@ def test_oscillators_that_leave_no_estimate_rejected(tmp_path, capsys):
     data = one_scheme_spec()
     data["system"].update(L=3, K=3, tau_p=2, osc_constant_ap=1e-12, osc_constant_ue=1e-12)
     with pytest.raises(cli.ConfigError, match=r"^config: system\.osc_constant_ap/osc_constant_ue: "
-                                              r".*c_ap/c_ue"):
+                                              r".*no channel estimate$"):
         cli.spec_from_dict(data)
     path = write_spec(tmp_path, data)
     assert cli.main(["se", "--config", str(path), "--out", str(tmp_path / "se.csv")]) == 2
@@ -201,6 +201,25 @@ def test_oscillators_that_leave_no_estimate_rejected(tmp_path, capsys):
         cli.spec_from_dict(data)
     data["sweep"]["values"] = [1e-4, 100.0]
     assert cli.spec_from_dict(data).sweep_values == (1e-4, 100.0)
+
+
+def test_a_decorrelation_error_names_only_the_input_that_set_the_variances(tmp_path, capsys):
+    # the library states the fact, and the prefix names the flag or the
+    # spec key that set the variances, with no hint at any other input
+    assert cli.main(["nmse", "--variances", "1e3", "--out", str(tmp_path / "nmse.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "error: --variances: " in err and "no channel estimate" in err
+    data = one_scheme_spec()
+    data["system"].update(osc_constant_ap=1e-9, osc_constant_ue=1e-9)
+    with pytest.raises(cli.ConfigError, match=r"^config: system\.osc_constant_ap/osc_constant_ue: "
+                                              r".*no channel estimate$") as base:
+        cli.spec_from_dict(data)
+    data["sweep"] = {"parameter": "oscillator_variance", "values": [1e-4, 1e3]}
+    with pytest.raises(cli.ConfigError, match=r"^config: sweep\.values\[1\]: "
+                                              r".*no channel estimate$") as swept:
+        cli.spec_from_dict(data)
+    for message in (err, str(base.value), str(swept.value)):
+        assert "c_ap/c_ue" not in message and "sweep value" not in message
 
 
 @pytest.mark.parametrize("argv", [

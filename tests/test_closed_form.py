@@ -16,6 +16,7 @@ from conftest import (
     per_set_y,
     random_instance,
     random_template,
+    uneven_pilots,
 )
 
 
@@ -381,7 +382,7 @@ def test_blocked_tr_qcr_matches_dense_einsum():
     w = rng.uniform(0, 1, (cfg.K, cfg.L)) * np.conj(net.theta)
     eta = rng.uniform(0.5, 2, cfg.L)
     for policy in ("round_robin", "random"):
-        pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p, policy, seed=1)
+        pilots = uneven_pilots(policy)
         assert np.bincount(pilots.set_of).tolist() == [2, 2, 3]
         if policy == "random":
             # instant order differs from first-member order, so a block
@@ -436,7 +437,7 @@ def test_copilot_traces_are_rank_one_in_the_factors(policy):
     cfg = dataclasses.replace(cfg, p_pilot=tuple(rng.uniform(0.05, 0.2, cfg.K)))
     net = dataclasses.replace(net, beta=10 ** rng.uniform(-10, -8, net.beta.shape),
                               template=random_template(rng, cfg.N))
-    pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p, policy, seed=1)
+    pilots = uneven_pilots(policy)
     assert np.bincount(pilots.set_of).tolist() == [2, 2, 3]
     assert phases.var_sum > 0
     stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
@@ -506,7 +507,7 @@ def test_copilot_blocks_match_dense_references_on_uneven_groups():
         return np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     for policy in ("round_robin", "random"):
-        pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p, policy, seed=1)
+        pilots = uneven_pilots(policy)
         assert np.bincount(pilots.set_of).tolist() == [2, 2, 3]
         stats = cfrs.estimation_statistics(net, pilots, phases, cfg)
         terms = cf.TraceTerms.compute(net, stats, pilots)
@@ -516,8 +517,9 @@ def test_copilot_blocks_match_dense_references_on_uneven_groups():
         assert close(cf.common_normalization(terms, weights), eta)
         for scheme in cf.PRIVATE_SCHEMES:
             for transmission in cf.TRANSMISSIONS:
-                plan = cf.make_plan(terms, scheme, transmission, 0.3, weights=weights,
-                                    power_control_alpha=-1.0)
+                plan = dataclasses.replace(
+                    cf.make_plan(terms, scheme, transmission, 0.3, weights=weights),
+                    mu=cf.power_control_coefficients(terms, alpha=-1.0))
                 parts = cf.plan_parts(terms, plan, phases, cfg, ns)
                 ref = dense_plan_parts(net, Q, Q_cross, plan, ea, eu)
                 for name, value in ref.items():
@@ -634,6 +636,28 @@ def test_non_integral_instants_rejected(desk, instants, bad):
         cf.plan_parts(terms, plan, phases, cfg, instants)
     # integral values given as floats are the instants they name
     assert np.array_equal(cf.check_instants(cfg, [5.0, 8.0]), [5, 8])
+
+
+def test_a_stacks_decays_are_each_jobs_own_bit_for_bit():
+    cfg = cfrs.SystemConfig(L=4, K=3, N=2, tau_p=2, tau_c=20, seed=1)
+    phases = [cfrs.PhaseStatistics(0.0, 0.0), cfrs.PhaseStatistics(1e-4, 3e-3),
+              cfrs.PhaseStatistics(0.2, 1e-6)]
+    configs = [cfg, dataclasses.replace(cfg, seed=2, p_d=0.5), cfg]
+    ns = cfg.data_instants()
+    ea, eu = cf.decay_pair(phases, configs, ns)
+    assert ea.shape == eu.shape == (len(ns), len(configs))
+    for b, (ph, c) in enumerate(zip(phases, configs)):
+        own_ea, own_eu = cf.decay_pair(ph, c, ns)
+        assert np.array_equal(ea[:, b], own_ea) and np.array_equal(eu[:, b], own_eu)
+
+
+@pytest.mark.parametrize("change", [{"tau_p": 3}, {"tau_c": 30}], ids=["tau_p", "tau_c"])
+def test_a_stack_of_jobs_on_other_instants_is_refused(change):
+    cfg = cfrs.SystemConfig(L=4, K=3, N=2, tau_p=2, tau_c=20, seed=1)
+    phases = [cfrs.PhaseStatistics(1e-4, 1e-4)] * 2
+    with pytest.raises(ValueError, match="stacked jobs must share their estimation instant "
+                                         "and tau_c"):
+        cf.decay_pair(phases, [cfg, dataclasses.replace(cfg, **change)], cfg.data_instants())
 
 
 # ---------------------------------------------------------------------------

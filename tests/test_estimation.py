@@ -20,6 +20,7 @@ from conftest import (
     random_template,
     rank1_q_cross,
     to_eigenbasis,
+    uneven_pilots,
 )
 
 
@@ -60,8 +61,6 @@ def test_pilot_instants_outside_the_pilot_block_rejected(t):
 def test_pilot_assignment_checks_its_arguments():
     with pytest.raises(ValueError, match="tau_p must be >= 1"):
         cfrs.assign_pilots(2, 0)
-    with pytest.raises(ValueError, match="pilot policy 'greedy'"):
-        cfrs.assign_pilots(2, 2, policy="greedy")
 
 def check_set_numbering(pa):
     """Every UE is in exactly one set, ``set_of`` and ``stacks`` agree, the
@@ -87,17 +86,25 @@ def check_set_numbering(pa):
     assert np.allclose(pa.set_sums(a), want, rtol=1e-15, atol=0)
 
 
+def pilots_by(policy, K, tau_p, seed):
+    """Round-robin pilots, or ("random") K instants drawn uniformly from
+    1..tau_p by a generator seeded with ``seed``."""
+    if policy == "round_robin":
+        return cfrs.assign_pilots(K, tau_p)
+    t = np.random.default_rng(seed).integers(1, tau_p + 1, size=K)
+    return cfrs.PilotAssignment(t=t, tau_p=tau_p)
+
+
 def test_set_numbering_partitions_and_orders_the_sets():
     for policy in ("round_robin", "random"):
         for K in range(1, 33):
             for tau_p in range(1, K + 1):
-                check_set_numbering(cfrs.assign_pilots(K, tau_p, policy, seed=K * 100 + tau_p))
+                check_set_numbering(pilots_by(policy, K, tau_p, seed=K * 100 + tau_p))
         rng = np.random.default_rng(0)
         for _ in range(50):
             K = int(rng.integers(1, 65))
             tau_p = int(rng.integers(1, K + 9))
-            check_set_numbering(
-                cfrs.assign_pilots(K, tau_p, policy, seed=int(rng.integers(1e9))))
+            check_set_numbering(pilots_by(policy, K, tau_p, seed=int(rng.integers(1e9))))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +160,7 @@ def test_a_drift_that_leaves_no_estimate_is_named():
     net = cfrs.build_network(cfg)
     pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p)
     phases = cfrs.PhaseStatistics.from_config(cfg)
-    with pytest.raises(ValueError, match=r"UE 0's pilot over the 2 symbol.*c_ap/c_ue"):
+    with pytest.raises(ValueError, match=r"UE 0's pilot over the 2 symbol.*no channel estimate$"):
         cfrs.estimation_statistics(net, pilots, phases, cfg)
     # a drift below the underflow still gives finite statistics
     phases = cfrs.PhaseStatistics(100.0, 100.0)
@@ -271,7 +278,7 @@ def test_stacked_statistics_match_per_link_loop_on_uneven_sets(policy):
     cfg = dataclasses.replace(cfg, p_pilot=tuple(rng.uniform(0.05, 0.2, cfg.K)))
     net = dataclasses.replace(net, beta=10 ** rng.uniform(-10, -8, net.beta.shape),
                               template=random_template(rng, cfg.N))
-    pilots = cfrs.assign_pilots(cfg.K, cfg.tau_p, policy, seed=1)
+    pilots = uneven_pilots(policy)
     # the sets in pilot-instant order
     groups = [np.flatnonzero(pilots.t == inst).tolist() for inst in np.unique(pilots.t)]
     assert sorted(len(g) for g in groups) == [2, 2, 3]

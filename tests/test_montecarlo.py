@@ -968,7 +968,7 @@ def test_mc_matches_closed_form_with_power_control(desk, desk_batch, desk_instan
     cfg, net, pilots, phases, stats, terms = desk
     n = desk_instants[1]
     mu = cf.power_control_coefficients(terms, alpha=-1.0)
-    plan = cf.make_plan(terms, "du_mr", "coherent", 0.0, power_control_alpha=-1.0)
+    plan = dataclasses.replace(cf.make_plan(terms, "du_mr", "coherent", 0.0), mu=mu)
     res = cfrs.mc_sinr(desk_batch([plan]), plan, n)
     closed = cf.assemble(cf.plan_parts(terms, plan, phases, cfg, n), 0.0)[0][:, 0]
     assert np.all(np.abs(res.private - closed) / closed < 0.03)
@@ -982,7 +982,8 @@ def test_per_ap_power_within_limit(desk, desk_batch):
         cf.make_plan(terms, "df_mr", "coherent", 0.9),
         cf.make_plan(terms, "du_mr", "noncoherent", 0.5),
         cf.make_plan(terms, "df_mr", "noncoherent", 0.0),
-        cf.make_plan(terms, "du_mr", "coherent", 0.3, power_control_alpha=-1.0),
+        dataclasses.replace(cf.make_plan(terms, "du_mr", "coherent", 0.3),
+                            mu=cf.power_control_coefficients(terms, alpha=-1.0)),
     ]
     batch = desk_batch(plans)
     for plan in plans:

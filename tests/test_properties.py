@@ -149,9 +149,16 @@ def test_a_stacked_plan_is_each_jobs_own_plan_and_keeps_every_ap_in_budget(jobs,
     # bit; every simple-weights plan spends at most unit power per AP on
     # each stream: sum_k mu tr_Q privately, common_power * eta in common
     _, _, terms = jobs
-    stack = cf.make_plan(cf.TraceTerms.stack(terms), *spec, power_control_alpha=alpha)
+
+    def plan(t):
+        made = cf.make_plan(t, *spec)
+        if alpha is None:
+            return made
+        return dataclasses.replace(made, mu=cf.power_control_coefficients(t, alpha))
+
+    stack = plan(cf.TraceTerms.stack(terms))
     for b, t in enumerate(terms):
-        own = cf.make_plan(t, *spec, power_control_alpha=alpha)
+        own = plan(t)
         cut = stack.job(b)
         assert (cut.private_scheme, cut.transmission, cut.rho) == spec
         for name in ("weights", "mu", "eta"):
