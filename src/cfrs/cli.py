@@ -376,7 +376,10 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
 
 
 def _read_json(path: Path):
-    """The JSON value in ``path``; a missing file or bad JSON is a ConfigError."""
+    """The JSON value in ``path``; a directory, a missing file or bad JSON
+    is a ConfigError."""
+    if path.is_dir():
+        raise ConfigError(f"{path}: is a directory, not a JSON file")
     if not path.is_file():
         raise ConfigError(f"{path}: file not found")
     try:
@@ -577,10 +580,12 @@ def run_jobs(jobs: list[Job | Exception], mc_realizations: int = 0) -> list:
 
 def _mc_errors(job: Job, plan, report, mc_realizations: int) -> dict:
     """The Monte Carlo check of a job's report at the mid instant: the
-    largest relative error per stream, left out where every UE is.  A UE
-    is left out where its closed-form SINR is at or below the larger of
-    the 1e-30 floor and the stream's Monte Carlo standard error: the check
-    cannot resolve a SINR below its own noise."""
+    largest relative error per stream (``MCSinr.compare``), left out where
+    every UE is.  A UE is left out where its closed-form SINR is at or
+    below the larger of the 1e-30 floor and the stream's Monte Carlo
+    standard error: the check cannot resolve a SINR below its own noise.
+    At rho = 0 every closed-form common SINR is 0, so the common column
+    stays blank."""
     cfg = job.cfg
     net, pilots, stats, _ = job.topology
     mid = cfg.mid_instant
@@ -590,27 +595,12 @@ def _mc_errors(job: Job, plan, report, mc_realizations: int) -> dict:
     )
     mc = montecarlo.mc_sinr(batch, plan, mid)
     i = mid - cfg.estimation_instant  # the report's columns start at lambda
-    streams = [("private", mc.private, mc.private_stderr, report.sinr_private[:, i])]
-    if plan.rho > 0:
-        streams.append(("common", mc.common, mc.common_stderr, report.sinr_common[:, i]))
     errors = {}
-    for stream, est, stderr, closed in streams:
-        # the column stays blank when every UE is left out
-        rel = _relative_errors(est, closed, np.maximum(stderr, 1e-30))
+    for stream, closed in (("private", report.sinr_private), ("common", report.sinr_common)):
+        rel = mc.compare(stream, closed[:, i], above_noise=True).rel_err
         if not np.isnan(rel).all():
             errors[f"mc_rel_err_{stream}"] = float(np.nanmax(rel))
     return errors
-
-
-def _relative_errors(est: np.ndarray, closed: np.ndarray, floor=1e-30) -> np.ndarray:
-    """|est - closed| / closed per UE of a Monte Carlo estimate against the
-    closed-form SINRs, nan where the closed form is at or below the floor
-    (1e-30, or per UE): a relative error against it says nothing, so that
-    UE is left out."""
-    rel = np.full(closed.shape, np.nan)
-    above = closed > floor
-    rel[above] = np.abs(est[above] - closed[above]) / closed[above]
-    return rel
 
 
 LABEL_COLUMNS = [
@@ -789,10 +779,12 @@ def _system_phases(cfg: SystemConfig, args) -> PhaseStatistics:
     return _check_decay(cfg, PhaseStatistics.from_config(cfg), where)
 
 
-def _output_file(value: str | None, flag: str, default: str | None = None) -> Path | None:
+def _output_file(value: str | None, flag: str, default: str | None = None,
+                 other: tuple[str, Path] | None = None) -> Path | None:
     """The file ``flag`` names, or ``default`` when it names none (None if
-    neither), checked before any work: a directory or a missing parent
-    directory raises ConfigError naming the flag."""
+    neither), checked before any work: a directory, a missing parent
+    directory or the file of the ``other`` (flag, path) output, which the
+    later write would overwrite, raises ConfigError naming the flag(s)."""
     if not (value or default):
         return None
     path = Path(value or default)
@@ -800,6 +792,8 @@ def _output_file(value: str | None, flag: str, default: str | None = None) -> Pa
         raise ConfigError(f"{flag}: {path} is a directory")
     if not path.parent.is_dir():
         raise ConfigError(f"{flag}: directory {path.parent} does not exist")
+    if other is not None and path.resolve() == other[1].resolve():
+        raise ConfigError(f"{flag}: {path} is also the {other[0]} file")
     return path
 
 
@@ -836,7 +830,7 @@ def cmd_nmse(args) -> int:
 
 def cmd_se(args) -> int:
     out = _output_file(args.out, "--out", "se.csv")
-    net_path = _output_file(args.dump_network, "--dump-network")
+    net_path = _output_file(args.dump_network, "--dump-network", other=("--out", out))
     cfg, spec = _load_system(args)
     phases = _system_phases(cfg, args)
     schemes = (
@@ -906,9 +900,10 @@ def validate_families(
     rho: float = 0.5,
     terms_out: Path | None = None,
 ):
-    """Closed form vs Monte Carlo for all eight SINR families; a row's
+    """Closed form vs Monte Carlo for all eight SINR families, one row per
+    (family, instant, UE) from the comparison ``MCSinr.compare``; a row's
     rel_err is blank where its closed-form SINR is at or below the 1e-30
-    floor (``_relative_errors``)."""
+    floor."""
     net, pilots, stats, terms = build_topology(cfg, phases)
     lam = cfg.estimation_instant
     instants = sorted({lam, min(lam + 5, cfg.tau_c), cfg.tau_c})
@@ -931,29 +926,16 @@ def validate_families(
     for stream, transmission, scheme in FAMILIES:
         plan, closed_sinrs = plans[transmission, scheme]
         mc_list = montecarlo.mc_sinr(batch, plan, instants)
-        closed_all = closed_sinrs[stream]  # (K, M)
-        for n, mc, closed in zip(instants, mc_list, closed_all.T):
-            est = mc.private if stream == "private" else mc.common
-            stderr = mc.private_stderr if stream == "private" else mc.common_stderr
-            ci = mc.private_ci if stream == "private" else mc.common_ci
-            rel = _relative_errors(est, closed)
-            for k in range(cfg.K):
-                rows.append(
-                    {
-                        "stream": stream,
-                        "transmission": transmission,
-                        "scheme": scheme,
-                        "n": int(n),
-                        "k": k,
-                        "closed_sinr": repr(float(closed[k])),
-                        "mc_sinr": repr(float(est[k])),
-                        "mc_stderr": repr(float(stderr[k])),
-                        "rel_err": "" if np.isnan(rel[k]) else repr(float(rel[k])),
-                        "ci_lo": repr(float(ci[k, 0])),
-                        "ci_hi": repr(float(ci[k, 1])),
-                        "covered": int(ci[k, 0] <= closed[k] <= ci[k, 1]),
-                    }
-                )
+        for n, mc, closed in zip(instants, mc_list, closed_sinrs[stream].T):
+            c = mc.compare(stream, closed)
+            rows += [{"stream": stream, "transmission": transmission, "scheme": scheme,
+                      "n": int(n), "k": k, "closed_sinr": repr(float(closed[k])),
+                      "mc_sinr": repr(float(c.estimate[k])),
+                      "mc_stderr": repr(float(c.stderr[k])),
+                      "rel_err": "" if np.isnan(c.rel_err[k]) else repr(float(c.rel_err[k])),
+                      "ci_lo": repr(float(c.ci_lo[k])), "ci_hi": repr(float(c.ci_hi[k])),
+                      "covered": int(c.covered[k])}
+                     for k in range(cfg.K)]
         if terms_out is not None:
             family = {"stream": stream, "transmission": transmission, "scheme": scheme,
                       "n": instants[0]}
@@ -986,7 +968,7 @@ def cmd_validate(args) -> int:
         raise ConfigError(
             f"--mc: need at least {montecarlo.MIN_REALIZATIONS} realizations, got {args.mc}")
     out = _output_file(args.out, "--out", "validate.csv")
-    terms_out = _output_file(args.terms_out, "--terms-out")
+    terms_out = _output_file(args.terms_out, "--terms-out", other=("--out", out))
     cfg, _ = _load_system(args, default=_desk_config())
     phases = _system_phases(cfg, args)
     rows = validate_families(cfg, phases, args.mc, terms_out=terms_out)

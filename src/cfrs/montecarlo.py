@@ -97,7 +97,10 @@ t quantile); one helper gives the delete-one-block means, so one set of
 sums yields both the term estimates (``MCSinr.terms``) and the
 bias-corrected SINRs with their standard errors, and one ``assemble``
 call per (plan, instant) forms the SINRs of the full and of every
-delete-one mean.
+delete-one mean.  ``MCSinr.compare`` is the one comparison of a stream's
+estimates with its closed form, per UE: the interval, the relative error
+above a floor and the coverage, from which ``cfrs validate`` writes its
+rows and a sweep's Monte Carlo check its worst errors.
 """
 
 from __future__ import annotations
@@ -922,9 +925,22 @@ class UatFTerms:
 
 
 @dataclass(frozen=True)
+class Comparison:
+    """One stream's Monte Carlo SINRs against their closed form, per UE
+    (``MCSinr.compare``)."""
+
+    estimate: np.ndarray
+    stderr: np.ndarray
+    ci_lo: np.ndarray    # the 95% interval, estimate -/+ t stderr
+    ci_hi: np.ndarray
+    rel_err: np.ndarray  # |estimate - closed| / closed, nan at or below the floor
+    covered: np.ndarray  # ci_lo <= closed <= ci_hi
+
+
+@dataclass(frozen=True)
 class MCSinr:
-    """Monte Carlo SINR estimates with jackknife standard errors and 95% CIs,
-    and the term estimates they are assembled from."""
+    """Monte Carlo SINR estimates with jackknife standard errors, and the
+    term estimates they are assembled from."""
 
     instant: int
     private: np.ndarray
@@ -934,15 +950,24 @@ class MCSinr:
     terms: UatFTerms
     count: int
 
-    @property
-    def private_ci(self) -> np.ndarray:
-        return np.stack([self.private - _T95 * self.private_stderr,
-                         self.private + _T95 * self.private_stderr], axis=1)
+    def compare(self, stream: str, closed, *, above_noise=False) -> Comparison:
+        """The ``stream`` ("private" or "common") estimates against the
+        closed-form SINRs ``closed`` (K,): the one comparison of the oracle
+        with the closed form.
 
-    @property
-    def common_ci(self) -> np.ndarray:
-        return np.stack([self.common - _T95 * self.common_stderr,
-                         self.common + _T95 * self.common_stderr], axis=1)
+        The relative error is nan where the closed form is at or below
+        1e-30, and with ``above_noise`` also where it is at or below the
+        estimate's standard error: there the error says nothing, so the
+        UE is left out.  Coverage is inclusive at both ends of the
+        interval, and false where the closed form or the estimate is nan.
+        """
+        est, stderr = {"private": (self.private, self.private_stderr),
+                       "common": (self.common, self.common_stderr)}[stream]
+        floor = np.maximum(stderr, 1e-30) if above_noise else 1e-30
+        rel = np.divide(np.abs(est - closed), closed, out=np.full(closed.shape, np.nan),
+                        where=closed > floor)
+        lo, hi = est - _T95 * stderr, est + _T95 * stderr
+        return Comparison(est, stderr, lo, hi, rel, (lo <= closed) & (closed <= hi))
 
 
 def _declared_sums(batch: RealizationBatch, plan: PrecodingPlan) -> _BlockSums:

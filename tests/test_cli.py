@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1186,6 +1187,52 @@ def test_mc_rel_err_is_blank_where_the_check_cannot_resolve_the_sinr(tmp_path):
             assert unresolved or float(err) < 1.0
 
 
+@pytest.mark.parametrize("rho", [0.0, 0.5])
+def test_a_sweep_mc_column_is_blank_when_every_ue_is_left_out(rho, monkeypatch):
+    # UE 1's private SINR lies at its standard error and every common SINR
+    # below its own: only UE 0's private error is kept.  At rho = 0 every
+    # closed-form common SINR is 0
+    cfg = cfrs.SystemConfig(L=3, K=2, N=2, tau_p=2, tau_c=20, seed=1)
+    i = cfg.mid_instant - cfg.estimation_instant
+    result = cfrs.MCSinr(cfg.mid_instant, np.array([0.6, 1e-3]), np.array([0.01, 1e-3]),
+                         np.array([5e-3, 0.0]), np.array([0.01, 0.01]), None, 200)
+    monkeypatch.setattr(cli.montecarlo, "sample_batch", lambda *args, **kwargs: None)
+    monkeypatch.setattr(cli.montecarlo, "mc_sinr", lambda batch, plan, n: result)
+    closed = np.zeros((2, cfg.tau_c - cfg.estimation_instant + 1))
+    report = SimpleNamespace(sinr_private=closed.copy(), sinr_common=closed.copy())
+    report.sinr_private[:, i] = [0.5, 1e-3]
+    report.sinr_common[:, i] = [4e-3 if rho else 0.0, 1e-30]
+    job = cli.Job(cfg, None, None, (None, None, None, None))
+    plan = SimpleNamespace(rho=rho)
+    assert cli._mc_errors(job, plan, report, 200) == {"mc_rel_err_private": abs(0.6 - 0.5) / 0.5}
+
+
+def test_validate_rows_are_the_comparisons_fields(monkeypatch):
+    # every row holds one UE of one MCSinr.compare call, in call order
+    calls = []
+    compare = cfrs.MCSinr.compare
+
+    def spy(self, stream, closed, *args, **kwargs):
+        calls.append((stream, self.instant, closed, compare(self, stream, closed,
+                                                            *args, **kwargs)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(cfrs.MCSinr, "compare", spy)
+    cfg = cfrs.SystemConfig(L=3, K=2, N=2, tau_p=2, tau_c=20, seed=1)
+    rows = cli.validate_families(cfg, cfrs.PhaseStatistics.from_config(cfg), 200)
+    assert len(rows) == len(calls) * cfg.K == 8 * 3 * cfg.K
+    for j, row in enumerate(rows):
+        stream, n, closed, c = calls[j // cfg.K]
+        k = j % cfg.K
+        assert (row["stream"], row["n"], row["k"]) == (stream, n, k)
+        assert row["closed_sinr"] == repr(float(closed[k]))
+        for column, field in (("mc_sinr", c.estimate), ("mc_stderr", c.stderr),
+                              ("ci_lo", c.ci_lo), ("ci_hi", c.ci_hi)):
+            assert row[column] == repr(float(field[k]))
+        assert row["rel_err"] == ("" if np.isnan(c.rel_err[k]) else repr(float(c.rel_err[k])))
+        assert row["covered"] == int(c.covered[k]) and type(row["covered"]) is int
+
+
 def test_validate_leaves_out_the_ues_whose_closed_form_sinr_underflows(tmp_path, capsys):
     # the same 3/3/2/2 system at 25 rad^2: 64 of the 72 rows have a
     # closed-form SINR at or below the 1e-30 floor, where rel_err read up to
@@ -1446,6 +1493,12 @@ def test_sweep_requires_config():
     ["nmse", "--variances", "-1"],
     ["nmse", "--variances", "nan"],
     ["nmse", "--variances", "1e3"],
+    # a second output flag naming the --out file, {tmp} being the test's directory
+    ["se", "--dump-network", "{tmp}/out.csv"],
+    ["validate", "--terms-out", "{tmp}/out.csv", "--mc", "200"],
+    # a directory given as the spec or the manifest
+    ["sweep", "--config", "{tmp}"],
+    ["sweep", "--replay", "{tmp}"],
 ], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
 def test_bad_flags_fail_at_the_boundary(argv, tmp_path, monkeypatch, capsys):
     def no_topology(*args):
@@ -1453,11 +1506,27 @@ def test_bad_flags_fail_at_the_boundary(argv, tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "build_topology", no_topology)
     monkeypatch.setattr(cli, "build_network", no_topology)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     out = tmp_path / "out.csv"
     # rho-opt writes no file, so it has no --out
     assert cli.main(argv + ([] if argv[0] == "rho-opt" else ["--out", str(out)])) == 2
-    assert f"error: {argv[1]}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if argv[1] in ("--config", "--replay"):  # a spec's errors name the file
+        assert f"error: {argv[2]}: is a directory" in err
+    else:
+        assert f"error: {argv[1]}: " in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["se", "--dump-network"], ["validate", "--terms-out"]],
+                         ids=" ".join)
+def test_two_output_flags_naming_one_file_exit_2(argv, tmp_path, monkeypatch, capsys):
+    # the paths are compared resolved: a relative --out names the absolute file
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "f.csv"
+    assert cli.main(argv + [str(path), "--out", "f.csv"]) == 2
+    assert capsys.readouterr().err == f"error: {argv[1]}: {path} is also the --out file\n"
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("target", ["directory", "missing parent"])

@@ -328,6 +328,38 @@ def test_correlated_oracle_matches_the_closed_form():
             assert np.all(np.abs(est - want) <= 4 * stderr), (scheme, transmission)
 
 
+def mc_result(private, private_stderr, common=(), common_stderr=()):
+    """An ``MCSinr`` of the given per-UE estimates, with no terms."""
+    return mc.MCSinr(instant=10, private=np.array(private, dtype=float),
+                     private_stderr=np.array(private_stderr, dtype=float),
+                     common=np.array(common, dtype=float),
+                     common_stderr=np.array(common_stderr, dtype=float), terms=None, count=100)
+
+
+def test_comparison_leaves_out_the_ues_at_and_below_the_floor():
+    res = mc_result([1.0, 1.0, 1.0, 1.5, 3.0], [0.1, 0.0, 0.1, 0.1, 0.1])
+    closed = np.array([0.0, 1e-30, 2e-30, 0.5, 2.0])
+    rel = res.compare("private", closed).rel_err
+    assert np.isnan(rel[:2]).all()
+    assert rel[2:].tolist() == [abs(1.0 - 2e-30) / 2e-30, 2.0, 0.5]
+    # above_noise raises the 1e-30 floor to the standard error where that
+    # is larger; UE 1's standard error is 0, so 1e-30 still leaves it out
+    rel = res.compare("private", closed, above_noise=True).rel_err
+    assert np.isnan(rel[:3]).all() and rel[3:].tolist() == [2.0, 0.5]
+    with pytest.raises(KeyError, match="both"):
+        res.compare("both", closed)
+
+
+def test_comparison_coverage_is_inclusive_at_both_ends_and_false_for_nan():
+    res = mc_result([], [], common=[1.0, 1.0, 1.0, 1.0, np.nan], common_stderr=[0.1] * 5)
+    lo, hi = 1.0 - mc._T95 * 0.1, 1.0 + mc._T95 * 0.1
+    closed = np.array([lo, hi, np.nextafter(lo, 0), np.nan, 1.0])
+    c = res.compare("common", closed)
+    assert c.ci_lo[:4].tolist() == [lo] * 4 and c.ci_hi[:4].tolist() == [hi] * 4
+    assert c.covered.tolist() == [True, True, False, False, False]
+    assert c.estimate is res.common and c.stderr is res.common_stderr
+
+
 def test_confidence_intervals_cover_reference():
     # CIs from independent small batches must cover a 2M-realization
     # reference estimate in at least ~95% of trials
@@ -343,10 +375,9 @@ def test_confidence_intervals_cover_reference():
         batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, 20_000, seed=seed,
                                   instants=[n], plans=[plan])
         res = cfrs.mc_sinr(batch, plan, n)
-        for k in range(cfg.K):
-            trials += 2
-            covered += res.private_ci[k, 0] <= ref.private[k] <= res.private_ci[k, 1]
-            covered += res.common_ci[k, 0] <= ref.common[k] <= res.common_ci[k, 1]
+        for stream in ("private", "common"):
+            trials += cfg.K
+            covered += int(np.sum(res.compare(stream, getattr(ref, stream)).covered))
     # binomial(120, 0.95): >= 107 with probability > 0.99
     assert covered >= 107, f"coverage {covered}/{trials}"
 
@@ -366,8 +397,8 @@ def test_intervals_at_the_realization_floor_cover_reference():
         batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, mc.MIN_REALIZATIONS,
                                   seed=seed, instants=[n], plans=[plan])
         res = cfrs.mc_sinr(batch, plan, n)
-        for ci, value in ((res.private_ci, ref.private), (res.common_ci, ref.common)):
-            covered += int(np.sum((ci[:, 0] <= value) & (value <= ci[:, 1])))
+        for stream in ("private", "common"):
+            covered += int(np.sum(res.compare(stream, getattr(ref, stream)).covered))
     # binomial(400, 0.95): >= 366 with probability > 0.999
     assert covered >= 366, f"coverage {covered}/400"
 
@@ -939,7 +970,8 @@ def test_confidence_interval_clt_scaling(desk):
             batch = cfrs.sample_batch(net, pilots, stats, phases, cfg, count, seed, instants=[n],
                                       plans=[plan])
             res = cfrs.mc_sinr(batch, plan, n)
-            per_seed.append(np.mean(res.private_ci[:, 1] - res.private_ci[:, 0]))
+            c = res.compare("private", res.private)
+            per_seed.append(np.mean(c.ci_hi - c.ci_lo))
         widths.append(np.mean(per_seed))
     slope = np.polyfit(np.log10([1e3, 1e4, 1e5]), np.log10(widths), 1)[0]
     assert abs(slope + 0.5) < 0.1  # within 20% of the CLT exponent
