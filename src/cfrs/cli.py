@@ -486,25 +486,26 @@ def run_jobs(jobs: list[Job | Exception], mc_realizations: int = 0) -> list:
     build the plans and the rho-independent coefficients as stacks with a
     leading job axis, and these stacks are joined once into one stack
     with a row per job.  One lockstep ``optimize.optimal_rho`` searches the
-    rows of the jobs that optimize rho, and one ``se_report`` reports the
-    rows of every job but the robust ones.  A robust job's weights, found
-    at its searched rho, need their own plan and coefficients: it gets a
-    one-job stack, from which it is reported alone.  Each job's Monte
-    Carlo check runs on the plan cut from its stack's plan.  If a stacked
-    call raises, its jobs are redone one by one (``_in_stack``), so each
-    failure lands on its own job and the others keep their numbers, which
-    a stack computes bitwise as their own calls do.
+    rows of the jobs that optimize rho.  Each robust job's max-min weights
+    are solved at its searched rho, one solve per job; one more
+    ``plan_parts`` call builds the coefficients of all robust jobs as a
+    stack, whose rows are appended to the repetition stack in place of
+    their simple-weight rows.  One ``se_report`` reports every job's row.
+    Each job's Monte Carlo check runs on the plan cut from its stack's
+    plan.  If a stacked call raises, its jobs are redone one by one
+    (``_in_stack``), so each failure lands on its own job and the others
+    keep their numbers, which a stack computes bitwise as their own calls
+    do.
     """
     failed = {i: job for i, job in enumerate(jobs) if isinstance(job, Exception)}
     built = [i for i in range(len(jobs)) if i not in failed]
     if len({(jobs[i].cfg.K, jobs[i].cfg.tau_p, jobs[i].cfg.tau_c) for i in built}) > 1:
         raise ValueError("jobs evaluated together must share K, tau_p and tau_c")
 
-    def parts_of(ids, rho=0.0, **plan_args):
+    def parts_of(ids, **kwargs):
         first = jobs[ids[0]]
         terms = TraceTerms.stack([jobs[i].topology.terms for i in ids])
-        plan = make_plan(terms, first.scheme.private_scheme, first.scheme.transmission, rho,
-                         **plan_args)
+        plan = make_plan(terms, first.scheme.private_scheme, first.scheme.transmission, **kwargs)
         return plan, closed_form.plan_parts(terms, plan, [jobs[i].phases for i in ids],
                                             [jobs[i].cfg for i in ids],
                                             first.cfg.data_instants())
@@ -518,11 +519,8 @@ def run_jobs(jobs: list[Job | Exception], mc_realizations: int = 0) -> list:
     row = {i: r for r, i in enumerate(order)}
     stack = closed_form.PlanParts.stack([parts for _, (_, parts) in calls]) if calls else None
     plans = {i: (plan, b) for ids, (plan, _) in calls for b, i in enumerate(ids)}
-    own = {}  # robust job -> its one-job stack
 
     def rows_of(ids):
-        if ids[0] in own:  # a robust job is reported alone
-            return own[ids[0]]
         rows = [row[i] for i in ids]
         return stack if rows == list(range(stack.jobs)) else stack.take(rows)
 
@@ -544,17 +542,26 @@ def run_jobs(jobs: list[Job | Exception], mc_realizations: int = 0) -> list:
         rho.update(zip(ids, found))
     extras = {i: {"optimized_rho": rho[i]} for i in searched if i in rho}
 
+    weights = {}  # robust job -> its max-min weights, solved at its searched rho
     for i in order:
         job = jobs[i]
         if job.scheme.rs_enabled and job.scheme.weights_mode == "robust" and rho.get(i, 0) > 0:
             try:
                 problem = optimize.build_maxmin_problem(job.topology.terms, job.phases,
                                                         job.cfg, rho[i])
-                weights = optimize.robust_common_precoding(problem).weights
-                plan, own[i] = parts_of([i], rho[i], weights=weights[None], unit_eta=True)
-                plans[i] = plan, 0
+                weights[i] = optimize.robust_common_precoding(problem).weights
             except Exception as exc:  # recorded, the other jobs continue
                 failed[i] = exc
+
+    def robust_parts(ids):
+        return parts_of(ids, weights=np.stack([weights[i] for i in ids]), unit_eta=True)
+
+    # a robust job's row, appended to the stack, replaces the simple-weight
+    # row its rho was searched on
+    robust = _in_stack(robust_parts, list(weights), failed)
+    row.update((i, stack.jobs + r) for r, i in enumerate(i for ids, _ in robust for i in ids))
+    plans.update((i, (plan, b)) for ids, (plan, _) in robust for b, i in enumerate(ids))
+    stack = closed_form.PlanParts.stack([stack, *(parts for _, (_, parts) in robust)])
 
     def report(ids):
         result = closed_form.se_report(rows_of(ids), np.array([rho[i] for i in ids]),
@@ -562,10 +569,9 @@ def run_jobs(jobs: list[Job | Exception], mc_realizations: int = 0) -> list:
         return [result.job(b) for b in range(len(ids))]
 
     reports = {}
-    shared = [i for i in order if i in rho and i not in failed and i not in own]
-    for group in [shared, *([i] for i in own)]:
-        for ids, found in _in_stack(report, group, failed):
-            reports.update(zip(ids, found))
+    for ids, found in _in_stack(report, [i for i in order if i in rho and i not in failed],
+                                failed):
+        reports.update(zip(ids, found))
 
     for i in reports if mc_realizations > 0 else ():
         plan, b = plans[i]

@@ -952,6 +952,38 @@ def test_a_failed_robust_solve_fails_its_job_alone(tmp_path, monkeypatch):
                             "error:SolverIndeterminate", spec.base.K)
 
 
+def test_a_robust_job_failing_inside_the_robust_stack_fails_alone(tmp_path, monkeypatch):
+    # the robust jobs' plans and coefficients are one stack; when its plan
+    # raises, each robust job is redone alone, and only the job whose own
+    # plan raises too is tagged
+    spec = cli.spec_from_dict(one_scheme_spec(
+        schemes=[DU_RS, {**DU_RS, "weights": "robust"}],
+        sweep={"parameter": "transmit_power", "values": ["20 dBm", "23 dBm"]}))
+    make_plan = cli.make_plan
+    calls = []
+
+    def fail():
+        def failing(terms, *args, unit_eta=False, **kwargs):
+            if unit_eta:  # robust weights
+                calls.append(terms.tr_Q.shape[0])
+                if len(calls) in (1, 3):  # the stack, then the second job alone
+                    raise ValueError("no plan")
+            return make_plan(terms, *args, unit_eta=unit_eta, **kwargs)
+
+        monkeypatch.setattr(cli, "make_plan", failing)
+
+    clean, rows = _rows_after_one_failure(spec, tmp_path, fail)
+    assert calls == [2, 1, 1]
+    header = rows[1].split(",")
+    status = [dict(zip(header, line.split(","))) for line in rows[2:]]
+    assert {(r["weights_mode"], r["sweep_value"], r["status"]) for r in status
+            if r["status"] != "ok"} == {("robust", repr(spec.sweep_values[1]),
+                                         "error:ValueError")}
+    assert sum(r["status"] != "ok" for r in status) == spec.base.K
+    assert [line for line, r in zip(rows[2:], status) if r["status"] == "ok"] == [
+        line for line, r in zip(clean[2:], status) if r["status"] == "ok"]
+
+
 def test_a_failed_monte_carlo_check_fails_its_job_alone(tmp_path, monkeypatch):
     spec = cli.spec_from_dict(one_scheme_spec(schemes=THREE_SCHEMES, mc_realizations=200))
     sample = cli.montecarlo.sample_batch
@@ -1027,6 +1059,53 @@ def test_a_repetition_searches_rho_once_and_estimates_once_per_job(tmp_path, mon
     assert [ph.var_ap for ph in estimations] == [
         v for _ in range(spec.repetitions) for v in spec.sweep_values
         for _ in spec.schemes]
+
+
+def test_a_repetitions_robust_jobs_share_one_plan_parts_call_and_one_report(tmp_path,
+                                                                             monkeypatch):
+    # DU RS simple and robust and DF non-coherent RS at three oscillator
+    # variances: per repetition, one plan_parts call per (private scheme,
+    # transmission), one per max-min program and one for the three robust
+    # jobs, and one report for all nine jobs; each robust job gets the bits
+    # of its own run_jobs call
+    spec = cli.spec_from_dict(one_scheme_spec(
+        system={**desk_system(), "K": 3}, schemes=[DU_RS, {**DU_RS, "weights": "robust"},
+                                                   DF_NC_RS],
+        sweep={"parameter": "oscillator_variance", "values": ["-40 dB", "-30 dB", "-20 dB"]},
+        repetitions=2, mc_realizations=200))
+    counts = {"plan_parts": 0, "se_report": 0}
+    per_repetition, robust = [], []
+    originals = {name: getattr(cli.closed_form, name) for name in counts}
+    run_jobs = cli.run_jobs
+
+    def counted(name):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return originals[name](*args, **kwargs)
+        return call
+
+    def recorded(jobs, mc_realizations=0):
+        before = dict(counts)
+        results = run_jobs(jobs, mc_realizations)
+        per_repetition.append({name: counts[name] - before[name] for name in counts})
+        robust.extend((job, result) for job, result in zip(jobs, results)
+                      if job.scheme.weights_mode == "robust")
+        return results
+
+    for name in counts:
+        monkeypatch.setattr(cli.closed_form, name, counted(name))
+    monkeypatch.setattr(cli.optimize, "plan_parts", cli.closed_form.plan_parts)
+    monkeypatch.setattr(cli, "run_jobs", recorded)
+    rows, _ = read_csv(cli.run_experiment(spec, out_dir=tmp_path / "out") / "results.csv")
+    assert {r["status"] for r in rows} == {"ok"}
+    assert per_repetition == [{"plan_parts": 6, "se_report": 1}] * spec.repetitions
+    assert len(robust) == spec.repetitions * len(spec.sweep_values)
+    for job, (report, extras) in robust:
+        [(alone, alone_extras)] = run_jobs([job], spec.mc_realizations)
+        assert extras == alone_extras and "mc_rel_err_common" in extras
+        for field in dataclasses.fields(report):
+            assert (np.asarray(getattr(report, field.name)).tobytes()
+                    == np.asarray(getattr(alone, field.name)).tobytes()), field.name
 
 
 def test_a_csv_row_with_a_key_outside_its_columns_is_refused(tmp_path):

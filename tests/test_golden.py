@@ -75,6 +75,10 @@ SWEEPS = {
     "sweep-desk-mc": _spec(DESK_SYSTEM, [DU_RS, DU_RS_ROBUST, DU_NORS, DF_NC_RS], mc=200),
     "sweep-single-user": _spec({**DESK_SYSTEM, "K": 1, "tau_p": 1},
                                [DU_RS, DU_RS_ROBUST, DU_NORS, DF_NC_RS]),
+    # three robust jobs per repetition, reported from one stack
+    "sweep-desk-robust": _spec(DESK_SYSTEM, [DU_RS, DU_RS_ROBUST, DF_NC_RS],
+                               {"parameter": "oscillator_variance",
+                                "values": ["-40 dB", "-30 dB", "-20 dB"]}, mc=200),
 }
 
 # entry -> (argv with {d} for the entry's directory, the outputs digested)

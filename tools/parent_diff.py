@@ -3,13 +3,14 @@ byte for byte.
 
     python tools/parent_diff.py [REVISION] [--scratch DIR]
 
-The revision (default ``HEAD``) is checked out as a detached ``git worktree``
-under the scratch directory (default: a temporary one, removed at the end),
-and the worktree is removed when the comparison ends.  Every entry of
-``tests/test_golden.py``'s ``ENTRIES`` runs through its ``run_entry`` once
-per tree, each tree in one subprocess with that tree's ``src`` on
-``PYTHONPATH``; both trees run the working tree's corpus, so they run the
-same entries.  An entry leaves in its directory every file it writes, what
+The revision's committed files (default ``HEAD``) are extracted with ``git
+archive`` under the scratch directory (default: a temporary one, removed at
+the end), and removed when the comparison ends; unlike a ``git worktree``,
+this registers nothing in the repository, so a killed run leaves nothing
+behind there.  Every entry of ``tests/test_golden.py``'s ``ENTRIES`` runs
+through its ``run_entry`` once per tree, each tree in one subprocess with
+that tree's ``src`` on ``PYTHONPATH``; both trees run the working tree's
+corpus, so they run the same entries.  An entry leaves in its directory every file it writes, what
 its commands print (``stdout``, the entry's directory written as ``{d}``)
 and, for a benchmark entry, each op's output rows (``op-<i>.csv``).
 
@@ -23,10 +24,12 @@ digits; this comparison sees their last bits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -77,6 +80,21 @@ for name in entries:
 """
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+@contextlib.contextmanager
+def checkout(revision: str, scratch: Path):
+    """``revision``'s committed files, extracted into ``scratch/tree`` for
+    the duration of the block."""
+    tree, tar = scratch / "tree", scratch / "tree.tar"
+    tree.mkdir(parents=True)
+    try:
+        subprocess.run(["git", "archive", "--output", str(tar), revision], cwd=ROOT, check=True)
+        subprocess.run(["tar", "-xf", str(tar), "-C", str(tree)], check=True)
+        yield tree
+    finally:
+        tar.unlink(missing_ok=True)
+        shutil.rmtree(tree)
 
 
 def entries() -> list[str]:
@@ -162,8 +180,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("revision", nargs="?", default="HEAD",
                         help="the revision to compare the working tree with (default HEAD)")
-    parser.add_argument("--scratch", help="an empty or missing directory for the worktree and "
-                        "the outputs, kept at the end (default: a temporary one, removed)")
+    parser.add_argument("--scratch", help="an empty or missing directory for the revision's "
+                        "files and the outputs, kept at the end (default: a temporary one, "
+                        "removed)")
     args = parser.parse_args(argv)
     names = entries()
     with tempfile.TemporaryDirectory(prefix="parent_diff-") as tmp:
@@ -171,14 +190,8 @@ def main(argv=None) -> int:
         if scratch.exists() and any(scratch.iterdir()):
             parser.error(f"--scratch: {scratch} is not empty")
         scratch.mkdir(parents=True, exist_ok=True)
-        tree = scratch / "tree"
-        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(tree),
-                        args.revision], cwd=ROOT, check=True)
-        try:
+        with checkout(args.revision, scratch) as tree:
             lines = compare_trees(tree, ROOT, names, scratch)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT,
-                           check=True)
     print("\n".join(lines))
     return 0 if all(line.endswith(": identical") for line in lines) else 1
 
