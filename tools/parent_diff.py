@@ -10,9 +10,10 @@ this registers nothing in the repository, so a killed run leaves nothing
 behind there.  Every entry of ``tests/test_golden.py``'s ``ENTRIES`` runs
 through its ``run_entry`` once per tree, each tree in one subprocess with
 that tree's ``src`` on ``PYTHONPATH``; both trees run the working tree's
-corpus, so they run the same entries.  An entry leaves in its directory every file it writes, what
-its commands print (``stdout``, the entry's directory written as ``{d}``)
-and, for a benchmark entry, each op's output rows (``op-<i>.csv``).
+corpus, so they run the same entries.  An entry leaves in its directory
+every file it writes, what its commands print (``stdout``, the entry's
+directory written as ``{d}``) and, for a benchmark entry, each op's output
+rows (``op-<i>.csv``).
 
 One line per entry says "identical", or names each file that differs, with
 the rows (line numbers, from 1) that differ and the largest relative
