@@ -477,7 +477,7 @@ def _in_stack(fn, ids: list[int], failed: dict) -> list:
 
 def run_jobs(jobs: list[Job | Exception], mc_realizations: int = 0) -> list:
     """Each job's (report, extras), or the exception that failed it; extras
-    carries the optimized rho and optional Monte Carlo cross-check errors.
+    carries the optional Monte Carlo cross-check errors.
 
     ``jobs`` holds Jobs, which share K, tau_p and tau_c, and, in place of
     a job whose build failed, the exception that failed it, which is
@@ -540,7 +540,6 @@ def run_jobs(jobs: list[Job | Exception], mc_realizations: int = 0) -> list:
 
     for ids, found in _in_stack(search, searched, failed):
         rho.update(zip(ids, found))
-    extras = {i: {"optimized_rho": rho[i]} for i in searched if i in rho}
 
     weights = {}  # robust job -> its max-min weights, solved at its searched rho
     for i in order:
@@ -573,11 +572,12 @@ def run_jobs(jobs: list[Job | Exception], mc_realizations: int = 0) -> list:
                                 failed):
         reports.update(zip(ids, found))
 
+    extras = {}
     for i in reports if mc_realizations > 0 else ():
         plan, b = plans[i]
         try:
-            extras.setdefault(i, {}).update(
-                _mc_errors(jobs[i], plan.job(b).replace_rho(rho[i]), reports[i], mc_realizations))
+            extras[i] = _mc_errors(jobs[i], plan.job(b).replace_rho(rho[i]), reports[i],
+                                   mc_realizations)
         except Exception as exc:  # recorded, the other jobs continue
             failed[i] = exc
     return [failed[i] if i in failed else (reports[i], extras.get(i, {}))
@@ -876,7 +876,7 @@ def cmd_se(args) -> int:
     for scheme, result in zip(schemes, results):
         if isinstance(result, Exception):
             raise result
-        report, extras = result
+        report, _ = result
         for k in range(cfg.K):
             rows.append({"scheme": scheme.label(), "transmission": scheme.transmission,
                          "rho": report.rho, "k": k,
@@ -885,7 +885,7 @@ def cmd_se(args) -> int:
                          "sum_se": report.sum_se, "seed": cfg.seed})
         print(
             f"{scheme.label()}: sum SE = {report.sum_se:.4f} bit/s/Hz"
-            + (f" (rho* = {extras['optimized_rho']:.4f})" if "optimized_rho" in extras else "")
+            + (f" (rho* = {report.rho:.4f})" if scheme.rs_enabled else "")
         )
     _write_csv(out, "cfrs.se.v1",
                ["scheme", "transmission", "rho", "k", "se_private",

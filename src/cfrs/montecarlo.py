@@ -42,13 +42,14 @@ returns (``RealizationBatch``) holds only the count, the instants, the
 config and, for each of those plans, its per-group sums of every term.
 One streamed pass (``_stream``) runs draw -> precode -> accumulate inside
 each RNG chunk, and each worker runs its chunks in one workspace
-(``_Workspace``) that it holds for the whole pass.  The workspace names
-only the arrays that outlive a step: the chunk's channels h and pilot
-signal z, its UE and AP phase factors eu and ea, and a slice's link
-products Y and one precoder's common products E, each allocated once, at
-the largest layout the pass asks of it (``_largest_layouts``), when the
-workspace is built.  Every other array is a view of the one scratch
-buffer, in the layout its step takes (``_scratch_layouts``).
+(``_Workspace``) that it holds for the whole pass.  One table
+(``_layouts``) maps each step of the pass to the workspace buffer that
+holds it and the layout of its views.  The workspace names only the
+arrays that outlive a step: the chunk's channels h and pilot signal z, its
+UE and AP phase factors eu and ea, and a slice's link products Y and one
+precoder's common products E.  Every other array is a view of the one
+scratch buffer.  Each buffer is allocated once, when the workspace is
+built, at the largest layout the table gives any of its steps.
 Every array with a realization axis is a view into the workspace, filled
 through ``out=``, and has its realization axis last, so a pass allocates
 no such array per chunk or per slice and its memory does not grow with
@@ -105,6 +106,7 @@ rows and a sweep's Monte Carlo check its worst errors.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -224,54 +226,63 @@ def _map(fn, items, fold) -> None:
 
 class _Workspace:
     """Flat buffers that one worker fills again for every chunk and slice of
-    one pass, so the pass allocates no array with a realization axis per
-    chunk or per slice.
+    one pass of ``draw``, so the pass allocates no array with a realization
+    axis per chunk or per slice.
 
-    A workspace is built from the largest layout the pass asks of each
-    named buffer (``_largest_layouts``), so each buffer is allocated once,
-    when the workspace is built.  ``get`` views a buffer's leading bytes as
-    C-contiguous arrays laid one after the other, each at a 64-byte
+    A workspace holds the buffers of ``_layouts``, each allocated once, when
+    the workspace is built, at the largest layout the table gives any of its
+    steps for chunks of c and slices of r realizations, the pass's longest
+    (``sizes``).  ``get`` views a step's buffer's leading bytes as the
+    step's C-contiguous arrays laid one after the other, each at a 64-byte
     boundary, and refuses a layout larger than its buffer.  A shorter chunk
     or slice takes a shorter prefix, so every view has the layout a fresh
-    array of its shape would have.  The views of each (name, layout) are
-    built once and handed out again.
+    array of its shape would have.  The views of each (step, chunk length,
+    slice length) are built once and handed out again.
     """
 
-    def __init__(self, layouts: dict[str, tuple]):
-        self._flat = {name: np.empty(self.nbytes(*layout), dtype=np.uint8)
-                      for name, layout in layouts.items()}
+    def __init__(self, draw: _ChunkDraw, c: int, r: int):
+        self.draw = draw
+        self._flat = {name: np.empty(size, dtype=np.uint8)
+                      for name, size in self.sizes(draw, c, r).items()}
         self._views = {}
 
     @staticmethod
     def _extent(shape, dtype) -> int:
-        n = np.dtype(dtype).itemsize
-        for d in shape:
-            n *= d
-        return n
+        return math.prod(shape) * np.dtype(dtype).itemsize
 
     @staticmethod
     def nbytes(*layout) -> int:
         """Bytes that the (shape, dtype) views of ``layout`` take in a row."""
         return sum(-(-_Workspace._extent(*view) // 64) * 64 for view in layout)
 
-    def get(self, name: str, *layout):
-        """Views of buffer ``name``, one per (shape, dtype) of ``layout``, in
-        a row: the view itself for one pair, else a list."""
-        key = name, layout
-        views = self._views.get(key)
+    @staticmethod
+    def sizes(draw: _ChunkDraw, c: int, r: int) -> dict[str, int]:
+        """Bytes of each buffer of ``_layouts``: the largest layout of its
+        steps for chunks of c and slices of r realizations."""
+        sizes = {}
+        for name, layout in _layouts(draw, c, r).values():
+            sizes[name] = max(sizes.get(name, 0), _Workspace.nbytes(*layout))
+        return sizes
+
+    def get(self, step: str, c: int = 0, r: int = 0):
+        """The views of ``step`` (``_layouts``) for a chunk of c and a slice
+        of r realizations, one per (shape, dtype) of its layout, in a row:
+        the view itself for one pair, else a list."""
+        views = self._views.get((step, c, r))
         if views is not None:
             return views
+        name, layout = _layouts(self.draw, c, r)[step]
         flat = self._flat[name]
         need = self.nbytes(*layout)
         if need > flat.size:
             raise ValueError(f"workspace buffer {name!r} holds {flat.size} bytes, "
-                             f"but the layout needs {need}")
+                             f"but the layout of {step!r} needs {need}")
         views, start = [], 0
         for shape, dtype in layout:
             views.append(flat[start:start + self._extent(shape, dtype)]
                          .view(dtype).reshape(shape))
             start += self.nbytes((shape, dtype))
-        views = self._views[key] = views[0] if len(views) == 1 else views
+        views = self._views[step, c, r] = views[0] if len(views) == 1 else views
         return views
 
 
@@ -323,10 +334,9 @@ class _ChunkDraw:
     The draws are made in the order h, ue, ap, z, each in the C order of its
     shape with the realization axis moved first; a path is the cumulative
     sum of its sd-scaled increments over the instants, written into the
-    float view of the buffer ("eu" or "ea") that the pass turns into its
-    phase factors (see ``_stream``), which ``_stream`` has already sized
-    for the larger of the path and the factors.  A later call overwrites
-    what an earlier one wrote into the same workspace.
+    buffer ("eu" or "ea") that the pass then turns into its phase factors
+    (see ``_layouts`` and ``_stream``).  A later call overwrites what an
+    earlier one wrote into the same workspace.
     """
 
     def __init__(self, net: NetworkModel, pilots: PilotAssignment, phases: PhaseStatistics,
@@ -349,32 +359,27 @@ class _ChunkDraw:
         self.pilot_columns = [self.needed.index(t) for t in pilots.t.tolist()]
 
     def __call__(self, chunk: int, ws: _Workspace):
-        K, L, N, S = self.shape
         M = len(self.needed)
         c = min(RNG_CHUNK, self.count - chunk * RNG_CHUNK)
-        scratch = _scratch_layouts(self, c)
         rng = np.random.Generator(
             np.random.SFC64(np.random.SeedSequence(self.seed, spawn_key=(chunk,)))
         )
-        h = _complex_normal(rng, ws.get("h", ((K, L, N, c), complex)),
-                            ws.get("scratch", *scratch["h"]))
+        h = _complex_normal(rng, ws.get("h", c), ws.get("h parts", c))
         h *= self.sd
         paths = []
-        for steps_of, factor, rows, sd in (("ue steps", "eu", K, self.sd_ue),
-                                           ("ap steps", "ea", L, self.sd_ap)):
-            steps = rng.standard_normal(out=ws.get("scratch", *scratch[steps_of]))
-            path = ws.get(factor, ((rows, M, c), float))
-            np.multiply(steps.transpose(1, 2, 0), sd[:, None], out=path)
+        for phase, sd in (("ue", self.sd_ue), ("ap", self.sd_ap)):
+            steps = rng.standard_normal(out=ws.get(f"{phase} steps", c))
+            path = np.multiply(steps.transpose(1, 2, 0), sd[:, None],
+                               out=ws.get(f"{phase} path", c))
             # summed a whole (rows, c) slice per instant: np.cumsum along
             # axis 1 runs one M-long loop per path, several times slower
             for j in range(1, M):
                 path[:, j] += path[:, j - 1]
             paths.append(path)
         ue, ap = paths
-        z = _complex_normal(rng, ws.get("z", ((S, L, N, c), complex)),
-                            ws.get("scratch", *scratch["z"]))
+        z = _complex_normal(rng, ws.get("z", c), ws.get("z parts", c))
         z *= self.sq_sigma2
-        angle, rot, sent = ws.get("scratch", *scratch["pilot"])
+        angle, rot, sent = ws.get("pilot", c)
         for i, m in enumerate(self.pilot_columns):
             # each set's transmissions accumulate on top of its noise, in UE order
             _phasor(np.add(ue[i, m], ap[:, m], out=angle), out=rot)
@@ -495,35 +500,47 @@ def _chunk_slices(count: int, K: int, L: int) -> tuple[np.ndarray, list[list[tup
     return np.diff(edges), chunks
 
 
-def _scratch_layouts(draw: _ChunkDraw, c: int, r: int = 0) -> dict[str, tuple]:
-    """Every layout a pass asks of a workspace's scratch buffer, by step,
-    for chunks of c and slices of r realizations (the draw's steps do not
-    read r).
+def _layouts(draw: _ChunkDraw, c: int, r: int) -> dict[str, tuple[str, tuple]]:
+    """Every step of a pass, for chunks of c and slices of r realizations
+    (a chunk's steps do not read r, nor a slice's c): the workspace buffer
+    that holds it and its (shape, dtype) views, in a row.
 
-    A step asks for its layout when it starts and reads nothing that an
-    earlier step left in the buffer.  The views of one layout are in use at
-    the same time, so each has its own region, except where noted.
-    ``_stream`` sizes the buffer for the largest layout of its longest
-    chunk and slice (``_largest_layouts``): with ``cfrs validate``'s three
-    instants on the 4/2/2/2 desk, the pilot step's 0.9 MiB at 2e4
-    realizations and the link products' work, 1 MiB, at 1e5; from
-    40/8/2/4 up, the draw's h (20 MiB at 2e4).
+    A step asks for its views when it starts and reads nothing that an
+    earlier step of its buffer left there.  The views of one step are in
+    use at the same time, so each has its own region, except where noted.
+    ``_Workspace`` sizes each buffer as the largest layout of its steps at
+    the pass's longest chunk and slice, so the table is the one size model
+    of the pass: ``test_a_workspaces_bytes_at_five_scales``
+    (tests/test_montecarlo.py) evaluates it with ``cfrs validate``'s three
+    instants from the desk to 200/32/4/8.
     """
     K, L, N, S = draw.shape
     drawn, M = len(draw.needed), draw.kept
     return {
+        # the chunk's channels and pilot signal; its UE and AP phase paths
+        # at every sampled instant, whose buffers then hold their factors
+        # exp(-i phase) at the kept instants
+        "h": ("h", (((K, L, N, c), complex),)),
+        "z": ("z", (((S, L, N, c), complex),)),
+        "ue path": ("eu", (((K, drawn, c), float),)),
+        "eu": ("eu", (((K, M, c), complex),)),
+        "ap path": ("ea", (((L, drawn, c), float),)),
+        "ea": ("ea", (((L, M, c), complex),)),
+        # a slice's link products and one precoder's common products
+        "Y": ("Y", (((K, S, L, r), complex),)),
+        "E": ("E", (((K, L, r), complex),)),
         # the draw: the real parts of the channels and of the pilot noise,
         # the phase steps, and one UE's pilot angle, its factor exp(i angle)
         # and its transmission
-        "h": (((c, K, L, N), float),),
-        "ue steps": (((c, K, drawn), float),),
-        "ap steps": (((c, L, drawn), float),),
-        "z": (((c, S, L, N), float),),
-        "pilot": (((L, c), float), ((L, c), complex), ((L, N, c), complex)),
+        "h parts": ("scratch", (((c, K, L, N), float),)),
+        "ue steps": ("scratch", (((c, K, drawn), float),)),
+        "ap steps": ("scratch", (((c, L, drawn), float),)),
+        "z parts": ("scratch", (((c, S, L, N), float),)),
+        "pilot": ("scratch", (((L, c), float), ((L, c), complex), ((L, N, c), complex))),
         # the negated phases at the kept instants, from which a chunk forms
         # its phase factors
-        "-ue": (((K, M, c), float),),
-        "-ap": (((L, M, c), float),),
+        "-ue": ("scratch", (((K, M, c), float),)),
+        "-ap": ("scratch", (((L, M, c), float),)),
         # a slice (``_accumulate``): the link products' work; the common
         # precoder v_c and its work; the common products' work; and at each
         # instant the coherent precoders w (whose region first holds the
@@ -531,37 +548,10 @@ def _scratch_layouts(draw: _ChunkDraw, c: int, r: int = 0) -> dict[str, tuple]:
         # and summed before w is formed), and the coherent interference c
         # and its work, whose leading (K, r) rows then hold the common one
         # ec and its work
-        "Y": (((K, S, L, r), complex),),
-        "v_c": (((L, N, r), complex), ((L, N, r), complex)),
-        "e": (((K, L, r), complex),),
-        "instants": (((K, L, r), complex), ((K, K, r), complex), ((K, K, r), complex)),
-    }
-
-
-def _largest_layouts(draw: _ChunkDraw, c: int, r: int) -> dict[str, tuple]:
-    """The largest layout a pass asks of each named workspace buffer, for
-    its longest chunk of c and slice of r realizations.  ``_stream`` builds
-    each workspace from them, so every buffer is allocated once and never
-    replaced.
-
-    The phase buffers eu and ea first hold the draw's float paths at every
-    sampled instant and then the complex factors at the kept ones, so each
-    takes the larger of the two.
-    """
-    K, L, N, S = draw.shape
-    drawn, M = len(draw.needed), draw.kept
-
-    def larger(*layouts):
-        return max(layouts, key=lambda layout: _Workspace.nbytes(*layout))
-
-    return {
-        "h": (((K, L, N, c), complex),),
-        "z": (((S, L, N, c), complex),),
-        "eu": larger((((K, drawn, c), float),), (((K, M, c), complex),)),
-        "ea": larger((((L, drawn, c), float),), (((L, M, c), complex),)),
-        "Y": (((K, S, L, r), complex),),
-        "E": (((K, L, r), complex),),
-        "scratch": larger(*_scratch_layouts(draw, c, r).values()),
+        "Y work": ("scratch", (((K, S, L, r), complex),)),
+        "v_c": ("scratch", (((L, N, r), complex), ((L, N, r), complex))),
+        "E work": ("scratch", (((K, L, r), complex),)),
+        "instants": ("scratch", (((K, L, r), complex), ((K, K, r), complex), ((K, K, r), complex))),
     }
 
 
@@ -629,14 +619,15 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
 
     Each RNG chunk runs on a worker of ``_map``, inside a workspace that
     the worker keeps for the whole pass: at most one is built per worker,
-    with every named buffer at the largest layout of the pass
-    (``_largest_layouts``), so each buffer is allocated once and no view
-    outlives the buffer it was cut from.  Every array of the pass has its realization axis last.  A
-    chunk draws its realizations into the workspace, the phase paths into
-    the buffers of their factors eu and ea; turns the paths' kept columns
-    into those factors, each once its columns are negated into the
-    scratch; turns the channels h into gh = conj(theta h) in place; and
-    cuts itself into the slices of ``_chunk_slices``.  Each slice filters
+    with every buffer at the largest layout its steps take in the pass
+    (``_layouts``), so each buffer is allocated once and no view outlives
+    the buffer it was cut from.  Every array of the pass has its
+    realization axis last.  A chunk draws its realizations into the
+    workspace, the phase paths into the buffers of their factors eu and
+    ea; turns the paths' kept columns into those factors, each once its
+    columns are negated into the scratch; turns the channels h into
+    gh = conj(theta h) in place; and cuts itself into the slices of
+    ``_chunk_slices``.  Each slice filters
     its slice of the pilot signal, drawn in set order, into one
     observation per co-pilot set (``_CopilotSets.filter``), written over
     that slice of z; then ``_accumulate`` shares its work at three levels:
@@ -653,10 +644,10 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
     products, however many precoders the plans have.  Beyond the desk
     scale it is dominated by the chunk arrays h and z and the draw's
     scratch, which hold up to K L N min(``RNG_CHUNK``, count) entries each.
-    With ``cfrs validate``'s three instants, the layouts sum to 4.7 MiB at
-    2e4 realizations and 5.6 MiB at 1e5 on the 4/2/2/2 desk, and at 2e4 to
-    92 MiB at 40/8/2/4, 854 MiB at 100/16/4/8 and 2.9 GiB at 200/32/4/8,
-    per worker.
+    ``_Workspace.sizes`` gives each buffer's bytes from the table without
+    drawing or allocating; ``test_a_workspaces_bytes_at_five_scales``
+    (tests/test_montecarlo.py) states them per worker with ``cfrs
+    validate``'s three instants, from the desk to 200/32/4/8.
     """
     K, L, N = net.K, net.L, net.N
     for plan in plans:
@@ -669,8 +660,8 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
     assert draw.needed[-M:] == list(instants)
     sets = _CopilotSets(pilots, stats, net.lam)
     precoders = _share(plans, net.theta, stats.x, pilots)
-    largest = _largest_layouts(draw, min(count, RNG_CHUNK),
-                               max(sl.stop - sl.start for pieces in chunks for _, sl in pieces))
+    longest = (min(count, RNG_CHUNK),  # the chunk and slice every workspace is sized for
+               max(sl.stop - sl.start for pieces in chunks for _, sl in pieces))
     conj_theta = np.conj(net.theta)[:, :, None, None]
     idle = []  # workspaces no chunk is running in
 
@@ -682,18 +673,17 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
         try:
             ws = idle.pop()
         except IndexError:  # at most one per worker, as at most one chunk runs on each
-            ws = _Workspace(largest)
+            ws = _Workspace(draw, *longest)
         try:
             h, z, ue, ap = draw(chunk, ws)
             c = h.shape[-1]
-            scratch = _scratch_layouts(draw, c)
             # the phase factors exp(-i phase) (K, M, c) and (L, M, c) at the
             # instants, each written over its path once the path's kept
             # columns are negated into the scratch
             factors = []
             for name, path, negated in (("eu", ue, "-ue"), ("ea", ap, "-ap")):
-                angle = np.negative(path[:, -M:], out=ws.get("scratch", *scratch[negated]))
-                factors.append(_phasor(angle, out=ws.get(name, (angle.shape, complex))))
+                angle = np.negative(path[:, -M:], out=ws.get(negated, c))
+                factors.append(_phasor(angle, out=ws.get(name, c)))
             eu, ea = factors
             gh = np.multiply(conj_theta, np.conjugate(h, out=h), out=h)
             slices = chunks[chunk]
@@ -703,8 +693,7 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
                 # the observations overwrite their slice of the pilot signal
                 u = sets.filter(z[..., sl], z[..., sl])
                 _accumulate(partial, b - first, precoders, sets, config, gh[..., sl], u,
-                            eu[..., sl], ea[..., sl], ws,
-                            _scratch_layouts(draw, c, sl.stop - sl.start))
+                            eu[..., sl], ea[..., sl], ws)
             return first, partial
         finally:
             idle.append(ws)
@@ -725,12 +714,11 @@ def _stream(net, pilots, stats, phases, config, count, seed, instants, plans) ->
 
 def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
                 sets: _CopilotSets, config: SystemConfig, gh: np.ndarray, u: np.ndarray,
-                eu: np.ndarray, ea: np.ndarray, ws: _Workspace, scratch: dict) -> None:
+                eu: np.ndarray, ea: np.ndarray, ws: _Workspace) -> None:
     """Add one slice's terms at the instants, and its per-AP transmit powers,
     into row b of every plan's sums; every array with a realization axis is
     a view into the workspace ``ws``, with the r realizations on its last
-    axis, and ``scratch`` holds the slice's scratch layouts
-    (``_scratch_layouts``).
+    axis, cut for the slice's step (``_layouts``).
 
     The effective channel is g[k,l] = theta[k,l] exp(i(ue[k] + ap[l])) h[k,l]
     and the DU precoder is v[i,l] = x[i,l] u[P_i,l] (``_CopilotSets``), so
@@ -769,9 +757,9 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
     whichever precoders come before its own.  Only Y and the common
     products E of one precoder have buffers of their own, and u is
     the slice of the pilot signal it was filtered over; every other array
-    of a slice is a view of the scratch layout of its step.  Each sum
-    of squares over the realizations is one ``einsum`` over the float view
-    (``_sumsq``), which forms no squared array.  The desired-signal sums
+    of a slice is a view of the scratch, in the layout of its step.  Each
+    sum of squares over the realizations is one ``einsum`` over the float
+    view (``_sumsq``), which forms no squared array.  The desired-signal sums
     stay a complex product and ``sum``: numpy's complex ``einsum`` holds
     the GIL, which would serialize ``_map``'s workers.  No array has two UE
     axes and an AP axis, and no sum is a matrix product.
@@ -779,12 +767,12 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
     K, L, N, r = gh.shape
     S = len(u)
     Y = _sum_products(((gh[:, None, :, n], u[None, :, :, n]) for n in range(N)),
-                      ws.get("Y", ((K, S, L, r), complex)), ws.get("scratch", *scratch["Y"]))
+                      ws.get("Y", r=r), ws.get("Y work", r=r))
     of = sets.pilots.set_of
     u_power = _sumsq(u).sum(axis=-1)[of]  # (K, L): sum |u[P_i]|^2
     # (K, K, L): sum_r |Y[k,P_i,l]|^2
     Y_power = _sumsq(Y)[:, of] if any(not s.coherent for s in sums) else None
-    w_, c_, c_work = ws.get("scratch", *scratch["instants"])
+    w_, c_, c_work = ws.get("instants", r=r)
     work = w_  # D's and ds_c's products, summed before w is formed
     ec_, ec_work = c_[0], c_work[0]  # (K, r), used once c is summed
     # w and c list their UEs i set by set, c[i,k] = sum_l Y[k,P_i,l] w[i,l]: per
@@ -800,18 +788,18 @@ def _accumulate(sums: list[_BlockSums], b: int, precoders: list[_Precoder],
         for k, s in enumerate(of):  # eu[k] ea Y[k,P_k]
             work[k] *= Y[k, s]
         D.append(np.sum(work, axis=-1))
-    e_ = ws.get("E", ((K, L, r), complex))
+    e_ = ws.get("E", r=r)
     for pre in precoders:
-        # the precoder's v_c and e steps reuse the instants' scratch region,
+        # the precoder's v_c and E work steps reuse the instants' scratch region,
         # whose views each instant below writes before it reads them
         power = (1.0 - pre.rho) * config.p_d * np.sum(pre.mu_x2 * u_power, axis=0)
         e = None
         if pre.rho > 0:
             v_c = _sum_products(((pre.eta_omega[s, :, None, None], u[s]) for s in range(S)),
-                                *ws.get("scratch", *scratch["v_c"]))
+                                *ws.get("v_c", r=r))
             power += pre.rho * config.p_d * _sumsq(v_c).sum(axis=-1)
             e = _sum_products(((pre.eta_omega[s, :, None], Y[:, s]) for s in range(S)), e_,
-                              ws.get("scratch", *scratch["e"]))  # (K, L, r)
+                              ws.get("E work", r=r))  # (K, L, r)
         for j in pre.plans:
             out = sums[j]
             out.power[b] += power

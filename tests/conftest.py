@@ -70,9 +70,9 @@ def batch_arrays(net, pilots, stats, phases, config, count, seed, instants):
 
 
 def draw_workspace(draw):
-    """A workspace sized for the draw's chunks (``montecarlo._largest_layouts``
-    with no slice)."""
-    return mc._Workspace(mc._largest_layouts(draw, min(draw.count, mc.RNG_CHUNK), 0))
+    """A workspace sized for the draw's chunks (``montecarlo._layouts`` at
+    its longest chunk, with no slice)."""
+    return mc._Workspace(draw, min(draw.count, mc.RNG_CHUNK), 0)
 
 
 def drawn_chunks(net, pilots, stats, phases, config, count, seed, instants):

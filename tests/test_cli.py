@@ -1255,7 +1255,7 @@ def test_mc_rel_err_is_blank_where_the_check_cannot_resolve_the_sinr(tmp_path):
     i = cfg.mid_instant - cfg.estimation_instant
     for sinr in (report.sinr_private[:, i], report.sinr_common[:, i]):
         assert np.all((sinr > 1e-30) & (sinr < 1e-8))
-    assert extras.keys() == {"optimized_rho"}
+    assert extras == {}
     rows, _ = read_csv(cli.run_experiment(spec, out_dir=tmp_path / "out") / "results.csv")
     assert {r["status"] for r in rows} == {"ok"}
     for row in rows:

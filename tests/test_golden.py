@@ -146,30 +146,47 @@ def run_benchmark(name: str, d: Path) -> str:
     for i, op in enumerate(workloads.make_ops(workload, BENCH_SEED,
                                               workload.op_count(BENCH_SECONDS))):
         rows = workloads.output_rows(workload, workloads.call(workload, op, d))
+        with open(d / f"op-{i}.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
         assert workloads.check(workload, op, rows) == [], (name, i)
         lines.append(workloads.digest_lines(workload, rows))
     return workloads.digest(lines)
 
 
 def run_entry(name: str, d: Path) -> str:
-    """Run corpus entry ``name`` in the empty directory ``d``; its digest."""
+    """Run corpus entry ``name`` in the empty directory ``d``; its digest.
+
+    Beside the files its commands write, the entry leaves in ``d`` what
+    they print (``stdout``, with ``d`` written as ``{d}``) or, for a
+    benchmark entry, each op's output rows (``op-<i>.csv``), which
+    tools/parent_diff.py compares byte for byte.
+    """
     if name in BENCHMARKS:
         return run_benchmark(name, d)
+    printed = []
+
+    def main(argv: list[str]) -> str:
+        printed.append(_main(argv))
+        return printed[-1]
+
     base = name.removesuffix("-replay")
     if base in SWEEPS:
         spec = d / "spec.json"
         spec.write_text(json.dumps(SWEEPS[base]))
-        _main(["sweep", "--config", str(spec), "--out", str(d / "first")])
+        main(["sweep", "--config", str(spec), "--out", str(d / "first")])
         if name == base:
             out = d / "first"
         else:
             out = d / "out"
-            _main(["sweep", "--replay", str(d / "first" / "manifest.json"), "--out", str(out)])
+            main(["sweep", "--replay", str(d / "first" / "manifest.json"), "--out", str(out)])
         texts = {f: (out / f).read_text() for f in SWEEP_FILES}
     else:
         argv, outputs = COMMANDS[name]
-        stdout = _main([arg.replace("{d}", str(d)) for arg in argv])
+        stdout = main([arg.replace("{d}", str(d)) for arg in argv])
         texts = {f: stdout if f == "stdout" else (d / f).read_text() for f in outputs}
+    (d / "stdout").write_text("".join(printed).replace(str(d), "{d}"))
     h = hashlib.sha256()
     for f, text in texts.items():
         h.update(f"{f}\n".encode())

@@ -3,6 +3,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -699,8 +700,8 @@ def test_every_workspace_view_is_written_before_it_is_read(desk, monkeypatch):
     clean_contaminated = desk_pass_sums(contaminated)
 
     class Poisoned(mc._Workspace):
-        def get(self, name, *layout):
-            views = super().get(name, *layout)
+        def get(self, step, c=0, r=0):
+            views = super().get(step, c, r)
             for view in views if isinstance(views, list) else [views]:
                 view[...] = np.nan
             return views
@@ -713,25 +714,59 @@ def test_every_workspace_view_is_written_before_it_is_read(desk, monkeypatch):
 
 
 def test_a_workspace_refuses_a_layout_larger_than_its_buffer():
-    small = (((3, 5), complex), ((7,), float))
-    ws = mc._Workspace({"a": small, "b": (((4,), float),)})
-    first = ws.get("a", *small)
-    other = ws.get("b", ((4,), float))
-    # a (name, layout) asked again gets the views built the first time
-    assert ws.get("a", *small) is first
-    assert [view.shape for view in first] == [(3, 5), (7,)]
-    # a shorter layout takes a prefix of the same buffer
-    shorter = ws.get("a", ((2, 5), complex))
-    assert np.shares_memory(shorter, first[0]) and shorter.flags.c_contiguous
-    for larger in ((((100, 5), complex),), (((3, 5), complex), ((9,), float))):
-        with pytest.raises(ValueError, match="'a' holds"):
-            ws.get("a", *larger)
-    with pytest.raises(ValueError, match="'b' holds"):
-        ws.get("b", ((9,), float))
+    # the table of a draw of 3 UEs, 5 APs, 2 antennas and 2 co-pilot sets,
+    # with phases at 4 instants of which 1 is kept, at chunks of 8 and
+    # slices of 4 realizations; no pass needs a real draw to be cut
+    draw = SimpleNamespace(shape=(3, 5, 2, 2), needed=[1, 2, 3, 6], kept=1)
+    ws = mc._Workspace(draw, 8, 4)
+    first = ws.get("pilot", 8)
+    other = ws.get("Y", r=4)
+    # a (step, chunk, slice) asked again gets the views built the first time
+    assert ws.get("pilot", 8) is first
+    assert [view.shape for view in first] == [(5, 8), (5, 8), (5, 2, 8)]
+    # a shorter chunk takes a prefix of the same buffer
+    shorter = ws.get("h", 5)
+    assert np.shares_memory(shorter, ws.get("h", 8)) and shorter.flags.c_contiguous
+    with pytest.raises(ValueError, match="'h' holds"):
+        ws.get("h", 100)
+    with pytest.raises(ValueError, match="'scratch' holds .* 'pilot' needs"):
+        ws.get("pilot", 100)  # a step of several views
+    with pytest.raises(ValueError, match="'Y' holds"):
+        ws.get("Y", r=9)
     # a refused layout leaves the buffers and their views as they were
-    assert ws.get("a", *small) is first and ws.get("b", ((4,), float)) is other
+    assert ws.get("pilot", 8) is first and ws.get("Y", r=4) is other
+    # each buffer holds its largest step: the phase buffers their paths at
+    # 4 instants (float) over their factors at 1 (complex), the scratch the
+    # pilot step's angle (L c float), factor (L c) and transmission (L N c)
     assert {name: flat.size for name, flat in ws._flat.items()} == {
-        "a": ws.nbytes(*small), "b": 64}
+        "h": 3 * 5 * 2 * 8 * 16, "z": 2 * 5 * 2 * 8 * 16, "eu": 3 * 4 * 8 * 8,
+        "ea": 5 * 4 * 8 * 8, "Y": 3 * 2 * 5 * 4 * 16, "E": 3 * 5 * 4 * 16,
+        "scratch": 5 * 8 * 8 + 5 * 8 * 16 + 5 * 2 * 8 * 16}
+
+
+def test_a_workspaces_bytes_at_five_scales():
+    # the one size model of a pass: the layout table at the pass's longest
+    # chunk and slice, with cfrs validate's three instants, gives a
+    # worker's workspace bytes without drawing or allocating.  From
+    # 40/8/2/4 up, the chunk's channels h are the largest buffer.
+    totals = {}
+    for (L, K, N, tau_p), count in [((4, 2, 2, 2), 100_000), ((4, 2, 2, 2), 20_000),
+                                    ((40, 8, 2, 4), 20_000), ((100, 16, 4, 8), 20_000),
+                                    ((200, 32, 4, 8), 20_000)]:
+        cfg = cfrs.SystemConfig(L=L, K=K, N=N, tau_p=tau_p, tau_c=20 if L == 4 else 200, seed=1)
+        lam = cfg.estimation_instant  # validate_families' instants
+        instants = sorted({lam, min(lam + 5, cfg.tau_c), cfg.tau_c})
+        draw = mc._ChunkDraw(cfrs.build_network(cfg), cfrs.assign_pilots(K, tau_p),
+                             cfrs.PhaseStatistics.from_config(cfg), cfg, count, 1, instants)
+        slices = mc._chunk_slices(count, K, L)[1]
+        longest = min(count, mc.RNG_CHUNK), max(sl.stop - sl.start
+                                                for pieces in slices for _, sl in pieces)
+        sizes = mc._Workspace.sizes(draw, *longest)
+        assert set(sizes) == set(WORKSPACE_BUFFERS)
+        totals[L, K, N, tau_p, count] = sum(sizes.values())
+    assert totals == {(4, 2, 2, 2, 100_000): 5_898_240, (4, 2, 2, 2, 20_000): 4_962_304,
+                      (40, 8, 2, 4, 20_000): 96_534_528, (100, 16, 4, 8, 20_000): 895_418_368,
+                      (200, 32, 4, 8, 20_000): 3_078_619_136}
 
 
 def built_workspaces(monkeypatch):
@@ -739,9 +774,9 @@ def built_workspaces(monkeypatch):
     built = []
 
     class Counted(mc._Workspace):
-        def __init__(self, layouts):
+        def __init__(self, *args):
             built.append(self)
-            super().__init__(layouts)
+            super().__init__(*args)
 
     monkeypatch.setattr(mc, "_Workspace", Counted)
     return built
@@ -765,14 +800,15 @@ def spied_workspaces(monkeypatch):
     built = []
 
     class Spied(mc._Workspace):
-        def __init__(self, layouts):
-            super().__init__(layouts)
+        def __init__(self, *args):
+            super().__init__(*args)
             self.allocated = dict(self._flat)
             self.largest, self.elsewhere, self.shapes, self.scratch = {}, set(), [], []
             built.append(self)
 
-        def get(self, name, *layout):
-            views = super().get(name, *layout)
+        def get(self, step, c=0, r=0):
+            views = super().get(step, c, r)
+            name, layout = mc._layouts(self.draw, c, r)[step]
             self.largest[name] = max(self.largest.get(name, 0), self.nbytes(*layout))
             for view in views if isinstance(views, list) else [views]:
                 if not np.shares_memory(view, self.allocated[name]):
@@ -788,8 +824,9 @@ def spied_workspaces(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_workspace_holds_only_the_largest_layout_of_each_buffer(desk, monkeypatch, workers):
-    # a workspace is built from _largest_layouts, so each buffer must be
-    # exactly the largest layout that the pass asks under its name
+    # a workspace is sized from the layout table at the pass's longest
+    # chunk and slice, so each buffer must be exactly the largest layout
+    # that the pass asks of it
     monkeypatch.setattr(mc, "_CPUS", workers)
     built = spied_workspaces(monkeypatch)
     for setup in (desk, small_setup(seed=3, L=10, K=5, N=2, tau_p=3)):
@@ -845,7 +882,7 @@ def test_a_desk_workspace_holds_only_what_outlives_a_step(desk, monkeypatch, wor
     # after a 1e5-realization desk pass a workspace names only the chunk
     # arrays, the phase factors, the link products, one precoder's common
     # products and one scratch (6.375 MiB), and every scratch request is a
-    # layout of _scratch_layouts for one of the pass's chunk and slice
+    # scratch layout of the table for one of the pass's chunk and slice
     # lengths
     cfg, net, pilots, phases, _, _ = desk
     monkeypatch.setattr(mc, "_CPUS", workers)
@@ -861,7 +898,8 @@ def test_a_desk_workspace_holds_only_what_outlives_a_step(desk, monkeypatch, wor
     chunks = mc._chunk_slices(count, net.K, net.L)[1]
     lengths = {(min(mc.RNG_CHUNK, count - i * mc.RNG_CHUNK), sl.stop - sl.start)
                for i, pieces in enumerate(chunks) for _, sl in pieces}
-    layouts = {layout for c, r in lengths for layout in mc._scratch_layouts(draw, c, r).values()}
+    layouts = {layout for c, r in lengths
+               for name, layout in mc._layouts(draw, c, r).values() if name == "scratch"}
     requests = {layout for ws in built for layout in ws.scratch}
     assert requests and requests <= layouts
 

@@ -11,9 +11,9 @@ behind there.  Every entry of ``tests/test_golden.py``'s ``ENTRIES`` runs
 through its ``run_entry`` once per tree, each tree in one subprocess with
 that tree's ``src`` on ``PYTHONPATH``; both trees run the working tree's
 corpus, so they run the same entries.  An entry leaves in its directory
-every file it writes, what its commands print (``stdout``, the entry's
-directory written as ``{d}``) and, for a benchmark entry, each op's output
-rows (``op-<i>.csv``).
+every file it writes and, written by ``run_entry`` itself, what its
+commands print (``stdout``, the entry's directory written as ``{d}``) or,
+for a benchmark entry, each op's output rows (``op-<i>.csv``).
 
 One line per entry says "identical", or names each file that differs, with
 the rows (line numbers, from 1) that differ and the largest relative
@@ -41,7 +41,7 @@ GOLDEN = ROOT / "tests" / "test_golden.py"
 
 # Run in a subprocess: python -c RUNNER <corpus file> <tree> <out dir> <entry>...
 RUNNER = r"""
-import csv, importlib.util, sys
+import importlib.util, sys
 from pathlib import Path
 
 corpus, tree, out, entries = sys.argv[1], Path(sys.argv[2]), Path(sys.argv[3]), sys.argv[4:]
@@ -50,34 +50,9 @@ golden = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(golden)
 if not Path(golden.cli.__file__).resolve().is_relative_to(tree.resolve() / "src"):
     sys.exit(f"cfrs was imported from {golden.cli.__file__}, not from {tree}/src")
-main, printed, op_rows = golden._main, [], []
-
-
-def recorded_main(argv):
-    printed.append(main(argv))
-    return printed[-1]
-
-
-def recorded_rows(workload, result):
-    op_rows.append(output_rows(workload, result))
-    return op_rows[-1]
-
-
-golden._main = recorded_main
-workloads = golden._workloads()
-output_rows, workloads.output_rows = workloads.output_rows, recorded_rows
 for name in entries:
-    d = out / name
-    d.mkdir(parents=True)
-    printed.clear()
-    op_rows.clear()
-    golden.run_entry(name, d)
-    (d / "stdout").write_text("".join(printed).replace(str(d), "{d}"))
-    for i, rows in enumerate(op_rows):
-        with open(d / f"op-{i}.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
+    (out / name).mkdir(parents=True)
+    golden.run_entry(name, out / name)
 """
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
